@@ -121,7 +121,7 @@ pub enum FabricError {
     /// A peer violated the protocol (wrong message, bad fingerprint,
     /// reply never arrived within the resend budget).
     Protocol(String),
-    /// A message body failed to decode under the checkpoint codec.
+    /// A frame or message body failed to decode.
     Codec(CheckpointError),
 }
 
@@ -146,5 +146,11 @@ impl From<std::io::Error> for FabricError {
 impl From<CheckpointError> for FabricError {
     fn from(e: CheckpointError) -> FabricError {
         FabricError::Codec(e)
+    }
+}
+
+impl From<kgpt_syzlang::codec::DecodeError> for FabricError {
+    fn from(e: kgpt_syzlang::codec::DecodeError) -> FabricError {
+        FabricError::Codec(e.into())
     }
 }

@@ -1,26 +1,21 @@
 //! Message set and frame codec.
 //!
-//! Every message travels as one **frame**:
-//!
-//! ```text
-//! version: u32 LE | checksum: u64 LE (FNV-1a of everything after) | tag: u8 | body
-//! ```
-//!
-//! Bodies reuse the `CampaignSnapshot` dense little-endian codec via
-//! the public [`kgpt_fuzzer::fabric`] encode/decode functions, so the
-//! delta wire format *is* the checkpoint framing. Stream transports
-//! add their own length prefix (see [`crate::transport`]); the frame
-//! itself is self-validating — a flipped bit anywhere fails the
-//! checksum and the frame is discarded, to be recovered by the
-//! sender's resend loop.
+//! Every message travels as one **frame**: the
+//! [`kgpt_syzlang::codec`] envelope with an empty magic, around a
+//! tag byte and the message body. Bodies are composed from the
+//! [`kgpt_fuzzer::fabric`] codecs, so the delta wire format *is* a
+//! checkpoint fragment. Stream transports add their own length prefix
+//! (see [`crate::transport`]); the frame itself is self-validating —
+//! a flipped bit anywhere fails the checksum and the frame is
+//! discarded, to be recovered by the sender's resend loop.
 
 use crate::FabricError;
-use kgpt_fuzzer::checkpoint::fnv1a;
 use kgpt_fuzzer::fabric::{
-    decode_config, decode_deltas, decode_patches, decode_seeds, decode_snapshots, encode_config,
-    encode_deltas, encode_patches, encode_seeds, encode_snapshots, EpochDelta, EpochPatch,
+    decode_config, decode_seeds, decode_snapshots, encode_config, encode_seeds, encode_snapshots,
+    EpochDelta, EpochPatch,
 };
 use kgpt_fuzzer::{CampaignConfig, HubSeed, ShardSnapshot};
+use kgpt_syzlang::codec::{frame, unframe, Reader, Writer};
 
 /// Frame format version. Bump on any layout change.
 /// v2: delta frames carry a [`DeltaKind`] tag (full vs incremental).
@@ -29,34 +24,6 @@ use kgpt_fuzzer::{CampaignConfig, HubSeed, ShardSnapshot};
 /// refuses a registration (quarantine or overload shedding) with a
 /// retry-after measured in grant cycles.
 pub const FRAME_VERSION: u32 = 3;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, FabricError> {
-    let end = pos
-        .checked_add(4)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| FabricError::Protocol(format!("truncated u32 at {pos}")))?;
-    let v = u32::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, FabricError> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| FabricError::Protocol(format!("truncated u64 at {pos}")))?;
-    let v = u64::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
 
 /// A granted lease: everything a worker needs to run its shard range
 /// deterministically.
@@ -229,32 +196,33 @@ impl Message {
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
         let mut body = Vec::new();
+        let mut w = Writer::new(&mut body);
         match self {
             Message::Register { worker_id } => {
-                body.push(TAG_REGISTER);
-                put_u64(&mut body, *worker_id);
+                w.u8(TAG_REGISTER);
+                w.u64(*worker_id);
             }
             Message::Grant(g) => {
-                body.push(TAG_GRANT);
-                put_u32(&mut body, g.tenant);
-                put_u64(&mut body, g.lease_id);
-                put_u32(&mut body, g.slot);
-                put_u32(&mut body, g.shard_lo);
-                put_u32(&mut body, g.shard_hi);
-                put_u32(&mut body, g.shards_total);
-                put_u64(&mut body, g.boundary);
-                put_u64(&mut body, g.lease_timeout_ms);
-                put_u64(&mut body, g.spec_fp);
-                encode_config(&g.config, &mut body);
-                encode_snapshots(&g.snapshots, &mut body);
+                w.u8(TAG_GRANT);
+                w.u32(g.tenant);
+                w.u64(g.lease_id);
+                w.u32(g.slot);
+                w.u32(g.shard_lo);
+                w.u32(g.shard_hi);
+                w.u32(g.shards_total);
+                w.u64(g.boundary);
+                w.u64(g.lease_timeout_ms);
+                w.u64(g.spec_fp);
+                encode_config(&g.config, &mut w);
+                encode_snapshots(&g.snapshots, &mut w);
             }
             Message::Retry {
                 after_grants,
                 quarantined,
             } => {
-                body.push(TAG_RETRY);
-                put_u64(&mut body, *after_grants);
-                body.push(u8::from(*quarantined));
+                w.u8(TAG_RETRY);
+                w.u64(*after_grants);
+                w.bool(*quarantined);
             }
             Message::Delta {
                 tenant,
@@ -262,18 +230,18 @@ impl Message {
                 boundary,
                 deltas,
             } => {
-                body.push(TAG_DELTA);
-                put_u32(&mut body, *tenant);
-                put_u64(&mut body, *lease_id);
-                put_u64(&mut body, *boundary);
+                w.u8(TAG_DELTA);
+                w.u32(*tenant);
+                w.u64(*lease_id);
+                w.u64(*boundary);
                 match deltas {
                     DeltaPayload::Full(d) => {
-                        body.push(KIND_FULL);
-                        encode_deltas(d, &mut body);
+                        w.u8(KIND_FULL);
+                        w.seq(d, EpochDelta::encode);
                     }
                     DeltaPayload::Incremental(p) => {
-                        body.push(KIND_INCREMENTAL);
-                        encode_patches(p, &mut body);
+                        w.u8(KIND_INCREMENTAL);
+                        w.seq(p, EpochPatch::encode);
                     }
                 }
             }
@@ -282,143 +250,72 @@ impl Message {
                 boundary,
                 seeds,
             } => {
-                body.push(TAG_PROCEED);
-                put_u32(&mut body, *tenant);
-                put_u64(&mut body, *boundary);
-                encode_seeds(seeds, &mut body);
+                w.u8(TAG_PROCEED);
+                w.u32(*tenant);
+                w.u64(*boundary);
+                encode_seeds(seeds, &mut w);
             }
             Message::Finish { tenant, boundary } => {
-                body.push(TAG_FINISH);
-                put_u32(&mut body, *tenant);
-                put_u64(&mut body, *boundary);
+                w.u8(TAG_FINISH);
+                w.u32(*tenant);
+                w.u64(*boundary);
             }
         }
-        let mut frame = Vec::with_capacity(12 + body.len());
-        put_u32(&mut frame, FRAME_VERSION);
-        put_u64(&mut frame, fnv1a(&body));
-        frame.extend_from_slice(&body);
-        frame
+        frame(b"", FRAME_VERSION, &body)
     }
 
     /// Decode and validate a frame (inverse of [`Message::to_frame`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::Protocol`] on a bad version, checksum,
-    /// tag, or trailing bytes, and [`FabricError::Codec`] when a body
-    /// fails the checkpoint codec. Receivers treat any error as a
-    /// dropped frame: the sender's resend loop recovers it.
+    /// Returns [`FabricError::Codec`] on a bad version, checksum, tag,
+    /// malformed body, or trailing bytes. Receivers treat any error as
+    /// a dropped frame: the sender's resend loop recovers it.
     pub fn from_frame(frame: &[u8]) -> Result<Message, FabricError> {
-        let mut pos = 0usize;
-        let version = take_u32(frame, &mut pos)?;
-        if version != FRAME_VERSION {
-            return Err(FabricError::Protocol(format!(
-                "frame version {version}, expected {FRAME_VERSION}"
-            )));
-        }
-        let checksum = take_u64(frame, &mut pos)?;
-        let body = &frame[pos..];
-        if fnv1a(body) != checksum {
-            return Err(FabricError::Protocol("frame checksum mismatch".into()));
-        }
-        if body.is_empty() {
-            return Err(FabricError::Protocol("empty frame body".into()));
-        }
-        let tag = body[0];
-        let bytes = body;
-        let mut pos = 1usize;
-        let msg = match tag {
-            TAG_REGISTER => {
-                let worker_id = take_u64(bytes, &mut pos)?;
-                Message::Register { worker_id }
-            }
-            TAG_GRANT => {
-                let tenant = take_u32(bytes, &mut pos)?;
-                let lease_id = take_u64(bytes, &mut pos)?;
-                let slot = take_u32(bytes, &mut pos)?;
-                let shard_lo = take_u32(bytes, &mut pos)?;
-                let shard_hi = take_u32(bytes, &mut pos)?;
-                let shards_total = take_u32(bytes, &mut pos)?;
-                let boundary = take_u64(bytes, &mut pos)?;
-                let lease_timeout_ms = take_u64(bytes, &mut pos)?;
-                let spec_fp = take_u64(bytes, &mut pos)?;
-                let config = decode_config(bytes, &mut pos)?;
-                let snapshots = decode_snapshots(bytes, &mut pos)?;
-                Message::Grant(Grant {
-                    tenant,
-                    lease_id,
-                    slot,
-                    shard_lo,
-                    shard_hi,
-                    shards_total,
-                    boundary,
-                    lease_timeout_ms,
-                    spec_fp,
-                    config,
-                    snapshots,
-                })
-            }
-            TAG_RETRY => {
-                let after_grants = take_u64(bytes, &mut pos)?;
-                let quarantined = *bytes
-                    .get(pos)
-                    .ok_or_else(|| FabricError::Protocol("truncated retry flag".into()))?;
-                pos += 1;
-                if quarantined > 1 {
-                    return Err(FabricError::Protocol(format!(
-                        "bad retry flag {quarantined}"
-                    )));
-                }
-                Message::Retry {
-                    after_grants,
-                    quarantined: quarantined == 1,
-                }
-            }
-            TAG_DELTA => {
-                let tenant = take_u32(bytes, &mut pos)?;
-                let lease_id = take_u64(bytes, &mut pos)?;
-                let boundary = take_u64(bytes, &mut pos)?;
-                let kind = *bytes
-                    .get(pos)
-                    .ok_or_else(|| FabricError::Protocol("truncated delta kind".into()))?;
-                pos += 1;
-                let deltas = match kind {
-                    KIND_FULL => DeltaPayload::Full(decode_deltas(bytes, &mut pos)?),
-                    KIND_INCREMENTAL => DeltaPayload::Incremental(decode_patches(bytes, &mut pos)?),
-                    k => {
-                        return Err(FabricError::Protocol(format!("unknown delta kind {k}")));
-                    }
-                };
-                Message::Delta {
-                    tenant,
-                    lease_id,
-                    boundary,
-                    deltas,
-                }
-            }
-            TAG_PROCEED => {
-                let tenant = take_u32(bytes, &mut pos)?;
-                let boundary = take_u64(bytes, &mut pos)?;
-                let seeds = decode_seeds(bytes, &mut pos)?;
-                Message::Proceed {
-                    tenant,
-                    boundary,
-                    seeds,
-                }
-            }
-            TAG_FINISH => {
-                let tenant = take_u32(bytes, &mut pos)?;
-                let boundary = take_u64(bytes, &mut pos)?;
-                Message::Finish { tenant, boundary }
-            }
-            t => return Err(FabricError::Protocol(format!("unknown frame tag {t}"))),
+        let mut r = Reader::new(unframe(b"", FRAME_VERSION, frame)?);
+        let msg = match r.u8()? {
+            TAG_REGISTER => Message::Register {
+                worker_id: r.u64()?,
+            },
+            TAG_GRANT => Message::Grant(Grant {
+                tenant: r.u32()?,
+                lease_id: r.u64()?,
+                slot: r.u32()?,
+                shard_lo: r.u32()?,
+                shard_hi: r.u32()?,
+                shards_total: r.u32()?,
+                boundary: r.u64()?,
+                lease_timeout_ms: r.u64()?,
+                spec_fp: r.u64()?,
+                config: decode_config(&mut r)?,
+                snapshots: decode_snapshots(&mut r)?,
+            }),
+            TAG_RETRY => Message::Retry {
+                after_grants: r.u64()?,
+                quarantined: r.bool()?,
+            },
+            TAG_DELTA => Message::Delta {
+                tenant: r.u32()?,
+                lease_id: r.u64()?,
+                boundary: r.u64()?,
+                deltas: match r.u8()? {
+                    KIND_FULL => DeltaPayload::Full(r.seq(EpochDelta::decode)?),
+                    KIND_INCREMENTAL => DeltaPayload::Incremental(r.seq(EpochPatch::decode)?),
+                    _ => return Err(r.err("unknown delta kind").into()),
+                },
+            },
+            TAG_PROCEED => Message::Proceed {
+                tenant: r.u32()?,
+                boundary: r.u64()?,
+                seeds: decode_seeds(&mut r)?,
+            },
+            TAG_FINISH => Message::Finish {
+                tenant: r.u32()?,
+                boundary: r.u64()?,
+            },
+            _ => return Err(r.err("unknown frame tag").into()),
         };
-        if pos != bytes.len() {
-            return Err(FabricError::Protocol(format!(
-                "{} trailing bytes after frame body",
-                bytes.len() - pos
-            )));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }

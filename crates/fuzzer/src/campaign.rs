@@ -77,6 +77,17 @@ impl Default for CampaignConfig {
     }
 }
 
+impl CampaignConfig {
+    /// Executions each shard runs between boundaries: `hub_epoch`, or
+    /// the whole budget as a single epoch when the hub is off.
+    pub(crate) fn epoch_budget(&self) -> u64 {
+        match self.hub_epoch {
+            0 => u64::MAX,
+            e => e,
+        }
+    }
+}
+
 /// Crash title → (count, CVE).
 pub type CrashTally = BTreeMap<String, (u64, Option<String>)>;
 
@@ -112,6 +123,34 @@ impl CampaignResult {
     #[must_use]
     pub fn blocks(&self) -> usize {
         self.coverage.len()
+    }
+
+    /// The one result fold: merge per-shard parts, given in shard-id
+    /// order, into the campaign result. Every route — sequential,
+    /// sharded, fabric-merged — ends here, so their results agree by
+    /// construction.
+    pub(crate) fn fold(
+        parts: impl IntoIterator<Item = WorkerResult>,
+        execs: u64,
+        triage: TriageReport,
+    ) -> CampaignResult {
+        let mut result = CampaignResult {
+            coverage: CoverageMap::new(),
+            crashes: CrashTally::new(),
+            execs,
+            corpus_size: 0,
+            triage,
+            fuel_exhausted: 0,
+        };
+        for part in parts {
+            result.coverage.merge(&part.coverage);
+            for (title, (count, cve)) in part.crashes {
+                result.crashes.entry(title).or_insert((0, cve)).0 += count;
+            }
+            result.corpus_size += part.corpus_size;
+            result.fuel_exhausted += part.fuel_exhausted;
+        }
+        result
     }
 }
 
@@ -176,6 +215,19 @@ pub struct ShardSnapshot {
     pub(crate) rng_pick: u64,
     pub(crate) remaining: u64,
     pub(crate) fuel_exhausted: u64,
+}
+
+impl ShardSnapshot {
+    /// The snapshot's share of the campaign result (what
+    /// [`ShardState::finish`] yields for the live shard).
+    pub(crate) fn into_result(self) -> WorkerResult {
+        WorkerResult {
+            coverage: self.corpus_coverage,
+            crashes: self.crashes,
+            corpus_size: self.corpus_entries.len(),
+            fuel_exhausted: self.fuel_exhausted,
+        }
+    }
 }
 
 impl ShardState {
@@ -335,10 +387,8 @@ impl ShardState {
         self.epoch += 1;
     }
 
-    /// Fold the finished shard into a mergeable result. The triage
-    /// report is filled in by the caller (sequential worker) or
-    /// accumulated externally by the sharded driver's boundary
-    /// drains.
+    /// Fold the finished shard into a mergeable result (the triage
+    /// report is accumulated by the driver's boundary drains).
     pub(crate) fn finish(self) -> WorkerResult {
         let crashes = self.crashes;
         let fuel_exhausted = self.fuel_exhausted;
@@ -347,7 +397,6 @@ impl ShardState {
             coverage,
             crashes,
             corpus_size,
-            triage: TriageReport::new(),
             fuel_exhausted,
         }
     }
@@ -365,23 +414,21 @@ pub(crate) fn run_worker(
     config: &CampaignConfig,
     execs: u64,
     seed: u64,
-) -> WorkerResult {
+) -> (WorkerResult, TriageReport) {
     let mut state = ShardState::new(lowered, config, 0, execs, seed);
     state.run_epoch(kernel, u64::MAX);
     let mut triage = TriageReport::new();
     TriageMinimizer::new(lowered).drain(kernel, 0, &mut state.triage, &mut triage);
-    let mut w = state.finish();
-    w.triage = triage;
-    w
+    (state.finish(), triage)
 }
 
-/// Mergeable result of one worker loop.
+/// One shard's mergeable share of a campaign result (see
+/// [`CampaignResult::fold`]).
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerResult {
     pub(crate) coverage: CoverageMap,
     pub(crate) crashes: CrashTally,
     pub(crate) corpus_size: usize,
-    pub(crate) triage: TriageReport,
     pub(crate) fuel_exhausted: u64,
 }
 
@@ -459,21 +506,14 @@ impl<'a> Campaign<'a> {
     /// Run the coverage-guided loop.
     #[must_use]
     pub fn run(&self) -> CampaignResult {
-        let w = run_worker(
+        let (w, triage) = run_worker(
             self.kernel,
             &self.lowered,
             &self.config,
             self.config.execs,
             self.config.seed,
         );
-        CampaignResult {
-            coverage: w.coverage,
-            crashes: w.crashes,
-            execs: self.config.execs,
-            corpus_size: w.corpus_size,
-            triage: w.triage,
-            fuel_exhausted: w.fuel_exhausted,
-        }
+        CampaignResult::fold([w], self.config.execs, triage)
     }
 
     /// Resume a previously checkpointed single-shard campaign from

@@ -8,14 +8,8 @@
 //! [`TriageReport`]. Restoring it and continuing is **bit-identical**
 //! to never having stopped (pinned by `tests/durability.rs`).
 //!
-//! The encoding is a dense little-endian binary format written by
-//! hand — the vendored `serde` derives are no-ops, and `kgpt_bench`
-//! depends on this crate, so neither an external codec nor the bench
-//! JSON writer is available here. The on-disk layout is:
-//!
-//! ```text
-//! magic "KGPTCKPT" | version u32 | checksum u64 (FNV-1a of payload) | payload
-//! ```
+//! The encoding is composed from the workspace codec — layout rules
+//! and the envelope are documented in [`kgpt_syzlang::codec`].
 //!
 //! Writes are atomic and keep one generation of history: the payload
 //! goes to `<path>.tmp`, the current snapshot (if any) rotates to
@@ -25,23 +19,25 @@
 //! is truncated or corrupt — a torn write costs one epoch of
 //! progress, never the campaign.
 
-use crate::campaign::{CampaignConfig, CrashTally, ShardSnapshot};
+use crate::campaign::{CampaignConfig, ShardSnapshot};
 use crate::corpus::{CorpusEntry, CorpusStats};
+use crate::fabric::{decode_seeds, encode_config, encode_seeds};
 use crate::hub::{HubSeed, SeedHub};
-use crate::program::Program;
+use kgpt_syzlang::codec::{frame, unframe, DecodeError, Reader, Writer};
+use kgpt_syzlang::prog::Program;
+use kgpt_trace::{decode_signature, encode_signature};
 use kgpt_triage::{TriageEntry, TriageReport};
-use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, SanitizerKind, Sysno};
-use std::collections::BTreeSet;
+use kgpt_vkernel::{CoverageMap, CoverageWordDiff};
 use std::path::{Path, PathBuf};
+
+pub use kgpt_syzlang::codec::fnv1a;
 
 /// File magic: identifies a campaign checkpoint.
 const MAGIC: &[u8; 8] = b"KGPTCKPT";
 
 /// Current snapshot format version. Bumped on any layout change; a
-/// reader never guesses at an unknown version. Version 2 appended the
-/// flight recorder's per-shard trace stores; version-1 snapshots are
-/// still read (their trace section is simply empty — resume starts
-/// with fresh rings, losing no campaign state).
+/// reader never guesses at an unknown version. (Version 2 appended
+/// the flight recorder's per-shard trace stores.)
 const VERSION: u32 = 2;
 
 /// Error reading, writing, or validating a campaign snapshot.
@@ -67,23 +63,10 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<kgpt_syzlang::prog::DecodeError> for CheckpointError {
-    fn from(e: kgpt_syzlang::prog::DecodeError) -> CheckpointError {
-        CheckpointError::new(format!("program decode failed: {e}"))
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> CheckpointError {
+        CheckpointError::new(format!("decode failed: {e}"))
     }
-}
-
-/// FNV-1a over a byte slice — the payload checksum. Deterministic,
-/// dependency-free, and strong enough to catch truncation and bitrot
-/// (the threat model; this is not a cryptographic seal).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Stable fingerprint of a campaign's deterministic identity: every
@@ -93,24 +76,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[must_use]
 pub fn config_fingerprint(config: &CampaignConfig, shards: u32) -> u64 {
     let mut bytes = Vec::new();
-    put_u64(&mut bytes, config.execs);
-    put_u64(&mut bytes, config.seed);
-    put_u64(&mut bytes, config.max_prog_len as u64);
-    match &config.enabled {
-        None => bytes.push(0),
-        Some(names) => {
-            bytes.push(1);
-            put_u32(&mut bytes, u32::try_from(names.len()).unwrap_or(u32::MAX));
-            for n in names {
-                put_str(&mut bytes, n);
-            }
-        }
-    }
-    put_u64(&mut bytes, config.hub_epoch);
-    put_u64(&mut bytes, config.hub_top_k as u64);
-    put_u64(&mut bytes, config.exec_fuel);
-    put_u64(&mut bytes, config.trace_ring as u64);
-    put_u32(&mut bytes, shards);
+    let mut w = Writer::new(&mut bytes);
+    encode_config(config, &mut w);
+    w.u32(shards);
     fnv1a(&bytes)
 }
 
@@ -138,9 +106,9 @@ pub struct CampaignSnapshot {
     pub(crate) triage: TriageReport,
     /// The flight recorder's serialized per-shard trace stores
     /// (`(shard id, kgpt_trace::TraceStore::to_bytes)`), in shard-id
-    /// order; empty when the campaign runs untraced or the snapshot
-    /// predates version 2. Kept opaque here — the store bytes carry
-    /// their own framing and are validated by the resume path.
+    /// order; empty when the campaign runs untraced. Kept opaque here
+    /// — the store bytes carry their own envelope and are validated
+    /// by the resume path.
     pub(crate) traces: Vec<(u32, Vec<u8>)>,
 }
 
@@ -179,52 +147,21 @@ impl CampaignSnapshot {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        put_u64(&mut payload, self.config_fingerprint);
-        put_u64(&mut payload, self.spec_fingerprint);
-        put_u64(&mut payload, self.epochs_done);
-        put_u32(
-            &mut payload,
-            u32::try_from(self.shards.len()).unwrap_or(u32::MAX),
-        );
-        for s in &self.shards {
-            encode_shard(s, &mut payload);
-        }
-        put_u64(&mut payload, self.hub_top_k as u64);
-        put_u64(&mut payload, self.hub_published);
-        put_coverage(&mut payload, &self.hub_coverage);
-        put_u32(
-            &mut payload,
-            u32::try_from(self.hub_seeds.len()).unwrap_or(u32::MAX),
-        );
-        for seed in &self.hub_seeds {
-            put_u32(&mut payload, seed.shard);
-            seed.program.encode_into(&mut payload);
-            put_coverage(&mut payload, &seed.contributed);
-        }
-        let entries: Vec<&TriageEntry> = self.triage.entries().collect();
-        put_u32(
-            &mut payload,
-            u32::try_from(entries.len()).unwrap_or(u32::MAX),
-        );
-        for e in entries {
-            encode_triage_entry(e, &mut payload);
-        }
-        put_u32(
-            &mut payload,
-            u32::try_from(self.traces.len()).unwrap_or(u32::MAX),
-        );
-        for (id, store) in &self.traces {
-            put_u32(&mut payload, *id);
-            put_u32(&mut payload, u32::try_from(store.len()).unwrap_or(u32::MAX));
-            payload.extend_from_slice(store);
-        }
-
-        let mut out = Vec::with_capacity(payload.len() + 20);
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u64(&mut out, fnv1a(&payload));
-        out.extend_from_slice(&payload);
-        out
+        let mut w = Writer::new(&mut payload);
+        w.u64(self.config_fingerprint);
+        w.u64(self.spec_fingerprint);
+        w.u64(self.epochs_done);
+        w.seq(&self.shards, encode_shard);
+        w.u64(self.hub_top_k as u64);
+        w.u64(self.hub_published);
+        w.u64s(self.hub_coverage.words());
+        encode_seeds(&self.hub_seeds, &mut w);
+        w.seq(self.triage.entries(), encode_triage_entry);
+        w.seq(&self.traces, |(id, store), w| {
+            w.u32(*id);
+            w.bytes(store);
+        });
+        frame(MAGIC, VERSION, &payload)
     }
 
     /// Parse a snapshot from bytes previously produced by
@@ -235,86 +172,23 @@ impl CampaignSnapshot {
     /// Returns a [`CheckpointError`] on wrong magic, unknown version,
     /// checksum mismatch (truncation/bitrot), or any malformed field.
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignSnapshot, CheckpointError> {
-        if bytes.len() < MAGIC.len() + 12 {
-            return Err(CheckpointError::new(format!(
-                "snapshot too short ({} bytes)",
-                bytes.len()
-            )));
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(CheckpointError::new("bad snapshot magic"));
-        }
-        let mut pos = 8usize;
-        let version = take_u32(bytes, &mut pos)?;
-        if version != VERSION && version != 1 {
-            return Err(CheckpointError::new(format!(
-                "unsupported snapshot version {version} (expected {VERSION})"
-            )));
-        }
-        let checksum = take_u64(bytes, &mut pos)?;
-        let payload = &bytes[pos..];
-        if fnv1a(payload) != checksum {
-            return Err(CheckpointError::new("snapshot checksum mismatch"));
-        }
-
-        let bytes = payload;
-        let mut pos = 0usize;
-        let config_fingerprint = take_u64(bytes, &mut pos)?;
-        let spec_fingerprint = take_u64(bytes, &mut pos)?;
-        let epochs_done = take_u64(bytes, &mut pos)?;
-        let n_shards = take_u32(bytes, &mut pos)? as usize;
-        let mut shards = Vec::new();
-        for _ in 0..n_shards {
-            shards.push(decode_shard(bytes, &mut pos)?);
-        }
-        let hub_top_k = usize::try_from(take_u64(bytes, &mut pos)?)
-            .map_err(|_| CheckpointError::new("hub top_k out of range"))?;
-        let hub_published = take_u64(bytes, &mut pos)?;
-        let hub_coverage = take_coverage(bytes, &mut pos)?;
-        let n_seeds = take_u32(bytes, &mut pos)? as usize;
-        let mut hub_seeds = Vec::new();
-        for _ in 0..n_seeds {
-            let shard = take_u32(bytes, &mut pos)?;
-            let program = Program::decode_from(bytes, &mut pos)?;
-            let contributed = take_coverage(bytes, &mut pos)?;
-            hub_seeds.push(HubSeed {
-                shard,
-                program,
-                contributed,
-            });
-        }
-        let n_triage = take_u32(bytes, &mut pos)? as usize;
+        let mut r = Reader::new(unframe(MAGIC, VERSION, bytes)?);
+        let config_fingerprint = r.u64()?;
+        let spec_fingerprint = r.u64()?;
+        let epochs_done = r.u64()?;
+        let shards = r.seq(decode_shard)?;
+        let hub_top_k = decode_usize(&mut r)?;
+        let hub_published = r.u64()?;
+        let hub_coverage = decode_coverage(&mut r)?;
+        let hub_seeds = decode_seeds(&mut r)?;
         let mut triage = TriageReport::new();
-        for _ in 0..n_triage {
-            let entry = decode_triage_entry(bytes, &mut pos)?;
+        for entry in r.seq(decode_triage_entry)? {
             if !triage.admit(entry) {
                 return Err(CheckpointError::new("duplicate triage signature"));
             }
         }
-        // The trace section arrived with version 2; version-1
-        // snapshots simply have none.
-        let mut traces = Vec::new();
-        if version >= 2 {
-            let n_traces = take_u32(bytes, &mut pos)? as usize;
-            for _ in 0..n_traces {
-                let id = take_u32(bytes, &mut pos)?;
-                let len = take_u32(bytes, &mut pos)? as usize;
-                let end = pos
-                    .checked_add(len)
-                    .filter(|&e| e <= bytes.len())
-                    .ok_or_else(|| {
-                        CheckpointError::new(format!("truncated trace store at {pos}"))
-                    })?;
-                traces.push((id, bytes[pos..end].to_vec()));
-                pos = end;
-            }
-        }
-        if pos != bytes.len() {
-            return Err(CheckpointError::new(format!(
-                "{} trailing bytes after snapshot payload",
-                bytes.len() - pos
-            )));
-        }
+        let traces = r.seq(|r| Ok((r.u32()?, r.bytes()?.to_vec())))?;
+        r.finish()?;
         Ok(CampaignSnapshot {
             config_fingerprint,
             spec_fingerprint,
@@ -413,363 +287,183 @@ fn sibling(path: &Path, ext: &str) -> PathBuf {
     PathBuf::from(s)
 }
 
-// ---- primitive writers/readers ------------------------------------------
+// ---- field codecs shared with the fabric deltas --------------------------
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A `usize` travels as a `u64`.
+pub(crate) fn decode_usize(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+    usize::try_from(r.u64()?).map_err(|_| r.err("size out of range"))
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, u32::try_from(s.len()).unwrap_or(u32::MAX));
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
-}
-
-pub(crate) fn put_coverage(out: &mut Vec<u8>, cov: &CoverageMap) {
-    let words = cov.words();
-    put_u32(out, u32::try_from(words.len()).unwrap_or(u32::MAX));
-    for &w in words {
-        put_u64(out, w);
-    }
-}
-
-pub(crate) fn take_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, CheckpointError> {
-    let Some(&b) = bytes.get(*pos) else {
-        return Err(CheckpointError::new(format!("truncated byte at {pos}")));
-    };
-    *pos += 1;
-    Ok(b)
-}
-
-pub(crate) fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, CheckpointError> {
-    let end = pos.checked_add(4).filter(|&e| e <= bytes.len());
-    let Some(end) = end else {
-        return Err(CheckpointError::new(format!("truncated u32 at {pos}")));
-    };
-    let v = u32::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
-
-pub(crate) fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, CheckpointError> {
-    let end = pos.checked_add(8).filter(|&e| e <= bytes.len());
-    let Some(end) = end else {
-        return Err(CheckpointError::new(format!("truncated u64 at {pos}")));
-    };
-    let v = u64::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
-
-pub(crate) fn take_str(bytes: &[u8], pos: &mut usize) -> Result<String, CheckpointError> {
-    let len = take_u32(bytes, pos)? as usize;
-    let end = pos.checked_add(len).filter(|&e| e <= bytes.len());
-    let Some(end) = end else {
-        return Err(CheckpointError::new(format!("truncated string at {pos}")));
-    };
-    let s = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|_| CheckpointError::new(format!("invalid utf-8 string at {pos}")))?
-        .to_owned();
-    *pos = end;
-    Ok(s)
-}
-
-pub(crate) fn take_opt_str(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<Option<String>, CheckpointError> {
-    match take_u8(bytes, pos)? {
-        0 => Ok(None),
-        1 => Ok(Some(take_str(bytes, pos)?)),
-        t => Err(CheckpointError::new(format!("bad option tag {t} at {pos}"))),
-    }
-}
-
-pub(crate) fn take_coverage(bytes: &[u8], pos: &mut usize) -> Result<CoverageMap, CheckpointError> {
-    let n = take_u32(bytes, pos)? as usize;
-    let mut words = Vec::new();
-    for _ in 0..n {
-        words.push(take_u64(bytes, pos)?);
-    }
-    Ok(CoverageMap::from_words(words))
+pub(crate) fn decode_coverage(r: &mut Reader<'_>) -> Result<CoverageMap, DecodeError> {
+    Ok(CoverageMap::from_words(r.u64s()?))
 }
 
 /// Tag bytes of the two [`CoverageWordDiff`] shapes on the wire.
 const DIFF_SPARSE: u8 = 0;
 const DIFF_DENSE: u8 = 1;
 
-pub(crate) fn put_word_diff(out: &mut Vec<u8>, diff: &CoverageWordDiff) {
+pub(crate) fn encode_word_diff(diff: &CoverageWordDiff, w: &mut Writer<'_>) {
     match diff {
         CoverageWordDiff::Sparse(runs) => {
-            out.push(DIFF_SPARSE);
-            put_u32(out, u32::try_from(runs.len()).unwrap_or(u32::MAX));
-            for (start, words) in runs {
-                put_u32(out, *start);
-                put_u32(out, u32::try_from(words.len()).unwrap_or(u32::MAX));
-                for &w in words {
-                    put_u64(out, w);
-                }
-            }
+            w.u8(DIFF_SPARSE);
+            w.seq(runs, |(start, words), w| {
+                w.u32(*start);
+                w.u64s(words);
+            });
         }
         CoverageWordDiff::Dense(words) => {
-            out.push(DIFF_DENSE);
-            put_u32(out, u32::try_from(words.len()).unwrap_or(u32::MAX));
-            for &w in words {
-                put_u64(out, w);
-            }
+            w.u8(DIFF_DENSE);
+            w.u64s(words);
         }
     }
 }
 
-pub(crate) fn take_word_diff(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<CoverageWordDiff, CheckpointError> {
-    match take_u8(bytes, pos)? {
+pub(crate) fn decode_word_diff(r: &mut Reader<'_>) -> Result<CoverageWordDiff, DecodeError> {
+    match r.u8()? {
         DIFF_SPARSE => {
-            let n_runs = take_u32(bytes, pos)? as usize;
-            let mut runs = Vec::new();
             let mut next_free = 0u64;
-            for _ in 0..n_runs {
-                let start = take_u32(bytes, pos)?;
+            let runs = r.seq(|r| {
+                let start = r.u32()?;
                 if u64::from(start) < next_free {
-                    return Err(CheckpointError::new(format!(
-                        "word-diff runs out of order at {pos}"
-                    )));
+                    return Err(r.err("word-diff runs out of order"));
                 }
-                let len = take_u32(bytes, pos)? as usize;
-                if len == 0 {
-                    return Err(CheckpointError::new(format!(
-                        "empty word-diff run at {pos}"
-                    )));
-                }
-                let mut words = Vec::new();
-                for _ in 0..len {
-                    words.push(take_u64(bytes, pos)?);
+                let words = r.u64s()?;
+                if words.is_empty() {
+                    return Err(r.err("empty word-diff run"));
                 }
                 next_free = u64::from(start) + words.len() as u64;
-                runs.push((start, words));
-            }
+                Ok((start, words))
+            })?;
             Ok(CoverageWordDiff::Sparse(runs))
         }
-        DIFF_DENSE => {
-            let n = take_u32(bytes, pos)? as usize;
-            let mut words = Vec::new();
-            for _ in 0..n {
-                words.push(take_u64(bytes, pos)?);
-            }
-            Ok(CoverageWordDiff::Dense(words))
-        }
-        t => Err(CheckpointError::new(format!(
-            "bad word-diff tag {t} at {pos}"
-        ))),
+        DIFF_DENSE => Ok(CoverageWordDiff::Dense(r.u64s()?)),
+        _ => Err(r.err("bad word-diff tag")),
     }
 }
 
-pub(crate) fn put_signature(out: &mut Vec<u8>, sig: &CrashSignature) {
-    out.push(sig.sysno.as_index());
-    out.push(sig.chain_depth);
-    out.push(sig.sanitizer.as_index());
-    put_u64(out, sig.site);
+/// One crash-tally record: `title | count | cve`.
+pub(crate) fn encode_crash(title: &str, count: u64, cve: Option<&str>, w: &mut Writer<'_>) {
+    w.str(title);
+    w.u64(count);
+    w.opt_str(cve);
 }
 
-pub(crate) fn take_signature(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<CrashSignature, CheckpointError> {
-    let sysno = Sysno::from_index(take_u8(bytes, pos)?)
-        .ok_or_else(|| CheckpointError::new(format!("bad sysno index at {pos}")))?;
-    let chain_depth = take_u8(bytes, pos)?;
-    let sanitizer = SanitizerKind::from_index(take_u8(bytes, pos)?)
-        .ok_or_else(|| CheckpointError::new(format!("bad sanitizer index at {pos}")))?;
-    let site = take_u64(bytes, pos)?;
-    Ok(CrashSignature {
-        sysno,
-        chain_depth,
-        sanitizer,
-        site,
+pub(crate) fn decode_crash(
+    r: &mut Reader<'_>,
+) -> Result<(String, u64, Option<String>), DecodeError> {
+    Ok((r.str()?, r.u64()?, r.opt_str()?))
+}
+
+pub(crate) fn encode_corpus_stats(stats: &CorpusStats, w: &mut Writer<'_>) {
+    w.u64(stats.admitted);
+    w.u64(stats.imported);
+    w.u64(stats.evicted);
+}
+
+pub(crate) fn decode_corpus_stats(r: &mut Reader<'_>) -> Result<CorpusStats, DecodeError> {
+    Ok(CorpusStats {
+        admitted: r.u64()?,
+        imported: r.u64()?,
+        evicted: r.u64()?,
     })
 }
 
-// ---- aggregate encoders/decoders ----------------------------------------
-
-pub(crate) fn encode_corpus_entry(e: &CorpusEntry, out: &mut Vec<u8>) {
-    e.program.encode_into(out);
-    put_coverage(out, &e.contributed);
-    put_u64(out, e.execs);
-    put_u64(out, e.hits);
+pub(crate) fn decode_rng(r: &mut Reader<'_>) -> Result<[u64; 4], DecodeError> {
+    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
-pub(crate) fn decode_corpus_entry(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<CorpusEntry, CheckpointError> {
-    let program = Program::decode_from(bytes, pos)?;
-    let contributed = take_coverage(bytes, pos)?;
-    let execs = take_u64(bytes, pos)?;
-    let hits = take_u64(bytes, pos)?;
+pub(crate) fn encode_corpus_entry(e: &CorpusEntry, w: &mut Writer<'_>) {
+    e.program.encode(w);
+    w.u64s(e.contributed.words());
+    w.u64(e.execs);
+    w.u64(e.hits);
+}
+
+pub(crate) fn decode_corpus_entry(r: &mut Reader<'_>) -> Result<CorpusEntry, DecodeError> {
     Ok(CorpusEntry {
-        program,
-        contributed,
-        execs,
-        hits,
+        program: Program::decode(r)?,
+        contributed: decode_coverage(r)?,
+        execs: r.u64()?,
+        hits: r.u64()?,
     })
 }
 
-pub(crate) fn encode_shard(s: &ShardSnapshot, out: &mut Vec<u8>) {
-    put_u32(out, s.id);
-    put_u64(out, s.epoch);
-    put_u64(out, s.rng_pick);
-    put_u64(out, s.remaining);
-    put_u64(out, s.fuel_exhausted);
-    for w in s.gen_rng {
-        put_u64(out, w);
+pub(crate) fn encode_shard(s: &ShardSnapshot, w: &mut Writer<'_>) {
+    w.u32(s.id);
+    w.u64(s.epoch);
+    w.u64(s.rng_pick);
+    w.u64(s.remaining);
+    w.u64(s.fuel_exhausted);
+    for word in s.gen_rng {
+        w.u64(word);
     }
-    put_u64(out, s.corpus_rng);
-    put_coverage(out, &s.corpus_coverage);
-    put_u64(out, s.corpus_stats.admitted);
-    put_u64(out, s.corpus_stats.imported);
-    put_u64(out, s.corpus_stats.evicted);
-    put_u32(
-        out,
-        u32::try_from(s.corpus_entries.len()).unwrap_or(u32::MAX),
-    );
-    for e in &s.corpus_entries {
-        encode_corpus_entry(e, out);
-    }
-    put_u32(out, u32::try_from(s.crashes.len()).unwrap_or(u32::MAX));
-    for (title, (count, cve)) in &s.crashes {
-        put_str(out, title);
-        put_u64(out, *count);
-        put_opt_str(out, cve.as_deref());
-    }
-    put_u32(out, u32::try_from(s.triage_seen.len()).unwrap_or(u32::MAX));
-    for sig in &s.triage_seen {
-        put_signature(out, sig);
-    }
+    w.u64(s.corpus_rng);
+    w.u64s(s.corpus_coverage.words());
+    encode_corpus_stats(&s.corpus_stats, w);
+    w.seq(&s.corpus_entries, encode_corpus_entry);
+    w.seq(&s.crashes, |(title, (count, cve)), w| {
+        encode_crash(title, *count, cve.as_deref(), w);
+    });
+    w.seq(&s.triage_seen, encode_signature);
 }
 
-pub(crate) fn decode_shard(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<ShardSnapshot, CheckpointError> {
-    let id = take_u32(bytes, pos)?;
-    let epoch = take_u64(bytes, pos)?;
-    let rng_pick = take_u64(bytes, pos)?;
-    let remaining = take_u64(bytes, pos)?;
-    let fuel_exhausted = take_u64(bytes, pos)?;
-    let mut gen_rng = [0u64; 4];
-    for w in &mut gen_rng {
-        *w = take_u64(bytes, pos)?;
-    }
-    let corpus_rng = take_u64(bytes, pos)?;
-    let corpus_coverage = take_coverage(bytes, pos)?;
-    let corpus_stats = CorpusStats {
-        admitted: take_u64(bytes, pos)?,
-        imported: take_u64(bytes, pos)?,
-        evicted: take_u64(bytes, pos)?,
-    };
-    let n_entries = take_u32(bytes, pos)? as usize;
-    let mut corpus_entries = Vec::new();
-    for _ in 0..n_entries {
-        corpus_entries.push(decode_corpus_entry(bytes, pos)?);
-    }
-    let n_crashes = take_u32(bytes, pos)? as usize;
-    let mut crashes = CrashTally::new();
-    for _ in 0..n_crashes {
-        let title = take_str(bytes, pos)?;
-        let count = take_u64(bytes, pos)?;
-        let cve = take_opt_str(bytes, pos)?;
-        crashes.insert(title, (count, cve));
-    }
-    let n_seen = take_u32(bytes, pos)? as usize;
-    let mut triage_seen = BTreeSet::new();
-    for _ in 0..n_seen {
-        triage_seen.insert(take_signature(bytes, pos)?);
-    }
+pub(crate) fn decode_shard(r: &mut Reader<'_>) -> Result<ShardSnapshot, DecodeError> {
     Ok(ShardSnapshot {
-        id,
-        gen_rng,
-        corpus_rng,
-        corpus_coverage,
-        corpus_entries,
-        corpus_stats,
-        crashes,
-        triage_seen,
-        epoch,
-        rng_pick,
-        remaining,
-        fuel_exhausted,
+        id: r.u32()?,
+        epoch: r.u64()?,
+        rng_pick: r.u64()?,
+        remaining: r.u64()?,
+        fuel_exhausted: r.u64()?,
+        gen_rng: decode_rng(r)?,
+        corpus_rng: r.u64()?,
+        corpus_coverage: decode_coverage(r)?,
+        corpus_stats: decode_corpus_stats(r)?,
+        corpus_entries: r.seq(decode_corpus_entry)?,
+        crashes: r
+            .seq(decode_crash)?
+            .into_iter()
+            .map(|(title, count, cve)| (title, (count, cve)))
+            .collect(),
+        triage_seen: r.seq(decode_signature)?.into_iter().collect(),
     })
 }
 
-pub(crate) fn encode_triage_entry(e: &TriageEntry, out: &mut Vec<u8>) {
-    put_signature(out, &e.signature);
-    put_str(out, &e.title);
-    put_opt_str(out, e.cve.as_deref());
-    put_u64(out, e.first_epoch);
-    put_u32(out, e.first_shard);
-    put_u64(out, e.count);
-    e.raw.encode_into(out);
-    e.minimized.encode_into(out);
-    put_u64(out, e.minimize_execs);
-    out.push(u8::from(e.reproducible));
+pub(crate) fn encode_triage_entry(e: &TriageEntry, w: &mut Writer<'_>) {
+    encode_signature(&e.signature, w);
+    w.str(&e.title);
+    w.opt_str(e.cve.as_deref());
+    w.u64(e.first_epoch);
+    w.u32(e.first_shard);
+    w.u64(e.count);
+    e.raw.encode(w);
+    e.minimized.encode(w);
+    w.u64(e.minimize_execs);
+    w.bool(e.reproducible);
 }
 
-pub(crate) fn decode_triage_entry(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<TriageEntry, CheckpointError> {
-    let signature = take_signature(bytes, pos)?;
-    let title = take_str(bytes, pos)?;
-    let cve = take_opt_str(bytes, pos)?;
-    let first_epoch = take_u64(bytes, pos)?;
-    let first_shard = take_u32(bytes, pos)?;
-    let count = take_u64(bytes, pos)?;
-    let raw = Program::decode_from(bytes, pos)?;
-    let minimized = Program::decode_from(bytes, pos)?;
-    let minimize_execs = take_u64(bytes, pos)?;
-    let reproducible = match take_u8(bytes, pos)? {
-        0 => false,
-        1 => true,
-        t => {
-            return Err(CheckpointError::new(format!(
-                "bad reproducible flag {t} at {pos}"
-            )))
-        }
-    };
+pub(crate) fn decode_triage_entry(r: &mut Reader<'_>) -> Result<TriageEntry, DecodeError> {
     Ok(TriageEntry {
-        signature,
-        title,
-        cve,
-        first_epoch,
-        first_shard,
-        count,
-        raw,
-        minimized,
-        minimize_execs,
-        reproducible,
+        signature: decode_signature(r)?,
+        title: r.str()?,
+        cve: r.opt_str()?,
+        first_epoch: r.u64()?,
+        first_shard: r.u32()?,
+        count: r.u64()?,
+        raw: Program::decode(r)?,
+        minimized: Program::decode(r)?,
+        minimize_execs: r.u64()?,
+        reproducible: r.bool()?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ProgCall, Program};
+    use crate::campaign::CrashTally;
+    use kgpt_syzlang::prog::ProgCall;
     use kgpt_syzlang::Value;
+    use kgpt_vkernel::{CrashSignature, SanitizerKind, Sysno};
+    use std::collections::BTreeSet;
 
     fn cov(blocks: &[u64]) -> CoverageMap {
         blocks.iter().copied().collect()
@@ -867,6 +561,15 @@ mod tests {
         assert_eq!(CampaignSnapshot::from_bytes(&bytes).unwrap(), snap);
     }
 
+    /// Format stability: recorded before the port onto
+    /// `kgpt_syzlang::codec` (see `tests/wire_golden.rs`). A mismatch
+    /// means the on-disk layout changed and `VERSION` must bump.
+    #[test]
+    fn golden_bytes() {
+        let bytes = sample().to_bytes();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (589, 0x2f5d_d32c_76f5_0ac6));
+    }
+
     #[test]
     fn every_truncation_is_rejected_not_panicking() {
         let bytes = sample().to_bytes();
@@ -887,10 +590,14 @@ mod tests {
         let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();
         assert!(e.message.contains("magic"), "{e}");
 
-        let mut bad = good.clone();
-        bad[8] = 0xFF; // version LE low byte
-        let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();
-        assert!(e.message.contains("version"), "{e}");
+        // An unknown version and the pre-trace version 1 alike: a
+        // reader never guesses at a layout it was not built for.
+        for version in [0xFF, 1] {
+            let mut bad = good.clone();
+            bad[8] = version; // version LE low byte
+            let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();
+            assert!(e.message.contains("unsupported version"), "{e}");
+        }
 
         let mut bad = good.clone();
         let last = bad.len() - 1;
@@ -997,26 +704,5 @@ mod tests {
         ] {
             assert_ne!(b, fp(&tweak, 8), "{tweak:?}");
         }
-    }
-
-    #[test]
-    fn version_one_snapshots_without_traces_still_load() {
-        // A pre-flight-recorder snapshot is the same payload minus
-        // the trailing trace section, under version 1. Reconstruct
-        // one from the current encoder and check it reads back with
-        // an empty trace list.
-        let mut snap = sample();
-        snap.traces.clear();
-        let v2 = snap.to_bytes();
-        // Strip the 4-byte empty trace section and re-frame as v1.
-        let payload = &v2[20..v2.len() - 4];
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        put_u32(&mut v1, 1);
-        put_u64(&mut v1, fnv1a(payload));
-        v1.extend_from_slice(payload);
-        let decoded = CampaignSnapshot::from_bytes(&v1).unwrap();
-        assert_eq!(decoded, snap);
-        assert!(decoded.traces.is_empty());
     }
 }

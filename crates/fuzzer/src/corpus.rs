@@ -24,7 +24,7 @@
 //! the determinism the sharded campaign and the cross-shard
 //! [`crate::hub::SeedHub`] build on.
 
-use crate::program::Program;
+use kgpt_syzlang::prog::Program;
 use kgpt_vkernel::CoverageMap;
 
 /// One retained seed with its coverage key and productivity stats.

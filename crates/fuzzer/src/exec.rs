@@ -19,8 +19,8 @@
 //! expose the outcome the campaign loop feeds into the shared
 //! [`crate::corpus::Corpus`].
 
-use crate::program::Program;
 use kgpt_syzlang::lowered::{LoweredDb, LoweredEncoder};
+use kgpt_syzlang::prog::Program;
 use kgpt_syzlang::value::ResRef;
 use kgpt_syzlang::{ConstDb, SpecDb};
 use kgpt_vkernel::{CoverageMap, CrashReport, MemMap, Sysno, VKernel, VmState};

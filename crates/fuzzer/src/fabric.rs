@@ -27,8 +27,8 @@
 //!   single-process run because every state transition it applies is
 //!   the same pure function applied in the same order.
 //!
-//! The wire encodings here reuse the [`crate::checkpoint`] framing
-//! (the same dense little-endian codec, the same per-shard layout),
+//! The wire encodings here reuse the [`crate::checkpoint`] field
+//! codecs (the same per-shard layout over [`kgpt_syzlang::codec`]),
 //! so a delta is literally a checkpoint fragment: anything that can
 //! round-trip through a `CampaignSnapshot` can round-trip through the
 //! fabric.
@@ -41,20 +41,20 @@
 //! bit-identically. Duplicate deltas are not re-merged (the caller
 //! re-acks instead), keeping the merge idempotent.
 
-use crate::campaign::{
-    CampaignConfig, CampaignResult, CrashTally, ShardSnapshot, ShardState, CORPUS_CAP,
-};
+use crate::campaign::{CampaignConfig, CampaignResult, ShardSnapshot, ShardState, CORPUS_CAP};
 use crate::checkpoint::{
-    config_fingerprint, decode_corpus_entry, decode_shard, decode_triage_entry,
-    encode_corpus_entry, encode_shard, encode_triage_entry, put_coverage, put_opt_str,
-    put_signature, put_str, put_u32, put_u64, put_word_diff, take_coverage, take_opt_str,
-    take_signature, take_str, take_u32, take_u64, take_u8, take_word_diff, CheckpointError,
+    config_fingerprint, decode_corpus_entry, decode_corpus_stats, decode_coverage, decode_crash,
+    decode_rng, decode_shard, decode_triage_entry, decode_usize, decode_word_diff,
+    encode_corpus_entry, encode_corpus_stats, encode_crash, encode_shard, encode_triage_entry,
+    encode_word_diff, CheckpointError,
 };
 use crate::corpus::{Corpus, CorpusEntry, CorpusStats};
 use crate::hub::{HubSeed, SeedHub};
-use crate::program::Program;
 use crate::triage::TriageMinimizer;
+use kgpt_syzlang::codec::{DecodeError, Reader, Writer};
 use kgpt_syzlang::lowered::LoweredDb;
+use kgpt_syzlang::prog::Program;
+use kgpt_trace::{decode_signature, encode_signature};
 use kgpt_triage::{TriageEntry, TriageReport};
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel};
 use std::sync::Arc;
@@ -95,198 +95,112 @@ impl EpochDelta {
         self.snapshot.remaining
     }
 
-    /// Append the checkpoint-framed encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_shard(&self.snapshot, out);
-        put_u32(
-            out,
-            u32::try_from(self.candidates.len()).unwrap_or(u32::MAX),
-        );
-        for e in &self.candidates {
-            encode_triage_entry(e, out);
-        }
-        put_u32(out, u32::try_from(self.counts.len()).unwrap_or(u32::MAX));
-        for (sig, n) in &self.counts {
-            put_signature(out, sig);
-            put_u64(out, *n);
-        }
+    /// Write the delta: the checkpoint shard layout, then the triage
+    /// candidates and counts.
+    pub fn encode(&self, w: &mut Writer<'_>) {
+        encode_shard(&self.snapshot, w);
+        w.seq(&self.candidates, encode_triage_entry);
+        w.seq(&self.counts, encode_count);
     }
 
-    /// Decode one delta from `bytes` at `pos` (inverse of
-    /// [`EpochDelta::encode_into`]).
+    /// Read one delta (inverse of [`EpochDelta::encode`]).
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] on any malformed field.
-    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<EpochDelta, CheckpointError> {
-        let snapshot = decode_shard(bytes, pos)?;
-        let n_candidates = take_u32(bytes, pos)? as usize;
-        let mut candidates = Vec::new();
-        for _ in 0..n_candidates {
-            candidates.push(decode_triage_entry(bytes, pos)?);
-        }
-        let n_counts = take_u32(bytes, pos)? as usize;
-        let mut counts = Vec::new();
-        for _ in 0..n_counts {
-            let sig = take_signature(bytes, pos)?;
-            let n = take_u64(bytes, pos)?;
-            counts.push((sig, n));
-        }
+    /// Returns a [`DecodeError`] on any malformed field.
+    pub fn decode(r: &mut Reader<'_>) -> Result<EpochDelta, DecodeError> {
         Ok(EpochDelta {
-            snapshot,
-            candidates,
-            counts,
+            snapshot: decode_shard(r)?,
+            candidates: r.seq(decode_triage_entry)?,
+            counts: r.seq(decode_count)?,
         })
     }
 }
 
-// ---- wire codecs shared with the kgpt-fabric protocol --------------------
-
-/// Append a [`CampaignConfig`] in the checkpoint framing.
-pub fn encode_config(config: &CampaignConfig, out: &mut Vec<u8>) {
-    put_u64(out, config.execs);
-    put_u64(out, config.seed);
-    put_u64(out, config.max_prog_len as u64);
-    match &config.enabled {
-        None => out.push(0),
-        Some(names) => {
-            out.push(1);
-            put_u32(out, u32::try_from(names.len()).unwrap_or(u32::MAX));
-            for n in names {
-                put_str(out, n);
-            }
-        }
-    }
-    put_u64(out, config.hub_epoch);
-    put_u64(out, config.hub_top_k as u64);
-    put_u64(out, config.exec_fuel);
-    put_u64(out, config.trace_ring as u64);
+/// One per-signature observation count.
+fn encode_count((sig, n): &(CrashSignature, u64), w: &mut Writer<'_>) {
+    encode_signature(sig, w);
+    w.u64(*n);
 }
 
-/// Decode a [`CampaignConfig`] (inverse of [`encode_config`]).
+fn decode_count(r: &mut Reader<'_>) -> Result<(CrashSignature, u64), DecodeError> {
+    Ok((decode_signature(r)?, r.u64()?))
+}
+
+// ---- wire codecs shared with the kgpt-fabric protocol --------------------
+
+/// Write a [`CampaignConfig`] (lease grants carry it; its hash is the
+/// [`config_fingerprint`]).
+pub fn encode_config(config: &CampaignConfig, w: &mut Writer<'_>) {
+    w.u64(config.execs);
+    w.u64(config.seed);
+    w.u64(config.max_prog_len as u64);
+    w.opt(config.enabled.as_deref(), |names, w| {
+        w.seq(names, |n, w| w.str(n));
+    });
+    w.u64(config.hub_epoch);
+    w.u64(config.hub_top_k as u64);
+    w.u64(config.exec_fuel);
+    w.u64(config.trace_ring as u64);
+}
+
+/// Read a [`CampaignConfig`] (inverse of [`encode_config`]).
 ///
 /// # Errors
 ///
-/// Returns a [`CheckpointError`] on any malformed field.
-pub fn decode_config(bytes: &[u8], pos: &mut usize) -> Result<CampaignConfig, CheckpointError> {
-    let execs = take_u64(bytes, pos)?;
-    let seed = take_u64(bytes, pos)?;
-    let max_prog_len = usize::try_from(take_u64(bytes, pos)?)
-        .map_err(|_| CheckpointError::new("max_prog_len out of range"))?;
-    let enabled = match take_u8(bytes, pos)? {
-        0 => None,
-        1 => {
-            let n = take_u32(bytes, pos)? as usize;
-            let mut names = Vec::new();
-            for _ in 0..n {
-                names.push(take_str(bytes, pos)?);
-            }
-            Some(names)
-        }
-        t => {
-            return Err(CheckpointError::new(format!(
-                "bad enabled tag {t} at {pos}"
-            )))
-        }
-    };
-    let hub_epoch = take_u64(bytes, pos)?;
-    let hub_top_k = usize::try_from(take_u64(bytes, pos)?)
-        .map_err(|_| CheckpointError::new("hub top_k out of range"))?;
-    let exec_fuel = take_u64(bytes, pos)?;
-    let trace_ring = usize::try_from(take_u64(bytes, pos)?)
-        .map_err(|_| CheckpointError::new("trace_ring out of range"))?;
+/// Returns a [`DecodeError`] on any malformed field.
+pub fn decode_config(r: &mut Reader<'_>) -> Result<CampaignConfig, DecodeError> {
     Ok(CampaignConfig {
-        execs,
-        seed,
-        max_prog_len,
-        enabled,
-        hub_epoch,
-        hub_top_k,
-        exec_fuel,
-        trace_ring,
+        execs: r.u64()?,
+        seed: r.u64()?,
+        max_prog_len: decode_usize(r)?,
+        enabled: r.opt(|r| r.seq(Reader::str))?,
+        hub_epoch: r.u64()?,
+        hub_top_k: decode_usize(r)?,
+        exec_fuel: r.u64()?,
+        trace_ring: decode_usize(r)?,
     })
 }
 
-/// Append a list of committed [`ShardSnapshot`]s (lease grants carry
+/// Write a list of committed [`ShardSnapshot`]s (lease grants carry
 /// the restore state of a reassigned range this way).
-pub fn encode_snapshots(snaps: &[ShardSnapshot], out: &mut Vec<u8>) {
-    put_u32(out, u32::try_from(snaps.len()).unwrap_or(u32::MAX));
-    for s in snaps {
-        encode_shard(s, out);
-    }
+pub fn encode_snapshots(snaps: &[ShardSnapshot], w: &mut Writer<'_>) {
+    w.seq(snaps, encode_shard);
 }
 
-/// Decode a list of [`ShardSnapshot`]s (inverse of
+/// Read a list of [`ShardSnapshot`]s (inverse of
 /// [`encode_snapshots`]).
 ///
 /// # Errors
 ///
-/// Returns a [`CheckpointError`] on any malformed field.
-pub fn decode_snapshots(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<Vec<ShardSnapshot>, CheckpointError> {
-    let n = take_u32(bytes, pos)? as usize;
-    let mut snaps = Vec::new();
-    for _ in 0..n {
-        snaps.push(decode_shard(bytes, pos)?);
-    }
-    Ok(snaps)
+/// Returns a [`DecodeError`] on any malformed field.
+pub fn decode_snapshots(r: &mut Reader<'_>) -> Result<Vec<ShardSnapshot>, DecodeError> {
+    r.seq(decode_shard)
 }
 
-/// Append a list of [`HubSeed`]s (the boundary reply carries the
-/// seeds newly retained by the hub this way).
-pub fn encode_seeds(seeds: &[HubSeed], out: &mut Vec<u8>) {
-    put_u32(out, u32::try_from(seeds.len()).unwrap_or(u32::MAX));
-    for seed in seeds {
-        put_u32(out, seed.shard);
-        seed.program.encode_into(out);
-        put_coverage(out, &seed.contributed);
-    }
+/// Write a list of [`HubSeed`]s (the boundary reply carries the seeds
+/// newly retained by the hub this way; a checkpoint carries them all).
+pub fn encode_seeds(seeds: &[HubSeed], w: &mut Writer<'_>) {
+    w.seq(seeds, |seed, w| {
+        w.u32(seed.shard);
+        seed.program.encode(w);
+        w.u64s(seed.contributed.words());
+    });
 }
 
-/// Decode a list of [`HubSeed`]s (inverse of [`encode_seeds`]).
+/// Read a list of [`HubSeed`]s (inverse of [`encode_seeds`]).
 ///
 /// # Errors
 ///
-/// Returns a [`CheckpointError`] on any malformed field.
-pub fn decode_seeds(bytes: &[u8], pos: &mut usize) -> Result<Vec<HubSeed>, CheckpointError> {
-    let n = take_u32(bytes, pos)? as usize;
-    let mut seeds = Vec::new();
-    for _ in 0..n {
-        let shard = take_u32(bytes, pos)?;
-        let program = Program::decode_from(bytes, pos)?;
-        let contributed = take_coverage(bytes, pos)?;
-        seeds.push(HubSeed {
-            shard,
-            program,
-            contributed,
-        });
-    }
-    Ok(seeds)
-}
-
-/// Append a list of [`EpochDelta`]s (one worker delta frame carries
-/// its whole range this way).
-pub fn encode_deltas(deltas: &[EpochDelta], out: &mut Vec<u8>) {
-    put_u32(out, u32::try_from(deltas.len()).unwrap_or(u32::MAX));
-    for d in deltas {
-        d.encode_into(out);
-    }
-}
-
-/// Decode a list of [`EpochDelta`]s (inverse of [`encode_deltas`]).
-///
-/// # Errors
-///
-/// Returns a [`CheckpointError`] on any malformed field.
-pub fn decode_deltas(bytes: &[u8], pos: &mut usize) -> Result<Vec<EpochDelta>, CheckpointError> {
-    let n = take_u32(bytes, pos)? as usize;
-    let mut deltas = Vec::new();
-    for _ in 0..n {
-        deltas.push(EpochDelta::decode_from(bytes, pos)?);
-    }
-    Ok(deltas)
+/// Returns a [`DecodeError`] on any malformed field.
+pub fn decode_seeds(r: &mut Reader<'_>) -> Result<Vec<HubSeed>, DecodeError> {
+    r.seq(|r| {
+        Ok(HubSeed {
+            shard: r.u32()?,
+            program: Program::decode(r)?,
+            contributed: decode_coverage(r)?,
+        })
+    })
 }
 
 // ---- incremental boundary frames -----------------------------------------
@@ -517,133 +431,61 @@ impl EpochPatch {
         })
     }
 
-    /// Append the checkpoint-framed encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.shard_id);
-        put_u64(out, self.epoch);
-        put_u64(out, self.rng_pick);
-        put_u64(out, self.remaining);
-        put_u64(out, self.fuel_exhausted);
-        for w in self.gen_rng {
-            put_u64(out, w);
+    /// Write the patch (scalars verbatim, then the increments).
+    pub fn encode(&self, w: &mut Writer<'_>) {
+        w.u32(self.shard_id);
+        w.u64(self.epoch);
+        w.u64(self.rng_pick);
+        w.u64(self.remaining);
+        w.u64(self.fuel_exhausted);
+        for word in self.gen_rng {
+            w.u64(word);
         }
-        put_u64(out, self.corpus_rng);
-        put_u64(out, self.corpus_stats.admitted);
-        put_u64(out, self.corpus_stats.imported);
-        put_u64(out, self.corpus_stats.evicted);
-        put_word_diff(out, &self.cov_diff);
-        put_u32(out, u32::try_from(self.kept.len()).unwrap_or(u32::MAX));
-        for k in &self.kept {
-            put_u32(out, k.index);
-            put_u64(out, k.execs);
-            put_u64(out, k.hits);
-        }
-        put_u32(out, u32::try_from(self.added.len()).unwrap_or(u32::MAX));
-        for e in &self.added {
-            encode_corpus_entry(e, out);
-        }
-        put_u32(out, u32::try_from(self.crashes.len()).unwrap_or(u32::MAX));
-        for (title, count, cve) in &self.crashes {
-            put_str(out, title);
-            put_u64(out, *count);
-            put_opt_str(out, cve.as_deref());
-        }
-        put_u32(out, u32::try_from(self.seen.len()).unwrap_or(u32::MAX));
-        for sig in &self.seen {
-            put_signature(out, sig);
-        }
-        put_u32(
-            out,
-            u32::try_from(self.candidates.len()).unwrap_or(u32::MAX),
-        );
-        for e in &self.candidates {
-            encode_triage_entry(e, out);
-        }
-        put_u32(out, u32::try_from(self.counts.len()).unwrap_or(u32::MAX));
-        for (sig, n) in &self.counts {
-            put_signature(out, sig);
-            put_u64(out, *n);
-        }
+        w.u64(self.corpus_rng);
+        encode_corpus_stats(&self.corpus_stats, w);
+        encode_word_diff(&self.cov_diff, w);
+        w.seq(&self.kept, |k, w| {
+            w.u32(k.index);
+            w.u64(k.execs);
+            w.u64(k.hits);
+        });
+        w.seq(&self.added, encode_corpus_entry);
+        w.seq(&self.crashes, |(title, count, cve), w| {
+            encode_crash(title, *count, cve.as_deref(), w);
+        });
+        w.seq(&self.seen, encode_signature);
+        w.seq(&self.candidates, encode_triage_entry);
+        w.seq(&self.counts, encode_count);
     }
 
-    /// Decode one patch from `bytes` at `pos` (inverse of
-    /// [`EpochPatch::encode_into`]).
+    /// Read one patch (inverse of [`EpochPatch::encode`]).
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] on any malformed field.
-    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<EpochPatch, CheckpointError> {
-        let shard_id = take_u32(bytes, pos)?;
-        let epoch = take_u64(bytes, pos)?;
-        let rng_pick = take_u64(bytes, pos)?;
-        let remaining = take_u64(bytes, pos)?;
-        let fuel_exhausted = take_u64(bytes, pos)?;
-        let mut gen_rng = [0u64; 4];
-        for w in &mut gen_rng {
-            *w = take_u64(bytes, pos)?;
-        }
-        let corpus_rng = take_u64(bytes, pos)?;
-        let corpus_stats = CorpusStats {
-            admitted: take_u64(bytes, pos)?,
-            imported: take_u64(bytes, pos)?,
-            evicted: take_u64(bytes, pos)?,
-        };
-        let cov_diff = take_word_diff(bytes, pos)?;
-        let n_kept = take_u32(bytes, pos)? as usize;
-        let mut kept = Vec::new();
-        for _ in 0..n_kept {
-            kept.push(KeptEntry {
-                index: take_u32(bytes, pos)?,
-                execs: take_u64(bytes, pos)?,
-                hits: take_u64(bytes, pos)?,
-            });
-        }
-        let n_added = take_u32(bytes, pos)? as usize;
-        let mut added = Vec::new();
-        for _ in 0..n_added {
-            added.push(decode_corpus_entry(bytes, pos)?);
-        }
-        let n_crashes = take_u32(bytes, pos)? as usize;
-        let mut crashes = Vec::new();
-        for _ in 0..n_crashes {
-            let title = take_str(bytes, pos)?;
-            let count = take_u64(bytes, pos)?;
-            let cve = take_opt_str(bytes, pos)?;
-            crashes.push((title, count, cve));
-        }
-        let n_seen = take_u32(bytes, pos)? as usize;
-        let mut seen = Vec::new();
-        for _ in 0..n_seen {
-            seen.push(take_signature(bytes, pos)?);
-        }
-        let n_candidates = take_u32(bytes, pos)? as usize;
-        let mut candidates = Vec::new();
-        for _ in 0..n_candidates {
-            candidates.push(decode_triage_entry(bytes, pos)?);
-        }
-        let n_counts = take_u32(bytes, pos)? as usize;
-        let mut counts = Vec::new();
-        for _ in 0..n_counts {
-            let sig = take_signature(bytes, pos)?;
-            let n = take_u64(bytes, pos)?;
-            counts.push((sig, n));
-        }
+    /// Returns a [`DecodeError`] on any malformed field.
+    pub fn decode(r: &mut Reader<'_>) -> Result<EpochPatch, DecodeError> {
         Ok(EpochPatch {
-            shard_id,
-            epoch,
-            rng_pick,
-            remaining,
-            fuel_exhausted,
-            gen_rng,
-            corpus_rng,
-            corpus_stats,
-            cov_diff,
-            kept,
-            added,
-            crashes,
-            seen,
-            candidates,
-            counts,
+            shard_id: r.u32()?,
+            epoch: r.u64()?,
+            rng_pick: r.u64()?,
+            remaining: r.u64()?,
+            fuel_exhausted: r.u64()?,
+            gen_rng: decode_rng(r)?,
+            corpus_rng: r.u64()?,
+            corpus_stats: decode_corpus_stats(r)?,
+            cov_diff: decode_word_diff(r)?,
+            kept: r.seq(|r| {
+                Ok(KeptEntry {
+                    index: r.u32()?,
+                    execs: r.u64()?,
+                    hits: r.u64()?,
+                })
+            })?,
+            added: r.seq(decode_corpus_entry)?,
+            crashes: r.seq(decode_crash)?,
+            seen: r.seq(decode_signature)?,
+            candidates: r.seq(decode_triage_entry)?,
+            counts: r.seq(decode_count)?,
         })
     }
 }
@@ -699,26 +541,24 @@ pub fn apply_patches(
     base.iter().zip(patches).map(|(b, p)| p.apply(b)).collect()
 }
 
-/// Append a list of [`EpochPatch`]es (one incremental worker delta
-/// frame carries its whole range this way).
+/// Append a whole incremental frame body — the counted list of a
+/// range's [`EpochPatch`]es — to a plain buffer. (The wire codec
+/// composes the same list itself; this pair is the entry point for
+/// callers that size or time patch bodies on their own.)
 pub fn encode_patches(patches: &[EpochPatch], out: &mut Vec<u8>) {
-    put_u32(out, u32::try_from(patches.len()).unwrap_or(u32::MAX));
-    for p in patches {
-        p.encode_into(out);
-    }
+    Writer::new(out).seq(patches, EpochPatch::encode);
 }
 
-/// Decode a list of [`EpochPatch`]es (inverse of [`encode_patches`]).
+/// Decode what [`encode_patches`] wrote from `bytes`, starting at
+/// `*pos` and advancing it past the consumed bytes.
 ///
 /// # Errors
 ///
 /// Returns a [`CheckpointError`] on any malformed field.
 pub fn decode_patches(bytes: &[u8], pos: &mut usize) -> Result<Vec<EpochPatch>, CheckpointError> {
-    let n = take_u32(bytes, pos)? as usize;
-    let mut patches = Vec::new();
-    for _ in 0..n {
-        patches.push(EpochPatch::decode_from(bytes, pos)?);
-    }
+    let mut r = Reader::at(bytes, *pos);
+    let patches = r.seq(EpochPatch::decode)?;
+    *pos = r.pos();
     Ok(patches)
 }
 
@@ -742,7 +582,7 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
         words[word] = bit;
         CorpusEntry {
             program: Program {
-                calls: vec![crate::program::ProgCall {
+                calls: vec![kgpt_syzlang::prog::ProgCall {
                     sys,
                     args: Vec::new(),
                 }],
@@ -819,30 +659,6 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
     (base, deltas)
 }
 
-/// Re-export of the crash-tally/option codec used for crash maps in
-/// shard snapshots — the protocol crate never needs it directly, but
-/// tests exercising the framing do.
-#[doc(hidden)]
-pub fn crash_tally_roundtrip(tally: &CrashTally) -> CrashTally {
-    let mut out = Vec::new();
-    put_u32(&mut out, u32::try_from(tally.len()).unwrap_or(u32::MAX));
-    for (title, (count, cve)) in tally {
-        put_str(&mut out, title);
-        put_u64(&mut out, *count);
-        put_opt_str(&mut out, cve.as_deref());
-    }
-    let mut pos = 0usize;
-    let n = take_u32(&out, &mut pos).unwrap() as usize;
-    let mut back = CrashTally::new();
-    for _ in 0..n {
-        let title = take_str(&out, &mut pos).unwrap();
-        let count = take_u64(&out, &mut pos).unwrap();
-        let cve = take_opt_str(&out, &mut pos).unwrap();
-        back.insert(title, (count, cve));
-    }
-    back
-}
-
 // ---- worker half ---------------------------------------------------------
 
 /// The worker half of a distributed campaign: a contiguous range of
@@ -852,7 +668,6 @@ pub fn crash_tally_roundtrip(tally: &CrashTally) -> CrashTally {
 /// is byte-for-byte the same.
 pub struct LeaseRunner {
     config: CampaignConfig,
-    epoch_budget: u64,
     states: Vec<ShardState>,
     minimizer: TriageMinimizer,
 }
@@ -907,10 +722,6 @@ impl LeaseRunner {
     ) -> LeaseRunner {
         LeaseRunner {
             config: config.clone(),
-            epoch_budget: match config.hub_epoch {
-                0 => u64::MAX,
-                e => e,
-            },
             states,
             minimizer: TriageMinimizer::new(lowered),
         }
@@ -952,10 +763,11 @@ impl LeaseRunner {
     /// internal `triage` module).
     #[must_use]
     pub fn run_epoch(&mut self, kernel: &VKernel) -> Vec<EpochDelta> {
+        let budget = self.config.epoch_budget();
         self.states
             .iter_mut()
             .map(|state| {
-                state.run_epoch(kernel, self.epoch_budget);
+                state.run_epoch(kernel, budget);
                 let (candidates, counts) =
                     self.minimizer
                         .drain_to_candidates(kernel, state.id, &mut state.triage);
@@ -1251,27 +1063,8 @@ impl CampaignMerge {
     /// shard-id order — the same fold, in the same order, as the
     /// single-process `ShardedCampaign`.
     fn fold(self, execs: u64) -> CampaignResult {
-        let mut coverage = CoverageMap::new();
-        let mut crashes = CrashTally::new();
-        let mut corpus_size = 0usize;
-        let mut fuel_exhausted = 0u64;
-        for s in self.committed {
-            coverage.merge(&s.corpus_coverage);
-            for (title, (count, cve)) in s.crashes {
-                let e = crashes.entry(title).or_insert((0, cve));
-                e.0 += count;
-            }
-            corpus_size += s.corpus_entries.len();
-            fuel_exhausted += s.fuel_exhausted;
-        }
-        CampaignResult {
-            coverage,
-            crashes,
-            execs,
-            corpus_size,
-            triage: self.triage,
-            fuel_exhausted,
-        }
+        let parts = self.committed.into_iter().map(ShardSnapshot::into_result);
+        CampaignResult::fold(parts, execs, self.triage)
     }
 }
 
@@ -1357,6 +1150,13 @@ mod tests {
             hub_top_k: 4,
             ..CampaignConfig::default()
         }
+    }
+
+    /// A full delta frame's body: the counted list of deltas.
+    fn full_frame_body(deltas: &[EpochDelta]) -> Vec<u8> {
+        let mut out = Vec::new();
+        Writer::new(&mut out).seq(deltas, EpochDelta::encode);
+        out
     }
 
     /// Drive a whole campaign through LeaseRunner + CampaignMerge in
@@ -1466,18 +1266,16 @@ mod tests {
         let deltas = runner.run_epoch(&kernel);
         assert_eq!(deltas.len(), 2);
 
-        let mut out = Vec::new();
-        encode_deltas(&deltas, &mut out);
-        let mut pos = 0usize;
-        let back = decode_deltas(&out, &mut pos).expect("deltas decode");
-        assert_eq!(pos, out.len());
-        assert_eq!(deltas, back);
+        let out = full_frame_body(&deltas);
+        let mut r = Reader::new(&out);
+        assert_eq!(r.seq(EpochDelta::decode).expect("deltas decode"), deltas);
+        r.finish().expect("deltas consumed");
 
         let mut out = Vec::new();
-        encode_config(&config, &mut out);
-        let mut pos = 0usize;
-        let back = decode_config(&out, &mut pos).expect("config decode");
-        assert_eq!(pos, out.len());
+        encode_config(&config, &mut Writer::new(&mut out));
+        let mut r = Reader::new(&out);
+        let back = decode_config(&mut r).expect("config decode");
+        r.finish().expect("config consumed");
         assert_eq!(
             config_fingerprint(&config, 2),
             config_fingerprint(&back, 2),
@@ -1486,9 +1284,11 @@ mod tests {
 
         let snaps: Vec<ShardSnapshot> = deltas.iter().map(|d| d.snapshot.clone()).collect();
         let mut out = Vec::new();
-        encode_snapshots(&snaps, &mut out);
-        let mut pos = 0usize;
-        assert_eq!(decode_snapshots(&out, &mut pos).expect("snaps"), snaps);
+        encode_snapshots(&snaps, &mut Writer::new(&mut out));
+        assert_eq!(
+            decode_snapshots(&mut Reader::new(&out)).expect("snaps"),
+            snaps
+        );
 
         let seeds = vec![HubSeed {
             shard: 1,
@@ -1496,9 +1296,8 @@ mod tests {
             contributed: [7u64, 9].iter().copied().collect(),
         }];
         let mut out = Vec::new();
-        encode_seeds(&seeds, &mut out);
-        let mut pos = 0usize;
-        assert_eq!(decode_seeds(&out, &mut pos).expect("seeds"), seeds);
+        encode_seeds(&seeds, &mut Writer::new(&mut out));
+        assert_eq!(decode_seeds(&mut Reader::new(&out)).expect("seeds"), seeds);
     }
 
     #[test]
@@ -1524,8 +1323,7 @@ mod tests {
         assert_eq!(patches, back);
         assert_eq!(apply_patches(&base, back).expect("apply"), deltas);
 
-        let mut full = Vec::new();
-        encode_deltas(&deltas, &mut full);
+        let full = full_frame_body(&deltas);
         assert!(
             incr.len() < full.len(),
             "incremental ({}) must be smaller than full ({})",
@@ -1565,8 +1363,7 @@ mod tests {
         let back = decode_patches(&incr, &mut pos).expect("decode");
         assert_eq!(apply_patches(&baseline, back).expect("apply"), deltas);
 
-        let mut full = Vec::new();
-        encode_deltas(&deltas, &mut full);
+        let full = full_frame_body(&deltas);
         assert!(
             incr.len() < full.len(),
             "incremental ({}) must be smaller than full ({})",
@@ -1622,16 +1419,5 @@ mod tests {
         assert!(merge.apply_boundary(swapped).is_err());
         // Finish before the final boundary.
         assert!(CampaignMerge::new(config, 2).finish().is_err());
-    }
-
-    #[test]
-    fn shard_execs_matches_the_sharded_split() {
-        let config = CampaignConfig {
-            execs: 1003,
-            ..CampaignConfig::default()
-        };
-        let total: u64 = (0..8).map(|i| shard_execs(&config, 8, i)).sum();
-        assert_eq!(total, 1003);
-        assert!((0..8).all(|i| [125u64, 126].contains(&shard_execs(&config, 8, i))));
     }
 }

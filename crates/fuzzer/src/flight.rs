@@ -17,8 +17,8 @@
 //! block stream against the live run, byte for byte.
 
 use crate::exec::{execute_with, ExecScratch};
-use crate::program::Program;
 use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors};
+use kgpt_syzlang::prog::Program;
 use kgpt_trace::{decode_events, encode_events, ExecTrace, TraceError, TraceStore};
 use kgpt_vkernel::{CrashSignature, TraceEvent, VKernel};
 use std::sync::Arc;

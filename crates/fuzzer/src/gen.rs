@@ -9,10 +9,10 @@
 //! bit-for-bit the same; `tests/properties.rs` and the `lowering`
 //! section of `fuzz_bench` pin that equivalence.
 
-use crate::program::{ProgCall, Program};
 use crate::reference::INTERESTING;
 use kgpt_syzlang::ast::ArrayLen;
 use kgpt_syzlang::lowered::{LType, LoweredDb};
+use kgpt_syzlang::prog::{ProgCall, Program};
 use kgpt_syzlang::value::ResRef;
 use kgpt_syzlang::{ConstDb, SpecDb, Value};
 use rand::rngs::StdRng;

@@ -23,7 +23,7 @@
 //! most the number of coverable blocks.
 
 use crate::corpus::Corpus;
-use crate::program::Program;
+use kgpt_syzlang::prog::Program;
 use kgpt_vkernel::CoverageMap;
 
 /// One seed retained by the hub.

@@ -4,7 +4,8 @@
 //! substitute that consumes syzlang suites and drives the virtual
 //! kernel.
 //!
-//! * [`program`] — syscall sequences with resource-threading;
+//! * [`Program`] — syscall sequences with resource-threading
+//!   (defined in [`kgpt_syzlang::prog`]);
 //! * [`gen`] — generation over the compiled
 //!   [`kgpt_syzlang::lowered::LoweredDb`] IR: producers are prepended
 //!   to satisfy resource dependencies, values follow the declared
@@ -72,7 +73,6 @@ pub mod faults;
 pub mod flight;
 pub mod gen;
 pub mod hub;
-pub mod program;
 pub mod reference;
 pub mod shard;
 mod triage;
@@ -89,9 +89,9 @@ pub use faults::{Fault, FaultPlan};
 pub use flight::{cfg_successors, replay_trace, ReplayOutcome};
 pub use gen::Generator;
 pub use hub::{HubSeed, SeedHub};
+pub use kgpt_syzlang::prog::{ProgCall, Program};
 pub use kgpt_trace::{ExecTrace, TraceError, TraceStore};
 pub use kgpt_triage::{TriageEntry, TriageReport};
-pub use program::{ProgCall, Program};
 pub use reference::{ast_execute, ast_execute_with, AstGenerator, AstScratch};
 pub use shard::ShardedCampaign;
 pub use triage::minimize_program;

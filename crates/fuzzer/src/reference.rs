@@ -12,8 +12,8 @@
 //! Nothing here runs on a campaign's hot path.
 
 use crate::exec::ExecResult;
-use crate::program::{ProgCall, Program};
 use kgpt_syzlang::ast::{ArrayLen, Type};
+use kgpt_syzlang::prog::{ProgCall, Program};
 use kgpt_syzlang::value::{MemBuilder, ResRef};
 use kgpt_syzlang::{ConstDb, SpecDb, Value};
 use kgpt_vkernel::{MemMap, Sysno, VKernel, VmState};

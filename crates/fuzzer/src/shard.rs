@@ -26,8 +26,9 @@
 //! [`Campaign::run`](crate::Campaign::run) with the same config
 //! (exchange on one shard is a no-op by construction).
 
-use crate::campaign::{CampaignConfig, CampaignResult, CrashTally, ShardState};
+use crate::campaign::{CampaignConfig, CampaignResult, ShardState};
 use crate::checkpoint::{config_fingerprint, CampaignSnapshot, CheckpointError};
+use crate::fabric::shard_execs;
 use crate::faults::FaultPlan;
 use crate::flight::{self, ShardTracer};
 use crate::hub::SeedHub;
@@ -36,7 +37,7 @@ use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::{ConstDb, SpecCache, SpecDb, SpecFile};
 use kgpt_trace::TraceStore;
 use kgpt_triage::TriageReport;
-use kgpt_vkernel::{CoverageMap, VKernel};
+use kgpt_vkernel::VKernel;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -208,13 +209,6 @@ impl<'a> ShardedCampaign<'a> {
         Arc::clone(&self.lowered)
     }
 
-    /// Execution budget of shard `i`: `execs` split as evenly as
-    /// possible, earlier shards taking the remainder.
-    fn shard_execs(&self, i: u32) -> u64 {
-        let n = u64::from(self.shards);
-        self.config.execs / n + u64::from(u64::from(i) < self.config.execs % n)
-    }
-
     /// Fingerprint of this campaign's deterministic identity (config
     /// fields plus shard count) — what resume validates.
     fn config_fp(&self) -> u64 {
@@ -246,7 +240,7 @@ impl<'a> ShardedCampaign<'a> {
                     &self.lowered,
                     &self.config,
                     i,
-                    self.shard_execs(i),
+                    shard_execs(&self.config, self.shards, i),
                     self.config.seed.wrapping_add(u64::from(i)),
                 )
             })
@@ -375,10 +369,7 @@ impl<'a> ShardedCampaign<'a> {
             t => t,
         }
         .clamp(1, shards);
-        let epoch = match self.config.hub_epoch {
-            0 => u64::MAX,
-            e => e,
-        };
+        let epoch = self.config.epoch_budget();
         let mut minimizer = TriageMinimizer::new(&self.lowered);
         let mut checkpoints_written = 0u64;
         loop {
@@ -495,28 +486,9 @@ impl<'a> ShardedCampaign<'a> {
             .iter_mut()
             .filter_map(ShardState::take_store)
             .collect();
-        let mut coverage = CoverageMap::new();
-        let mut crashes: CrashTally = CrashTally::new();
-        let mut corpus_size = 0usize;
-        let mut fuel_exhausted = 0u64;
-        for r in states.into_iter().map(ShardState::finish) {
-            coverage.merge(&r.coverage);
-            for (title, (count, cve)) in r.crashes {
-                let e = crashes.entry(title).or_insert((0, cve));
-                e.0 += count;
-            }
-            corpus_size += r.corpus_size;
-            fuel_exhausted += r.fuel_exhausted;
-        }
+        let parts = states.into_iter().map(ShardState::finish);
         (
-            CampaignResult {
-                coverage,
-                crashes,
-                execs: self.config.execs,
-                corpus_size,
-                triage,
-                fuel_exhausted,
-            },
+            CampaignResult::fold(parts, self.config.execs, triage),
             stores,
         )
     }
@@ -578,8 +550,9 @@ fn apply_damage(path: &Path, damage: Option<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Campaign;
+    use crate::{Campaign, CrashTally};
     use kgpt_csrc::KernelCorpus;
+    use kgpt_vkernel::CoverageMap;
 
     fn dm_setup() -> (VKernel, Vec<SpecFile>, ConstDb) {
         let kc = KernelCorpus::from_blueprints(vec![kgpt_csrc::flagship::dm()]);
@@ -871,10 +844,9 @@ mod tests {
 
     #[test]
     fn uneven_exec_budgets_split_without_loss() {
-        let (kernel, suite, consts) = dm_setup();
-        let c = ShardedCampaign::new(&kernel, &suite, &consts, cfg(1003, 0)).with_shards(8);
-        let total: u64 = (0..8).map(|i| c.shard_execs(i)).sum();
+        let config = cfg(1003, 0);
+        let total: u64 = (0..8).map(|i| shard_execs(&config, 8, i)).sum();
         assert_eq!(total, 1003);
-        assert!((0..8).all(|i| [125, 126].contains(&c.shard_execs(i))));
+        assert!((0..8).all(|i| [125, 126].contains(&shard_execs(&config, 8, i))));
     }
 }

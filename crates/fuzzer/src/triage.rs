@@ -17,8 +17,8 @@
 //!   worker thread count never changes it.
 
 use crate::exec::{execute_with, ExecScratch};
-use crate::program::Program;
 use kgpt_syzlang::lowered::LoweredDb;
+use kgpt_syzlang::prog::Program;
 use kgpt_triage::{minimize_guided, MinimizeOutcome, TraceGuide, TriageEntry, TriageReport};
 use kgpt_vkernel::{CrashReport, CrashSignature, TraceEvent, VKernel};
 use std::collections::{BTreeMap, BTreeSet};

@@ -26,6 +26,7 @@
 //! hit/miss/eviction counters are exposed for monitoring.
 
 use crate::ast::SpecFile;
+use crate::codec::Fnv1a;
 use crate::consts::ConstDb;
 use crate::db::SpecDb;
 use crate::lowered::LoweredDb;
@@ -324,30 +325,6 @@ fn consts_fingerprint(consts: &ConstDb) -> u64 {
         h.write(&value.to_le_bytes());
     }
     h.finish()
-}
-
-/// FNV-1a as a [`Hasher`], so suite fingerprints come straight from
-/// the derived structural `Hash` of the AST with no intermediate
-/// serialization.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
 }
 
 #[cfg(test)]

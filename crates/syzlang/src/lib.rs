@@ -23,6 +23,9 @@
 //! * a [`cache`] module memoizing compiled [`SpecDb`]s behind `Arc`s,
 //!   keyed by suite content, so repeated campaign constructions and
 //!   sweep harnesses stop re-parsing identical suites;
+//! * a [`codec`] module — the one byte codec ([`codec::Writer`] /
+//!   [`codec::Reader`], FNV-1a, the `magic | version | checksum`
+//!   envelope) every binary format in the workspace is composed from;
 //! * a [`prog`] module with the concrete [`Program`] representation
 //!   (dense syscall indices + argument [`Value`]s) shared by the
 //!   fuzzer's generation/execution loop and the crash-triage
@@ -62,6 +65,7 @@
 
 pub mod ast;
 pub mod cache;
+pub mod codec;
 pub mod consts;
 pub mod db;
 pub mod layout;

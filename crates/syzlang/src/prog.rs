@@ -12,35 +12,19 @@
 //! subsystem (`kgpt-triage`) projects and minimizes them without
 //! pulling in the whole fuzzing loop.
 
+use crate::codec::{Reader, Writer};
 use crate::db::SpecDb;
 use crate::value::ResRef;
 use crate::{Syscall, Value};
 use serde::{Deserialize, Serialize};
 
-/// Maximum value-tree nesting accepted by [`Program::decode_from`].
+pub use crate::codec::DecodeError;
+
+/// Maximum value-tree nesting accepted by [`Program::decode`].
 /// Generated values are shallow (a handful of levels); the bound
 /// exists so a corrupt snapshot cannot recurse the decoder off the
 /// stack.
 pub const MAX_VALUE_DEPTH: usize = 64;
-
-/// Error decoding a serialized program (see
-/// [`Program::decode_from`]): truncated input, an unknown value tag,
-/// or nesting beyond [`MAX_VALUE_DEPTH`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// What went wrong.
-    pub message: &'static str,
-    /// Byte offset at which decoding failed.
-    pub offset: usize,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// One call in a program.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,45 +80,52 @@ impl Program {
             .join("\n")
     }
 
-    /// Append a dense little-endian binary encoding of the program to
-    /// `out`. The format is self-delimiting, so multiple programs can
-    /// be concatenated and read back with [`Program::decode_from`].
-    /// This is the serialization hook for campaign checkpoints; the
-    /// vendored `serde` derives are no-ops, so the wire format lives
-    /// here.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(out, u32::try_from(self.calls.len()).unwrap_or(u32::MAX));
-        for call in &self.calls {
-            put_u32(out, call.sys);
-            put_u32(out, u32::try_from(call.args.len()).unwrap_or(u32::MAX));
-            for arg in &call.args {
-                encode_value(arg, out);
-            }
-        }
+    /// Write the program's binary encoding (layout rules:
+    /// [`crate::codec`]). The format is self-delimiting, so programs
+    /// concatenate and embed in every other format. This is the
+    /// serialization hook for campaign checkpoints; the vendored
+    /// `serde` derives are no-ops, so the wire format lives here.
+    pub fn encode(&self, w: &mut Writer<'_>) {
+        w.seq(&self.calls, |call, w| {
+            w.u32(call.sys);
+            w.seq(&call.args, encode_value);
+        });
     }
 
-    /// Decode a program previously written by [`Program::encode_into`],
-    /// starting at `*pos` and advancing it past the consumed bytes.
+    /// [`Program::encode`], appending to a plain buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode(&mut Writer::new(out));
+    }
+
+    /// Decode a program previously written by [`Program::encode`].
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncated input, an unknown value
-    /// tag, or value nesting deeper than the decoder's fixed bound —
+    /// tag, or value nesting deeper than [`MAX_VALUE_DEPTH`] —
     /// without panicking or recursing unboundedly, so a corrupt
     /// snapshot is a recoverable condition.
-    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<Program, DecodeError> {
-        let n_calls = take_u32(bytes, pos)? as usize;
-        let mut calls = Vec::new();
-        for _ in 0..n_calls {
-            let sys = take_u32(bytes, pos)?;
-            let n_args = take_u32(bytes, pos)? as usize;
-            let mut args = Vec::new();
-            for _ in 0..n_args {
-                args.push(decode_value(bytes, pos, 0)?);
-            }
-            calls.push(ProgCall { sys, args });
-        }
+    pub fn decode(r: &mut Reader<'_>) -> Result<Program, DecodeError> {
+        let calls = r.seq(|r| {
+            Ok(ProgCall {
+                sys: r.u32()?,
+                args: r.seq(|r| decode_value(r, 0))?,
+            })
+        })?;
         Ok(Program { calls })
+    }
+
+    /// [`Program::decode`] out of a plain buffer, starting at `*pos`
+    /// and advancing it past the consumed bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::decode`].
+    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<Program, DecodeError> {
+        let mut r = Reader::at(bytes, *pos);
+        let program = Program::decode(&mut r)?;
+        *pos = r.pos();
+        Ok(program)
     }
 }
 
@@ -153,139 +144,67 @@ const TAG_PTR: u8 = 6;
 /// and never approach that value.
 const NO_PRODUCER: u64 = u64::MAX;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
-    let end = pos.checked_add(4).filter(|&e| e <= bytes.len());
-    let Some(end) = end else {
-        return Err(DecodeError {
-            message: "truncated u32",
-            offset: *pos,
-        });
-    };
-    let v = u32::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
-    let end = pos.checked_add(8).filter(|&e| e <= bytes.len());
-    let Some(end) = end else {
-        return Err(DecodeError {
-            message: "truncated u64",
-            offset: *pos,
-        });
-    };
-    let v = u64::from_le_bytes(bytes[*pos..end].try_into().unwrap());
-    *pos = end;
-    Ok(v)
-}
-
-fn take_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, DecodeError> {
-    let Some(&b) = bytes.get(*pos) else {
-        return Err(DecodeError {
-            message: "truncated tag",
-            offset: *pos,
-        });
-    };
-    *pos += 1;
-    Ok(b)
-}
-
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
+fn encode_value(v: &Value, w: &mut Writer<'_>) {
     match v {
         Value::Int(n) => {
-            out.push(TAG_INT);
-            put_u64(out, *n);
+            w.u8(TAG_INT);
+            w.u64(*n);
         }
         Value::Res(r) => {
-            out.push(TAG_RES);
-            put_u64(out, r.producer.map_or(NO_PRODUCER, |p| p as u64));
-            put_u64(out, r.fallback);
+            w.u8(TAG_RES);
+            w.u64(r.producer.map_or(NO_PRODUCER, |p| p as u64));
+            w.u64(r.fallback);
         }
         Value::Bytes(b) => {
-            out.push(TAG_BYTES);
-            put_u32(out, u32::try_from(b.len()).unwrap_or(u32::MAX));
-            out.extend_from_slice(b);
+            w.u8(TAG_BYTES);
+            w.bytes(b);
         }
         Value::Group(vs) => {
-            out.push(TAG_GROUP);
-            put_u32(out, u32::try_from(vs.len()).unwrap_or(u32::MAX));
-            for v in vs {
-                encode_value(v, out);
-            }
+            w.u8(TAG_GROUP);
+            w.seq(vs, encode_value);
         }
         Value::Union { arm, value } => {
-            out.push(TAG_UNION);
-            put_u32(out, u32::try_from(*arm).unwrap_or(u32::MAX));
-            encode_value(value, out);
+            w.u8(TAG_UNION);
+            w.u32(u32::try_from(*arm).unwrap_or(u32::MAX));
+            encode_value(value, w);
         }
-        Value::Ptr { pointee: None } => out.push(TAG_PTR_NULL),
+        Value::Ptr { pointee: None } => w.u8(TAG_PTR_NULL),
         Value::Ptr { pointee: Some(p) } => {
-            out.push(TAG_PTR);
-            encode_value(p, out);
+            w.u8(TAG_PTR);
+            encode_value(p, w);
         }
     }
 }
 
 #[allow(clippy::cast_possible_truncation)]
-fn decode_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, DecodeError> {
+fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, DecodeError> {
     if depth > MAX_VALUE_DEPTH {
-        return Err(DecodeError {
-            message: "value nesting too deep",
-            offset: *pos,
-        });
+        return Err(r.err("value nesting too deep"));
     }
-    let tag = take_u8(bytes, pos)?;
-    match tag {
-        TAG_INT => Ok(Value::Int(take_u64(bytes, pos)?)),
+    match r.u8()? {
+        TAG_INT => Ok(Value::Int(r.u64()?)),
         TAG_RES => {
-            let producer = take_u64(bytes, pos)?;
-            let fallback = take_u64(bytes, pos)?;
+            let producer = r.u64()?;
+            let fallback = r.u64()?;
             Ok(Value::Res(ResRef {
                 producer: (producer != NO_PRODUCER).then_some(producer as usize),
                 fallback,
             }))
         }
-        TAG_BYTES => {
-            let len = take_u32(bytes, pos)? as usize;
-            let end = pos.checked_add(len).filter(|&e| e <= bytes.len());
-            let Some(end) = end else {
-                return Err(DecodeError {
-                    message: "truncated byte blob",
-                    offset: *pos,
-                });
-            };
-            let b = bytes[*pos..end].to_vec();
-            *pos = end;
-            Ok(Value::Bytes(b))
-        }
-        TAG_GROUP => {
-            let len = take_u32(bytes, pos)? as usize;
-            let mut vs = Vec::new();
-            for _ in 0..len {
-                vs.push(decode_value(bytes, pos, depth + 1)?);
-            }
-            Ok(Value::Group(vs))
-        }
+        TAG_BYTES => Ok(Value::Bytes(r.bytes()?.to_vec())),
+        TAG_GROUP => Ok(Value::Group(r.seq(|r| decode_value(r, depth + 1))?)),
         TAG_UNION => {
-            let arm = take_u32(bytes, pos)? as usize;
-            let value = Box::new(decode_value(bytes, pos, depth + 1)?);
+            let arm = r.u32()? as usize;
+            let value = Box::new(decode_value(r, depth + 1)?);
             Ok(Value::Union { arm, value })
         }
         TAG_PTR_NULL => Ok(Value::Ptr { pointee: None }),
         TAG_PTR => Ok(Value::Ptr {
-            pointee: Some(Box::new(decode_value(bytes, pos, depth + 1)?)),
+            pointee: Some(Box::new(decode_value(r, depth + 1)?)),
         }),
         _ => Err(DecodeError {
             message: "unknown value tag",
-            offset: *pos - 1,
+            offset: r.pos() - 1,
         }),
     }
 }
@@ -358,6 +277,13 @@ mod tests {
         };
         let mut buf = Vec::new();
         p.encode_into(&mut buf);
+        // Format stability (`golden_bytes`): recorded before the port
+        // onto `crate::codec` (see `tests/wire_golden.rs`). A mismatch
+        // means the layout changed, and every carrier's version with it.
+        assert_eq!(
+            (buf.len(), crate::codec::fnv1a(&buf)),
+            (97, 0xa199_aa4a_fa04_cc9d)
+        );
         // Self-delimiting: a second program concatenates cleanly.
         Program::default().encode_into(&mut buf);
         let mut pos = 0;
@@ -392,9 +318,10 @@ mod tests {
         assert!(Program::decode_from(&bad, &mut pos).is_err());
         // Nesting past the depth bound: a chain of Ptr tags.
         let mut deep = Vec::new();
-        super::put_u32(&mut deep, 1); // one call
-        super::put_u32(&mut deep, 0); // sys
-        super::put_u32(&mut deep, 1); // one arg
+        let mut w = Writer::new(&mut deep);
+        w.u32(1); // one call
+        w.u32(0); // sys
+        w.u32(1); // one arg
         deep.extend(std::iter::repeat_n(super::TAG_PTR, 200));
         deep.push(super::TAG_PTR_NULL);
         let mut pos = 0;

@@ -45,15 +45,16 @@
 //! 3. **Trace framing** ([`ExecTrace`]): the stream plus everything
 //!    replay needs — shard, epoch, per-shard exec ordinal, fuel
 //!    budget, spec fingerprint, crash signature, and the encoded
-//!    [`Program`] — in the workspace's dense little-endian framing.
+//!    [`Program`] — composed from the workspace codec
+//!    ([`kgpt_syzlang::codec`]).
 //!
 //! 4. **Storage** ([`TraceStore`]): a per-shard ring of the last N
 //!    non-crashing traces plus a **pinned** map of crash traces
 //!    (first trace per [`CrashSignature`] is kept forever; later
-//!    execs can never evict it). Stores serialize with the standard
-//!    `magic | version | FNV-1a checksum | payload` framing, so they
-//!    ride inside campaign checkpoints (traces survive resume) and in
-//!    standalone trace files ([`write_trace_file`]).
+//!    execs can never evict it). Stores serialize inside the
+//!    [`kgpt_syzlang::codec`] envelope, so they ride inside campaign
+//!    checkpoints (traces survive resume) and in standalone trace
+//!    files ([`write_trace_file`]).
 //!
 //! Decoding is strict at every layer: truncation, bit flips and
 //! garbage return [`TraceError`], never panic — pinned by the
@@ -72,12 +73,14 @@
 //! events with the same table and demands byte equality plus matching
 //! crash signatures.
 
+use kgpt_syzlang::codec::{frame, unframe, DecodeError, Reader, Writer};
 use kgpt_syzlang::lowered::CfgSuccessors;
 use kgpt_syzlang::prog::Program;
 use kgpt_vkernel::{CrashSignature, SanitizerKind, Sysno, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 
+pub use kgpt_syzlang::codec::fnv1a;
 pub use kgpt_syzlang::lowered::CfgRun;
 
 /// File magic of a serialized [`TraceStore`].
@@ -118,18 +121,36 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// FNV-1a over a byte slice — the payload checksum (same constants as
-/// the checkpoint layer's; this crate sits below `kgpt-fuzzer` so it
-/// carries its own copy). Catches truncation and bitrot — the threat
-/// model; not a cryptographic seal.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<DecodeError> for TraceError {
+    fn from(e: DecodeError) -> TraceError {
+        TraceError::new(format!("trace data: {e}"))
     }
-    h
+}
+
+/// Write a [`CrashSignature`] (`sysno u8 | chain_depth u8 |
+/// sanitizer u8 | site u64`) — the one layout the trace header and
+/// the checkpoint/fabric codecs in `kgpt-fuzzer` share.
+pub fn encode_signature(sig: &CrashSignature, w: &mut Writer<'_>) {
+    w.u8(sig.sysno.as_index());
+    w.u8(sig.chain_depth);
+    w.u8(sig.sanitizer.as_index());
+    w.u64(sig.site);
+}
+
+/// Read a [`CrashSignature`] written by [`encode_signature`].
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on truncation or an out-of-range
+/// syscall / sanitizer index.
+pub fn decode_signature(r: &mut Reader<'_>) -> Result<CrashSignature, DecodeError> {
+    Ok(CrashSignature {
+        sysno: Sysno::from_index(r.u8()?).ok_or_else(|| r.err("bad sysno index"))?,
+        chain_depth: r.u8()?,
+        sanitizer: SanitizerKind::from_index(r.u8()?)
+            .ok_or_else(|| r.err("bad sanitizer index"))?,
+        site: r.u64()?,
+    })
 }
 
 // ---- bit-level coding -----------------------------------------------------
@@ -424,81 +445,47 @@ impl ExecTrace {
     /// Returns a [`TraceError`] when the embedded program bytes are
     /// malformed or carry trailing garbage.
     pub fn decode_program(&self) -> Result<Program, TraceError> {
-        let mut pos = 0usize;
-        let prog = Program::decode_from(&self.program, &mut pos)
-            .map_err(|e| TraceError::new(format!("trace program decode failed: {e}")))?;
-        if pos != self.program.len() {
-            return Err(TraceError::new(format!(
-                "{} trailing bytes after trace program",
-                self.program.len() - pos
-            )));
-        }
+        let mut r = Reader::new(&self.program);
+        let prog = Program::decode(&mut r)?;
+        r.finish()?;
         Ok(prog)
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.shard);
-        put_u64(out, self.epoch);
-        put_u64(out, self.exec);
-        put_u64(out, self.exec_fuel);
-        put_u64(out, self.spec_fingerprint);
-        let mut flags = 0u8;
-        if self.fuel_exhausted {
-            flags |= 1;
-        }
-        if self.crash.is_some() {
-            flags |= 2;
-        }
-        out.push(flags);
+    fn encode(&self, w: &mut Writer<'_>) {
+        w.u32(self.shard);
+        w.u64(self.epoch);
+        w.u64(self.exec);
+        w.u64(self.exec_fuel);
+        w.u64(self.spec_fingerprint);
+        w.u8(u8::from(self.fuel_exhausted) | u8::from(self.crash.is_some()) << 1);
         if let Some(sig) = &self.crash {
-            out.push(sig.sysno.as_index());
-            out.push(sig.chain_depth);
-            out.push(sig.sanitizer.as_index());
-            put_u64(out, sig.site);
+            encode_signature(sig, w);
         }
-        put_u32(out, u32::try_from(self.program.len()).unwrap_or(u32::MAX));
-        out.extend_from_slice(&self.program);
-        put_u32(out, self.stream_bits);
-        put_u32(out, u32::try_from(self.stream.len()).unwrap_or(u32::MAX));
-        out.extend_from_slice(&self.stream);
+        w.bytes(&self.program);
+        w.u32(self.stream_bits);
+        w.bytes(&self.stream);
     }
 
-    fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<ExecTrace, TraceError> {
-        let shard = take_u32(bytes, pos)?;
-        let epoch = take_u64(bytes, pos)?;
-        let exec = take_u64(bytes, pos)?;
-        let exec_fuel = take_u64(bytes, pos)?;
-        let spec_fingerprint = take_u64(bytes, pos)?;
-        let flags = take_u8(bytes, pos)?;
+    fn decode(r: &mut Reader<'_>) -> Result<ExecTrace, DecodeError> {
+        let shard = r.u32()?;
+        let epoch = r.u64()?;
+        let exec = r.u64()?;
+        let exec_fuel = r.u64()?;
+        let spec_fingerprint = r.u64()?;
+        let flags = r.u8()?;
         if flags & !3 != 0 {
-            return Err(TraceError::new(format!("unknown trace flags {flags:#x}")));
+            return Err(r.err("unknown trace flags"));
         }
-        let fuel_exhausted = flags & 1 != 0;
         let crash = if flags & 2 != 0 {
-            let sysno = Sysno::from_index(take_u8(bytes, pos)?)
-                .ok_or_else(|| TraceError::new("trace crash sysno out of range"))?;
-            let chain_depth = take_u8(bytes, pos)?;
-            let sanitizer = SanitizerKind::from_index(take_u8(bytes, pos)?)
-                .ok_or_else(|| TraceError::new("trace crash sanitizer out of range"))?;
-            let site = take_u64(bytes, pos)?;
-            Some(CrashSignature {
-                sysno,
-                chain_depth,
-                sanitizer,
-                site,
-            })
+            Some(decode_signature(r)?)
         } else {
             None
         };
-        let program = take_bytes(bytes, pos)?;
-        let stream_bits = take_u32(bytes, pos)?;
-        let stream = take_bytes(bytes, pos)?;
+        let program = r.bytes()?.to_vec();
+        let stream_bits = r.u32()?;
+        let stream = r.bytes()?.to_vec();
         if (stream_bits as usize).div_ceil(8) != stream.len() {
-            return Err(TraceError::new(format!(
-                "trace stream length mismatch: {} bits declared, {} bytes present",
-                stream_bits,
-                stream.len()
-            )));
+            return Err(r.err("trace stream length mismatch"));
         }
         Ok(ExecTrace {
             shard,
@@ -506,7 +493,7 @@ impl ExecTrace {
             exec,
             exec_fuel,
             spec_fingerprint,
-            fuel_exhausted,
+            fuel_exhausted: flags & 1 != 0,
             crash,
             program,
             stream,
@@ -627,28 +614,16 @@ impl TraceStore {
         self.iter().map(|t| u64::from(t.stream_bits)).sum()
     }
 
-    /// Serialize with the standard framing
-    /// (`magic | version | checksum | payload`).
+    /// Serialize inside the [`kgpt_syzlang::codec`] envelope.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        put_u64(&mut payload, self.cap as u64);
-        put_u64(&mut payload, self.execs_seen);
-        put_u32(
-            &mut payload,
-            u32::try_from(self.ring.len()).unwrap_or(u32::MAX),
-        );
-        for t in &self.ring {
-            t.encode_into(&mut payload);
-        }
-        put_u32(
-            &mut payload,
-            u32::try_from(self.pinned.len()).unwrap_or(u32::MAX),
-        );
-        for t in self.pinned.values() {
-            t.encode_into(&mut payload);
-        }
-        frame(STORE_MAGIC, &payload)
+        let mut w = Writer::new(&mut payload);
+        w.u64(self.cap as u64);
+        w.u64(self.execs_seen);
+        w.seq(&self.ring, ExecTrace::encode);
+        w.seq(self.pinned.values(), ExecTrace::encode);
+        frame(STORE_MAGIC, VERSION, &payload)
     }
 
     /// Parse a store previously produced by [`TraceStore::to_bytes`].
@@ -660,28 +635,19 @@ impl TraceStore {
     /// ring traces carrying a crash, pinned traces missing one, or
     /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceStore, TraceError> {
-        let payload = unframe(STORE_MAGIC, "trace store", bytes)?;
-        let bytes = payload;
-        let mut pos = 0usize;
-        let cap = usize::try_from(take_u64(bytes, &mut pos)?)
+        let mut r = Reader::new(unframe(STORE_MAGIC, VERSION, bytes)?);
+        let cap = usize::try_from(r.u64()?)
             .map_err(|_| TraceError::new("trace ring capacity out of range"))?;
-        let execs_seen = take_u64(bytes, &mut pos)?;
-        let n_ring = take_u32(bytes, &mut pos)? as usize;
-        let mut ring = VecDeque::new();
-        for _ in 0..n_ring {
-            let t = ExecTrace::decode_from(bytes, &mut pos)?;
-            if t.crash.is_some() {
-                return Err(TraceError::new("crash trace in the non-crash ring"));
-            }
-            ring.push_back(t);
+        let execs_seen = r.u64()?;
+        let ring: VecDeque<ExecTrace> = r.seq(ExecTrace::decode)?.into();
+        if ring.iter().any(|t| t.crash.is_some()) {
+            return Err(TraceError::new("crash trace in the non-crash ring"));
         }
         if ring.len() > cap {
             return Err(TraceError::new("trace ring larger than its capacity"));
         }
-        let n_pinned = take_u32(bytes, &mut pos)? as usize;
         let mut pinned = BTreeMap::new();
-        for _ in 0..n_pinned {
-            let t = ExecTrace::decode_from(bytes, &mut pos)?;
+        for t in r.seq(ExecTrace::decode)? {
             let Some(sig) = t.crash else {
                 return Err(TraceError::new("pinned trace without a crash signature"));
             };
@@ -689,12 +655,7 @@ impl TraceStore {
                 return Err(TraceError::new("duplicate pinned crash signature"));
             }
         }
-        if pos != bytes.len() {
-            return Err(TraceError::new(format!(
-                "{} trailing bytes after trace store payload",
-                bytes.len() - pos
-            )));
-        }
+        r.finish()?;
         Ok(TraceStore {
             cap,
             execs_seen,
@@ -705,23 +666,16 @@ impl TraceStore {
 }
 
 /// Write one trace file holding the per-shard stores of a campaign
-/// (shard-id order), with the standard outer framing.
+/// (shard-id order): a list of complete store encodings inside an
+/// outer envelope.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceError`] when the filesystem rejects the write.
 pub fn write_trace_file(path: &Path, stores: &[TraceStore]) -> Result<(), TraceError> {
     let mut payload = Vec::new();
-    put_u32(
-        &mut payload,
-        u32::try_from(stores.len()).unwrap_or(u32::MAX),
-    );
-    for s in stores {
-        let bytes = s.to_bytes();
-        put_u32(&mut payload, u32::try_from(bytes.len()).unwrap_or(u32::MAX));
-        payload.extend_from_slice(&bytes);
-    }
-    std::fs::write(path, frame(FILE_MAGIC, &payload))
+    Writer::new(&mut payload).seq(stores, |s, w| w.bytes(&s.to_bytes()));
+    std::fs::write(path, frame(FILE_MAGIC, VERSION, &payload))
         .map_err(|e| TraceError::new(format!("write {} failed: {e}", path.display())))
 }
 
@@ -734,109 +688,13 @@ pub fn write_trace_file(path: &Path, stores: &[TraceStore]) -> Result<(), TraceE
 pub fn read_trace_file(path: &Path) -> Result<Vec<TraceStore>, TraceError> {
     let bytes = std::fs::read(path)
         .map_err(|e| TraceError::new(format!("read {} failed: {e}", path.display())))?;
-    let payload = unframe(FILE_MAGIC, "trace file", &bytes)?;
-    let mut pos = 0usize;
-    let n = take_u32(payload, &mut pos)? as usize;
+    let mut r = Reader::new(unframe(FILE_MAGIC, VERSION, &bytes)?);
     let mut stores = Vec::new();
-    for _ in 0..n {
-        let store_bytes = take_bytes(payload, &mut pos)?;
-        stores.push(TraceStore::from_bytes(&store_bytes)?);
+    for store_bytes in r.seq(Reader::bytes)? {
+        stores.push(TraceStore::from_bytes(store_bytes)?);
     }
-    if pos != payload.len() {
-        return Err(TraceError::new(format!(
-            "{} trailing bytes after trace file payload",
-            payload.len() - pos
-        )));
-    }
+    r.finish()?;
     Ok(stores)
-}
-
-/// Wrap a payload in `magic | version | checksum | payload`.
-fn frame(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 20);
-    out.extend_from_slice(magic);
-    put_u32(&mut out, VERSION);
-    put_u64(&mut out, fnv1a(payload));
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Validate and strip the outer framing, returning the payload.
-fn unframe<'a>(magic: &[u8; 8], what: &str, bytes: &'a [u8]) -> Result<&'a [u8], TraceError> {
-    if bytes.len() < magic.len() + 12 {
-        return Err(TraceError::new(format!(
-            "{what} too short ({} bytes)",
-            bytes.len()
-        )));
-    }
-    if &bytes[..8] != magic {
-        return Err(TraceError::new(format!("bad {what} magic")));
-    }
-    let mut pos = 8usize;
-    let version = take_u32(bytes, &mut pos)?;
-    if version != VERSION {
-        return Err(TraceError::new(format!(
-            "unsupported {what} version {version} (expected {VERSION})"
-        )));
-    }
-    let checksum = take_u64(bytes, &mut pos)?;
-    let payload = &bytes[pos..];
-    if fnv1a(payload) != checksum {
-        return Err(TraceError::new(format!("{what} checksum mismatch")));
-    }
-    Ok(payload)
-}
-
-// ---- primitive writers/readers --------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, TraceError> {
-    let b = bytes
-        .get(*pos)
-        .copied()
-        .ok_or_else(|| TraceError::new("trace data truncated reading u8"))?;
-    *pos += 1;
-    Ok(b)
-}
-
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, TraceError> {
-    let end = pos
-        .checked_add(4)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| TraceError::new("trace data truncated reading u32"))?;
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| TraceError::new("trace data truncated reading u64"))?;
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn take_bytes(bytes: &[u8], pos: &mut usize) -> Result<Vec<u8>, TraceError> {
-    let len = take_u32(bytes, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| TraceError::new("trace data truncated reading bytes"))?;
-    let out = bytes[*pos..end].to_vec();
-    *pos = end;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1030,6 +888,10 @@ mod tests {
         store.record(trace_with(None, 2));
         let bytes = store.to_bytes();
         assert_eq!(TraceStore::from_bytes(&bytes).unwrap(), store);
+        // Format stability (`golden_bytes`): recorded before the port
+        // onto `kgpt_syzlang::codec` (see `tests/wire_golden.rs`). A
+        // mismatch means the layout changed and `VERSION` must bump.
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (253, 0xc802_c405_1c1e_d77f));
         // Truncation at every prefix is rejected, never a panic.
         for cut in 0..bytes.len() {
             assert!(

@@ -94,7 +94,7 @@ impl TriageReport {
     }
 
     /// Entries in signature order.
-    pub fn entries(&self) -> impl Iterator<Item = &TriageEntry> {
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = &TriageEntry> {
         self.entries.values()
     }
 

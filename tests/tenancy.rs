@@ -111,8 +111,13 @@ fn run_service(
             });
         }
         let mut spawned = 0usize;
+        let mut accepted = 0usize;
         let mut held_flap: Option<u64> = None;
         let mut accept = || -> Option<Box<dyn Transport>> {
+            // Flap threads finish in any order; outcomes are reported
+            // in the order the service accepted them.
+            accepted += 1;
+            let accepted = accepted;
             let gate_open = boundary_seen.load(Ordering::SeqCst) > 0;
             let spawn = if gate_open && held_flap.is_some() {
                 Spawn::Flap(held_flap.take().unwrap())
@@ -157,19 +162,18 @@ fn run_service(
                 Spawn::Flap(worker_id) | Spawn::FlapAfterBoundary(worker_id) => {
                     let outcome =
                         flap_worker(Box::new(worker_end), worker_id, Duration::from_secs(10));
-                    flaps.lock().unwrap().push(outcome);
+                    flaps.lock().unwrap().push((accepted, outcome));
                 }
             });
             Some(Box::new(service_end))
         };
         service.run(&mut accept).expect("service")
     });
-    (
-        results,
-        stats,
-        summaries.into_inner().unwrap(),
-        flaps.into_inner().unwrap(),
-    )
+    (results, stats, summaries.into_inner().unwrap(), {
+        let mut flaps = flaps.into_inner().unwrap();
+        flaps.sort_by_key(|&(accepted, _)| accepted);
+        flaps.into_iter().map(|(_, outcome)| outcome).collect()
+    })
 }
 
 /// Three tenants with different seeds and different worker counts
