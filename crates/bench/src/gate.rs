@@ -96,25 +96,26 @@ pub const DEFAULT_MAX_REGRESSION_PCT: f64 = 25.0;
 /// Default allowed checkpointing overhead (wall-clock cost of running
 /// the campaign with per-epoch snapshots vs without), percent.
 ///
-/// Calibration note: the virtual kernel retires execs so fast that
-/// one exchange epoch is only a few milliseconds of compute —
-/// comparable to a single snapshot write — so even a healthy harness
-/// measures tens of percent at the per-epoch cadence. The threshold
-/// exists to catch order-of-magnitude regressions (a snapshot capture
-/// gone accidentally quadratic), not to police that inherent ratio.
-pub const DEFAULT_MAX_CHECKPOINT_OVERHEAD_PCT: f64 = 150.0;
+/// Calibration note: about twice what the smoke workload measures
+/// (43–72% over three runs). The virtual kernel retires a 1 024-exec
+/// exchange epoch in ~3.5 ms, and one boundary costs ~1.5 ms — seal
+/// the 256 ring traces the epoch replaced, encode and checksum
+/// ~290 KB, write and rename — so the ratio is inherent to the
+/// per-epoch cadence on microsecond execs, and the baseline it is a
+/// ratio *of* got faster when tracing stopped encoding every exec.
+pub const DEFAULT_MAX_CHECKPOINT_OVERHEAD_PCT: f64 = 100.0;
 
 /// Default allowed flight-recorder capture overhead (wall-clock cost
 /// of running the campaign with per-exec tracing vs tracing off),
 /// percent.
 ///
-/// Calibration note: a virtual-kernel exec is microseconds of work,
-/// so the fixed per-exec cost of delta-coding the block stream shows
-/// up as tens of percent — far larger than it would be against a real
-/// kernel's syscall latency. Like the checkpoint threshold, this one
-/// exists to catch order-of-magnitude regressions (an encoder gone
-/// accidentally quadratic), not to police the inherent ratio.
-pub const DEFAULT_MAX_TRACE_OVERHEAD_PCT: f64 = 100.0;
+/// Calibration note: capture copies each exec's event list into a
+/// reused ring slot and encodes only what is read, which measures
+/// 9–12% on microsecond-scale virtual-kernel execs (half of it the
+/// VM buffering events at all). The threshold leaves room for runner
+/// noise on a best-of-3 ratio, not for an encoder on the per-exec
+/// path.
+pub const DEFAULT_MAX_TRACE_OVERHEAD_PCT: f64 = 15.0;
 
 /// Maximum acceptable amortized trace volume, in encoded bits of
 /// retained trace per campaign exec. The recorder delta-codes block

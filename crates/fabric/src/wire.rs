@@ -23,7 +23,9 @@ use kgpt_syzlang::codec::{frame, unframe, Reader, Writer};
 /// grants/deltas/replies are tenant-tagged, and a new [`Message::Retry`]
 /// refuses a registration (quarantine or overload shedding) with a
 /// retry-after measured in grant cycles.
-pub const FRAME_VERSION: u32 = 3;
+/// v4: every coverage map inside a snapshot, delta, patch or seed is
+/// written sparse (the `kgpt_fuzzer::checkpoint` coverage rule).
+pub const FRAME_VERSION: u32 = 4;
 
 /// A granted lease: everything a worker needs to run its shard range
 /// deterministically.
@@ -195,8 +197,11 @@ impl Message {
     /// Encode to a self-validating frame.
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
+        frame(b"", FRAME_VERSION, |w| self.encode_body(w))
+    }
+
+    /// Tag byte and message body.
+    fn encode_body(&self, w: &mut Writer<'_>) {
         match self {
             Message::Register { worker_id } => {
                 w.u8(TAG_REGISTER);
@@ -213,8 +218,8 @@ impl Message {
                 w.u64(g.boundary);
                 w.u64(g.lease_timeout_ms);
                 w.u64(g.spec_fp);
-                encode_config(&g.config, &mut w);
-                encode_snapshots(&g.snapshots, &mut w);
+                encode_config(&g.config, w);
+                encode_snapshots(&g.snapshots, w);
             }
             Message::Retry {
                 after_grants,
@@ -253,7 +258,7 @@ impl Message {
                 w.u8(TAG_PROCEED);
                 w.u32(*tenant);
                 w.u64(*boundary);
-                encode_seeds(seeds, &mut w);
+                encode_seeds(seeds, w);
             }
             Message::Finish { tenant, boundary } => {
                 w.u8(TAG_FINISH);
@@ -261,7 +266,6 @@ impl Message {
                 w.u64(*boundary);
             }
         }
-        frame(b"", FRAME_VERSION, &body)
     }
 
     /// Decode and validate a frame (inverse of [`Message::to_frame`]).
@@ -429,6 +433,23 @@ mod tests {
                     "flip byte {byte} bit {bit} must be rejected"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn superseded_frame_versions_are_rejected() {
+        // A v3 frame has the same envelope and dense coverage maps in
+        // its bodies: a v4 reader must refuse it, not misparse it.
+        let mut frame = Message::Finish {
+            tenant: 1,
+            boundary: 42,
+        }
+        .to_frame();
+        assert_eq!(frame[..4], FRAME_VERSION.to_le_bytes());
+        for version in [3, 2, FRAME_VERSION as u8 + 1] {
+            frame[0] = version;
+            let e = Message::from_frame(&frame).unwrap_err();
+            assert!(e.to_string().contains("unsupported version"), "{e}");
         }
     }
 

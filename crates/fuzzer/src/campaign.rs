@@ -217,7 +217,66 @@ pub struct ShardSnapshot {
     pub(crate) fuel_exhausted: u64,
 }
 
+/// Borrowed form of a [`ShardSnapshot`]: the same fields, pointing
+/// into a live `ShardState` or into an owned snapshot. The shard
+/// codec ([`crate::checkpoint`]) encodes this, so a boundary
+/// checkpoint is written straight from live state and the field order
+/// exists once.
+#[derive(Clone, Copy)]
+pub(crate) struct ShardView<'a> {
+    pub(crate) id: u32,
+    pub(crate) gen_rng: [u64; 4],
+    pub(crate) corpus_rng: u64,
+    pub(crate) corpus_coverage: &'a CoverageMap,
+    pub(crate) corpus_entries: &'a [crate::corpus::CorpusEntry],
+    pub(crate) corpus_stats: crate::corpus::CorpusStats,
+    pub(crate) crashes: &'a CrashTally,
+    pub(crate) triage_seen: &'a std::collections::BTreeSet<kgpt_vkernel::CrashSignature>,
+    pub(crate) epoch: u64,
+    pub(crate) rng_pick: u64,
+    pub(crate) remaining: u64,
+    pub(crate) fuel_exhausted: u64,
+}
+
+impl ShardView<'_> {
+    /// Deep copy into an owned snapshot.
+    pub(crate) fn to_snapshot(self) -> ShardSnapshot {
+        ShardSnapshot {
+            id: self.id,
+            gen_rng: self.gen_rng,
+            corpus_rng: self.corpus_rng,
+            corpus_coverage: self.corpus_coverage.clone(),
+            corpus_entries: self.corpus_entries.to_vec(),
+            corpus_stats: self.corpus_stats,
+            crashes: self.crashes.clone(),
+            triage_seen: self.triage_seen.clone(),
+            epoch: self.epoch,
+            rng_pick: self.rng_pick,
+            remaining: self.remaining,
+            fuel_exhausted: self.fuel_exhausted,
+        }
+    }
+}
+
 impl ShardSnapshot {
+    /// Borrow as the form the shard codec encodes.
+    pub(crate) fn view(&self) -> ShardView<'_> {
+        ShardView {
+            id: self.id,
+            gen_rng: self.gen_rng,
+            corpus_rng: self.corpus_rng,
+            corpus_coverage: &self.corpus_coverage,
+            corpus_entries: &self.corpus_entries,
+            corpus_stats: self.corpus_stats,
+            crashes: &self.crashes,
+            triage_seen: &self.triage_seen,
+            epoch: self.epoch,
+            rng_pick: self.rng_pick,
+            remaining: self.remaining,
+            fuel_exhausted: self.fuel_exhausted,
+        }
+    }
+
     /// The snapshot's share of the campaign result (what
     /// [`ShardState::finish`] yields for the live shard).
     pub(crate) fn into_result(self) -> WorkerResult {
@@ -283,38 +342,35 @@ impl ShardState {
         }
     }
 
-    /// The shard id and serialized trace store, when traced — what
-    /// the checkpoint layer persists per shard.
-    pub(crate) fn trace_store_bytes(&self) -> Option<(u32, Vec<u8>)> {
-        self.tracer
-            .as_ref()
-            .map(|t| (self.id, t.store().to_bytes()))
+    /// The shard id and sealed trace store, when traced — what the
+    /// checkpoint layer persists per shard and what a traced run
+    /// returns.
+    pub(crate) fn trace_store(&self) -> Option<(u32, kgpt_trace::TraceStore)> {
+        self.tracer.as_ref().map(|t| (self.id, t.store()))
     }
 
-    /// Detach the recorder, surrendering the shard's retained traces.
-    pub(crate) fn take_store(&mut self) -> Option<kgpt_trace::TraceStore> {
-        self.tracer
-            .take()
-            .map(crate::flight::ShardTracer::into_store)
-    }
-
-    /// Serializable projection of this shard's live state (see
-    /// [`ShardSnapshot`]). Pure read: the shard is untouched.
-    pub(crate) fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
+    /// Borrowed serializable projection of this shard's live state
+    /// (see [`ShardSnapshot`]). Pure read: the shard is untouched.
+    pub(crate) fn view(&self) -> ShardView<'_> {
+        ShardView {
             id: self.id,
             gen_rng: self.generator.rng_state(),
             corpus_rng: self.corpus.rng_state(),
-            corpus_coverage: self.corpus.coverage().clone(),
-            corpus_entries: self.corpus.entries().to_vec(),
+            corpus_coverage: self.corpus.coverage(),
+            corpus_entries: self.corpus.entries(),
             corpus_stats: self.corpus.stats(),
-            crashes: self.crashes.clone(),
-            triage_seen: self.triage.seen().clone(),
+            crashes: &self.crashes,
+            triage_seen: self.triage.seen(),
             epoch: self.epoch,
             rng_pick: self.rng_pick,
             remaining: self.remaining,
             fuel_exhausted: self.fuel_exhausted,
         }
+    }
+
+    /// Owned copy of [`ShardState::view`].
+    pub(crate) fn snapshot(&self) -> ShardSnapshot {
+        self.view().to_snapshot()
     }
 
     /// Rebuild a live shard from a snapshot, sharing the campaign's
@@ -378,10 +434,17 @@ impl ShardState {
                 // of the signature (clones only then), count always.
                 self.triage.observe(c, &prog, self.epoch);
             }
-            if let Some(tracer) = &mut self.tracer {
-                tracer.record(&self.scratch, &prog, self.epoch);
+            // The recorder keeps a program the corpus would drop, so
+            // a traced exec moves it into the ring instead of copying.
+            let offered = match &mut self.tracer {
+                Some(tracer) => {
+                    tracer.record(&self.scratch, prog, self.epoch, self.corpus.coverage())
+                }
+                None => Some(prog),
+            };
+            if let Some(prog) = offered {
+                self.corpus.observe(prog, self.scratch.coverage(), parent);
             }
-            self.corpus.observe(prog, self.scratch.coverage(), parent);
         }
         self.remaining -= n;
         self.epoch += 1;

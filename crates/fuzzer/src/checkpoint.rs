@@ -4,12 +4,37 @@
 //! paused [`crate::ShardedCampaign`] at an epoch boundary: config and
 //! spec fingerprints, every shard's RNG streams / corpus / crash
 //! tally / triage seen-set in shard-id order, the cross-shard
-//! [`crate::hub::SeedHub`] contents, and the campaign
-//! [`TriageReport`]. Restoring it and continuing is **bit-identical**
-//! to never having stopped (pinned by `tests/durability.rs`).
+//! [`crate::hub::SeedHub`], the campaign [`TriageReport`], and the
+//! flight recorder's per-shard [`TraceStore`]s. Restoring it and
+//! continuing is **bit-identical** to never having stopped (pinned by
+//! `tests/durability.rs`).
 //!
 //! The encoding is composed from the workspace codec — layout rules
-//! and the envelope are documented in [`kgpt_syzlang::codec`].
+//! and the envelope are documented in [`kgpt_syzlang::codec`]. Three
+//! things are particular to this format (version 3):
+//!
+//! * **One encoder, over borrowed state.** `SnapshotView` is the
+//!   snapshot's fields as references; it is what gets encoded. The
+//!   driver builds one over its live shards at every boundary and
+//!   writes it, so the write path never deep-copies the campaign;
+//!   [`CampaignSnapshot::to_bytes`] encodes a view of itself. The
+//!   file a boundary writes is byte-identical to re-encoding what
+//!   [`CampaignSnapshot::load`] reads back.
+//! * **Coverage is written sparse.** Every [`CoverageMap`] on the
+//!   wire — corpus-entry keys, shard and hub unions, hub seeds — goes
+//!   through `encode_coverage`: the [`CoverageWordDiff`] layout of
+//!   the map against the empty map, i.e. runs of nonzero words. A
+//!   corpus entry's key holds a handful of set words in a bitmap
+//!   hundreds of words long, so this is where most of a snapshot's
+//!   bytes used to go. Trailing zero words are never written and the
+//!   sparse/dense choice is made on the trimmed length, which makes
+//!   the encoding canonical: equal maps encode to equal bytes.
+//! * **Trace stores are elements, not blobs.** Each store is written
+//!   by [`TraceStore::encode`] straight into the payload, under the
+//!   checkpoint's one checksum.
+//!
+//! The fabric's delta and patch frames reuse the element codecs below
+//! (see [`crate::fabric`]), so they share the sparse coverage rule.
 //!
 //! Writes are atomic and keep one generation of history: the payload
 //! goes to `<path>.tmp`, the current snapshot (if any) rotates to
@@ -19,15 +44,15 @@
 //! is truncated or corrupt — a torn write costs one epoch of
 //! progress, never the campaign.
 
-use crate::campaign::{CampaignConfig, ShardSnapshot};
+use crate::campaign::{CampaignConfig, ShardSnapshot, ShardView};
 use crate::corpus::{CorpusEntry, CorpusStats};
 use crate::fabric::{decode_seeds, encode_config, encode_seeds};
-use crate::hub::{HubSeed, SeedHub};
+use crate::hub::SeedHub;
 use kgpt_syzlang::codec::{frame, unframe, DecodeError, Reader, Writer};
 use kgpt_syzlang::prog::Program;
-use kgpt_trace::{decode_signature, encode_signature};
+use kgpt_trace::{decode_signature, encode_signature, TraceStore};
 use kgpt_triage::{TriageEntry, TriageReport};
-use kgpt_vkernel::{CoverageMap, CoverageWordDiff};
+use kgpt_vkernel::{CoverageMap, CoverageWordDiff, MAX_COVERAGE_WORDS};
 use std::path::{Path, PathBuf};
 
 pub use kgpt_syzlang::codec::fnv1a;
@@ -36,9 +61,9 @@ pub use kgpt_syzlang::codec::fnv1a;
 const MAGIC: &[u8; 8] = b"KGPTCKPT";
 
 /// Current snapshot format version. Bumped on any layout change; a
-/// reader never guesses at an unknown version. (Version 2 appended
-/// the flight recorder's per-shard trace stores.)
-const VERSION: u32 = 2;
+/// reader never guesses at an unknown version. (Version 3: sparse
+/// coverage maps, trace stores embedded as elements.)
+const VERSION: u32 = 3;
 
 /// Error reading, writing, or validating a campaign snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,22 +119,62 @@ pub struct CampaignSnapshot {
     pub(crate) epochs_done: u64,
     /// Per-shard state, in shard-id order.
     pub(crate) shards: Vec<ShardSnapshot>,
-    /// Hub publication budget.
-    pub(crate) hub_top_k: usize,
-    /// Hub publish-attempt counter.
-    pub(crate) hub_published: u64,
-    /// Hub claimed-coverage union.
-    pub(crate) hub_coverage: CoverageMap,
-    /// Retained hub seeds, in publication order.
-    pub(crate) hub_seeds: Vec<HubSeed>,
+    /// The cross-shard seed hub.
+    pub(crate) hub: SeedHub,
     /// The campaign triage report so far.
     pub(crate) triage: TriageReport,
-    /// The flight recorder's serialized per-shard trace stores
-    /// (`(shard id, kgpt_trace::TraceStore::to_bytes)`), in shard-id
-    /// order; empty when the campaign runs untraced. Kept opaque here
-    /// — the store bytes carry their own envelope and are validated
-    /// by the resume path.
-    pub(crate) traces: Vec<(u32, Vec<u8>)>,
+    /// The flight recorder's per-shard trace stores, `(shard id,
+    /// store)` in shard-id order; empty when the campaign runs
+    /// untraced.
+    pub(crate) traces: Vec<(u32, TraceStore)>,
+}
+
+/// A [`CampaignSnapshot`] by reference — the form that is encoded.
+/// The driver points one at its live state to write a boundary
+/// checkpoint without copying the campaign first.
+pub(crate) struct SnapshotView<'a> {
+    pub(crate) config_fingerprint: u64,
+    pub(crate) spec_fingerprint: u64,
+    pub(crate) epochs_done: u64,
+    pub(crate) shards: Vec<ShardView<'a>>,
+    pub(crate) hub: &'a SeedHub,
+    pub(crate) triage: &'a TriageReport,
+    pub(crate) traces: &'a [(u32, TraceStore)],
+}
+
+impl SnapshotView<'_> {
+    /// Serialize to the versioned, checksummed on-disk format.
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        frame(MAGIC, VERSION, |w| {
+            w.u64(self.config_fingerprint);
+            w.u64(self.spec_fingerprint);
+            w.u64(self.epochs_done);
+            w.seq(self.shards.iter().copied(), encode_shard);
+            w.u64(self.hub.top_k() as u64);
+            w.u64(self.hub.published());
+            encode_coverage(self.hub.coverage(), w);
+            encode_seeds(self.hub.seeds(), w);
+            w.seq(self.triage.entries(), encode_triage_entry);
+            w.seq(self.traces, |(id, store), w| {
+                w.u32(*id);
+                store.encode(w);
+            });
+        })
+    }
+
+    /// Write atomically to `path` (see [`CampaignSnapshot::save`]).
+    pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+        let tmp = sibling(path, "tmp");
+        std::fs::write(&tmp, self.to_bytes())
+            .map_err(|e| CheckpointError::new(format!("write {} failed: {e}", tmp.display())))?;
+        if path.exists() {
+            std::fs::rename(path, sibling(path, "prev")).map_err(|e| {
+                CheckpointError::new(format!("rotate {} failed: {e}", path.display()))
+            })?;
+        }
+        std::fs::rename(&tmp, path)
+            .map_err(|e| CheckpointError::new(format!("install {} failed: {e}", path.display())))
+    }
 }
 
 impl CampaignSnapshot {
@@ -119,49 +184,22 @@ impl CampaignSnapshot {
         self.epochs_done
     }
 
-    /// Capture a paused campaign (shard states given in id order).
-    pub(crate) fn capture(
-        config_fp: u64,
-        spec_fp: u64,
-        epochs_done: u64,
-        shards: Vec<ShardSnapshot>,
-        hub: &SeedHub,
-        triage: &TriageReport,
-        traces: Vec<(u32, Vec<u8>)>,
-    ) -> CampaignSnapshot {
-        CampaignSnapshot {
-            config_fingerprint: config_fp,
-            spec_fingerprint: spec_fp,
-            epochs_done,
-            shards,
-            hub_top_k: hub.top_k(),
-            hub_published: hub.published(),
-            hub_coverage: hub.coverage().clone(),
-            hub_seeds: hub.seeds().to_vec(),
-            triage: triage.clone(),
-            traces,
+    fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            config_fingerprint: self.config_fingerprint,
+            spec_fingerprint: self.spec_fingerprint,
+            epochs_done: self.epochs_done,
+            shards: self.shards.iter().map(ShardSnapshot::view).collect(),
+            hub: &self.hub,
+            triage: &self.triage,
+            traces: &self.traces,
         }
     }
 
     /// Serialize to the versioned, checksummed on-disk format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        let mut w = Writer::new(&mut payload);
-        w.u64(self.config_fingerprint);
-        w.u64(self.spec_fingerprint);
-        w.u64(self.epochs_done);
-        w.seq(&self.shards, encode_shard);
-        w.u64(self.hub_top_k as u64);
-        w.u64(self.hub_published);
-        w.u64s(self.hub_coverage.words());
-        encode_seeds(&self.hub_seeds, &mut w);
-        w.seq(self.triage.entries(), encode_triage_entry);
-        w.seq(&self.traces, |(id, store), w| {
-            w.u32(*id);
-            w.bytes(store);
-        });
-        frame(MAGIC, VERSION, &payload)
+        self.view().to_bytes()
     }
 
     /// Parse a snapshot from bytes previously produced by
@@ -187,17 +225,14 @@ impl CampaignSnapshot {
                 return Err(CheckpointError::new("duplicate triage signature"));
             }
         }
-        let traces = r.seq(|r| Ok((r.u32()?, r.bytes()?.to_vec())))?;
+        let traces = r.seq(|r| Ok((r.u32()?, TraceStore::decode(r)?)))?;
         r.finish()?;
         Ok(CampaignSnapshot {
             config_fingerprint,
             spec_fingerprint,
             epochs_done,
             shards,
-            hub_top_k,
-            hub_published,
-            hub_coverage,
-            hub_seeds,
+            hub: SeedHub::from_parts(hub_top_k, hub_seeds, hub_coverage, hub_published),
             triage,
             traces,
         })
@@ -214,16 +249,7 @@ impl CampaignSnapshot {
     /// Returns a [`CheckpointError`] when the filesystem rejects the
     /// temp-file write or a rename.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = sibling(path, "tmp");
-        std::fs::write(&tmp, self.to_bytes())
-            .map_err(|e| CheckpointError::new(format!("write {} failed: {e}", tmp.display())))?;
-        if path.exists() {
-            std::fs::rename(path, sibling(path, "prev")).map_err(|e| {
-                CheckpointError::new(format!("rotate {} failed: {e}", path.display()))
-            })?;
-        }
-        std::fs::rename(&tmp, path)
-            .map_err(|e| CheckpointError::new(format!("install {} failed: {e}", path.display())))
+        self.view().save(path)
     }
 
     /// Load the snapshot at `path`, falling back to the previous-good
@@ -294,13 +320,65 @@ pub(crate) fn decode_usize(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     usize::try_from(r.u64()?).map_err(|_| r.err("size out of range"))
 }
 
-pub(crate) fn decode_coverage(r: &mut Reader<'_>) -> Result<CoverageMap, DecodeError> {
-    Ok(CoverageMap::from_words(r.u64s()?))
-}
-
 /// Tag bytes of the two [`CoverageWordDiff`] shapes on the wire.
 const DIFF_SPARSE: u8 = 0;
 const DIFF_DENSE: u8 = 1;
+
+/// Write a coverage map — the one place a map's words meet the wire.
+/// The layout is that of [`encode_word_diff`] for the map's diff
+/// against the empty map (`Sparse`: its runs of nonzero words,
+/// `Dense`: every word), streamed from [`CoverageMap::words`] without
+/// building the diff. Canonical: trailing zero words are dropped and
+/// the smaller shape is chosen on the trimmed length (ties go dense),
+/// so equal maps encode to equal bytes.
+pub(crate) fn encode_coverage(map: &CoverageMap, w: &mut Writer<'_>) {
+    let words = map.words();
+    let used = words
+        .iter()
+        .rposition(|x| *x != 0)
+        .map_or(0, |last| last + 1);
+    let words = &words[..used];
+    let (mut run_count, mut run_words) = (0usize, 0usize);
+    for (_, run) in nonzero_runs(words) {
+        run_count += 1;
+        run_words += run.len();
+    }
+    // `CoverageWordDiff::encoded_bytes` of the sparse shape: a count,
+    // then per run a start, a count and its words.
+    if 4 + 8 * run_count + 8 * run_words >= CoverageWordDiff::dense_bytes(words.len()) {
+        w.u8(DIFF_DENSE);
+        w.u64s(words);
+        return;
+    }
+    w.u8(DIFF_SPARSE);
+    w.u32(run_count as u32);
+    for (start, run) in nonzero_runs(words) {
+        w.u32(start as u32);
+        w.u64s(run);
+    }
+}
+
+/// The maximal runs of consecutive nonzero words, as `(index of the
+/// first word, run)`.
+fn nonzero_runs(words: &[u64]) -> impl Iterator<Item = (usize, &[u64])> {
+    let mut at = 0;
+    words
+        .chunk_by(|a, b| (*a != 0) == (*b != 0))
+        .filter_map(move |chunk| {
+            let start = at;
+            at += chunk.len();
+            (chunk[0] != 0).then_some((start, chunk))
+        })
+}
+
+/// Read a coverage map written by [`encode_coverage`]. Total over
+/// hostile bytes like [`decode_word_diff`], whose checks it inherits.
+pub(crate) fn decode_coverage(r: &mut Reader<'_>) -> Result<CoverageMap, DecodeError> {
+    Ok(match decode_word_diff(r)? {
+        CoverageWordDiff::Dense(words) => CoverageMap::from_words(words),
+        sparse => CoverageMap::new().apply_word_diff(&sparse),
+    })
+}
 
 pub(crate) fn encode_word_diff(diff: &CoverageWordDiff, w: &mut Writer<'_>) {
     match diff {
@@ -318,25 +396,39 @@ pub(crate) fn encode_word_diff(diff: &CoverageWordDiff, w: &mut Writer<'_>) {
     }
 }
 
+/// Read a word diff. Sparse runs must be non-empty, ascending and
+/// non-overlapping, and no run or dense map may extend past
+/// [`MAX_COVERAGE_WORDS`] — checked here, before
+/// [`CoverageMap::apply_word_diff`] resizes anything, so a few
+/// checksum-valid bytes cannot ask for gigabytes of zero-fill.
 pub(crate) fn decode_word_diff(r: &mut Reader<'_>) -> Result<CoverageWordDiff, DecodeError> {
     match r.u8()? {
         DIFF_SPARSE => {
-            let mut next_free = 0u64;
+            let mut next_free = 0usize;
             let runs = r.seq(|r| {
                 let start = r.u32()?;
-                if u64::from(start) < next_free {
+                if (start as usize) < next_free {
                     return Err(r.err("word-diff runs out of order"));
                 }
                 let words = r.u64s()?;
                 if words.is_empty() {
                     return Err(r.err("empty word-diff run"));
                 }
-                next_free = u64::from(start) + words.len() as u64;
+                next_free = start as usize + words.len();
+                if next_free > MAX_COVERAGE_WORDS {
+                    return Err(r.err("word-diff run past the coverage bound"));
+                }
                 Ok((start, words))
             })?;
             Ok(CoverageWordDiff::Sparse(runs))
         }
-        DIFF_DENSE => Ok(CoverageWordDiff::Dense(r.u64s()?)),
+        DIFF_DENSE => {
+            let words = r.u64s()?;
+            if words.len() > MAX_COVERAGE_WORDS {
+                return Err(r.err("coverage map past the coverage bound"));
+            }
+            Ok(CoverageWordDiff::Dense(words))
+        }
         _ => Err(r.err("bad word-diff tag")),
     }
 }
@@ -374,7 +466,7 @@ pub(crate) fn decode_rng(r: &mut Reader<'_>) -> Result<[u64; 4], DecodeError> {
 
 pub(crate) fn encode_corpus_entry(e: &CorpusEntry, w: &mut Writer<'_>) {
     e.program.encode(w);
-    w.u64s(e.contributed.words());
+    encode_coverage(&e.contributed, w);
     w.u64(e.execs);
     w.u64(e.hits);
 }
@@ -388,7 +480,7 @@ pub(crate) fn decode_corpus_entry(r: &mut Reader<'_>) -> Result<CorpusEntry, Dec
     })
 }
 
-pub(crate) fn encode_shard(s: &ShardSnapshot, w: &mut Writer<'_>) {
+pub(crate) fn encode_shard(s: ShardView<'_>, w: &mut Writer<'_>) {
     w.u32(s.id);
     w.u64(s.epoch);
     w.u64(s.rng_pick);
@@ -398,13 +490,13 @@ pub(crate) fn encode_shard(s: &ShardSnapshot, w: &mut Writer<'_>) {
         w.u64(word);
     }
     w.u64(s.corpus_rng);
-    w.u64s(s.corpus_coverage.words());
+    encode_coverage(s.corpus_coverage, w);
     encode_corpus_stats(&s.corpus_stats, w);
-    w.seq(&s.corpus_entries, encode_corpus_entry);
-    w.seq(&s.crashes, |(title, (count, cve)), w| {
+    w.seq(s.corpus_entries, encode_corpus_entry);
+    w.seq(s.crashes, |(title, (count, cve)), w| {
         encode_crash(title, *count, cve.as_deref(), w);
     });
-    w.seq(&s.triage_seen, encode_signature);
+    w.seq(s.triage_seen, encode_signature);
 }
 
 pub(crate) fn decode_shard(r: &mut Reader<'_>) -> Result<ShardSnapshot, DecodeError> {
@@ -460,10 +552,49 @@ pub(crate) fn decode_triage_entry(r: &mut Reader<'_>) -> Result<TriageEntry, Dec
 mod tests {
     use super::*;
     use crate::campaign::CrashTally;
+    use crate::hub::HubSeed;
     use kgpt_syzlang::prog::ProgCall;
     use kgpt_syzlang::Value;
+    use kgpt_trace::ExecTrace;
     use kgpt_vkernel::{CrashSignature, SanitizerKind, Sysno};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    /// Counts the bytes this thread asks the allocator for (the
+    /// `kgpt_syzlang::codec` hostile-suite pattern, in bytes: the
+    /// threat here is one huge zero-fill, not many small requests).
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOC_BYTES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    // SAFETY: delegates everything to `System`; the counter is a
+    // const-initialised thread-local `Cell` with no destructor.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + layout.size()));
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + layout.size()));
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + new_size));
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
 
     fn cov(blocks: &[u64]) -> CoverageMap {
         blocks.iter().copied().collect()
@@ -534,18 +665,41 @@ mod tests {
                 remaining: 1000,
                 fuel_exhausted: 3,
             }],
-            hub_top_k: 4,
-            hub_published: 17,
-            hub_coverage: cov(&[1, 2]),
-            hub_seeds: vec![HubSeed {
-                shard: 0,
-                program: prog(2),
-                contributed: cov(&[2]),
-            }],
+            hub: SeedHub::from_parts(
+                4,
+                vec![HubSeed {
+                    shard: 0,
+                    program: prog(2),
+                    contributed: cov(&[2]),
+                }],
+                cov(&[1, 2]),
+                17,
+            ),
             triage,
-            // Opaque to the checkpoint layer: any bytes round-trip.
-            traces: vec![(0, vec![0xAB, 0xCD, 0xEF])],
+            traces: vec![(0, store())],
         }
+    }
+
+    /// A store holding one ring trace and one pinned crash trace
+    /// (empty event streams: just the END token).
+    fn store() -> TraceStore {
+        let trace = |crash, exec| {
+            let mut program = Vec::new();
+            prog(1).encode_into(&mut program);
+            ExecTrace {
+                shard: 0,
+                epoch: 3,
+                exec,
+                exec_fuel: 1 << 20,
+                spec_fingerprint: 0xFEED_FACE,
+                fuel_exhausted: false,
+                crash,
+                program,
+                stream: vec![0x0F],
+                stream_bits: 4,
+            }
+        };
+        TraceStore::from_parts(2, 9, [trace(None, 7)], [trace(Some(sig(5)), 4)]).unwrap()
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -561,13 +715,12 @@ mod tests {
         assert_eq!(CampaignSnapshot::from_bytes(&bytes).unwrap(), snap);
     }
 
-    /// Format stability: recorded before the port onto
-    /// `kgpt_syzlang::codec` (see `tests/wire_golden.rs`). A mismatch
+    /// Format stability: recorded when `VERSION` became 3. A mismatch
     /// means the on-disk layout changed and `VERSION` must bump.
     #[test]
     fn golden_bytes() {
         let bytes = sample().to_bytes();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (589, 0x2f5d_d32c_76f5_0ac6));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (755, 0x5ae4_7e47_d1f3_f216));
     }
 
     #[test]
@@ -590,9 +743,10 @@ mod tests {
         let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();
         assert!(e.message.contains("magic"), "{e}");
 
-        // An unknown version and the pre-trace version 1 alike: a
-        // reader never guesses at a layout it was not built for.
-        for version in [0xFF, 1] {
+        // An unknown version and the superseded versions 1 and 2
+        // (dense coverage, framed trace blobs) alike: a reader never
+        // guesses at a layout it was not built for.
+        for version in [0xFF, 1, 2] {
             let mut bad = good.clone();
             bad[8] = version; // version LE low byte
             let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();
@@ -649,6 +803,138 @@ mod tests {
         assert!(e.message.contains("previous"), "{e}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn encoded(map: &CoverageMap) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_coverage(map, &mut Writer::new(&mut out));
+        out
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<CoverageMap, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let map = decode_coverage(&mut r)?;
+        r.finish()?;
+        Ok(map)
+    }
+
+    #[test]
+    fn coverage_encoding_round_trips_and_is_canonical() {
+        let stratum = |i: u64| (i + 1) * 4096;
+        let maps = [
+            CoverageMap::new(),
+            cov(&[0]),
+            cov(&[stratum(3) + 5]),
+            // A corpus-entry key: a few blocks in two far-apart strata.
+            cov(&[
+                stratum(0),
+                stratum(0) + 1,
+                stratum(4) + 70,
+                stratum(4) + 100,
+            ]),
+            // Every word set: sparse would cost a run header more.
+            (0..640).collect(),
+            // Alternating words: one run per set word, dense is smaller.
+            (0..40).map(|w| w * 128).collect(),
+        ];
+        for map in &maps {
+            let bytes = encoded(map);
+            let back = decoded(&bytes).unwrap();
+            assert_eq!(&back, map);
+            assert_eq!(encoded(&back), bytes, "re-encoding {map:?} moved bytes");
+            // Trailing zero words are representation noise on the wire
+            // too: they change neither the shape chosen nor a byte.
+            let mut padded = map.words().to_vec();
+            padded.extend([0; 300]);
+            assert_eq!(encoded(&CoverageMap::from_words(padded)), bytes);
+            // Never larger than the dense form it replaced.
+            assert!(bytes.len() <= 1 + CoverageWordDiff::dense_bytes(map.words().len()));
+        }
+        // The sparse shape is what shrinks a snapshot: two one-word
+        // runs instead of 322 words.
+        assert_eq!(encoded(&maps[3]).len(), 1 + 4 + 2 * (4 + 4 + 8));
+        assert_eq!(encoded(&maps[3])[0], DIFF_SPARSE);
+        assert_eq!(encoded(&maps[4])[0], DIFF_DENSE);
+        assert_eq!(encoded(&maps[5])[0], DIFF_DENSE);
+        assert_eq!(encoded(&maps[0]), [DIFF_DENSE, 0, 0, 0, 0]);
+    }
+
+    /// A sparse word diff as raw wire bytes: `(start, words)` runs.
+    fn sparse_bytes(runs: &[(u32, &[u64])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
+        w.u8(DIFF_SPARSE);
+        w.seq(runs, |(start, words), w| {
+            w.u32(*start);
+            w.u64s(words);
+        });
+        out
+    }
+
+    #[test]
+    fn hostile_coverage_is_rejected_before_anything_is_resized() {
+        let bound = MAX_COVERAGE_WORDS as u32;
+        let past = "word-diff run past the coverage bound";
+        let order = "word-diff runs out of order";
+        let cases = [
+            // The reported bug: a ~20-byte run at word u32::MAX used
+            // to reach `apply_word_diff` and zero-fill 32 GiB.
+            (sparse_bytes(&[(u32::MAX, &[1])]), past),
+            // One word past the bound, and a run that starts inside
+            // the bound but ends outside it.
+            (sparse_bytes(&[(bound, &[1])]), past),
+            (sparse_bytes(&[(bound - 1, &[1, 1])]), past),
+            // Overlapping, out of order, empty.
+            (sparse_bytes(&[(4, &[1, 1]), (5, &[1])]), order),
+            (sparse_bytes(&[(9, &[1]), (2, &[1])]), order),
+            (sparse_bytes(&[(3, &[])]), "empty word-diff run"),
+            (vec![7], "bad word-diff tag"),
+            // A run count the input cannot hold.
+            (
+                vec![DIFF_SPARSE, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0],
+                "count exceeds remaining input",
+            ),
+        ];
+        let before = ALLOC_BYTES.with(Cell::get);
+        let rejected = cases
+            .each_ref()
+            .map(|(bytes, _)| decoded(bytes).map(|_| ()));
+        let spent = ALLOC_BYTES.with(Cell::get) - before;
+        for ((_, message), got) in cases.iter().zip(rejected) {
+            assert_eq!(got.unwrap_err().message, *message);
+        }
+        assert!(
+            spent < 1024,
+            "rejecting hostile coverage allocated {spent} bytes"
+        );
+        // The last word inside the bound is fine, and costs what it
+        // says: the bound's worth of zero-fill, no more.
+        let edge = decoded(&sparse_bytes(&[(bound - 1, &[1])])).unwrap();
+        assert_eq!(edge.words().len(), MAX_COVERAGE_WORDS);
+        // A dense map past the bound is rejected too (no
+        // amplification there — the input itself is that long).
+        let mut dense = vec![DIFF_DENSE];
+        dense.extend((bound + 1).to_le_bytes());
+        dense.resize(dense.len() + 8 * (MAX_COVERAGE_WORDS + 1), 0);
+        assert_eq!(
+            decoded(&dense).unwrap_err().message,
+            "coverage map past the coverage bound"
+        );
+    }
+
+    #[test]
+    fn hostile_patch_coverage_is_rejected_on_the_fabric_wire() {
+        use crate::fabric::{decode_patches, diff_boundary, encode_patches, sample_boundary};
+        let (base, deltas) = sample_boundary();
+        let mut patches = diff_boundary(&base, deltas).expect("diffable fixture");
+        patches[0].cov_diff = CoverageWordDiff::Sparse(vec![(u32::MAX, vec![1])]);
+        let mut body = Vec::new();
+        encode_patches(&patches, &mut body);
+        let before = ALLOC_BYTES.with(Cell::get);
+        let e = decode_patches(&body, &mut 0).unwrap_err();
+        let spent = ALLOC_BYTES.with(Cell::get) - before;
+        assert!(e.message.contains("past the coverage bound"), "{e}");
+        assert!(spent < 4096, "rejecting the patch allocated {spent} bytes");
     }
 
     #[test]

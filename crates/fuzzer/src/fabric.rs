@@ -45,8 +45,8 @@ use crate::campaign::{CampaignConfig, CampaignResult, ShardSnapshot, ShardState,
 use crate::checkpoint::{
     config_fingerprint, decode_corpus_entry, decode_corpus_stats, decode_coverage, decode_crash,
     decode_rng, decode_shard, decode_triage_entry, decode_usize, decode_word_diff,
-    encode_corpus_entry, encode_corpus_stats, encode_crash, encode_shard, encode_triage_entry,
-    encode_word_diff, CheckpointError,
+    encode_corpus_entry, encode_corpus_stats, encode_coverage, encode_crash, encode_shard,
+    encode_triage_entry, encode_word_diff, CheckpointError,
 };
 use crate::corpus::{Corpus, CorpusEntry, CorpusStats};
 use crate::hub::{HubSeed, SeedHub};
@@ -98,7 +98,7 @@ impl EpochDelta {
     /// Write the delta: the checkpoint shard layout, then the triage
     /// candidates and counts.
     pub fn encode(&self, w: &mut Writer<'_>) {
-        encode_shard(&self.snapshot, w);
+        encode_shard(self.snapshot.view(), w);
         w.seq(&self.candidates, encode_triage_entry);
         w.seq(&self.counts, encode_count);
     }
@@ -165,7 +165,7 @@ pub fn decode_config(r: &mut Reader<'_>) -> Result<CampaignConfig, DecodeError> 
 /// Write a list of committed [`ShardSnapshot`]s (lease grants carry
 /// the restore state of a reassigned range this way).
 pub fn encode_snapshots(snaps: &[ShardSnapshot], w: &mut Writer<'_>) {
-    w.seq(snaps, encode_shard);
+    w.seq(snaps, |s, w| encode_shard(s.view(), w));
 }
 
 /// Read a list of [`ShardSnapshot`]s (inverse of
@@ -184,7 +184,7 @@ pub fn encode_seeds(seeds: &[HubSeed], w: &mut Writer<'_>) {
     w.seq(seeds, |seed, w| {
         w.u32(seed.shard);
         seed.program.encode(w);
-        w.u64s(seed.contributed.words());
+        encode_coverage(&seed.contributed, w);
     });
 }
 

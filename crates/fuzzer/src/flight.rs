@@ -3,14 +3,20 @@
 //!
 //! The trace *formats* live in [`kgpt_trace`]; this module connects
 //! them to the campaign loop. A `ShardTracer` rides inside each
-//! `ShardState`: after every execution it delta-codes the VM's
-//! [`kgpt_vkernel::TraceLog`] against the kernel's
-//! [`CfgSuccessors`] table and files the result in the shard's
-//! [`TraceStore`] (bounded ring + pinned crash traces). Because shard
-//! state evolves schedule-independently, the stores are a pure
-//! function of `(config, shards)` — the worker thread count never
-//! changes a single recorded byte (pinned by tests in
-//! [`crate::shard`]).
+//! `ShardState` and keeps what a [`TraceStore`] would — a bounded
+//! ring of the latest non-crashing execs plus the first exec per
+//! crash signature — but keeps the ring **raw**: the executed
+//! [`Program`] itself and a copy of the VM's
+//! [`kgpt_vkernel::TraceLog`] events. All but a fraction of a percent
+//! of ring entries are evicted unread, so the delta coding against
+//! the kernel's [`CfgSuccessors`] table and the program encoding run
+//! only when somebody reads: a checkpoint write, the stores a traced
+//! run returns, and the first pin of a crash signature. Sealing is a
+//! pure function of the raw slot, so the stores are byte-for-byte
+//! what eager encoding would have filed — and, because shard state
+//! evolves schedule-independently, a pure function of
+//! `(config, shards)`: the worker thread count never changes a
+//! recorded byte (pinned by tests in [`crate::shard`]).
 //!
 //! [`replay_trace`] is the other direction: re-execute any recorded
 //! exec from its self-contained header and cross-check the recorded
@@ -20,7 +26,8 @@ use crate::exec::{execute_with, ExecScratch};
 use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors};
 use kgpt_syzlang::prog::Program;
 use kgpt_trace::{decode_events, encode_events, ExecTrace, TraceError, TraceStore};
-use kgpt_vkernel::{CrashSignature, TraceEvent, VKernel};
+use kgpt_vkernel::{CoverageMap, CrashSignature, TraceEvent, VKernel};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Build the delta-coding prediction table for a booted kernel.
@@ -40,8 +47,27 @@ pub fn cfg_successors(kernel: &VKernel) -> CfgSuccessors {
     )
 }
 
-/// Per-shard recorder: encodes each exec's trace log and files it in
-/// the shard's [`TraceStore`].
+/// One exec as the recorder captured it, before any encoding.
+#[derive(Clone)]
+struct RawTrace {
+    epoch: u64,
+    exec: u64,
+    exec_fuel: u64,
+    fuel_exhausted: bool,
+    program: Program,
+    events: Vec<TraceEvent>,
+}
+
+/// A ring slot: raw as recorded, or already sealed (installed from a
+/// checkpoint on resume — it is never decoded back).
+#[derive(Clone)]
+enum Slot {
+    Raw(RawTrace),
+    Sealed(ExecTrace),
+}
+
+/// Per-shard recorder: a [`TraceStore`] whose ring is sealed on read
+/// (see the module docs).
 #[derive(Clone)]
 pub(crate) struct ShardTracer {
     /// Shared prediction table (one per campaign, not per shard).
@@ -50,10 +76,14 @@ pub(crate) struct ShardTracer {
     spec_fp: u64,
     /// Owning shard id, stamped into every trace header.
     shard: u32,
-    /// Retained traces.
-    store: TraceStore,
-    /// Scratch buffer for program encoding, reused across execs.
-    prog_buf: Vec<u8>,
+    /// Ring capacity (non-crash traces retained).
+    cap: usize,
+    /// Executions recorded over the shard's lifetime.
+    execs_seen: u64,
+    /// Most recent non-crashing execs, oldest first.
+    ring: VecDeque<Slot>,
+    /// First trace per crash signature, sealed when pinned.
+    pinned: BTreeMap<CrashSignature, ExecTrace>,
 }
 
 impl ShardTracer {
@@ -67,43 +97,107 @@ impl ShardTracer {
             cfg,
             spec_fp,
             shard,
-            store: TraceStore::new(cap),
-            prog_buf: Vec::new(),
+            cap,
+            execs_seen: 0,
+            ring: VecDeque::new(),
+            pinned: BTreeMap::new(),
         }
     }
 
-    /// Record the execution that just finished in `scratch`.
-    pub(crate) fn record(&mut self, scratch: &ExecScratch, prog: &Program, epoch: u64) {
-        let (stream, stream_bits) = encode_events(&self.cfg, scratch.state.trace().events());
-        self.prog_buf.clear();
-        prog.encode_into(&mut self.prog_buf);
-        self.store.record(ExecTrace {
-            shard: self.shard,
+    /// Record the execution of `prog` that just finished in `scratch`.
+    /// `seen` is the shard corpus's coverage: a program the corpus is
+    /// about to drop (nothing new over `seen`) moves into its ring
+    /// slot and `None` comes back; otherwise the slot takes a copy and
+    /// the program is returned for admission. At steady state the
+    /// moved path allocates nothing — the evicted slot's event buffer
+    /// is reused.
+    pub(crate) fn record(
+        &mut self,
+        scratch: &ExecScratch,
+        prog: Program,
+        epoch: u64,
+        seen: &CoverageMap,
+    ) -> Option<Program> {
+        let state = &scratch.state;
+        let mut raw = RawTrace {
             epoch,
-            exec: self.store.execs_seen(),
-            exec_fuel: scratch.state.fuel_limit(),
-            spec_fingerprint: self.spec_fp,
-            fuel_exhausted: scratch.state.fuel_exhausted(),
-            crash: scratch.crash().map(|c| c.signature),
-            program: self.prog_buf.clone(),
-            stream,
-            stream_bits,
-        });
+            exec: self.execs_seen,
+            exec_fuel: state.fuel_limit(),
+            fuel_exhausted: state.fuel_exhausted(),
+            program: Program::default(),
+            events: Vec::new(),
+        };
+        self.execs_seen += 1;
+        if let Some(crash) = scratch.crash() {
+            raw.program = prog;
+            if !self.pinned.contains_key(&crash.signature) {
+                raw.events = state.trace().events().to_vec();
+                let sealed = self.seal(&raw, Some(crash.signature));
+                self.pinned.insert(crash.signature, sealed);
+            }
+            return Some(raw.program);
+        }
+        if self.cap == 0 {
+            return Some(prog);
+        }
+        if self.ring.len() == self.cap {
+            if let Some(Slot::Raw(evicted)) = self.ring.pop_front() {
+                raw.events = evicted.events;
+                raw.events.clear();
+            }
+        }
+        raw.events.extend_from_slice(state.trace().events());
+        let admitted = seen.new_blocks_in(scratch.coverage()) != 0;
+        let back = admitted.then(|| prog.clone());
+        raw.program = prog;
+        self.ring.push_back(Slot::Raw(raw));
+        back
     }
 
-    /// The shard's retained traces.
-    pub(crate) fn store(&self) -> &TraceStore {
-        &self.store
+    /// Encode one raw exec into its self-contained trace.
+    fn seal(&self, raw: &RawTrace, crash: Option<CrashSignature>) -> ExecTrace {
+        let (stream, stream_bits) = encode_events(&self.cfg, &raw.events);
+        let mut program = Vec::new();
+        raw.program.encode_into(&mut program);
+        // A returned store lives as long as its caller keeps it: do
+        // not leave it holding the buffer's growth slack.
+        program.shrink_to_fit();
+        ExecTrace {
+            shard: self.shard,
+            epoch: raw.epoch,
+            exec: raw.exec,
+            exec_fuel: raw.exec_fuel,
+            spec_fingerprint: self.spec_fp,
+            fuel_exhausted: raw.fuel_exhausted,
+            crash,
+            program,
+            stream,
+            stream_bits,
+        }
+    }
+
+    /// The shard's retained traces, sealed.
+    pub(crate) fn store(&self) -> TraceStore {
+        let ring = self.ring.iter().map(|slot| match slot {
+            Slot::Raw(raw) => self.seal(raw, None),
+            Slot::Sealed(trace) => trace.clone(),
+        });
+        TraceStore::from_parts(
+            self.cap,
+            self.execs_seen,
+            ring,
+            self.pinned.values().cloned(),
+        )
+        .expect("the recorder files crashes in the pinned map and bounds its ring")
     }
 
     /// Replace the retained traces (checkpoint resume).
     pub(crate) fn set_store(&mut self, store: TraceStore) {
-        self.store = store;
-    }
-
-    /// Surrender the retained traces.
-    pub(crate) fn into_store(self) -> TraceStore {
-        self.store
+        self.cap = store.cap();
+        self.execs_seen = store.execs_seen();
+        let (ring, pinned) = store.into_parts();
+        self.ring = ring.into_iter().map(Slot::Sealed).collect();
+        self.pinned = pinned;
     }
 }
 
@@ -198,6 +292,117 @@ mod tests {
             suite,
             kc.consts().clone(),
         )
+    }
+
+    /// What `ShardTracer::record` replaced: encode the exec the moment
+    /// it finishes and file it in a [`TraceStore`].
+    fn record_eagerly(
+        store: &mut TraceStore,
+        cfg: &CfgSuccessors,
+        scratch: &ExecScratch,
+        prog: &Program,
+        epoch: u64,
+    ) {
+        let (stream, stream_bits) = encode_events(cfg, scratch.state.trace().events());
+        let mut program = Vec::new();
+        prog.encode_into(&mut program);
+        store.record(ExecTrace {
+            shard: SHARD,
+            epoch,
+            exec: store.execs_seen(),
+            exec_fuel: scratch.state.fuel_limit(),
+            spec_fingerprint: SPEC_FP,
+            fuel_exhausted: scratch.state.fuel_exhausted(),
+            crash: scratch.crash().map(|c| c.signature),
+            program,
+            stream,
+            stream_bits,
+        });
+    }
+
+    const SHARD: u32 = 3;
+    const SPEC_FP: u64 = 0xFEED_FACE;
+
+    #[test]
+    fn lazily_sealed_store_equals_the_eager_oracle() {
+        use crate::corpus::Corpus;
+        use crate::gen::Generator;
+
+        let (kernel, suite, consts) = dm_setup();
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let cfg = Arc::new(cfg_successors(&kernel));
+        let mut scratch = ExecScratch::from_lowered(Arc::clone(&lowered));
+        scratch.state.trace_mut().set_enabled(true);
+
+        // One fixed exec sequence, generated the way a shard would.
+        const EXECS: usize = 1400;
+        let mut generator = Generator::from_lowered(Arc::clone(&lowered), 11);
+        let mut corpus = Corpus::new(64, 11);
+        let mut progs = Vec::new();
+        for i in 0..EXECS {
+            let prog = match corpus.select() {
+                Some(idx) if i % 4 != 0 => generator.mutate(corpus.program(idx), 8),
+                _ => generator.gen_program(8),
+            };
+            execute_with(&kernel, &prog, &mut scratch);
+            corpus.observe(prog.clone(), scratch.coverage(), None);
+            progs.push(prog);
+        }
+
+        for ring in [0usize, 1, 32, 512] {
+            let mut oracle = TraceStore::new(ring);
+            let mut tracer = ShardTracer::new(Arc::clone(&cfg), SPEC_FP, SHARD, ring);
+            let mut corpus = Corpus::new(64, 0);
+            let mut moved = 0usize;
+            let mut run = |range: std::ops::Range<usize>,
+                           tracer: &mut ShardTracer,
+                           corpus: &mut Corpus,
+                           mut oracle: Option<&mut TraceStore>| {
+                for i in range {
+                    let epoch = (i / 128) as u64;
+                    execute_with(&kernel, &progs[i], &mut scratch);
+                    if let Some(oracle) = oracle.as_deref_mut() {
+                        record_eagerly(oracle, &cfg, &scratch, &progs[i], epoch);
+                    }
+                    let fresh = corpus.coverage().new_blocks_in(scratch.coverage()) != 0;
+                    let back = tracer.record(&scratch, progs[i].clone(), epoch, corpus.coverage());
+                    // Handed back exactly when the ring did not take
+                    // it, or the corpus wants it too.
+                    let ringed = ring > 0 && scratch.crash().is_none();
+                    assert_eq!(back.is_some(), !ringed || fresh, "exec {i}");
+                    match back {
+                        Some(prog) => {
+                            corpus.observe(prog, scratch.coverage(), None);
+                        }
+                        None => moved += 1,
+                    }
+                }
+            };
+
+            run(0..300, &mut tracer, &mut corpus, Some(&mut oracle));
+            // Resume mid-ring: the sealed store goes through a
+            // checkpoint and comes back into a fresh recorder.
+            let saved = tracer.store();
+            assert_eq!(saved, oracle, "ring {ring} at the resume point");
+            tracer = ShardTracer::new(Arc::clone(&cfg), SPEC_FP, SHARD, ring);
+            tracer.set_store(TraceStore::from_bytes(&saved.to_bytes()).unwrap());
+            run(300..700, &mut tracer, &mut corpus, Some(&mut oracle));
+            // ShardAbort: the epoch runs, is thrown away, and re-runs
+            // from the boundary clone.
+            let boundary = (tracer.clone(), corpus.clone());
+            run(700..828, &mut tracer, &mut corpus, None);
+            (tracer, corpus) = boundary;
+            run(700..EXECS, &mut tracer, &mut corpus, Some(&mut oracle));
+
+            let sealed = tracer.store();
+            assert_eq!(sealed, oracle, "ring {ring}");
+            assert_eq!(sealed.to_bytes(), oracle.to_bytes(), "ring {ring}");
+            assert_eq!(sealed.execs_seen(), EXECS as u64);
+            assert!(oracle.pinned_len() > 0, "the sequence never crashed");
+            assert_eq!(oracle.ring().count(), ring, "the ring never wrapped");
+            assert_eq!(moved == 0, ring == 0, "ring {ring} moved {moved} programs");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct HubSeed {
 
 /// Cross-shard exchange point. See the module docs for the
 /// determinism contract.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedHub {
     seeds: Vec<HubSeed>,
     /// Union of all claimed blocks (the publish-side dedup key).

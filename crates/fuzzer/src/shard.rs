@@ -27,7 +27,7 @@
 //! (exchange on one shard is a no-op by construction).
 
 use crate::campaign::{CampaignConfig, CampaignResult, ShardState};
-use crate::checkpoint::{config_fingerprint, CampaignSnapshot, CheckpointError};
+use crate::checkpoint::{config_fingerprint, CampaignSnapshot, CheckpointError, SnapshotView};
 use crate::fabric::shard_execs;
 use crate::faults::FaultPlan;
 use crate::flight::{self, ShardTracer};
@@ -59,6 +59,14 @@ pub struct ShardedCampaign<'a> {
     lowered: Arc<LoweredDb>,
     config: CampaignConfig,
     shards: u32,
+    /// [`config_fingerprint`] of `(config, shards)` — what resume
+    /// validates and every checkpoint carries.
+    config_fp: u64,
+    /// [`SpecCache::fingerprint`] of the compiled suite — validated by
+    /// resume and replay, stamped into every trace. Hashing the suite
+    /// AST is not free, so both fingerprints are computed when the
+    /// campaign is built, not at every boundary.
+    spec_fp: u64,
     /// 0 = one thread per available CPU (capped at the shard count).
     threads: usize,
     /// Snapshot path; `Some` enables checkpointing at epoch
@@ -120,6 +128,8 @@ impl<'a> ShardedCampaign<'a> {
     ) -> ShardedCampaign<'a> {
         ShardedCampaign {
             kernel,
+            config_fp: config_fingerprint(&config, DEFAULT_SHARDS),
+            spec_fp: SpecCache::fingerprint(db.files()),
             db,
             lowered,
             config,
@@ -138,6 +148,7 @@ impl<'a> ShardedCampaign<'a> {
     #[must_use]
     pub fn with_shards(mut self, shards: u32) -> ShardedCampaign<'a> {
         self.shards = shards.max(1);
+        self.config_fp = config_fingerprint(&self.config, self.shards);
         self
     }
 
@@ -209,17 +220,6 @@ impl<'a> ShardedCampaign<'a> {
         Arc::clone(&self.lowered)
     }
 
-    /// Fingerprint of this campaign's deterministic identity (config
-    /// fields plus shard count) — what resume validates.
-    fn config_fp(&self) -> u64 {
-        config_fingerprint(&self.config, self.shards)
-    }
-
-    /// Fingerprint of the compiled spec suite — what resume validates.
-    fn spec_fp(&self) -> u64 {
-        SpecCache::fingerprint(self.db.files())
-    }
-
     /// Run all shards and merge. See the module docs for the
     /// determinism contract.
     #[must_use]
@@ -263,11 +263,10 @@ impl<'a> ShardedCampaign<'a> {
             return;
         }
         let cfg = Arc::new(flight::cfg_successors(self.kernel));
-        let spec_fp = self.spec_fp();
         for state in states.iter_mut() {
             state.attach_tracer(ShardTracer::new(
                 Arc::clone(&cfg),
-                spec_fp,
+                self.spec_fp,
                 state.id,
                 self.config.trace_ring,
             ));
@@ -299,13 +298,13 @@ impl<'a> ShardedCampaign<'a> {
     ///
     /// Returns a [`CheckpointError`] under the same conditions as
     /// [`ShardedCampaign::resume`], plus when the snapshot's trace
-    /// section fails strict decoding or names an unknown shard.
+    /// section names an unknown shard.
     pub fn resume_traced(
         &self,
         path: &Path,
     ) -> Result<(CampaignResult, Vec<TraceStore>), CheckpointError> {
         let snap = CampaignSnapshot::load(path)?;
-        snap.validate(self.config_fp(), self.spec_fp())?;
+        snap.validate(self.config_fp, self.spec_fp)?;
         if snap.shards.len() != self.shards as usize
             || snap
                 .shards
@@ -327,24 +326,13 @@ impl<'a> ShardedCampaign<'a> {
             .map(|s| ShardState::restore(&self.lowered, &self.config, s))
             .collect();
         self.attach_tracers(&mut states);
-        for (id, bytes) in &snap.traces {
-            let store = TraceStore::from_bytes(bytes).map_err(|e| CheckpointError {
-                message: format!("snapshot trace store for shard {id}: {e}"),
+        for (id, store) in snap.traces {
+            let state = states.get_mut(id as usize).ok_or_else(|| CheckpointError {
+                message: format!("snapshot trace store names unknown shard {id}"),
             })?;
-            let state = states
-                .get_mut(*id as usize)
-                .ok_or_else(|| CheckpointError {
-                    message: format!("snapshot trace store names unknown shard {id}"),
-                })?;
             state.set_trace_store(store);
         }
-        let hub = SeedHub::from_parts(
-            snap.hub_top_k,
-            snap.hub_seeds,
-            snap.hub_coverage,
-            snap.hub_published,
-        );
-        Ok(self.run_from(states, hub, snap.triage, snap.epochs_done))
+        Ok(self.run_from(states, snap.hub, snap.triage, snap.epochs_done))
     }
 
     /// The epoch-major loop from an arbitrary boundary: run every
@@ -419,18 +407,17 @@ impl<'a> ShardedCampaign<'a> {
             // the loop-top state of the next iteration, so resume
             // re-enters here with nothing replayed and nothing lost.
             if let Some(path) = &self.checkpoint {
-                let snap = CampaignSnapshot::capture(
-                    self.config_fp(),
-                    self.spec_fp(),
+                let traces: Vec<(u32, TraceStore)> =
+                    states.iter().filter_map(ShardState::trace_store).collect();
+                let snap = SnapshotView {
+                    config_fingerprint: self.config_fp,
+                    spec_fingerprint: self.spec_fp,
                     epochs_done,
-                    states.iter().map(ShardState::snapshot).collect(),
-                    &hub,
-                    &triage,
-                    states
-                        .iter()
-                        .filter_map(ShardState::trace_store_bytes)
-                        .collect(),
-                );
+                    shards: states.iter().map(ShardState::view).collect(),
+                    hub: &hub,
+                    triage: &triage,
+                    traces: &traces,
+                };
                 if self.write_checkpoint(&snap, path, iter) {
                     checkpoints_written += 1;
                     if let Some(hook) = &self.on_checkpoint {
@@ -456,7 +443,7 @@ impl<'a> ShardedCampaign<'a> {
     /// bitrot) are applied to the installed file so a later resume
     /// exercises the previous-good fallback. Returns whether a
     /// snapshot was installed.
-    fn write_checkpoint(&self, snap: &CampaignSnapshot, path: &Path, iter: u64) -> bool {
+    fn write_checkpoint(&self, snap: &SnapshotView<'_>, path: &Path, iter: u64) -> bool {
         let injected_failures = self.faults.write_fail_attempts(iter);
         for attempt in 1..=MAX_WRITE_ATTEMPTS {
             let failed = attempt <= injected_failures || snap.save(path).is_err();
@@ -479,12 +466,13 @@ impl<'a> ShardedCampaign<'a> {
     /// back alongside, also in shard-id order.
     fn merge(
         &self,
-        mut states: Vec<ShardState>,
+        states: Vec<ShardState>,
         triage: TriageReport,
     ) -> (CampaignResult, Vec<TraceStore>) {
         let stores: Vec<TraceStore> = states
-            .iter_mut()
-            .filter_map(ShardState::take_store)
+            .iter()
+            .filter_map(ShardState::trace_store)
+            .map(|(_, store)| store)
             .collect();
         let parts = states.into_iter().map(ShardState::finish);
         (

@@ -5,15 +5,27 @@
 //! | format       | magic      | version const                            | checksum scope  | owning type                     |
 //! |--------------|------------|------------------------------------------|-----------------|---------------------------------|
 //! | program      | none       | none (its carrier's)                     | its carrier's   | [`crate::prog::Program`]        |
-//! | checkpoint   | `KGPTCKPT` | `kgpt_fuzzer::checkpoint`'s `VERSION` (2) | whole payload   | `kgpt_fuzzer::CampaignSnapshot` |
-//! | fabric frame | empty      | `kgpt_fabric::wire::FRAME_VERSION` (3)   | tag byte + body | `kgpt_fabric::Message`          |
+//! | checkpoint   | `KGPTCKPT` | `kgpt_fuzzer::checkpoint`'s `VERSION` (3) | whole payload   | `kgpt_fuzzer::CampaignSnapshot` |
+//! | fabric frame | empty      | `kgpt_fabric::wire::FRAME_VERSION` (4)   | tag byte + body | `kgpt_fabric::Message`          |
 //! | trace store  | `KGPTTRCE` | `kgpt_trace`'s `VERSION` (1)             | whole payload   | `kgpt_trace::TraceStore`        |
 //! | trace file   | `KGPTTRCF` | `kgpt_trace`'s `VERSION` (1)             | whole payload   | `kgpt_trace::write_trace_file`  |
 //!
 //! Fabric delta and patch bodies (`kgpt_fuzzer::fabric::EpochDelta` /
 //! `EpochPatch`) are checkpoint fragments carried inside fabric
-//! frames, and a trace file's payload is a list of complete trace
-//! stores, each still in its own envelope.
+//! frames. A trace file's payload is a list of complete trace stores,
+//! each still in its own envelope; a checkpoint (v3) instead embeds
+//! its per-shard stores as plain elements
+//! (`kgpt_trace::TraceStore::encode`), so a checkpoint file carries
+//! exactly one checksum.
+//!
+//! One composite rule lives outside this module because its type
+//! does: every coverage bitmap in a checkpoint or fabric frame is
+//! written by `kgpt_fuzzer::checkpoint`'s `encode_coverage` — a tag
+//! byte, then either the runs of nonzero words (`0`: `u32` run count,
+//! per run `u32` first-word index + counted words) or every word up
+//! to the last nonzero one (`1`: counted words), whichever is
+//! smaller. Runs ascend, never overlap, are never empty, and nothing
+//! may reach past `kgpt_vkernel::MAX_COVERAGE_WORDS`.
 //!
 //! Layout rules, written down here and nowhere else:
 //!
@@ -408,16 +420,21 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Wrap `payload` in the envelope
-/// `magic | version | FNV-1a(payload) | payload`.
+/// Build an envelope `magic | version | FNV-1a(payload) | payload`
+/// around whatever `payload` writes. The header is reserved up front
+/// and the checksum patched in afterwards, so the payload is encoded
+/// in place — never into a buffer of its own and copied.
 #[must_use]
-pub fn frame(magic: &[u8], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(magic.len() + 12 + payload.len());
+pub fn frame(magic: &[u8], version: u32, payload: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let mut out = Vec::new();
     out.extend_from_slice(magic);
     let mut w = Writer::new(&mut out);
     w.u32(version);
-    w.u64(fnv1a(payload));
-    out.extend_from_slice(payload);
+    w.u64(0); // checksum slot
+    payload(&mut w);
+    let header = magic.len() + 12;
+    let checksum = fnv1a(&out[header..]);
+    out[header - 8..header].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -594,7 +611,8 @@ mod tests {
     #[test]
     fn envelope_errors_are_distinct_and_every_bit_flip_is_rejected() {
         let payload = sample();
-        let framed = frame(b"KGPTTEST", 7, &payload);
+        let put = |w: &mut Writer<'_>| payload.iter().for_each(|b| w.u8(*b));
+        let framed = frame(b"KGPTTEST", 7, put);
         assert_eq!(unframe(b"KGPTTEST", 7, &framed).unwrap(), &payload[..]);
         let message = |r: Result<&[u8], DecodeError>| r.unwrap_err().message;
         assert_eq!(message(unframe(b"KGPTXXXX", 7, &framed)), "bad magic");
@@ -623,7 +641,7 @@ mod tests {
             );
         }
         // An empty magic is a valid envelope (the fabric wire frame).
-        let bare = frame(b"", 3, &payload);
+        let bare = frame(b"", 3, put);
         assert_eq!(bare.len(), 12 + payload.len());
         assert_eq!(unframe(b"", 3, &bare).unwrap(), &payload[..]);
     }

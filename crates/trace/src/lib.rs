@@ -2,11 +2,27 @@
 //!
 //! Compact per-exec trace capture and offline storage: every
 //! execution a campaign shard runs can leave behind a self-contained
-//! [`ExecTrace`] — small enough (tens of bytes of stream per exec,
-//! see the `trace` section of `fuzz_bench`) that recording stays on
-//! during campaigns — from which the deterministic replayer in
+//! [`ExecTrace`] — tens of bytes of stream per exec (see the `trace`
+//! section of `fuzz_bench`) — from which the deterministic replayer in
 //! `kgpt-fuzzer` re-executes the exec bit-identically and
 //! cross-checks the recorded block stream against the live run.
+//!
+//! ## What recording costs, and when it is paid
+//!
+//! A campaign retains a bounded ring per shard, so all but a fraction
+//! of a percent of the execs it records are evicted without ever
+//! being read (`trace.retained_ratio` ≈ 0.006 on the benchmark's
+//! durable workload). The layers below are therefore split in time:
+//! layer 1 (event capture) runs on every exec and is cheap — appends
+//! to a reused buffer; layers 2 and 3 (delta coding and framing) run
+//! at **seal time**, when a store is actually read — a checkpoint
+//! write, the stores a traced run returns, the first pin of a crash
+//! signature. `kgpt-fuzzer`'s recorder keeps ring slots raw (the
+//! program and its event list) until then and builds the
+//! [`TraceStore`] through [`TraceStore::from_parts`]. "Retained"
+//! thus costs one encode per trace that survives to a read, not one
+//! per exec; and because [`encode_events`] is pure, a store sealed
+//! late is byte-for-byte the store eager encoding would have built.
 //!
 //! ## Protocol overview
 //!
@@ -51,10 +67,11 @@
 //! 4. **Storage** ([`TraceStore`]): a per-shard ring of the last N
 //!    non-crashing traces plus a **pinned** map of crash traces
 //!    (first trace per [`CrashSignature`] is kept forever; later
-//!    execs can never evict it). Stores serialize inside the
-//!    [`kgpt_syzlang::codec`] envelope, so they ride inside campaign
-//!    checkpoints (traces survive resume) and in standalone trace
-//!    files ([`write_trace_file`]).
+//!    execs can never evict it). A store serializes as a plain
+//!    element ([`TraceStore::encode`] — how campaign checkpoints embed
+//!    theirs, so traces survive resume) or inside its own
+//!    [`kgpt_syzlang::codec`] envelope ([`TraceStore::to_bytes`] — the
+//!    unit of standalone trace files, [`write_trace_file`]).
 //!
 //! Decoding is strict at every layer: truncation, bit flips and
 //! garbage return [`TraceError`], never panic — pinned by the
@@ -614,16 +631,82 @@ impl TraceStore {
         self.iter().map(|t| u64::from(t.stream_bits)).sum()
     }
 
-    /// Serialize inside the [`kgpt_syzlang::codec`] envelope.
+    /// Assemble a store from already-recorded parts: `ring` oldest
+    /// first, `pinned` in any order. The one place the store's
+    /// invariants are checked — the decoder and the campaign
+    /// recorder (which keeps its ring unsealed until a store is read)
+    /// both come through here.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken invariant: a ring trace carrying a crash, a
+    /// ring longer than `cap`, a pinned trace without a crash, or two
+    /// pinned traces for one signature.
+    pub fn from_parts(
+        cap: usize,
+        execs_seen: u64,
+        ring: impl IntoIterator<Item = ExecTrace>,
+        pinned: impl IntoIterator<Item = ExecTrace>,
+    ) -> Result<TraceStore, &'static str> {
+        let ring: VecDeque<ExecTrace> = ring.into_iter().collect();
+        if ring.iter().any(|t| t.crash.is_some()) {
+            return Err("crash trace in the non-crash ring");
+        }
+        if ring.len() > cap {
+            return Err("trace ring larger than its capacity");
+        }
+        let mut by_sig = BTreeMap::new();
+        for t in pinned {
+            let Some(sig) = t.crash else {
+                return Err("pinned trace without a crash signature");
+            };
+            if by_sig.insert(sig, t).is_some() {
+                return Err("duplicate pinned crash signature");
+            }
+        }
+        Ok(TraceStore {
+            cap,
+            execs_seen,
+            ring,
+            pinned: by_sig,
+        })
+    }
+
+    /// Take the store apart: the ring (oldest first) and the pinned
+    /// crash traces, by value.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        let mut w = Writer::new(&mut payload);
+    pub fn into_parts(self) -> (VecDeque<ExecTrace>, BTreeMap<CrashSignature, ExecTrace>) {
+        (self.ring, self.pinned)
+    }
+
+    /// Write the store as an element of a larger payload (a campaign
+    /// checkpoint embeds its stores this way, under its own checksum).
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u64(self.cap as u64);
         w.u64(self.execs_seen);
         w.seq(&self.ring, ExecTrace::encode);
         w.seq(self.pinned.values(), ExecTrace::encode);
-        frame(STORE_MAGIC, VERSION, &payload)
+    }
+
+    /// Read a store written by [`TraceStore::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on malformed fields or a broken store
+    /// invariant (see [`TraceStore::from_parts`]).
+    pub fn decode(r: &mut Reader<'_>) -> Result<TraceStore, DecodeError> {
+        let cap =
+            usize::try_from(r.u64()?).map_err(|_| r.err("trace ring capacity out of range"))?;
+        let execs_seen = r.u64()?;
+        let ring = r.seq(ExecTrace::decode)?;
+        let pinned = r.seq(ExecTrace::decode)?;
+        TraceStore::from_parts(cap, execs_seen, ring, pinned).map_err(|e| r.err(e))
+    }
+
+    /// Serialize inside the [`kgpt_syzlang::codec`] envelope.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        frame(STORE_MAGIC, VERSION, |w| self.encode(w))
     }
 
     /// Parse a store previously produced by [`TraceStore::to_bytes`].
@@ -636,32 +719,9 @@ impl TraceStore {
     /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceStore, TraceError> {
         let mut r = Reader::new(unframe(STORE_MAGIC, VERSION, bytes)?);
-        let cap = usize::try_from(r.u64()?)
-            .map_err(|_| TraceError::new("trace ring capacity out of range"))?;
-        let execs_seen = r.u64()?;
-        let ring: VecDeque<ExecTrace> = r.seq(ExecTrace::decode)?.into();
-        if ring.iter().any(|t| t.crash.is_some()) {
-            return Err(TraceError::new("crash trace in the non-crash ring"));
-        }
-        if ring.len() > cap {
-            return Err(TraceError::new("trace ring larger than its capacity"));
-        }
-        let mut pinned = BTreeMap::new();
-        for t in r.seq(ExecTrace::decode)? {
-            let Some(sig) = t.crash else {
-                return Err(TraceError::new("pinned trace without a crash signature"));
-            };
-            if pinned.insert(sig, t).is_some() {
-                return Err(TraceError::new("duplicate pinned crash signature"));
-            }
-        }
+        let store = TraceStore::decode(&mut r)?;
         r.finish()?;
-        Ok(TraceStore {
-            cap,
-            execs_seen,
-            ring,
-            pinned,
-        })
+        Ok(store)
     }
 }
 
@@ -673,9 +733,10 @@ impl TraceStore {
 ///
 /// Returns a [`TraceError`] when the filesystem rejects the write.
 pub fn write_trace_file(path: &Path, stores: &[TraceStore]) -> Result<(), TraceError> {
-    let mut payload = Vec::new();
-    Writer::new(&mut payload).seq(stores, |s, w| w.bytes(&s.to_bytes()));
-    std::fs::write(path, frame(FILE_MAGIC, VERSION, &payload))
+    let file = frame(FILE_MAGIC, VERSION, |w| {
+        w.seq(stores, |s, w| w.bytes(&s.to_bytes()));
+    });
+    std::fs::write(path, file)
         .map_err(|e| TraceError::new(format!("write {} failed: {e}", path.display())))
 }
 

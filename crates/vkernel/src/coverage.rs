@@ -14,6 +14,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
+/// Largest bitmap, in words, a decoder may build from untrusted bytes:
+/// 2^18 words cover 4095 handler strata (the paper's full census boots
+/// a few hundred) and cap the zero-fill a hostile sparse run can ask
+/// [`CoverageMap::apply_word_diff`] for at 2 MiB. Every wire decoder
+/// of a [`CoverageWordDiff`] rejects a run or map extending past it
+/// *before* anything is resized.
+pub const MAX_COVERAGE_WORDS: usize = 1 << 18;
+
 /// A set of covered basic-block ids, stored as a dense bitmap.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct CoverageMap {

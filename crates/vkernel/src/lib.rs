@@ -38,7 +38,7 @@
 pub mod coverage;
 pub mod mem;
 
-pub use coverage::{CoverageMap, CoverageWordDiff};
+pub use coverage::{CoverageMap, CoverageWordDiff, MAX_COVERAGE_WORDS};
 pub use mem::MemMap;
 
 use kgpt_csrc::blueprint::{

@@ -8,7 +8,7 @@
 
 use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fuzzer::{
-    Campaign, CampaignConfig, CampaignResult, Fault, FaultPlan, ShardedCampaign,
+    Campaign, CampaignConfig, CampaignResult, CampaignSnapshot, Fault, FaultPlan, ShardedCampaign,
 };
 use kernelgpt::syzlang::{ConstDb, SpecFile};
 use kernelgpt::vkernel::VKernel;
@@ -305,4 +305,77 @@ fn fuel_exhaustion_is_deterministic_and_never_corrupts_the_merge() {
     .with_shards(8)
     .run();
     assert_eq!(unlimited.fuel_exhausted, 0);
+}
+
+/// The flight recorder seals its ring only when a store is read, and
+/// a checkpoint write is such a read. Neither may move a byte: this
+/// digest of the eight returned stores was recorded on the last
+/// commit that encoded every exec as it ran (`4498b28`), and must
+/// hold whether or not the campaign checkpoints at every boundary.
+#[test]
+fn returned_trace_stores_are_byte_identical_to_eager_encoding() {
+    let (kernel, suite, consts) = deepchain_setup();
+    let config = CampaignConfig {
+        execs: 50_000,
+        seed: 1,
+        max_prog_len: 12,
+        hub_epoch: 128,
+        hub_top_k: 4,
+        trace_ring: 32,
+        ..CampaignConfig::default()
+    };
+    let campaign = || {
+        ShardedCampaign::new(&kernel, &suite, &consts, config.clone())
+            .with_shards(8)
+            .with_threads(1)
+    };
+    let path = ckpt_path("store-golden");
+    for (label, (result, stores)) in [
+        ("plain", campaign().run_traced()),
+        (
+            "checkpointing",
+            campaign().with_checkpoint(&path).run_traced(),
+        ),
+    ] {
+        assert_eq!(stores.len(), 8, "{label}");
+        let bytes: Vec<u8> = stores.iter().flat_map(|s| s.to_bytes()).collect();
+        assert_eq!(
+            kernelgpt::trace::fnv1a(&bytes),
+            0x208e_9d7e_8c86_a4f5,
+            "{label}"
+        );
+        assert_eq!(
+            (result.blocks(), result.unique_crashes()),
+            (325, 5),
+            "{label}"
+        );
+    }
+}
+
+/// A boundary checkpoint is encoded straight from live campaign state
+/// (no owned snapshot is built first); loading it and encoding the
+/// owned snapshot must give the same bytes — one encoder, one field
+/// order, one canonical form for every map in it.
+#[test]
+fn a_live_boundary_write_equals_its_reloaded_snapshot_re_encoded() {
+    let (kernel, suite, consts) = deepchain_setup();
+    for (halt_after, trace_ring) in [(1, 32), (2, 32), (2, 0)] {
+        let path = ckpt_path(&format!("live-bytes-{halt_after}-{trace_ring}"));
+        let config = CampaignConfig {
+            trace_ring,
+            ..cfg(7)
+        };
+        let _ = ShardedCampaign::new(&kernel, &suite, &consts, config)
+            .with_shards(8)
+            .with_checkpoint(&path)
+            .with_halt_after(halt_after)
+            .run();
+        let written = std::fs::read(&path).expect("the boundary wrote a checkpoint");
+        let reloaded = CampaignSnapshot::load(&path).expect("and it loads");
+        assert_eq!(reloaded.epochs_done(), halt_after);
+        assert!(
+            reloaded.to_bytes() == written,
+            "halt {halt_after}, ring {trace_ring}: re-encoding moved bytes"
+        );
+    }
 }
