@@ -206,8 +206,9 @@ impl Corpus {
     /// coverage and admit `prog` if it contributed new blocks,
     /// crediting `parent` (the mutation seed it came from, if any)
     /// with a hit. Returns the number of newly covered blocks
-    /// (0 = nothing new, program dropped). Allocation-free on the
-    /// nothing-new path.
+    /// (0 = nothing new). The nothing-new path allocates nothing, but
+    /// it is where the rejected program is dropped: that frees every
+    /// argument tree the program does not share with a corpus parent.
     pub fn observe(&mut self, prog: Program, cov: &CoverageMap, parent: Option<usize>) -> usize {
         if self.coverage.new_blocks_in(cov) == 0 {
             return 0;

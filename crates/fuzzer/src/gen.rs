@@ -108,10 +108,10 @@ impl Generator {
     }
 
     /// Mutate a program: regenerate an argument, append a call, or
-    /// truncate. Returns a fresh program (input untouched), cloning
-    /// only what the result keeps: the truncate arm copies the kept
-    /// prefix, and the regenerate arm never clones the value tree it
-    /// replaces. Output and draws are bit-identical to the deep-clone
+    /// truncate. Returns a fresh program (input untouched). Pointees
+    /// are shared, so each arm costs one refcount per kept argument,
+    /// whatever the size of the trees behind them. Output and draws
+    /// are bit-identical to
     /// [`crate::reference::AstGenerator::mutate`].
     pub fn mutate(&mut self, prog: &Program, max_len: usize) -> Program {
         if prog.is_empty() {
@@ -125,42 +125,15 @@ impl Generator {
         match rng.random_range(0..10u32) {
             // Regenerate one argument of one call.
             0..=5 => {
-                let ci = rng.random_range(0..prog.calls.len());
-                let n_args = prog.calls[ci].args.len();
-                let mut fresh = if n_args > 0 {
+                let mut p = prog.clone();
+                let ci = rng.random_range(0..p.calls.len());
+                let n_args = p.calls[ci].args.len();
+                if n_args > 0 {
                     let ai = rng.random_range(0..n_args);
-                    let ty = lowered.syscall(prog.calls[ci].sys as usize).params[ai].ty;
-                    // Generation only reads calls before `ci`, which the
-                    // output shares with the input — so drawing against
-                    // the input is identical to drawing against a clone.
-                    Some((ai, gen_value(lowered, rng, ty, prog, ci, 0)))
-                } else {
-                    None
-                };
-                let calls = prog
-                    .calls
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| match &mut fresh {
-                        Some((ai, v)) if i == ci => ProgCall {
-                            sys: c.sys,
-                            args: c
-                                .args
-                                .iter()
-                                .enumerate()
-                                .map(|(j, a)| {
-                                    if j == *ai {
-                                        std::mem::take(v)
-                                    } else {
-                                        a.clone()
-                                    }
-                                })
-                                .collect(),
-                        },
-                        _ => c.clone(),
-                    })
-                    .collect();
-                Program { calls }
+                    let ty = lowered.syscall(p.calls[ci].sys as usize).params[ai].ty;
+                    p.calls[ci].args[ai] = gen_value(lowered, rng, ty, &p, ci, 0);
+                }
+                p
             }
             // Append a random enabled call.
             6..=8 => {

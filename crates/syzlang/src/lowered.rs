@@ -45,9 +45,12 @@ use crate::db::{SpecDb, BUILTIN_RESOURCES};
 use crate::layout::{field_offsets, type_layout, Layout, LayoutError};
 use crate::printer::print_type;
 use crate::value::{
-    deref_for_len, deref_value_for_len, push_int, value_kind, EncodeError, Value, ARG_BASE_ADDR,
+    deref_for_len, deref_value_for_len, push_int, value_kind, EncodeError, Pointee, Value,
+    ARG_BASE_ADDR,
 };
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Dense index of a lowered type in the [`LoweredDb`] arena.
 pub type TypeId = u32;
@@ -246,6 +249,11 @@ pub struct LResource {
 /// across all fuzzing shards and threads.
 #[derive(Debug, Clone)]
 pub struct LoweredDb {
+    /// Process-unique identity of this build (clones share it: they
+    /// are the same immutable tables). Memoised pointee images are
+    /// keyed on it, so bytes encoded under one database are never
+    /// trusted under another, however similar its specs.
+    id: u64,
     types: Vec<LType>,
     layouts: Vec<Result<Layout, LayoutError>>,
     /// Printed form of each type, for (cold) mismatch errors.
@@ -283,10 +291,13 @@ impl LoweredDb {
     /// Compile a database and constant table into the lowered IR.
     #[must_use]
     pub fn build(db: &SpecDb, consts: &ConstDb) -> LoweredDb {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let mut l = Lowerer {
             db,
             consts,
             out: LoweredDb {
+                // Relaxed: the counter hands out names, it publishes nothing.
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 types: Vec::new(),
                 layouts: Vec::new(),
                 printed: Vec::new(),
@@ -755,18 +766,32 @@ impl LoweredEncoder {
         }
     }
 
+    /// Lay `val` out as one new segment. A pointee some other program
+    /// also holds (a mutant's untouched argument, shared with its
+    /// corpus parent) is walked once: that walk's finished bytes are
+    /// memoised on the pointee if it is closed, and every later encode
+    /// under the same database and type copies them. A closed value
+    /// allocates nothing nested and never calls `resolve`, so the copy
+    /// leaves addresses, segment order and errors those of the walk.
     fn alloc_pointee(
         &mut self,
         db: &LoweredDb,
         ty: TypeId,
-        val: &Value,
+        val: &Arc<Pointee>,
         resolve: &dyn Fn(&crate::value::ResRef) -> u64,
     ) -> Result<u64, EncodeError> {
         let mut buf = self.pooled_buf();
-        self.encode_into(db, ty, val, &mut buf, resolve)?;
-        let layout = db.layout(ty).clone()?;
-        if (buf.len() as u64) < layout.size {
-            buf.resize(layout.size as usize, 0);
+        if let Some(image) = val.image((db.id, ty)) {
+            buf.extend_from_slice(image);
+        } else {
+            self.encode_into(db, ty, val, &mut buf, resolve)?;
+            let size = db.layout(ty).as_ref().map_err(Clone::clone)?.size;
+            if (buf.len() as u64) < size {
+                buf.resize(size as usize, 0);
+            }
+            if Arc::strong_count(val) > 1 {
+                val.memoise((db.id, ty), &buf);
+            }
         }
         let addr = self.next_addr;
         // Same spacing as the AST walk: 16-byte aligned, non-adjacent.
@@ -1410,6 +1435,59 @@ ioctl$X(fd fd_v, cmd const[1], arg ptr[in, s])
         );
         assert_eq!(a, b);
         assert!(matches!(a, Err(EncodeError::Mismatch { .. })));
+    }
+
+    #[test]
+    fn only_a_shared_closed_pointee_that_encoded_gets_an_image() {
+        let db = db("s {\n\tn int32\n\tdata array[int8, 4]\n}\nioctl$X(fd fd, cmd const[1], arg ptr[in, s])\n");
+        let l = LoweredDb::build(&db, &ConstDb::new());
+        let arg = l.syscall(0).params[2].ty;
+        let LType::Ptr { elem, .. } = l.ltype(arg) else {
+            panic!("arg is not a pointer");
+        };
+        let resolve = |r: &ResRef| r.fallback;
+        let s = |n: Value| Value::ptr_to(Value::Group(vec![n, Value::Bytes(vec![1, 2, 3, 4])]));
+        let image = |v: &Value, db: &LoweredDb| match v {
+            Value::Ptr { pointee: Some(p) } => p.image((db.id, elem)).map(<[u8]>::to_vec),
+            _ => panic!("not a pointer"),
+        };
+        let mut enc = LoweredEncoder::new();
+
+        // Held by one program only: a run-once program pays no image.
+        let lone = s(Value::Int(7));
+        enc.encode_arg(&l, arg, &lone, &resolve).unwrap();
+        assert_eq!(image(&lone, &l), None);
+
+        // Shared: the first walk's segment becomes the image, and the
+        // copy reproduces the walk.
+        let shared = s(Value::Int(7));
+        let _holder = shared.clone();
+        enc.reset();
+        enc.encode_arg(&l, arg, &shared, &resolve).unwrap();
+        let walked = enc.segments().to_vec();
+        assert_eq!(image(&shared, &l), Some(walked[0].1.clone()));
+        enc.reset();
+        enc.encode_arg(&l, arg, &shared, &resolve).unwrap();
+        assert_eq!(enc.segments(), &walked[..]);
+
+        // Under another build the image is neither read nor replaced.
+        let other = LoweredDb::build(&db, &ConstDb::new());
+        assert_ne!(l.id, other.id);
+        enc.reset();
+        enc.encode_arg(&other, arg, &shared, &resolve).unwrap();
+        assert_eq!(enc.segments(), &walked[..]);
+        assert_eq!(image(&shared, &other), None);
+        assert!(image(&shared, &l).is_some());
+
+        // Shared but not closed, and shared but not encodable: never.
+        let open = s(Value::Res(ResRef::dangling()));
+        let misfit = Value::ptr_to(Value::Group(vec![Value::Int(7)]));
+        for (v, encodes) in [(open, true), (misfit, false)] {
+            let _holder = v.clone();
+            enc.reset();
+            assert_eq!(enc.encode_arg(&l, arg, &v, &resolve).is_ok(), encodes);
+            assert_eq!(image(&v, &l), None);
+        }
     }
 
     #[test]

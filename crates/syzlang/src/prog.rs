@@ -199,9 +199,7 @@ fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, DecodeError> 
             Ok(Value::Union { arm, value })
         }
         TAG_PTR_NULL => Ok(Value::Ptr { pointee: None }),
-        TAG_PTR => Ok(Value::Ptr {
-            pointee: Some(Box::new(decode_value(r, depth + 1)?)),
-        }),
+        TAG_PTR => Ok(Value::ptr_to(decode_value(r, depth + 1)?)),
         _ => Err(DecodeError {
             message: "unknown value tag",
             offset: r.pos() - 1,
@@ -265,9 +263,7 @@ mod tests {
                             Value::Int(1),
                             Value::Union {
                                 arm: 2,
-                                value: Box::new(Value::Ptr {
-                                    pointee: Some(Box::new(Value::Bytes(Vec::new()))),
-                                }),
+                                value: Box::new(Value::ptr_to(Value::Bytes(Vec::new()))),
                             },
                         ]),
                         Value::Ptr { pointee: None },

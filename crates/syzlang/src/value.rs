@@ -10,8 +10,11 @@ use crate::ast::{ArrayLen, IntBits, StructDef, Type};
 use crate::consts::ConstDb;
 use crate::db::SpecDb;
 use crate::layout::{field_offsets, struct_layout, type_layout, LayoutError};
+use crate::lowered::TypeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Base virtual address for fuzzer-allocated argument memory.
 pub const ARG_BASE_ADDR: u64 = 0x1000_0000;
@@ -56,9 +59,73 @@ pub enum Value {
     },
     /// Pointer; `None` encodes NULL.
     Ptr {
-        /// Pointee value, if non-null.
-        pointee: Option<Box<Value>>,
+        /// Pointee value, if non-null. Shared: cloning a pointer (and
+        /// so a program) bumps a refcount instead of copying the tree.
+        pointee: Option<Arc<Pointee>>,
     },
+}
+
+/// An immutable pointed-to [`Value`], shared between every program
+/// that holds it (a mutant and its corpus parent, hub and triage
+/// copies). Derefs to the value; equality, `Debug` and the wire codec
+/// see nothing else.
+///
+/// Beside the value it memoises the bytes the lowered encoder produced
+/// for it, so a shared pointee is walked once, not once per mutant.
+/// Only a *closed* value (no `Res`, no `Ptr` inside) has an image: its
+/// bytes depend on neither the running program's return values nor on
+/// where other segments land.
+pub struct Pointee {
+    value: Value,
+    image: OnceLock<Image>,
+}
+
+/// Encoded bytes of a closed pointee, valid for one lowered database
+/// (by [`crate::lowered::LoweredDb`] identity) and one type in it.
+struct Image {
+    key: (u64, TypeId),
+    bytes: Box<[u8]>,
+}
+
+impl Pointee {
+    /// The memoised segment bytes, if they were encoded under `key`.
+    pub(crate) fn image(&self, key: (u64, TypeId)) -> Option<&[u8]> {
+        self.image.get().filter(|i| i.key == key).map(|i| &*i.bytes)
+    }
+
+    /// Memoise `bytes` — a finished segment the encoder just built
+    /// for this value under `key` — if the value is closed. First
+    /// writer wins; an image under another key is left alone.
+    pub(crate) fn memoise(&self, key: (u64, TypeId), bytes: &[u8]) {
+        if self.image.get().is_none() && self.value.is_closed() {
+            let _ = self.image.set(Image {
+                key,
+                bytes: bytes.into(),
+            });
+        }
+    }
+}
+
+impl Deref for Pointee {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        &self.value
+    }
+}
+
+impl PartialEq for Pointee {
+    fn eq(&self, other: &Pointee) -> bool {
+        self.value == other.value
+    }
+}
+
+impl Eq for Pointee {}
+
+impl fmt::Debug for Pointee {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.value.fmt(f)
+    }
 }
 
 impl Value {
@@ -66,7 +133,37 @@ impl Value {
     #[must_use]
     pub fn ptr_to(v: Value) -> Value {
         Value::Ptr {
-            pointee: Some(Box::new(v)),
+            // No image until an encode finds the pointee shared.
+            pointee: Some(Arc::new(Pointee {
+                value: v,
+                image: OnceLock::new(),
+            })),
+        }
+    }
+
+    /// Whether the tree holds any [`ResRef`] (allocation-free walk).
+    #[must_use]
+    pub fn has_res(&self) -> bool {
+        match self {
+            Value::Res(_) => true,
+            Value::Group(vs) => vs.iter().any(Value::has_res),
+            Value::Union { value, .. } => value.has_res(),
+            Value::Ptr { pointee: Some(p) } => p.has_res(),
+            _ => false,
+        }
+    }
+
+    /// Whether the tree is *closed*: no [`Value::Res`] and no
+    /// [`Value::Ptr`] anywhere, so its encoding is one segment whose
+    /// bytes are a function of the value and its type alone. Decided
+    /// on the value, not the type: a `Res` smuggled into an `int`
+    /// slot still reaches the encoder's `resolve`.
+    fn is_closed(&self) -> bool {
+        match self {
+            Value::Int(_) | Value::Bytes(_) => true,
+            Value::Res(_) | Value::Ptr { .. } => false,
+            Value::Group(vs) => vs.iter().all(Value::is_closed),
+            Value::Union { value, .. } => value.is_closed(),
         }
     }
 
@@ -519,7 +616,7 @@ pub(crate) fn deref_for_len(ty: &Type) -> Option<&Type> {
 
 pub(crate) fn deref_value_for_len(v: &Value) -> Option<&Value> {
     match v {
-        Value::Ptr { pointee } => pointee.as_deref(),
+        Value::Ptr { pointee } => pointee.as_deref().map(|p| &p.value),
         other => Some(other),
     }
 }

@@ -73,10 +73,10 @@ fn remap_value(v: &Value, map: &[Option<usize>]) -> Value {
             arm: *arm,
             value: Box::new(remap_value(value, map)),
         },
-        Value::Ptr { pointee } => Value::Ptr {
-            pointee: pointee.as_ref().map(|p| Box::new(remap_value(p, map))),
-        },
-        Value::Int(_) | Value::Bytes(_) => v.clone(),
+        // Only a pointee that holds a reference needs rebuilding; any
+        // other is shared with the input.
+        Value::Ptr { pointee: Some(p) } if p.has_res() => Value::ptr_to(remap_value(p, map)),
+        Value::Ptr { .. } | Value::Int(_) | Value::Bytes(_) => v.clone(),
     }
 }
 

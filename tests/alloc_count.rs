@@ -10,15 +10,20 @@
 //! `array[int8]` payloads). The measured numbers are recorded in
 //! EXPERIMENTS.md — rerun this test with `--nocapture` to refresh
 //! them.
+//!
+//! A second test counts what a *mutant* costs: programs share their
+//! pointees, so a mutation that touches no pointer argument allocates
+//! per call, not per node of the trees behind the calls.
 
 use kernelgpt::csrc::KernelCorpus;
 use kernelgpt::fuzzer::{
     ast_execute_with, execute_with, AstScratch, ExecScratch, Generator, Program,
 };
-use kernelgpt::syzlang::SpecDb;
+use kernelgpt::syzlang::{SpecDb, Value};
 use kernelgpt::vkernel::VKernel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Counts allocation events (alloc + realloc); frees are not counted
 /// — the metric is allocator traffic, not live bytes.
@@ -51,11 +56,21 @@ fn events() -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed)
 }
 
-/// Single test (so no parallel test thread pollutes the counters):
-/// at steady state the lowered exec loop performs strictly fewer
+/// The counter is process-wide: each test holds this while it counts,
+/// so no parallel test thread pollutes the other's numbers.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+/// Shards, the hub and the fabric move programs across threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Program>();
+};
+
+/// At steady state the lowered exec loop performs strictly fewer
 /// allocations per exec than the AST walk, with identical outcomes.
 #[test]
 fn lowered_exec_allocates_less_than_ast_walk() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let kc = KernelCorpus::from_blueprints(vec![kernelgpt::csrc::flagship::dm()]);
     let db = SpecDb::from_files(vec![kc.blueprints()[0].ground_truth_spec()]);
     let kernel = VKernel::boot(vec![kernelgpt::csrc::flagship::dm()]);
@@ -95,4 +110,76 @@ fn lowered_exec_allocates_less_than_ast_walk() {
         lowered_events < ast_events,
         "lowered path must allocate less: {lowered_events} vs {ast_events}"
     );
+}
+
+/// Elements of the longest array anywhere in `v`.
+fn longest_group(v: &Value) -> usize {
+    match v {
+        Value::Group(vs) => vs
+            .iter()
+            .map(longest_group)
+            .max()
+            .unwrap_or(0)
+            .max(vs.len()),
+        Value::Union { value, .. } => longest_group(value),
+        Value::Ptr { pointee: Some(p) } => longest_group(p),
+        _ => 0,
+    }
+}
+
+/// Whether every non-null pointer argument of `mutant` is the very
+/// pointee `parent` holds at the same position: the mutation built no
+/// argument tree of its own.
+fn shares_every_pointee(mutant: &Program, parent: &Program) -> bool {
+    mutant.calls.iter().zip(&parent.calls).all(|(m, p)| {
+        m.args.iter().zip(&p.args).all(|pair| match pair {
+            (Value::Ptr { pointee: Some(a) }, Value::Ptr { pointee: Some(b) }) => Arc::ptr_eq(a, b),
+            (Value::Ptr { pointee: Some(_) }, _) => false,
+            _ => true,
+        })
+    })
+}
+
+/// Mutating a dm program whose `targets` array has thousands of
+/// elements, and dropping the mutant, costs allocation events in
+/// proportion to its calls on the truncate arm and on the regenerate
+/// arm when a scalar argument (`fd`, `cmd`) is the one redrawn — not in
+/// proportion to the ~10 000 nodes behind its `arg` pointers, which a
+/// deep clone would copy and a deep drop would free.
+#[test]
+fn a_mutant_that_keeps_every_pointee_costs_allocations_per_call_not_per_node() {
+    let kc = KernelCorpus::from_blueprints(vec![kernelgpt::csrc::flagship::dm()]);
+    let db = SpecDb::from_files(vec![kc.blueprints()[0].ground_truth_spec()]);
+    let mut g = Generator::new(&db, kc.consts(), 29);
+    let parent = std::iter::repeat_with(|| g.gen_program(8))
+        .take(2_000)
+        .find(|p| {
+            p.len() >= 2
+                && p.calls
+                    .iter()
+                    .flat_map(|c| &c.args)
+                    .any(|a| longest_group(a) >= 2_048)
+        })
+        .expect("no dm program with a >= 2048-element array in 2000 draws");
+
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut truncated, mut redrawn, mut worst) = (0u32, 0u32, 0u64);
+    for _ in 0..400 {
+        let before = events();
+        let mutant = g.mutate(&parent, 8);
+        let keeps_all = mutant.len() <= parent.len() && shares_every_pointee(&mutant, &parent);
+        truncated += u32::from(keeps_all && mutant.len() < parent.len());
+        redrawn += u32::from(keeps_all && mutant.len() == parent.len() && mutant != parent);
+        drop(mutant);
+        let cost = events() - before;
+        if keeps_all {
+            worst = worst.max(cost);
+            assert!(cost < 64, "{cost} allocation events for one cheap mutant");
+        }
+    }
+    println!(
+        "cheap mutants: {truncated} truncated, {redrawn} scalar redraws, worst {worst} events"
+    );
+    assert!(truncated > 0, "the truncate arm never ran");
+    assert!(redrawn > 0, "the regenerate arm never redrew a scalar");
 }
