@@ -425,11 +425,15 @@ impl ShardState {
                 self.fuel_exhausted += 1;
             }
             if let Some(c) = self.scratch.crash() {
-                let e = self
-                    .crashes
-                    .entry(c.title.clone())
-                    .or_insert_with(|| (0, c.cve.clone()));
-                e.0 += 1;
+                // A title already tallied is counted in place; only a
+                // new one copies its strings into the tally.
+                match self.crashes.get_mut(&*c.title) {
+                    Some(tally) => tally.0 += 1,
+                    None => {
+                        let cve = c.cve.as_deref().map(String::from);
+                        self.crashes.insert(c.title.to_string(), (1, cve));
+                    }
+                }
                 // Capture the reproducer on the first local sighting
                 // of the signature (clones only then), count always.
                 self.triage.observe(c, &prog, self.epoch);

@@ -847,6 +847,12 @@ mod tests {
             let mut padded = map.words().to_vec();
             padded.extend([0; 300]);
             assert_eq!(encoded(&CoverageMap::from_words(padded)), bytes);
+            // So is the storage a cleared map keeps: a per-exec map
+            // refilled after a far-reaching program encodes like new.
+            let mut reused: CoverageMap = (0..50).map(|w| w * 640 + 7).collect();
+            reused.clear();
+            reused.extend(map.iter());
+            assert_eq!(encoded(&reused), bytes);
             // Never larger than the dense form it replaced.
             assert!(bytes.len() <= 1 + CoverageWordDiff::dense_bytes(map.words().len()));
         }

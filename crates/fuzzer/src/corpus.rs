@@ -279,13 +279,15 @@ impl Corpus {
     /// corpus coverage keeps the evicted entry's blocks — eviction
     /// bounds memory, it does not forget what was reached.
     fn evict_least_productive(&mut self) {
-        let victim = self
+        let Some(victim) = self
             .entries
             .iter()
             .enumerate()
             .min_by_key(|(i, e)| (e.weight(), *i))
             .map(|(i, _)| i)
-            .expect("evict on non-empty corpus");
+        else {
+            return; // nothing to evict
+        };
         let gone = self.entries.remove(victim);
         self.total_weight -= gone.weight();
         self.stats.evicted += 1;

@@ -1300,6 +1300,41 @@ mod tests {
         assert_eq!(decode_seeds(&mut Reader::new(&out)).expect("seeds"), seeds);
     }
 
+    /// A corpus map that imported a seed carries the publisher's
+    /// length: `diff_in` sizes a contribution like the exec it came
+    /// from, and `merge` grows to it even when the high words add
+    /// nothing. The sparse-or-dense choice is made on that length, so
+    /// these bytes — recorded before the map indexed its non-zero
+    /// words — pin that the index did not move it.
+    #[test]
+    fn a_map_that_merged_a_zero_padded_contribution_keeps_its_patch_bytes() {
+        let (base, mut deltas) = sample_boundary();
+        let mut cov = deltas[0].snapshot.corpus_coverage.clone();
+        cov.extend((5..=25).step_by(2).map(|w| w * 64 + 3));
+        // The publisher's exec reached word 40; its hub already had
+        // that block, so the contribution is a low word and padding.
+        let hub: CoverageMap = [40 * 64].into_iter().collect();
+        let exec: CoverageMap = [2, 40 * 64].into_iter().collect();
+        let contributed = hub.diff_in(&exec);
+        assert_eq!(contributed.words().len(), 41);
+        cov.merge(&contributed);
+        deltas[0].snapshot.corpus_coverage = cov;
+        let patches = diff_boundary(&base, deltas).expect("diffable fixture");
+        // 13 one-word runs: dearer than the 26 words that hold a
+        // block, cheaper than the 41 the map spans.
+        assert!(
+            matches!(&patches[0].cov_diff, CoverageWordDiff::Sparse(runs) if runs.len() == 13),
+            "{:?}",
+            patches[0].cov_diff
+        );
+        let mut incr = Vec::new();
+        encode_patches(&patches, &mut incr);
+        assert_eq!(
+            (incr.len(), kgpt_syzlang::codec::fnv1a(&incr)),
+            (828, 0x866a_a76b_3a96_6590)
+        );
+    }
+
     #[test]
     fn sample_boundary_patches_round_trip_and_shrink() {
         let (base, deltas) = sample_boundary();

@@ -73,8 +73,8 @@ impl ShardTriage {
         if self.seen.insert(sig) {
             self.fresh.push(TriageCapture {
                 signature: sig,
-                title: crash.title.clone(),
-                cve: crash.cve.clone(),
+                title: crash.title.to_string(),
+                cve: crash.cve.as_deref().map(String::from),
                 program: prog.clone(),
                 epoch,
             });

@@ -1,14 +1,29 @@
-//! Dense coverage bitmap.
+//! Dense coverage bitmap with a live-word index.
 //!
 //! Basic-block ids are small dense integers by construction — handler
 //! `i` owns the stratum `[(i+1)·4096, (i+2)·4096)` — so a word-array
 //! bitmap beats a `BTreeSet<u64>` on every hot operation: insert is
-//! one or-and-test, union is a word-wise `|` over `O(words)`, and the
-//! distinct-block count is maintained incrementally instead of being
-//! recomputed. The set view ([`CoverageMap::to_btree_set`]) is kept
-//! for reports and serialization compatibility; iteration is lazy and
-//! ascending, so existing `BTreeSet`-shaped consumers keep working
-//! through [`Extend`]/[`FromIterator`].
+//! one or-and-test, and the distinct-block count is maintained
+//! incrementally instead of being recomputed.
+//!
+//! The bitmap spans every handler the kernel booted, but one program
+//! touches a dozen words of it. Beside the words the map therefore
+//! keeps the indices of its **non-zero words** (first-touch order),
+//! and every hot operation that reads a second map — union, "anything
+//! new?", diff, equality — walks that map's live words only: its
+//! cost is the blocks a program reached, not the size of the
+//! kernel it ran on. [`CoverageMap::clear`] likewise zeroes only what
+//! was touched and keeps the zeroed words, so a reused map is neither
+//! re-scanned nor re-filled per exec. That kept storage is invisible:
+//! the map remembers how many words it has addressed since the last
+//! `clear` — the length of a map that dropped its storage instead —
+//! and [`CoverageMap::words`] and every diff end there, so no
+//! checkpoint or frame byte can tell a reused map from a fresh one.
+//!
+//! The set view ([`CoverageMap::to_btree_set`]) is kept for reports and
+//! serialization compatibility; iteration is lazy and ascending, so
+//! existing `BTreeSet`-shaped consumers keep working through
+//! [`Extend`]/[`FromIterator`].
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -25,8 +40,18 @@ pub const MAX_COVERAGE_WORDS: usize = 1 << 18;
 /// A set of covered basic-block ids, stored as a dense bitmap.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct CoverageMap {
-    /// Bit `b` of `words[w]` set ⇔ block `w * 64 + b` covered.
+    /// Bit `b` of `words[w]` set ⇔ block `w * 64 + b` covered. All
+    /// zero from `span` on (a cleared map keeps its zeroed storage).
     words: Vec<u64>,
+    /// One past the highest word addressed since the last `clear`:
+    /// the map's length as every reader sees it. It may itself cover
+    /// trailing zero words — a merged map is as long as the longest
+    /// map merged into it, a diff as long as the map it was taken of.
+    span: usize,
+    /// Indices of the non-zero words, each exactly once, in the order
+    /// they first became non-zero. Bits are only ever added, so a word
+    /// enters this list once and leaves it only through `clear`.
+    live: Vec<u32>,
     /// Number of set bits, maintained incrementally.
     count: usize,
 }
@@ -44,19 +69,74 @@ impl CoverageMap {
     pub fn with_capacity(max_block: u64) -> CoverageMap {
         CoverageMap {
             words: Vec::with_capacity((max_block / 64 + 1) as usize),
-            count: 0,
+            ..CoverageMap::default()
         }
+    }
+
+    /// Or `bits` into word `w` — the one place a word changes, so the
+    /// one place the live index and the count are kept. Returns the
+    /// number of newly set bits.
+    #[inline]
+    fn or_word(&mut self, w: usize, bits: u64) -> usize {
+        self.reach(w + 1);
+        let old = self.words[w];
+        let add = bits & !old;
+        if add == 0 {
+            return 0;
+        }
+        if old == 0 {
+            self.live.push(w as u32);
+        }
+        self.words[w] = old | add;
+        let newly = add.count_ones() as usize;
+        self.count += newly;
+        newly
+    }
+
+    /// Grow the map to span at least `span` words.
+    #[inline]
+    fn reach(&mut self, span: usize) {
+        if span > self.span {
+            if span > self.words.len() {
+                self.words.resize(span, 0);
+            }
+            self.span = span;
+        }
+    }
+
+    /// Word `w`, zero past the end.
+    #[inline]
+    fn word(&self, w: u32) -> u64 {
+        self.words.get(w as usize).copied().unwrap_or(0)
+    }
+
+    /// The live words as `(index, word)`, in first-touch order.
+    #[inline]
+    fn live_words(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.live.iter().map(|&w| (w, self.words[w as usize]))
     }
 
     /// Insert a block id. Returns `true` if it was newly covered.
     pub fn insert(&mut self, block: u64) -> bool {
-        let (w, bit) = (block as usize / 64, 1u64 << (block % 64));
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        self.or_word(block as usize / 64, 1u64 << (block % 64)) == 1
+    }
+
+    /// Insert the `len` consecutive block ids from `start` — a word at
+    /// a time, so a straight-line run of blocks costs one or-and-count
+    /// per word it spans, not one per block. Returns the number of
+    /// newly covered blocks.
+    pub fn insert_run(&mut self, start: u64, len: u32) -> usize {
+        let end = start + u64::from(len);
+        let mut newly = 0;
+        let mut at = start;
+        while at < end {
+            // Bits `lo..hi` of the word holding `at`.
+            let lo = at % 64;
+            let hi = (end - (at - lo)).min(64);
+            let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+            newly += self.or_word(at as usize / 64, mask);
+            at += hi - lo;
         }
-        let newly = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        self.count += usize::from(newly);
         newly
     }
 
@@ -80,40 +160,37 @@ impl CoverageMap {
         self.count == 0
     }
 
-    /// Remove every block, retaining the allocation (hot-loop reuse).
+    /// Remove every block by zeroing the words that hold one. The
+    /// zeroed words stay, so refilling a reused map (the per-exec hot
+    /// loop) neither allocates nor zero-fills again.
     pub fn clear(&mut self) {
-        self.words.clear();
+        for w in self.live.drain(..) {
+            self.words[w as usize] = 0;
+        }
+        self.span = 0;
         self.count = 0;
     }
 
-    /// Union `other` into `self`, word-wise. Returns the number of
-    /// newly covered blocks. Commutative in effect: merge order never
-    /// changes the resulting set.
+    /// Union `other` into `self`, one live word of `other` at a time.
+    /// Returns the number of newly covered blocks. Commutative in
+    /// effect: merge order never changes the resulting set.
     pub fn merge(&mut self, other: &CoverageMap) -> usize {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        let mut newly = 0usize;
-        for (dst, src) in self.words.iter_mut().zip(&other.words) {
-            let add = *src & !*dst;
-            newly += add.count_ones() as usize;
-            *dst |= add;
-        }
-        self.count += newly;
-        newly
+        self.reach(other.span);
+        other
+            .live_words()
+            .map(|(w, bits)| self.or_word(w as usize, bits))
+            .sum()
     }
 
     /// Number of blocks in `other` not covered by `self`, without
     /// modifying either (the coverage-guided "is this input
-    /// interesting" test).
+    /// interesting" test) — a walk over `other`'s live words.
     #[must_use]
     pub fn new_blocks_in(&self, other: &CoverageMap) -> usize {
-        let mut n = 0usize;
-        for (i, src) in other.words.iter().enumerate() {
-            let dst = self.words.get(i).copied().unwrap_or(0);
-            n += (src & !dst).count_ones() as usize;
-        }
-        n
+        other
+            .live_words()
+            .map(|(w, bits)| (bits & !self.word(w)).count_ones() as usize)
+            .sum()
     }
 
     /// The blocks of `other` not covered by `self`, as a new map —
@@ -122,34 +199,24 @@ impl CoverageMap {
     /// first when the diff is usually empty.
     #[must_use]
     pub fn diff_in(&self, other: &CoverageMap) -> CoverageMap {
-        let mut words = vec![0u64; other.words.len()];
-        let mut count = 0usize;
-        for (i, src) in other.words.iter().enumerate() {
-            let dst = self.words.get(i).copied().unwrap_or(0);
-            let add = src & !dst;
-            words[i] = add;
-            count += add.count_ones() as usize;
+        let mut delta = CoverageMap {
+            words: vec![0; other.span],
+            span: other.span,
+            ..CoverageMap::default()
+        };
+        for (w, bits) in other.live_words() {
+            delta.or_word(w as usize, bits & !self.word(w));
         }
-        CoverageMap { words, count }
+        delta
     }
 
     /// Union `other` into `self` and return the contributed delta as
-    /// its own map, in one pass. Equivalent to [`CoverageMap::diff_in`]
-    /// followed by [`CoverageMap::merge`].
+    /// its own map: [`CoverageMap::diff_in`] followed by
+    /// [`CoverageMap::merge`] of the delta.
     pub fn merge_diff(&mut self, other: &CoverageMap) -> CoverageMap {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        let mut words = vec![0u64; other.words.len()];
-        let mut count = 0usize;
-        for (i, src) in other.words.iter().enumerate() {
-            let add = src & !self.words[i];
-            words[i] = add;
-            count += add.count_ones() as usize;
-            self.words[i] |= add;
-        }
-        self.count += count;
-        CoverageMap { words, count }
+        let delta = self.diff_in(other);
+        self.merge(&delta);
+        delta
     }
 
     /// Whether the two maps share no block.
@@ -160,10 +227,11 @@ impl CoverageMap {
 
     /// Lazy ascending iteration over covered block ids.
     pub fn iter(&self) -> Iter<'_> {
+        let words = self.words();
         Iter {
-            words: &self.words,
+            words,
             word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+            current: words.first().copied().unwrap_or(0),
         }
     }
 
@@ -176,21 +244,32 @@ impl CoverageMap {
 
     /// The raw bitmap words (bit `b` of word `w` set ⇔ block
     /// `w * 64 + b` covered) — the checkpoint serialization view.
-    /// Trailing zero words may be present; they are representation
-    /// noise (equality ignores them) and may be dropped by writers.
+    /// Ends at the highest word addressed since the last `clear`, so
+    /// it may end in zero words but never shows what a cleared map
+    /// held.
     #[must_use]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        &self.words[..self.span]
     }
 
     /// Rebuild a map from raw bitmap words previously obtained via
-    /// [`CoverageMap::words`]. The distinct-block count is recomputed
-    /// from the words, so a writer that trimmed (or kept) trailing
-    /// zero words restores to a map equal to the original.
+    /// [`CoverageMap::words`]. The live index and the distinct-block
+    /// count are recomputed from the words, so a writer that trimmed
+    /// (or kept) trailing zero words restores to a map equal to the
+    /// original.
     #[must_use]
     pub fn from_words(words: Vec<u64>) -> CoverageMap {
+        let live = (0u32..)
+            .zip(&words)
+            .filter_map(|(w, bits)| (*bits != 0).then_some(w))
+            .collect();
         let count = words.iter().map(|w| w.count_ones() as usize).sum();
-        CoverageMap { words, count }
+        CoverageMap {
+            span: words.len(),
+            words,
+            live,
+            count,
+        }
     }
 
     /// Word-level diff of `self` against `base`: the instructions that
@@ -201,11 +280,11 @@ impl CoverageMap {
     /// full bitmap, the diff falls back to [`CoverageWordDiff::Dense`].
     #[must_use]
     pub fn diff_words_since(&self, base: &CoverageMap) -> CoverageWordDiff {
-        let len = self.words.len().max(base.words.len());
+        let (new_words, old_words) = (self.words(), base.words());
         let mut runs: Vec<(u32, Vec<u64>)> = Vec::new();
-        for i in 0..len {
-            let new = self.words.get(i).copied().unwrap_or(0);
-            let old = base.words.get(i).copied().unwrap_or(0);
+        for i in 0..new_words.len().max(old_words.len()) {
+            let new = new_words.get(i).copied().unwrap_or(0);
+            let old = old_words.get(i).copied().unwrap_or(0);
             if new == old {
                 continue;
             }
@@ -215,10 +294,10 @@ impl CoverageMap {
             }
         }
         let sparse = CoverageWordDiff::Sparse(runs);
-        if sparse.encoded_bytes() < CoverageWordDiff::dense_bytes(self.words.len()) {
+        if sparse.encoded_bytes() < CoverageWordDiff::dense_bytes(new_words.len()) {
             sparse
         } else {
-            CoverageWordDiff::Dense(self.words.clone())
+            CoverageWordDiff::Dense(new_words.to_vec())
         }
     }
 
@@ -231,7 +310,7 @@ impl CoverageMap {
         match diff {
             CoverageWordDiff::Dense(words) => CoverageMap::from_words(words.clone()),
             CoverageWordDiff::Sparse(runs) => {
-                let mut words = self.words.clone();
+                let mut words = self.words().to_vec();
                 for (start, run) in runs {
                     let start = *start as usize;
                     if start + run.len() > words.len() {
@@ -294,14 +373,11 @@ impl CoverageWordDiff {
 
 impl PartialEq for CoverageMap {
     fn eq(&self, other: &CoverageMap) -> bool {
-        if self.count != other.count {
-            return false;
-        }
-        // Trailing zero words are representation noise, not content.
-        let common = self.words.len().min(other.words.len());
-        self.words[..common] == other.words[..common]
-            && self.words[common..].iter().all(|w| *w == 0)
-            && other.words[common..].iter().all(|w| *w == 0)
+        // Same number of non-zero words, and every one of ours is
+        // theirs: zero words, wherever they sit, are not content.
+        self.count == other.count
+            && self.live.len() == other.live.len()
+            && self.live_words().all(|(w, bits)| other.word(w) == bits)
     }
 }
 
@@ -625,5 +701,201 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m, CoverageMap::new());
         assert!(m.insert(2));
+    }
+
+    /// What a map must behave like: its blocks, and the length its
+    /// word array had before `clear` kept the storage — dropped to
+    /// nothing by `clear`, grown by whatever addresses a higher word.
+    #[derive(Clone, Default)]
+    struct Model {
+        set: BTreeSet<u64>,
+        span: usize,
+    }
+
+    impl Model {
+        fn reach(&mut self, span: usize) {
+            self.span = self.span.max(span);
+        }
+
+        /// `other`'s blocks that `self` lacks, as `diff_in` sizes them.
+        fn delta_of(&self, other: &Model) -> Model {
+            Model {
+                set: other.set.difference(&self.set).copied().collect(),
+                span: other.span,
+            }
+        }
+
+        /// The same map built in one go, never cleared.
+        fn fresh(&self) -> CoverageMap {
+            let blocks: CoverageMap = self.set.iter().copied().collect();
+            let mut words = blocks.words().to_vec();
+            assert!(words.len() <= self.span, "a block past the span");
+            words.resize(self.span, 0);
+            CoverageMap::from_words(words)
+        }
+    }
+
+    /// Everything one map must agree with its model on, the live index
+    /// included: it lists exactly the non-zero words, once each.
+    fn assert_models(map: &CoverageMap, model: &Model, ctx: &str) {
+        assert_eq!(map.len(), model.set.len(), "{ctx}: len");
+        assert_eq!(map.is_empty(), model.set.is_empty(), "{ctx}: is_empty");
+        assert!(map.iter().eq(model.set.iter().copied()), "{ctx}: iter");
+        assert!(
+            model.set.iter().all(|b| map.contains(*b)),
+            "{ctx}: contains"
+        );
+        let mut live = map.live.clone();
+        live.sort_unstable();
+        let non_zero: Vec<u32> = (0u32..)
+            .zip(&map.words)
+            .filter_map(|(w, bits)| (*bits != 0).then_some(w))
+            .collect();
+        assert_eq!(live, non_zero, "{ctx}: live index");
+        // Whatever the map held before, it reads like one built fresh.
+        let fresh = model.fresh();
+        assert_eq!(map, &fresh, "{ctx}: == fresh");
+        assert_eq!(&fresh, map, "{ctx}: fresh ==");
+        assert_eq!(map.words(), fresh.words(), "{ctx}: words");
+        assert_eq!(map.clone().words(), fresh.words(), "{ctx}: clone");
+    }
+
+    /// Everything two maps must agree with their models on.
+    fn assert_pair_models(
+        (a, ma): (&CoverageMap, &Model),
+        (b, mb): (&CoverageMap, &Model),
+        ctx: &str,
+    ) {
+        assert_eq!(a == b, ma.set == mb.set, "{ctx}: ==");
+        assert_eq!(
+            a.is_disjoint(b),
+            ma.set.is_disjoint(&mb.set),
+            "{ctx}: is_disjoint"
+        );
+        let delta = ma.delta_of(mb);
+        assert_eq!(a.new_blocks_in(b), delta.set.len(), "{ctx}: new_blocks_in");
+        assert_models(&a.diff_in(b), &delta, &format!("{ctx}: diff_in"));
+        // The word diff — runs, and the sparse-or-dense choice — is
+        // that of fresh maps: storage a `clear` kept does not show.
+        let diff = a.diff_words_since(b);
+        assert_eq!(
+            diff,
+            ma.fresh().diff_words_since(&mb.fresh()),
+            "{ctx}: diff_words_since"
+        );
+        assert_eq!(b.apply_word_diff(&diff), *a, "{ctx}: apply");
+    }
+
+    #[test]
+    fn random_operation_sequences_agree_with_a_btreeset_model() {
+        // Runs start on and around word edges and span none, part of
+        // one, exactly one, two and three words.
+        const STARTS: [u64; 6] = [0, 1, 31, 62, 63, 64];
+        const LENS: [u32; 9] = [0, 1, 2, 63, 64, 65, 127, 129, 192];
+        let mut rng = TestRng(0x11FE_C0DE);
+        for case in 0..40 {
+            let mut pool: Vec<(CoverageMap, Model)> = (0..3).map(|_| Default::default()).collect();
+            // Mostly a small universe so maps overlap; sometimes a far
+            // block so they grow, and shrink back when cleared.
+            let block = |rng: &mut TestRng| match rng.next() % 8 {
+                0 => 64 * 40 + rng.next() % 640,
+                _ => rng.next() % 384,
+            };
+            for step in 0..120 {
+                let ctx = format!("case {case} step {step}");
+                let at = (rng.next() % 3) as usize;
+                let other = pool[(at + 1 + (rng.next() % 2) as usize) % 3].clone();
+                let (map, model) = &mut pool[at];
+                match rng.next() % 10 {
+                    0 | 1 => {
+                        let b = block(&mut rng);
+                        model.reach(b as usize / 64 + 1);
+                        assert_eq!(map.insert(b), model.set.insert(b), "{ctx}: insert {b}");
+                    }
+                    2 | 3 => {
+                        let start = block(&mut rng) / 64 * 64 + STARTS[(rng.next() % 6) as usize];
+                        let len = LENS[(rng.next() % 9) as usize];
+                        let before = model.set.len();
+                        model.set.extend(start..start + u64::from(len));
+                        if len > 0 {
+                            model.reach((start + u64::from(len) - 1) as usize / 64 + 1);
+                        }
+                        assert_eq!(
+                            map.insert_run(start, len),
+                            model.set.len() - before,
+                            "{ctx}: insert_run({start}, {len})"
+                        );
+                    }
+                    4 => {
+                        map.clear();
+                        *model = Model::default();
+                    }
+                    5 => {
+                        let before = model.set.len();
+                        model.set.extend(&other.1.set);
+                        model.reach(other.1.span);
+                        assert_eq!(
+                            map.merge(&other.0),
+                            model.set.len() - before,
+                            "{ctx}: merge"
+                        );
+                    }
+                    6 => {
+                        let delta = model.delta_of(&other.1);
+                        model.set.extend(&other.1.set);
+                        model.reach(other.1.span);
+                        assert_models(&map.merge_diff(&other.0), &delta, &format!("{ctx}: delta"));
+                    }
+                    7 => {
+                        let mut words = map.words().to_vec();
+                        words.resize(words.len() + (rng.next() % 5) as usize, 0);
+                        model.span = words.len();
+                        *map = CoverageMap::from_words(words);
+                    }
+                    8 => {
+                        // A dense diff carries the map's own length; a
+                        // sparse one patches the base it is applied to.
+                        let diff = map.diff_words_since(&other.0);
+                        model.span = match &diff {
+                            CoverageWordDiff::Dense(words) => words.len(),
+                            CoverageWordDiff::Sparse(runs) => runs
+                                .last()
+                                .map_or(0, |(start, run)| *start as usize + run.len())
+                                .max(other.1.span),
+                        };
+                        *map = other.0.apply_word_diff(&diff);
+                    }
+                    _ => *map = map.clone(),
+                }
+                assert_models(map, model, &ctx);
+                let (a, b) = (&pool[at], &other);
+                assert_pair_models((&a.0, &a.1), (&b.0, &b.1), &ctx);
+                assert_pair_models((&b.0, &b.1), (&a.0, &a.1), &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn clear_keeps_its_zeroed_words_and_nothing_shows_it() {
+        let mut m = CoverageMap::new();
+        m.insert_run(64 * 300, 10);
+        let (len, cap) = (m.words.len(), m.words.capacity());
+        m.clear();
+        // The storage stays, zeroed, so the next fill neither
+        // allocates nor zero-fills ...
+        assert_eq!((m.words.len(), m.words.capacity()), (len, cap));
+        assert!(m.words.iter().all(|w| *w == 0) && m.live.is_empty());
+        m.insert(5);
+        assert_eq!(m.words.len(), len);
+        // ... and no reader can tell.
+        assert_eq!(m.words(), &[1 << 5]);
+        assert_eq!(m, [5u64].into_iter().collect());
+        let mut union = CoverageMap::new();
+        union.merge(&m);
+        assert_eq!(
+            union.words.len(),
+            1,
+            "merge grows to the last block, no further"
+        );
     }
 }

@@ -27,27 +27,46 @@
 //! no interior mutability, so one booted instance can be shared by
 //! reference across any number of fuzzing worker threads (`VKernel:
 //! Sync` is asserted at compile time); all mutable execution state
-//! lives in the per-worker [`VmState`]. The dispatch path is
-//! allocation-free: targets are pre-indexed by integer id, fd records
-//! reference their handler by index, and per-command history is kept
-//! in interned counters rather than string maps. Struct-argument
-//! decode (`copy_from_user`) borrows the bytes directly from the
-//! memory image when the read stays inside one segment, copying into
-//! the amortized decode buffer only for segment-crossing reads.
+//! lives in the per-worker [`VmState`].
+//!
+//! **An exec pays for what the program did, not for what the kernel
+//! booted.** `boot` is the only place a blueprint's names are resolved:
+//! it compiles every command into a dense table (the private `table`
+//! module — struct layouts as `(offset, width)` slots carrying their
+//! checks, flag sets as masks, triggers as per-command arms over slot
+//! and command indices, sub-handlers as target indices) and
+//! [`VKernel::exec_call`] reads nothing else; the by-name helpers on
+//! `Blueprint` are the boot-time source and the tests' oracle. Each
+//! syscall resolves its fd to a table index once and carries it.
+//! Coverage retires a straight-line run of blocks a word at a time
+//! ([`CoverageMap::insert_run`]) into a map that indexes its non-zero
+//! words, so clearing it, and asking a corpus whether it holds anything
+//! new, cost the dozen words a program touched — not the bitmap of
+//! every handler booted.
+//!
+//! The dispatch path is allocation-free (`tests/alloc_count.rs` holds
+//! it to zero allocator events per exec): fd records are plain
+//! integers whose per-command history lives in one per-worker arena,
+//! the `open` path compares the path bytes where they lie in the
+//! memory image, a crash report shares its strings with the booted bug
+//! table, and struct-argument decode (`copy_from_user`) borrows the
+//! bytes directly from the memory image when the read stays inside one
+//! segment, copying into the amortized decode buffer only for
+//! segment-crossing reads.
 
 pub mod coverage;
 pub mod mem;
+mod table;
 
 pub use coverage::{CoverageMap, CoverageWordDiff, MAX_COVERAGE_WORDS};
 pub use mem::MemMap;
 
-use kgpt_csrc::blueprint::{
-    ArgKind, Blueprint, BlueprintKind, CmdBlueprint, CmdEffect, CmdTransform, FieldRole, SockCall,
-    Trigger,
-};
+use kgpt_csrc::blueprint::{Blueprint, BlueprintKind, CmdTransform, SockCall, Trigger};
 use kgpt_csrc::cmacro;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use table::{ArgPlan, Effect, FieldSlot, Kind, Target, When, ID_SLOT};
 
 /// Compile-time proof that a booted kernel can be shared across
 /// fuzzing threads by reference.
@@ -275,19 +294,22 @@ pub struct CrashSignature {
 /// A crash detected by the sanitizers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashReport {
-    /// Crash title (Table 4 wording).
-    pub title: String,
+    /// Crash title (Table 4 wording). The three strings are shared
+    /// with the booted kernel's bug table: filing a report copies no
+    /// text.
+    pub title: Arc<str>,
     /// CVE, if assigned.
-    pub cve: Option<String>,
+    pub cve: Option<Arc<str>>,
     /// Blueprint that crashed.
-    pub handler: String,
+    pub handler: Arc<str>,
     /// Dense, spec-independent dedup key (see [`CrashSignature`]).
     pub signature: CrashSignature,
 }
 
-/// Per-fd kernel object state. Handler and command history are kept
-/// as interned indices so the dispatch path never clones a string.
-#[derive(Debug, Clone)]
+/// Per-fd kernel object state — plain integers: the handler is a
+/// target index, command history is a command index plus a window of
+/// the exec-wide counter arena, so minting an fd allocates nothing.
+#[derive(Debug, Clone, Copy)]
 struct FdState {
     /// Index into `VKernel::targets`.
     target: u32,
@@ -298,26 +320,13 @@ struct FdState {
     depth: u8,
     /// Index into the target's `cmds` of the last *valid* command.
     last_cmd: Option<u32>,
-    /// Per-command valid-invocation counts, indexed like `cmds`.
-    cmd_counts: Vec<u32>,
+    /// Where this fd's per-command valid-invocation counts start in
+    /// `VmState::cmd_counts` (one per command, indexed like `cmds`).
+    counts_at: u32,
     /// Ids are issued sequentially starting at 1 and never revoked,
     /// so `id` is valid ⇔ `1 <= id < next_id`.
     next_id: u32,
     closed: bool,
-}
-
-impl FdState {
-    fn fresh(target: u32, n_cmds: usize, depth: u8) -> FdState {
-        FdState {
-            target,
-            state: 0,
-            depth,
-            last_cmd: None,
-            cmd_counts: vec![0; n_cmds],
-            next_id: 1,
-            closed: false,
-        }
-    }
 }
 
 /// One event of a per-exec execution trace, in retirement order — the
@@ -432,7 +441,11 @@ impl TraceLog {
 /// allocator only while a program grows past its high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct VmState {
-    fds: Vec<Option<FdState>>,
+    fds: Vec<FdState>,
+    /// Per-command valid-invocation counts of every fd of the current
+    /// execution, fd after fd (see `FdState::counts_at`): one arena
+    /// truncated per exec instead of one vector per fd.
+    cmd_counts: Vec<u32>,
     /// Basic blocks covered so far.
     pub coverage: CoverageMap,
     /// First crash, if any (execution should stop).
@@ -442,8 +455,8 @@ pub struct VmState {
     /// Reusable argument-decode buffer (`copy_from_user` target).
     decode_buf: Vec<u8>,
     /// Reusable decoded-field scratch, aligned with the argument
-    /// struct's fields (`None` = field not decodable at its offset).
-    field_buf: Vec<Option<u64>>,
+    /// struct's compiled fields.
+    field_buf: Vec<u64>,
     /// Per-exec fuel budget in work units (blocks retired + argument
     /// bytes decoded); 0 = unlimited. Survives [`VmState::reset`] —
     /// it is a property of the worker, not of one program.
@@ -467,6 +480,7 @@ impl VmState {
     /// fuel limit and trace-enabled flag).
     pub fn reset(&mut self) {
         self.fds.clear();
+        self.cmd_counts.clear();
         self.coverage.clear();
         self.crash = None;
         self.trace.clear();
@@ -527,40 +541,36 @@ impl VmState {
         }
     }
 
-    fn alloc_fd(&mut self, st: FdState) -> i64 {
-        self.fds.push(Some(st));
+    /// Mint an fd on target `target` (which has `n_cmds` commands) at
+    /// resource-chain depth `depth`; returns the fd number.
+    fn alloc_fd(&mut self, target: u32, n_cmds: usize, depth: u8) -> i64 {
+        let counts_at = self.cmd_counts.len();
+        self.cmd_counts.resize(counts_at + n_cmds, 0);
+        self.fds.push(FdState {
+            target,
+            state: 0,
+            depth,
+            last_cmd: None,
+            counts_at: counts_at as u32,
+            next_id: 1,
+            closed: false,
+        });
         self.fds.len() as i64 + 2
     }
 
-    fn fd_mut(&mut self, fd: u64) -> Option<&mut FdState> {
-        let idx = (fd as i64).checked_sub(3)?;
-        let slot = self.fds.get_mut(usize::try_from(idx).ok()?)?;
-        slot.as_mut().filter(|f| !f.closed)
+    /// Index in the fd table of a live (open) fd number. Every syscall
+    /// resolves its fd once, here, and carries the index.
+    fn live_fd(&self, fd: u64) -> Option<usize> {
+        let idx = usize::try_from((fd as i64).checked_sub(3)?).ok()?;
+        self.fds.get(idx).filter(|f| !f.closed).map(|_| idx)
     }
-
-    /// Target index of a live fd, without holding a borrow.
-    fn fd_target(&mut self, fd: u64) -> Option<u32> {
-        self.fd_mut(fd).map(|f| f.target)
-    }
-}
-
-/// Per-blueprint precomputed dispatch data.
-#[derive(Debug)]
-struct Target {
-    bp: Blueprint,
-    block_base: u64,
-    /// Full encoded command value per entry of `bp.cmds`.
-    cmd_values: Vec<u64>,
-    /// Size of the blueprint's `sockaddr_<id>` struct, if declared.
-    sockaddr_size: Option<u64>,
 }
 
 /// The virtual kernel.
 #[derive(Debug)]
 pub struct VKernel {
     targets: Vec<Target>,
-    /// Blueprint id → target index.
-    by_id: BTreeMap<String, u32>,
+    /// Registered device path → target index.
     dev_index: BTreeMap<String, u32>,
     sock_index: BTreeMap<(u64, u64, u64), u32>,
 }
@@ -569,15 +579,18 @@ pub struct VKernel {
 const BLOCK_STRIDE: u64 = 4096;
 
 impl VKernel {
-    /// Boot a kernel with the given handlers loaded.
+    /// Boot a kernel with the given handlers loaded. This is where
+    /// every name in a blueprint is resolved — struct layouts, flag
+    /// masks, trigger commands and fields, sub-handlers, device paths —
+    /// into the integer tables [`VKernel::exec_call`] runs on.
     #[must_use]
     pub fn boot(blueprints: Vec<Blueprint>) -> VKernel {
-        let mut targets = Vec::with_capacity(blueprints.len());
+        // A repeated id, path or socket triple resolves to the handler
+        // booted last.
         let mut by_id = BTreeMap::new();
         let mut dev_index = BTreeMap::new();
         let mut sock_index = BTreeMap::new();
-        for (i, bp) in blueprints.into_iter().enumerate() {
-            let idx = i as u32;
+        for (idx, bp) in (0u32..).zip(&blueprints) {
             match &bp.kind {
                 BlueprintKind::Driver(d) => {
                     if !d.dev_path.is_empty() {
@@ -588,21 +601,14 @@ impl VKernel {
                     sock_index.insert((s.family, s.sock_type, s.proto), idx);
                 }
             }
-            by_id.insert(bp.id.clone(), idx);
-            let cmd_values = bp.cmds.iter().map(|c| bp.cmd_value(c)).collect();
-            let sockaddr_size = bp
-                .arg_struct(&format!("sockaddr_{}", bp.id))
-                .map(|sdef| sdef.size_align(&bp.structs).0);
-            targets.push(Target {
-                block_base: (i as u64 + 1) * BLOCK_STRIDE,
-                cmd_values,
-                sockaddr_size,
-                bp,
-            });
+            by_id.insert(bp.id.as_str(), idx);
         }
         VKernel {
-            targets,
-            by_id,
+            targets: blueprints
+                .iter()
+                .enumerate()
+                .map(|(i, bp)| Target::compile(bp, i, &by_id))
+                .collect(),
             dev_index,
             sock_index,
         }
@@ -634,25 +640,21 @@ impl VKernel {
         for t in &self.targets {
             let base = t.block_base;
             // Entry path: open blocks for drivers, socket() blocks for
-            // sockets (the defaults mirror sys_open/sys_socket).
-            let entry = match &t.bp.kind {
-                BlueprintKind::Driver(d) => d.open_blocks,
-                BlueprintKind::Socket(s) => s.socket_blocks,
-            };
-            runs.push((base, u64::from(entry), None));
+            // sockets.
+            runs.push((base, u64::from(t.entry_blocks), None));
             // Command strata: entry block + body blocks are contiguous;
             // a command with deep blocks falls through into them.
-            for (idx, cb) in t.bp.cmds.iter().enumerate() {
+            for (idx, cmd) in t.cmds.iter().enumerate() {
                 let cmd_base = base + 100 + (idx as u64) * 64;
-                let next = (cb.deep_blocks > 0).then_some(cmd_base + 32);
-                runs.push((cmd_base, u64::from(cb.blocks.max(1)), next));
-                if cb.deep_blocks > 0 {
-                    runs.push((cmd_base + 32, u64::from(cb.deep_blocks), None));
+                let next = (cmd.deep_blocks > 0).then_some(cmd_base + 32);
+                runs.push((cmd_base, u64::from(cmd.blocks.max(1)), next));
+                if cmd.deep_blocks > 0 {
+                    runs.push((cmd_base + 32, u64::from(cmd.deep_blocks), None));
                 }
             }
             // Socket-call strata (sys_addr_call/sendto/recvfrom/accept
             // cover contiguous spans at fixed offsets).
-            if t.bp.socket().is_some() {
+            if matches!(t.kind, Kind::Socket { .. }) {
                 runs.push((base + Self::sock_call_offset(SockCall::Bind), 4, None));
                 runs.push((base + Self::sock_call_offset(SockCall::Connect), 4, None));
                 runs.push((base + Self::sock_call_offset(SockCall::Sendto), 5, None));
@@ -662,7 +664,7 @@ impl VKernel {
             // read/write stratum (reachable on any live fd).
             runs.push((base + 60, 2, None));
             // Bug sites are isolated single blocks.
-            for bug_idx in 0..t.bp.bugs.len() {
+            for bug_idx in 0..t.bugs.len() {
                 runs.push((base + 4000 + bug_idx as u64, 1, None));
             }
         }
@@ -681,27 +683,34 @@ impl VKernel {
         if state.fuel_exhausted {
             return -errno::ENOMEM; // fuel watchdog tripped
         }
-        match no {
-            Sysno::Openat => self.sys_open(state, args[1], mem),
-            Sysno::Open => self.sys_open(state, args[0], mem),
-            Sysno::Socket => self.sys_socket(state, args[0], args[1], args[2]),
-            Sysno::Ioctl => self.sys_ioctl(state, args[0], args[1], args[2], mem),
-            Sysno::Setsockopt | Sysno::Getsockopt => {
-                self.sys_sockopt(state, no, args[0], args[1], args[2], args[3], args[4], mem)
+        // Every call but open/socket/mmap operates on the fd in
+        // `args[0]`: resolve it once, to its index in the fd table and
+        // its handler.
+        let on = state
+            .live_fd(args[0])
+            .map(|fi| (fi, self.target(state.fds[fi].target)));
+        match (no, on) {
+            (Sysno::Openat, _) => self.sys_open(state, args[1], mem),
+            (Sysno::Open, _) => self.sys_open(state, args[0], mem),
+            (Sysno::Socket, _) => self.sys_socket(state, args[0], args[1], args[2]),
+            (Sysno::Mmap, _) => 0x7f00_0000_0000,
+            (Sysno::Unsupported, _) => -errno::EINVAL,
+            (_, None) => -errno::EBADF,
+            (Sysno::Ioctl, Some((fi, t))) => self.sys_ioctl(state, t, fi, args[1], args[2], mem),
+            (Sysno::Setsockopt | Sysno::Getsockopt, Some((fi, t))) => {
+                self.sys_sockopt(state, no, t, fi, args, mem)
             }
-            Sysno::Bind => {
-                self.sys_addr_call(state, SockCall::Bind, args[0], args[1], args[2], mem)
+            (Sysno::Bind, Some((fi, t))) => {
+                self.sys_addr_call(state, SockCall::Bind, t, fi, args[1], args[2], mem)
             }
-            Sysno::Connect => {
-                self.sys_addr_call(state, SockCall::Connect, args[0], args[1], args[2], mem)
+            (Sysno::Connect, Some((fi, t))) => {
+                self.sys_addr_call(state, SockCall::Connect, t, fi, args[1], args[2], mem)
             }
-            Sysno::Accept => self.sys_accept(state, args[0]),
-            Sysno::Sendto => self.sys_sendto(state, args, mem),
-            Sysno::Recvfrom => self.sys_recvfrom(state, args[0]),
-            Sysno::Read | Sysno::Write => self.sys_rw(state, args[0]),
-            Sysno::Close => self.sys_close(state, args[0]),
-            Sysno::Mmap => 0x7f00_0000_0000,
-            Sysno::Unsupported => -errno::EINVAL,
+            (Sysno::Accept, Some((fi, t))) => self.sys_accept(state, t, fi),
+            (Sysno::Sendto, Some((fi, t))) => self.sys_sendto(state, t, fi, args[1], args[2], mem),
+            (Sysno::Recvfrom, Some((_, t))) => self.sys_recvfrom(state, t),
+            (Sysno::Read | Sysno::Write, Some((_, t))) => self.sys_rw(state, t),
+            (Sysno::Close, Some((fi, _))) => Self::sys_close(state, fi),
         }
     }
 
@@ -712,22 +721,47 @@ impl VKernel {
     fn cover(&self, state: &mut VmState, base: u64, offset: u64, count: u32) {
         state.charge_fuel(u64::from(count));
         state.trace.block(base + offset, count);
-        for i in 0..u64::from(count) {
-            state.coverage.insert(base + offset + i);
-        }
+        state.coverage.insert_run(base + offset, count);
+    }
+
+    /// Bug `bug` of `t` fired under syscall `sysno` on an fd at
+    /// `chain_depth`: retire its block and file the report.
+    fn crash(&self, state: &mut VmState, t: &Target, bug: u32, sysno: Sysno, chain_depth: u8) {
+        let report = &t.bugs[bug as usize];
+        let offset = 4000 + u64::from(bug);
+        let site = t.block_base + offset;
+        self.cover(state, t.block_base, offset, 1);
+        state.trace.crash(site);
+        state.crash = Some(CrashReport {
+            title: Arc::clone(&report.title),
+            cve: report.cve.clone(),
+            handler: Arc::clone(&t.id),
+            signature: CrashSignature {
+                sysno,
+                chain_depth,
+                sanitizer: report.sanitizer,
+                site,
+            },
+        });
     }
 
     fn sys_open(&self, state: &mut VmState, path_ptr: u64, mem: &MemMap) -> i64 {
-        let Some(path) = mem.read_cstring(path_ptr, 256) else {
-            return -errno::EFAULT;
-        };
-        let Some(&tidx) = self.dev_index.get(&path) else {
-            return -errno::ENOENT;
+        let mut spill = std::mem::take(&mut state.decode_buf);
+        // The path is compared where it lies; one that is not text is
+        // a bad pointer, not a missing file.
+        let found = mem
+            .cstr_at(path_ptr, 256, &mut spill)
+            .and_then(|path| std::str::from_utf8(path).ok())
+            .map(|path| self.dev_index.get(path).copied());
+        state.decode_buf = spill;
+        let tidx = match found {
+            None => return -errno::EFAULT,
+            Some(None) => return -errno::ENOENT,
+            Some(Some(tidx)) => tidx,
         };
         let t = self.target(tidx);
-        let open_blocks = t.bp.driver().map_or(2, |d| d.open_blocks);
-        self.cover(state, t.block_base, 0, open_blocks);
-        state.alloc_fd(FdState::fresh(tidx, t.bp.cmds.len(), 1))
+        self.cover(state, t.block_base, 0, t.entry_blocks);
+        state.alloc_fd(tidx, t.cmds.len(), 1)
     }
 
     fn sys_socket(&self, state: &mut VmState, family: u64, ty: u64, proto: u64) -> i64 {
@@ -746,24 +780,25 @@ impl VKernel {
             return -errno::EPROTONOSUPPORT;
         };
         let t = self.target(tidx);
-        let blocks = t.bp.socket().map_or(2, |s| s.socket_blocks);
-        self.cover(state, t.block_base, 0, blocks);
-        state.alloc_fd(FdState::fresh(tidx, t.bp.cmds.len(), 1))
+        self.cover(state, t.block_base, 0, t.entry_blocks);
+        state.alloc_fd(tidx, t.cmds.len(), 1)
     }
 
-    fn sys_ioctl(&self, state: &mut VmState, fd: u64, cmd: u64, arg: u64, mem: &MemMap) -> i64 {
-        let Some(tidx) = state.fd_target(fd) else {
-            return -errno::EBADF;
-        };
-        let t = self.target(tidx);
-        if t.bp.socket().is_some() {
+    fn sys_ioctl(
+        &self,
+        state: &mut VmState,
+        t: &Target,
+        fi: usize,
+        cmd: u64,
+        arg: u64,
+        mem: &MemMap,
+    ) -> i64 {
+        let Kind::Driver { transform, magic } = t.kind else {
             return -errno::ENOTTY;
-        }
-        let transform = t.bp.driver().map_or(CmdTransform::None, |d| d.transform);
-        let magic = t.bp.driver().map_or(0, |d| d.magic);
+        };
         // Match the command the way the emitted C dispatches it.
-        let matched = t.bp.cmds.iter().enumerate().find(|(i, _)| {
-            let full = t.cmd_values[*i];
+        let matched = t.cmds.iter().position(|c| {
+            let full = c.value;
             match transform {
                 CmdTransform::None => cmd == full,
                 CmdTransform::IocNr => {
@@ -776,48 +811,38 @@ impl VKernel {
                 }
             }
         });
-        let Some((idx, cb)) = matched else {
+        let Some(idx) = matched else {
             return -errno::ENOTTY;
         };
-        self.run_cmd(state, Sysno::Ioctl, t, idx, cb, fd, arg, None, mem)
+        self.run_cmd(state, Sysno::Ioctl, t, idx, fi, arg, None, mem)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn sys_sockopt(
         &self,
         state: &mut VmState,
         no: Sysno,
-        fd: u64,
-        level: u64,
-        opt: u64,
-        valp: u64,
-        len: u64,
+        t: &Target,
+        fi: usize,
+        args: &[u64; 6],
         mem: &MemMap,
     ) -> i64 {
-        let Some(tidx) = state.fd_target(fd) else {
-            return -errno::EBADF;
-        };
-        let t = self.target(tidx);
-        let Some(s) = t.bp.socket() else {
+        let (level, opt, valp, len) = (args[1], args[2], args[3], args[4]);
+        let Kind::Socket { level: own, .. } = t.kind else {
             return -errno::ENOPROTOOPT;
         };
-        if level != s.level {
+        if level != own {
             return -errno::ENOPROTOOPT;
         }
-        let Some((idx, cb)) =
-            t.bp.cmds
-                .iter()
-                .enumerate()
-                .find(|(i, _)| t.cmd_values[*i] == opt)
-        else {
+        let Some(idx) = t.cmds.iter().position(|c| c.value == opt) else {
             return -errno::ENOPROTOOPT;
         };
-        self.run_cmd(state, no, t, idx, cb, fd, valp, Some(len), mem)
+        self.run_cmd(state, no, t, idx, fi, valp, Some(len), mem)
     }
 
     /// Common command execution: coverage, argument decoding, field
-    /// checks, effects, bug triggers. The decode scratch lives in
-    /// `VmState`, so steady-state execution performs no allocation.
+    /// checks, effects, bug triggers — command `idx` of `t`, on the fd
+    /// at index `fi` of the fd table. The decode scratch lives in
+    /// `VmState`, so execution performs no allocation.
     #[allow(clippy::too_many_arguments)]
     fn run_cmd(
         &self,
@@ -825,233 +850,119 @@ impl VKernel {
         no: Sysno,
         t: &Target,
         idx: usize,
-        cb: &CmdBlueprint,
-        fd: u64,
+        fi: usize,
         arg: u64,
         optlen: Option<u64>,
         mem: &MemMap,
     ) -> i64 {
         let mut fields = std::mem::take(&mut state.field_buf);
-        let ret = self.run_cmd_inner(state, no, t, idx, cb, fd, arg, optlen, mem, &mut fields);
+        let ret = self.run_cmd_inner(state, no, t, idx, fi, arg, optlen, mem, &mut fields);
         state.field_buf = fields;
         ret
     }
 
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    #[allow(clippy::too_many_arguments)]
     fn run_cmd_inner(
         &self,
         state: &mut VmState,
         no: Sysno,
         t: &Target,
         idx: usize,
-        cb: &CmdBlueprint,
-        fd: u64,
+        fi: usize,
         arg: u64,
         optlen: Option<u64>,
         mem: &MemMap,
-        fields: &mut Vec<Option<u64>>,
+        fields: &mut Vec<u64>,
     ) -> i64 {
+        let cmd = &t.cmds[idx];
         let cmd_base = 100 + (idx as u64) * 64;
         // Entry block: the dispatcher reached this command.
         self.cover(state, t.block_base, cmd_base, 1);
-        // Decode the argument into the reusable field scratch. For
-        // `Struct` arguments `fields[i]` mirrors `sdef.fields[i]`; for
-        // `IdPtr` the single decoded id sits in `fields[0]`.
-        fields.clear();
-        match &cb.arg {
-            ArgKind::Struct(sname) => {
-                let Some(sdef) = t.bp.arg_struct(sname) else {
+        // Decode the argument into the reusable field scratch: one
+        // value per compiled field of a struct argument, the id alone
+        // for `IdPtr`.
+        let (size, slots): (u64, &[FieldSlot]) = match cmd.arg {
+            ArgPlan::Struct(si) => {
+                let layout = &t.structs[si as usize];
+                if optlen.is_some_and(|len| len < layout.size) {
                     return -errno::EINVAL;
-                };
-                let (size, _) = sdef.size_align(&t.bp.structs);
-                if let Some(l) = optlen {
-                    if l < size {
-                        return -errno::EINVAL;
-                    }
                 }
-                state.charge_fuel(size);
-                // Borrow the argument bytes straight out of the memory
-                // image when they sit in one segment (the encoder's
-                // normal layout) — the per-ioctl `copy_from_user` copy
-                // only happens for reads crossing segment boundaries,
-                // which fall back to the amortized decode buffer.
-                let mut owned = std::mem::take(&mut state.decode_buf);
-                let bytes: &[u8] = match mem.slice_at(arg, size as usize) {
-                    Some(s) => s,
-                    None => {
-                        if !mem.read_into(arg, size as usize, &mut owned) {
-                            state.decode_buf = owned;
-                            return -errno::EFAULT;
-                        }
-                        &owned
+                (layout.size, &layout.fields)
+            }
+            ArgPlan::IdPtr => (4, std::slice::from_ref(&ID_SLOT)),
+            ArgPlan::None => (0, &[]),
+            ArgPlan::UnknownStruct => return -errno::EINVAL,
+        };
+        fields.clear();
+        if !slots.is_empty() {
+            state.charge_fuel(size);
+            // Borrow the argument bytes straight out of the memory
+            // image when they sit in one segment (the encoder's
+            // normal layout) — the per-ioctl `copy_from_user` copy
+            // only happens for reads crossing segment boundaries,
+            // which fall back to the amortized decode buffer.
+            let mut owned = std::mem::take(&mut state.decode_buf);
+            let bytes: &[u8] = match mem.slice_at(arg, size as usize) {
+                Some(s) => s,
+                None => {
+                    if !mem.read_into(arg, size as usize, &mut owned) {
+                        state.decode_buf = owned;
+                        return -errno::EFAULT;
                     }
-                };
-                fields.resize(sdef.fields.len(), None);
-                for (i, f) in sdef.fields.iter().enumerate() {
-                    if let Some(off) = sdef.offset_of(&f.name, &t.bp.structs) {
-                        let (fsize, _) = f.ty.size_align(&t.bp.structs);
-                        let w = fsize.min(8) as usize;
-                        if off as usize + w <= bytes.len() && w > 0 {
-                            let mut buf = [0u8; 8];
-                            buf[..w].copy_from_slice(&bytes[off as usize..off as usize + w]);
-                            fields[i] = Some(u64::from_le_bytes(buf));
-                        }
-                    }
+                    &owned
                 }
-                state.decode_buf = owned;
-            }
-            ArgKind::IdPtr(_) => {
-                state.charge_fuel(4);
-                let mut owned = std::mem::take(&mut state.decode_buf);
-                let bytes: &[u8] = match mem.slice_at(arg, 4) {
-                    Some(s) => s,
-                    None => {
-                        if !mem.read_into(arg, 4, &mut owned) {
-                            state.decode_buf = owned;
-                            return -errno::EFAULT;
-                        }
-                        &owned
-                    }
-                };
-                let mut buf = [0u8; 8];
-                buf[..4].copy_from_slice(&bytes[..4]);
-                fields.push(Some(u64::from_le_bytes(buf)));
-                state.decode_buf = owned;
-            }
-            ArgKind::Int | ArgKind::None => {}
+            };
+            fields.extend(slots.iter().map(|slot| slot.read(bytes)));
+            state.decode_buf = owned;
         }
-        // Resolve a trigger's field reference against the decoded
-        // scratch (struct field by name; `__id` for IdPtr arguments).
-        let sdef = match &cb.arg {
-            ArgKind::Struct(sname) => t.bp.arg_struct(sname),
-            _ => None,
-        };
-        let field_value = |name: &str| -> Option<u64> {
-            if let ArgKind::IdPtr(_) = &cb.arg {
-                if name == "__id" {
-                    return fields.first().copied().flatten();
-                }
-                return None;
-            }
-            let sdef = sdef?;
-            let pos = sdef.fields.iter().position(|f| f.name == name)?;
-            fields.get(pos).copied().flatten()
-        };
         // Copy succeeded: the body blocks.
         self.cover(
             state,
             t.block_base,
             cmd_base + 1,
-            cb.blocks.saturating_sub(1),
+            cmd.blocks.saturating_sub(1),
         );
-        let (reached_state, chain_depth) = {
-            let f = state.fd_mut(fd).expect("fd checked");
-            (f.state, f.depth)
-        };
+        let fd = state.fds[fi];
         // Semantic field checks (EINVAL on violation).
-        let mut valid = true;
-        if let Some(sdef) = sdef {
-            for (i, f) in sdef.fields.iter().enumerate() {
-                let v = fields.get(i).copied().flatten().unwrap_or(0);
-                match &f.role {
-                    FieldRole::CheckedRange(lo, hi) if v < *lo || v > *hi => valid = false,
-                    FieldRole::MagicCheck(m) if v != *m => valid = false,
-                    FieldRole::Reserved if v != 0 => valid = false,
-                    FieldRole::Flags(set) => {
-                        let mask: u64 =
-                            t.bp.flag_sets
-                                .iter()
-                                .find(|(n, _)| n == set)
-                                .map_or(0, |(_, vs)| vs.iter().fold(0, |a, (_, x)| a | x));
-                        if v & !mask != 0 {
-                            valid = false;
-                        }
-                    }
-                    FieldRole::InId(_) => {
-                        let f = state.fd_mut(fd).expect("fd");
-                        let id = v as u32;
-                        if !(1..f.next_id).contains(&id) {
-                            valid = false;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if let ArgKind::IdPtr(_) = &cb.arg {
-            let id = fields.first().copied().flatten().unwrap_or(0) as u32;
-            let f = state.fd_mut(fd).expect("fd");
-            if !(1..f.next_id).contains(&id) {
-                valid = false;
-            }
-        }
+        let valid = slots
+            .iter()
+            .zip(fields.iter())
+            .all(|(slot, v)| slot.check.passes(*v, fd.next_id));
         // State machine gating.
-        let state_ok = match &cb.effect {
-            CmdEffect::StateStep { requires, .. } => reached_state >= *requires,
+        let state_ok = match cmd.effect {
+            Effect::StateStep { requires, .. } => fd.state >= requires,
             _ => true,
         };
+        let deep_ok = valid && state_ok;
         // Valid operations advance the per-fd history (used by
         // sequence/repeat triggers).
-        let counts_hit = {
-            let f = state.fd_mut(fd).expect("fd checked");
-            if valid && state_ok {
-                f.cmd_counts[idx] += 1;
-            }
-            f.cmd_counts[idx]
-        };
+        let count = &mut state.cmd_counts[fd.counts_at as usize + idx];
+        *count += u32::from(deep_ok);
+        let counts_hit = *count;
         // Bug triggers. Allocation-size bugs (`FieldAbove`) fire right
         // after copy_from_user, before validation — like the real
         // kmalloc bugs. The deeper bugs (sequences, leaks, divide
         // errors) sit behind the semantic checks and state machine, so
         // they require a *valid* call — this is what makes them
         // unreachable for imprecise specs.
-        let deep_ok = valid && state_ok;
-        let mut crashed = false;
-        for (bug_idx, bug) in t.bp.bugs.iter().enumerate() {
-            let fire = match &bug.trigger {
-                Trigger::FieldAbove { cmd, field, min } => {
-                    *cmd == cb.name && field_value(field).unwrap_or(0) > *min
-                }
-                Trigger::FieldZero { cmd, field } => {
-                    *cmd == cb.name && field_value(field) == Some(0) && deep_ok
-                }
-                Trigger::Sequence { first, then } => {
-                    deep_ok
-                        && *then == cb.name
-                        && state
-                            .fd_mut(fd)
-                            .and_then(|f| f.last_cmd)
-                            .is_some_and(|li| t.bp.cmds[li as usize].name == *first)
-                }
-                Trigger::Repeat { cmd, times } => {
-                    deep_ok && *cmd == cb.name && counts_hit >= *times
-                }
-                Trigger::PayloadLen { .. } => false, // sendto-path only
-            };
-            if fire {
-                let site = t.block_base + 4000 + bug_idx as u64;
-                self.cover(state, t.block_base, 4000 + bug_idx as u64, 1);
-                state.trace.crash(site);
-                state.crash = Some(CrashReport {
-                    title: bug.title.clone(),
-                    cve: bug.cve.clone(),
-                    handler: t.bp.id.clone(),
-                    signature: CrashSignature {
-                        sysno: no,
-                        chain_depth,
-                        sanitizer: SanitizerKind::of_trigger(&bug.trigger),
-                        site,
-                    },
-                });
-                crashed = true;
-                break;
+        let fired = cmd.arms.iter().find(|arm| match arm.when {
+            When::FieldAbove { slot, min } => fields[slot as usize] > min,
+            When::FieldZero { slot } => deep_ok && fields[slot as usize] == 0,
+            When::After { first } => {
+                deep_ok
+                    && fd
+                        .last_cmd
+                        .is_some_and(|last| t.cmds[last as usize].canon == first)
             }
+            When::Repeat { times } => deep_ok && counts_hit >= times,
+        });
+        if let Some(arm) = fired {
+            self.crash(state, t, arm.bug, no, fd.depth);
         }
         if deep_ok {
-            let f = state.fd_mut(fd).expect("fd");
-            f.last_cmd = Some(idx as u32);
+            state.fds[fi].last_cmd = Some(idx as u32);
         }
-        if crashed {
+        if fired.is_some() {
             return -errno::EFAULT;
         }
         if !state_ok {
@@ -1061,34 +972,23 @@ impl VKernel {
             return -errno::EINVAL;
         }
         // Deep blocks: everything semantically valid.
-        self.cover(state, t.block_base, cmd_base + 32, cb.deep_blocks);
+        self.cover(state, t.block_base, cmd_base + 32, cmd.deep_blocks);
         // Effects.
-        match &cb.effect {
-            CmdEffect::CreatesFd { handler } => {
-                if let Some(&sub) = self.by_id.get(handler) {
-                    let sub_t = self.target(sub);
-                    // Creating the sub-object covers its init path.
-                    // The minted fd sits one hop deeper in the
-                    // resource chain than the fd that created it.
-                    self.cover(state, sub_t.block_base, 0, 2);
-                    return state.alloc_fd(FdState::fresh(
-                        sub,
-                        sub_t.bp.cmds.len(),
-                        chain_depth.saturating_add(1),
-                    ));
-                }
+        match cmd.effect {
+            Effect::CreatesFd(Some(sub)) => {
+                let sub_t = self.target(sub);
+                // Creating the sub-object covers its init path.
+                // The minted fd sits one hop deeper in the
+                // resource chain than the fd that created it.
+                self.cover(state, sub_t.block_base, 0, 2);
+                return state.alloc_fd(sub, sub_t.cmds.len(), fd.depth.saturating_add(1));
             }
-            CmdEffect::StateStep { sets, .. } => {
-                let f = state.fd_mut(fd).expect("fd");
-                f.state = *sets;
+            Effect::StateStep { sets, .. } => state.fds[fi].state = sets,
+            Effect::IssuesId => {
+                state.fds[fi].next_id += 1;
+                return i64::from(fd.next_id);
             }
-            CmdEffect::IssuesId { .. } => {
-                let f = state.fd_mut(fd).expect("fd");
-                let id = f.next_id;
-                f.next_id += 1;
-                return i64::from(id);
-            }
-            CmdEffect::Pure => {}
+            Effect::CreatesFd(None) | Effect::Pure => {}
         }
         0
     }
@@ -1103,23 +1003,21 @@ impl VKernel {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn sys_addr_call(
         &self,
         state: &mut VmState,
         call: SockCall,
-        fd: u64,
+        t: &Target,
+        fi: usize,
         addr: u64,
         len: u64,
         mem: &MemMap,
     ) -> i64 {
-        let Some(tidx) = state.fd_target(fd) else {
-            return -errno::EBADF;
-        };
-        let t = self.target(tidx);
-        let Some(s) = t.bp.socket() else {
+        let Kind::Socket { family: own, .. } = t.kind else {
             return -errno::ENOTTY;
         };
-        if !s.calls.contains(&call) {
+        if t.implements(call) != Some(true) {
             return -errno::EINVAL;
         }
         let off = Self::sock_call_offset(call);
@@ -1134,29 +1032,31 @@ impl VKernel {
                 return -errno::EFAULT;
             };
             let family = u64::from(u16::from_le_bytes([b0, b1]));
-            if family != s.family {
+            if family != own {
                 return -errno::EAFNOSUPPORT;
             }
         }
         self.cover(state, t.block_base, off + 1, 3);
         if call == SockCall::Bind {
-            let f = state.fd_mut(fd).expect("fd");
+            let f = &mut state.fds[fi];
             f.state = f.state.max(1);
         }
         0
     }
 
-    fn sys_sendto(&self, state: &mut VmState, args: &[u64; 6], mem: &MemMap) -> i64 {
-        let (fd, _buf, len) = (args[0], args[1], args[2]);
-        let Some((chain_depth, tidx)) = state.fd_mut(fd).map(|f| (f.depth, f.target)) else {
-            return -errno::EBADF;
-        };
-        let t = self.target(tidx);
-        let Some(s) = t.bp.socket() else {
-            return -errno::ENOTTY;
-        };
-        if !s.calls.contains(&SockCall::Sendto) {
-            return -errno::EINVAL;
+    fn sys_sendto(
+        &self,
+        state: &mut VmState,
+        t: &Target,
+        fi: usize,
+        buf: u64,
+        len: u64,
+        mem: &MemMap,
+    ) -> i64 {
+        match t.implements(SockCall::Sendto) {
+            None => return -errno::ENOTTY,
+            Some(false) => return -errno::EINVAL,
+            Some(true) => {}
         }
         if len == 0 {
             return -errno::EINVAL;
@@ -1164,45 +1064,27 @@ impl VKernel {
         let off = Self::sock_call_offset(SockCall::Sendto);
         self.cover(state, t.block_base, off, 2);
         // Payload must be readable.
-        if !mem.is_mapped(args[1], (len as usize).min(4096)) {
+        if !mem.is_mapped(buf, (len as usize).min(4096)) {
             return -errno::EFAULT;
         }
         self.cover(state, t.block_base, off + 2, 3);
         // PayloadLen bug triggers.
-        for (bug_idx, bug) in t.bp.bugs.iter().enumerate() {
-            if let Trigger::PayloadLen { min_len } = &bug.trigger {
-                if len >= *min_len {
-                    let site = t.block_base + 4000 + bug_idx as u64;
-                    self.cover(state, t.block_base, 4000 + bug_idx as u64, 1);
-                    state.trace.crash(site);
-                    state.crash = Some(CrashReport {
-                        title: bug.title.clone(),
-                        cve: bug.cve.clone(),
-                        handler: t.bp.id.clone(),
-                        signature: CrashSignature {
-                            sysno: Sysno::Sendto,
-                            chain_depth,
-                            sanitizer: SanitizerKind::of_trigger(&bug.trigger),
-                            site,
-                        },
-                    });
-                    return -errno::EFAULT;
-                }
-            }
+        let fired = t
+            .bugs
+            .iter()
+            .position(|b| b.payload_min.is_some_and(|min| len >= min));
+        if let Some(bug) = fired {
+            self.crash(state, t, bug as u32, Sysno::Sendto, state.fds[fi].depth);
+            return -errno::EFAULT;
         }
         len as i64
     }
 
-    fn sys_recvfrom(&self, state: &mut VmState, fd: u64) -> i64 {
-        let Some(tidx) = state.fd_target(fd) else {
-            return -errno::EBADF;
-        };
-        let t = self.target(tidx);
-        let Some(s) = t.bp.socket() else {
-            return -errno::ENOTTY;
-        };
-        if !s.calls.contains(&SockCall::Recvfrom) {
-            return -errno::EINVAL;
+    fn sys_recvfrom(&self, state: &mut VmState, t: &Target) -> i64 {
+        match t.implements(SockCall::Recvfrom) {
+            None => return -errno::ENOTTY,
+            Some(false) => return -errno::EINVAL,
+            Some(true) => {}
         }
         self.cover(
             state,
@@ -1213,19 +1095,23 @@ impl VKernel {
         0
     }
 
-    fn sys_accept(&self, state: &mut VmState, fd: u64) -> i64 {
-        let Some(f) = state.fd_mut(fd) else {
-            return -errno::EBADF;
-        };
-        let tidx = f.target;
-        let bound = f.state >= 1;
-        let depth = f.depth;
-        let t = self.target(tidx);
-        let Some(s) = t.bp.socket() else {
-            return -errno::ENOTTY;
-        };
-        if !s.calls.contains(&SockCall::Accept) || !bound {
-            return -errno::EINVAL;
+    fn sys_rw(&self, state: &mut VmState, t: &Target) -> i64 {
+        self.cover(state, t.block_base, 60, 2);
+        0
+    }
+
+    fn sys_close(state: &mut VmState, fi: usize) -> i64 {
+        state.fds[fi].closed = true;
+        0
+    }
+
+    fn sys_accept(&self, state: &mut VmState, t: &Target, fi: usize) -> i64 {
+        let fd = state.fds[fi];
+        let bound = fd.state >= 1;
+        match t.implements(SockCall::Accept) {
+            None => return -errno::ENOTTY,
+            Some(true) if bound => {}
+            Some(_) => return -errno::EINVAL,
         }
         self.cover(
             state,
@@ -1233,30 +1119,7 @@ impl VKernel {
             Self::sock_call_offset(SockCall::Accept),
             2,
         );
-        state.alloc_fd(FdState::fresh(
-            tidx,
-            t.bp.cmds.len(),
-            depth.saturating_add(1),
-        ))
-    }
-
-    fn sys_rw(&self, state: &mut VmState, fd: u64) -> i64 {
-        let Some(tidx) = state.fd_target(fd) else {
-            return -errno::EBADF;
-        };
-        let t = self.target(tidx);
-        self.cover(state, t.block_base, 60, 2);
-        0
-    }
-
-    fn sys_close(&self, state: &mut VmState, fd: u64) -> i64 {
-        match state.fd_mut(fd) {
-            Some(f) => {
-                f.closed = true;
-                0
-            }
-            None => -errno::EBADF,
-        }
+        state.alloc_fd(fd.target, t.cmds.len(), fd.depth.saturating_add(1))
     }
 }
 
@@ -1460,7 +1323,7 @@ mod tests {
         let r = k.exec_call(&mut st, Sysno::Ioctl, &[fd, cmd, 0x2000_0000, 0, 0, 0], &m);
         assert!(r < 0);
         let crash = st.crash.clone().expect("crash");
-        assert_eq!(crash.title, "kmalloc bug in ctl_ioctl");
+        assert_eq!(&*crash.title, "kmalloc bug in ctl_ioctl");
         assert_eq!(crash.cve.as_deref(), Some("CVE-2024-23851"));
         // Further calls are dead.
         assert_eq!(

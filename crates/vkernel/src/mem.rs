@@ -161,24 +161,49 @@ impl MemMap {
         seg.get(usize::try_from(addr - seg_start).ok()?).copied()
     }
 
-    /// Read a NUL-terminated string of at most `max` bytes.
+    /// The bytes of the NUL-terminated string at `addr` (terminator
+    /// excluded), reading at most `max` bytes. A string may also end
+    /// where its mapping does: exact-size allocations carry no NUL.
+    /// `None` (an `EFAULT`) when not even the first byte is mapped.
+    ///
+    /// Borrowed from the image when the string and its NUL lie in one
+    /// segment — the encoder's layout; anything else (no NUL before
+    /// the segment or `max` ends, a string running on into an adjacent
+    /// segment) is gathered into `spill` byte by byte.
     #[must_use]
-    pub fn read_cstring(&self, addr: u64, max: usize) -> Option<String> {
-        // Strings may be shorter than their segment; scan byte-wise.
-        let mut out = Vec::new();
-        for i in 0..max {
-            match self.byte_at(addr + i as u64) {
-                Some(0) => return String::from_utf8(out).ok(),
-                Some(b) => out.push(b),
-                // Segment ended without a NUL: exact-size allocations
-                // terminate at the mapping boundary.
+    pub fn cstr_at<'a>(
+        &'a self,
+        addr: u64,
+        max: usize,
+        spill: &'a mut Vec<u8>,
+    ) -> Option<&'a [u8]> {
+        if let Some(text) = self.cstr_in_segment(addr, max) {
+            return Some(text);
+        }
+        spill.clear();
+        for i in 0..max as u64 {
+            match addr.checked_add(i).and_then(|a| self.byte_at(a)) {
+                Some(0) => return Some(spill),
+                Some(b) => spill.push(b),
                 None => break,
             }
         }
-        if out.is_empty() {
-            return None; // truly unmapped pointer → EFAULT
-        }
-        String::from_utf8(out).ok()
+        (!spill.is_empty()).then_some(spill)
+    }
+
+    /// [`MemMap::cstr_at`] for the encoder's layout: the string and
+    /// its NUL sit in the segment holding `addr`, and no later segment
+    /// starts among them (it would supply those bytes instead).
+    fn cstr_in_segment(&self, addr: u64, max: usize) -> Option<&[u8]> {
+        let i = self.seg_at_or_before(addr)?;
+        let (seg_start, seg) = &self.segments[i];
+        let tail = seg.get(usize::try_from(addr - seg_start).ok()?..)?;
+        let len = tail.iter().take(max).position(|b| *b == 0)?;
+        let nul_addr = addr.checked_add(len as u64)?;
+        self.segments
+            .get(i + 1)
+            .is_none_or(|next| next.0 > nul_addr)
+            .then_some(&tail[..len])
     }
 }
 
@@ -251,18 +276,59 @@ mod tests {
         assert_eq!(sorted.len(), 2);
     }
 
+    /// The byte-at-a-time definition `cstr_at` must agree with.
+    fn cstr_bytewise(m: &MemMap, addr: u64, max: usize) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        for i in 0..max as u64 {
+            match addr.checked_add(i).and_then(|a| m.byte_at(a)) {
+                Some(0) => return Some(out),
+                Some(b) => out.push(b),
+                None => break,
+            }
+        }
+        (!out.is_empty()).then_some(out)
+    }
+
+    fn cstr(m: &MemMap, addr: u64, max: usize) -> Option<Vec<u8>> {
+        let mut spill = vec![0xAA; 3]; // stale content must not leak
+        let got = m.cstr_at(addr, max, &mut spill).map(<[u8]>::to_vec);
+        assert_eq!(got, cstr_bytewise(m, addr, max), "addr {addr:#x} max {max}");
+        got
+    }
+
     #[test]
     fn cstring_reads_to_nul() {
         let mut m = MemMap::new();
         m.write(0x1000, b"/dev/x\0garbage".to_vec());
-        assert_eq!(m.read_cstring(0x1000, 64), Some("/dev/x".to_string()));
+        assert_eq!(cstr(&m, 0x1000, 64), Some(b"/dev/x".to_vec()));
+        assert_eq!(cstr(&m, 0x1004, 64), Some(b"/x".to_vec()));
+        // An empty string is a string; an unmapped pointer is not.
+        assert_eq!(cstr(&m, 0x1006, 64), Some(Vec::new()));
+        assert_eq!(cstr(&m, 0x0fff, 64), None);
+        assert_eq!(cstr(&m, 0x100e, 64), None);
+        assert_eq!(cstr(&m, u64::MAX, 64), None);
+        // `max` cuts a string short, NUL or not.
+        assert_eq!(cstr(&m, 0x1000, 4), Some(b"/dev".to_vec()));
+        assert_eq!(cstr(&m, 0x1000, 6), Some(b"/dev/x".to_vec()));
+        assert_eq!(cstr(&m, 0x1000, 0), None);
     }
 
     #[test]
     fn cstring_unterminated_at_segment_end() {
         let mut m = MemMap::new();
         m.write(0x1000, b"/dev/x".to_vec());
-        assert_eq!(m.read_cstring(0x1000, 64), Some("/dev/x".to_string()));
+        assert_eq!(cstr(&m, 0x1000, 64), Some(b"/dev/x".to_vec()));
+        // A segment far away changes nothing ...
+        m.write(0x2000, b"y\0".to_vec());
+        assert_eq!(cstr(&m, 0x1000, 64), Some(b"/dev/x".to_vec()));
+        // ... an adjacent one continues the string ...
+        m.write(0x1006, b"yz\0".to_vec());
+        assert_eq!(cstr(&m, 0x1000, 64), Some(b"/dev/xyz".to_vec()));
+        assert_eq!(cstr(&m, 0x1000, 7), Some(b"/dev/xy".to_vec()));
+        // ... and one that starts inside the first shadows its tail.
+        m.write(0x1003, b"!\0".to_vec());
+        assert_eq!(cstr(&m, 0x1000, 64), Some(b"/de!".to_vec()));
+        assert_eq!(cstr(&m, 0x1000, 3), Some(b"/de".to_vec()));
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //! lowered-IR path versus the pre-lowering AST walk. The AST encoder
 //! clones a `StructDef` per struct-typed encode and resolves symbolic
 //! constants and flag sets through name-keyed maps; the lowered path
-//! only allocates what the program's values force on any path (the
-//! kernel's `read_cstring` for `openat`, byte-buffer clones for
-//! `array[int8]` payloads). The measured numbers are recorded in
-//! EXPERIMENTS.md — rerun this test with `--nocapture` to refresh
-//! them.
+//! only allocates while a pooled buffer grows past its high-water
+//! mark. The measured numbers are recorded in EXPERIMENTS.md — rerun
+//! this test with `--nocapture` to refresh them.
 //!
 //! A second test counts what a *mutant* costs: programs share their
 //! pointees, so a mutation that touches no pointer argument allocates
 //! per call, not per node of the trees behind the calls.
+//!
+//! A third holds the kernel to its crate doc: at steady state an exec
+//! — encode, dispatch, fd table, per-fd history, coverage, a filed
+//! crash report — touches the allocator not at all.
 
-use kernelgpt::csrc::KernelCorpus;
+use kernelgpt::csrc::blueprint::Blueprint;
+use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fuzzer::{
     ast_execute_with, execute_with, AstScratch, ExecScratch, Generator, Program,
 };
@@ -103,9 +106,9 @@ fn lowered_exec_allocates_less_than_ast_walk() {
         lowered_events as f64 / execs as f64,
         ast_events as f64 / execs as f64,
     );
-    // The remaining lowered-path allocations are value-driven (path
-    // strings decoded by the kernel, buffer growth past high-water
-    // marks), not per-exec bookkeeping: well under the AST walk's.
+    // Whatever the lowered path still allocates is buffer growth past
+    // a high-water mark, not per-exec bookkeeping: well under the AST
+    // walk's.
     assert!(
         lowered_events < ast_events,
         "lowered path must allocate less: {lowered_events} vs {ast_events}"
@@ -182,4 +185,74 @@ fn a_mutant_that_keeps_every_pointee_costs_allocations_per_call_not_per_node() {
     );
     assert!(truncated > 0, "the truncate arm never ran");
     assert!(redrawn > 0, "the regenerate arm never redrew a scalar");
+}
+
+/// After warm-up, executing recorded deep-chain programs — opens,
+/// `CreatesFd` hops three deep, struct decodes, state machines — costs
+/// no allocator event at all, crashing programs included: fd records
+/// and their per-command counters live in per-worker arenas, the device
+/// path is compared where it lies, and a crash report shares its
+/// strings with the booted kernel.
+#[test]
+fn a_deep_chain_exec_allocates_nothing_in_the_kernel() {
+    let kc = KernelCorpus::from_blueprints(deepchain::suite());
+    let db = SpecDb::from_files(
+        kc.blueprints()
+            .iter()
+            .map(Blueprint::ground_truth_spec)
+            .collect(),
+    );
+    let kernel = VKernel::boot(deepchain::suite());
+    let mut g = Generator::new(&db, kc.consts(), 41);
+    let mut scratch = ExecScratch::new(&db, kc.consts());
+    // Record what a campaign would run: fresh programs and chains of
+    // their mutants, split by whether they crash.
+    let (mut quiet, mut crashing) = (Vec::new(), Vec::new());
+    let (mut fds, mut deepest) = (0usize, 0u8);
+    while quiet.len() < 1_000 || crashing.len() < 100 {
+        let mut prog = g.gen_program(10);
+        for _ in 0..4 {
+            execute_with(&kernel, &prog, &mut scratch);
+            let next = g.mutate(&prog, 10);
+            match scratch.crash() {
+                Some(c) => {
+                    deepest = deepest.max(c.signature.chain_depth);
+                    crashing.push(prog);
+                }
+                None => {
+                    fds += scratch.rets.iter().filter(|r| **r >= 3).count();
+                    quiet.push(prog);
+                }
+            }
+            prog = next;
+        }
+    }
+    quiet.truncate(1_000);
+    assert!(fds > 2_000, "the recorded programs mint too few fds: {fds}");
+    assert!(deepest >= 3, "no crash deep in the chain: depth {deepest}");
+
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    // Warm-up: pooled buffers reach their high-water marks and shared
+    // pointees memoise their images.
+    for p in quiet.iter().chain(&crashing) {
+        execute_with(&kernel, p, &mut scratch);
+    }
+    let before = events();
+    for p in &quiet {
+        execute_with(&kernel, p, &mut scratch);
+    }
+    let quiet_events = events() - before;
+    let before = events();
+    for p in &crashing {
+        execute_with(&kernel, p, &mut scratch);
+        assert!(scratch.crash().is_some());
+    }
+    let crash_events = events() - before;
+    println!(
+        "alloc events: {quiet_events} over {} quiet execs, {crash_events} over {} crashing execs",
+        quiet.len(),
+        crashing.len()
+    );
+    assert_eq!(quiet_events, 0, "a non-crashing exec allocated");
+    assert_eq!(crash_events, 0, "filing a crash report allocated");
 }
