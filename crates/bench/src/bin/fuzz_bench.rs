@@ -1,1238 +1,601 @@
-//! Fuzzing + generation throughput harness.
+//! CI's determinism harness: runs every campaign route once and
+//! reports what only it can check — result counts and the
+//! `*_invariant` / `*_identical` flags — as a [`Report`].
 //!
-//! Measures, and writes to `BENCH_fuzzing.json` (see EXPERIMENTS.md):
-//!
-//! * execs/sec of the dm-driver campaign, sequentially and under
-//!   [`ShardedCampaign`] at 1, 2, 4 and 8 worker threads over the
-//!   default 8-shard decomposition, verifying that the thread count
-//!   does not change `coverage`/`crashes` (merge invariance);
-//! * the cross-shard seed-hub ablation: the same sharded workload
-//!   with exchange on vs off, comparing coverage-per-exec and
-//!   verifying exchange-on results are also thread-count invariant;
-//! * the deep-chain workload (`workloads.deep_chain`): the
-//!   four-driver suite whose coverage sits behind 3-4-call producer
-//!   chains, re-running the hub ablation where saturation no longer
-//!   masks the union lift (exchange-on coverage-per-exec ≥
-//!   exchange-off is a hard gate failure) and verifying the campaign
-//!   — triage report included — stays thread-count invariant;
-//! * crash triage on that workload (`triage`): signatures found, mean
-//!   raw→minimized shrink ratio (gate-failed below 2×), minimization
-//!   replays/sec, a `reproducible` flag asserting every minimized
-//!   reproducer still triggers its signature under lowered dispatch,
-//!   and a `thread_invariant` flag over the full triage report;
-//! * handlers/sec of parallel [`KernelGpt::generate_all`] over the
-//!   flagship corpus at 1, 2, 4 and 8 worker threads, verifying the
-//!   reports are bit-identical at every thread count;
-//! * cold-vs-warm compiled-spec construction time through
-//!   [`SpecCache`] (the warm path is an `Arc` clone);
-//! * the lowering ablation: generation-only, end-to-end execution and
-//!   mutation throughput of the AST walk vs the lowered-IR hot path,
-//!   plus a `bit_identical` flag asserting the lowered path's program
-//!   streams and execution outcomes equal the AST walk's (hard gate
-//!   failure when false);
-//! * campaign durability (`durability`): snapshot size, per-checkpoint
-//!   write and restore latency, the wall-clock overhead of per-epoch
-//!   checkpointing, a `resume_identical` flag asserting that
-//!   interrupt-at-a-boundary + resume — under a seed-derived fault
-//!   plan — reproduces the uninterrupted campaign bit for bit, and
-//!   the exec fuel watchdog (`fuel_exhausted` starved-run count plus a
-//!   `fuel_deterministic` flag; both gated);
-//! * the distributed fabric (`fabric`): the deep-chain exchange-on
-//!   campaign run through the full coordinator/worker protocol stack
-//!   (leases, delta frames, boundary-synchronized merge) over
-//!   in-memory channel transports at 1, 2 and 4 workers — a
-//!   `worker_invariant` flag asserting the merged result is
-//!   bit-identical to the single-process campaign at every worker
-//!   count (gated), plus delta bytes shipped per epoch boundary and
-//!   the coordinator's merge time;
-//! * the multi-tenant service (`tenancy`): three deep-chain tenants
-//!   sharing one [`TenantService`] and one worker pool, one of them
-//!   declaring an exec quota of half the campaign — a
-//!   `tenant_invariant` flag asserting every tenant's merged result
-//!   (the budget-cut one included) is bit-identical to its
-//!   single-process reference (gated), plus per-tenant exec,
-//!   coverage, corpus and grant accounting (exact-compared by the
-//!   gate) and the starved tenant's cut boundary;
-//! * the flight recorder (`trace`): the deep-chain exchange-on
-//!   campaign with per-exec tracing on (the default ring of 32) vs
-//!   off, best-of-3 wall clock on both sides → `capture_overhead_pct`
-//!   (gated); the retained trace volume as amortized bits per
-//!   campaign exec (gated at 16), mean encoded bits per traced exec,
-//!   and bits per retired block (the cbp reference point is 0.1–1.2
-//!   bits/branch); and a `replay_identical` flag (gated, hard)
-//!   asserting that tracing did not change the campaign result, that
-//!   every retained trace re-executed bit-identically from its
-//!   header, and that every crash signature of the traced run has a
-//!   pinned trace replaying to the same signature.
-//!
-//! The committed `BENCH_baseline.json` is this file's output at the
-//! CI smoke workload (`--execs 20000`); `bench_gate` compares a fresh
-//! run against it.
+//! The report is a pure function of `--execs`: no clock is read, so
+//! two runs anywhere write the same bytes, and the gate is
+//! `--check BENCH_baseline.json` (byte equality with the committed
+//! file plus the rule table of [`kgpt_bench::report`]). Throughput,
+//! overhead ratios and latencies live in the frozen `benchmark/`
+//! package; the AST-walk vs lowered timing pairs in
+//! `benches/fuzzing.rs`. Every flag is `==` on whole
+//! [`CampaignResult`]s; EXPERIMENTS.md has a section per report
+//! section, and each `*_section` function below says what it runs.
 //!
 //! Usage: `cargo run --release -p kgpt-bench --bin fuzz_bench --
-//! [--execs N] [--gen-reps N] [--out PATH]`
+//! [--execs N] [--out PATH] [--check BASELINE] [--experiments]`
+//!
+//! `--experiments` prints the EXPERIMENTS.md `BENCH:BEGIN/END` block
+//! instead of writing the file. The exit code is non-zero when a rule
+//! fails or, with `--check`, when the report differs from the
+//! baseline; a false flag is a finding, never a panic.
 
+use kgpt_bench::report::Report;
 use kgpt_core::KernelGpt;
+use kgpt_csrc::blueprint::Blueprint;
 use kgpt_csrc::{deepchain, KernelCorpus};
 use kgpt_extractor::find_handlers;
 use kgpt_fabric::{
-    run_worker, ChannelTransport, Coordinator, CoordinatorOpts, FabricStats, HealthOpts,
+    run_worker, ChannelTransport, Coordinator, CoordinatorOpts, DeltaPayload, HealthOpts, Message,
     ServiceOpts, TenantQuota, TenantService, TenantSpec, Transport, WorkerOpts,
 };
-use kgpt_fuzzer::reference::{ast_execute, ast_execute_with, AstGenerator, AstScratch};
+use kgpt_fuzzer::fabric::diff_boundary;
+use kgpt_fuzzer::reference::{ast_execute, AstGenerator};
 use kgpt_fuzzer::{
-    cfg_successors, execute_with, minimize_program, reference_run, replay_trace, Campaign,
-    CampaignConfig, CampaignResult, CampaignSnapshot, ExecScratch, FaultPlan, Generator, Program,
-    ShardedCampaign, TraceStore,
+    cfg_successors, execute_with, reference_run, replay_trace, CampaignConfig, CampaignMerge,
+    CampaignResult, ExecScratch, FaultPlan, Generator, LeaseRunner, Program, ShardSnapshot,
+    ShardedCampaign,
 };
 use kgpt_llm::{ModelKind, OracleModel};
-use kgpt_syzlang::{SpecCache, SpecDb, SpecFile};
+use kgpt_syzlang::{LoweredDb, SpecCache, SpecFile};
 use kgpt_vkernel::VKernel;
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Duration;
 
-const THREAD_POINTS: &[usize] = &[1, 2, 4, 8];
+const SHARDS: u32 = 8;
+const EPOCH: u64 = 128;
+const TOP_K: usize = 4;
+const DC_WORKLOAD: &str = "deep-chain exchange-on campaign";
 
-struct Point {
-    threads: usize,
-    secs: f64,
-    rate: f64,
+/// A booted kernel and the ground-truth suite describing it.
+struct Suite {
+    kc: KernelCorpus,
+    files: Vec<SpecFile>,
+    kernel: VKernel,
 }
 
-fn main() {
+impl Suite {
+    fn boot(blueprints: Vec<Blueprint>) -> Suite {
+        let kc = KernelCorpus::from_blueprints(blueprints.clone());
+        let files = kc.blueprints().iter().map(Blueprint::ground_truth_spec);
+        Suite {
+            files: files.collect(),
+            kc,
+            kernel: VKernel::boot(blueprints),
+        }
+    }
+
+    fn campaign(&self, cfg: &CampaignConfig, threads: usize) -> ShardedCampaign<'_> {
+        ShardedCampaign::new(&self.kernel, &self.files, self.kc.consts(), cfg.clone())
+            .with_shards(SHARDS)
+            .with_threads(threads)
+    }
+}
+
+/// The deep-chain suite, its exchange-on config, and that campaign's
+/// single-process result — what every later route must reproduce.
+struct DeepChain {
+    suite: Suite,
+    lowered: Arc<LoweredDb>,
+    spec_fp: u64,
+    cfg: CampaignConfig,
+    on: CampaignResult,
+}
+
+impl DeepChain {
+    fn scratch(&self) -> ExecScratch {
+        ExecScratch::from_lowered(Arc::clone(&self.lowered))
+    }
+
+    /// Accept callback spawning one fabric worker per connection.
+    fn workers<'scope, 'env>(
+        &'env self,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+    ) -> impl FnMut() -> Option<Box<dyn Transport>> + use<'scope, 'env> {
+        move || {
+            let (service_end, worker_end) = ChannelTransport::pair();
+            scope.spawn(move || {
+                run_worker(Box::new(worker_end), WorkerOpts::default(), |fp| {
+                    (fp == self.spec_fp).then_some((&self.suite.kernel, Arc::clone(&self.lowered)))
+                })
+                .expect("fabric worker");
+            });
+            Some(Box::new(service_end))
+        }
+    }
+}
+
+/// One ablation side under `section`.
+fn side(report: &mut Report, section: &str, r: &CampaignResult) {
+    report.section(section);
+    report.count("blocks", r.blocks());
+    report.count("unique_crashes", r.unique_crashes());
+    report.count("corpus_size", r.corpus_size);
+    report.ratio("coverage_per_exec", r.blocks() as f64 / r.execs as f64, 8);
+}
+
+fn main() -> ExitCode {
     let mut execs: u64 = 100_000;
-    let mut gen_reps: u32 = 1;
     let mut out = String::from("BENCH_fuzzing.json");
+    let mut check: Option<String> = None;
+    let mut experiments = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--execs" => {
                 execs = args.next().and_then(|v| v.parse().ok()).expect("--execs N");
             }
-            "--gen-reps" => {
-                gen_reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--gen-reps N");
-            }
             "--out" => out = args.next().expect("--out PATH"),
+            "--check" => check = Some(args.next().expect("--check BASELINE")),
+            "--experiments" => experiments = true,
             other => panic!("unknown argument {other}"),
         }
     }
 
-    let kc = KernelCorpus::from_blueprints(vec![kgpt_csrc::flagship::dm()]);
-    let suite = vec![kc.blueprints()[0].ground_truth_spec()];
-    let kernel = VKernel::boot(vec![kgpt_csrc::flagship::dm()]);
+    let mut report = Report::default();
+    report.label("bench", "fuzzing");
+    report.label("workload", "dm ground-truth suite");
+    report.count("execs", execs);
+    report.count("shards", SHARDS);
+    let dm = Suite::boot(vec![kgpt_csrc::flagship::dm()]);
+    dm_sections(&mut report, &dm, execs);
+    let dc = deep_chain_sections(&mut report, execs);
+    generation_section(&mut report);
+    lowering_section(&mut report, &dm);
+    durability_section(&mut report, &dc);
+    fabric_section(&mut report, &dc);
+    tenancy_section(&mut report, &dc);
+    trace_section(&mut report, &dc);
+
+    if experiments {
+        print!("{}", report.experiments_block());
+    } else {
+        std::fs::write(&out, report.render()).expect("write bench json");
+        println!("wrote {out}");
+    }
+    let findings = match &check {
+        None => report.violations(),
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(baseline) => report.check(&baseline),
+            Err(e) => vec![format!("cannot read {path}: {e}")],
+        },
+    };
+    for f in &findings {
+        eprintln!("FAIL {f}");
+    }
+    if !findings.is_empty() {
+        return ExitCode::FAILURE;
+    }
+    if let Some(path) = &check {
+        println!("check: byte-identical to {path}, every rule holds");
+    }
+    ExitCode::SUCCESS
+}
+
+/// Top level + `hub`: the dm ground-truth campaign at 1 vs 8 threads
+/// (`merge_invariant`) and with seed exchange off vs on
+/// (coverage-per-exec on >= off is a rule).
+fn dm_sections(report: &mut Report, dm: &Suite, execs: u64) {
     let cfg = CampaignConfig {
         execs,
         seed: 1,
         ..CampaignConfig::default()
     };
-
-    // Warm up caches / page tables off the record.
-    let warm = CampaignConfig {
-        execs: (execs / 20).max(500),
+    let hub_cfg = |execs: u64, hub_epoch: u64| CampaignConfig {
+        execs,
+        hub_epoch,
+        hub_top_k: TOP_K,
         ..cfg.clone()
     };
-    let _ = Campaign::new(&kernel, &suite, kc.consts(), warm).run();
+    let off = dm.campaign(&cfg, 1).run();
+    report.flag("merge_invariant", off == dm.campaign(&cfg, 8).run());
+    report.count("blocks", off.blocks());
+    report.count("unique_crashes", off.unique_crashes());
 
-    // Sequential baseline (the pre-sharding code path).
-    let t0 = Instant::now();
-    let seq = Campaign::new(&kernel, &suite, kc.consts(), cfg.clone()).run();
-    let seq_secs = t0.elapsed().as_secs_f64();
-    let seq_rate = execs as f64 / seq_secs;
-    println!(
-        "sequential       : {execs} execs in {seq_secs:.3}s = {seq_rate:>10.0} execs/sec ({} blocks, {} crashes)",
-        seq.blocks(),
-        seq.unique_crashes()
-    );
-
-    let mut points: Vec<Point> = Vec::new();
-    let mut reference: Option<CampaignResult> = None;
-    let mut merge_invariant = true;
-    for &threads in THREAD_POINTS {
-        let t0 = Instant::now();
-        let r = ShardedCampaign::new(&kernel, &suite, kc.consts(), cfg.clone())
-            .with_shards(8)
-            .with_threads(threads)
-            .run();
-        let secs = t0.elapsed().as_secs_f64();
-        let rate = execs as f64 / secs;
-        println!(
-            "sharded x{threads:<7} : {execs} execs in {secs:.3}s = {rate:>10.0} execs/sec ({} blocks, {} crashes)",
-            r.blocks(),
-            r.unique_crashes()
-        );
-        if let Some(reference) = &reference {
-            if reference.coverage != r.coverage || reference.crashes != r.crashes {
-                merge_invariant = false;
-                eprintln!("MERGE INVARIANCE VIOLATED at threads={threads}");
-            }
-        } else {
-            reference = Some(r.clone());
-        }
-        points.push(Point {
-            threads,
-            secs,
-            rate,
-        });
-    }
-    let reference = reference.expect("at least one point");
-    assert!(merge_invariant, "thread count changed campaign results");
-
-    let speedup = points.last().expect("points").rate / points[0].rate;
-    println!(
-        "scaling 1->8 threads: {speedup:.2}x on {} available cores; merge invariant: {merge_invariant}",
-        std::thread::available_parallelism().map_or(0, usize::from)
-    );
-
-    // ---- Seed-hub ablation: exchange on vs off, same workload ----
-    // The exchange-off numbers are the sharded reference above (the
-    // hub is off in `cfg`); exchange-on is measured at two thread
-    // counts to assert the hub keeps the thread-invariance contract.
-    const HUB_EPOCH: u64 = 128;
-    const HUB_TOP_K: usize = 4;
-    let hub_cfg = CampaignConfig {
-        hub_epoch: HUB_EPOCH,
-        hub_top_k: HUB_TOP_K,
-        ..cfg.clone()
-    };
-    let t0 = Instant::now();
-    let hub_on = ShardedCampaign::new(&kernel, &suite, kc.consts(), hub_cfg.clone())
-        .with_shards(8)
-        .with_threads(1)
-        .run();
-    let hub_secs = t0.elapsed().as_secs_f64();
-    let hub_rate = execs as f64 / hub_secs;
-    let hub_check = ShardedCampaign::new(&kernel, &suite, kc.consts(), hub_cfg)
-        .with_shards(8)
-        .with_threads(4)
-        .run();
-    let hub_invariant =
-        hub_on.coverage == hub_check.coverage && hub_on.crashes == hub_check.crashes;
-    assert!(
-        hub_invariant,
-        "thread count changed the exchange-on campaign result"
-    );
-    let off_cpe = reference.blocks() as f64 / execs as f64;
-    let on_cpe = hub_on.blocks() as f64 / execs as f64;
-    println!(
-        "hub exchange off : {} blocks over {execs} execs = {off_cpe:.6} blocks/exec (corpus {})",
-        reference.blocks(),
-        reference.corpus_size
-    );
-    println!(
-        "hub exchange on  : {} blocks over {execs} execs = {on_cpe:.6} blocks/exec (corpus {}, epoch {HUB_EPOCH}, top-k {HUB_TOP_K}, thread invariant: {hub_invariant})",
-        hub_on.blocks(),
-        hub_on.corpus_size
-    );
-    // The on-vs-off ordering is enforced by `bench_gate` (hard
-    // failure), not asserted here: the harness must still write its
-    // JSON on a violation so CI reports a gate finding, not a panic.
-    if hub_on.blocks() < reference.blocks() {
-        eprintln!(
-            "HUB YIELD BELOW EXCHANGE-OFF: on {} vs off {} (bench_gate will fail)",
-            hub_on.blocks(),
-            reference.blocks()
-        );
-    }
-    // Convergence checkpoint at a fifth of the budget: the virtual
-    // kernel's coverage surface saturates quickly, so the hub's
-    // benefit shows as *earlier* corpus convergence, not as a larger
-    // final union. Both sides are deterministic and exact-compared
-    // against the baseline by the gate.
+    let on = dm.campaign(&hub_cfg(execs, EPOCH), 1).run();
+    let on_at_4 = dm.campaign(&hub_cfg(execs, EPOCH), 4).run();
+    report.section("hub");
+    report.count("epoch", EPOCH);
+    report.count("top_k", TOP_K);
+    report.flag("thread_invariant", on == on_at_4);
+    side(report, "hub.off", &off);
+    side(report, "hub.on", &on);
+    // Convergence sample at a fifth of the budget: the dm coverage
+    // surface saturates quickly, so the hub's benefit shows as an
+    // *earlier* corpus spread, not as a larger final union.
     let early_execs = (execs / 5).max(8);
-    let early = |hub_epoch: u64| {
-        ShardedCampaign::new(
-            &kernel,
-            &suite,
-            kc.consts(),
-            CampaignConfig {
-                execs: early_execs,
-                hub_epoch,
-                hub_top_k: HUB_TOP_K,
-                ..cfg.clone()
-            },
-        )
-        .with_shards(8)
-        .with_threads(1)
-        .run()
-    };
-    let early_off = early(0);
-    let early_on = early(HUB_EPOCH);
-    println!(
-        "hub early ({early_execs} execs): exchange on {} blocks / corpus {} vs off {} blocks / corpus {}",
-        early_on.blocks(),
-        early_on.corpus_size,
-        early_off.blocks(),
-        early_off.corpus_size
-    );
+    let early_off = dm.campaign(&hub_cfg(early_execs, 0), 1).run();
+    let early_on = dm.campaign(&hub_cfg(early_execs, EPOCH), 1).run();
+    report.section("hub.early");
+    report.count("execs", early_execs);
+    report.count("off_blocks", early_off.blocks());
+    report.count("off_corpus_size", early_off.corpus_size);
+    report.count("on_blocks", early_on.blocks());
+    report.count("on_corpus_size", early_on.corpus_size);
+}
 
-    // ---- Deep-chain workload: hub ablation + crash triage ----
-    // The dm smoke workload saturates its coverage surface, so the
-    // hub ablation above can only show convergence speed. The
-    // four-driver deep-chain suite keeps most blocks behind valid
-    // calls on fds 3-4 producer hops down, where rare seeds matter:
-    // the union lift is measurable and gated (on >= off, hard).
-    const DC_EPOCH: u64 = 128;
-    const DC_TOP_K: usize = 4;
-    let dc_kc = KernelCorpus::from_blueprints(deepchain::suite());
-    let dc_suite: Vec<SpecFile> = dc_kc
-        .blueprints()
-        .iter()
-        .map(|bp| bp.ground_truth_spec())
-        .collect();
-    let dc_kernel = VKernel::boot(deepchain::suite());
-    let dc_cfg = |hub_epoch: u64| CampaignConfig {
+/// `workloads.deep_chain` + `triage`: the same ablation on the
+/// four-driver suite whose coverage sits behind 3-4-call producer
+/// chains; every minimized reproducer must still trigger its signature
+/// under lowered dispatch (mean shrink >= 2 is a rule).
+fn deep_chain_sections(report: &mut Report, execs: u64) -> DeepChain {
+    let suite = Suite::boot(deepchain::suite());
+    let cfg = CampaignConfig {
         execs,
         seed: 1,
         max_prog_len: 12,
-        hub_epoch,
-        hub_top_k: DC_TOP_K,
+        hub_epoch: EPOCH,
+        hub_top_k: TOP_K,
         ..CampaignConfig::default()
     };
-    let dc_run = |hub_epoch: u64, threads: usize| {
-        ShardedCampaign::new(&dc_kernel, &dc_suite, dc_kc.consts(), dc_cfg(hub_epoch))
-            .with_shards(8)
-            .with_threads(threads)
-            .run()
+    let off_cfg = CampaignConfig {
+        hub_epoch: 0,
+        ..cfg.clone()
     };
-    let dc_off = dc_run(0, 1);
-    let t0 = Instant::now();
-    let dc_on = dc_run(DC_EPOCH, 1);
-    let dc_secs = t0.elapsed().as_secs_f64();
-    let dc_rate = execs as f64 / dc_secs;
-    let dc_check = dc_run(DC_EPOCH, 4);
-    // Thread invariance covers the whole campaign result, the triage
-    // report (reproducers, minimization, first-seen stamps) included.
-    let dc_invariant = dc_on.coverage == dc_check.coverage
-        && dc_on.crashes == dc_check.crashes
-        && dc_on.triage == dc_check.triage;
-    assert!(
-        dc_invariant,
-        "thread count changed the deep-chain campaign result"
-    );
-    let dc_off_cpe = dc_off.blocks() as f64 / execs as f64;
-    let dc_on_cpe = dc_on.blocks() as f64 / execs as f64;
-    println!(
-        "deep-chain off   : {} blocks = {dc_off_cpe:.6} blocks/exec (corpus {}, {} crash titles)",
-        dc_off.blocks(),
-        dc_off.corpus_size,
-        dc_off.unique_crashes()
-    );
-    println!(
-        "deep-chain on    : {} blocks = {dc_on_cpe:.6} blocks/exec (corpus {}, epoch {DC_EPOCH}, top-k {DC_TOP_K}, thread invariant: {dc_invariant})",
-        dc_on.blocks(),
-        dc_on.corpus_size
-    );
-    if dc_on.blocks() < dc_off.blocks() {
-        eprintln!(
-            "DEEP-CHAIN HUB YIELD BELOW EXCHANGE-OFF: on {} vs off {} (bench_gate will fail)",
-            dc_on.blocks(),
-            dc_off.blocks()
-        );
-    }
+    let off = suite.campaign(&off_cfg, 1).run();
+    let on = suite.campaign(&cfg, 1).run();
+    // Thread invariance covers the whole result, the triage report
+    // (reproducers, minimization, first-seen stamps) included.
+    let invariant = on == suite.campaign(&cfg, 4).run();
+    report.section("workloads.deep_chain");
+    report.label("suite", "deep-chain ground-truth (4 drivers)");
+    report.count("execs", execs);
+    report.count("shards", SHARDS);
+    report.count("max_prog_len", cfg.max_prog_len);
+    report.count("epoch", EPOCH);
+    report.count("top_k", TOP_K);
+    report.flag("thread_invariant", invariant);
+    side(report, "workloads.deep_chain.off", &off);
+    side(report, "workloads.deep_chain.on", &on);
 
-    // ---- Crash triage on the deep-chain campaign ----
-    // Every minimized reproducer must re-trigger its signature under
-    // lowered dispatch; the mean raw→minimized shrink ratio is gated
-    // at 2x. Minimization throughput is measured by re-shrinking the
-    // captured raw reproducers standalone.
-    let (dc_db, dc_lowered) = SpecCache::global().get_or_build_lowered(&dc_suite, dc_kc.consts());
-    let _ = dc_db;
-    let mut dc_scratch = ExecScratch::from_lowered(std::sync::Arc::clone(&dc_lowered));
+    let (_, lowered) = SpecCache::global().get_or_build_lowered(&suite.files, suite.kc.consts());
+    let spec_fp = SpecCache::fingerprint(&suite.files);
+    let dc = DeepChain {
+        suite,
+        lowered,
+        spec_fp,
+        cfg,
+        on,
+    };
+    let mut scratch = dc.scratch();
     let mut reproducible = true;
-    for e in dc_on.triage.entries() {
-        execute_with(&dc_kernel, &e.minimized, &mut dc_scratch);
-        if dc_scratch.crash().map(|c| c.signature) != Some(e.signature) {
+    for e in dc.on.triage.entries() {
+        execute_with(&dc.suite.kernel, &e.minimized, &mut scratch);
+        if scratch.crash().map(|c| c.signature) != Some(e.signature) {
             reproducible = false;
-            eprintln!(
-                "MINIMIZED REPRODUCER LOST ITS SIGNATURE: {} (bench_gate will fail)",
-                e.title
-            );
+            eprintln!("minimized reproducer lost its signature: {}", e.title);
         }
     }
-    // One minimization pass over all signatures is only a few hundred
-    // replays (~sub-millisecond) — far too small a timing window for a
-    // gated rate. Repeat it a fixed number of times so the measurement
-    // spans hundreds of milliseconds like the other gated rates; the
-    // equality assert runs on every pass (it is free determinism
-    // coverage), the rate divides by the total replay count.
-    const MIN_TIMING_REPS: u32 = 2000;
-    let t0 = Instant::now();
-    let mut min_execs = 0u64;
-    for _ in 0..MIN_TIMING_REPS {
-        for e in dc_on.triage.entries() {
-            let (out, repro) = minimize_program(&dc_kernel, &mut dc_scratch, &e.raw, e.signature);
-            min_execs += out.execs;
-            assert!(repro, "campaign reproducer went stale standalone");
-            assert_eq!(
-                out.program, e.minimized,
-                "standalone minimization diverged from the campaign's"
-            );
-        }
-    }
-    let min_rate = min_execs as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-    let shrink = dc_on.triage.mean_shrink_ratio();
-    let (raw_calls, min_calls) = dc_on.triage.call_totals();
-    println!(
-        "triage           : {} signatures, shrink {shrink:.2}x ({raw_calls} -> {min_calls} calls), {} replays at {min_rate:.0} execs/sec (reproducible: {reproducible})",
-        dc_on.triage.len(),
-        dc_on.triage.total_minimize_execs()
-    );
-    if shrink < 2.0 {
-        eprintln!("MEAN SHRINK RATIO BELOW 2x: {shrink:.3} (bench_gate will fail)");
-    }
+    let triage = &dc.on.triage;
+    let (raw_calls, min_calls) = triage.call_totals();
+    report.section("triage");
+    report.label("workload", DC_WORKLOAD);
+    report.count("signatures", triage.len());
+    report.flag("thread_invariant", invariant);
+    report.flag("reproducible", reproducible);
+    report.ratio("mean_shrink_ratio", triage.mean_shrink_ratio(), 4);
+    report.count("raw_calls", raw_calls);
+    report.count("minimized_calls", min_calls);
+    report.count("minimize_execs", triage.total_minimize_execs());
+    dc
+}
 
-    // ---- Generation throughput (parallel generate_all) ----
-    let gen_kc = KernelCorpus::flagship_only();
-    let gen_handlers = find_handlers(gen_kc.corpus());
+/// `generation`: parallel `generate_all` is thread-count invariant.
+fn generation_section(report: &mut Report) {
+    let kc = KernelCorpus::flagship_only();
+    let handlers = find_handlers(kc.corpus());
     let model = OracleModel::new(ModelKind::Gpt4, 0);
-    // Untimed warm-up so one-time costs (cold global-SpecCache
-    // compiles of the merged suite inside validate_merged) are not
-    // charged to the first thread point.
-    let _ = KernelGpt::new(&model, gen_kc.corpus())
-        .with_threads(1)
-        .generate_all(&gen_handlers, gen_kc.consts());
-    let mut gen_points: Vec<Point> = Vec::new();
-    let mut gen_reference = None;
-    let mut bit_identical = true;
-    for &threads in THREAD_POINTS {
-        let engine = KernelGpt::new(&model, gen_kc.corpus()).with_threads(threads);
-        let t0 = Instant::now();
-        let mut report = engine.generate_all(&gen_handlers, gen_kc.consts());
-        for _ in 1..gen_reps {
-            report = engine.generate_all(&gen_handlers, gen_kc.consts());
-        }
-        let secs = t0.elapsed().as_secs_f64() / f64::from(gen_reps.max(1));
-        let rate = gen_handlers.len() as f64 / secs;
-        println!(
-            "generate x{threads:<6} : {} handlers in {secs:.3}s = {rate:>8.1} handlers/sec ({} valid)",
-            gen_handlers.len(),
-            report.valid_count()
-        );
-        match &gen_reference {
-            Some(reference) => {
-                if *reference != report {
-                    bit_identical = false;
-                    eprintln!("GENERATION REPORT DIVERGED at threads={threads}");
-                }
-            }
-            None => gen_reference = Some(report),
-        }
-        gen_points.push(Point {
-            threads,
-            secs,
-            rate,
-        });
-    }
-    let gen_reference = gen_reference.expect("at least one generation point");
-    assert!(bit_identical, "thread count changed the generation report");
-
-    // ---- Compiled-spec cache: cold build vs warm lookup ----
-    const COLD_ITERS: u32 = 50;
-    const WARM_ITERS: u32 = 20_000;
-    let t0 = Instant::now();
-    for _ in 0..COLD_ITERS {
-        std::hint::black_box(SpecDb::from_files(suite.clone()));
-    }
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(COLD_ITERS);
-    let cache = SpecCache::new();
-    let _ = cache.get_or_build(&suite);
-    let t0 = Instant::now();
-    for _ in 0..WARM_ITERS {
-        std::hint::black_box(cache.get_or_build(&suite));
-    }
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(WARM_ITERS);
-    let warm_speedup = cold_ms / warm_ms.max(1e-9);
-    println!(
-        "spec cache       : cold build {cold_ms:.4}ms vs warm lookup {warm_ms:.4}ms = {warm_speedup:.0}x ({} hits, {} misses)",
-        cache.hits(),
-        cache.misses()
-    );
-    assert_eq!(cache.misses(), 1, "warm lookups must not recompile");
-
-    // ---- Lowering ablation: AST walk vs lowered-IR hot path ----
-    // Bit-identity first: program streams, mutation chains, and
-    // execution outcomes must be equal on both paths.
-    let (low_db, lowered) = SpecCache::global().get_or_build_lowered(&suite, kc.consts());
-    let mut bit = true;
-    {
-        let mut lg = Generator::from_lowered(std::sync::Arc::clone(&lowered), 1234);
-        let mut ag = AstGenerator::new(&low_db, kc.consts(), 1234);
-        let mut scratch = ExecScratch::from_lowered(std::sync::Arc::clone(&lowered));
-        let mut lp = Program::default();
-        let mut ap = Program::default();
-        for i in 0..2000u32 {
-            let (l, a) = if i % 4 == 0 {
-                (lg.gen_program(8), ag.gen_program(8))
-            } else {
-                (lg.mutate(&lp, 8), ag.mutate(&ap, 8))
-            };
-            if l != a {
-                bit = false;
-                eprintln!("LOWERED PROGRAM STREAM DIVERGED at step {i}");
-                break;
-            }
-            if i < 300 {
-                let ast = ast_execute(&kernel, &low_db, kc.consts(), &l);
-                execute_with(&kernel, &l, &mut scratch);
-                if scratch.rets != ast.rets
-                    || *scratch.coverage() != ast.coverage
-                    || scratch.crash() != ast.crash.as_ref()
-                {
-                    bit = false;
-                    eprintln!("LOWERED EXECUTION DIVERGED at step {i}");
-                    break;
-                }
-            }
-            lp = l;
-            ap = a;
-        }
-    }
-    let lowering_bit_identical = bit;
-    // Gen-only throughput, both paths, same seed and draw sequence.
-    let gen_n = execs.max(1);
-    let t0 = Instant::now();
-    let mut ag = AstGenerator::new(&low_db, kc.consts(), 42);
-    for _ in 0..gen_n {
-        std::hint::black_box(ag.gen_program(8));
-    }
-    let gen_ast_rate = gen_n as f64 / t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let mut lg = Generator::from_lowered(std::sync::Arc::clone(&lowered), 42);
-    for _ in 0..gen_n {
-        std::hint::black_box(lg.gen_program(8));
-    }
-    let gen_low_rate = gen_n as f64 / t0.elapsed().as_secs_f64();
-    // End-to-end exec throughput over a fixed pre-generated ring.
-    let ring: Vec<Program> = {
-        let mut g = Generator::from_lowered(std::sync::Arc::clone(&lowered), 7);
-        (0..512).map(|_| g.gen_program(8)).collect()
+    let generate = |threads: usize| {
+        KernelGpt::new(&model, kc.corpus())
+            .with_threads(threads)
+            .generate_all(&handlers, kc.consts())
     };
-    let t0 = Instant::now();
-    let mut ast_scratch = AstScratch::new(&low_db, kc.consts());
-    for i in 0..execs {
-        ast_execute_with(&kernel, &ring[(i % 512) as usize], &mut ast_scratch);
-    }
-    let exec_ast_rate = execs as f64 / t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let mut low_scratch = ExecScratch::from_lowered(std::sync::Arc::clone(&lowered));
-    for i in 0..execs {
-        execute_with(&kernel, &ring[(i % 512) as usize], &mut low_scratch);
-    }
-    let exec_low_rate = execs as f64 / t0.elapsed().as_secs_f64();
-    // Mutation throughput (chained, so the deep-clone cost of the AST
-    // path and the prefix-clone cost of the lowered path both show).
-    let t0 = Instant::now();
-    let mut ag = AstGenerator::new(&low_db, kc.consts(), 9);
-    let mut p = ring[0].clone();
-    for _ in 0..execs {
-        p = ag.mutate(&p, 8);
-    }
-    let mut_ast_rate = execs as f64 / t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let mut lg = Generator::from_lowered(std::sync::Arc::clone(&lowered), 9);
-    let mut p = ring[0].clone();
-    for _ in 0..execs {
-        p = lg.mutate(&p, 8);
-    }
-    std::hint::black_box(p.len());
-    let mut_low_rate = execs as f64 / t0.elapsed().as_secs_f64();
-    println!(
-        "lowering gen     : ast {gen_ast_rate:>10.0} vs lowered {gen_low_rate:>10.0} progs/sec ({:.2}x)",
-        gen_low_rate / gen_ast_rate
-    );
-    println!(
-        "lowering exec    : ast {exec_ast_rate:>10.0} vs lowered {exec_low_rate:>10.0} execs/sec ({:.2}x)",
-        exec_low_rate / exec_ast_rate
-    );
-    println!(
-        "lowering mutate  : ast {mut_ast_rate:>10.0} vs lowered {mut_low_rate:>10.0} mutations/sec ({:.2}x, bit identical: {lowering_bit_identical})",
-        mut_low_rate / mut_ast_rate
-    );
-    // The gate hard-fails on a false flag; still write the JSON so CI
-    // reports a gate finding rather than a harness panic.
-    if !lowering_bit_identical {
-        eprintln!("LOWERED PATH NOT BIT-IDENTICAL (bench_gate will fail)");
-    }
+    let reference = generate(1);
+    report.section("generation");
+    report.label("workload", "flagship corpus, oracle gpt-4, seed 0");
+    report.count("handlers", handlers.len());
+    report.count("valid_count", reference.valid_count());
+    report.flag("bit_identical", reference == generate(8));
+}
 
-    // ---- Durability: checkpoint/resume + exec fuel watchdog ----
-    // Overhead is plain vs per-epoch-checkpointed wall clock over the
-    // deep-chain exchange-on campaign, measured back to back so runner
-    // noise hits both sides alike. Resume identity is checked under a
+/// `lowering`: program streams, mutation chains and execution
+/// outcomes of the lowered-IR path equal the AST walk's.
+fn lowering_section(report: &mut Report, dm: &Suite) {
+    let consts = dm.kc.consts();
+    let (db, lowered) = SpecCache::global().get_or_build_lowered(&dm.files, consts);
+    let mut lg = Generator::from_lowered(Arc::clone(&lowered), 1234);
+    let mut ag = AstGenerator::new(&db, consts, 1234);
+    let mut scratch = ExecScratch::from_lowered(lowered);
+    let mut lp = Program::default();
+    let mut ap = Program::default();
+    let mut identical = true;
+    for i in 0..2000u32 {
+        let (l, a) = if i % 4 == 0 {
+            (lg.gen_program(8), ag.gen_program(8))
+        } else {
+            (lg.mutate(&lp, 8), ag.mutate(&ap, 8))
+        };
+        identical = l == a;
+        if identical && i < 300 {
+            let ast = ast_execute(&dm.kernel, &db, consts, &l);
+            execute_with(&dm.kernel, &l, &mut scratch);
+            identical = scratch.rets == ast.rets
+                && *scratch.coverage() == ast.coverage
+                && scratch.crash() == ast.crash.as_ref();
+        }
+        if !identical {
+            eprintln!("lowered path diverged from the AST walk at step {i}");
+            break;
+        }
+        (lp, ap) = (l, a);
+    }
+    report.section("lowering");
+    report.label("workload", "dm ground-truth suite");
+    report.flag("bit_identical", identical);
+}
+
+/// `durability`: checkpoint/resume under a fault plan + the exec fuel
+/// watchdog.
+fn durability_section(report: &mut Report, dc: &DeepChain) {
+    let path = std::env::temp_dir().join(format!("kgpt-bench-{}.ckpt", std::process::id()));
+    let checkpointed = dc.suite.campaign(&dc.cfg, 1).with_checkpoint(&path).run();
+    let checkpoint_bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+    // Interrupt after the second surviving checkpoint under a
     // seed-derived fault plan (write retries, torn writes, bitrot and
     // a shard abort stacked on the first boundary; later boundaries
-    // stay clean so recovery always has an intact generation).
-    let same_result = |a: &CampaignResult, b: &CampaignResult| {
-        a.coverage == b.coverage
-            && a.crashes == b.crashes
-            && a.corpus_size == b.corpus_size
-            && a.triage == b.triage
-            && a.fuel_exhausted == b.fuel_exhausted
-            && a.execs == b.execs
-    };
-    let ckpt_path = std::env::temp_dir().join(format!("kgpt-bench-{}.ckpt", std::process::id()));
-    // Best-of-3 on both sides: one epoch of virtual-kernel compute is
-    // only a few ms, so a single scheduler hiccup would swamp the
-    // ratio. The minimum is the least-noisy estimate of true cost.
-    const OVERHEAD_ROUNDS: u32 = 3;
-    let mut plain_secs = f64::INFINITY;
-    let mut ckpt_secs = f64::INFINITY;
-    let mut plain = None;
-    let mut ckpt_full = None;
-    for _ in 0..OVERHEAD_ROUNDS {
-        let t0 = Instant::now();
-        plain = Some(dc_run(DC_EPOCH, 1));
-        plain_secs = plain_secs.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        ckpt_full = Some(
-            ShardedCampaign::new(&dc_kernel, &dc_suite, dc_kc.consts(), dc_cfg(DC_EPOCH))
-                .with_shards(8)
-                .with_threads(1)
-                .with_checkpoint(&ckpt_path)
-                .run(),
-        );
-        ckpt_secs = ckpt_secs.min(t0.elapsed().as_secs_f64());
-    }
-    let (plain, ckpt_full) = (plain.expect("rounds > 0"), ckpt_full.expect("rounds > 0"));
-    let overhead_pct = ((ckpt_secs / plain_secs.max(1e-9) - 1.0) * 100.0).max(0.0);
-    let ckpt_bytes = std::fs::metadata(&ckpt_path).map_or(0, |m| m.len());
-    // Per-checkpoint write/restore latency, timed standalone over the
-    // final (largest) snapshot so the window spans milliseconds.
-    const CKPT_IO_REPS: u32 = 100;
-    let snap = CampaignSnapshot::load(&ckpt_path).expect("load final checkpoint");
-    let io_path = ckpt_path.with_extension("io");
-    let t0 = Instant::now();
-    for _ in 0..CKPT_IO_REPS {
-        snap.save(&io_path).expect("save checkpoint");
-    }
-    let write_ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(CKPT_IO_REPS);
-    let t0 = Instant::now();
-    for _ in 0..CKPT_IO_REPS {
-        std::hint::black_box(CampaignSnapshot::load(&io_path).expect("reload checkpoint"));
-    }
-    let restore_ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(CKPT_IO_REPS);
-    // Interrupt after the second surviving checkpoint under the fault
-    // plan, resume from disk, and demand the uninterrupted result.
-    let faulted = ShardedCampaign::new(&dc_kernel, &dc_suite, dc_kc.consts(), dc_cfg(DC_EPOCH))
-        .with_shards(8)
-        .with_threads(1)
-        .with_checkpoint(&ckpt_path)
+    // stay clean so recovery always has an intact generation), resume
+    // from disk, and demand the uninterrupted result.
+    let _halted = dc
+        .suite
+        .campaign(&dc.cfg, 1)
+        .with_checkpoint(&path)
         .with_faults(FaultPlan::from_seed(0xC0FFEE, 1, 8))
         .with_halt_after(2)
         .run();
-    let _ = faulted;
-    let resumed = ShardedCampaign::new(&dc_kernel, &dc_suite, dc_kc.consts(), dc_cfg(DC_EPOCH))
-        .with_shards(8)
-        .with_threads(1)
-        .resume(&ckpt_path)
-        .expect("resume from checkpoint");
-    let resume_identical = same_result(&dc_on, &plain)
-        && same_result(&dc_on, &ckpt_full)
-        && same_result(&dc_on, &resumed);
-    let _ = std::fs::remove_file(&ckpt_path);
-    let _ = std::fs::remove_file(ckpt_path.with_extension("ckpt.prev"));
-    let _ = std::fs::remove_file(&io_path);
-    let _ = std::fs::remove_file(io_path.with_extension("io.prev"));
-    println!(
-        "durability       : snapshot {ckpt_bytes} bytes, write {write_ms:.3}ms, restore {restore_ms:.3}ms, checkpoint overhead {overhead_pct:.1}% (resume identical: {resume_identical})"
-    );
-    if !resume_identical {
-        eprintln!("INTERRUPT+RESUME DIVERGED FROM THE UNINTERRUPTED RUN (bench_gate will fail)");
+    let resumed = dc.suite.campaign(&dc.cfg, 1).resume(&path);
+    if let Err(e) = &resumed {
+        eprintln!("resume from checkpoint failed: {e}");
     }
-    // Fuel watchdog: a starved budget must terminate programs
-    // gracefully and count exhaustions as a pure function of the
-    // config — identical across runs and thread counts.
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
+    // A starved budget must terminate programs gracefully and count
+    // exhaustions as a pure function of the config.
     const FUEL_BUDGET: u64 = 64;
     let starved_cfg = CampaignConfig {
         exec_fuel: FUEL_BUDGET,
-        ..dc_cfg(DC_EPOCH)
+        ..dc.cfg.clone()
     };
-    let starved_run = |threads: usize| {
-        ShardedCampaign::new(&dc_kernel, &dc_suite, dc_kc.consts(), starved_cfg.clone())
-            .with_shards(8)
-            .with_threads(threads)
-            .run()
-    };
-    let starved = starved_run(1);
-    let starved_again = starved_run(4);
-    let fuel_exhausted = starved.fuel_exhausted;
-    let fuel_deterministic = fuel_exhausted > 0 && same_result(&starved, &starved_again);
-    println!(
-        "fuel watchdog    : {fuel_exhausted} exhaustions at a {FUEL_BUDGET}-unit budget (deterministic: {fuel_deterministic})"
-    );
-    if !fuel_deterministic {
-        eprintln!("FUEL EXHAUSTION NONDETERMINISTIC OR NEVER TRIPPED (bench_gate will fail)");
-    }
+    let starved = dc.suite.campaign(&starved_cfg, 1).run();
+    let starved_at_4 = dc.suite.campaign(&starved_cfg, 4).run();
+    let resume_identical = checkpointed == dc.on && resumed.is_ok_and(|r| r == dc.on);
+    report.section("durability");
+    report.label("workload", DC_WORKLOAD);
+    report.flag("resume_identical", resume_identical);
+    report.count("checkpoint_bytes", checkpoint_bytes);
+    report.count("fuel_budget", FUEL_BUDGET);
+    report.count("fuel_exhausted", starved.fuel_exhausted);
+    let deterministic = starved.fuel_exhausted > 0 && starved == starved_at_4;
+    report.flag("fuel_deterministic", deterministic);
+}
 
-    // ---- Distributed fabric: the same campaign across workers ----
-    // The deep-chain exchange-on campaign again, but through the full
-    // fabric protocol stack: a coordinator handing out shard-range
-    // leases and merging per-epoch worker deltas over in-memory
-    // channel transports. The merged result must be bit-identical to
-    // the single-process `dc_on` at every worker count (gated), and
-    // the wire cost — delta bytes shipped per epoch boundary, time
-    // inside the merge — is recorded.
-    let fabric_fp = SpecCache::fingerprint(&dc_suite);
-    let fabric_run = |workers: u32, force_full: bool| {
-        std::thread::scope(|scope| {
-            let coordinator = Coordinator::new(
-                dc_cfg(DC_EPOCH),
-                CoordinatorOpts {
-                    shards: 8,
-                    workers,
-                    lease_timeout: Duration::from_secs(60),
-                    spec_fp: fabric_fp,
-                },
-            );
-            let dc_kernel = &dc_kernel;
-            let dc_lowered = &dc_lowered;
-            let mut accept = || -> Option<Box<dyn Transport>> {
-                let (coord_end, worker_end) = ChannelTransport::pair();
-                let lowered = std::sync::Arc::clone(dc_lowered);
-                scope.spawn(move || {
-                    let opts = WorkerOpts {
-                        force_full_deltas: force_full,
-                        ..WorkerOpts::default()
-                    };
-                    run_worker(Box::new(worker_end), opts, |fp| {
-                        (fp == fabric_fp).then_some((dc_kernel, lowered))
-                    })
-                    .expect("fabric worker");
-                });
-                Some(Box::new(coord_end))
-            };
-            coordinator.run(&mut accept).expect("fabric coordinator")
-        })
+/// Every boundary of the campaign framed both ways, as `run_worker`
+/// frames it: `(merged result, incremental bytes, full bytes)`. The
+/// first boundary has no acked baseline, so it is full on both sides.
+fn frame_costs(dc: &DeepChain) -> (CampaignResult, u64, u64) {
+    let frame_len = |boundary: u64, deltas: DeltaPayload| {
+        let message = Message::Delta {
+            tenant: 0,
+            lease_id: 1,
+            boundary,
+            deltas,
+        };
+        message.to_frame().len() as u64
     };
-    struct FabricPoint {
-        workers: u32,
-        secs: f64,
-        stats: FabricStats,
-    }
-    let mut fabric_points: Vec<FabricPoint> = Vec::new();
-    let mut fabric_invariant = true;
-    for workers in [1u32, 2, 4] {
-        let t0 = Instant::now();
-        let (result, stats) = fabric_run(workers, false);
-        let secs = t0.elapsed().as_secs_f64();
-        if !same_result(&dc_on, &result) {
-            fabric_invariant = false;
-            eprintln!(
-                "FABRIC RESULT DIVERGED FROM THE SINGLE-PROCESS CAMPAIGN AT {workers} WORKERS \
-                 (bench_gate will fail)"
-            );
-        }
-        fabric_points.push(FabricPoint {
-            workers,
-            secs,
-            stats,
+    let mut merge = CampaignMerge::new(dc.cfg.clone(), SHARDS);
+    let mut runner = LeaseRunner::fresh(&dc.lowered, &dc.cfg, SHARDS, 0, SHARDS);
+    let mut baseline: Option<Vec<ShardSnapshot>> = None;
+    let (mut incremental, mut full) = (0u64, 0u64);
+    loop {
+        let deltas = runner.run_epoch(&dc.suite.kernel);
+        let boundary = merge.epochs_done() + 1;
+        let full_len = frame_len(boundary, DeltaPayload::Full(deltas.clone()));
+        let patches = baseline
+            .as_deref()
+            .and_then(|base| diff_boundary(base, deltas.clone()).ok());
+        full += full_len;
+        incremental += patches.map_or(full_len, |p| {
+            frame_len(boundary, DeltaPayload::Incremental(p))
         });
+        let outcome = merge.apply_boundary(deltas).expect("in-process boundary");
+        if outcome.finished {
+            let result = merge.finish().expect("in-process merge finished");
+            return (result, incremental, full);
+        }
+        runner.import(&outcome.seeds);
+        baseline = Some(runner.snapshots());
     }
-    // The forced-full run measures what every boundary cost before
-    // true delta frames: the same campaign, every delta a complete
-    // snapshot frame. Its result must be identical too (same merge,
-    // fatter wire).
-    let (full_result, full_stats) = fabric_run(1, true);
-    if !same_result(&dc_on, &full_result) {
-        fabric_invariant = false;
-        eprintln!(
-            "FABRIC FORCED-FULL RESULT DIVERGED FROM THE SINGLE-PROCESS CAMPAIGN \
-             (bench_gate will fail)"
-        );
-    }
-    // The single-worker run is the canonical wire-cost measurement:
-    // more workers split the same per-shard deltas over more frames,
-    // changing only the per-frame header overhead.
-    let fabric_ref = &fabric_points[0].stats;
-    let fabric_boundaries = fabric_ref.boundaries;
-    let fabric_delta_per_epoch = fabric_ref.delta_bytes / fabric_ref.boundaries.max(1);
-    let fabric_full_per_epoch = full_stats.delta_bytes / full_stats.boundaries.max(1);
-    let fabric_shrink = fabric_full_per_epoch as f64 / fabric_delta_per_epoch.max(1) as f64;
-    let fabric_merge_ms = fabric_ref.merge_nanos as f64 / 1e6;
-    let fabric_expired: u64 = fabric_points
-        .iter()
-        .map(|p| p.stats.expired_leases)
-        .chain(std::iter::once(full_stats.expired_leases))
-        .sum();
-    if fabric_expired > 0 {
-        eprintln!("FABRIC LEASES EXPIRED IN A CLEAN RUN (bench_gate will fail)");
-    }
-    println!(
-        "fabric           : {fabric_boundaries} boundaries, {fabric_delta_per_epoch} delta bytes/epoch (full: {fabric_full_per_epoch}, shrink {fabric_shrink:.1}x), merge {fabric_merge_ms:.3}ms, worker invariant: {fabric_invariant}"
-    );
-    for p in &fabric_points {
-        println!(
-            "fabric x{:<8} : {:.3}s wall, {} delta bytes, merge {:.3}ms ({} redelivered, {} rejected)",
-            p.workers,
-            p.secs,
-            p.stats.delta_bytes,
-            p.stats.merge_nanos as f64 / 1e6,
-            p.stats.redelivered_frames,
-            p.stats.rejected_frames,
-        );
-    }
+}
 
-    // ---- Multi-tenant service: budgets, fairness, accounting ----
-    // Three deep-chain tenants (seeds 1..3) share one `TenantService`
-    // and one worker pool at two slots each; tenant 1 declares an
-    // exec quota of half the campaign and must be cut gracefully at a
-    // boundary, bit-identical to an unlimited run halted there. The
-    // per-tenant accounting is exact-compared by the gate.
-    let tenancy_quota = execs / 2;
-    let tenancy_cfgs: Vec<CampaignConfig> = (1..=3u64)
-        .map(|seed| CampaignConfig {
-            seed,
-            ..dc_cfg(DC_EPOCH)
-        })
-        .collect();
-    let tenancy_refs: Vec<_> = tenancy_cfgs
-        .iter()
-        .enumerate()
-        .map(|(i, config)| {
-            let quota = (i == 1).then_some(tenancy_quota);
-            reference_run(&dc_kernel, &dc_lowered, config, 8, quota)
-        })
-        .collect();
-    let tenancy_t0 = Instant::now();
-    let (tenant_results, tenancy_stats) = std::thread::scope(|scope| {
+/// `fabric`: the deep-chain campaign through the coordinator/worker
+/// protocol stack over in-memory channel transports.
+fn fabric_section(report: &mut Report, dc: &DeepChain) {
+    let points = [1u32, 2, 4].map(|workers| {
+        let opts = CoordinatorOpts {
+            shards: SHARDS,
+            workers,
+            lease_timeout: Duration::from_secs(60),
+            spec_fp: dc.spec_fp,
+        };
+        let (result, stats) = std::thread::scope(|scope| {
+            Coordinator::new(dc.cfg.clone(), opts)
+                .run(&mut dc.workers(scope))
+                .expect("fabric coordinator")
+        });
+        (workers, result, stats)
+    });
+    let (inline, incremental, full) = frame_costs(dc);
+    // More workers split the same per-shard deltas over more frames,
+    // changing only the per-frame header overhead: the one-lease
+    // framing is the canonical wire cost.
+    let boundaries = points[0].2.boundaries;
+    let per_epoch = incremental / boundaries.max(1);
+    let full_per_epoch = full / boundaries.max(1);
+    let invariant = inline == dc.on && points.iter().all(|(_, result, _)| *result == dc.on);
+    let expired: u64 = points.iter().map(|(_, _, s)| s.expired_leases).sum();
+    report.section("fabric");
+    report.label("workload", DC_WORKLOAD);
+    report.count("execs", dc.cfg.execs);
+    report.count("shards", SHARDS);
+    report.count("epoch", EPOCH);
+    report.flag("worker_invariant", invariant);
+    report.count("boundaries", boundaries);
+    report.count("delta_bytes_per_epoch", per_epoch);
+    report.count("delta_full_bytes_per_epoch", full_per_epoch);
+    let shrink = full_per_epoch as f64 / per_epoch.max(1) as f64;
+    report.ratio("delta_shrink", shrink, 3);
+    report.count("expired_leases", expired);
+    for (i, (workers, _, stats)) in points.iter().enumerate() {
+        report.section(&format!("fabric.points.{i}"));
+        report.count("workers", *workers);
+        report.count("delta_bytes", stats.delta_bytes);
+    }
+}
+
+/// `tenancy`: three deep-chain tenants (seeds 1..3) share one
+/// `TenantService` and one worker pool at two slots each; tenant 1
+/// declares an exec quota of half the campaign and must be cut
+/// gracefully at a boundary, bit-identical to an unlimited run halted
+/// there.
+fn tenancy_section(report: &mut Report, dc: &DeepChain) {
+    let quota = dc.cfg.execs / 2;
+    let quota_of = |tenant: usize| (tenant == 1).then_some(quota);
+    let configs = [1u64, 2, 3].map(|seed| CampaignConfig {
+        seed,
+        ..dc.cfg.clone()
+    });
+    let (tenants, stats) = std::thread::scope(|scope| {
         let mut service = TenantService::new(ServiceOpts {
             lease_timeout: Duration::from_secs(60),
             health: HealthOpts::default(),
         });
-        for (i, config) in tenancy_cfgs.iter().enumerate() {
+        for (i, config) in configs.iter().enumerate() {
             service.admit(TenantSpec {
                 name: format!("tenant-{i}"),
                 config: config.clone(),
-                shards: 8,
+                shards: SHARDS,
                 workers: 2,
-                spec_fp: fabric_fp,
-                quota: if i == 1 {
-                    TenantQuota::execs(tenancy_quota)
-                } else {
-                    TenantQuota::unlimited()
-                },
+                spec_fp: dc.spec_fp,
+                quota: quota_of(i).map_or_else(TenantQuota::unlimited, TenantQuota::execs),
             });
         }
-        let dc_kernel = &dc_kernel;
-        let dc_lowered = &dc_lowered;
-        let mut accept = || -> Option<Box<dyn Transport>> {
-            let (service_end, worker_end) = ChannelTransport::pair();
-            let lowered = std::sync::Arc::clone(dc_lowered);
-            scope.spawn(move || {
-                run_worker(Box::new(worker_end), WorkerOpts::default(), |fp| {
-                    (fp == fabric_fp).then_some((dc_kernel, lowered))
-                })
-                .expect("tenant worker");
-            });
-            Some(Box::new(service_end))
-        };
-        service.run(&mut accept).expect("tenant service")
+        service.run(&mut dc.workers(scope)).expect("tenant service")
     });
-    let tenancy_secs = tenancy_t0.elapsed().as_secs_f64();
-    let mut tenancy_invariant = true;
-    for (i, (reference, tenant)) in tenancy_refs.iter().zip(&tenant_results).enumerate() {
-        if !same_result(&reference.result, &tenant.result)
-            || tenant.boundaries != reference.boundaries
-            || tenant.budget_exhausted != reference.budget_exhausted
+    let mut invariant = true;
+    for (i, (config, tenant)) in configs.iter().zip(&tenants).enumerate() {
+        let reference = reference_run(&dc.suite.kernel, &dc.lowered, config, SHARDS, quota_of(i));
+        if reference.result != tenant.result
+            || reference.boundaries != tenant.boundaries
+            || reference.budget_exhausted != tenant.budget_exhausted
         {
-            tenancy_invariant = false;
-            eprintln!(
-                "TENANT {i} DIVERGED FROM ITS SINGLE-PROCESS REFERENCE (bench_gate will fail)"
-            );
+            invariant = false;
+            eprintln!("tenant {i} diverged from its single-process reference");
         }
     }
-    if !tenant_results[1].budget_exhausted {
-        tenancy_invariant = false;
-        eprintln!("STARVED TENANT WAS NOT BUDGET-TERMINATED (bench_gate will fail)");
+    let starved = &tenants[1];
+    report.section("tenancy");
+    report.label("workload", "deep-chain exchange-on campaign, three tenants");
+    report.count("execs", dc.cfg.execs);
+    report.count("shards", SHARDS);
+    report.count("workers_per_tenant", 2u64);
+    report.flag("tenant_invariant", invariant);
+    report.count("starved_quota", quota);
+    report.count("starved_execs", starved.usage.execs);
+    report.count("starved_boundaries", starved.boundaries);
+    report.flag("budget_exhausted", starved.budget_exhausted);
+    report.count("grants", stats.grants);
+    for (i, tenant) in tenants.iter().enumerate() {
+        report.section(&format!("tenancy.tenant_{i}"));
+        report.count("execs", tenant.result.execs);
+        report.count("blocks", tenant.result.blocks());
+        report.count("unique_crashes", tenant.result.unique_crashes());
+        report.count("corpus", tenant.result.corpus_size);
+        report.count("boundaries", tenant.boundaries);
+        report.count("grants", stats.grants_per_tenant[i]);
     }
-    let starved = &tenant_results[1];
-    println!(
-        "tenancy          : 3 tenants over one pool, invariant: {tenancy_invariant}, starved \
-         tenant cut at boundary {} ({} of {} exec quota), grants {:?}",
-        starved.boundaries, starved.usage.execs, tenancy_quota, tenancy_stats.grants_per_tenant,
-    );
+}
 
-    // ---- Flight recorder: capture overhead + time-travel replay ----
-    // The deep-chain exchange-on campaign with the default per-shard
-    // trace ring vs a `trace_ring: 0` ablation, best-of-3 wall clock
-    // back to back so runner noise hits both sides alike. Tracing
-    // must not change the result; every retained trace must replay
-    // bit-identically from its header; and every crash signature the
-    // traced campaign found must have a pinned trace replaying to the
-    // same signature.
-    let trace_ring = CampaignConfig::default().trace_ring;
+/// `trace`: the flight recorder. Tracing must not change the result;
+/// every retained trace must replay bit-identically from its header;
+/// and every crash signature the traced campaign found must have a
+/// pinned trace replaying to the same signature.
+fn trace_section(report: &mut Report, dc: &DeepChain) {
     let untraced_cfg = CampaignConfig {
         trace_ring: 0,
-        ..dc_cfg(DC_EPOCH)
+        ..dc.cfg.clone()
     };
-    let mut traced_secs = f64::INFINITY;
-    let mut untraced_secs = f64::INFINITY;
-    let mut traced: Option<(CampaignResult, Vec<TraceStore>)> = None;
-    let mut untraced: Option<CampaignResult> = None;
-    for _ in 0..OVERHEAD_ROUNDS {
-        let t0 = Instant::now();
-        untraced = Some(
-            ShardedCampaign::new(&dc_kernel, &dc_suite, dc_kc.consts(), untraced_cfg.clone())
-                .with_shards(8)
-                .with_threads(1)
-                .run(),
-        );
-        untraced_secs = untraced_secs.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        traced = Some(
-            ShardedCampaign::new(&dc_kernel, &dc_suite, dc_kc.consts(), dc_cfg(DC_EPOCH))
-                .with_shards(8)
-                .with_threads(1)
-                .run_traced(),
-        );
-        traced_secs = traced_secs.min(t0.elapsed().as_secs_f64());
+    let untraced = dc.suite.campaign(&untraced_cfg, 1).run();
+    let (traced, stores) = dc.suite.campaign(&dc.cfg, 1).run_traced();
+    let mut identical = traced == untraced;
+    if !identical {
+        eprintln!("tracing changed the campaign result");
     }
-    let (traced_result, trace_stores) = traced.expect("rounds > 0");
-    let untraced_result = untraced.expect("rounds > 0");
-    let capture_overhead_pct = ((traced_secs / untraced_secs.max(1e-9) - 1.0) * 100.0).max(0.0);
-    let mut replay_identical = true;
-    if !same_result(&traced_result, &untraced_result) {
-        replay_identical = false;
-        eprintln!("TRACING CHANGED THE CAMPAIGN RESULT (bench_gate will fail)");
-    }
-    let trace_tables = cfg_successors(&dc_kernel);
-    let mut traces_replayed = 0u64;
-    let mut replay_blocks = 0u64;
-    let mut trace_retained = 0u64;
-    let mut trace_pinned = 0u64;
-    let mut trace_stream_bytes = 0u64;
-    let mut trace_stream_bits = 0u64;
-    let replay_t0 = Instant::now();
-    for store in &trace_stores {
-        trace_retained += store.retained() as u64;
-        trace_pinned += store.pinned_len() as u64;
-        trace_stream_bytes += store.stream_bytes();
-        trace_stream_bits += store.stream_bits();
+    let tables = cfg_successors(&dc.suite.kernel);
+    let mut scratch = dc.scratch();
+    let mut replay =
+        |trace| replay_trace(&dc.suite.kernel, &mut scratch, &tables, trace, dc.spec_fp);
+    let (mut retained, mut pinned, mut replayed, mut blocks) = (0u64, 0u64, 0u64, 0u64);
+    let (mut stream_bytes, mut stream_bits) = (0u64, 0u64);
+    for store in &stores {
+        retained += store.retained() as u64;
+        pinned += store.pinned_len() as u64;
+        stream_bytes += store.stream_bytes();
+        stream_bits += store.stream_bits();
         for trace in store.iter() {
-            match replay_trace(&dc_kernel, &mut dc_scratch, &trace_tables, trace, fabric_fp) {
+            match replay(trace) {
                 Ok(o) if o.identical => {
-                    traces_replayed += 1;
-                    replay_blocks += o.blocks;
+                    replayed += 1;
+                    blocks += o.blocks;
                 }
-                Ok(_) => {
-                    replay_identical = false;
+                other => {
+                    identical = false;
+                    let (shard, exec) = (trace.shard, trace.exec);
                     eprintln!(
-                        "TRACE REPLAY DIVERGED: shard {} exec {} (bench_gate will fail)",
-                        trace.shard, trace.exec
-                    );
-                }
-                Err(e) => {
-                    replay_identical = false;
-                    eprintln!(
-                        "TRACE REPLAY FAILED: shard {} exec {}: {e} (bench_gate will fail)",
-                        trace.shard, trace.exec
+                        "trace replay diverged: shard {shard} exec {exec}: {:?}",
+                        other.err()
                     );
                 }
             }
         }
     }
-    let replay_secs = replay_t0.elapsed().as_secs_f64();
-    let trace_crash_sigs = traced_result.triage.len() as u64;
-    for e in traced_result.triage.entries() {
-        let pinned = trace_stores.iter().find_map(|s| s.pinned_for(&e.signature));
-        let Some(trace) = pinned else {
-            replay_identical = false;
-            eprintln!(
-                "CRASH SIGNATURE WITHOUT A PINNED TRACE: {} (bench_gate will fail)",
-                e.title
-            );
-            continue;
-        };
-        let replays_to_sig =
-            replay_trace(&dc_kernel, &mut dc_scratch, &trace_tables, trace, fabric_fp)
-                .is_ok_and(|o| o.identical && o.live_crash == Some(e.signature));
+    for e in traced.triage.entries() {
+        let pinned_trace = stores.iter().find_map(|s| s.pinned_for(&e.signature));
+        let replays_to_sig = pinned_trace.is_some_and(|trace| {
+            replay(trace).is_ok_and(|o| o.identical && o.live_crash == Some(e.signature))
+        });
         if !replays_to_sig {
-            replay_identical = false;
-            eprintln!(
-                "PINNED TRACE DID NOT REPLAY TO ITS SIGNATURE: {} (bench_gate will fail)",
-                e.title
-            );
+            identical = false;
+            eprintln!("no pinned trace replays to crash signature: {}", e.title);
         }
     }
-    let trace_bits_per_exec = trace_stream_bytes as f64 * 8.0 / execs as f64;
-    let trace_bits_per_traced = trace_stream_bits as f64 / trace_retained.max(1) as f64;
-    let trace_bits_per_block = trace_stream_bits as f64 / replay_blocks.max(1) as f64;
-    println!(
-        "trace            : {trace_retained} retained ({trace_pinned} pinned), {trace_stream_bytes} stream bytes = {trace_bits_per_exec:.3} bits/exec amortized ({trace_bits_per_traced:.1} bits/traced exec, {trace_bits_per_block:.3} bits/block), capture overhead {capture_overhead_pct:.1}%, replay identical: {replay_identical}"
+    let execs = dc.cfg.execs;
+    report.section("trace");
+    report.label("workload", DC_WORKLOAD);
+    report.count("execs", execs);
+    report.count("shards", SHARDS);
+    report.count("ring", dc.cfg.trace_ring);
+    report.count("retained", retained);
+    report.count("pinned", pinned);
+    report.count("stream_bytes", stream_bytes);
+    report.ratio("bits_per_exec", stream_bytes as f64 * 8.0 / execs as f64, 4);
+    let per_traced = stream_bits as f64 / retained.max(1) as f64;
+    report.ratio("stream_bits_per_exec", per_traced, 4);
+    report.ratio(
+        "bits_per_block",
+        stream_bits as f64 / blocks.max(1) as f64,
+        4,
     );
-    println!(
-        "trace replay     : {traces_replayed} traces ({replay_blocks} blocks) in {replay_secs:.3}s"
-    );
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"fuzzing\",");
-    let _ = writeln!(json, "  \"workload\": \"dm ground-truth suite\",");
-    let _ = writeln!(json, "  \"execs\": {execs},");
-    let _ = writeln!(json, "  \"shards\": 8,");
-    let _ = writeln!(
-        json,
-        "  \"available_cores\": {},",
-        std::thread::available_parallelism().map_or(0, usize::from)
-    );
-    let _ = writeln!(
-        json,
-        "  \"sequential\": {{ \"secs\": {seq_secs:.6}, \"execs_per_sec\": {seq_rate:.1} }},"
-    );
-    let _ = writeln!(json, "  \"sharded\": [");
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"threads\": {}, \"secs\": {:.6}, \"execs_per_sec\": {:.1} }}{}",
-            p.threads,
-            p.secs,
-            p.rate,
-            if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedup_1_to_8_threads\": {speedup:.3},");
-    let _ = writeln!(json, "  \"merge_invariant\": {merge_invariant},");
-    let _ = writeln!(json, "  \"blocks\": {},", reference.blocks());
-    let _ = writeln!(
-        json,
-        "  \"unique_crashes\": {},",
-        reference.unique_crashes()
-    );
-    let _ = writeln!(json, "  \"hub\": {{");
-    let _ = writeln!(json, "    \"epoch\": {HUB_EPOCH},");
-    let _ = writeln!(json, "    \"top_k\": {HUB_TOP_K},");
-    let _ = writeln!(json, "    \"thread_invariant\": {hub_invariant},");
-    let _ = writeln!(
-        json,
-        "    \"off\": {{ \"blocks\": {}, \"unique_crashes\": {}, \"corpus_size\": {}, \"coverage_per_exec\": {off_cpe:.8} }},",
-        reference.blocks(),
-        reference.unique_crashes(),
-        reference.corpus_size
-    );
-    let _ = writeln!(
-        json,
-        "    \"on\": {{ \"blocks\": {}, \"unique_crashes\": {}, \"corpus_size\": {}, \"coverage_per_exec\": {on_cpe:.8}, \"secs\": {hub_secs:.6}, \"execs_per_sec\": {hub_rate:.1} }},",
-        hub_on.blocks(),
-        hub_on.unique_crashes(),
-        hub_on.corpus_size
-    );
-    let _ = writeln!(
-        json,
-        "    \"early\": {{ \"execs\": {early_execs}, \"off_blocks\": {}, \"off_corpus_size\": {}, \"on_blocks\": {}, \"on_corpus_size\": {} }}",
-        early_off.blocks(),
-        early_off.corpus_size,
-        early_on.blocks(),
-        early_on.corpus_size
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"workloads\": {{");
-    let _ = writeln!(json, "    \"deep_chain\": {{");
-    let _ = writeln!(
-        json,
-        "      \"suite\": \"deep-chain ground-truth (4 drivers)\","
-    );
-    let _ = writeln!(json, "      \"execs\": {execs},");
-    let _ = writeln!(json, "      \"shards\": 8,");
-    let _ = writeln!(json, "      \"max_prog_len\": 12,");
-    let _ = writeln!(json, "      \"epoch\": {DC_EPOCH},");
-    let _ = writeln!(json, "      \"top_k\": {DC_TOP_K},");
-    let _ = writeln!(json, "      \"thread_invariant\": {dc_invariant},");
-    let _ = writeln!(
-        json,
-        "      \"off\": {{ \"blocks\": {}, \"unique_crashes\": {}, \"corpus_size\": {}, \"coverage_per_exec\": {dc_off_cpe:.8} }},",
-        dc_off.blocks(),
-        dc_off.unique_crashes(),
-        dc_off.corpus_size
-    );
-    let _ = writeln!(
-        json,
-        "      \"on\": {{ \"blocks\": {}, \"unique_crashes\": {}, \"corpus_size\": {}, \"coverage_per_exec\": {dc_on_cpe:.8}, \"secs\": {dc_secs:.6}, \"execs_per_sec\": {dc_rate:.1} }}",
-        dc_on.blocks(),
-        dc_on.unique_crashes(),
-        dc_on.corpus_size
-    );
-    let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"triage\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"deep-chain exchange-on campaign\","
-    );
-    let _ = writeln!(json, "    \"signatures\": {},", dc_on.triage.len());
-    let _ = writeln!(json, "    \"thread_invariant\": {dc_invariant},");
-    let _ = writeln!(json, "    \"reproducible\": {reproducible},");
-    let _ = writeln!(json, "    \"mean_shrink_ratio\": {shrink:.4},");
-    let _ = writeln!(json, "    \"raw_calls\": {raw_calls},");
-    let _ = writeln!(json, "    \"minimized_calls\": {min_calls},");
-    let _ = writeln!(
-        json,
-        "    \"minimize_execs\": {},",
-        dc_on.triage.total_minimize_execs()
-    );
-    let _ = writeln!(json, "    \"minimize_execs_per_sec\": {min_rate:.1}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"generation\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"flagship corpus, oracle gpt-4, seed 0\","
-    );
-    let _ = writeln!(json, "    \"handlers\": {},", gen_handlers.len());
-    let _ = writeln!(
-        json,
-        "    \"valid_count\": {},",
-        gen_reference.valid_count()
-    );
-    let _ = writeln!(json, "    \"bit_identical\": {bit_identical},");
-    let _ = writeln!(json, "    \"points\": [");
-    for (i, p) in gen_points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{ \"threads\": {}, \"secs\": {:.6}, \"handlers_per_sec\": {:.2} }}{}",
-            p.threads,
-            p.secs,
-            p.rate,
-            if i + 1 < gen_points.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"spec_cache\": {{");
-    let _ = writeln!(json, "    \"suite\": \"dm ground-truth\",");
-    let _ = writeln!(json, "    \"cold_build_ms\": {cold_ms:.6},");
-    let _ = writeln!(json, "    \"warm_lookup_ms\": {warm_ms:.6},");
-    let _ = writeln!(json, "    \"warm_speedup\": {warm_speedup:.1}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"lowering\": {{");
-    let _ = writeln!(json, "    \"workload\": \"dm ground-truth suite\",");
-    let _ = writeln!(json, "    \"bit_identical\": {lowering_bit_identical},");
-    let _ = writeln!(
-        json,
-        "    \"gen\": {{ \"ast_progs_per_sec\": {gen_ast_rate:.1}, \"lowered_progs_per_sec\": {gen_low_rate:.1}, \"speedup\": {:.3} }},",
-        gen_low_rate / gen_ast_rate
-    );
-    let _ = writeln!(
-        json,
-        "    \"exec\": {{ \"ast_execs_per_sec\": {exec_ast_rate:.1}, \"lowered_execs_per_sec\": {exec_low_rate:.1}, \"speedup\": {:.3} }},",
-        exec_low_rate / exec_ast_rate
-    );
-    let _ = writeln!(
-        json,
-        "    \"mutation\": {{ \"ast_mutations_per_sec\": {mut_ast_rate:.1}, \"lowered_mutations_per_sec\": {mut_low_rate:.1}, \"speedup\": {:.3} }}",
-        mut_low_rate / mut_ast_rate
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"durability\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"deep-chain exchange-on campaign\","
-    );
-    let _ = writeln!(json, "    \"resume_identical\": {resume_identical},");
-    let _ = writeln!(json, "    \"checkpoint_bytes\": {ckpt_bytes},");
-    let _ = writeln!(json, "    \"write_ms\": {write_ms:.6},");
-    let _ = writeln!(json, "    \"restore_ms\": {restore_ms:.6},");
-    let _ = writeln!(json, "    \"checkpoint_overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(json, "    \"fuel_budget\": {FUEL_BUDGET},");
-    let _ = writeln!(json, "    \"fuel_exhausted\": {fuel_exhausted},");
-    let _ = writeln!(json, "    \"fuel_deterministic\": {fuel_deterministic}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"fabric\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"deep-chain exchange-on campaign\","
-    );
-    let _ = writeln!(json, "    \"execs\": {execs},");
-    let _ = writeln!(json, "    \"shards\": 8,");
-    let _ = writeln!(json, "    \"epoch\": {DC_EPOCH},");
-    let _ = writeln!(json, "    \"worker_invariant\": {fabric_invariant},");
-    let _ = writeln!(json, "    \"boundaries\": {fabric_boundaries},");
-    let _ = writeln!(
-        json,
-        "    \"delta_bytes_per_epoch\": {fabric_delta_per_epoch},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"delta_full_bytes_per_epoch\": {fabric_full_per_epoch},"
-    );
-    let _ = writeln!(json, "    \"delta_shrink\": {fabric_shrink:.3},");
-    let _ = writeln!(json, "    \"merge_ms\": {fabric_merge_ms:.3},");
-    let _ = writeln!(json, "    \"expired_leases\": {fabric_expired},");
-    let _ = writeln!(json, "    \"points\": [");
-    for (i, p) in fabric_points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{ \"workers\": {}, \"secs\": {:.6}, \"delta_bytes\": {}, \"merge_ms\": {:.3} }}{}",
-            p.workers,
-            p.secs,
-            p.stats.delta_bytes,
-            p.stats.merge_nanos as f64 / 1e6,
-            if i + 1 < fabric_points.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"tenancy\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"deep-chain exchange-on campaign, three tenants\","
-    );
-    let _ = writeln!(json, "    \"execs\": {execs},");
-    let _ = writeln!(json, "    \"shards\": 8,");
-    let _ = writeln!(json, "    \"workers_per_tenant\": 2,");
-    let _ = writeln!(json, "    \"tenant_invariant\": {tenancy_invariant},");
-    let _ = writeln!(json, "    \"starved_quota\": {tenancy_quota},");
-    let _ = writeln!(json, "    \"starved_execs\": {},", starved.usage.execs);
-    let _ = writeln!(json, "    \"starved_boundaries\": {},", starved.boundaries);
-    let _ = writeln!(
-        json,
-        "    \"budget_exhausted\": {},",
-        starved.budget_exhausted
-    );
-    let _ = writeln!(json, "    \"grants\": {},", tenancy_stats.grants);
-    let _ = writeln!(json, "    \"secs\": {tenancy_secs:.6},");
-    for (i, tenant) in tenant_results.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"tenant_{i}\": {{ \"execs\": {}, \"blocks\": {}, \"unique_crashes\": {}, \"corpus\": {}, \"boundaries\": {}, \"grants\": {} }}{}",
-            tenant.result.execs,
-            tenant.result.blocks(),
-            tenant.result.unique_crashes(),
-            tenant.result.corpus_size,
-            tenant.boundaries,
-            tenancy_stats.grants_per_tenant[i],
-            if i + 1 < tenant_results.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"trace\": {{");
-    let _ = writeln!(
-        json,
-        "    \"workload\": \"deep-chain exchange-on campaign\","
-    );
-    let _ = writeln!(json, "    \"execs\": {execs},");
-    let _ = writeln!(json, "    \"shards\": 8,");
-    let _ = writeln!(json, "    \"ring\": {trace_ring},");
-    let _ = writeln!(json, "    \"retained\": {trace_retained},");
-    let _ = writeln!(json, "    \"pinned\": {trace_pinned},");
-    let _ = writeln!(json, "    \"stream_bytes\": {trace_stream_bytes},");
-    let _ = writeln!(json, "    \"bits_per_exec\": {trace_bits_per_exec:.4},");
-    let _ = writeln!(
-        json,
-        "    \"stream_bits_per_exec\": {trace_bits_per_traced:.4},"
-    );
-    let _ = writeln!(json, "    \"bits_per_block\": {trace_bits_per_block:.4},");
-    let _ = writeln!(
-        json,
-        "    \"capture_overhead_pct\": {capture_overhead_pct:.3},"
-    );
-    let _ = writeln!(json, "    \"replay_identical\": {replay_identical},");
-    let _ = writeln!(json, "    \"crash_sigs\": {trace_crash_sigs},");
-    let _ = writeln!(json, "    \"traces_replayed\": {traces_replayed},");
-    let _ = writeln!(json, "    \"replay_secs\": {replay_secs:.6}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out, json).expect("write bench json");
-    println!("wrote {out}");
+    report.flag("replay_identical", identical);
+    report.count("crash_sigs", traced.triage.len());
+    report.count("traces_replayed", replayed);
 }

@@ -5,8 +5,7 @@
 //! <experiment>` prints paper-formatted rows; see EXPERIMENTS.md for
 //! the recorded paper-vs-measured comparison.
 
-pub mod gate;
-pub mod json;
+pub mod report;
 
 use kgpt_core::{GenerationReport, KernelGpt, Strategy};
 use kgpt_csrc::blueprint::Blueprint;

@@ -55,11 +55,6 @@ pub struct WorkerOpts {
     pub on_grant: Option<GrantHook>,
     /// Observer called after every acknowledged boundary.
     pub on_boundary: Option<Box<dyn FnMut(u64)>>,
-    /// Ship every boundary as a full snapshot frame instead of
-    /// diffing against the last acked baseline. The results are
-    /// identical — this exists to measure the bandwidth win and as an
-    /// escape hatch.
-    pub force_full_deltas: bool,
 }
 
 impl Default for WorkerOpts {
@@ -72,7 +67,6 @@ impl Default for WorkerOpts {
             register_interval: Duration::from_millis(100),
             on_grant: None,
             on_boundary: None,
-            force_full_deltas: false,
         }
     }
 }
@@ -234,11 +228,11 @@ where
         // not best-effort). Resends reuse the same frame, so a
         // dropped incremental is re-sent against the same baseline.
         let payload = match baseline.take() {
-            Some(base) if !opts.force_full_deltas => match diff_boundary(&base, deltas) {
+            Some(base) => match diff_boundary(&base, deltas) {
                 Ok(patches) => DeltaPayload::Incremental(patches),
                 Err(deltas) => DeltaPayload::Full(deltas),
             },
-            _ => DeltaPayload::Full(deltas),
+            None => DeltaPayload::Full(deltas),
         };
         let delta_frame = Message::Delta {
             tenant: grant.tenant,

@@ -92,7 +92,7 @@ impl CampaignConfig {
 pub type CrashTally = BTreeMap<String, (u64, Option<String>)>;
 
 /// Outcome of a campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignResult {
     /// Union of covered blocks (dense bitmap; use
     /// [`CoverageMap::to_btree_set`] for a sorted-set report view).

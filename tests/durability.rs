@@ -8,7 +8,7 @@
 
 use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fuzzer::{
-    Campaign, CampaignConfig, CampaignResult, CampaignSnapshot, Fault, FaultPlan, ShardedCampaign,
+    Campaign, CampaignConfig, CampaignSnapshot, Fault, FaultPlan, ShardedCampaign,
 };
 use kernelgpt::syzlang::{ConstDb, SpecFile};
 use kernelgpt::vkernel::VKernel;
@@ -44,18 +44,6 @@ fn ckpt_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kgpt-durability-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir.join(format!("{tag}.ckpt"))
-}
-
-fn assert_same(a: &CampaignResult, b: &CampaignResult, label: &str) {
-    assert_eq!(a.coverage, b.coverage, "{label}: coverage");
-    assert_eq!(a.crashes, b.crashes, "{label}: crashes");
-    assert_eq!(a.corpus_size, b.corpus_size, "{label}: corpus_size");
-    assert_eq!(a.triage, b.triage, "{label}: triage");
-    assert_eq!(
-        a.fuel_exhausted, b.fuel_exhausted,
-        "{label}: fuel_exhausted"
-    );
-    assert_eq!(a.execs, b.execs, "{label}: execs");
 }
 
 /// Interrupt-at-a-boundary + resume is bit-identical to the
@@ -94,10 +82,9 @@ fn interrupt_plus_resume_is_bit_identical_at_any_thread_count() {
                 .with_threads(threads)
                 .resume(&path)
                 .expect("resume");
-            assert_same(
-                &reference,
-                &resumed,
-                &format!("seed {seed} threads {threads} halt {halt_after}"),
+            assert_eq!(
+                reference, resumed,
+                "seed {seed} threads {threads} halt {halt_after}"
             );
             let _ = std::fs::remove_file(&path);
         }
@@ -167,7 +154,7 @@ fn resume_is_bit_identical_under_every_fault_plan() {
             .with_checkpoint(&path)
             .with_faults(plan.clone())
             .run();
-        assert_same(&reference, &full, &format!("{tag}: faulted full run"));
+        assert_eq!(reference, full, "{tag}: faulted full run");
         let _ = std::fs::remove_file(&path);
 
         // Interrupt at the *last* checkpoint the plan lets through,
@@ -192,7 +179,7 @@ fn resume_is_bit_identical_under_every_fault_plan() {
             .with_shards(8)
             .resume(&path)
             .unwrap_or_else(|e| panic!("{tag}: resume under faults: {e}"));
-        assert_same(&reference, &resumed, &format!("{tag}: resumed run"));
+        assert_eq!(reference, resumed, "{tag}: resumed run");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
     }
@@ -227,7 +214,7 @@ fn sequential_campaign_resumes_a_one_shard_checkpoint() {
     let resumed = Campaign::new(&kernel, &suite, &consts, config)
         .resume(&path)
         .expect("sequential resume");
-    assert_same(&reference, &resumed, "sequential resume");
+    assert_eq!(reference, resumed, "sequential resume");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -290,7 +277,7 @@ fn fuel_exhaustion_is_deterministic_and_never_corrupts_the_merge() {
     );
     for threads in [2usize, 4, 8] {
         let r = run(threads);
-        assert_same(&base, &r, &format!("starved run, threads {threads}"));
+        assert_eq!(base, r, "starved run, threads {threads}");
     }
     // An unlimited budget never trips the watchdog.
     let unlimited = ShardedCampaign::new(

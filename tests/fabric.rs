@@ -6,10 +6,14 @@
 
 use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fabric::{
-    run_worker, ChannelTransport, Coordinator, CoordinatorOpts, FabricStats, TcpTransport,
-    Transport, WorkerOpts, WorkerSummary,
+    run_worker, ChannelTransport, Coordinator, CoordinatorOpts, DeltaPayload, FabricStats, Message,
+    TcpTransport, Transport, WorkerOpts, WorkerSummary,
 };
-use kernelgpt::fuzzer::{CampaignConfig, CampaignResult, Fault, FaultPlan, ShardedCampaign};
+use kernelgpt::fuzzer::fabric::{apply_patches, diff_boundary};
+use kernelgpt::fuzzer::{
+    CampaignConfig, CampaignMerge, CampaignResult, Fault, FaultPlan, LeaseRunner, ShardSnapshot,
+    ShardedCampaign,
+};
 use kernelgpt::syzlang::{ConstDb, SpecCache, SpecFile};
 use kernelgpt::vkernel::VKernel;
 use std::sync::{Arc, Mutex};
@@ -42,18 +46,6 @@ fn cfg(seed: u64) -> CampaignConfig {
     }
 }
 
-fn assert_same(a: &CampaignResult, b: &CampaignResult, label: &str) {
-    assert_eq!(a.coverage, b.coverage, "{label}: coverage");
-    assert_eq!(a.crashes, b.crashes, "{label}: crashes");
-    assert_eq!(a.corpus_size, b.corpus_size, "{label}: corpus_size");
-    assert_eq!(a.triage, b.triage, "{label}: triage");
-    assert_eq!(
-        a.fuel_exhausted, b.fuel_exhausted,
-        "{label}: fuel_exhausted"
-    );
-    assert_eq!(a.execs, b.execs, "{label}: execs");
-}
-
 struct Harness {
     lease_timeout: Duration,
     reply_timeout: Duration,
@@ -61,9 +53,6 @@ struct Harness {
     /// the list run clean (so an injected fault cannot cascade into a
     /// livelock of its own replacement).
     plans: Vec<FaultPlan>,
-    /// Ship every boundary as a full snapshot frame (the measurement
-    /// baseline for the incremental-delta bandwidth win).
-    force_full: bool,
 }
 
 impl Default for Harness {
@@ -72,7 +61,6 @@ impl Default for Harness {
             lease_timeout: Duration::from_secs(60),
             reply_timeout: Duration::from_millis(250),
             plans: Vec::new(),
-            force_full: false,
         }
     }
 }
@@ -114,7 +102,6 @@ fn run_fabric(
                 let opts = WorkerOpts {
                     faults: plan,
                     reply_timeout: harness.reply_timeout,
-                    force_full_deltas: harness.force_full,
                     ..WorkerOpts::default()
                 };
                 let summary = run_worker(Box::new(worker_end), opts, |fp| {
@@ -155,7 +142,7 @@ fn fabric_result_is_bit_identical_at_1_2_4_workers_across_seeds() {
                 workers,
                 Harness::default(),
             );
-            assert_same(&reference, &result, &format!("seed {seed} x{workers}"));
+            assert_eq!(reference, result, "seed {seed} x{workers}");
             // 3000 execs / 8 shards at hub_epoch 125 = 3 epochs.
             assert_eq!(stats.boundaries, 3, "seed {seed} x{workers}");
             assert_eq!(stats.expired_leases, 0, "seed {seed} x{workers}");
@@ -166,9 +153,13 @@ fn fabric_result_is_bit_identical_at_1_2_4_workers_across_seeds() {
     }
 }
 
-/// Incremental frames (the default) and forced-full frames merge to
-/// the identical result, and the incremental wire cost is a small
-/// fraction of the full cost — the whole point of true delta frames.
+/// Every boundary of a `LeaseRunner` run framed both ways, as
+/// `run_worker` frames it: incremental against the acked baseline
+/// (full on the first boundary, which has none) vs always full. The
+/// increment must resolve to the very deltas the full frame carries,
+/// the merge of those deltas is the single-process result, and the
+/// incremental wire cost is a small fraction of the full cost — the
+/// whole point of true delta frames.
 #[test]
 fn incremental_frames_match_full_frames_and_cost_far_fewer_bytes() {
     let (kernel, suite, consts) = deepchain_setup();
@@ -176,33 +167,60 @@ fn incremental_frames_match_full_frames_and_cost_far_fewer_bytes() {
     let reference = ShardedCampaign::new(&kernel, &suite, &consts, config.clone())
         .with_shards(SHARDS)
         .run();
-    let run = |force_full: bool| {
-        run_fabric(
-            &kernel,
-            &suite,
-            &consts,
-            &config,
-            2,
-            Harness {
-                force_full,
-                ..Harness::default()
-            },
-        )
+    let db = SpecCache::global().get_or_build(&suite);
+    let lowered = SpecCache::global().get_or_lower(&db, &consts);
+    let frame_len = |boundary: u64, deltas: DeltaPayload| {
+        let frame = Message::Delta {
+            tenant: 0,
+            lease_id: 1,
+            boundary,
+            deltas,
+        }
+        .to_frame();
+        frame.len() as u64
     };
-    let (full_result, full_stats, _) = run(true);
-    let (incr_result, incr_stats, _) = run(false);
-    assert_same(&reference, &full_result, "forced-full");
-    assert_same(&reference, &incr_result, "incremental");
-    assert_eq!(full_stats.boundaries, incr_stats.boundaries);
+    let mut merge = CampaignMerge::new(config.clone(), SHARDS);
+    let mut runner = LeaseRunner::fresh(&lowered, &config, SHARDS, 0, SHARDS);
+    let mut baseline: Option<Vec<ShardSnapshot>> = None;
+    let (mut incr_bytes, mut full_bytes) = (0u64, 0u64);
+    loop {
+        let deltas = runner.run_epoch(&kernel);
+        let boundary = merge.epochs_done() + 1;
+        let full = frame_len(boundary, DeltaPayload::Full(deltas.clone()));
+        full_bytes += full;
+        incr_bytes += match &baseline {
+            Some(base) => {
+                let patches = diff_boundary(base, deltas.clone())
+                    .expect("real shard evolution is always diffable");
+                assert_eq!(
+                    apply_patches(base, patches.clone()).expect("patches fit their baseline"),
+                    deltas,
+                    "boundary {boundary}: the increment resolves to the full frame's deltas"
+                );
+                frame_len(boundary, DeltaPayload::Incremental(patches))
+            }
+            None => full,
+        };
+        let outcome = merge.apply_boundary(deltas).expect("boundary merge");
+        if outcome.finished {
+            break;
+        }
+        runner.import(&outcome.seeds);
+        baseline = Some(runner.snapshots());
+    }
+    assert_eq!(merge.epochs_done(), 3);
+    assert_eq!(
+        reference,
+        merge.finish().expect("finished"),
+        "in-process fabric"
+    );
     // Boundary 1 is full either way (no agreed baseline yet), so the
     // whole-campaign ratio understates the per-boundary win; even so,
-    // increments must cut the accepted delta bytes at least in half
-    // on this 3-boundary workload.
+    // increments must cut the delta bytes at least in half on this
+    // 3-boundary workload.
     assert!(
-        incr_stats.delta_bytes * 2 < full_stats.delta_bytes,
-        "incremental {} bytes vs full {} bytes",
-        incr_stats.delta_bytes,
-        full_stats.delta_bytes
+        incr_bytes * 2 < full_bytes,
+        "incremental {incr_bytes} bytes vs full {full_bytes} bytes"
     );
 }
 
@@ -226,7 +244,7 @@ fn worker_death_mid_lease_reassigns_the_range_with_result_unchanged() {
             ..Harness::default()
         };
         let (result, stats, summaries) = run_fabric(&kernel, &suite, &consts, &config, 2, harness);
-        assert_same(&reference, &result, &format!("kill at boundary {boundary}"));
+        assert_eq!(reference, result, "kill at boundary {boundary}");
         assert!(
             stats.expired_leases >= 1,
             "kill at boundary {boundary}: the lost lease must be counted"
@@ -258,7 +276,7 @@ fn stalled_lease_expires_and_the_range_is_reassigned() {
         ..Harness::default()
     };
     let (result, stats, summaries) = run_fabric(&kernel, &suite, &consts, &config, 2, harness);
-    assert_same(&reference, &result, "stalled lease");
+    assert_eq!(reference, result, "stalled lease");
     assert!(stats.expired_leases >= 1, "the stalled lease must expire");
     assert!(
         summaries.iter().any(|s| !s.completed),
@@ -289,7 +307,7 @@ fn dropped_and_duplicated_frames_are_idempotent() {
         ..Harness::default()
     };
     let (result, stats, summaries) = run_fabric(&kernel, &suite, &consts, &config, 2, harness);
-    assert_same(&reference, &result, "dropped+duplicated frames");
+    assert_eq!(reference, result, "dropped+duplicated frames");
     assert_eq!(stats.boundaries, 3, "every boundary merged exactly once");
     assert!(
         stats.redelivered_frames >= 1,
@@ -378,7 +396,7 @@ fn corrupt_frames_are_checksum_rejected_and_recovered_by_resend() {
         };
         coordinator.run(&mut accept).expect("coordinator")
     });
-    assert_same(&reference, &result, "corrupt frame");
+    assert_eq!(reference, result, "corrupt frame");
     assert!(
         stats.rejected_frames >= 1,
         "the flipped-bit frame must be rejected by checksum"
@@ -403,11 +421,10 @@ fn seeded_fabric_fault_plans_never_change_the_result() {
                 FaultPlan::fabric_from_seed(fault_seed, 3, 2),
                 FaultPlan::fabric_from_seed(fault_seed.wrapping_mul(31), 3, 2),
             ],
-            ..Harness::default()
         };
         let (result, _stats, _summaries) =
             run_fabric(&kernel, &suite, &consts, &config, 2, harness);
-        assert_same(&reference, &result, &format!("fault seed {fault_seed:#x}"));
+        assert_eq!(reference, result, "fault seed {fault_seed:#x}");
     }
 }
 
@@ -456,7 +473,7 @@ fn tcp_fabric_run_is_bit_identical() {
         };
         coordinator.run(&mut accept).expect("coordinator")
     });
-    assert_same(&reference, &result, "tcp fabric");
+    assert_eq!(reference, result, "tcp fabric");
     assert_eq!(stats.boundaries, 3);
     assert_eq!(stats.expired_leases, 0);
 }

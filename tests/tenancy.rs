@@ -10,9 +10,7 @@ use kernelgpt::fabric::{
     flap_worker, run_worker, ChannelTransport, FlapOutcome, HealthOpts, ServiceOpts, ServiceStats,
     TenantQuota, TenantResult, TenantService, TenantSpec, Transport, WorkerOpts, WorkerSummary,
 };
-use kernelgpt::fuzzer::{
-    reference_run, CampaignConfig, CampaignResult, Fault, FaultPlan, ShardedCampaign,
-};
+use kernelgpt::fuzzer::{reference_run, CampaignConfig, Fault, FaultPlan, ShardedCampaign};
 use kernelgpt::syzlang::{ConstDb, SpecCache, SpecFile};
 use kernelgpt::vkernel::VKernel;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,18 +45,6 @@ fn cfg(seed: u64) -> CampaignConfig {
         hub_top_k: 4,
         ..CampaignConfig::default()
     }
-}
-
-fn assert_same(a: &CampaignResult, b: &CampaignResult, label: &str) {
-    assert_eq!(a.coverage, b.coverage, "{label}: coverage");
-    assert_eq!(a.crashes, b.crashes, "{label}: crashes");
-    assert_eq!(a.corpus_size, b.corpus_size, "{label}: corpus_size");
-    assert_eq!(a.triage, b.triage, "{label}: triage");
-    assert_eq!(
-        a.fuel_exhausted, b.fuel_exhausted,
-        "{label}: fuel_exhausted"
-    );
-    assert_eq!(a.execs, b.execs, "{label}: execs");
 }
 
 /// What the n-th accepted connection should run.
@@ -206,7 +192,7 @@ fn three_tenants_at_mixed_worker_counts_are_each_bit_identical() {
         let reference = ShardedCampaign::new(&kernel, &suite, &consts, cfg(seed))
             .with_shards(SHARDS)
             .run();
-        assert_same(&reference, &result.result, &format!("tenant {i}"));
+        assert_eq!(reference, result.result, "tenant {i}");
         assert_eq!(result.tenant, u32::try_from(i).unwrap());
         assert_eq!(result.name, format!("tenant-{i}"));
         assert!(!result.budget_exhausted, "tenant {i}: unlimited quota");
@@ -258,11 +244,11 @@ fn budget_starved_tenant_terminates_gracefully_at_a_boundary() {
     let unlimited_ref = ShardedCampaign::new(&kernel, &suite, &consts, cfg(1))
         .with_shards(SHARDS)
         .run();
-    assert_same(&unlimited_ref, &results[0].result, "unlimited tenant");
+    assert_eq!(unlimited_ref, results[0].result, "unlimited tenant");
     assert!(!results[0].budget_exhausted);
     assert_eq!(results[0].boundaries, 3);
 
-    assert_same(&starved_ref.result, &results[1].result, "starved tenant");
+    assert_eq!(starved_ref.result, results[1].result, "starved tenant");
     assert!(
         results[1].budget_exhausted,
         "the starved tenant must be marked budget_exhausted"
@@ -321,7 +307,7 @@ fn flapping_worker_is_quarantined_and_refused_for_the_cooldown() {
         },
         &script,
     );
-    assert_same(&reference, &results[0].result, "flapped campaign");
+    assert_eq!(reference, results[0].result, "flapped campaign");
     assert_eq!(flaps.len(), 4);
     assert!(
         flaps[..3]
@@ -417,7 +403,7 @@ fn registrations_beyond_the_worker_cap_are_parked_with_retry_advice() {
         let reference = ShardedCampaign::new(&kernel, &suite, &consts, config.clone())
             .with_shards(SHARDS)
             .run();
-        assert_same(&reference, &results[i].result, &format!("tenant {i}"));
+        assert_eq!(reference, results[i].result, "tenant {i}");
     }
     assert!(
         stats.parked >= 1,
@@ -522,10 +508,9 @@ fn seeded_chaos_soak_preserves_every_tenants_result() {
             &script,
         );
         for (i, (reference, result)) in references.iter().zip(&results).enumerate() {
-            assert_same(
-                &reference.result,
-                &result.result,
-                &format!("soak x{workers} tenant {i}"),
+            assert_eq!(
+                reference.result, result.result,
+                "soak x{workers} tenant {i}"
             );
             assert_eq!(
                 result.boundaries, reference.boundaries,
