@@ -1,13 +1,14 @@
-//! The coordinator: registration, grants, barrier merge, replies.
+//! The single-campaign coordinator: registration, grants, barrier
+//! merge, replies — as one tenant of the [`TenantService`].
 //!
-//! Single-threaded by design — every state transition it applies
-//! (triage admission, hub publish/import, snapshot commit) is the
-//! deterministic merge of [`CampaignMerge`], driven in shard-id order
-//! at lockstep epoch boundaries. The coordinator never executes a
-//! program: it needs no kernel and no lowered spec IR, only the
-//! campaign config and the workers' deltas.
-//!
-//! Failure handling is part of the determinism contract:
+//! There is one coordinator loop in this crate, and it is the
+//! service's: [`Coordinator::run`] admits its campaign as the only
+//! tenant — unlimited quota, no worker cap, a strike limit that never
+//! fires — runs the service, and unwraps the one [`TenantResult`]. So
+//! a campaign is merged, leased and supervised by the same code
+//! whether it shares the process with other campaigns or not, and the
+//! failure handling that is part of the determinism contract is
+//! written once (see [`crate::service`]):
 //!
 //! * **lease expiry / disconnect** — the range returns to the pool
 //!   and the next registrant is granted it *with the last committed
@@ -17,16 +18,25 @@
 //!   the cached reply frame, never re-merged (idempotent delivery);
 //! * **corrupt frame** — rejected by the wire checksum and counted;
 //!   the sender's resend loop recovers it;
+//! * **misrouted delta** — tagged for another tenant, or covering
+//!   another range: rejected and counted, the lease revoked, the
+//!   campaign unharmed;
 //! * **lost grant** — a worker that keeps sending `Register` on a
 //!   granted connection gets the grant frame resent.
+//!
+//! Single-threaded by design, and it never executes a program: it
+//! needs no kernel and no lowered spec IR, only the campaign config
+//! and the workers' deltas.
+//!
+//! [`TenantResult`]: crate::service::TenantResult
 
-use crate::lease::LeaseTable;
+use crate::budget::TenantQuota;
+use crate::health::HealthOpts;
+use crate::service::{ServiceOpts, TenantService, TenantSpec};
 use crate::transport::Transport;
-use crate::wire::{DeltaPayload, Grant, Message};
 use crate::FabricError;
-use kgpt_fuzzer::fabric::{apply_patches, CampaignMerge, EpochDelta};
 use kgpt_fuzzer::{CampaignConfig, CampaignResult};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -54,60 +64,50 @@ impl Default for CoordinatorOpts {
     }
 }
 
-/// Wire/merge counters for the bench gate and the failure-matrix
-/// tests.
+/// One campaign's wire/merge counters — a [`Coordinator`]'s, or one
+/// tenant's of a [`TenantService`]; they count the same events
+/// because they are counted by the same loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
     /// Boundaries merged.
     pub boundaries: u64,
     /// Total bytes of accepted (first-delivery) delta frames.
     pub delta_bytes: u64,
-    /// Total time inside [`CampaignMerge::apply_boundary`].
+    /// Total time inside
+    /// [`CampaignMerge::apply_boundary`](kgpt_fuzzer::CampaignMerge::apply_boundary).
     pub merge_nanos: u64,
-    /// Leases revoked (expiry, disconnect, or pre-grant death).
+    /// Leases revoked (expiry, disconnect, protocol violation, or
+    /// pre-grant death).
     pub expired_leases: u64,
     /// Frames re-acked from cache (duplicate or post-merge deltas,
     /// re-registrations on a granted connection).
     pub redelivered_frames: u64,
-    /// Frames discarded by checksum/decode failure.
+    /// Frames a leased connection delivered that were discarded:
+    /// checksum/decode failures, and well-formed deltas that violate
+    /// the protocol — tagged for another tenant, covering the wrong
+    /// shard range, or an increment that does not fit the committed
+    /// base (each of those also costs the sender its lease). Damage
+    /// on a connection that has not registered yet belongs to no
+    /// campaign and is not counted. (Before the coordinator ran on
+    /// the service it ignored the tenant tag, left wrong-range deltas
+    /// uncounted and counted pre-registration damage; the service's
+    /// counting is the one that stayed.)
     pub rejected_frames: u64,
-}
-
-struct Conn {
-    transport: Box<dyn Transport>,
-    /// The last frame this connection must be able to receive again:
-    /// its grant until the first boundary reply, then the latest
-    /// `Proceed`/`Finish`. Re-sent verbatim on duplicate deliveries.
-    last_reply: Vec<u8>,
 }
 
 /// The campaign coordinator. Create with [`Coordinator::new`], then
 /// [`Coordinator::run`] to completion.
 pub struct Coordinator {
-    merge: CampaignMerge,
-    table: LeaseTable,
+    config: CampaignConfig,
     opts: CoordinatorOpts,
-    stats: FabricStats,
 }
-
-/// Per-connection receive poll. Short: the run loop must keep
-/// cycling between slots so one slow worker cannot starve another's
-/// frames or a pending registration.
-const POLL: Duration = Duration::from_millis(2);
 
 impl Coordinator {
     /// A coordinator for `config` split across `opts.workers` ranges
     /// of `opts.shards` shards.
     #[must_use]
     pub fn new(config: CampaignConfig, opts: CoordinatorOpts) -> Coordinator {
-        let merge = CampaignMerge::new(config, opts.shards);
-        let table = LeaseTable::new(opts.shards, opts.workers);
-        Coordinator {
-            merge,
-            table,
-            opts,
-            stats: FabricStats::default(),
-        }
+        Coordinator { config, opts }
     }
 
     /// Drive the campaign to completion. `accept` is polled for a new
@@ -126,269 +126,31 @@ impl Coordinator {
     /// violation; wire damage and worker loss are absorbed by the
     /// lease machinery.
     pub fn run(
-        mut self,
+        self,
         accept: &mut dyn FnMut() -> Option<Box<dyn Transport>>,
     ) -> Result<(CampaignResult, FabricStats), FabricError> {
-        let slots = self.table.len();
-        let mut conns: Vec<Option<Conn>> = (0..slots).map(|_| None).collect();
-        let mut stash: Vec<Option<Vec<EpochDelta>>> = (0..slots).map(|_| None).collect();
-        let mut arrivals: Vec<Box<dyn Transport>> = Vec::new();
-        loop {
-            let now = Instant::now();
-            while let Some(slot) = self.table.expired_slot(now) {
-                self.table.revoke(slot);
-                conns[slot] = None;
-            }
-            self.seat_registrants(&mut conns, &mut arrivals, accept);
-            self.poll_deltas(&mut conns, &mut stash);
-            if stash.iter().all(Option::is_some) {
-                let deltas: Vec<EpochDelta> = stash
-                    .iter_mut()
-                    .flat_map(|s| s.take().expect("stash checked full"))
-                    .collect();
-                let merged_at = Instant::now();
-                let outcome = self.merge.apply_boundary(deltas)?;
-                self.stats.merge_nanos = self.stats.merge_nanos.saturating_add(
-                    u64::try_from(merged_at.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-                self.stats.boundaries += 1;
-                let boundary = self.merge.epochs_done();
-                let reply = if outcome.finished {
-                    Message::Finish {
-                        tenant: 0,
-                        boundary,
-                    }
-                } else {
-                    Message::Proceed {
-                        tenant: 0,
-                        boundary,
-                        seeds: outcome.seeds,
-                    }
-                };
-                let frame = reply.to_frame();
-                for (slot, entry) in conns.iter_mut().enumerate().take(slots) {
-                    let Some(conn) = entry else { continue };
-                    if conn.transport.send(&frame).is_err() {
-                        self.table.revoke(slot);
-                        *entry = None;
-                        continue;
-                    }
-                    conn.last_reply.clone_from(&frame);
-                    self.table
-                        .renew(slot, Instant::now(), self.opts.lease_timeout);
-                }
-                if outcome.finished {
-                    self.stats.expired_leases = self.table.expired();
-                    let result = self.merge.finish()?;
-                    return Ok((result, self.stats));
-                }
-            }
-        }
-    }
-
-    /// Fill vacant range slots: drain `Register`s from queued
-    /// arrivals, pulling new connections from `accept` only while a
-    /// slot still wants one.
-    fn seat_registrants(
-        &mut self,
-        conns: &mut [Option<Conn>],
-        arrivals: &mut Vec<Box<dyn Transport>>,
-        accept: &mut dyn FnMut() -> Option<Box<dyn Transport>>,
-    ) {
-        while let Some(slot) = self.table.vacant_slot() {
-            let mut seated = false;
-            let mut i = 0;
-            while i < arrivals.len() {
-                match arrivals[i].recv_timeout(POLL) {
-                    Ok(Some(frame)) => match Message::from_frame(&frame) {
-                        Ok(Message::Register { .. }) => {
-                            let transport = arrivals.remove(i);
-                            self.grant(slot, transport, conns);
-                            seated = true;
-                            break;
-                        }
-                        Ok(_) => i += 1,
-                        Err(_) => {
-                            self.stats.rejected_frames += 1;
-                            i += 1;
-                        }
-                    },
-                    Ok(None) => i += 1,
-                    Err(_) => {
-                        arrivals.remove(i);
-                    }
-                }
-            }
-            if seated {
-                continue;
-            }
-            // Pull a new connection only when none is pending: an
-            // arrival that has not registered yet is given time to
-            // (its Register may still be in flight) rather than
-            // racing a second accept against it.
-            if !arrivals.is_empty() {
-                break;
-            }
-            match accept() {
-                Some(transport) => arrivals.push(transport),
-                None => break,
-            }
-        }
-    }
-
-    /// Grant `slot` to `transport`: lease it, send the grant frame
-    /// (carrying the committed boundary snapshots of the range), and
-    /// install the connection.
-    fn grant(
-        &mut self,
-        slot: usize,
-        mut transport: Box<dyn Transport>,
-        conns: &mut [Option<Conn>],
-    ) {
-        let (lo, hi) = self.table.range(slot);
-        let now = Instant::now();
-        let lease_id = self.table.grant(slot, now, self.opts.lease_timeout);
-        let frame = Message::Grant(Grant {
-            tenant: 0,
-            lease_id,
-            slot: u32::try_from(slot).expect("slot fits u32"),
-            shard_lo: lo,
-            shard_hi: hi,
-            shards_total: self.merge.shards_total(),
-            boundary: self.merge.epochs_done(),
-            lease_timeout_ms: u64::try_from(self.opts.lease_timeout.as_millis())
-                .unwrap_or(u64::MAX),
+        let mut service = TenantService::new(ServiceOpts {
+            lease_timeout: self.opts.lease_timeout,
+            // A lone campaign has no neighbour to protect from a bad
+            // worker and nobody else to hand its range to: strikes
+            // never quarantine, and (the default) no worker cap.
+            health: HealthOpts {
+                strike_limit: u32::MAX,
+                ..HealthOpts::default()
+            },
+        });
+        service.admit(TenantSpec {
+            name: String::new(),
+            config: self.config,
+            shards: self.opts.shards,
+            workers: self.opts.workers,
             spec_fp: self.opts.spec_fp,
-            config: self.merge.config().clone(),
-            snapshots: self.merge.snapshots(lo, hi),
-        })
-        .to_frame();
-        if transport.send(&frame).is_ok() {
-            conns[slot] = Some(Conn {
-                transport,
-                last_reply: frame,
-            });
-        } else {
-            // Dead before the grant ever left: back to the pool.
-            self.table.revoke(slot);
-        }
-    }
-
-    /// Poll every leased connection for one frame and route it.
-    fn poll_deltas(&mut self, conns: &mut [Option<Conn>], stash: &mut [Option<Vec<EpochDelta>>]) {
-        let target = self.merge.epochs_done() + 1;
-        for slot in 0..conns.len() {
-            let Some(conn) = &mut conns[slot] else {
-                continue;
-            };
-            let frame = match conn.transport.recv_timeout(POLL) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => continue,
-                Err(_) => {
-                    // Worker gone: the range goes back to the pool;
-                    // any delta it already delivered for the pending
-                    // boundary stays stashed (it is deterministic
-                    // data — the replacement would reproduce it).
-                    self.table.revoke(slot);
-                    conns[slot] = None;
-                    continue;
-                }
-            };
-            match Message::from_frame(&frame) {
-                Ok(Message::Delta {
-                    tenant: _,
-                    lease_id,
-                    boundary,
-                    deltas,
-                }) => {
-                    if self.table.lease(slot).map(|l| l.id) != Some(lease_id) {
-                        continue; // stale lease echo
-                    }
-                    if boundary < target {
-                        // Already merged: idempotent re-ack, no
-                        // re-merge.
-                        self.stats.redelivered_frames += 1;
-                        let reply = conn.last_reply.clone();
-                        if conn.transport.send(&reply).is_err() {
-                            self.table.revoke(slot);
-                            conns[slot] = None;
-                            continue;
-                        }
-                        self.table
-                            .renew(slot, Instant::now(), self.opts.lease_timeout);
-                    } else if boundary == target {
-                        let (lo, hi) = self.table.range(slot);
-                        let covers_range = deltas.len() == (hi - lo) as usize
-                            && deltas
-                                .shard_ids()
-                                .into_iter()
-                                .zip(lo..hi)
-                                .all(|(d, id)| d == id);
-                        if !covers_range {
-                            // A delta set for the wrong range is a
-                            // protocol violation by this worker:
-                            // drop the lease, keep the campaign.
-                            self.table.revoke(slot);
-                            conns[slot] = None;
-                            continue;
-                        }
-                        if stash[slot].is_none() {
-                            // Resolve the payload to full deltas *at
-                            // stash time*: an increment is only valid
-                            // against the committed state of the
-                            // previous boundary (`target - 1`), which
-                            // is exactly what `merge.snapshots` holds
-                            // right now. The lease-id check above
-                            // already guarantees the sender was acked
-                            // at that boundary — a reassigned lease
-                            // has a new id and must open with a full
-                            // frame.
-                            let resolved = match deltas {
-                                DeltaPayload::Full(d) => d,
-                                DeltaPayload::Incremental(patches) => {
-                                    let base = self.merge.snapshots(lo, hi);
-                                    match apply_patches(&base, patches) {
-                                        Ok(d) => d,
-                                        Err(_) => {
-                                            // An increment with no (or
-                                            // the wrong) baseline is a
-                                            // protocol violation: drop
-                                            // the lease, keep the
-                                            // campaign.
-                                            self.table.revoke(slot);
-                                            conns[slot] = None;
-                                            continue;
-                                        }
-                                    }
-                                }
-                            };
-                            self.stats.delta_bytes += frame.len() as u64;
-                            stash[slot] = Some(resolved);
-                        } else {
-                            self.stats.redelivered_frames += 1;
-                        }
-                        self.table
-                            .renew(slot, Instant::now(), self.opts.lease_timeout);
-                    }
-                    // boundary > target cannot happen (the worker
-                    // cannot outrun its own unacked boundary); ignore.
-                }
-                Ok(Message::Register { .. }) => {
-                    // The grant (or a reply) never arrived: resend
-                    // the cached frame.
-                    self.stats.redelivered_frames += 1;
-                    let reply = conn.last_reply.clone();
-                    if conn.transport.send(&reply).is_err() {
-                        self.table.revoke(slot);
-                        conns[slot] = None;
-                        continue;
-                    }
-                    self.table
-                        .renew(slot, Instant::now(), self.opts.lease_timeout);
-                }
-                Ok(_) => {} // coordinator-bound messages only
-                Err(_) => self.stats.rejected_frames += 1,
-            }
-        }
+            quota: TenantQuota::unlimited(),
+        });
+        let (results, _) = service.run(accept)?;
+        let tenant = results.into_iter().next().ok_or_else(|| {
+            FabricError::Protocol("the service returned no result for its one tenant".into())
+        })?;
+        Ok((tenant.result, tenant.stats))
     }
 }

@@ -31,20 +31,24 @@
 //!   ([`lease::LeaseTable`]): contiguous shard ranges in
 //!   registration order (worker-id order *is* shard-id order),
 //!   deadlines, expiry counters;
-//! * [`coordinator`] — the single-threaded coordinator loop:
-//!   register → grant → collect deltas → barrier-merge → reply,
-//!   with deterministic failure handling (lease expiry reassigns the
-//!   range to the next registrant with the last *committed* boundary
-//!   snapshots; duplicate deltas re-ack without re-merging; corrupt
-//!   frames are rejected by checksum and recovered by sender resend);
+//! * [`service`] — the single-threaded coordinator loop
+//!   ([`service::TenantService`]), written once: register → grant →
+//!   collect deltas → barrier-merge → reply, with deterministic
+//!   failure handling (lease expiry reassigns the range to the next
+//!   registrant with the last *committed* boundary snapshots;
+//!   duplicate deltas re-ack without re-merging; corrupt frames are
+//!   rejected by checksum and recovered by sender resend; misrouted
+//!   deltas cost the sender its lease). Several named campaigns share
+//!   one coordinator process and one worker pool over the same wire,
+//!   each with its own config, spec fingerprint, and
+//!   [`budget::TenantQuota`];
+//! * [`coordinator`] — the single-campaign entry point
+//!   ([`coordinator::Coordinator`]): the same code, as a service with
+//!   one tenant, unlimited quota and no quarantine;
 //! * [`worker`] — the thin worker loop around
 //!   [`kgpt_fuzzer::LeaseRunner`]: claim lease → run epoch → ship
 //!   delta → await ack (resending on timeout) → import seeds →
 //!   repeat until `Finish`;
-//! * [`service`] — the multi-tenant layer ([`service::TenantService`])
-//!   over the same wire: several named campaigns share one
-//!   coordinator process and one worker pool, each with its own
-//!   config, spec fingerprint, and [`budget::TenantQuota`];
 //! * [`budget`] — per-tenant resource budgets
 //!   ([`budget::BudgetTracker`]): execs / wall-time / delta-byte
 //!   quotas checked only at epoch boundaries, so overflow triggers

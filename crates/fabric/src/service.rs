@@ -9,6 +9,12 @@
 //! to its own single-process reference run no matter how workers come
 //! and go or how the pool is shared.
 //!
+//! This is the crate's only coordinator loop — register → grant →
+//! collect deltas → barrier-merge → reply, with the lease, resend and
+//! rejection handling around it. The single-campaign
+//! [`crate::Coordinator`] is the same code: one tenant admitted with
+//! the unlimited quota and a strike limit that never fires.
+//!
 //! Three service-level policies sit on top of the per-tenant protocol:
 //!
 //! * **budgets** ([`BudgetTracker`]) — exec / wall-time / delta-byte
@@ -121,8 +127,8 @@ pub struct ServiceStats {
 struct Conn {
     transport: Box<dyn Transport>,
     /// The last frame this connection must be able to receive again
-    /// (grant, then latest `Proceed`/`Finish`); re-sent verbatim on
-    /// duplicate deliveries.
+    /// (grant, then latest `Proceed`); re-sent verbatim on duplicate
+    /// deliveries.
     last_reply: Vec<u8>,
     /// The stable worker id from `Register` (0 = anonymous).
     worker_id: u64,
@@ -135,69 +141,106 @@ struct Arrival {
     parked_until: Option<u64>,
 }
 
+/// A tenant's campaign: merging boundaries, until the fold consumes
+/// the merge and leaves the result.
+enum Campaign {
+    Running(CampaignMerge),
+    Done(TenantResult),
+}
+
 struct Tenant {
+    /// Admission order, and the `tenant` tag on every frame it owns.
+    id: u32,
     name: String,
     spec_fp: u64,
     budget: BudgetTracker,
-    /// `Some` while the campaign runs; taken at fold time.
-    merge: Option<CampaignMerge>,
+    campaign: Campaign,
     table: LeaseTable,
     conns: Vec<Option<Conn>>,
     stash: Vec<Option<Vec<EpochDelta>>>,
     stats: FabricStats,
     started: Instant,
-    done: Option<TenantResult>,
+}
+
+/// What one polled frame means for the connection it arrived on.
+enum Verdict {
+    /// Nothing: a stale lease's echo, or a message no coordinator
+    /// acts on.
+    Ignore,
+    /// Progress on the pending boundary: renew the lease.
+    Renew,
+    /// The sender missed a frame — its grant, or the reply to a
+    /// boundary already merged: re-send the cached one. Idempotent
+    /// delivery: a duplicate is re-acked, never re-merged.
+    Resend,
+    /// A protocol violation by this worker — a delta tagged for
+    /// another tenant, covering the wrong range, or an increment that
+    /// does not fit the committed base: count it rejected, drop the
+    /// lease, strike the worker, keep the campaign.
+    Violation,
+    /// Checksum or decode failure: a damaged (or byzantine) frame.
+    Damaged,
 }
 
 /// Per-connection receive poll (kept short so one slow worker cannot
-/// starve another tenant's frames).
+/// starve another's frames, another tenant's, or a pending
+/// registration).
 const POLL: Duration = Duration::from_millis(2);
 
 impl Tenant {
-    fn new(spec: TenantSpec) -> Tenant {
-        let merge = CampaignMerge::new(spec.config, spec.shards);
+    fn new(id: u32, spec: TenantSpec) -> Tenant {
         let table = LeaseTable::new(spec.shards, spec.workers);
         let slots = table.len();
         Tenant {
+            id,
             name: spec.name,
             spec_fp: spec.spec_fp,
             budget: BudgetTracker::new(spec.quota),
-            merge: Some(merge),
+            campaign: Campaign::Running(CampaignMerge::new(spec.config, spec.shards)),
             table,
             conns: (0..slots).map(|_| None).collect(),
             stash: (0..slots).map(|_| None).collect(),
             stats: FabricStats::default(),
             started: Instant::now(),
-            done: None,
         }
     }
 
     fn active(&self) -> bool {
-        self.done.is_none()
+        matches!(self.campaign, Campaign::Running(_))
     }
 
     fn seated(&self) -> usize {
         self.conns.iter().filter(|c| c.is_some()).count()
     }
 
+    /// Cut `slot`'s connection: the range returns to the pool — to be
+    /// re-run from the last committed boundary by the next registrant
+    /// — and the worker that held it earns a strike. Whatever it
+    /// already delivered for the pending boundary stays stashed: it is
+    /// deterministic data the replacement would reproduce.
+    fn cut(&mut self, slot: usize, kind: StrikeKind, health: &mut HealthTable) {
+        self.table.revoke(slot);
+        if let Some(conn) = self.conns[slot].take() {
+            health.strike(conn.worker_id, kind);
+        }
+    }
+
+    /// Progress was observed on `slot`: push its lease deadline out.
+    fn renew(&mut self, slot: usize, lease_timeout: Duration) {
+        self.table.renew(slot, Instant::now(), lease_timeout);
+    }
+
     /// Revoke lapsed leases; a disconnect-with-lease and a silent
     /// stall both land here, and both are strikes.
     fn expire_leases(&mut self, now: Instant, health: &mut HealthTable) {
         while let Some(slot) = self.table.expired_slot(now) {
-            self.table.revoke(slot);
-            if let Some(conn) = self.conns[slot].take() {
-                health.strike(conn.worker_id, StrikeKind::LeaseExpiry);
-            }
+            self.cut(slot, StrikeKind::LeaseExpiry, health);
         }
     }
 
-    /// Poll every leased connection for one frame and route it —
-    /// the tenant-scoped version of the coordinator's delta loop,
-    /// with strikes on every protocol violation.
-    fn poll_deltas(&mut self, tenant: u32, lease_timeout: Duration, health: &mut HealthTable) {
-        let Some(target) = self.merge.as_ref().map(|m| m.epochs_done() + 1) else {
-            return;
-        };
+    /// Poll every leased connection for one frame and act on its
+    /// [`Verdict`].
+    fn poll_deltas(&mut self, lease_timeout: Duration, health: &mut HealthTable) {
         for slot in 0..self.conns.len() {
             let Some(conn) = &mut self.conns[slot] else {
                 continue;
@@ -207,115 +250,33 @@ impl Tenant {
                 Ok(Some(frame)) => frame,
                 Ok(None) => continue,
                 Err(_) => {
-                    // Disconnect mid-lease: the flapping pattern. The
-                    // range returns to the pool; the worker id earns
-                    // a strike.
-                    self.table.revoke(slot);
-                    self.conns[slot] = None;
-                    health.strike(worker_id, StrikeKind::LeaseExpiry);
+                    // Disconnect mid-lease: the flapping pattern.
+                    self.cut(slot, StrikeKind::LeaseExpiry, health);
                     continue;
                 }
             };
-            match Message::from_frame(&frame) {
-                Ok(Message::Delta {
-                    tenant: echoed,
-                    lease_id,
-                    boundary,
-                    deltas,
-                }) => {
-                    if echoed != tenant {
-                        // A delta for another tenant on this tenant's
-                        // connection is a protocol violation: drop the
-                        // lease, strike the worker, keep the campaign.
-                        self.stats.rejected_frames += 1;
-                        self.table.revoke(slot);
-                        self.conns[slot] = None;
-                        health.strike(worker_id, StrikeKind::RevokedPatch);
-                        continue;
-                    }
-                    if self.table.lease(slot).map(|l| l.id) != Some(lease_id) {
-                        continue; // stale lease echo
-                    }
-                    if boundary < target {
-                        // Already merged: idempotent re-ack.
-                        self.stats.redelivered_frames += 1;
-                        let reply = conn.last_reply.clone();
-                        if conn.transport.send(&reply).is_err() {
-                            self.table.revoke(slot);
-                            self.conns[slot] = None;
-                            health.strike(worker_id, StrikeKind::LeaseExpiry);
-                            continue;
-                        }
-                        self.table.renew(slot, Instant::now(), lease_timeout);
-                    } else if boundary == target {
-                        let (lo, hi) = self.table.range(slot);
-                        let covers_range = deltas.len() == (hi - lo) as usize
-                            && deltas
-                                .shard_ids()
-                                .into_iter()
-                                .zip(lo..hi)
-                                .all(|(d, id)| d == id);
-                        if !covers_range {
-                            self.stats.rejected_frames += 1;
-                            self.table.revoke(slot);
-                            self.conns[slot] = None;
-                            health.strike(worker_id, StrikeKind::RevokedPatch);
-                            continue;
-                        }
-                        if self.stash[slot].is_none() {
-                            // Resolve increments against the committed
-                            // previous boundary at stash time — same
-                            // contract as the single-tenant
-                            // coordinator.
-                            let resolved = match deltas {
-                                DeltaPayload::Full(d) => d,
-                                DeltaPayload::Incremental(patches) => {
-                                    let base = self
-                                        .merge
-                                        .as_ref()
-                                        .expect("active tenant has merge")
-                                        .snapshots(lo, hi);
-                                    match apply_patches(&base, patches) {
-                                        Ok(d) => d,
-                                        Err(_) => {
-                                            self.stats.rejected_frames += 1;
-                                            self.table.revoke(slot);
-                                            self.conns[slot] = None;
-                                            health.strike(worker_id, StrikeKind::RevokedPatch);
-                                            continue;
-                                        }
-                                    }
-                                }
-                            };
-                            self.stats.delta_bytes += frame.len() as u64;
-                            self.budget.charge_delta_bytes(frame.len() as u64);
-                            self.stash[slot] = Some(resolved);
-                        } else {
-                            self.stats.redelivered_frames += 1;
-                        }
-                        self.table.renew(slot, Instant::now(), lease_timeout);
-                    }
-                }
-                Ok(Message::Register { .. }) => {
-                    // The grant (or a reply) never arrived: resend the
-                    // cached frame.
+            match self.route(slot, &frame) {
+                Verdict::Ignore => {}
+                Verdict::Renew => self.renew(slot, lease_timeout),
+                Verdict::Resend => {
                     self.stats.redelivered_frames += 1;
-                    let reply = conn.last_reply.clone();
-                    if conn.transport.send(&reply).is_err() {
-                        self.table.revoke(slot);
-                        self.conns[slot] = None;
-                        health.strike(worker_id, StrikeKind::LeaseExpiry);
-                        continue;
+                    let resent = self.conns[slot]
+                        .as_mut()
+                        .is_some_and(|c| c.transport.send(&c.last_reply).is_ok());
+                    if resent {
+                        self.renew(slot, lease_timeout);
+                    } else {
+                        self.cut(slot, StrikeKind::LeaseExpiry, health);
                     }
-                    self.table.renew(slot, Instant::now(), lease_timeout);
                 }
-                Ok(_) => {} // coordinator-bound messages only
-                Err(_) => {
-                    // Checksum/decode failure: a byzantine (or
-                    // damaged) frame. Count it, strike the sender; if
-                    // this strike quarantined the worker, cut the
-                    // connection so the range re-runs on a healthy
-                    // one.
+                Verdict::Violation => {
+                    self.stats.rejected_frames += 1;
+                    self.cut(slot, StrikeKind::RevokedPatch, health);
+                }
+                Verdict::Damaged => {
+                    // The sender's resend recovers the frame; only if
+                    // this strike quarantined the worker is it cut, so
+                    // the range re-runs on a healthy one.
                     self.stats.rejected_frames += 1;
                     if health.strike(worker_id, StrikeKind::RejectedFrame) {
                         self.table.revoke(slot);
@@ -326,19 +287,90 @@ impl Tenant {
         }
     }
 
+    /// Decide what `frame`, received on `slot`'s connection, means —
+    /// and stash it when it is the range's first delivery for the
+    /// pending boundary.
+    fn route(&mut self, slot: usize, frame: &[u8]) -> Verdict {
+        let Campaign::Running(merge) = &self.campaign else {
+            return Verdict::Ignore;
+        };
+        let (tenant, lease_id, boundary, deltas) = match Message::from_frame(frame) {
+            Ok(Message::Delta {
+                tenant,
+                lease_id,
+                boundary,
+                deltas,
+            }) => (tenant, lease_id, boundary, deltas),
+            // The grant (or a reply) never arrived.
+            Ok(Message::Register { .. }) => return Verdict::Resend,
+            Ok(_) => return Verdict::Ignore,
+            Err(_) => return Verdict::Damaged,
+        };
+        if tenant != self.id {
+            return Verdict::Violation;
+        }
+        if self.table.lease(slot).map(|l| l.id) != Some(lease_id) {
+            return Verdict::Ignore;
+        }
+        let target = merge.epochs_done() + 1;
+        if boundary != target {
+            // Behind the barrier: already merged. Ahead of it cannot
+            // happen (a worker cannot outrun its own unacked
+            // boundary).
+            return if boundary < target {
+                Verdict::Resend
+            } else {
+                Verdict::Ignore
+            };
+        }
+        let (lo, hi) = self.table.range(slot);
+        if !deltas.shard_ids().into_iter().eq(lo..hi) {
+            return Verdict::Violation;
+        }
+        if self.stash[slot].is_some() {
+            self.stats.redelivered_frames += 1;
+            return Verdict::Renew;
+        }
+        // Resolve the payload to full deltas *at stash time*: an
+        // increment is only valid against the committed state of the
+        // previous boundary (`target - 1`), which is exactly what
+        // `merge.snapshots` holds right now. The lease-id check above
+        // already guarantees the sender was acked at that boundary — a
+        // reassigned lease has a new id and must open with a full
+        // frame.
+        let resolved = match deltas {
+            DeltaPayload::Full(d) => d,
+            DeltaPayload::Incremental(patches) => {
+                match apply_patches(&merge.snapshots(lo, hi), patches) {
+                    Ok(d) => d,
+                    Err(_) => return Verdict::Violation,
+                }
+            }
+        };
+        self.stats.delta_bytes += frame.len() as u64;
+        self.budget.charge_delta_bytes(frame.len() as u64);
+        self.stash[slot] = Some(resolved);
+        Verdict::Renew
+    }
+
     /// If every range delivered its boundary delta, commit: merge in
-    /// shard-id order, charge the budget, and either proceed,
-    /// finish naturally, or terminate gracefully on overflow.
-    fn try_commit(&mut self, tenant: u32, lease_timeout: Duration) -> Result<(), FabricError> {
+    /// shard-id order, charge the budget, and reply `Proceed` — unless
+    /// the campaign is over, naturally or because this boundary spent
+    /// the budget. Returns whether it is: the caller then
+    /// [`Tenant::fold`]s.
+    fn try_commit(&mut self, lease_timeout: Duration) -> Result<bool, FabricError> {
+        let Campaign::Running(merge) = &mut self.campaign else {
+            return Ok(false);
+        };
         if !self.stash.iter().all(Option::is_some) {
-            return Ok(());
+            return Ok(false);
         }
         let deltas: Vec<EpochDelta> = self
             .stash
             .iter_mut()
-            .flat_map(|s| s.take().expect("stash checked full"))
+            .filter_map(Option::take)
+            .flatten()
             .collect();
-        let merge = self.merge.as_mut().expect("active tenant has merge");
         let merged_at = Instant::now();
         let outcome = merge.apply_boundary(deltas)?;
         self.stats.merge_nanos = self
@@ -346,59 +378,93 @@ impl Tenant {
             .merge_nanos
             .saturating_add(u64::try_from(merged_at.elapsed().as_nanos()).unwrap_or(u64::MAX));
         self.stats.boundaries += 1;
-        let boundary = merge.epochs_done();
         // Charge the budget at the boundary — the only place overflow
         // is ever observed, so termination is always boundary-aligned.
         self.budget.record_execs(merge.execs_done());
         self.budget
             .record_wall_ms(u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX));
-        let exhausted = !outcome.finished && self.budget.overflow().is_some();
-        if outcome.finished || exhausted {
-            // Natural finish and graceful budget termination share
-            // one path: every worker is barrier-waiting on this
-            // boundary's ack, so `Finish` releases them all cleanly.
-            let frame = Message::Finish { tenant, boundary }.to_frame();
-            for entry in &mut self.conns {
-                if let Some(conn) = entry {
-                    let _ = conn.transport.send(&frame);
-                }
-                *entry = None;
-            }
-            self.stats.expired_leases = self.table.expired();
-            let merge = self.merge.take().expect("active tenant has merge");
-            let result = if outcome.finished {
-                merge.finish()?
-            } else {
-                merge.finish_early()?
+        if outcome.finished || self.budget.overflow().is_some() {
+            return Ok(true);
+        }
+        let frame = Message::Proceed {
+            tenant: self.id,
+            boundary: merge.epochs_done(),
+            seeds: outcome.seeds,
+        }
+        .to_frame();
+        for slot in 0..self.conns.len() {
+            let Some(conn) = &mut self.conns[slot] else {
+                continue;
             };
-            self.done = Some(TenantResult {
-                tenant,
-                name: self.name.clone(),
-                result,
-                budget_exhausted: exhausted,
-                boundaries: boundary,
-                usage: self.budget.usage(),
-                stats: self.stats,
-            });
-        } else {
-            let frame = Message::Proceed {
-                tenant,
-                boundary,
-                seeds: outcome.seeds,
-            }
-            .to_frame();
-            for (slot, entry) in self.conns.iter_mut().enumerate() {
-                let Some(conn) = entry else { continue };
-                if conn.transport.send(&frame).is_err() {
-                    self.table.revoke(slot);
-                    *entry = None;
-                    continue;
-                }
+            if conn.transport.send(&frame).is_ok() {
                 conn.last_reply.clone_from(&frame);
-                self.table.renew(slot, Instant::now(), lease_timeout);
+                self.renew(slot, lease_timeout);
+            } else {
+                self.table.revoke(slot);
+                self.conns[slot] = None;
             }
         }
-        Ok(())
+        Ok(false)
+    }
+
+    /// The campaign is over at the boundary just committed: release
+    /// the workers and fold. Natural finish and graceful budget
+    /// termination share this path — every worker is barrier-waiting
+    /// on this boundary's ack, so `Finish` releases them all cleanly,
+    /// and a merge that has not seen its final boundary folds early.
+    fn fold(mut self) -> Result<Tenant, FabricError> {
+        self.campaign = match self.campaign {
+            Campaign::Running(merge) => {
+                let boundaries = merge.epochs_done();
+                let frame = Message::Finish {
+                    tenant: self.id,
+                    boundary: boundaries,
+                }
+                .to_frame();
+                for mut conn in self.conns.iter_mut().filter_map(Option::take) {
+                    let _ = conn.transport.send(&frame);
+                }
+                self.stats.expired_leases = self.table.expired();
+                Campaign::Done(TenantResult {
+                    tenant: self.id,
+                    name: self.name.clone(),
+                    budget_exhausted: !merge.finished(),
+                    result: merge.finish_early()?,
+                    boundaries,
+                    usage: self.budget.usage(),
+                    stats: self.stats,
+                })
+            }
+            done @ Campaign::Done(_) => done,
+        };
+        Ok(self)
+    }
+
+    /// Lease the first vacant range and frame its grant (carrying the
+    /// committed boundary snapshots of the range). `None` when the
+    /// campaign is over or every range is leased.
+    fn lease_vacancy(&mut self, lease_timeout: Duration) -> Option<(usize, Vec<u8>)> {
+        let Campaign::Running(merge) = &self.campaign else {
+            return None;
+        };
+        let slot = self.table.vacant_slot()?;
+        let (lo, hi) = self.table.range(slot);
+        let lease_id = self.table.grant(slot, Instant::now(), lease_timeout);
+        let grant = Grant {
+            tenant: self.id,
+            lease_id,
+            // A table has at most `workers: u32` slots.
+            slot: u32::try_from(slot).expect("slot fits u32"),
+            shard_lo: lo,
+            shard_hi: hi,
+            shards_total: merge.shards_total(),
+            boundary: merge.epochs_done(),
+            lease_timeout_ms: u64::try_from(lease_timeout.as_millis()).unwrap_or(u64::MAX),
+            spec_fp: self.spec_fp,
+            config: merge.config().clone(),
+            snapshots: merge.snapshots(lo, hi),
+        };
+        Some((slot, Message::Grant(grant).to_frame()))
     }
 }
 
@@ -431,8 +497,10 @@ impl TenantService {
     /// Admit a tenant; returns its id (admission order, and the
     /// `tenant` tag on every frame it owns).
     pub fn admit(&mut self, spec: TenantSpec) -> u32 {
+        // Each tenant holds a merge, a lease table and a stash: 2^32
+        // of them do not fit in memory.
         let id = u32::try_from(self.tenants.len()).expect("tenant id fits u32");
-        self.tenants.push(Tenant::new(spec));
+        self.tenants.push(Tenant::new(id, spec));
         self.stats.grants_per_tenant.push(0);
         id
     }
@@ -445,8 +513,10 @@ impl TenantService {
 
     /// Drive every admitted campaign to completion. `accept` is
     /// polled for a new worker connection only while some active
-    /// tenant has a vacant range slot (same backlog discipline as the
-    /// single-tenant [`crate::Coordinator`]).
+    /// tenant has a vacant range slot (so a TCP listener's backlog is
+    /// consumed exactly as fast as ranges free up, and a test harness
+    /// can spawn workers on demand); it returns `None` when no
+    /// connection is ready right now.
     ///
     /// Returns every tenant's [`TenantResult`] in tenant-id order,
     /// plus the service counters.
@@ -460,37 +530,30 @@ impl TenantService {
         mut self,
         accept: &mut dyn FnMut() -> Option<Box<dyn Transport>>,
     ) -> Result<(Vec<TenantResult>, ServiceStats), FabricError> {
-        if self.tenants.is_empty() {
-            return Ok((Vec::new(), self.stats));
-        }
+        let lease_timeout = self.opts.lease_timeout;
         let mut arrivals: Vec<Arrival> = Vec::new();
-        loop {
+        while self.tenants.iter().any(Tenant::active) {
             let now = Instant::now();
-            for t in &mut self.tenants {
-                if t.active() {
-                    t.expire_leases(now, &mut self.health);
-                }
+            for t in self.tenants.iter_mut().filter(|t| t.active()) {
+                t.expire_leases(now, &mut self.health);
             }
             self.seat_registrants(&mut arrivals, accept);
             for tid in 0..self.tenants.len() {
-                if !self.tenants[tid].active() {
-                    continue;
+                self.tenants[tid].poll_deltas(lease_timeout, &mut self.health);
+                if self.tenants[tid].try_commit(lease_timeout)? {
+                    // The fold consumes the merge, so the tenant goes
+                    // through it by value.
+                    let tenant = self.tenants.remove(tid);
+                    self.tenants.insert(tid, tenant.fold()?);
                 }
-                let tenant = u32::try_from(tid).expect("tenant id fits u32");
-                self.tenants[tid].poll_deltas(tenant, self.opts.lease_timeout, &mut self.health);
-                self.tenants[tid].try_commit(tenant, self.opts.lease_timeout)?;
-            }
-            if self.tenants.iter().all(|t| t.done.is_some()) {
-                let mut stats = self.stats;
-                stats.quarantines = self.health.quarantines();
-                let results = self
-                    .tenants
-                    .into_iter()
-                    .map(|t| t.done.expect("all tenants done"))
-                    .collect();
-                return Ok((results, stats));
             }
         }
+        self.stats.quarantines = self.health.quarantines();
+        let results = self.tenants.into_iter().filter_map(|t| match t.campaign {
+            Campaign::Done(result) => Some(result),
+            Campaign::Running(_) => None,
+        });
+        Ok((results.collect(), self.stats))
     }
 
     /// Workers holding a connection across all tenants — the seated
@@ -504,14 +567,10 @@ impl TenantService {
     /// deterministic and starvation-free.
     fn next_vacancy(&self) -> Option<usize> {
         let n = self.tenants.len();
-        for off in 0..n {
-            let tid = (self.rr_next + off) % n;
+        (0..n).map(|off| (self.rr_next + off) % n).find(|&tid| {
             let t = &self.tenants[tid];
-            if t.active() && t.table.vacant_slot().is_some() {
-                return Some(tid);
-            }
-        }
-        None
+            t.active() && t.table.vacant_slot().is_some()
+        })
     }
 
     /// Fill vacant range slots fairly: drain `Register`s from queued
@@ -578,8 +637,10 @@ impl TenantService {
                                 }
                             }
                         }
-                        Ok(_) => i += 1,
-                        Err(_) => i += 1, // pre-registration damage: ignore
+                        // A stray message, or damage before any
+                        // registration: it belongs to no tenant and no
+                        // known worker, so nobody is charged for it.
+                        Ok(_) | Err(_) => i += 1,
                     },
                     Ok(None) => i += 1,
                     Err(_) => {
@@ -590,8 +651,10 @@ impl TenantService {
             if seated {
                 continue;
             }
-            // Give a pending (non-parked) arrival time to register
-            // before racing another accept against it.
+            // Pull a new connection only when none is pending: an
+            // arrival that has not registered yet (and is not parked)
+            // is given time to — its `Register` may still be in
+            // flight — rather than racing a second accept against it.
             if arrivals.iter().any(|a| {
                 a.parked_until
                     .is_none_or(|until| self.health.grant_cycles() >= until)
@@ -612,27 +675,10 @@ impl TenantService {
     /// the tenant-tagged grant, install the connection, tick the
     /// grant-cycle clock, and advance the round-robin cursor.
     fn grant(&mut self, tid: usize, worker_id: u64, mut transport: Box<dyn Transport>) {
-        let tenant = u32::try_from(tid).expect("tenant id fits u32");
-        let lease_timeout = self.opts.lease_timeout;
         let t = &mut self.tenants[tid];
-        let slot = t.table.vacant_slot().expect("caller checked vacancy");
-        let (lo, hi) = t.table.range(slot);
-        let lease_id = t.table.grant(slot, Instant::now(), lease_timeout);
-        let merge = t.merge.as_ref().expect("active tenant has merge");
-        let frame = Message::Grant(Grant {
-            tenant,
-            lease_id,
-            slot: u32::try_from(slot).expect("slot fits u32"),
-            shard_lo: lo,
-            shard_hi: hi,
-            shards_total: merge.shards_total(),
-            boundary: merge.epochs_done(),
-            lease_timeout_ms: u64::try_from(lease_timeout.as_millis()).unwrap_or(u64::MAX),
-            spec_fp: t.spec_fp,
-            config: merge.config().clone(),
-            snapshots: merge.snapshots(lo, hi),
-        })
-        .to_frame();
+        let Some((slot, frame)) = t.lease_vacancy(self.opts.lease_timeout) else {
+            return;
+        };
         if transport.send(&frame).is_ok() {
             t.conns[slot] = Some(Conn {
                 transport,

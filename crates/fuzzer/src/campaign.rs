@@ -6,6 +6,7 @@
 //! cross-shard seed exchange (see [`crate::hub::SeedHub`]). A
 //! sequential [`Campaign`] is a single shard run in one epoch.
 
+use crate::boundary::Boundary;
 use crate::corpus::Corpus;
 use crate::exec::{execute_with, ExecScratch};
 use crate::gen::Generator;
@@ -470,11 +471,12 @@ impl ShardState {
 }
 
 /// One worker's share of a campaign: the coverage-guided loop over
-/// `execs` executions seeded with `seed`, run as a single epoch with
-/// a triage drain (capture → ddmin) at its end. This is the single
-/// code path behind both [`Campaign`] and
-/// [`crate::shard::ShardedCampaign`], so a sharded run with one shard
-/// is bit-identical to a sequential run.
+/// `execs` executions seeded with `seed`, run as a single epoch whose
+/// triage drain (capture → ddmin) goes through the one [`Boundary`]
+/// — the shard stepper and the boundary a
+/// [`crate::shard::ShardedCampaign`] runs, so a sharded run with one
+/// shard is bit-identical to a sequential run. One shard has nobody
+/// to exchange seeds with, so the boundary is never closed.
 pub(crate) fn run_worker(
     kernel: &VKernel,
     lowered: &Arc<LoweredDb>,
@@ -484,9 +486,11 @@ pub(crate) fn run_worker(
 ) -> (WorkerResult, TriageReport) {
     let mut state = ShardState::new(lowered, config, 0, execs, seed);
     state.run_epoch(kernel, u64::MAX);
-    let mut triage = TriageReport::new();
-    TriageMinimizer::new(lowered).drain(kernel, 0, &mut state.triage, &mut triage);
-    (state.finish(), triage)
+    let mut boundary = Boundary::new(config.hub_top_k);
+    let (candidates, counts) =
+        TriageMinimizer::new(lowered).drain(kernel, 0, &mut state.triage, &boundary.triage);
+    boundary.admit_shard(candidates, counts);
+    (state.finish(), boundary.triage)
 }
 
 /// One shard's mergeable share of a campaign result (see

@@ -219,12 +219,8 @@ impl CampaignSnapshot {
         let hub_published = r.u64()?;
         let hub_coverage = decode_coverage(&mut r)?;
         let hub_seeds = decode_seeds(&mut r)?;
-        let mut triage = TriageReport::new();
-        for entry in r.seq(decode_triage_entry)? {
-            if !triage.admit(entry) {
-                return Err(CheckpointError::new("duplicate triage signature"));
-            }
-        }
+        let triage = TriageReport::from_entries(r.seq(decode_triage_entry)?)
+            .ok_or_else(|| CheckpointError::new("duplicate triage signature"))?;
         let traces = r.seq(|r| Ok((r.u32()?, TraceStore::decode(r)?)))?;
         r.finish()?;
         Ok(CampaignSnapshot {

@@ -179,6 +179,13 @@ impl Corpus {
         }
     }
 
+    /// Decompose into what [`Corpus::from_parts`] takes besides the
+    /// cap: `(rng_state, coverage, entries, stats)`.
+    #[must_use]
+    pub fn into_parts(self) -> (u64, CoverageMap, Vec<CorpusEntry>, CorpusStats) {
+        (self.rng.state(), self.coverage, self.entries, self.stats)
+    }
+
     /// Pick a mutation seed, weighted by entry productivity; `None`
     /// on an empty corpus. Charges one exec against the picked entry
     /// (the fatigue input of its weight).

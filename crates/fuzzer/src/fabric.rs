@@ -7,25 +7,27 @@
 //! (leases, transports, frames) lives in the `kgpt-fabric` crate —
 //! here live the two deterministic halves it moves bytes between:
 //!
-//! * [`LeaseRunner`] — the worker half: a contiguous shard range
-//!   stepped one epoch at a time by the existing
-//!   [`crate::campaign`] shard stepper. After each epoch it drains
-//!   its shards' fresh crash captures through the *same* ddmin
-//!   minimizer the driving thread would use
-//!   (worker-local minimization is a pure function of
-//!   `(capture, kernel, lowered)`) and emits one [`EpochDelta`] per
-//!   shard: the full boundary [`ShardSnapshot`] plus minimized triage
-//!   candidates and observation counts.
+//! * [`LeaseRunner`] — a contiguous shard range stepped one epoch at
+//!   a time by the [`crate::campaign`] shard stepper, with the ddmin
+//!   minimizer that drains its shards' fresh crash captures
+//!   (minimization is a pure function of `(capture, kernel,
+//!   lowered)`). Over the whole range, closing its boundaries in
+//!   process, it is the engine of [`crate::ShardedCampaign`]; on a
+//!   worker it emits one [`EpochDelta`] per shard instead — the full
+//!   boundary [`ShardSnapshot`] plus minimized triage candidates and
+//!   observation counts — for the boundary to close elsewhere.
 //! * [`CampaignMerge`] — the coordinator half: collects one delta per
-//!   shard at every boundary and replays, **in shard-id order**,
-//!   exactly what `ShardedCampaign::run_from` does on the driving
-//!   thread: triage admission (first-publisher-wins) and count
-//!   folding, then hub publish, then hub import, then commit of the
-//!   post-import snapshots. The coordinator never executes a program
-//!   — it needs no kernel and no lowered IR — yet its
+//!   shard at every boundary and puts them through the crate's one
+//!   `Boundary` (the private `boundary` module): triage admission
+//!   first-publisher-wins and count folding, then hub publish, then
+//!   hub import, **in shard-id order** — the same code
+//!   `ShardedCampaign` runs on its driving thread, fed from corpora
+//!   rebuilt out of the deltas instead of live shards — and commits
+//!   the post-import snapshots. The coordinator never executes a
+//!   program — it needs no kernel and no lowered IR — and its
 //!   [`CampaignMerge::finish`] result is bit-identical to the
-//!   single-process run because every state transition it applies is
-//!   the same pure function applied in the same order.
+//!   single-process run because it *is* that run's boundary code,
+//!   not a copy kept in step with it.
 //!
 //! The wire encodings here reuse the [`crate::checkpoint`] field
 //! codecs (the same per-shard layout over [`kgpt_syzlang::codec`]),
@@ -41,6 +43,7 @@
 //! bit-identically. Duplicate deltas are not re-merged (the caller
 //! re-acks instead), keeping the merge idempotent.
 
+use crate::boundary::Boundary;
 use crate::campaign::{CampaignConfig, CampaignResult, ShardSnapshot, ShardState, CORPUS_CAP};
 use crate::checkpoint::{
     config_fingerprint, decode_corpus_entry, decode_corpus_stats, decode_coverage, decode_crash,
@@ -49,7 +52,7 @@ use crate::checkpoint::{
     encode_triage_entry, encode_word_diff, CheckpointError,
 };
 use crate::corpus::{Corpus, CorpusEntry, CorpusStats};
-use crate::hub::{HubSeed, SeedHub};
+use crate::hub::HubSeed;
 use crate::triage::TriageMinimizer;
 use kgpt_syzlang::codec::{DecodeError, Reader, Writer};
 use kgpt_syzlang::lowered::LoweredDb;
@@ -57,7 +60,10 @@ use kgpt_syzlang::prog::Program;
 use kgpt_trace::{decode_signature, encode_signature};
 use kgpt_triage::{TriageEntry, TriageReport};
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel};
-use std::sync::Arc;
+use std::mem::take;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Execution budget of shard `i` in a campaign split over `shards`
 /// shards: `execs` divided as evenly as possible, earlier shards
@@ -659,16 +665,17 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
     (base, deltas)
 }
 
-// ---- worker half ---------------------------------------------------------
+// ---- shard-range runner: the worker half, or in process the whole campaign
 
-/// The worker half of a distributed campaign: a contiguous range of
-/// shards stepped one epoch at a time, with worker-local triage
-/// minimization. Thin wrapper over the exact shard stepper
-/// [`crate::ShardedCampaign`] drives — the per-shard state evolution
-/// is byte-for-byte the same.
+/// A contiguous range of shards stepped one epoch at a time, with the
+/// triage minimizer that drains them. On a fabric worker it is the
+/// worker half of a distributed campaign; over the whole range
+/// `0..shards`, closing its boundaries in process, it *is*
+/// [`crate::ShardedCampaign`] — the one place shard states are built,
+/// restored and stepped.
 pub struct LeaseRunner {
     config: CampaignConfig,
-    states: Vec<ShardState>,
+    pub(crate) states: Vec<ShardState>,
     minimizer: TriageMinimizer,
 }
 
@@ -698,10 +705,10 @@ impl LeaseRunner {
         LeaseRunner::from_states(lowered, config, states)
     }
 
-    /// Reassigned lease: restore the range from its last committed
-    /// boundary snapshots (in shard-id order). Continuing the restored
-    /// range is bit-identical to continuing the original worker —
-    /// the epochs it never committed are simply re-run.
+    /// Reassigned lease (or resumed campaign): restore the range from
+    /// its last committed boundary snapshots (in shard-id order).
+    /// Continuing the restored range is bit-identical to continuing
+    /// the original — the epochs it never committed are simply re-run.
     #[must_use]
     pub fn restore(
         lowered: &Arc<LoweredDb>,
@@ -755,22 +762,76 @@ impl LeaseRunner {
         self.states.iter().map(ShardState::snapshot).collect()
     }
 
-    /// Run one epoch on every shard of the range (ascending id order)
-    /// and return one [`EpochDelta`] per shard. Shards are independent
-    /// between boundaries, so stepping them here is bit-identical to
-    /// the single-process chunk run; the triage drain is the
-    /// worker-local half of the driving-thread drain (the crate's
-    /// internal `triage` module).
+    /// Advance every shard of the range by one epoch, spreading the
+    /// shards over `threads` threads. A barrier: returns only when
+    /// all shards reached the boundary. Each shard is advanced by
+    /// exactly one thread and reads only shared immutable state, so
+    /// its evolution is schedule-independent.
+    pub(crate) fn step(&mut self, kernel: &VKernel, threads: usize) {
+        let epoch = self.config.epoch_budget();
+        if threads <= 1 {
+            for state in &mut self.states {
+                state.run_epoch(kernel, epoch);
+            }
+            return;
+        }
+        let slots: Vec<Mutex<&mut ShardState>> = self.states.iter_mut().map(Mutex::new).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= slots.len() {
+                        break;
+                    }
+                    slots[i]
+                        .lock()
+                        .expect("shard slot poisoned")
+                        .run_epoch(kernel, epoch);
+                });
+            }
+        });
+    }
+
+    /// The boundary in process, fed from live state: drain every
+    /// shard's triage into `boundary` in shard-id order — skipping
+    /// captures the report already owns, so only an admitted capture
+    /// is ever minimized — then close it over the live corpora. No
+    /// [`ShardSnapshot`] is taken. Returns [`Boundary::close`]'s
+    /// verdict: `None` when the campaign is finished.
+    pub(crate) fn close_boundary(
+        &mut self,
+        kernel: &VKernel,
+        boundary: &mut Boundary,
+    ) -> Option<Range<usize>> {
+        for state in &mut self.states {
+            let (candidates, counts) =
+                self.minimizer
+                    .drain(kernel, state.id, &mut state.triage, &boundary.triage);
+            boundary.admit_shard(candidates, counts);
+        }
+        boundary.close(
+            self.states
+                .iter_mut()
+                .map(|s| (s.id, s.remaining, &mut s.corpus)),
+        )
+    }
+
+    /// Run one epoch on every shard of the range and return one
+    /// [`EpochDelta`] per shard, ascending — the boundary's input
+    /// when it closes in another process. The worker holds no
+    /// campaign report, so it minimizes every fresh capture and the
+    /// coordinator's admission drops the ones that lose.
     #[must_use]
     pub fn run_epoch(&mut self, kernel: &VKernel) -> Vec<EpochDelta> {
-        let budget = self.config.epoch_budget();
+        self.step(kernel, 1);
+        let nobody = TriageReport::new();
         self.states
             .iter_mut()
             .map(|state| {
-                state.run_epoch(kernel, budget);
                 let (candidates, counts) =
                     self.minimizer
-                        .drain_to_candidates(kernel, state.id, &mut state.triage);
+                        .drain(kernel, state.id, &mut state.triage, &nobody);
                 EpochDelta {
                     snapshot: state.snapshot(),
                     candidates,
@@ -780,21 +841,14 @@ impl LeaseRunner {
             .collect()
     }
 
-    /// Apply the boundary reply: admit every hub seed newly retained
-    /// this boundary into each shard of the range (skipping a shard's
-    /// own publications), exactly as `SeedHub::import_into` would.
-    /// Seeds retained at *earlier* boundaries are provably no-ops for
-    /// a corpus that already processed them (their claims are a subset
-    /// of its seen coverage), so shipping only the new ones keeps the
-    /// worker bit-identical to the single-process import pass.
+    /// Apply the boundary reply: import the hub seeds newly retained
+    /// this boundary into every shard of the range — the same
+    /// `Boundary::import` call over the same seeds the coordinator's
+    /// own close made, so worker and committed state stay
+    /// byte-identical.
     pub fn import(&mut self, seeds: &[HubSeed]) {
         for state in &mut self.states {
-            for seed in seeds {
-                if seed.shard == state.id {
-                    continue;
-                }
-                let _ = state.corpus.admit_foreign(&seed.program, &seed.contributed);
-            }
+            Boundary::import(seeds, state.id, &mut state.corpus);
         }
     }
 }
@@ -814,21 +868,19 @@ pub struct BoundaryOutcome {
     pub seeds: Vec<HubSeed>,
 }
 
-/// The coordinator half of a distributed campaign: the deterministic
-/// merge of per-shard [`EpochDelta`]s into hub, triage report, and
-/// committed boundary state. Replays exactly the driving-thread
-/// boundary sequence of [`crate::ShardedCampaign`] — drain, publish,
-/// import, commit, all in shard-id order — without ever executing a
-/// program (no kernel, no lowered IR).
+/// The coordinator half of a distributed campaign: the committed
+/// boundary state per shard plus the one `Boundary` every route
+/// closes. [`CampaignMerge::apply_boundary`] feeds that boundary from
+/// the workers' deltas instead of live shards — the same code
+/// [`crate::ShardedCampaign`] runs, not a replay of it — without ever
+/// executing a program (no kernel, no lowered IR).
 pub struct CampaignMerge {
     config: CampaignConfig,
     shards_total: u32,
-    hub: SeedHub,
-    triage: TriageReport,
+    boundary: Boundary,
     /// Last committed boundary state per shard, in shard-id order
     /// (empty until the first boundary commits).
     committed: Vec<ShardSnapshot>,
-    epochs_done: u64,
     finished: bool,
 }
 
@@ -836,14 +888,11 @@ impl CampaignMerge {
     /// Fresh merge state for a campaign of `shards_total` shards.
     #[must_use]
     pub fn new(config: CampaignConfig, shards_total: u32) -> CampaignMerge {
-        let hub = SeedHub::new(config.hub_top_k);
         CampaignMerge {
+            boundary: Boundary::new(config.hub_top_k),
             config,
             shards_total: shards_total.max(1),
-            hub,
-            triage: TriageReport::new(),
             committed: Vec::new(),
-            epochs_done: 0,
             finished: false,
         }
     }
@@ -870,7 +919,7 @@ impl CampaignMerge {
     /// Boundaries fully merged so far.
     #[must_use]
     pub fn epochs_done(&self) -> u64 {
-        self.epochs_done
+        self.boundary.epochs_done
     }
 
     /// Whether the final boundary has been merged.
@@ -909,11 +958,13 @@ impl CampaignMerge {
 
     /// Merge one full boundary: exactly one delta per shard, in
     /// ascending shard-id order, all at boundary `epochs_done + 1`.
-    /// Replays the driving-thread sequence: per shard, admit triage
-    /// candidates (first-publisher-wins) and fold counts; then, unless
-    /// every shard is out of budget, publish every shard's corpus to
-    /// the hub and import back, both in shard-id order; finally commit
-    /// the post-import snapshots as the new boundary state.
+    /// Each delta's candidates and counts go through
+    /// `Boundary::admit_shard`; each delta's corpus is rebuilt
+    /// ([`Corpus::from_parts`], the checkpoint-restore path) and the
+    /// boundary closes over them; what comes out — post-import, the
+    /// capture point of a single-process checkpoint — is committed,
+    /// so a reassigned range restored from here re-enters the loop
+    /// with nothing replayed and nothing lost.
     ///
     /// # Errors
     ///
@@ -922,7 +973,7 @@ impl CampaignMerge {
     /// the caller should drop the offending lease, not the campaign).
     pub fn apply_boundary(
         &mut self,
-        deltas: Vec<EpochDelta>,
+        mut deltas: Vec<EpochDelta>,
     ) -> Result<BoundaryOutcome, CheckpointError> {
         if self.finished {
             return Err(CheckpointError::new("merge already finished"));
@@ -939,77 +990,45 @@ impl CampaignMerge {
                 self.shards_total
             )));
         }
-        let mut deltas = deltas;
-        // Triage drain, shard-id order: candidates first (an earlier
-        // shard's admission wins), then counts (which may reference a
-        // signature admitted by any earlier drain — same invariant as
-        // the driving-thread loop).
+        // The deltas are ours: the corpus parts move into the corpora
+        // and back out into the committed snapshots, never copied.
+        let mut corpora = Vec::with_capacity(deltas.len());
         for d in &mut deltas {
-            for cand in d.candidates.drain(..) {
-                if !self.triage.contains(&cand.signature) {
-                    let taken = self.triage.admit(cand);
-                    debug_assert!(taken, "signature admitted twice in one boundary");
-                }
-            }
-            for (sig, n) in d.counts.drain(..) {
-                self.triage.add_count(&sig, n);
-            }
+            self.boundary
+                .admit_shard(take(&mut d.candidates), take(&mut d.counts));
+            let snap = &mut d.snapshot;
+            corpora.push(Corpus::from_parts(
+                CORPUS_CAP,
+                snap.corpus_rng,
+                take(&mut snap.corpus_coverage),
+                take(&mut snap.corpus_entries),
+                snap.corpus_stats,
+            ));
         }
-        self.epochs_done += 1;
-        // Final boundary: like the single-process loop, break *before*
-        // the exchange — the last drain happens, the last publish does
-        // not.
-        if deltas.iter().all(|d| d.snapshot.remaining == 0) {
-            self.committed = deltas.into_iter().map(|d| d.snapshot).collect();
-            self.finished = true;
-            return Ok(BoundaryOutcome {
-                finished: true,
-                seeds: Vec::new(),
-            });
-        }
-        // Exchange: rebuild each shard's corpus from its snapshot
-        // (Corpus::from_parts is the checkpoint-restore path), then
-        // publish all, then import all — shard-id order throughout,
-        // including the hub's `published` offer counter.
-        let mut corpora: Vec<Corpus> = deltas
-            .iter()
-            .map(|d| {
-                Corpus::from_parts(
-                    CORPUS_CAP,
-                    d.snapshot.corpus_rng,
-                    d.snapshot.corpus_coverage.clone(),
-                    d.snapshot.corpus_entries.clone(),
-                    d.snapshot.corpus_stats,
-                )
-            })
-            .collect();
-        let seeds_before = self.hub.seeds().len();
-        for (d, corpus) in deltas.iter().zip(&corpora) {
-            let _ = self.hub.publish(d.snapshot.id, corpus);
-        }
-        let seeds = self.hub.seeds()[seeds_before..].to_vec();
-        for (d, corpus) in deltas.iter().zip(&mut corpora) {
-            let _ = self.hub.import_into(d.snapshot.id, corpus);
-        }
-        // Commit the post-import state — the same capture point the
-        // single-process checkpoint uses, so a reassigned range
-        // restored from here re-enters the loop with nothing replayed
-        // and nothing lost.
+        let retained = self.boundary.close(
+            deltas
+                .iter()
+                .zip(&mut corpora)
+                .map(|(d, corpus)| (d.snapshot.id, d.snapshot.remaining, corpus)),
+        );
         self.committed = deltas
             .into_iter()
             .zip(corpora)
             .map(|(d, corpus)| {
                 let mut snap = d.snapshot;
-                snap.corpus_rng = corpus.rng_state();
-                snap.corpus_stats = corpus.stats();
-                snap.corpus_coverage = corpus.coverage().clone();
-                snap.corpus_entries = corpus.entries().to_vec();
+                (
+                    snap.corpus_rng,
+                    snap.corpus_coverage,
+                    snap.corpus_entries,
+                    snap.corpus_stats,
+                ) = corpus.into_parts();
                 snap
             })
             .collect();
+        self.finished = retained.is_none();
         Ok(BoundaryOutcome {
-            finished: false,
-            seeds,
+            finished: self.finished,
+            seeds: retained.map_or_else(Vec::new, |r| self.boundary.hub.seeds()[r].to_vec()),
         })
     }
 
@@ -1025,7 +1044,7 @@ impl CampaignMerge {
         if !self.finished {
             return Err(CheckpointError::new(format!(
                 "campaign not finished: {} boundaries merged",
-                self.epochs_done
+                self.boundary.epochs_done
             )));
         }
         let execs = self.config.execs;
@@ -1064,7 +1083,7 @@ impl CampaignMerge {
     /// single-process `ShardedCampaign`.
     fn fold(self, execs: u64) -> CampaignResult {
         let parts = self.committed.into_iter().map(ShardSnapshot::into_result);
-        CampaignResult::fold(parts, execs, self.triage)
+        CampaignResult::fold(parts, execs, self.boundary.triage)
     }
 }
 
@@ -1205,11 +1224,7 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 3), (3, 4)],
         ] {
             let r = fabric_inline(&kernel, &suite, &consts, &config, 4, &ranges);
-            assert_eq!(reference.coverage, r.coverage, "{ranges:?}");
-            assert_eq!(reference.crashes, r.crashes, "{ranges:?}");
-            assert_eq!(reference.corpus_size, r.corpus_size, "{ranges:?}");
-            assert_eq!(reference.triage, r.triage, "{ranges:?}");
-            assert_eq!(reference.fuel_exhausted, r.fuel_exhausted, "{ranges:?}");
+            assert_eq!(reference, r, "{ranges:?}");
         }
     }
 
@@ -1247,10 +1262,7 @@ mod tests {
             // replacement restores the committed post-import state.
         }
         let r = merge.finish().expect("finished");
-        assert_eq!(reference.coverage, r.coverage);
-        assert_eq!(reference.crashes, r.crashes);
-        assert_eq!(reference.corpus_size, r.corpus_size);
-        assert_eq!(reference.triage, r.triage);
+        assert_eq!(reference, r, "restored lease vs undisturbed");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! bounds it at one seed per distinct coverage increment, i.e. at
 //! most the number of coverable blocks.
 
+use crate::boundary::Boundary;
 use crate::corpus::Corpus;
 use kgpt_syzlang::prog::Program;
 use kgpt_vkernel::CoverageMap;
@@ -148,16 +149,7 @@ impl SeedHub {
     /// the same boundary is a no-op, and imports never touch the
     /// corpus's selection stream. Returns how many seeds were taken.
     pub fn import_into(&self, shard: u32, corpus: &mut Corpus) -> usize {
-        let mut taken = 0usize;
-        for seed in &self.seeds {
-            if seed.shard == shard {
-                continue;
-            }
-            if corpus.admit_foreign(&seed.program, &seed.contributed) {
-                taken += 1;
-            }
-        }
-        taken
+        Boundary::import(&self.seeds, shard, corpus)
     }
 }
 

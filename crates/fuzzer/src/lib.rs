@@ -64,6 +64,7 @@
 //!   [`campaign::CampaignResult::triage`] report is bit-identical at
 //!   any worker thread count.
 
+mod boundary;
 pub mod campaign;
 pub mod checkpoint;
 pub mod corpus;

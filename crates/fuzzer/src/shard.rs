@@ -12,9 +12,17 @@
 //! With `hub_epoch > 0` the shards no longer fuzz in isolation: the
 //! run proceeds **epoch-major** — every shard executes `hub_epoch`
 //! programs, then all shards exchange their best seeds through a
-//! [`SeedHub`] in shard-id order, then the next epoch starts. The
-//! exchange points are fixed exec boundaries, so they are part of the
-//! campaign's deterministic identity, not of its schedule.
+//! [`crate::SeedHub`] in shard-id order, then the next epoch starts.
+//! The exchange points are fixed exec boundaries, so they are part of
+//! the campaign's deterministic identity, not of its schedule.
+//!
+//! The campaign is a [`LeaseRunner`] over all its shards plus the
+//! crate's one `Boundary` (the private `boundary` module), closed in
+//! process over live shard state. That is the same code a fabric
+//! worker steps its range with and a fabric coordinator
+//! ([`crate::CampaignMerge`]) closes its boundaries with — the
+//! in-process campaign is the fabric with zero transport — which is
+//! why every route computes one result.
 //!
 //! Determinism contract: the result is a pure function of
 //! `(config, shards)` — `hub_epoch`/`hub_top_k` included. The
@@ -26,21 +34,19 @@
 //! [`Campaign::run`](crate::Campaign::run) with the same config
 //! (exchange on one shard is a no-op by construction).
 
+use crate::boundary::Boundary;
 use crate::campaign::{CampaignConfig, CampaignResult, ShardState};
 use crate::checkpoint::{config_fingerprint, CampaignSnapshot, CheckpointError, SnapshotView};
-use crate::fabric::shard_execs;
+use crate::fabric::LeaseRunner;
 use crate::faults::FaultPlan;
 use crate::flight::{self, ShardTracer};
-use crate::hub::SeedHub;
-use crate::triage::TriageMinimizer;
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::{ConstDb, SpecCache, SpecDb, SpecFile};
 use kgpt_trace::TraceStore;
 use kgpt_triage::TriageReport;
 use kgpt_vkernel::VKernel;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default logical shard count (the paper-benchmark scaling curve is
 /// measured at 1–8 worker threads over this decomposition).
@@ -234,24 +240,10 @@ impl<'a> ShardedCampaign<'a> {
     /// count never changes a recorded byte.
     #[must_use]
     pub fn run_traced(&self) -> (CampaignResult, Vec<TraceStore>) {
-        let mut states: Vec<ShardState> = (0..self.shards)
-            .map(|i| {
-                ShardState::new(
-                    &self.lowered,
-                    &self.config,
-                    i,
-                    shard_execs(&self.config, self.shards, i),
-                    self.config.seed.wrapping_add(u64::from(i)),
-                )
-            })
-            .collect();
-        self.attach_tracers(&mut states);
-        self.run_from(
-            states,
-            SeedHub::new(self.config.hub_top_k),
-            TriageReport::new(),
-            0,
-        )
+        let mut runner =
+            LeaseRunner::fresh(&self.lowered, &self.config, self.shards, 0, self.shards);
+        self.attach_tracers(&mut runner.states);
+        self.run_from(runner, Boundary::new(self.config.hub_top_k))
     }
 
     /// Attach a flight recorder to every shard (no-op with the ring
@@ -320,59 +312,54 @@ impl<'a> ShardedCampaign<'a> {
                 ),
             });
         }
-        let mut states: Vec<ShardState> = snap
-            .shards
-            .iter()
-            .map(|s| ShardState::restore(&self.lowered, &self.config, s))
-            .collect();
-        self.attach_tracers(&mut states);
+        let mut runner = LeaseRunner::restore(&self.lowered, &self.config, &snap.shards);
+        self.attach_tracers(&mut runner.states);
         for (id, store) in snap.traces {
-            let state = states.get_mut(id as usize).ok_or_else(|| CheckpointError {
-                message: format!("snapshot trace store names unknown shard {id}"),
-            })?;
+            let state = runner
+                .states
+                .get_mut(id as usize)
+                .ok_or_else(|| CheckpointError {
+                    message: format!("snapshot trace store names unknown shard {id}"),
+                })?;
             state.set_trace_store(store);
         }
-        Ok(self.run_from(states, snap.hub, snap.triage, snap.epochs_done))
+        let boundary = Boundary {
+            hub: snap.hub,
+            triage: snap.triage,
+            epochs_done: snap.epochs_done,
+        };
+        Ok(self.run_from(runner, boundary))
     }
 
-    /// The epoch-major loop from an arbitrary boundary: run every
-    /// shard for one epoch (in parallel), then — still on this thread,
-    /// in shard-id order — triage freshly captured crashes
-    /// (first-publisher-wins, ddmin minimization), exchange seeds
-    /// through the hub, and checkpoint. With the hub off the epoch is
-    /// the whole budget and the loop body runs once. `epochs_done` is
-    /// the driver boundary counter (0 for a fresh run) — fault
-    /// injection and checkpoints key off it, so a resumed run
-    /// continues the same epoch numbering.
+    /// The epoch-major loop from an arbitrary boundary: step every
+    /// shard for one epoch (on `threads` threads, where a fabric
+    /// worker steps its range on one), close the boundary in process
+    /// over the live shards, checkpoint. With the hub off the epoch is
+    /// the whole budget and the loop body runs once. Fault injection
+    /// and checkpoints key off `boundary.epochs_done` (0 for a fresh
+    /// run), so a resumed run continues the same epoch numbering.
     fn run_from(
         &self,
-        mut states: Vec<ShardState>,
-        mut hub: SeedHub,
-        mut triage: TriageReport,
-        mut epochs_done: u64,
+        mut runner: LeaseRunner,
+        mut boundary: Boundary,
     ) -> (CampaignResult, Vec<TraceStore>) {
-        let shards = self.shards as usize;
         let threads = match self.threads {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
             t => t,
         }
-        .clamp(1, shards);
-        let epoch = self.config.epoch_budget();
-        let mut minimizer = TriageMinimizer::new(&self.lowered);
+        .clamp(1, self.shards as usize);
         let mut checkpoints_written = 0u64;
         loop {
-            let iter = epochs_done;
+            let iter = boundary.epochs_done;
             // Injected mid-epoch shard abort: remember the victim's
             // boundary state before the chunk so the recovery path can
             // quarantine the poisoned state and re-run from it.
-            let abort = self.faults.shard_abort(iter);
-            let pre_abort = abort.and_then(|sid| {
-                states
-                    .get(sid as usize)
-                    .map(|s| (s.snapshot(), s.clone_tracer()))
+            let abort = self.faults.shard_abort(iter).and_then(|sid| {
+                let victim = runner.states.get(sid as usize)?;
+                Some((sid as usize, victim.snapshot(), victim.clone_tracer()))
             });
-            self.run_chunk(&mut states, threads, epoch);
-            if let (Some(sid), Some((snap, tracer))) = (abort, pre_abort) {
+            runner.step(self.kernel, threads);
+            if let Some((idx, snap, tracer)) = abort {
                 // The shard died mid-epoch: discard its (by assumption
                 // poisoned) state, restore the boundary snapshot, and
                 // re-run the epoch sequentially on the driving thread.
@@ -383,39 +370,32 @@ impl<'a> ShardedCampaign<'a> {
                 // boundary clone replaces the poisoned store before
                 // the re-run, so retained traces stay bit-identical
                 // to an undisturbed campaign too.
-                let idx = sid as usize;
-                states[idx] = ShardState::restore(&self.lowered, &self.config, &snap);
+                let state = &mut runner.states[idx];
+                *state = ShardState::restore(&self.lowered, &self.config, &snap);
                 if let Some(t) = tracer {
-                    states[idx].attach_tracer(t);
+                    state.attach_tracer(t);
                 }
-                states[idx].run_epoch(self.kernel, epoch);
+                state.run_epoch(self.kernel, self.config.epoch_budget());
             }
-            for state in &mut states {
-                minimizer.drain(self.kernel, state.id, &mut state.triage, &mut triage);
-            }
-            epochs_done = iter + 1;
-            if states.iter().all(|s| s.remaining == 0) {
+            if runner.close_boundary(self.kernel, &mut boundary).is_none() {
                 break;
-            }
-            for state in &mut states {
-                hub.publish(state.id, &state.corpus);
-            }
-            for state in &mut states {
-                hub.import_into(state.id, &mut state.corpus);
             }
             // Checkpoint after the exchange: the snapshot is exactly
             // the loop-top state of the next iteration, so resume
             // re-enters here with nothing replayed and nothing lost.
             if let Some(path) = &self.checkpoint {
-                let traces: Vec<(u32, TraceStore)> =
-                    states.iter().filter_map(ShardState::trace_store).collect();
+                let traces: Vec<(u32, TraceStore)> = runner
+                    .states
+                    .iter()
+                    .filter_map(ShardState::trace_store)
+                    .collect();
                 let snap = SnapshotView {
                     config_fingerprint: self.config_fp,
                     spec_fingerprint: self.spec_fp,
-                    epochs_done,
-                    shards: states.iter().map(ShardState::view).collect(),
-                    hub: &hub,
-                    triage: &triage,
+                    epochs_done: boundary.epochs_done,
+                    shards: runner.states.iter().map(ShardState::view).collect(),
+                    hub: &boundary.hub,
+                    triage: &boundary.triage,
                     traces: &traces,
                 };
                 if self.write_checkpoint(&snap, path, iter) {
@@ -427,12 +407,12 @@ impl<'a> ShardedCampaign<'a> {
                         // Simulated interrupt: return the partial
                         // merge (tests discard it and resume from the
                         // snapshot just written).
-                        return self.merge(states, triage);
+                        break;
                     }
                 }
             }
         }
-        self.merge(states, triage)
+        self.merge(runner.states, boundary.triage)
     }
 
     /// Write one checkpoint with the fault plan applied: injected (or
@@ -480,36 +460,6 @@ impl<'a> ShardedCampaign<'a> {
             stores,
         )
     }
-
-    /// Advance every shard by up to `epoch` executions, distributing
-    /// shards over the worker threads. A barrier: returns only when
-    /// all shards reached the boundary. Each shard is advanced by
-    /// exactly one worker, so the per-shard state evolution is
-    /// schedule-independent.
-    fn run_chunk(&self, states: &mut [ShardState], threads: usize, epoch: u64) {
-        if threads <= 1 {
-            for state in states.iter_mut() {
-                state.run_epoch(self.kernel, epoch);
-            }
-            return;
-        }
-        let slots: Vec<Mutex<&mut ShardState>> = states.iter_mut().map(Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    slots[i]
-                        .lock()
-                        .expect("shard slot poisoned")
-                        .run_epoch(self.kernel, epoch);
-                });
-            }
-        });
-    }
 }
 
 /// Damage an installed snapshot in place (fault injection only):
@@ -538,6 +488,7 @@ fn apply_damage(path: &Path, damage: Option<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::shard_execs;
     use crate::{Campaign, CrashTally};
     use kgpt_csrc::KernelCorpus;
     use kgpt_vkernel::CoverageMap;
@@ -575,12 +526,9 @@ mod tests {
         let sharded = ShardedCampaign::new(&kernel, &suite, &consts, cfg(1500, 4))
             .with_shards(1)
             .run();
-        assert_eq!(sequential.coverage, sharded.coverage);
-        assert_eq!(sequential.crashes, sharded.crashes);
-        assert_eq!(sequential.corpus_size, sharded.corpus_size);
         // Both run one epoch with one triage drain, so the reports —
         // reproducers, minimization, epochs — are bit-identical too.
-        assert_eq!(sequential.triage, sharded.triage);
+        assert_eq!(sequential, sharded, "one shard vs sequential");
     }
 
     #[test]
@@ -593,6 +541,8 @@ mod tests {
         let sharded = ShardedCampaign::new(&kernel, &suite, &consts, hub_cfg(1500, 4))
             .with_shards(1)
             .run();
+        // Not the whole result: the chunked run stamps a capture with
+        // the epoch it happened in, the sequential run has only epoch 0.
         assert_eq!(sequential.coverage, sharded.coverage);
         assert_eq!(sequential.crashes, sharded.crashes);
         assert_eq!(sequential.corpus_size, sharded.corpus_size);
@@ -610,10 +560,7 @@ mod tests {
         let base = run(1);
         for threads in [2, 4, 8] {
             let r = run(threads);
-            assert_eq!(base.coverage, r.coverage, "threads={threads}");
-            assert_eq!(base.crashes, r.crashes, "threads={threads}");
-            assert_eq!(base.corpus_size, r.corpus_size, "threads={threads}");
-            assert_eq!(base.triage, r.triage, "threads={threads}");
+            assert_eq!(base, r, "threads={threads}");
         }
     }
 
@@ -633,10 +580,7 @@ mod tests {
         let base = run(1);
         for threads in [2, 4, 8] {
             let r = run(threads);
-            assert_eq!(base.coverage, r.coverage, "threads={threads}");
-            assert_eq!(base.crashes, r.crashes, "threads={threads}");
-            assert_eq!(base.corpus_size, r.corpus_size, "threads={threads}");
-            assert_eq!(base.triage, r.triage, "threads={threads}");
+            assert_eq!(base, r, "threads={threads}");
         }
     }
 
@@ -755,7 +699,7 @@ mod tests {
         assert_eq!(base_stores.len(), 8);
         for threads in [2, 4, 8] {
             let (r, stores) = run(threads);
-            assert_eq!(base_result.coverage, r.coverage, "threads={threads}");
+            assert_eq!(base_result, r, "threads={threads}");
             assert_eq!(base_stores, stores, "threads={threads}");
         }
         let campaign = ShardedCampaign::new(&kernel, &suite, &consts, hub_cfg(2000, 11));
@@ -798,8 +742,7 @@ mod tests {
             .with_checkpoint(&path)
             .resume_traced(&path)
             .unwrap();
-        assert_eq!(full_result.coverage, resumed_result.coverage);
-        assert_eq!(full_result.triage, resumed_result.triage);
+        assert_eq!(full_result, resumed_result, "resumed vs uninterrupted");
         assert_eq!(full_stores, resumed_stores);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -822,12 +765,8 @@ mod tests {
         let on = run(32);
         let off = run(0);
         let big = run(512);
-        for other in [&off, &big] {
-            assert_eq!(on.coverage, other.coverage);
-            assert_eq!(on.crashes, other.crashes);
-            assert_eq!(on.corpus_size, other.corpus_size);
-            assert_eq!(on.triage, other.triage);
-        }
+        assert_eq!(on, off, "ring 32 vs off");
+        assert_eq!(on, big, "ring 32 vs 512");
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //!   first time a shard observes a [`CrashSignature`], it clones the
 //!   crashing `ProgCall` stream (a cold path — at most once per
 //!   signature per shard) and counts every further observation;
-//! * **minimization** happens on the driving thread at epoch
-//!   boundaries, draining shards **in shard-id order**
-//!   ([`TriageMinimizer::drain`]): a signature new to the campaign's
-//!   [`TriageReport`] is admitted first-publisher-wins and its raw
-//!   reproducer is ddmin-minimized by replaying candidate
-//!   subsequences through the shared lowered [`ExecScratch`] path —
-//!   so the report is a pure function of `(config, shards)` and the
-//!   worker thread count never changes it.
+//! * **minimization** happens at epoch boundaries, draining shards
+//!   **in shard-id order** ([`TriageMinimizer::drain`] — the one
+//!   drain, the same code on a driving thread and on a fabric
+//!   worker): the raw reproducer of a signature new to the campaign's
+//!   [`TriageReport`] is ddmin-minimized by replaying candidate
+//!   subsequences through the shared lowered [`ExecScratch`] path,
+//!   and [`crate::boundary::Boundary::admit_shard`] admits the candidates
+//!   first-publisher-wins — so the report is a pure function of
+//!   `(config, shards)` and neither the worker thread count nor the
+//!   route changes it.
 
 use crate::exec::{execute_with, ExecScratch};
 use kgpt_syzlang::lowered::LoweredDb;
@@ -95,55 +97,27 @@ impl TriageMinimizer {
         }
     }
 
-    /// Drain one shard into the campaign report: admit fresh captures
-    /// (first-publisher-wins; only an admitted capture is minimized)
-    /// and fold observation counts. Callers must drain shards in
-    /// ascending id order at every boundary.
+    /// Drain one shard's boundary contribution: its fresh captures,
+    /// minimized here into candidate entries in capture order, and its
+    /// observation counts in signature order — what
+    /// [`crate::boundary::Boundary::admit_shard`] takes, for shards in
+    /// ascending id order at every boundary. A capture whose signature
+    /// `owned` already holds is dropped unminimized: first publisher
+    /// wins, so it could never be admitted, and only its counts fold
+    /// in. A fabric worker has no campaign report to consult and
+    /// passes an empty one — it minimizes every capture, the
+    /// coordinator drops the losers at admission, and the merged
+    /// report is the same.
     pub(crate) fn drain(
         &mut self,
         kernel: &VKernel,
         shard_id: u32,
         triage: &mut ShardTriage,
-        report: &mut TriageReport,
-    ) {
-        for cap in triage.fresh.drain(..) {
-            if report.contains(&cap.signature) {
-                // First-publisher-wins: an earlier shard (or epoch)
-                // already owns this signature; the duplicate capture
-                // is dropped and only its counts (below) fold in.
-                continue;
-            }
-            let entry = self.minimize_capture(kernel, shard_id, cap);
-            let taken = report.admit(entry);
-            debug_assert!(taken, "signature admitted twice in one drain");
-        }
-        for (sig, n) in std::mem::take(&mut triage.counts) {
-            report.add_count(&sig, n);
-        }
-    }
-
-    /// Drain one shard into *candidate* entries instead of a shared
-    /// report — the worker half of the distributed drain (see
-    /// [`crate::fabric`]). Every fresh capture is minimized locally
-    /// (the coordinator cannot replay programs; it only merges), and
-    /// the coordinator applies the same first-publisher-wins admission
-    /// in shard-id order, so the merged report is bit-identical to
-    /// [`TriageMinimizer::drain`] on a driving thread. A capture whose
-    /// signature another shard already owns globally costs a wasted
-    /// local minimization here; it is dropped at admission, never
-    /// changing the result. Counts are returned in signature order
-    /// (the same order `drain`'s `BTreeMap` iteration folds them).
-    pub(crate) fn drain_to_candidates(
-        &mut self,
-        kernel: &VKernel,
-        shard_id: u32,
-        triage: &mut ShardTriage,
+        owned: &TriageReport,
     ) -> (Vec<TriageEntry>, Vec<(CrashSignature, u64)>) {
-        let candidates = triage
-            .fresh
-            .drain(..)
-            .collect::<Vec<_>>()
+        let candidates = std::mem::take(&mut triage.fresh)
             .into_iter()
+            .filter(|cap| !owned.contains(&cap.signature))
             .map(|cap| self.minimize_capture(kernel, shard_id, cap))
             .collect();
         let counts = std::mem::take(&mut triage.counts).into_iter().collect();
@@ -154,8 +128,7 @@ impl TriageMinimizer {
     /// caller folds observation counts separately). Pure function of
     /// `(capture, kernel, lowered)`: the probe and every ddmin replay
     /// run on this boundary scratch and draw no campaign randomness,
-    /// so both the driving-thread drain and the worker-local fabric
-    /// drain produce the same entry for the same capture.
+    /// so a capture minimizes to the same entry wherever it drains.
     fn minimize_capture(
         &mut self,
         kernel: &VKernel,
@@ -292,10 +265,15 @@ mod tests {
         shard.observe(&crash, &Program::default(), 3);
         shard.observe(&crash, &Program::default(), 3);
 
-        let mut report = TriageReport::new();
-        TriageMinimizer::new(&lowered).drain(&kernel, 0, &mut shard, &mut report);
+        let mut boundary = crate::boundary::Boundary::new(0);
+        let (candidates, counts) =
+            TriageMinimizer::new(&lowered).drain(&kernel, 0, &mut shard, &boundary.triage);
+        boundary.admit_shard(candidates, counts);
 
-        let e = report.get(&sig).expect("stale capture still reported");
+        let e = boundary
+            .triage
+            .get(&sig)
+            .expect("stale capture still reported");
         assert!(!e.reproducible);
         assert_eq!(e.minimized, e.raw, "non-reproducing capture kept as-is");
         assert_eq!(e.minimize_execs, 1, "one probe, no ddmin");
@@ -304,6 +282,18 @@ mod tests {
         assert!(shard.fresh.is_empty());
         assert!(shard.counts.is_empty());
         assert!(shard.seen().contains(&sig));
+
+        // A later shard's capture of a signature the report owns is
+        // dropped unminimized — only its count folds in; a worker,
+        // which consults no report, minimizes it.
+        let mut minimizer = TriageMinimizer::new(&lowered);
+        for (owned, candidates) in [(&boundary.triage, 0), (&TriageReport::new(), 1)] {
+            let mut late = ShardTriage::default();
+            late.observe(&crash, &Program::default(), 4);
+            let (cands, counts) = minimizer.drain(&kernel, 1, &mut late, owned);
+            assert_eq!(cands.len(), candidates);
+            assert_eq!(counts, vec![(sig, 1)]);
+        }
     }
 
     #[test]

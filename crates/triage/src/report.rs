@@ -69,6 +69,16 @@ impl TriageReport {
         TriageReport::default()
     }
 
+    /// Rebuild a report from its entries (the checkpoint decoder's
+    /// path — admission is a boundary operation, restoring is not).
+    /// `None` when two entries share a signature.
+    #[must_use]
+    pub fn from_entries(entries: Vec<TriageEntry>) -> Option<TriageReport> {
+        let count = entries.len();
+        let entries: BTreeMap<_, _> = entries.into_iter().map(|e| (e.signature, e)).collect();
+        (entries.len() == count).then_some(TriageReport { entries })
+    }
+
     /// Number of distinct signatures triaged.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -202,6 +212,17 @@ mod tests {
         assert_eq!((e.first_shard, e.first_epoch, e.count), (0, 1, 5));
         assert_eq!(e.raw.len(), 8, "the first capture's reproducer is kept");
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn from_entries_rebuilds_the_report_and_refuses_duplicates() {
+        let mut admitted = TriageReport::new();
+        admitted.admit(entry(2, 1, 0, 12));
+        admitted.admit(entry(1, 0, 0, 8));
+        let rebuilt = TriageReport::from_entries(admitted.entries().cloned().collect());
+        assert_eq!(rebuilt, Some(admitted));
+        let twice = vec![entry(5, 0, 1, 8), entry(5, 3, 2, 4)];
+        assert_eq!(TriageReport::from_entries(twice), None);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! over a transport produces a `CampaignResult` **bit-identical** to
 //! the single-process `ShardedCampaign` of the same config — at any
 //! worker count, under every cell of the failure matrix (worker
-//! death, stalled leases, dropped / duplicated / corrupted frames).
+//! death, stalled leases, dropped / duplicated / corrupted /
+//! misrouted frames).
 
 use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fabric::{
@@ -320,23 +321,22 @@ fn dropped_and_duplicated_frames_are_idempotent() {
     assert!(summaries.iter().all(|s| s.completed));
 }
 
-/// A transport that flips one byte in the n-th outbound frame —
-/// corruption the checksum must catch end-to-end.
-struct Corrupting<T: Transport> {
+/// A transport that passes its n-th outbound frame through `rewrite`
+/// — damage the checksum must catch, or a well-formed frame the
+/// protocol must refuse.
+struct Rewriting<T: Transport> {
     inner: T,
     nth: u64,
     sent: u64,
+    rewrite: fn(&[u8]) -> Vec<u8>,
 }
 
-impl<T: Transport> Transport for Corrupting<T> {
+impl<T: Transport> Transport for Rewriting<T> {
     fn send(&mut self, frame: &[u8]) -> std::io::Result<()> {
         let n = self.sent;
         self.sent += 1;
         if n == self.nth {
-            let mut damaged = frame.to_vec();
-            let mid = damaged.len() / 2;
-            damaged[mid] ^= 0x40;
-            return self.inner.send(&damaged);
+            return self.inner.send(&(self.rewrite)(frame));
         }
         self.inner.send(frame)
     }
@@ -346,10 +346,13 @@ impl<T: Transport> Transport for Corrupting<T> {
     }
 }
 
-/// A corrupted delta frame is rejected by the frame checksum (counted,
-/// never decoded into the merge) and the worker's resend recovers it.
-#[test]
-fn corrupt_frames_are_checksum_rejected_and_recovered_by_resend() {
+/// A two-worker campaign whose first worker's second outbound frame
+/// (its first delta) goes through `rewrite`; later workers — the
+/// replacement of a revoked lease included — run clean. Returns the
+/// single-process reference beside the fabric result.
+fn run_with_first_delta_rewritten(
+    rewrite: fn(&[u8]) -> Vec<u8>,
+) -> (CampaignResult, CampaignResult, FabricStats) {
     let (kernel, suite, consts) = deepchain_setup();
     let config = cfg(7);
     let reference = ShardedCampaign::new(&kernel, &suite, &consts, config.clone())
@@ -371,17 +374,16 @@ fn corrupt_frames_are_checksum_rejected_and_recovered_by_resend() {
         let mut spawned = 0u64;
         let mut accept = || -> Option<Box<dyn Transport>> {
             let (coord_end, worker_end) = ChannelTransport::pair();
-            // The first worker's second outbound frame (its first
-            // delta) arrives with a flipped bit; later workers clean.
-            let corrupt_at = if spawned == 0 { 1 } else { u64::MAX };
+            let nth = if spawned == 0 { 1 } else { u64::MAX };
             spawned += 1;
             let lowered = Arc::clone(&lowered);
             let kernel = &kernel;
             scope.spawn(move || {
-                let transport = Corrupting {
+                let transport = Rewriting {
                     inner: worker_end,
-                    nth: corrupt_at,
+                    nth,
                     sent: 0,
+                    rewrite,
                 };
                 let opts = WorkerOpts {
                     reply_timeout: Duration::from_millis(100),
@@ -396,12 +398,60 @@ fn corrupt_frames_are_checksum_rejected_and_recovered_by_resend() {
         };
         coordinator.run(&mut accept).expect("coordinator")
     });
+    (reference, result, stats)
+}
+
+/// A corrupted delta frame is rejected by the frame checksum (counted,
+/// never decoded into the merge) and the worker's resend recovers it.
+#[test]
+fn corrupt_frames_are_checksum_rejected_and_recovered_by_resend() {
+    let (reference, result, stats) = run_with_first_delta_rewritten(|frame| {
+        let mut damaged = frame.to_vec();
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x40;
+        damaged
+    });
     assert_eq!(reference, result, "corrupt frame");
     assert!(
         stats.rejected_frames >= 1,
         "the flipped-bit frame must be rejected by checksum"
     );
     assert_eq!(stats.expired_leases, 0);
+}
+
+/// A well-formed delta — right lease, right boundary, right range —
+/// tagged for a tenant the coordinator does not run is a protocol
+/// violation, exactly as on the multi-tenant service: rejected and
+/// counted, never merged; the sender loses its lease and the
+/// replacement re-runs the range from the committed boundary.
+#[test]
+fn a_delta_tagged_for_another_tenant_is_rejected_not_merged() {
+    let (reference, result, stats) = run_with_first_delta_rewritten(|frame| {
+        match Message::from_frame(frame).expect("the worker's own frame") {
+            Message::Delta {
+                lease_id,
+                boundary,
+                deltas,
+                ..
+            } => Message::Delta {
+                tenant: 7,
+                lease_id,
+                boundary,
+                deltas,
+            }
+            .to_frame(),
+            other => panic!("the second outbound frame is a delta, not {other:?}"),
+        }
+    });
+    assert_eq!(reference, result, "misrouted delta");
+    assert!(
+        stats.rejected_frames >= 1,
+        "the misrouted delta must be counted as rejected"
+    );
+    assert!(
+        stats.expired_leases >= 1,
+        "the misrouting worker must lose its lease"
+    );
 }
 
 /// Seed-derived fabric fault plans (the whole failure matrix at
