@@ -13,7 +13,7 @@ use kgpt_fuzzer::reference::{ast_execute_with, AstGenerator, AstScratch};
 use kgpt_fuzzer::{
     execute_with, Campaign, CampaignConfig, ExecScratch, Generator, Program, ShardedCampaign,
 };
-use kgpt_syzlang::{SpecCache, SpecDb};
+use kgpt_syzlang::{LoweredDb, SpecCache, SpecDb};
 use kgpt_vkernel::VKernel;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -61,9 +61,13 @@ fn main() {
     }
 
     {
-        let mut g = Generator::new(&db, kc.consts(), 1);
+        // One lowering behind both, as in a campaign: a born-packed
+        // pointee's image is only read under the database it was born
+        // in (under another it is unpacked and walked).
+        let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
+        let mut g = Generator::from_lowered(Arc::clone(&lowered), 1);
         let progs: Vec<_> = (0..64).map(|_| g.gen_program(8)).collect();
-        let mut scratch = ExecScratch::new(&db, kc.consts());
+        let mut scratch = ExecScratch::from_lowered(lowered);
         report("fuzzer/execute_64_programs", 200, || {
             for p in &progs {
                 execute_with(&kernel, p, &mut scratch);

@@ -37,6 +37,7 @@ use kgpt_fuzzer::{
     ShardedCampaign,
 };
 use kgpt_llm::{ModelKind, OracleModel};
+use kgpt_syzlang::lowered::LType;
 use kgpt_syzlang::{LoweredDb, SpecCache, SpecFile};
 use kgpt_vkernel::VKernel;
 use std::process::ExitCode;
@@ -142,7 +143,7 @@ fn main() -> ExitCode {
     dm_sections(&mut report, &dm, execs);
     let dc = deep_chain_sections(&mut report, execs);
     generation_section(&mut report);
-    lowering_section(&mut report, &dm);
+    lowering_section(&mut report, &dm, &dc.suite);
     durability_section(&mut report, &dc);
     fabric_section(&mut report, &dc);
     tenancy_section(&mut report, &dc);
@@ -299,40 +300,78 @@ fn generation_section(report: &mut Report) {
     report.flag("bit_identical", reference == generate(8));
 }
 
-/// `lowering`: program streams, mutation chains and execution
-/// outcomes of the lowered-IR path equal the AST walk's.
-fn lowering_section(report: &mut Report, dm: &Suite) {
-    let consts = dm.kc.consts();
-    let (db, lowered) = SpecCache::global().get_or_build_lowered(&dm.files, consts);
+/// The 2 000-step stream (one fresh program, three mutants, repeat)
+/// through the lowered generator and the AST walk in lock-step, the
+/// first 300 programs executed both ways: `(everything equal, pointees
+/// born packed, pointees built as trees)` over the stream's programs.
+fn lowered_stream(suite: &Suite, max_len: usize) -> (bool, usize, usize) {
+    let consts = suite.kc.consts();
+    let (db, lowered) = SpecCache::global().get_or_build_lowered(&suite.files, consts);
     let mut lg = Generator::from_lowered(Arc::clone(&lowered), 1234);
     let mut ag = AstGenerator::new(&db, consts, 1234);
     let mut scratch = ExecScratch::from_lowered(lowered);
     let mut lp = Program::default();
     let mut ap = Program::default();
-    let mut identical = true;
+    let (mut packed, mut trees) = (0, 0);
     for i in 0..2000u32 {
         let (l, a) = if i % 4 == 0 {
-            (lg.gen_program(8), ag.gen_program(8))
+            (lg.gen_program(max_len), ag.gen_program(max_len))
         } else {
-            (lg.mutate(&lp, 8), ag.mutate(&ap, 8))
+            (lg.mutate(&lp, max_len), ag.mutate(&ap, max_len))
         };
-        identical = l == a;
+        let forms = l.pointee_forms();
+        (packed, trees) = (packed + forms.0, trees + forms.1);
+        let mut identical = l == a;
         if identical && i < 300 {
-            let ast = ast_execute(&dm.kernel, &db, consts, &l);
-            execute_with(&dm.kernel, &l, &mut scratch);
+            let ast = ast_execute(&suite.kernel, &db, consts, &l);
+            execute_with(&suite.kernel, &l, &mut scratch);
             identical = scratch.rets == ast.rets
                 && *scratch.coverage() == ast.coverage
                 && scratch.crash() == ast.crash.as_ref();
         }
         if !identical {
             eprintln!("lowered path diverged from the AST walk at step {i}");
-            break;
+            return (false, packed, trees);
         }
         (lp, ap) = (l, a);
     }
+    (true, packed, trees)
+}
+
+/// `lowering`: program streams, mutation chains and execution
+/// outcomes of the lowered-IR path equal the AST walk's, and what
+/// share of the pointee traffic is closed by construction — born
+/// packed — on the two smoke suites and over the 48 flagships.
+fn lowering_section(report: &mut Report, dm: &Suite, dc: &Suite) {
+    let (dm_identical, dm_packed, dm_trees) = lowered_stream(dm, 8);
+    let (dc_identical, dc_packed, dc_trees) = lowered_stream(dc, 12);
+    let flagships = KernelCorpus::flagship_only();
+    let files: Vec<SpecFile> = flagships
+        .blueprints()
+        .iter()
+        .map(Blueprint::ground_truth_spec)
+        .collect();
+    let (_, lowered) = SpecCache::global().get_or_build_lowered(&files, flagships.consts());
+    let pointees: Vec<_> = (0..lowered.syscall_count())
+        .flat_map(|i| &lowered.syscall(i).params)
+        .filter_map(|p| match lowered.ltype(p.ty) {
+            LType::Ptr { elem, .. } => Some(elem),
+            _ => None,
+        })
+        .collect();
+    let plans_compiled = pointees.iter().filter(|e| lowered.plan(**e).is_some());
     report.section("lowering");
     report.label("workload", "dm ground-truth suite");
-    report.flag("bit_identical", identical);
+    report.flag("bit_identical", dm_identical && dc_identical);
+    report.section("lowering.dm");
+    report.count("pointees_packed", dm_packed);
+    report.count("pointees_tree", dm_trees);
+    report.section("lowering.deep_chain");
+    report.count("pointees_packed", dc_packed);
+    report.count("pointees_tree", dc_trees);
+    report.section("lowering.flagship");
+    report.count("plans_compiled", plans_compiled.count());
+    report.count("pointer_params", pointees.len());
 }
 
 /// `durability`: checkpoint/resume under a fault plan + the exec fuel

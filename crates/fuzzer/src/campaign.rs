@@ -410,16 +410,18 @@ impl ShardState {
                 .rng_pick
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
-            let fresh = self.corpus.is_empty() || self.rng_pick.is_multiple_of(4);
-            let (prog, parent) = if fresh {
-                (self.generator.gen_program(self.max_prog_len), None)
+            // One turn in four is fresh; so is every turn on an empty
+            // corpus, where `select` answers `None` without a draw.
+            let parent = if self.rng_pick.is_multiple_of(4) {
+                None
             } else {
-                let idx = self.corpus.select().expect("non-empty corpus");
-                (
-                    self.generator
-                        .mutate(self.corpus.program(idx), self.max_prog_len),
-                    Some(idx),
-                )
+                self.corpus.select()
+            };
+            let prog = match parent {
+                None => self.generator.gen_program(self.max_prog_len),
+                Some(idx) => self
+                    .generator
+                    .mutate(self.corpus.program(idx), self.max_prog_len),
             };
             execute_with(kernel, &prog, &mut self.scratch);
             if self.scratch.state.fuel_exhausted() {

@@ -36,13 +36,32 @@
 //! The fabric's delta and patch frames reuse the element codecs below
 //! (see [`crate::fabric`]), so they share the sparse coverage rule.
 //!
-//! Writes are atomic and keep one generation of history: the payload
-//! goes to `<path>.tmp`, the current snapshot (if any) rotates to
-//! `<path>.prev`, and the temp file renames over `<path>`.
-//! [`CampaignSnapshot::load`] verifies magic, version and checksum,
-//! and falls back to the previous-good rotation when the current file
-//! is truncated or corrupt — a torn write costs one epoch of
-//! progress, never the campaign.
+//! Writes are atomic and keep one generation of history. A save of
+//! generation *N+1* over `<path>` = *N*, `<path>.prev` = *N−1* is four
+//! steps, and a process killed between any two of them leaves a
+//! loadable campaign:
+//!
+//! 1. the payload is written to `<path>.tmp`, complete, before
+//!    anything else is touched — killed here: `<path>` = *N*;
+//! 2. if `<path>` exists, `<path>.prev` is removed — `<path>` = *N*
+//!    alone (the generation a save retires is *N−1* either way; it
+//!    goes one step earlier so that no rename below replaces a file);
+//! 3. `<path>` renames to `<path>.prev` — no `<path>`, `<path>.prev`
+//!    = *N*, which is what `load` falls back to;
+//! 4. `<path>.tmp` renames to `<path>` — `<path>` = *N+1*,
+//!    `<path>.prev` = *N*.
+//!
+//! So at every instant `<path>` or `<path>.prev` is an intact
+//! generation, provided one was when the save began. When only
+//! `<path>.prev` exists (a resume after a kill between 3 and 4), step
+//! 2 is skipped with step 3 and the fallback generation stays until
+//! the install. Neither rename lands on an existing file: replacing
+//! one makes ext4 (`auto_da_alloc`) allocate and flush the moved
+//! file's still-dirty pages on the spot. [`CampaignSnapshot::load`]
+//! verifies magic, version and checksum, and falls back to the
+//! previous-good rotation when the current file is missing, truncated
+//! or corrupt — a torn write costs one epoch of progress, never the
+//! campaign.
 
 use crate::campaign::{CampaignConfig, ShardSnapshot, ShardView};
 use crate::corpus::{CorpusEntry, CorpusStats};
@@ -162,13 +181,26 @@ impl SnapshotView<'_> {
         })
     }
 
-    /// Write atomically to `path` (see [`CampaignSnapshot::save`]).
+    /// Write atomically to `path` (see [`CampaignSnapshot::save`] and
+    /// the module docs for the step order and its kill windows).
     pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let tmp = sibling(path, "tmp");
         std::fs::write(&tmp, self.to_bytes())
             .map_err(|e| CheckpointError::new(format!("write {} failed: {e}", tmp.display())))?;
         if path.exists() {
-            std::fs::rename(path, sibling(path, "prev")).map_err(|e| {
+            // Clear the rotation slot first: neither rename below
+            // may replace a file (module docs).
+            let prev = sibling(path, "prev");
+            match std::fs::remove_file(&prev) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(CheckpointError::new(format!(
+                        "clear {} failed: {e}",
+                        prev.display()
+                    )));
+                }
+                _ => {}
+            }
+            std::fs::rename(path, &prev).map_err(|e| {
                 CheckpointError::new(format!("rotate {} failed: {e}", path.display()))
             })?;
         }
@@ -779,6 +811,49 @@ mod tests {
                 .epochs_done,
             1
         );
+
+        // A save killed after any prefix of its four steps (module
+        // docs), replayed by hand over `<path>` = 2, `<path>.prev` = 1:
+        // load returns the generation being replaced until the
+        // install, the new one after it — never an error.
+        let (tmp, prev) = (sibling(&path, "tmp"), sibling(&path, "prev"));
+        let mut third = sample();
+        third.epochs_done = 3;
+        let steps: [&dyn Fn(); 4] = [
+            &|| std::fs::write(&tmp, third.to_bytes()).unwrap(),
+            &|| std::fs::remove_file(&prev).unwrap(),
+            &|| std::fs::rename(&path, &prev).unwrap(),
+            &|| std::fs::rename(&tmp, &path).unwrap(),
+        ];
+        for killed_after in 0..=steps.len() {
+            std::fs::write(&path, second.to_bytes()).unwrap();
+            std::fs::write(&prev, first.to_bytes()).unwrap();
+            let _ = std::fs::remove_file(&tmp);
+            for step in &steps[..killed_after] {
+                step();
+            }
+            let want = if killed_after == steps.len() { 3 } else { 2 };
+            let loaded = CampaignSnapshot::load(&path);
+            assert_eq!(
+                loaded.map(|s| s.epochs_done),
+                Ok(want),
+                "killed after step {killed_after}"
+            );
+            // What `save` itself leaves from there is the full sequence:
+            // the interrupted state is one it starts from cleanly (after
+            // step 3 only the rotation exists, and it is kept until the
+            // install).
+            third.save(&path).unwrap();
+            assert_eq!(CampaignSnapshot::load(&path).unwrap().epochs_done, 3);
+            let kept = CampaignSnapshot::from_bytes(&std::fs::read(&prev).unwrap()).unwrap();
+            assert!(
+                kept.epochs_done == 2 || killed_after == steps.len(),
+                "killed after step {killed_after}: rotation holds {}",
+                kept.epochs_done
+            );
+        }
+        std::fs::write(&path, second.to_bytes()).unwrap();
+        std::fs::write(&prev, first.to_bytes()).unwrap();
 
         // Corrupt the current file: load falls back to previous-good.
         let mut bytes = std::fs::read(&path).unwrap();

@@ -8,16 +8,26 @@
 //! ([`crate::reference::AstGenerator`]), so program streams are
 //! bit-for-bit the same; `tests/properties.rs` and the `lowering`
 //! section of `fuzz_bench` pin that equivalence.
+//!
+//! A pointer whose pointee type is closed by construction (it has a
+//! [`kgpt_syzlang::lowered::Plan`]) is not built node by node: the
+//! plan fills one buffer — the pointee's encoded image — from the same
+//! draws in the same order, and the pointee is *born packed* (see
+//! [`kgpt_syzlang::value::Pointee`]). The draw rules (`draw_int`,
+//! `draw_flags`, `draw_len`, `draw_bytes`) are written once and both
+//! paths call them, so there is one stream, not two kept in step; the
+//! tree path stays for every other type and for a pointee whose
+//! nesting would cross the `MAX_DEPTH` cut-off.
 
 use crate::reference::INTERESTING;
 use kgpt_syzlang::ast::ArrayLen;
-use kgpt_syzlang::lowered::{LType, LoweredDb};
+use kgpt_syzlang::lowered::{LType, LoweredDb, PlanDraws};
 use kgpt_syzlang::prog::{ProgCall, Program};
 use kgpt_syzlang::value::ResRef;
 use kgpt_syzlang::{ConstDb, SpecDb, Value};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use std::sync::Arc;
 
 /// Generates and mutates programs from a lowered specification.
@@ -31,7 +41,11 @@ pub struct Generator {
 impl Generator {
     /// Create a generator over all syscalls of a database, lowering
     /// it on the spot. Campaign code paths share one pre-lowered IR
-    /// via [`Generator::from_lowered`] instead.
+    /// via [`Generator::from_lowered`] instead — and with the
+    /// executor too: a born-packed pointee is copied from its image
+    /// only by an [`crate::exec::ExecScratch`] over the very lowering
+    /// that generated it (any other unpacks and walks it, correctly
+    /// but for the price of the tree).
     #[must_use]
     pub fn new(db: &SpecDb, consts: &ConstDb, seed: u64) -> Generator {
         Generator::from_lowered(Arc::new(LoweredDb::build(db, consts)), seed)
@@ -208,6 +222,9 @@ fn append_call(
     Some(prog.len() - 1)
 }
 
+/// Deepest `gen_value` nesting: anything below is `Int(0)`.
+const MAX_DEPTH: usize = 12;
+
 /// Generate a value for a lowered type, resolving resource references
 /// against the first `upto` calls of `prog`.
 fn gen_value(
@@ -218,38 +235,14 @@ fn gen_value(
     upto: usize,
     depth: usize,
 ) -> Value {
-    if depth > 12 {
+    if depth > MAX_DEPTH {
         return Value::Int(0);
     }
     match lowered.ltype(ty) {
-        LType::Int { bits, range } => {
-            let v = match range {
-                // Mostly respect declared ranges; occasionally probe
-                // outside them (the kernel should EINVAL).
-                Some((lo, hi)) if rng.random_bool(0.85) => {
-                    if hi > lo {
-                        lo + rng.random_range(0..=(hi - lo))
-                    } else {
-                        lo
-                    }
-                }
-                _ => gen_int(rng),
-            };
-            Value::Int(bits.truncate(v))
-        }
+        LType::Int { bits, range } => Value::Int(bits.truncate(draw_int(rng, range))),
         LType::Const { .. } => Value::Int(0), // encoder substitutes
         LType::Flags { values, bits } => {
-            let members = lowered.flag_values(values);
-            let mut acc = 0u64;
-            for v in members {
-                if rng.random_bool(0.4) {
-                    acc |= v;
-                }
-            }
-            if members.is_empty() || rng.random_bool(0.05) {
-                acc = gen_int(rng);
-            }
-            Value::Int(bits.truncate(acc))
+            Value::Int(bits.truncate(draw_flags(rng, lowered.flag_values(values))))
         }
         LType::StringLit { strs } => {
             let s = lowered
@@ -261,41 +254,28 @@ fn gen_value(
         }
         LType::Ptr { elem, .. } => {
             if rng.random_bool(0.03) {
-                Value::Ptr { pointee: None }
-            } else {
-                Value::ptr_to(gen_value(lowered, rng, elem, prog, upto, depth + 1))
+                return Value::Ptr { pointee: None };
             }
+            // A pointee that is closed by construction is born encoded,
+            // from the same draws; any other is built as a tree.
+            let born = MAX_DEPTH
+                .checked_sub(depth + 1)
+                .and_then(|room| lowered.gen_pointee(elem, room, &mut Stream(rng)));
+            born.unwrap_or_else(|| {
+                Value::ptr_to(gen_value(lowered, rng, elem, prog, upto, depth + 1))
+            })
         }
         LType::Array {
             elem,
             len,
             byte_elem,
         } => {
-            let n = match len {
-                ArrayLen::Fixed(n) => n,
-                ArrayLen::Range(lo, hi) => {
-                    if hi > lo {
-                        lo + rng.random_range(0..=(hi - lo).min(16))
-                    } else {
-                        lo
-                    }
-                }
-                // Long-tailed sizes: mostly small, sometimes page-
-                // scale (large payloads are how the sendmsg-path
-                // bugs are reached).
-                ArrayLen::Unsized => match rng.random_range(0..10u32) {
-                    0..=6 => rng.random_range(0..8),
-                    7 | 8 => rng.random_range(8..256),
-                    _ => rng.random_range(256..4096),
-                },
-            };
+            let n = draw_len(rng, len);
             // Byte arrays as raw buffers (cheaper, and what the
             // kernel decodes anyway).
             if byte_elem {
                 let mut bytes = vec![0u8; n as usize];
-                for b in &mut bytes {
-                    *b = rng.random_range(0..=255u32) as u8;
-                }
+                draw_bytes(rng, &mut bytes);
                 return Value::Bytes(bytes);
             }
             let mut vs = Vec::with_capacity(n as usize);
@@ -342,11 +322,92 @@ fn gen_value(
     }
 }
 
+// The draw rules. Each is written once: the tree arms above and the
+// born-packed path (through `Stream`) run the same code, so a pointee
+// consumes the same draws whichever form it is born in.
+
+fn draw_int(rng: &mut StdRng, range: Option<(u64, u64)>) -> u64 {
+    match range {
+        // Mostly respect declared ranges; occasionally probe
+        // outside them (the kernel should EINVAL).
+        Some((lo, hi)) if rng.random_bool(0.85) => {
+            if hi > lo {
+                lo + rng.random_range(0..=(hi - lo))
+            } else {
+                lo
+            }
+        }
+        _ => gen_int(rng),
+    }
+}
+
+fn draw_flags(rng: &mut StdRng, members: &[u64]) -> u64 {
+    let mut acc = 0u64;
+    for v in members {
+        if rng.random_bool(0.4) {
+            acc |= v;
+        }
+    }
+    if members.is_empty() || rng.random_bool(0.05) {
+        acc = gen_int(rng);
+    }
+    acc
+}
+
+fn draw_len(rng: &mut StdRng, len: ArrayLen) -> u64 {
+    match len {
+        ArrayLen::Fixed(n) => n,
+        ArrayLen::Range(lo, hi) => {
+            if hi > lo {
+                lo + rng.random_range(0..=(hi - lo).min(16))
+            } else {
+                lo
+            }
+        }
+        // Long-tailed sizes: mostly small, sometimes page-
+        // scale (large payloads are how the sendmsg-path
+        // bugs are reached).
+        ArrayLen::Unsized => match rng.random_range(0..10u32) {
+            0..=6 => rng.random_range(0..8),
+            7 | 8 => rng.random_range(8..256),
+            _ => rng.random_range(256..4096),
+        },
+    }
+}
+
+fn draw_bytes(rng: &mut StdRng, dst: &mut [u8]) {
+    for b in dst {
+        *b = rng.random_range(0..=255u32) as u8;
+    }
+}
+
 fn gen_int(rng: &mut StdRng) -> u64 {
     if rng.random_bool(0.7) {
-        *INTERESTING.choose(rng).expect("non-empty")
+        INTERESTING[(rng.next_u64() % INTERESTING.len() as u64) as usize]
     } else {
         rng.random()
+    }
+}
+
+/// The generator's draw stream, as a [`kgpt_syzlang::lowered::Plan`]
+/// consumes it.
+struct Stream<'a>(&'a mut StdRng);
+
+impl PlanDraws for Stream<'_> {
+    fn int(&mut self, range: Option<(u64, u64)>) -> u64 {
+        draw_int(self.0, range)
+    }
+
+    fn flags(&mut self, members: &[u64]) -> u64 {
+        draw_flags(self.0, members)
+    }
+
+    fn array_len(&mut self, len: ArrayLen) -> u64 {
+        draw_len(self.0, len)
+    }
+
+    fn bytes(&mut self, dst: &mut [u8]) {
+        draw_bytes(self.0, dst);
     }
 }
 

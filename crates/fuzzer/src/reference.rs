@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 /// Interesting scalar boundary values the generator favours. Shared
 /// with the lowered generator — one table, one stream.
-pub(crate) const INTERESTING: &[u64] = &[
+pub(crate) const INTERESTING: [u64; 16] = [
     0,
     1,
     2,

@@ -138,7 +138,7 @@ impl<'a> Writer<'a> {
 
     /// A `u32` count (saturating: no real collection approaches it).
     #[inline]
-    fn count(&mut self, n: usize) {
+    pub(crate) fn count(&mut self, n: usize) {
         self.u32(u32::try_from(n).unwrap_or(u32::MAX));
     }
 

@@ -14,6 +14,7 @@
 
 use crate::codec::{Reader, Writer};
 use crate::db::SpecDb;
+use crate::lowered::PlanSink;
 use crate::value::ResRef;
 use crate::{Syscall, Value};
 use serde::{Deserialize, Serialize};
@@ -78,6 +79,31 @@ impl Program {
             .map(|c| c.syscall(db).name())
             .collect::<Vec<_>>()
             .join("\n")
+    }
+
+    /// Non-null pointees anywhere in the program, as `(born packed,
+    /// tree-first)`: which of its two forms the generator gave each
+    /// (see [`crate::value::Pointee`]). A packed pointee holds no
+    /// pointer; a tree is searched.
+    #[must_use]
+    pub fn pointee_forms(&self) -> (usize, usize) {
+        fn walk(v: &Value, forms: &mut (usize, usize)) {
+            match v {
+                Value::Ptr { pointee: Some(p) } if p.packed().is_some() => forms.0 += 1,
+                Value::Ptr { pointee: Some(p) } => {
+                    forms.1 += 1;
+                    walk(p, forms);
+                }
+                Value::Group(vs) => vs.iter().for_each(|v| walk(v, forms)),
+                Value::Union { value, .. } => walk(value, forms),
+                _ => {}
+            }
+        }
+        let mut forms = (0, 0);
+        for v in self.calls.iter().flat_map(|c| &c.args) {
+            walk(v, &mut forms);
+        }
+        forms
     }
 
     /// Write the program's binary encoding (layout rules:
@@ -171,8 +197,30 @@ fn encode_value(v: &Value, w: &mut Writer<'_>) {
         Value::Ptr { pointee: None } => w.u8(TAG_PTR_NULL),
         Value::Ptr { pointee: Some(p) } => {
             w.u8(TAG_PTR);
-            encode_value(p, w);
+            // A born-packed pointee replays its tree from plan and
+            // image: same bytes, nothing materialised.
+            match p.packed() {
+                Some((plan, image, tail)) => plan.read(image, tail, w),
+                None => encode_value(p, w),
+            }
         }
+    }
+}
+
+impl PlanSink for Writer<'_> {
+    fn int(&mut self, v: u64) {
+        self.u8(TAG_INT);
+        self.u64(v);
+    }
+
+    fn buffer(&mut self, b: &[u8]) {
+        self.u8(TAG_BYTES);
+        self.bytes(b);
+    }
+
+    fn group(&mut self, n: usize) {
+        self.u8(TAG_GROUP);
+        self.count(n);
     }
 }
 

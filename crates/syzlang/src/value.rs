@@ -5,12 +5,25 @@
 //! memory segments (address → bytes) handed to the virtual kernel.
 //! `len[...]`/`bytesize[...]` fields are filled automatically from their
 //! sibling values, mirroring Syzkaller's executor.
+//!
+//! What a pointer points at is a shared, immutable [`Pointee`], and it
+//! has two forms. *Tree-first*: a [`Value`] tree, with the bytes the
+//! lowered encoder made of it memoised beside it once it is shared.
+//! *Born packed*: for a pointee type that is closed by construction
+//! (see [`crate::lowered::Plan`]) the lowered generator writes the
+//! encoded image directly and the tree is the **derived** form,
+//! unpacked only when somebody asks for it — the AST oracle, `Debug`,
+//! `==` against a tree, an encode under another database. The tree is
+//! the interchange form (what a decoder builds, what tests and the
+//! oracle compare) and either form gives the same tree, the same wire
+//! bytes and the same segments; which one a pointee is born in is
+//! decided by its type at lowering.
 
 use crate::ast::{ArrayLen, IntBits, StructDef, Type};
 use crate::consts::ConstDb;
 use crate::db::SpecDb;
 use crate::layout::{field_offsets, struct_layout, type_layout, LayoutError};
-use crate::lowered::TypeId;
+use crate::lowered::{Plan, PlanSink, TypeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
@@ -70,14 +83,38 @@ pub enum Value {
 /// copies). Derefs to the value; equality, `Debug` and the wire codec
 /// see nothing else.
 ///
-/// Beside the value it memoises the bytes the lowered encoder produced
-/// for it, so a shared pointee is walked once, not once per mutant.
-/// Only a *closed* value (no `Res`, no `Ptr` inside) has an image: its
-/// bytes depend on neither the running program's return values nor on
-/// where other segments land.
-pub struct Pointee {
-    value: Value,
-    image: OnceLock<Image>,
+/// A pointee has two forms, and which one it is born in is decided by
+/// its type at lowering, never by an option:
+///
+/// * **tree-first** ([`Value::ptr_to`]): the value tree is given — by a
+///   decoder, a hand-built program, the AST oracle, or the generator
+///   for a type that is not closed by construction. Beside it the
+///   pointee memoises the bytes the lowered encoder produced for it, so
+///   a shared pointee is walked once, not once per mutant. Only a
+///   *closed* value (no `Res`, no `Ptr` inside) gets such an image: its
+///   bytes depend on neither the running program's return values nor on
+///   where other segments land.
+/// * **born packed** ([`crate::lowered::LoweredDb::gen_pointee`]): the
+///   generator wrote the encoded image directly under the type's
+///   [`Plan`], and the tree is the *derived* form — unpacked on first
+///   `Deref` / `==` against another form / `Debug`, with `Int(0)` at
+///   const and len slots exactly as the tree generator emits them.
+///   Encoding under the database it was born in, wire serialisation,
+///   [`Value::has_res`] and equality under one plan never unpack it.
+pub struct Pointee(Form);
+
+enum Form {
+    Tree {
+        value: Value,
+        image: OnceLock<Image>,
+    },
+    Packed {
+        plan: Arc<Plan>,
+        /// Elements of the plan's trailing array.
+        tail: u32,
+        image: Image,
+        tree: OnceLock<Value>,
+    },
 }
 
 /// Encoded bytes of a closed pointee, valid for one lowered database
@@ -88,20 +125,105 @@ struct Image {
 }
 
 impl Pointee {
-    /// The memoised segment bytes, if they were encoded under `key`.
+    /// The segment bytes, if they were encoded under `key`: memoised
+    /// from a walk, or what the pointee was born as.
     pub(crate) fn image(&self, key: (u64, TypeId)) -> Option<&[u8]> {
-        self.image.get().filter(|i| i.key == key).map(|i| &*i.bytes)
+        let image = match &self.0 {
+            Form::Tree { image, .. } => image.get()?,
+            Form::Packed { image, .. } => image,
+        };
+        (image.key == key).then_some(&*image.bytes)
+    }
+
+    /// [`Pointee::image`] of a born-packed pointee only: bytes that
+    /// are the encoding by construction, not one walk's finished
+    /// segment.
+    pub(crate) fn born_image(&self, key: (u64, TypeId)) -> Option<&[u8]> {
+        self.packed().and(self.image(key))
     }
 
     /// Memoise `bytes` — a finished segment the encoder just built
-    /// for this value under `key` — if the value is closed. First
-    /// writer wins; an image under another key is left alone.
+    /// for this value under `key` — if the value is a closed tree.
+    /// First writer wins; an image under another key is left alone.
     pub(crate) fn memoise(&self, key: (u64, TypeId), bytes: &[u8]) {
-        if self.image.get().is_none() && self.value.is_closed() {
-            let _ = self.image.set(Image {
-                key,
-                bytes: bytes.into(),
-            });
+        if let Form::Tree { value, image } = &self.0 {
+            if image.get().is_none() && value.is_closed() {
+                let _ = image.set(Image {
+                    key,
+                    bytes: bytes.into(),
+                });
+            }
+        }
+    }
+
+    /// `(plan, image, trailing-array count)` of a born-packed pointee:
+    /// what [`Plan::read`] takes to replay its tree.
+    pub(crate) fn packed(&self) -> Option<(&Plan, &[u8], u32)> {
+        match &self.0 {
+            Form::Tree { .. } => None,
+            Form::Packed {
+                plan, tail, image, ..
+            } => Some((plan, &image.bytes, *tail)),
+        }
+    }
+
+    /// [`Value::has_res`] of the value; a packed pointee holds none by
+    /// construction and answers without unpacking.
+    #[must_use]
+    pub fn has_res(&self) -> bool {
+        match &self.0 {
+            Form::Tree { value, .. } => value.has_res(),
+            Form::Packed { .. } => false,
+        }
+    }
+
+    /// What a `len[...]` measuring this pointee reads ([`len_count`]
+    /// of the value), without unpacking.
+    pub(crate) fn len_count(&self) -> u64 {
+        match &self.0 {
+            Form::Tree { value, .. } => len_count(value),
+            Form::Packed { plan, tail, .. } => plan.len_count(*tail),
+        }
+    }
+}
+
+/// Rebuilds the tree a [`Plan`] replays in pre-order.
+#[derive(Default)]
+struct TreeBuilder {
+    /// Open groups, outermost first: `(children wanted, children so far)`.
+    open: Vec<(usize, Vec<Value>)>,
+    root: Option<Value>,
+}
+
+impl TreeBuilder {
+    /// Place a finished subtree, closing every group it completes.
+    fn put(&mut self, mut v: Value) {
+        while let Some((want, mut children)) = self.open.pop() {
+            children.push(v);
+            if children.len() < want {
+                self.open.push((want, children));
+                return;
+            }
+            v = Value::Group(children);
+        }
+        self.root = Some(v);
+    }
+}
+
+impl PlanSink for TreeBuilder {
+    fn int(&mut self, v: u64) {
+        self.put(Value::Int(v));
+    }
+
+    fn buffer(&mut self, b: &[u8]) {
+        self.put(Value::Bytes(b.to_vec()));
+    }
+
+    fn group(&mut self, n: usize) {
+        if n == 0 {
+            self.put(Value::Group(Vec::new()));
+        } else {
+            self.open.push((n, Vec::with_capacity(n)));
         }
     }
 }
@@ -110,13 +232,34 @@ impl Deref for Pointee {
     type Target = Value;
 
     fn deref(&self) -> &Value {
-        &self.value
+        match &self.0 {
+            Form::Tree { value, .. } => value,
+            Form::Packed {
+                plan,
+                tail,
+                image,
+                tree,
+            } => tree.get_or_init(|| {
+                let mut out = TreeBuilder::default();
+                plan.read(&image.bytes, *tail, &mut out);
+                out.root.unwrap_or_default()
+            }),
+        }
     }
 }
 
 impl PartialEq for Pointee {
     fn eq(&self, other: &Pointee) -> bool {
-        self.value == other.value
+        match (self.packed(), other.packed()) {
+            // Under one plan the image is an injective function of the
+            // drawn slots and the trailing count.
+            (Some((plan, image, tail)), Some((other_plan, other_image, other_tail)))
+                if std::ptr::eq(plan, other_plan) =>
+            {
+                tail == other_tail && image == other_image
+            }
+            _ => **self == **other,
+        }
     }
 }
 
@@ -124,7 +267,7 @@ impl Eq for Pointee {}
 
 impl fmt::Debug for Pointee {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.value.fmt(f)
+        (**self).fmt(f)
     }
 }
 
@@ -134,10 +277,29 @@ impl Value {
     pub fn ptr_to(v: Value) -> Value {
         Value::Ptr {
             // No image until an encode finds the pointee shared.
-            pointee: Some(Arc::new(Pointee {
+            pointee: Some(Arc::new(Pointee(Form::Tree {
                 value: v,
                 image: OnceLock::new(),
-            })),
+            }))),
+        }
+    }
+
+    /// A pointer to a pointee born as `bytes`: its image under `plan`,
+    /// the plan of type `key.1` in the database `key.0`, with `tail`
+    /// elements in the trailing array.
+    pub(crate) fn ptr_packed(
+        plan: Arc<Plan>,
+        key: (u64, TypeId),
+        tail: u32,
+        bytes: Box<[u8]>,
+    ) -> Value {
+        Value::Ptr {
+            pointee: Some(Arc::new(Pointee(Form::Packed {
+                plan,
+                tail,
+                image: Image { key, bytes },
+                tree: OnceLock::new(),
+            }))),
         }
     }
 
@@ -179,9 +341,10 @@ impl Value {
             Value::Res(r) => out.push(r),
             Value::Group(vs) => vs.iter().for_each(|v| v.collect_refs(out)),
             Value::Union { value, .. } => value.collect_refs(out),
+            // A packed pointee holds none; only a tree is walked.
             Value::Ptr {
                 pointee: Some(p), ..
-            } => p.collect_refs(out),
+            } if p.packed().is_none() => p.collect_refs(out),
             _ => {}
         }
     }
@@ -599,11 +762,16 @@ fn sibling_count(def: &StructDef, values: &[Value], target: &str, _db: &SpecDb) 
     let Some(idx) = def.fields.iter().position(|f| f.name == target) else {
         return 0;
     };
-    match deref_value_for_len(&values[idx]) {
-        Some(Value::Bytes(b)) => b.len() as u64,
-        Some(Value::Group(g)) => g.len() as u64,
-        Some(_) => 1,
-        None => 0,
+    deref_value_for_len(&values[idx]).map_or(0, len_count)
+}
+
+/// What `len[...]` reads off a (dereferenced) sibling value: the byte
+/// length of a buffer, the element count of a group, 1 otherwise.
+pub(crate) fn len_count(v: &Value) -> u64 {
+    match v {
+        Value::Bytes(b) => b.len() as u64,
+        Value::Group(g) => g.len() as u64,
+        _ => 1,
     }
 }
 
@@ -616,7 +784,7 @@ pub(crate) fn deref_for_len(ty: &Type) -> Option<&Type> {
 
 pub(crate) fn deref_value_for_len(v: &Value) -> Option<&Value> {
     match v {
-        Value::Ptr { pointee } => pointee.as_deref().map(|p| &p.value),
+        Value::Ptr { pointee } => pointee.as_deref().map(|p| &**p),
         other => Some(other),
     }
 }

@@ -16,29 +16,43 @@
 //! A third holds the kernel to its crate doc: at steady state an exec
 //! — encode, dispatch, fd table, per-fd history, coverage, a filed
 //! crash report — touches the allocator not at all.
+//!
+//! The last two count what a *closed* pointee costs now that it is
+//! born encoded: a call whose `targets` array has thousands of
+//! elements is generated, executed, serialised and dropped for a
+//! constant number of events, and a whole dm campaign stays at a few
+//! events per exec — which it could not if anything on its path
+//! unpacked a pointee's tree.
+//!
+//! Events are counted per thread, so the tests of this binary (and
+//! libtest's own threads) run in parallel without seeing each other.
 
 use kernelgpt::csrc::blueprint::Blueprint;
 use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fuzzer::{
-    ast_execute_with, execute_with, AstScratch, ExecScratch, Generator, Program,
+    ast_execute_with, execute_with, AstGenerator, AstScratch, Campaign, CampaignConfig,
+    ExecScratch, Generator, Program,
 };
-use kernelgpt::syzlang::{SpecDb, Value};
+use kernelgpt::syzlang::{LoweredDb, SpecDb, Value};
 use kernelgpt::vkernel::VKernel;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 
-/// Counts allocation events (alloc + realloc); frees are not counted
-/// — the metric is allocator traffic, not live bytes.
+/// Counts the calling thread's allocation events (alloc + realloc);
+/// frees are not counted — the metric is allocator traffic, not live
+/// bytes.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates everything to `System`; the counter is a relaxed
-// atomic with no other side effects.
+// SAFETY: delegates everything to `System`; the counter is a
+// const-initialised thread-local `Cell` with no destructor.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -47,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,13 +69,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// This thread's events so far.
 fn events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+    ALLOC_EVENTS.with(Cell::get)
 }
-
-/// The counter is process-wide: each test holds this while it counts,
-/// so no parallel test thread pollutes the other's numbers.
-static COUNTING: Mutex<()> = Mutex::new(());
 
 /// Shards, the hub and the fabric move programs across threads.
 const _: fn() = || {
@@ -73,15 +84,15 @@ const _: fn() = || {
 /// allocations per exec than the AST walk, with identical outcomes.
 #[test]
 fn lowered_exec_allocates_less_than_ast_walk() {
-    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let kc = KernelCorpus::from_blueprints(vec![kernelgpt::csrc::flagship::dm()]);
     let db = SpecDb::from_files(vec![kc.blueprints()[0].ground_truth_spec()]);
     let kernel = VKernel::boot(vec![kernelgpt::csrc::flagship::dm()]);
-    let mut g = Generator::new(&db, kc.consts(), 17);
+    let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
+    let mut g = Generator::from_lowered(Arc::clone(&lowered), 17);
     let progs: Vec<Program> = (0..256).map(|_| g.gen_program(8)).collect();
     let execs = progs.len() as u64;
 
-    let mut low = ExecScratch::new(&db, kc.consts());
+    let mut low = ExecScratch::from_lowered(lowered);
     let mut ast = AstScratch::new(&db, kc.consts());
     // Warm-up: let every pooled buffer reach its high-water mark.
     for p in &progs {
@@ -165,7 +176,6 @@ fn a_mutant_that_keeps_every_pointee_costs_allocations_per_call_not_per_node() {
         })
         .expect("no dm program with a >= 2048-element array in 2000 draws");
 
-    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let (mut truncated, mut redrawn, mut worst) = (0u32, 0u32, 0u64);
     for _ in 0..400 {
         let before = events();
@@ -231,7 +241,6 @@ fn a_deep_chain_exec_allocates_nothing_in_the_kernel() {
     assert!(fds > 2_000, "the recorded programs mint too few fds: {fds}");
     assert!(deepest >= 3, "no crash deep in the chain: depth {deepest}");
 
-    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     // Warm-up: pooled buffers reach their high-water marks and shared
     // pointees memoise their images.
     for p in quiet.iter().chain(&crashing) {
@@ -255,4 +264,89 @@ fn a_deep_chain_exec_allocates_nothing_in_the_kernel() {
     );
     assert_eq!(quiet_events, 0, "a non-crashing exec allocated");
     assert_eq!(crash_events, 0, "filing a crash report allocated");
+}
+
+/// A dm call whose `targets` array has thousands of elements is born
+/// as one image: generating it, executing it for the first time,
+/// serialising it and dropping it cost a constant handful of
+/// allocator events, where building the same program as a tree costs
+/// two per element.
+#[test]
+fn a_closed_pointee_of_thousands_of_elements_costs_constant_allocations() {
+    let kc = KernelCorpus::from_blueprints(vec![kernelgpt::csrc::flagship::dm()]);
+    let db = SpecDb::from_files(vec![kc.blueprints()[0].ground_truth_spec()]);
+    let kernel = VKernel::boot(vec![kernelgpt::csrc::flagship::dm()]);
+    // A scout finds which draw of this seed is the big one; the
+    // counted generator replays the stream up to it. `gen_program(1)`
+    // is one call plus the `openat` producing its fd.
+    const SEED: u64 = 61;
+    // One lowering behind generator and executor, as in a campaign: a
+    // pointee's image is only trusted under the database it was born in.
+    let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
+    let mut scout = Generator::from_lowered(Arc::clone(&lowered), SEED);
+    let (at, big) = std::iter::repeat_with(|| scout.gen_program(1))
+        .take(4_000)
+        .enumerate()
+        .find(|(_, p)| {
+            p.calls
+                .iter()
+                .flat_map(|c| &c.args)
+                .any(|a| longest_group(a) >= 2_048)
+        })
+        .expect("no dm call with a >= 2048-element array in 4000 draws");
+    assert!(big.len() <= 2, "{} calls", big.len());
+
+    let mut g = Generator::from_lowered(Arc::clone(&lowered), SEED);
+    let mut ast = AstGenerator::new(&db, kc.consts(), SEED);
+    for _ in 0..at {
+        let _ = (g.gen_program(1), ast.gen_program(1));
+    }
+    // Warm-up on the scout's copy: every pooled buffer and the wire
+    // buffer reach the size this program needs.
+    let mut scratch = ExecScratch::from_lowered(lowered);
+    let mut wire = Vec::new();
+    execute_with(&kernel, &big, &mut scratch);
+    big.encode_into(&mut wire);
+    let wire_len = wire.len();
+    wire.clear();
+
+    let before = events();
+    let prog = g.gen_program(1);
+    execute_with(&kernel, &prog, &mut scratch);
+    prog.encode_into(&mut wire);
+    drop(prog);
+    let packed = events() - before;
+
+    let before = events();
+    let tree = ast.gen_program(1);
+    let ast_events = events() - before;
+
+    println!("one >= 2048-element call: {packed} events born packed, {ast_events} as a tree");
+    assert_eq!(wire.len(), wire_len, "not the program the scout found");
+    assert_eq!(tree, big);
+    assert!(packed < 16, "{packed} allocation events: not O(1)");
+    assert!(ast_events > 4_096, "the tree cost only {ast_events} events");
+}
+
+/// A whole dm campaign — generate, mutate, execute, observe, capture
+/// and minimize crashes — allocates a few events per exec. Unpacking
+/// one average `dm_ioctl` pointee is ~500 events, so nothing on the
+/// per-exec path builds a tree.
+#[test]
+fn a_dm_campaign_never_unpacks_a_pointee() {
+    const EXECS: u64 = 4_000;
+    let kc = KernelCorpus::from_blueprints(vec![kernelgpt::csrc::flagship::dm()]);
+    let suite = vec![kc.blueprints()[0].ground_truth_spec()];
+    let kernel = VKernel::boot(vec![kernelgpt::csrc::flagship::dm()]);
+    let config = CampaignConfig {
+        execs: EXECS,
+        seed: 5,
+        ..CampaignConfig::default()
+    };
+    let before = events();
+    let result = Campaign::new(&kernel, &suite, kc.consts(), config).run();
+    let per_exec = (events() - before) as f64 / EXECS as f64;
+    println!("dm campaign: {per_exec:.1} allocation events per exec");
+    assert_eq!(result.execs, EXECS);
+    assert!(per_exec < 32.0, "{per_exec:.1} allocation events per exec");
 }
