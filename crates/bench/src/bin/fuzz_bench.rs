@@ -33,8 +33,8 @@ use kgpt_fuzzer::fabric::diff_boundary;
 use kgpt_fuzzer::reference::{ast_execute, AstGenerator};
 use kgpt_fuzzer::{
     cfg_successors, execute_with, reference_run, replay_trace, CampaignConfig, CampaignMerge,
-    CampaignResult, ExecScratch, FaultPlan, Generator, LeaseRunner, Program, ShardSnapshot,
-    ShardedCampaign,
+    CampaignResult, CampaignSnapshot, ExecScratch, FaultPlan, Generator, LeaseRunner, Program,
+    ShardSnapshot, ShardedCampaign,
 };
 use kgpt_llm::{ModelKind, OracleModel};
 use kgpt_syzlang::lowered::LType;
@@ -380,6 +380,16 @@ fn durability_section(report: &mut Report, dc: &DeepChain) {
     let path = std::env::temp_dir().join(format!("kgpt-bench-{}.ckpt", std::process::id()));
     let checkpointed = dc.suite.campaign(&dc.cfg, 1).with_checkpoint(&path).run();
     let checkpoint_bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+    // What the last boundary wrote of the flight recorder: the ring
+    // traces the final epoch keeps, and every pinned crash trace (a
+    // checkpoint that does not load counts none, and says so).
+    let (ring_traces, pinned_traces) = CampaignSnapshot::load(&path)
+        .map_err(|e| eprintln!("the last boundary's checkpoint does not load: {e}"))
+        .map_or((0, 0), |snapshot| {
+            snapshot.trace_stores().fold((0, 0), |(ring, pinned), s| {
+                (ring + s.ring().count(), pinned + s.pinned_len())
+            })
+        });
     // Interrupt after the second surviving checkpoint under a
     // seed-derived fault plan (write retries, torn writes, bitrot and
     // a shard abort stacked on the first boundary; later boundaries
@@ -412,6 +422,8 @@ fn durability_section(report: &mut Report, dc: &DeepChain) {
     report.label("workload", DC_WORKLOAD);
     report.flag("resume_identical", resume_identical);
     report.count("checkpoint_bytes", checkpoint_bytes);
+    report.count("checkpoint_ring_traces", ring_traces);
+    report.count("checkpoint_pinned_traces", pinned_traces);
     report.count("fuel_budget", FUEL_BUDGET);
     report.count("fuel_exhausted", starved.fuel_exhausted);
     let deterministic = starved.fuel_exhausted > 0 && starved == starved_at_4;

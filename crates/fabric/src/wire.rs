@@ -25,7 +25,9 @@ use kgpt_syzlang::codec::{frame, unframe, Reader, Writer};
 /// retry-after measured in grant cycles.
 /// v4: every coverage map inside a snapshot, delta, patch or seed is
 /// written sparse (the `kgpt_fuzzer::checkpoint` coverage rule).
-pub const FRAME_VERSION: u32 = 4;
+/// v5: the envelope carries `codec::checksum` (a word at a time) where
+/// v4 carried byte-wise FNV-1a; bodies are unchanged.
+pub const FRAME_VERSION: u32 = 5;
 
 /// A granted lease: everything a worker needs to run its shard range
 /// deterministically.
@@ -438,15 +440,17 @@ mod tests {
 
     #[test]
     fn superseded_frame_versions_are_rejected() {
-        // A v3 frame has the same envelope and dense coverage maps in
-        // its bodies: a v4 reader must refuse it, not misparse it.
+        // A v4 frame has the same bodies under another checksum, a v3
+        // frame the same envelope around dense coverage maps: a v5
+        // reader must refuse both by version, not misparse them or
+        // call them corrupt.
         let mut frame = Message::Finish {
             tenant: 1,
             boundary: 42,
         }
         .to_frame();
-        assert_eq!(frame[..4], FRAME_VERSION.to_le_bytes());
-        for version in [3, 2, FRAME_VERSION as u8 + 1] {
+        assert_eq!(frame[..4], 5u32.to_le_bytes());
+        for version in [4, 3, 2, FRAME_VERSION as u8 + 1] {
             frame[0] = version;
             let e = Message::from_frame(&frame).unwrap_err();
             assert!(e.to_string().contains("unsupported version"), "{e}");

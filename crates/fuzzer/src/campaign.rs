@@ -55,7 +55,11 @@ pub struct CampaignConfig {
     /// 0 disables capture. Tracing never changes execution results —
     /// coverage, crashes and triage are identical at any setting —
     /// but the field is still part of the campaign's deterministic
-    /// identity because checkpoints carry the retained traces.
+    /// identity because checkpoints carry retained traces. Under the
+    /// sharded driver a ring is trimmed where each epoch starts (the
+    /// replay contract in [`kgpt_trace`]): a warm ring holds `cap`
+    /// traces less the crashing execs of the epoch in progress, and a
+    /// ring of `execs / shards` still retains every non-crashing exec.
     pub trace_ring: usize,
 }
 
@@ -185,8 +189,8 @@ pub(crate) struct ShardState {
     /// ([`CampaignConfig::trace_ring`] > 0 under the sharded driver).
     /// `None` leaves the exec path one never-taken branch per cover
     /// call. Not part of the snapshot: the sharded driver re-attaches
-    /// tracers on restore and carries the stores in the checkpoint's
-    /// own trace section.
+    /// tracers on restore and carries what the next epoch keeps of
+    /// the stores in the checkpoint's own trace section.
     tracer: Option<crate::flight::ShardTracer>,
 }
 
@@ -343,11 +347,27 @@ impl ShardState {
         }
     }
 
-    /// The shard id and sealed trace store, when traced — what the
-    /// checkpoint layer persists per shard and what a traced run
+    /// The sealed trace store, when traced — what a traced run
     /// returns.
-    pub(crate) fn trace_store(&self) -> Option<(u32, kgpt_trace::TraceStore)> {
-        self.tracer.as_ref().map(|t| (self.id, t.store()))
+    pub(crate) fn trace_store(&self) -> Option<kgpt_trace::TraceStore> {
+        self.tracer.as_ref().map(crate::flight::ShardTracer::store)
+    }
+
+    /// The shard id and the trace store a checkpoint at this boundary
+    /// persists, when traced: what the shard's next epoch (under
+    /// `budget`) keeps of it when it starts, which is what that epoch
+    /// of the uninterrupted run goes on from.
+    pub(crate) fn boundary_trace_store(
+        &self,
+        budget: u64,
+    ) -> Option<(u32, kgpt_trace::TraceStore)> {
+        let tracer = self.tracer.as_ref()?;
+        Some((self.id, tracer.boundary_store(self.epoch_len(budget))))
+    }
+
+    /// Executions the shard's next epoch runs under `budget`.
+    fn epoch_len(&self, budget: u64) -> u64 {
+        budget.min(self.remaining)
     }
 
     /// Borrowed serializable projection of this shard's live state
@@ -403,8 +423,13 @@ impl ShardState {
     /// budget is smaller) of the coverage-guided loop: 1-in-4 fresh
     /// generation, otherwise mutate a corpus seed picked by the
     /// weighted scheduler; admit whatever contributes new coverage.
+    /// A traced shard first trims its ring for the epoch's length
+    /// (see [`crate::flight`]).
     pub(crate) fn run_epoch(&mut self, kernel: &VKernel, budget: u64) {
-        let n = budget.min(self.remaining);
+        let n = self.epoch_len(budget);
+        if let Some(tracer) = &mut self.tracer {
+            tracer.begin_epoch(n);
+        }
         for _ in 0..n {
             self.rng_pick = self
                 .rng_pick

@@ -4,14 +4,15 @@
 //! paused [`crate::ShardedCampaign`] at an epoch boundary: config and
 //! spec fingerprints, every shard's RNG streams / corpus / crash
 //! tally / triage seen-set in shard-id order, the cross-shard
-//! [`crate::hub::SeedHub`], the campaign [`TriageReport`], and the
-//! flight recorder's per-shard [`TraceStore`]s. Restoring it and
-//! continuing is **bit-identical** to never having stopped (pinned by
-//! `tests/durability.rs`).
+//! [`crate::hub::SeedHub`], the campaign [`TriageReport`], and what
+//! the next epoch keeps of the flight recorder's per-shard
+//! [`TraceStore`]s. Restoring it and continuing is **bit-identical**
+//! to never having stopped — result and returned trace stores alike
+//! (pinned by `tests/durability.rs`).
 //!
 //! The encoding is composed from the workspace codec — layout rules
-//! and the envelope are documented in [`kgpt_syzlang::codec`]. Three
-//! things are particular to this format (version 3):
+//! and the envelope are documented in [`kgpt_syzlang::codec`]. Four
+//! things are particular to this format (version 4):
 //!
 //! * **One encoder, over borrowed state.** `SnapshotView` is the
 //!   snapshot's fields as references; it is what gets encoded. The
@@ -32,6 +33,18 @@
 //! * **Trace stores are elements, not blobs.** Each store is written
 //!   by [`TraceStore::encode`] straight into the payload, under the
 //!   checkpoint's one checksum.
+//! * **A trace store holds only what the next epoch cannot push
+//!   out.** A shard starts an epoch of `n` execs by trimming its ring
+//!   to the newest `cap − n` traces (see [`crate::flight`]), so the
+//!   store written at a boundary is the shard's `cap`, `execs_seen`,
+//!   every pinned crash trace, and the newest `cap − n_next` ring
+//!   traces, `n_next = min(hub_epoch, remaining)` — the whole ring of
+//!   a shard that has finished, no ring trace at all when an epoch is
+//!   at least as long as the ring (the default 32 under any
+//!   `hub_epoch` ≥ 32). Nothing else could be read back: the rest of
+//!   the ring is gone from the uninterrupted run too before its next
+//!   exec records. What is persisted follows from `(trace_ring,
+//!   hub_epoch, remaining)`; there is no cadence and no option.
 //!
 //! The fabric's delta and patch frames reuse the element codecs below
 //! (see [`crate::fabric`]), so they share the sparse coverage rule.
@@ -80,9 +93,11 @@ pub use kgpt_syzlang::codec::fnv1a;
 const MAGIC: &[u8; 8] = b"KGPTCKPT";
 
 /// Current snapshot format version. Bumped on any layout change; a
-/// reader never guesses at an unknown version. (Version 3: sparse
-/// coverage maps, trace stores embedded as elements.)
-const VERSION: u32 = 3;
+/// reader never guesses at an unknown version. (Version 4: a trace
+/// store holds what the next epoch keeps, not the whole ring — the
+/// bytes of a v3 store would parse and mean something else — and the
+/// envelope carries `codec::checksum`.)
+const VERSION: u32 = 4;
 
 /// Error reading, writing, or validating a campaign snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,9 +157,9 @@ pub struct CampaignSnapshot {
     pub(crate) hub: SeedHub,
     /// The campaign triage report so far.
     pub(crate) triage: TriageReport,
-    /// The flight recorder's per-shard trace stores, `(shard id,
-    /// store)` in shard-id order; empty when the campaign runs
-    /// untraced.
+    /// The flight recorder's per-shard trace stores as the next epoch
+    /// keeps them (module docs), `(shard id, store)` in shard-id
+    /// order; empty when the campaign runs untraced.
     pub(crate) traces: Vec<(u32, TraceStore)>,
 }
 
@@ -214,6 +229,13 @@ impl CampaignSnapshot {
     #[must_use]
     pub fn epochs_done(&self) -> u64 {
         self.epochs_done
+    }
+
+    /// The flight recorder's per-shard stores as this snapshot
+    /// persists them, in shard-id order: what each shard's next epoch
+    /// keeps (module docs), not everything the boundary retained.
+    pub fn trace_stores(&self) -> impl Iterator<Item = &TraceStore> {
+        self.traces.iter().map(|(_, store)| store)
     }
 
     fn view(&self) -> SnapshotView<'_> {
@@ -743,12 +765,16 @@ mod tests {
         assert_eq!(CampaignSnapshot::from_bytes(&bytes).unwrap(), snap);
     }
 
-    /// Format stability: recorded when `VERSION` became 3. A mismatch
-    /// means the on-disk layout changed and `VERSION` must bump.
+    /// Format stability: a mismatch means the on-disk layout changed
+    /// and `VERSION` must bump. The whole file was recorded when
+    /// `VERSION` became 4; the payload digest dates from version 3 —
+    /// the bump moved the envelope (version word, `codec::checksum`)
+    /// and what a trace section means, not a payload byte.
     #[test]
     fn golden_bytes() {
         let bytes = sample().to_bytes();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (755, 0x5ae4_7e47_d1f3_f216));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (755, 0xd3d2_033c_cce5_9bb7));
+        assert_eq!(fnv1a(&bytes[20..]), 0x434f_ec6c_d5da_64b9);
     }
 
     #[test]
@@ -771,10 +797,12 @@ mod tests {
         let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();
         assert!(e.message.contains("magic"), "{e}");
 
-        // An unknown version and the superseded versions 1 and 2
-        // (dense coverage, framed trace blobs) alike: a reader never
-        // guesses at a layout it was not built for.
-        for version in [0xFF, 1, 2] {
+        // An unknown version and the superseded versions alike — 1 and
+        // 2 (dense coverage, framed trace blobs) and 3 (whole rings
+        // under a byte-wise checksum): a reader never guesses at a
+        // layout it was not built for.
+        assert_eq!(good[8..12], 4u32.to_le_bytes());
+        for version in [0xFF, 1, 2, 3] {
             let mut bad = good.clone();
             bad[8] = version; // version LE low byte
             let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();

@@ -10,13 +10,23 @@
 //! [`kgpt_vkernel::TraceLog`] events. All but a fraction of a percent
 //! of ring entries are evicted unread, so the delta coding against
 //! the kernel's [`CfgSuccessors`] table and the program encoding run
-//! only when somebody reads: a checkpoint write, the stores a traced
-//! run returns, and the first pin of a crash signature. Sealing is a
-//! pure function of the raw slot, so the stores are byte-for-byte
-//! what eager encoding would have filed — and, because shard state
-//! evolves schedule-independently, a pure function of
-//! `(config, shards)`: the worker thread count never changes a
-//! recorded byte (pinned by tests in [`crate::shard`]).
+//! only when somebody reads: the stores a traced run returns, the
+//! first pin of a crash signature, and the few ring slots a
+//! checkpoint has to carry. Sealing is a pure function of the raw
+//! slot, so the stores are byte-for-byte what eager encoding would
+//! have filed — and, because shard state evolves
+//! schedule-independently, a pure function of `(config, shards)`: the
+//! worker thread count never changes a recorded byte (pinned by tests
+//! in [`crate::shard`]).
+//!
+//! **The ring is trimmed where an epoch starts** (the rule and what it
+//! buys are in [`kgpt_trace`]'s replay contract): an epoch of `n`
+//! execs first drops all but the newest `cap − n` slots, because the
+//! epoch may record up to `n` traces and how many of the older ones
+//! those would displace depends on how many of its execs crash. What
+//! is left is all a checkpoint at the boundary before it persists
+//! (`ShardTracer::boundary_store`) — nothing at all when an epoch is
+//! at least as long as the ring.
 //!
 //! [`replay_trace`] is the other direction: re-execute any recorded
 //! exec from its self-contained header and cross-check the recorded
@@ -82,6 +92,9 @@ pub(crate) struct ShardTracer {
     execs_seen: u64,
     /// Most recent non-crashing execs, oldest first.
     ring: VecDeque<Slot>,
+    /// Emptied event buffers of the slots the ring let go, for the
+    /// next execs to record into.
+    spare: Vec<Vec<TraceEvent>>,
     /// First trace per crash signature, sealed when pinned.
     pinned: BTreeMap<CrashSignature, ExecTrace>,
 }
@@ -100,7 +113,32 @@ impl ShardTracer {
             cap,
             execs_seen: 0,
             ring: VecDeque::new(),
+            spare: Vec::new(),
             pinned: BTreeMap::new(),
+        }
+    }
+
+    /// How many of the newest ring slots an epoch of `n` execs keeps
+    /// (module docs).
+    fn survivors(&self, n: u64) -> usize {
+        let n = usize::try_from(n).unwrap_or(usize::MAX);
+        self.cap.saturating_sub(n).min(self.ring.len())
+    }
+
+    /// Start an epoch of `n` execs: let go of every ring slot but the
+    /// [`ShardTracer::survivors`]. `n = 0` (a shard that has finished
+    /// while others run on) lets go of nothing.
+    pub(crate) fn begin_epoch(&mut self, n: u64) {
+        for _ in self.survivors(n)..self.ring.len() {
+            self.drop_oldest();
+        }
+    }
+
+    /// Let go of the oldest ring slot, keeping its event buffer.
+    fn drop_oldest(&mut self) {
+        if let Some(Slot::Raw(mut dropped)) = self.ring.pop_front() {
+            dropped.events.clear();
+            self.spare.push(dropped.events);
         }
     }
 
@@ -109,8 +147,8 @@ impl ShardTracer {
     /// about to drop (nothing new over `seen`) moves into its ring
     /// slot and `None` comes back; otherwise the slot takes a copy and
     /// the program is returned for admission. At steady state the
-    /// moved path allocates nothing — the evicted slot's event buffer
-    /// is reused.
+    /// moved path allocates nothing — the event buffer of a slot the
+    /// ring let go is reused.
     pub(crate) fn record(
         &mut self,
         scratch: &ExecScratch,
@@ -141,11 +179,9 @@ impl ShardTracer {
             return Some(prog);
         }
         if self.ring.len() == self.cap {
-            if let Some(Slot::Raw(evicted)) = self.ring.pop_front() {
-                raw.events = evicted.events;
-                raw.events.clear();
-            }
+            self.drop_oldest();
         }
+        raw.events = self.spare.pop().unwrap_or_default();
         raw.events.extend_from_slice(state.trace().events());
         let admitted = seen.new_blocks_in(scratch.coverage()) != 0;
         let back = admitted.then(|| prog.clone());
@@ -176,19 +212,31 @@ impl ShardTracer {
         }
     }
 
-    /// The shard's retained traces, sealed.
+    /// The shard's retained traces, sealed — what a traced run
+    /// returns.
     pub(crate) fn store(&self) -> TraceStore {
-        let ring = self.ring.iter().map(|slot| match slot {
+        self.sealed(self.ring.len())
+    }
+
+    /// The store as the next epoch, of `n` execs, will find it once
+    /// it has started: what a checkpoint at this boundary persists,
+    /// and all it seals.
+    pub(crate) fn boundary_store(&self, n: u64) -> TraceStore {
+        self.sealed(self.survivors(n))
+    }
+
+    /// A store of the `newest` ring slots and every pinned trace.
+    fn sealed(&self, newest: usize) -> TraceStore {
+        let older = self.ring.len().saturating_sub(newest);
+        let ring = self.ring.iter().skip(older).map(|slot| match slot {
             Slot::Raw(raw) => self.seal(raw, None),
             Slot::Sealed(trace) => trace.clone(),
         });
-        TraceStore::from_parts(
+        TraceStore::from_traces(
             self.cap,
             self.execs_seen,
-            ring,
-            self.pinned.values().cloned(),
+            ring.chain(self.pinned.values().cloned()),
         )
-        .expect("the recorder files crashes in the pinned map and bounds its ring")
     }
 
     /// Replace the retained traces (checkpoint resume).
@@ -323,6 +371,16 @@ mod tests {
     const SHARD: u32 = 3;
     const SPEC_FP: u64 = 0xFEED_FACE;
 
+    /// The oracle's side of `ShardTracer::begin_epoch`: an epoch of
+    /// `n` execs keeps the newest `cap − n` ring traces.
+    fn trim(oracle: &mut TraceStore, n: usize) {
+        let (cap, execs_seen) = (oracle.cap(), oracle.execs_seen());
+        let (mut ring, pinned) = std::mem::replace(oracle, TraceStore::new(0)).into_parts();
+        let dropped = ring.len() - cap.saturating_sub(n).min(ring.len());
+        ring.drain(..dropped);
+        *oracle = TraceStore::from_parts(cap, execs_seen, ring, pinned.into_values()).unwrap();
+    }
+
     #[test]
     fn lazily_sealed_store_equals_the_eager_oracle() {
         use crate::corpus::Corpus;
@@ -335,8 +393,10 @@ mod tests {
         let mut scratch = ExecScratch::from_lowered(Arc::clone(&lowered));
         scratch.state.trace_mut().set_enabled(true);
 
-        // One fixed exec sequence, generated the way a shard would.
+        // One fixed exec sequence, generated the way a shard would:
+        // ten epochs of 128 execs and a last one of 120.
         const EXECS: usize = 1400;
+        const EPOCH: usize = 128;
         let mut generator = Generator::from_lowered(Arc::clone(&lowered), 11);
         let mut corpus = Corpus::new(64, 11);
         let mut progs = Vec::new();
@@ -349,28 +409,37 @@ mod tests {
             corpus.observe(prog.clone(), scratch.coverage(), None);
             progs.push(prog);
         }
+        let epochs: Vec<&[Program]> = progs.chunks(EPOCH).collect();
+        let epoch_len = |e: usize| epochs[e].len();
 
         for ring in [0usize, 1, 32, 512] {
             let mut oracle = TraceStore::new(ring);
             let mut tracer = ShardTracer::new(Arc::clone(&cfg), SPEC_FP, SHARD, ring);
             let mut corpus = Corpus::new(64, 0);
             let mut moved = 0usize;
-            let mut run = |range: std::ops::Range<usize>,
+            // One epoch on the recorder and (unless it is to be thrown
+            // away) on the oracle; returns how many of its execs crashed.
+            let mut run = |e: usize,
                            tracer: &mut ShardTracer,
                            corpus: &mut Corpus,
                            mut oracle: Option<&mut TraceStore>| {
-                for i in range {
-                    let epoch = (i / 128) as u64;
-                    execute_with(&kernel, &progs[i], &mut scratch);
+                tracer.begin_epoch(epoch_len(e) as u64);
+                if let Some(oracle) = oracle.as_deref_mut() {
+                    trim(oracle, epoch_len(e));
+                }
+                let mut crashed = 0usize;
+                for (i, prog) in epochs[e].iter().enumerate() {
+                    execute_with(&kernel, prog, &mut scratch);
                     if let Some(oracle) = oracle.as_deref_mut() {
-                        record_eagerly(oracle, &cfg, &scratch, &progs[i], epoch);
+                        record_eagerly(oracle, &cfg, &scratch, prog, e as u64);
                     }
                     let fresh = corpus.coverage().new_blocks_in(scratch.coverage()) != 0;
-                    let back = tracer.record(&scratch, progs[i].clone(), epoch, corpus.coverage());
+                    let back = tracer.record(&scratch, prog.clone(), e as u64, corpus.coverage());
                     // Handed back exactly when the ring did not take
                     // it, or the corpus wants it too.
                     let ringed = ring > 0 && scratch.crash().is_none();
-                    assert_eq!(back.is_some(), !ringed || fresh, "exec {i}");
+                    assert_eq!(back.is_some(), !ringed || fresh, "epoch {e} exec {i}");
+                    crashed += usize::from(scratch.crash().is_some());
                     match back {
                         Some(prog) => {
                             corpus.observe(prog, scratch.coverage(), None);
@@ -378,29 +447,49 @@ mod tests {
                         None => moved += 1,
                     }
                 }
+                crashed
             };
 
-            run(0..300, &mut tracer, &mut corpus, Some(&mut oracle));
-            // Resume mid-ring: the sealed store goes through a
-            // checkpoint and comes back into a fresh recorder.
-            let saved = tracer.store();
-            assert_eq!(saved, oracle, "ring {ring} at the resume point");
+            for e in 0..3 {
+                run(e, &mut tracer, &mut corpus, Some(&mut oracle));
+            }
+            // Resume: what a checkpoint at this boundary carries — the
+            // ring as epoch 3 will keep it — goes through bytes and
+            // comes back into a fresh recorder.
+            let saved = tracer.boundary_store(epoch_len(3) as u64);
+            let mut kept = oracle.clone();
+            trim(&mut kept, epoch_len(3));
+            assert_eq!(saved, kept, "ring {ring} at the resume point");
+            assert_eq!(saved.ring().count() > 0, ring > EPOCH, "ring {ring}");
             tracer = ShardTracer::new(Arc::clone(&cfg), SPEC_FP, SHARD, ring);
             tracer.set_store(TraceStore::from_bytes(&saved.to_bytes()).unwrap());
-            run(300..700, &mut tracer, &mut corpus, Some(&mut oracle));
+            for e in 3..6 {
+                run(e, &mut tracer, &mut corpus, Some(&mut oracle));
+            }
             // ShardAbort: the epoch runs, is thrown away, and re-runs
-            // from the boundary clone.
+            // from the boundary clone (which trims again, the same).
             let boundary = (tracer.clone(), corpus.clone());
-            run(700..828, &mut tracer, &mut corpus, None);
+            run(6, &mut tracer, &mut corpus, None);
             (tracer, corpus) = boundary;
-            run(700..EXECS, &mut tracer, &mut corpus, Some(&mut oracle));
+            let mut crashed_last = 0;
+            for e in 6..epochs.len() {
+                crashed_last = run(e, &mut tracer, &mut corpus, Some(&mut oracle));
+            }
 
             let sealed = tracer.store();
             assert_eq!(sealed, oracle, "ring {ring}");
             assert_eq!(sealed.to_bytes(), oracle.to_bytes(), "ring {ring}");
             assert_eq!(sealed.execs_seen(), EXECS as u64);
             assert!(oracle.pinned_len() > 0, "the sequence never crashed");
-            assert_eq!(oracle.ring().count(), ring, "the ring never wrapped");
+            // A warm ring: full, less — when it is longer than the
+            // epoch — the crashing execs of the epoch in progress.
+            assert!(crashed_last > 0, "the last epoch never crashed");
+            let held = if ring > EPOCH {
+                ring - crashed_last
+            } else {
+                ring
+            };
+            assert_eq!(oracle.ring().count(), held, "ring {ring}");
             assert_eq!(moved == 0, ring == 0, "ring {ring} moved {moved} programs");
         }
     }

@@ -281,10 +281,13 @@ impl<'a> ShardedCampaign<'a> {
     }
 
     /// [`ShardedCampaign::resume`], also returning the flight
-    /// recorder's per-shard [`TraceStore`]s. The snapshot carries the
-    /// traces retained at the checkpointed boundary, so the returned
-    /// stores are bit-identical to an uninterrupted
-    /// [`ShardedCampaign::run_traced`] (pinned by tests).
+    /// recorder's per-shard [`TraceStore`]s. The snapshot carries
+    /// every pinned crash trace and as much of each ring as the first
+    /// resumed epoch keeps when it starts — what that epoch of the
+    /// uninterrupted run goes on from — so the returned stores are
+    /// bit-identical to an uninterrupted
+    /// [`ShardedCampaign::run_traced`] for every config and every
+    /// boundary (pinned by `tests/durability.rs`).
     ///
     /// # Errors
     ///
@@ -387,7 +390,7 @@ impl<'a> ShardedCampaign<'a> {
                 let traces: Vec<(u32, TraceStore)> = runner
                     .states
                     .iter()
-                    .filter_map(ShardState::trace_store)
+                    .filter_map(|s| s.boundary_trace_store(self.config.epoch_budget()))
                     .collect();
                 let snap = SnapshotView {
                     config_fingerprint: self.config_fp,
@@ -449,11 +452,7 @@ impl<'a> ShardedCampaign<'a> {
         states: Vec<ShardState>,
         triage: TriageReport,
     ) -> (CampaignResult, Vec<TraceStore>) {
-        let stores: Vec<TraceStore> = states
-            .iter()
-            .filter_map(ShardState::trace_store)
-            .map(|(_, store)| store)
-            .collect();
+        let stores: Vec<TraceStore> = states.iter().filter_map(ShardState::trace_store).collect();
         let parts = states.into_iter().map(ShardState::finish);
         (
             CampaignResult::fold(parts, self.config.execs, triage),
@@ -722,8 +721,8 @@ mod tests {
     fn traces_survive_checkpoint_and_resume() {
         // Interrupt-plus-resume must also be invisible to the flight
         // recorder: the resumed campaign's stores equal the
-        // uninterrupted run's bit for bit (the checkpoint carries the
-        // retained traces of the boundary).
+        // uninterrupted run's bit for bit (the checkpoint carries what
+        // the next epoch keeps of the boundary's retained traces).
         let (kernel, suite, consts) = dm_setup();
         let dir = std::env::temp_dir().join(format!("kgpt_trace_resume_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -745,6 +744,64 @@ mod tests {
         assert_eq!(full_result, resumed_result, "resumed vs uninterrupted");
         assert_eq!(full_stores, resumed_stores);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_default_config_boundary_persists_the_pinned_traces_and_an_empty_ring() {
+        // Ring 32 under epochs of 128: the next epoch keeps nothing of
+        // the ring, so the boundary seals and writes none of it.
+        let (kernel, suite, consts) = dm_setup();
+        let config = CampaignConfig {
+            hub_epoch: 128,
+            ..cfg(4 * 4 * 128, 7)
+        };
+        assert_eq!(config.trace_ring, 32);
+        let dir = std::env::temp_dir().join(format!("kgpt_trace_boundary_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("boundary.ckpt");
+        // The halted run returns the live stores of the boundary.
+        let (_, live) = ShardedCampaign::new(&kernel, &suite, &consts, config)
+            .with_shards(4)
+            .with_checkpoint(&path)
+            .with_halt_after(2)
+            .run_traced();
+        let snap = CampaignSnapshot::load(&path).unwrap();
+        assert_eq!(snap.traces.len(), 4);
+        for ((id, persisted), live) in snap.traces.iter().zip(&live) {
+            assert_eq!(persisted.ring().count(), 0, "shard {id}");
+            assert_eq!(live.ring().count(), 32, "shard {id}");
+            assert!(persisted.pinned().eq(live.pinned()), "shard {id}");
+            assert_eq!(
+                (persisted.cap(), persisted.execs_seen()),
+                (32, 2 * 128),
+                "shard {id}"
+            );
+        }
+        assert!(live.iter().any(|s| s.pinned_len() > 0), "nothing pinned");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_ring_of_execs_per_shard_retains_every_non_crashing_exec() {
+        // A ring as deep as a shard's whole budget is never trimmed:
+        // `cap − n` is at least what the shard has run so far.
+        let (kernel, suite, consts) = dm_setup();
+        let config = CampaignConfig {
+            hub_epoch: 100,
+            trace_ring: 400,
+            ..cfg(4 * 400, 3)
+        };
+        let (result, stores) = ShardedCampaign::new(&kernel, &suite, &consts, config)
+            .with_shards(4)
+            .run_traced();
+        let crashing: u64 = result.crashes.values().map(|(n, _)| n).sum();
+        let ringed: usize = stores.iter().map(|s| s.ring().count()).sum();
+        assert!(crashing > 0, "the campaign never crashed");
+        assert_eq!(ringed as u64, result.execs - crashing);
+        for store in &stores {
+            assert_eq!(store.execs_seen(), 400);
+            assert!(store.ring().map(|t| t.exec).is_sorted());
+        }
     }
 
     #[test]

@@ -1,20 +1,28 @@
 //! The workspace's one byte codec: [`Writer`] / [`Reader`] primitives,
-//! [`fnv1a`], and the [`frame`] / [`unframe`] envelope. Every binary
-//! format in the workspace is a composition of these:
+//! the [`frame`] / [`unframe`] envelope with its [`checksum`], and
+//! [`fnv1a`] for fingerprints. Every binary format in the workspace is
+//! a composition of these:
 //!
 //! | format       | magic      | version const                            | checksum scope  | owning type                     |
 //! |--------------|------------|------------------------------------------|-----------------|---------------------------------|
 //! | program      | none       | none (its carrier's)                     | its carrier's   | [`crate::prog::Program`]        |
-//! | checkpoint   | `KGPTCKPT` | `kgpt_fuzzer::checkpoint`'s `VERSION` (3) | whole payload   | `kgpt_fuzzer::CampaignSnapshot` |
-//! | fabric frame | empty      | `kgpt_fabric::wire::FRAME_VERSION` (4)   | tag byte + body | `kgpt_fabric::Message`          |
-//! | trace store  | `KGPTTRCE` | `kgpt_trace`'s `VERSION` (1)             | whole payload   | `kgpt_trace::TraceStore`        |
-//! | trace file   | `KGPTTRCF` | `kgpt_trace`'s `VERSION` (1)             | whole payload   | `kgpt_trace::write_trace_file`  |
+//! | checkpoint   | `KGPTCKPT` | `kgpt_fuzzer::checkpoint`'s `VERSION` (4) | whole payload   | `kgpt_fuzzer::CampaignSnapshot` |
+//! | fabric frame | empty      | `kgpt_fabric::wire::FRAME_VERSION` (5)   | tag byte + body | `kgpt_fabric::Message`          |
+//! | trace store  | `KGPTTRCE` | `kgpt_trace`'s `VERSION` (2)             | whole payload   | `kgpt_trace::TraceStore`        |
+//! | trace file   | `KGPTTRCF` | `kgpt_trace`'s `VERSION` (2)             | whole payload   | `kgpt_trace::write_trace_file`  |
+//!
+//! Checkpoint 4, frame 5 and trace 2 are the versions whose envelope
+//! carries [`checksum`] (their predecessors carried byte-wise
+//! [`fnv1a`]); no layout inside a payload moved with them, but what a
+//! checkpoint's trace section *means* did (see
+//! `kgpt_fuzzer::checkpoint`). A reader accepts its one version and
+//! rejects every other as `unsupported version`.
 //!
 //! Fabric delta and patch bodies (`kgpt_fuzzer::fabric::EpochDelta` /
 //! `EpochPatch`) are checkpoint fragments carried inside fabric
 //! frames. A trace file's payload is a list of complete trace stores,
-//! each still in its own envelope; a checkpoint (v3) instead embeds
-//! its per-shard stores as plain elements
+//! each still in its own envelope; a checkpoint instead embeds its
+//! per-shard stores as plain elements
 //! (`kgpt_trace::TraceStore::encode`), so a checkpoint file carries
 //! exactly one checksum.
 //!
@@ -35,8 +43,11 @@
 //!   LE words for [`Writer::u64s`], encoded items for [`Writer::seq`]);
 //! * an option is a **tag byte** `0` (absent) or `1` (present, value
 //!   follows); a bool is a byte `0` or `1`; anything else is an error;
-//! * an envelope is `magic | version u32 | FNV-1a(payload) u64 |
-//!   payload`;
+//! * an envelope is `magic | version u32 | checksum(payload) u64 |
+//!   payload`. [`checksum`] guards bytes against truncation and
+//!   bitrot and is free to change with a version; [`fnv1a`] names
+//!   things (config and spec fingerprints, the golden-byte tests) and
+//!   never changes;
 //! * decoding is **total**: a [`Reader`] checks every count against
 //!   the bytes that remain *before* allocating, never panics, and
 //!   [`Reader::finish`] rejects trailing bytes.
@@ -67,13 +78,17 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// FNV-1a's 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a as a streaming [`Hasher`] (suite fingerprints hash the
 /// derived structural `Hash` of the AST through it).
 pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        Fnv1a(FNV_OFFSET)
     }
 }
 
@@ -85,19 +100,39 @@ impl Hasher for Fnv1a {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 }
 
-/// FNV-1a over a byte slice — the envelope checksum. Deterministic and
-/// strong enough to catch truncation and bitrot (the threat model;
-/// this is not a cryptographic seal).
+/// FNV-1a over a byte slice, a byte at a time — what fingerprints
+/// (campaign config, spec suite) and the format goldens are made of,
+/// so its values never move. Envelopes use [`checksum`].
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.write(bytes);
     h.finish()
+}
+
+/// The envelope checksum: FNV-1a's xor-then-multiply step over the
+/// payload's little-endian `u64` words, then over the ≤ 7 tail bytes
+/// one at a time, then over the payload length. One dependent
+/// multiply per eight bytes instead of per byte. Every step is a
+/// bijection of the running state, so flipping any one bit changes
+/// the result, and the closing length step is what tells a payload
+/// from the same payload cut or zero-padded to another length.
+/// Deterministic and strong enough for truncation and bitrot (the
+/// threat model; this is not a cryptographic seal).
+#[must_use]
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let h = words
+        .iter()
+        .fold(FNV_OFFSET, |h, word| step(h, u64::from_le_bytes(*word)));
+    let h = tail.iter().fold(h, |h, b| step(h, u64::from(*b)));
+    step(h, bytes.len() as u64)
 }
 
 /// Appends the primitives to a byte buffer.
@@ -420,7 +455,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Build an envelope `magic | version | FNV-1a(payload) | payload`
+/// Build an envelope `magic | version | checksum(payload) | payload`
 /// around whatever `payload` writes. The header is reserved up front
 /// and the checksum patched in afterwards, so the payload is encoded
 /// in place — never into a buffer of its own and copied.
@@ -433,8 +468,8 @@ pub fn frame(magic: &[u8], version: u32, payload: impl FnOnce(&mut Writer<'_>)) 
     w.u64(0); // checksum slot
     payload(&mut w);
     let header = magic.len() + 12;
-    let checksum = fnv1a(&out[header..]);
-    out[header - 8..header].copy_from_slice(&checksum.to_le_bytes());
+    let sum = checksum(&out[header..]);
+    out[header - 8..header].copy_from_slice(&sum.to_le_bytes());
     out
 }
 
@@ -468,7 +503,7 @@ pub fn unframe<'a>(magic: &[u8], version: u32, bytes: &'a [u8]) -> Result<&'a [u
             offset: magic.len(),
         });
     }
-    if r.u64()? != fnv1a(payload) {
+    if r.u64()? != checksum(payload) {
         return Err(r.err("checksum mismatch"));
     }
     Ok(payload)
@@ -644,6 +679,55 @@ mod tests {
         let bare = frame(b"", 3, put);
         assert_eq!(bare.len(), 12 + payload.len());
         assert_eq!(unframe(b"", 3, &bare).unwrap(), &payload[..]);
+    }
+
+    /// Computed by an independent implementation of the rule in
+    /// [`checksum`]'s docs: empty, tail only, one whole word, a word
+    /// plus a tail byte, two words plus a tail byte.
+    #[test]
+    fn checksum_matches_the_reference_vectors() {
+        assert_eq!(checksum(b""), 0xaf63_bd4c_8601_b7df);
+        assert_eq!(checksum(b"a"), 0x089b_e307_b544_f397);
+        assert_eq!(checksum(b"foobar"), 0x3453_22a7_168b_996a);
+        assert_eq!(checksum(b"foobarba"), 0x62ee_6543_0586_9223);
+        assert_eq!(checksum(b"foobarbaz"), 0xa10b_d6e2_6325_70d0);
+        let mut two_words_and_a_byte: Vec<u8> = (0..16).collect();
+        two_words_and_a_byte.push(0xFF);
+        assert_eq!(checksum(&two_words_and_a_byte), 0x47d1_d786_57ea_e3bd);
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_flip_truncation_and_zero_padding() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let payload: Vec<u8> = (0..1024)
+            .map(|_| {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (rng >> 56) as u8
+            })
+            .collect();
+        let whole = checksum(&payload);
+        let mut damaged = payload.clone();
+        for bit in 0..payload.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&damaged), whole, "flip of bit {bit}");
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..payload.len() {
+            assert_ne!(checksum(&payload[..cut]), whole, "cut at {cut}");
+        }
+        // The tail rule: a payload, and the same payload with zero
+        // bytes appended, never agree — across the lengths where the
+        // tail turns into a whole word and back, for all-zero input
+        // (only the length tells those apart) and for the payload's.
+        for bytes in [&[0u8; 18][..], &payload[..18]] {
+            let mut sums = std::collections::BTreeSet::new();
+            for len in 0..=17 {
+                let mut padded = bytes[..len].to_vec();
+                padded.push(0);
+                assert_ne!(checksum(&bytes[..len]), checksum(&padded), "length {len}");
+                assert!(sums.insert(checksum(&bytes[..len])), "length {len}");
+            }
+        }
     }
 
     #[test]

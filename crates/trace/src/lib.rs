@@ -15,14 +15,20 @@
 //! durable workload). The layers below are therefore split in time:
 //! layer 1 (event capture) runs on every exec and is cheap — appends
 //! to a reused buffer; layers 2 and 3 (delta coding and framing) run
-//! at **seal time**, when a store is actually read — a checkpoint
-//! write, the stores a traced run returns, the first pin of a crash
-//! signature. `kgpt-fuzzer`'s recorder keeps ring slots raw (the
-//! program and its event list) until then and builds the
-//! [`TraceStore`] through [`TraceStore::from_parts`]. "Retained"
-//! thus costs one encode per trace that survives to a read, not one
-//! per exec; and because [`encode_events`] is pure, a store sealed
-//! late is byte-for-byte the store eager encoding would have built.
+//! at **seal time**, when a trace is actually read — the stores a
+//! traced run returns, the first pin of a crash signature, and the
+//! ring traces a checkpoint has to carry. `kgpt-fuzzer`'s recorder
+//! keeps ring slots raw (the program and its event list) until then
+//! and hands them over through [`TraceStore::from_traces`].
+//! "Retained" thus costs one encode per trace that survives to a
+//! read, not one per exec; and because [`encode_events`] is pure, a
+//! store sealed late is byte-for-byte the store eager encoding would
+//! have built. A checkpoint is not a read of the whole ring: under
+//! the trim rule of the replay contract below it carries only the
+//! ring traces the next epoch cannot push out — none of them when an
+//! epoch is at least as long as the ring, as with the default ring of
+//! 32 — so a checkpointing campaign seals its pinned crash traces
+//! once and its ring once, when it returns.
 //!
 //! ## Protocol overview
 //!
@@ -67,11 +73,13 @@
 //! 4. **Storage** ([`TraceStore`]): a per-shard ring of the last N
 //!    non-crashing traces plus a **pinned** map of crash traces
 //!    (first trace per [`CrashSignature`] is kept forever; later
-//!    execs can never evict it). A store serializes as a plain
-//!    element ([`TraceStore::encode`] — how campaign checkpoints embed
-//!    theirs, so traces survive resume) or inside its own
-//!    [`kgpt_syzlang::codec`] envelope ([`TraceStore::to_bytes`] — the
-//!    unit of standalone trace files, [`write_trace_file`]).
+//!    execs can never evict it). An epoch-driven campaign also trims
+//!    the ring where each epoch starts (replay contract, below). A
+//!    store serializes as a plain element ([`TraceStore::encode`] —
+//!    how campaign checkpoints embed theirs, so traces survive
+//!    resume) or inside its own [`kgpt_syzlang::codec`] envelope
+//!    ([`TraceStore::to_bytes`] — the unit of standalone trace files,
+//!    [`write_trace_file`]).
 //!
 //! Decoding is strict at every layer: truncation, bit flips and
 //! garbage return [`TraceError`], never panic — pinned by the
@@ -89,6 +97,33 @@
 //! replayer (`kgpt-fuzzer`'s `flight` module) re-encodes the live
 //! events with the same table and demands byte equality plus matching
 //! crash signatures.
+//!
+//! **Which execs a campaign's store holds.** Every pinned crash trace,
+//! always. Of the ring, a sharded campaign keeps less than "the last
+//! `cap` non-crashing execs" in one respect: a shard starts each epoch
+//! of `n = min(hub_epoch, remaining)` execs by dropping all but the
+//! newest `cap − n` ring traces (none when `n ≥ cap`; nothing is
+//! dropped when `n = 0`, a shard that has finished). The epoch may
+//! record up to `n` traces, and how many of the older ones those
+//! would have displaced depends on how many of its execs crash —
+//! which nobody knows at the boundary. Dropping them up front makes
+//! the ring at every boundary a function of boundary state alone, and
+//! that is what lets a checkpoint leave them out: it persists the
+//! pinned traces and the newest `cap − n_next` ring traces, and what
+//! it omits is exactly what the uninterrupted run drops before it
+//! records anything else. So **a campaign resumed from any boundary
+//! returns stores equal to the uninterrupted run's**, for every
+//! `(trace_ring, hub_epoch)` and at any thread count (pinned by
+//! `tests/durability.rs`), and a traced run returns the same stores
+//! whether or not it checkpoints. The price: once warm, a ring holds
+//! between `cap − c` and `cap` traces, `c` the crashing execs of the
+//! epoch in progress, where an untrimmed ring would always hold
+//! `cap`; when the epoch in progress is longer than the ring and has
+//! recorded `cap` non-crashing execs the two are the same ring. A
+//! ring as deep as a shard's whole budget (`trace_ring = execs /
+//! shards`) is never trimmed and retains every non-crashing exec; a
+//! campaign with the hub off, and a sequential one, is a single epoch
+//! and trims an empty ring.
 
 use kgpt_syzlang::codec::{frame, unframe, DecodeError, Reader, Writer};
 use kgpt_syzlang::lowered::CfgSuccessors;
@@ -108,7 +143,8 @@ const FILE_MAGIC: &[u8; 8] = b"KGPTTRCF";
 
 /// Current trace format version (store and file framing). Bumped on
 /// any layout change; a reader never guesses at an unknown version.
-const VERSION: u32 = 1;
+/// (Version 2: the envelope carries `codec::checksum`.)
+const VERSION: u32 = 2;
 
 /// Error decoding or validating trace data (truncation, bitrot,
 /// malformed fields, fingerprint mismatches). Always names the
@@ -571,6 +607,13 @@ impl TraceStore {
     /// through the ring.
     pub fn record(&mut self, trace: ExecTrace) {
         self.execs_seen += 1;
+        self.file(trace);
+    }
+
+    /// Where a trace goes, by its own `crash` field — the store's
+    /// invariants (no crash in the ring, a ring within `cap`, one
+    /// pinned trace per signature) hold after it whatever it is given.
+    fn file(&mut self, trace: ExecTrace) {
         if let Some(sig) = trace.crash {
             self.pinned.entry(sig).or_insert(trace);
             return;
@@ -631,11 +674,33 @@ impl TraceStore {
         self.iter().map(|t| u64::from(t.stream_bits)).sum()
     }
 
-    /// Assemble a store from already-recorded parts: `ring` oldest
-    /// first, `pinned` in any order. The one place the store's
-    /// invariants are checked — the decoder and the campaign
-    /// recorder (which keeps its ring unsealed until a store is read)
-    /// both come through here.
+    /// A store that has seen `execs_seen` executions and retains
+    /// `traces` (ring traces oldest first; crash traces anywhere),
+    /// each filed as [`TraceStore::record`] files it. Total: the
+    /// invariants hold by construction, so this is how a recorder that
+    /// keeps its own books — the campaign's, whose ring stays unsealed
+    /// until a store is read — hands over what it retained.
+    #[must_use]
+    pub fn from_traces(
+        cap: usize,
+        execs_seen: u64,
+        traces: impl IntoIterator<Item = ExecTrace>,
+    ) -> TraceStore {
+        let mut store = TraceStore {
+            execs_seen,
+            ..TraceStore::new(cap)
+        };
+        for trace in traces {
+            store.file(trace);
+        }
+        store
+    }
+
+    /// Assemble a store from parts somebody else wrote: `ring` oldest
+    /// first, `pinned` in any order. Strict where
+    /// [`TraceStore::from_traces`] is total — the decoder comes
+    /// through here, and a part in the wrong place means the bytes
+    /// were not a store's.
     ///
     /// # Errors
     ///
@@ -949,10 +1014,20 @@ mod tests {
         store.record(trace_with(None, 2));
         let bytes = store.to_bytes();
         assert_eq!(TraceStore::from_bytes(&bytes).unwrap(), store);
-        // Format stability (`golden_bytes`): recorded before the port
-        // onto `kgpt_syzlang::codec` (see `tests/wire_golden.rs`). A
-        // mismatch means the layout changed and `VERSION` must bump.
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (253, 0xc802_c405_1c1e_d77f));
+        // Format stability (`golden_bytes`): a mismatch means the
+        // layout changed and `VERSION` must bump. The whole store was
+        // recorded when `VERSION` became 2 (`codec::checksum` in the
+        // envelope); the payload digest dates from before the port
+        // onto `kgpt_syzlang::codec` (see `tests/wire_golden.rs`).
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (253, 0xb5ae_6de3_8361_f9c3));
+        assert_eq!(fnv1a(&bytes[20..]), 0x7106_cc3a_ec6b_d0d8);
+        // A version-1 store differs in nothing but its version word
+        // and checksum, and is refused for the first.
+        let mut v1 = bytes.clone();
+        assert_eq!(v1[8..12], 2u32.to_le_bytes());
+        v1[8] = 1;
+        let e = TraceStore::from_bytes(&v1).unwrap_err();
+        assert!(e.message.contains("unsupported version"), "{e}");
         // Truncation at every prefix is rejected, never a panic.
         for cut in 0..bytes.len() {
             assert!(
@@ -980,6 +1055,27 @@ mod tests {
             }
             assert!(TraceStore::from_bytes(&bytes).is_err());
         }
+    }
+
+    #[test]
+    fn from_traces_files_each_trace_where_record_would() {
+        // Crash traces anywhere in the list, a repeated signature,
+        // more ring traces than the ring holds: still a valid store.
+        let traces = [
+            trace_with(None, 0),
+            trace_with(Some(sig()), 1),
+            trace_with(None, 2),
+            trace_with(None, 3),
+            trace_with(Some(sig()), 4),
+        ];
+        let store = TraceStore::from_traces(2, 9, traces.clone());
+        let mut recorded = TraceStore::new(2);
+        traces.into_iter().for_each(|t| recorded.record(t));
+        assert_eq!(store.execs_seen(), 9);
+        assert!(store.iter().eq(recorded.iter()));
+        assert_eq!(store.iter().map(|t| t.exec).collect::<Vec<_>>(), [2, 3, 1]);
+        // The strict decoder agrees that it is one.
+        assert_eq!(TraceStore::from_bytes(&store.to_bytes()).unwrap(), store);
     }
 
     #[test]
@@ -1022,8 +1118,15 @@ mod tests {
         write_trace_file(&path, &[a.clone(), b.clone()]).unwrap();
         let stores = read_trace_file(&path).unwrap();
         assert_eq!(stores, vec![a, b]);
-        // Corrupt one payload byte: the file no longer reads.
+        // A version-1 file is refused by version, whatever it holds.
         let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[8..12], 2u32.to_le_bytes());
+        bytes[8] = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let e = read_trace_file(&path).unwrap_err();
+        assert!(e.message.contains("unsupported version"), "{e}");
+        bytes[8] = 2;
+        // Corrupt one payload byte: the file no longer reads.
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();

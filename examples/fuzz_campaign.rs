@@ -7,9 +7,10 @@
 //!
 //! Environment knobs (all optional; used by the CI kill-and-resume
 //! smoke, which SIGKILLs a checkpointing run mid-campaign and demands
-//! that resume reproduce the uninterrupted `RESULT` lines exactly,
-//! and by the CI trace-replay smoke, which re-executes every retained
-//! flight-recorder trace offline and demands bit-identity):
+//! that resume reproduce the uninterrupted `RESULT` lines and
+//! `FUZZ_TRACE_STORE` files exactly, and by the CI trace-replay smoke,
+//! which re-executes every retained flight-recorder trace offline and
+//! demands bit-identity):
 //!
 //! * `FUZZ_EXECS` — per-campaign exec budget (default 20000);
 //! * `FUZZ_CHECKPOINT` — base path for crash-safe per-epoch campaign
@@ -18,7 +19,14 @@
 //!   instead of starting fresh, falling back to a fresh run when no
 //!   usable snapshot exists (e.g. killed before the first boundary);
 //! * `FUZZ_TRACE` — per-shard flight-recorder ring capacity override
-//!   (0 disables tracing; the default is [`CampaignConfig`]'s);
+//!   (0 disables tracing; the default is [`CampaignConfig`]'s). A
+//!   shard trims its ring where each hub epoch starts — to the newest
+//!   `ring − epoch` traces, so below this example's 2048-exec epoch
+//!   the ring refills every epoch and a checkpoint carries only the
+//!   pinned crash traces — which is what makes a resumed run's stores
+//!   equal an uninterrupted run's (`kernelgpt::trace`, replay
+//!   contract); a ring of `FUZZ_EXECS / 8` keeps every non-crashing
+//!   exec;
 //! * `FUZZ_TRACE_STORE` — base path to dump each campaign's retained
 //!   trace stores (each suite writes `<base>.suiteN.trc`);
 //! * `FUZZ_TRACE_REPLAY` — replay mode: instead of fuzzing, read the

@@ -10,9 +10,11 @@ use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fuzzer::{
     Campaign, CampaignConfig, CampaignSnapshot, Fault, FaultPlan, ShardedCampaign,
 };
+use kernelgpt::syzlang::codec::Writer;
 use kernelgpt::syzlang::{ConstDb, SpecFile};
 use kernelgpt::vkernel::VKernel;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn deepchain_setup() -> (VKernel, Vec<SpecFile>, ConstDb) {
     let kc = KernelCorpus::from_blueprints(deepchain::suite());
@@ -93,15 +95,17 @@ fn interrupt_plus_resume_is_bit_identical_at_any_thread_count() {
 
 /// Every fault kind — write failures (both recoverable and
 /// boundary-skipping), torn writes, bitrot, mid-epoch shard aborts,
-/// and a seed-derived composite plan — leaves the campaign result
-/// bit-identical, and interrupt+resume still holds underneath it.
+/// and a seed-derived composite plan — leaves the campaign result and
+/// the returned trace stores bit-identical, and interrupt+resume
+/// still holds underneath it.
 #[test]
 fn resume_is_bit_identical_under_every_fault_plan() {
     let (kernel, suite, consts) = deepchain_setup();
     let seed = 7u64;
     let reference = ShardedCampaign::new(&kernel, &suite, &consts, cfg(seed))
         .with_shards(8)
-        .run();
+        .run_traced();
+    assert!(reference.1.iter().all(|s| s.retained() > 0));
     let plans: Vec<(&str, FaultPlan)> = vec![
         (
             "write-fail-recoverable",
@@ -153,7 +157,7 @@ fn resume_is_bit_identical_under_every_fault_plan() {
             .with_shards(8)
             .with_checkpoint(&path)
             .with_faults(plan.clone())
-            .run();
+            .run_traced();
         assert_eq!(reference, full, "{tag}: faulted full run");
         let _ = std::fs::remove_file(&path);
 
@@ -177,7 +181,7 @@ fn resume_is_bit_identical_under_every_fault_plan() {
             .run();
         let resumed = ShardedCampaign::new(&kernel, &suite, &consts, cfg(seed))
             .with_shards(8)
-            .resume(&path)
+            .resume_traced(&path)
             .unwrap_or_else(|e| panic!("{tag}: resume under faults: {e}"));
         assert_eq!(reference, resumed, "{tag}: resumed run");
         let _ = std::fs::remove_file(&path);
@@ -294,11 +298,98 @@ fn fuel_exhaustion_is_deterministic_and_never_corrupts_the_merge() {
     assert_eq!(unlimited.fuel_exhausted, 0);
 }
 
-/// The flight recorder seals its ring only when a store is read, and
-/// a checkpoint write is such a read. Neither may move a byte: this
-/// digest of the eight returned stores was recorded on the last
-/// commit that encoded every exec as it ran (`4498b28`), and must
-/// hold whether or not the campaign checkpoints at every boundary.
+/// Route equivalence for the flight recorder's stores, over the edges
+/// of the trim rule: rings off, of one, shorter than, equal to and
+/// longer than the epoch (and one that is neither a multiple nor a
+/// divisor of it), on one, three and eight shards, over budgets that
+/// split unevenly and end in a short epoch, that leave one shard a
+/// 1-exec final epoch while the others have finished, and that give
+/// some shards no exec at all. For each: the traced run, the same run
+/// checkpointing at every boundary, and — halted after *every*
+/// boundary in turn — the run resumed at one and two threads all
+/// return the same `(result, stores)`.
+#[test]
+fn resumed_trace_stores_equal_the_uninterrupted_runs_from_every_boundary() {
+    let (kernel, suite, consts) = deepchain_setup();
+    let mut resumes = 0u32;
+    for (trace_ring, hub_epoch) in [
+        (0, 128),
+        (1, 128),
+        (32, 128),
+        (128, 128),
+        (512, 128),
+        (40, 16),
+    ] {
+        for shards in [1u32, 3, 8] {
+            let per_epoch = u64::from(shards) * hub_epoch;
+            for execs in [
+                2 * per_epoch + per_epoch / 2 + 1,
+                2 * per_epoch + 1,
+                u64::from(shards) - 1,
+            ] {
+                let tag =
+                    format!("ring {trace_ring} epoch {hub_epoch} shards {shards} execs {execs}");
+                let campaign = |threads: usize| {
+                    let config = CampaignConfig {
+                        execs,
+                        seed: 11,
+                        max_prog_len: 10,
+                        hub_epoch,
+                        hub_top_k: 4,
+                        trace_ring,
+                        ..CampaignConfig::default()
+                    };
+                    ShardedCampaign::new(&kernel, &suite, &consts, config)
+                        .with_shards(shards)
+                        .with_threads(threads)
+                };
+                let reference = campaign(1).run_traced();
+                assert_eq!(reference.0.execs, execs, "{tag}");
+                assert_eq!(
+                    reference.1.len(),
+                    if trace_ring > 0 { shards as usize } else { 0 },
+                    "{tag}"
+                );
+                let path = ckpt_path("store-matrix");
+                let boundaries = AtomicU64::new(0);
+                let checkpointing = campaign(1)
+                    .with_checkpoint(&path)
+                    .with_on_checkpoint(|n| boundaries.store(n, Ordering::Relaxed))
+                    .run_traced();
+                assert_eq!(reference, checkpointing, "{tag}: checkpointing");
+                let boundaries = boundaries.load(Ordering::Relaxed);
+                assert_eq!(boundaries, if execs < per_epoch { 0 } else { 2 }, "{tag}");
+                for k in 1..=boundaries {
+                    let _ = campaign(1)
+                        .with_checkpoint(&path)
+                        .with_halt_after(k)
+                        .run_traced();
+                    for threads in [1, 2] {
+                        let resumed = campaign(threads)
+                            .resume_traced(&path)
+                            .unwrap_or_else(|e| panic!("{tag}: resume from {k}: {e}"));
+                        assert_eq!(reference, resumed, "{tag}: boundary {k}, {threads} threads");
+                        resumes += 1;
+                    }
+                }
+                let _ = std::fs::remove_file(&path);
+                let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
+            }
+        }
+    }
+    assert_eq!(resumes, 6 * 3 * 2 * 2 * 2);
+}
+
+/// The flight recorder seals a ring slot only when somebody reads it,
+/// trims its ring where an epoch starts, and a checkpointing campaign
+/// persists only what that trim keeps. None of it may move a byte of
+/// what a run returns: this digest of the eight returned stores'
+/// elements ([`kernelgpt::trace::TraceStore::encode`], no envelope, so
+/// a checksum or version bump cannot touch it) was recorded on
+/// `94c78c3`, where the same eight stores inside their version-1
+/// envelopes still gave the `0x208e9d7e8c86a4f5` recorded on the last
+/// commit that encoded every exec as it ran (`4498b28`). It must hold
+/// whether or not the campaign checkpoints at every boundary.
 #[test]
 fn returned_trace_stores_are_byte_identical_to_eager_encoding() {
     let (kernel, suite, consts) = deepchain_setup();
@@ -325,10 +416,13 @@ fn returned_trace_stores_are_byte_identical_to_eager_encoding() {
         ),
     ] {
         assert_eq!(stores.len(), 8, "{label}");
-        let bytes: Vec<u8> = stores.iter().flat_map(|s| s.to_bytes()).collect();
+        let mut bytes = Vec::new();
+        for store in &stores {
+            store.encode(&mut Writer::new(&mut bytes));
+        }
         assert_eq!(
-            kernelgpt::trace::fnv1a(&bytes),
-            0x208e_9d7e_8c86_a4f5,
+            (bytes.len(), kernelgpt::trace::fnv1a(&bytes)),
+            (186_270, 0x2108_a516_721a_3cdf),
             "{label}"
         );
         assert_eq!(

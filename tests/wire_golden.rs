@@ -1,9 +1,11 @@
 //! Format stability: FNV-1a of every serialized format reachable
 //! through the public API. A mismatch means a wire or on-disk format
-//! changed — which needs a version bump, not a new constant. These
-//! four were re-recorded with `FRAME_VERSION` 4 (sparse coverage maps
-//! inside deltas, patches and seeds); the program and trace-store
-//! pins still date from before the port onto `kgpt_syzlang::codec`.
+//! changed — which needs a version bump, not a new constant. The
+//! bodies were recorded with `FRAME_VERSION` 4 (sparse coverage maps
+//! inside deltas, patches and seeds) and the whole frames with
+//! `FRAME_VERSION` 5 (`codec::checksum` in the envelope, bodies
+//! untouched); the program and trace-store payload pins still date
+//! from before the port onto `kgpt_syzlang::codec`.
 //! (The program, checkpoint and trace-store fixtures are private to
 //! their crates' unit tests; their `golden_bytes` assertions sit
 //! beside them in `syzlang/src/prog.rs`, `fuzzer/src/checkpoint.rs`
@@ -43,9 +45,12 @@ fn fabric_delta_and_patch_bytes_are_golden() {
 fn delta_frames_are_golden() {
     let (base, deltas) = sample_boundary();
     let full = delta_frame(DeltaPayload::Full(deltas.clone()));
-    assert_eq!((full.len(), fnv1a(&full)), (809, 0xa9fe_6264_d8a7_12b4));
+    assert_eq!((full.len(), fnv1a(&full)), (809, 0xf469_420f_67a8_471b));
+    // What the 12-byte envelope wraps is what version 4 wrapped.
+    assert_eq!(fnv1a(&full[12..]), 0x16f8_e89f_af13_999e);
 
     let patches = diff_boundary(&base, deltas).expect("diffable fixture");
     let incr = delta_frame(DeltaPayload::Incremental(patches));
-    assert_eq!((incr.len(), fnv1a(&incr)), (686, 0x287e_d970_54dd_dac5));
+    assert_eq!((incr.len(), fnv1a(&incr)), (686, 0xa026_4a02_3f4d_bc01));
+    assert_eq!(fnv1a(&incr[12..]), 0xfe1a_19bf_25bb_9735);
 }
