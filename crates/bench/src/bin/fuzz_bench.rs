@@ -430,41 +430,55 @@ fn durability_section(report: &mut Report, dc: &DeepChain) {
     report.flag("fuel_deterministic", deterministic);
 }
 
-/// Every boundary of the campaign framed both ways, as `run_worker`
-/// frames it: `(merged result, incremental bytes, full bytes)`. The
-/// first boundary has no acked baseline, so it is full on both sides.
-fn frame_costs(dc: &DeepChain) -> (CampaignResult, u64, u64) {
-    let frame_len = |boundary: u64, deltas: DeltaPayload| {
+/// Every boundary of the campaign framed both ways over the oracle
+/// route — incremental against the post-ack snapshots, and full — and
+/// once more the way `run_worker` frames it, from a second runner's
+/// live state: `(merged result, incremental bytes, full bytes, whether
+/// every live frame was the oracle's incremental framing byte for
+/// byte)`. The first boundary has no acked baseline, so it is full on
+/// every side.
+fn frame_costs(dc: &DeepChain) -> (CampaignResult, u64, u64, bool) {
+    let frame = |boundary: u64, deltas: DeltaPayload| {
         let message = Message::Delta {
             tenant: 0,
             lease_id: 1,
             boundary,
             deltas,
         };
-        message.to_frame().len() as u64
+        message.to_frame()
     };
     let mut merge = CampaignMerge::new(dc.cfg.clone(), SHARDS);
     let mut runner = LeaseRunner::fresh(&dc.lowered, &dc.cfg, SHARDS, 0, SHARDS);
+    let mut live = LeaseRunner::fresh(&dc.lowered, &dc.cfg, SHARDS, 0, SHARDS);
     let mut baseline: Option<Vec<ShardSnapshot>> = None;
     let (mut incremental, mut full) = (0u64, 0u64);
+    let (mut live_frame, mut live_identical) = (Vec::new(), true);
     loop {
         let deltas = runner.run_epoch(&dc.suite.kernel);
         let boundary = merge.epochs_done() + 1;
-        let full_len = frame_len(boundary, DeltaPayload::Full(deltas.clone()));
+        let full_frame = frame(boundary, DeltaPayload::Full(deltas.clone()));
         let patches = baseline
             .as_deref()
             .and_then(|base| diff_boundary(base, deltas.clone()).ok());
-        full += full_len;
-        incremental += patches.map_or(full_len, |p| {
-            frame_len(boundary, DeltaPayload::Incremental(p))
+        let shipped = patches.map_or_else(
+            || full_frame.clone(),
+            |p| frame(boundary, DeltaPayload::Incremental(p)),
+        );
+        full += full_frame.len() as u64;
+        incremental += shipped.len() as u64;
+        live.advance(&dc.suite.kernel);
+        Message::write_delta_frame(&mut live_frame, 0, 1, boundary, |w| {
+            live.write_boundary(&dc.suite.kernel, w);
         });
+        live_identical &= live_frame == shipped;
         let outcome = merge.apply_boundary(deltas).expect("in-process boundary");
         if outcome.finished {
             let result = merge.finish().expect("in-process merge finished");
-            return (result, incremental, full);
+            return (result, incremental, full, live_identical);
         }
         runner.import(&outcome.seeds);
         baseline = Some(runner.snapshots());
+        live.acked(&outcome.seeds);
     }
 }
 
@@ -485,7 +499,7 @@ fn fabric_section(report: &mut Report, dc: &DeepChain) {
         });
         (workers, result, stats)
     });
-    let (inline, incremental, full) = frame_costs(dc);
+    let (inline, incremental, full, live_identical) = frame_costs(dc);
     // More workers split the same per-shard deltas over more frames,
     // changing only the per-frame header overhead: the one-lease
     // framing is the canonical wire cost.
@@ -500,6 +514,7 @@ fn fabric_section(report: &mut Report, dc: &DeepChain) {
     report.count("shards", SHARDS);
     report.count("epoch", EPOCH);
     report.flag("worker_invariant", invariant);
+    report.flag("live_frames_identical", live_identical);
     report.count("boundaries", boundaries);
     report.count("delta_bytes_per_epoch", per_epoch);
     report.count("delta_full_bytes_per_epoch", full_per_epoch);

@@ -45,8 +45,7 @@ use crate::lease::LeaseTable;
 use crate::transport::Transport;
 use crate::wire::{DeltaPayload, Grant, Message};
 use crate::FabricError;
-use kgpt_fuzzer::fabric::{apply_patches, CampaignMerge, EpochDelta};
-use kgpt_fuzzer::{CampaignConfig, CampaignResult};
+use kgpt_fuzzer::{CampaignConfig, CampaignMerge, CampaignResult};
 use std::time::{Duration, Instant};
 
 /// One tenant's admission request: a named campaign with its own
@@ -157,7 +156,10 @@ struct Tenant {
     campaign: Campaign,
     table: LeaseTable,
     conns: Vec<Option<Conn>>,
-    stash: Vec<Option<Vec<EpochDelta>>>,
+    /// Per range slot, what it delivered for the pending boundary:
+    /// decoded and checked against the committed state, not yet
+    /// applied to it.
+    stash: Vec<Option<DeltaPayload>>,
     stats: FabricStats,
     started: Instant,
 }
@@ -331,30 +333,28 @@ impl Tenant {
             self.stats.redelivered_frames += 1;
             return Verdict::Renew;
         }
-        // Resolve the payload to full deltas *at stash time*: an
-        // increment is only valid against the committed state of the
-        // previous boundary (`target - 1`), which is exactly what
-        // `merge.snapshots` holds right now. The lease-id check above
-        // already guarantees the sender was acked at that boundary — a
-        // reassigned lease has a new id and must open with a full
-        // frame.
-        let resolved = match deltas {
-            DeltaPayload::Full(d) => d,
-            DeltaPayload::Incremental(patches) => {
-                match apply_patches(&merge.snapshots(lo, hi), patches) {
-                    Ok(d) => d,
-                    Err(_) => return Verdict::Violation,
-                }
-            }
-        };
+        // Check the payload *at stash time*, while its sender is at
+        // hand: an increment is only valid against the committed state
+        // of the previous boundary (`target - 1`), which is exactly
+        // what `merge` holds right now and until the barrier — the
+        // commit finds the same state and cannot fail on it. The
+        // lease-id check above already guarantees the sender was
+        // acked at that boundary — a reassigned lease has a new id
+        // and must open with a full frame. Nothing is applied yet: a
+        // range re-granted before the barrier restores from
+        // `target - 1` untouched.
+        if merge.validate(&deltas).is_err() {
+            return Verdict::Violation;
+        }
         self.stats.delta_bytes += frame.len() as u64;
         self.budget.charge_delta_bytes(frame.len() as u64);
-        self.stash[slot] = Some(resolved);
+        self.stash[slot] = Some(deltas);
         Verdict::Renew
     }
 
-    /// If every range delivered its boundary delta, commit: merge in
-    /// shard-id order, charge the budget, and reply `Proceed` — unless
+    /// If every range delivered its boundary delta, commit: install
+    /// and merge in shard-id order (range slots ascend with shard
+    /// ids), charge the budget, and reply `Proceed` — unless
     /// the campaign is over, naturally or because this boundary spent
     /// the budget. Returns whether it is: the caller then
     /// [`Tenant::fold`]s.
@@ -365,14 +365,9 @@ impl Tenant {
         if !self.stash.iter().all(Option::is_some) {
             return Ok(false);
         }
-        let deltas: Vec<EpochDelta> = self
-            .stash
-            .iter_mut()
-            .filter_map(Option::take)
-            .flatten()
-            .collect();
+        let ranges = self.stash.iter_mut().filter_map(Option::take).collect();
         let merged_at = Instant::now();
-        let outcome = merge.apply_boundary(deltas)?;
+        let outcome = merge.commit(ranges)?;
         self.stats.merge_nanos = self
             .stats
             .merge_nanos

@@ -12,10 +12,11 @@
 use crate::FabricError;
 use kgpt_fuzzer::fabric::{
     decode_config, decode_seeds, decode_snapshots, encode_config, encode_seeds, encode_snapshots,
-    EpochDelta, EpochPatch,
 };
 use kgpt_fuzzer::{CampaignConfig, HubSeed, ShardSnapshot};
-use kgpt_syzlang::codec::{frame, unframe, Reader, Writer};
+use kgpt_syzlang::codec::{frame, frame_into, unframe, Reader, Writer};
+
+pub use kgpt_fuzzer::fabric::{DeltaKind, DeltaPayload};
 
 /// Frame format version. Bump on any layout change.
 /// v2: delta frames carry a [`DeltaKind`] tag (full vs incremental).
@@ -60,69 +61,6 @@ pub struct Grant {
     /// Committed boundary state of the range; empty for a fresh
     /// campaign (the worker builds fresh shard states itself).
     pub snapshots: Vec<ShardSnapshot>,
-}
-
-/// How a [`Message::Delta`] frame encodes its boundary state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaKind {
-    /// Complete per-shard boundary snapshots.
-    Full,
-    /// Increments against the last acked boundary's committed state.
-    Incremental,
-}
-
-/// The payload of a [`Message::Delta`] frame.
-///
-/// A full payload is always valid and is **mandatory** on a worker's
-/// first boundary after a grant — fresh campaign or lease
-/// reassignment alike — because no baseline has been agreed yet. The
-/// grant's `boundary`/`snapshots` fields tell the worker exactly
-/// which committed state the coordinator holds; every boundary the
-/// worker gets acked after that establishes a shared baseline (the
-/// post-import snapshots both sides hold byte-identically), against
-/// which the next boundary may ship as increments.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaPayload {
-    /// One full [`EpochDelta`] per shard of the range, ascending id.
-    Full(Vec<EpochDelta>),
-    /// One [`EpochPatch`] per shard of the range, ascending id,
-    /// diffed against the previous acked boundary.
-    Incremental(Vec<EpochPatch>),
-}
-
-impl DeltaPayload {
-    /// Which kind of payload this is.
-    #[must_use]
-    pub fn kind(&self) -> DeltaKind {
-        match self {
-            DeltaPayload::Full(_) => DeltaKind::Full,
-            DeltaPayload::Incremental(_) => DeltaKind::Incremental,
-        }
-    }
-
-    /// Number of per-shard records carried.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            DeltaPayload::Full(d) => d.len(),
-            DeltaPayload::Incremental(p) => p.len(),
-        }
-    }
-
-    /// Whether the payload carries no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Shard ids of the carried records, in payload order.
-    #[must_use]
-    pub fn shard_ids(&self) -> Vec<u32> {
-        match self {
-            DeltaPayload::Full(d) => d.iter().map(EpochDelta::shard_id).collect(),
-            DeltaPayload::Incremental(p) => p.iter().map(EpochPatch::shard_id).collect(),
-        }
-    }
 }
 
 /// The fabric protocol messages.
@@ -192,14 +130,38 @@ const TAG_PROCEED: u8 = 4;
 const TAG_FINISH: u8 = 5;
 const TAG_RETRY: u8 = 6;
 
-const KIND_FULL: u8 = 0;
-const KIND_INCREMENTAL: u8 = 1;
+/// The head of a `Delta` body; the [`DeltaPayload`] follows.
+fn delta_head(tenant: u32, lease_id: u64, boundary: u64, w: &mut Writer<'_>) {
+    w.u8(TAG_DELTA);
+    w.u32(tenant);
+    w.u64(lease_id);
+    w.u64(boundary);
+}
 
 impl Message {
     /// Encode to a self-validating frame.
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
         frame(b"", FRAME_VERSION, |w| self.encode_body(w))
+    }
+
+    /// Write a [`Message::Delta`] frame into `out` (replacing what it
+    /// held) around a payload its caller writes in place — the bytes
+    /// [`Message::to_frame`] gives the same message, without the
+    /// message: a worker writes its boundary straight from live state
+    /// (`kgpt_fuzzer::LeaseRunner::write_boundary`), into the buffer
+    /// it keeps for resends.
+    pub fn write_delta_frame(
+        out: &mut Vec<u8>,
+        tenant: u32,
+        lease_id: u64,
+        boundary: u64,
+        payload: impl FnOnce(&mut Writer<'_>),
+    ) {
+        frame_into(out, b"", FRAME_VERSION, |w| {
+            delta_head(tenant, lease_id, boundary, w);
+            payload(w);
+        });
     }
 
     /// Tag byte and message body.
@@ -237,20 +199,8 @@ impl Message {
                 boundary,
                 deltas,
             } => {
-                w.u8(TAG_DELTA);
-                w.u32(*tenant);
-                w.u64(*lease_id);
-                w.u64(*boundary);
-                match deltas {
-                    DeltaPayload::Full(d) => {
-                        w.u8(KIND_FULL);
-                        w.seq(d, EpochDelta::encode);
-                    }
-                    DeltaPayload::Incremental(p) => {
-                        w.u8(KIND_INCREMENTAL);
-                        w.seq(p, EpochPatch::encode);
-                    }
-                }
+                delta_head(*tenant, *lease_id, *boundary, w);
+                deltas.encode(w);
             }
             Message::Proceed {
                 tenant,
@@ -304,11 +254,7 @@ impl Message {
                 tenant: r.u32()?,
                 lease_id: r.u64()?,
                 boundary: r.u64()?,
-                deltas: match r.u8()? {
-                    KIND_FULL => DeltaPayload::Full(r.seq(EpochDelta::decode)?),
-                    KIND_INCREMENTAL => DeltaPayload::Incremental(r.seq(EpochPatch::decode)?),
-                    _ => return Err(r.err("unknown delta kind").into()),
-                },
+                deltas: DeltaPayload::decode(&mut r)?,
             },
             TAG_PROCEED => Message::Proceed {
                 tenant: r.u32()?,

@@ -7,6 +7,10 @@
 //! corrupted frames in either direction self-heal (the coordinator
 //! re-acks duplicates from cache; it never re-merges).
 //!
+//! A boundary costs what the epoch changed: the frame is written
+//! straight from the runner's live shards, and an ack leaves a mark
+//! on them, never a copy (see [`kgpt_fuzzer::fabric`]).
+//!
 //! Death is modeled, not special-cased: a transport disconnect at any
 //! point is a *surrender* — the worker returns normally with
 //! `completed = false` and the coordinator's lease machinery re-runs
@@ -19,10 +23,9 @@
 //! shipping).
 
 use crate::transport::{FaultyTransport, Transport};
-use crate::wire::{DeltaPayload, Grant, Message};
+use crate::wire::{Grant, Message};
 use crate::FabricError;
-use kgpt_fuzzer::fabric::{diff_boundary, LeaseRunner};
-use kgpt_fuzzer::{FaultPlan, ShardSnapshot};
+use kgpt_fuzzer::{FaultPlan, LeaseRunner};
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_vkernel::VKernel;
 use std::sync::Arc;
@@ -194,15 +197,11 @@ where
     let slot = Some(grant.slot);
     let mut boundary = grant.boundary;
     let mut boundaries_run = 0u64;
-    // The committed boundary state both sides hold, from which the
-    // next boundary may ship as increments. A fresh grant (first
-    // boundary of a campaign *or* a reassignment after expiry) has no
-    // acked baseline yet, so the first frame is always full — the
-    // mandatory fallback that makes re-basing safe: an increment is
-    // only ever diffed against state the coordinator confirmed.
-    let mut baseline: Option<Vec<ShardSnapshot>> = None;
+    // One buffer for every boundary's frame: it is kept for resends
+    // anyway, and the next boundary's is about as long.
+    let mut delta_frame = Vec::new();
     loop {
-        let deltas = runner.run_epoch(kernel);
+        runner.advance(kernel);
         boundary += 1;
         boundaries_run += 1;
 
@@ -222,25 +221,19 @@ where
             );
         }
 
-        // Incremental when a baseline is agreed; full otherwise (and
-        // full again if the diff is ever unexpressible — it never is
-        // for real shard evolution, but the fallback is mandatory,
-        // not best-effort). Resends reuse the same frame, so a
-        // dropped incremental is re-sent against the same baseline.
-        let payload = match baseline.take() {
-            Some(base) => match diff_boundary(&base, deltas) {
-                Ok(patches) => DeltaPayload::Incremental(patches),
-                Err(deltas) => DeltaPayload::Full(deltas),
-            },
-            None => DeltaPayload::Full(deltas),
-        };
-        let delta_frame = Message::Delta {
-            tenant: grant.tenant,
-            lease_id: grant.lease_id,
+        // Full on the lease's first boundary — a fresh campaign *or* a
+        // reassignment after expiry has no acked baseline, and an
+        // increment is only ever relative to state the coordinator
+        // confirmed; increments against the runner's mark from then
+        // on. Resends reuse the same frame, so a dropped incremental
+        // is re-sent against the same baseline.
+        Message::write_delta_frame(
+            &mut delta_frame,
+            grant.tenant,
+            grant.lease_id,
             boundary,
-            deltas: payload,
-        }
-        .to_frame();
+            |w| runner.write_boundary(kernel, w),
+        );
         if t.send(&delta_frame).is_err() {
             return Ok(surrender(slot, boundaries_run));
         }
@@ -284,12 +277,11 @@ where
                 Err(_) => return Ok(surrender(slot, boundaries_run)),
             }
         };
-        runner.import(&seeds);
         // The ack means the coordinator committed this boundary; its
-        // committed snapshots are the post-import state, which the
-        // runner now holds byte-identically — the agreed baseline for
-        // the next boundary's increments.
-        baseline = Some(runner.snapshots());
+        // committed state is the post-import state, which the runner
+        // holds byte-identically once it imported too — the agreed
+        // baseline, marked for the next boundary's increments.
+        runner.acked(&seeds);
         if let Some(cb) = opts.on_boundary.as_mut() {
             cb(boundary);
         }

@@ -175,6 +175,9 @@ pub(crate) struct ShardState {
     scratch: ExecScratch,
     pub(crate) corpus: Corpus,
     pub(crate) crashes: CrashTally,
+    /// Each title's count when the shard was last marked
+    /// ([`ShardState::mark`]); empty on a shard never marked.
+    crash_marks: BTreeMap<String, u64>,
     /// Per-shard signature capture (drained by the driver at epoch
     /// boundaries in shard-id order; see [`crate::triage`]).
     pub(crate) triage: ShardTriage,
@@ -281,17 +284,6 @@ impl ShardSnapshot {
             fuel_exhausted: self.fuel_exhausted,
         }
     }
-
-    /// The snapshot's share of the campaign result (what
-    /// [`ShardState::finish`] yields for the live shard).
-    pub(crate) fn into_result(self) -> WorkerResult {
-        WorkerResult {
-            coverage: self.corpus_coverage,
-            crashes: self.crashes,
-            corpus_size: self.corpus_entries.len(),
-            fuel_exhausted: self.fuel_exhausted,
-        }
-    }
 }
 
 impl ShardState {
@@ -317,6 +309,7 @@ impl ShardState {
             scratch,
             corpus: Corpus::new(CORPUS_CAP, seed),
             crashes: BTreeMap::new(),
+            crash_marks: BTreeMap::new(),
             triage: ShardTriage::default(),
             epoch: 0,
             max_prog_len: config.max_prog_len,
@@ -392,6 +385,41 @@ impl ShardState {
     /// Owned copy of [`ShardState::view`].
     pub(crate) fn snapshot(&self) -> ShardSnapshot {
         self.view().to_snapshot()
+    }
+
+    /// Mark the shard where another process holds the same state (a
+    /// fabric worker, right after an acked boundary's import): the
+    /// corpus numbers its entries ([`Corpus::mark`]) and the tally
+    /// notes its counts, so the next boundary can be written as an
+    /// increment from live state. The third map that grows between
+    /// boundaries needs no mark: the signatures first seen since are
+    /// the captures the boundary's triage drain hands out. Allocates
+    /// only for a title the tally gained since the last mark.
+    pub(crate) fn mark(&mut self) {
+        self.corpus.mark();
+        for (title, (count, _)) in &self.crashes {
+            match self.crash_marks.get_mut(title) {
+                Some(marked) => *marked = *count,
+                None => {
+                    self.crash_marks.insert(title.clone(), *count);
+                }
+            }
+        }
+    }
+
+    /// The tally records that are new or counted further since the
+    /// mark, in title order. One allocation when there are any (they
+    /// are counted first), none otherwise.
+    pub(crate) fn crashes_since_mark(&self) -> Vec<(&str, u64, Option<&str>)> {
+        let changed = || {
+            let moved = |(title, (count, _)): &(&String, &(u64, Option<String>))| {
+                self.crash_marks.get(*title) != Some(count)
+            };
+            self.crashes.iter().filter(moved)
+        };
+        let mut records = Vec::with_capacity(changed().count());
+        records.extend(changed().map(|(t, (count, cve))| (t.as_str(), *count, cve.as_deref())));
+        records
     }
 
     /// Rebuild a live shard from a snapshot, sharing the campaign's

@@ -23,9 +23,17 @@
 //! and the sequence of `select`/`observe`/`admit_foreign` calls —
 //! the determinism the sharded campaign and the cross-shard
 //! [`crate::hub::SeedHub`] build on.
+//!
+//! A corpus can also be **marked** (crate-internal `Corpus::mark`,
+//! driven by [`crate::LeaseRunner::acked`]): from then on it can say
+//! what changed since — which marked entries survive and with which
+//! counters, which entries are new, which coverage words gained a
+//! block — without a copy of its marked self to compare against. That
+//! is what a fabric worker ships at a boundary; the bookkeeping is one
+//! `u32` per entry and nothing per exec.
 
 use kgpt_syzlang::prog::Program;
-use kgpt_vkernel::CoverageMap;
+use kgpt_vkernel::{CoverageMap, CoverageWordDiff};
 
 /// One retained seed with its coverage key and productivity stats.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +61,27 @@ impl CorpusEntry {
     }
 }
 
+/// A corpus entry that survived since a baseline, identified by its
+/// position in the baseline entry list, with its refreshed scheduler
+/// counters. The program and contributed coverage of a surviving
+/// entry never change, so a boundary patch ships 20 bytes instead of
+/// the whole entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeptEntry {
+    /// Index into the baseline's entry list. A `u32` because a corpus
+    /// is capped far below it (2 048 entries in a campaign): whoever
+    /// numbers entries stops at `u32::MAX`, and an entry past that is
+    /// shipped whole — dearer, never wrong.
+    pub index: u32,
+    /// Times the entry was picked as a mutation seed, post-epoch.
+    pub execs: u64,
+    /// Times a mutant of the entry was itself admitted, post-epoch.
+    pub hits: u64,
+}
+
+/// The mark of an entry admitted since the corpus was last marked.
+const UNMARKED: u32 = u32::MAX;
+
 /// Counters over a corpus's lifetime (monotone; eviction does not
 /// roll them back).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,6 +107,15 @@ pub struct Corpus {
     /// Sum of entry weights, maintained incrementally.
     total_weight: u64,
     stats: CorpusStats,
+    /// In step with `entries`: each entry's index when the corpus was
+    /// last marked, [`UNMARKED`] for one admitted since. Survivors
+    /// keep their order and admissions append, so the marks ascend.
+    /// Beside the entries, not in them: an entry's equality and its
+    /// bytes on disk and on the wire know nothing of marks.
+    marks: Vec<u32>,
+    /// Indices of the `coverage` words that gained a block since the
+    /// last mark — a set of small dense integers, so a bitmap.
+    touched: CoverageMap,
 }
 
 impl Corpus {
@@ -92,6 +130,8 @@ impl Corpus {
             rng: SplitMix64::new(seed),
             total_weight: 0,
             stats: CorpusStats::default(),
+            marks: Vec::new(),
+            touched: CoverageMap::new(),
         }
     }
 
@@ -170,6 +210,8 @@ impl Corpus {
     ) -> Corpus {
         let total_weight = entries.iter().map(CorpusEntry::weight).sum();
         Corpus {
+            marks: vec![UNMARKED; entries.len()],
+            touched: CoverageMap::new(),
             entries,
             coverage,
             cap: cap.max(1),
@@ -276,7 +318,13 @@ impl Corpus {
 
     fn push(&mut self, entry: CorpusEntry) {
         self.total_weight += entry.weight();
+        // An admission is the only way the corpus coverage grows, and
+        // it grows by exactly the entry's contribution.
+        let gained = (0u64..).zip(entry.contributed.words());
+        self.touched
+            .extend(gained.filter_map(|(w, bits)| (*bits != 0).then_some(w)));
         self.entries.push(entry);
+        self.marks.push(UNMARKED);
         while self.entries.len() > self.cap {
             self.evict_least_productive();
         }
@@ -296,8 +344,94 @@ impl Corpus {
             return; // nothing to evict
         };
         let gone = self.entries.remove(victim);
+        self.marks.remove(victim);
         self.total_weight -= gone.weight();
         self.stats.evicted += 1;
+    }
+
+    /// Mark the corpus: number its entries `0..len` and forget which
+    /// coverage words were touched. What `kept_since_mark`,
+    /// `added_since_mark` and `coverage_since_mark` report is relative
+    /// to here.
+    pub(crate) fn mark(&mut self) {
+        for (index, mark) in self.marks.iter_mut().enumerate() {
+            *mark = u32::try_from(index).unwrap_or(UNMARKED);
+        }
+        self.touched.clear();
+    }
+
+    /// How many entries carry a mark — they are the first ones.
+    fn marked(&self) -> usize {
+        self.marks.partition_point(|m| *m != UNMARKED)
+    }
+
+    /// The marked entries that are still here, in order: each one's
+    /// index at the mark and its counters now. What a scan of a copy
+    /// taken at the mark for the same `(program, contributed)` would
+    /// find — contributions are pairwise disjoint and never empty, so
+    /// an entry has one match, and survivors keep their order.
+    pub(crate) fn kept_since_mark(&self) -> impl ExactSizeIterator<Item = KeptEntry> + '_ {
+        let n = self.marked();
+        let kept = self.marks[..n].iter().zip(&self.entries[..n]);
+        kept.map(|(index, e)| KeptEntry {
+            index: *index,
+            execs: e.execs,
+            hits: e.hits,
+        })
+    }
+
+    /// The entries admitted (executed here or imported) since the
+    /// mark and not evicted again, in admission order: the tail of
+    /// [`Corpus::entries`] after the survivors.
+    pub(crate) fn added_since_mark(&self) -> &[CorpusEntry] {
+        &self.entries[self.marked()..]
+    }
+
+    /// [`CoverageMap::diff_words_since`] of the corpus coverage
+    /// against what it was at the mark.
+    pub(crate) fn coverage_since_mark(&self) -> CoverageWordDiff {
+        self.coverage
+            .diff_words_at(self.touched.iter().map(|w| w as usize))
+    }
+
+    /// Become the corpus a boundary patch describes, in place: keep
+    /// the entries `kept` names and overwrite their two counters, drop
+    /// the rest, append `added`, patch the coverage words, take the
+    /// scalars — what [`Corpus::from_parts`] builds from the same
+    /// pieces, without copying an entry that stayed. Unmarked
+    /// afterwards, like any rebuilt corpus. `kept` must ascend
+    /// strictly and stay in range (the patch was checked against this
+    /// corpus); a record that does not is skipped, not a panic.
+    pub(crate) fn apply_patch(
+        &mut self,
+        rng_state: u64,
+        stats: CorpusStats,
+        cov_diff: CoverageWordDiff,
+        kept: &[KeptEntry],
+        added: Vec<CorpusEntry>,
+    ) {
+        // Entry `k.index` is still where it was: every swap so far
+        // touched two positions below it.
+        let (mut n, mut next) = (0, 0);
+        for k in kept {
+            let at = k.index as usize;
+            if at < next || at >= self.entries.len() {
+                continue;
+            }
+            self.entries.swap(n, at);
+            (self.entries[n].execs, self.entries[n].hits) = (k.execs, k.hits);
+            n += 1;
+            next = at + 1;
+        }
+        self.entries.truncate(n);
+        self.entries.extend(added);
+        self.total_weight = self.entries.iter().map(CorpusEntry::weight).sum();
+        self.coverage.patch_words(cov_diff);
+        self.rng = SplitMix64::from_state(rng_state);
+        self.stats = stats;
+        self.marks.clear();
+        self.marks.resize(self.entries.len(), UNMARKED);
+        self.touched.clear();
     }
 }
 
@@ -486,6 +620,171 @@ mod tests {
             stream_probe,
             "imports must not consume selection randomness"
         );
+    }
+
+    /// What the mark says changed must be what a comparison with a
+    /// copy taken at the mark finds — the greedy scan for the next
+    /// baseline entry with the same `(program, contributed)`, the word
+    /// diff of the two coverage maps — and patching that copy in
+    /// place must turn it into the live corpus.
+    fn assert_mark_agrees(mut base: Corpus, live: &Corpus) {
+        let (mut kept, mut added, mut next) = (Vec::new(), Vec::new(), 0);
+        for e in live.entries() {
+            let found = base.entries[next..]
+                .iter()
+                .position(|b| b.program == e.program && b.contributed == e.contributed)
+                .filter(|_| added.is_empty());
+            match found {
+                Some(off) => {
+                    kept.push(KeptEntry {
+                        index: (next + off) as u32,
+                        execs: e.execs,
+                        hits: e.hits,
+                    });
+                    next += off + 1;
+                }
+                None => added.push(e.clone()),
+            }
+        }
+        assert_eq!(live.kept_since_mark().collect::<Vec<_>>(), kept);
+        assert_eq!(live.added_since_mark(), added);
+        let cov_diff = live.coverage_since_mark();
+        assert_eq!(cov_diff, live.coverage().diff_words_since(base.coverage()));
+        assert_eq!(
+            live.marks.len(),
+            live.entries.len(),
+            "one mark per entry, always"
+        );
+
+        // Word for word the map a copy would have been rebuilt into
+        // (which may be shorter than the live one: zero words the live
+        // map merely spans are not a change).
+        let rebuilt = base.coverage().apply_word_diff(&cov_diff);
+        base.apply_patch(live.rng_state(), live.stats(), cov_diff, &kept, added);
+        assert_eq!(base.coverage().words(), rebuilt.words());
+        assert_eq!(base.total_weight(), live.total_weight());
+        assert_eq!(base.marks, vec![UNMARKED; base.len()]);
+        assert_eq!(base.into_parts(), live.clone().into_parts());
+    }
+
+    /// Three entries under cap 3: entry 0 heavy, entry 1 the weakest,
+    /// entry 2 in between.
+    fn heavy_weak_middling() -> Corpus {
+        let mut c = Corpus::new(3, 9);
+        c.observe(prog(), &cov(&[1, 2, 3, 4, 5, 6, 7, 8]), None);
+        c.observe(prog(), &cov(&[100]), None);
+        c.observe(prog(), &cov(&[200, 201, 202]), None);
+        c
+    }
+
+    #[test]
+    fn a_mark_on_an_empty_corpus_ships_everything_after_it_whole() {
+        let mut c = Corpus::new(4, 1);
+        c.mark();
+        assert_mark_agrees(c.clone(), &c);
+        let base = c.clone();
+        c.observe(prog(), &cov(&[1, 2]), None);
+        c.observe(prog(), &cov(&[2, 3, 64 * 5]), Some(0));
+        assert_eq!(c.kept_since_mark().len(), 0);
+        assert_eq!(c.added_since_mark().len(), 2);
+        assert_mark_agrees(base, &c);
+        // A corpus never marked says the same: nothing kept, all new.
+        let mut unmarked = Corpus::new(4, 1);
+        unmarked.observe(prog(), &cov(&[1, 2]), None);
+        assert_eq!(unmarked.kept_since_mark().len(), 0);
+        assert_eq!(unmarked.added_since_mark().len(), 1);
+    }
+
+    #[test]
+    fn the_mark_follows_a_survivor_evicted_between_two_survivors() {
+        let mut c = heavy_weak_middling();
+        c.mark();
+        let base = c.clone();
+        // Re-weighting survivors moves their counters, not their marks.
+        for _ in 0..5 {
+            let _ = c.select();
+        }
+        assert_mark_agrees(base.clone(), &c);
+        // The cap evicts the weakest entry — the middle one.
+        assert_eq!(c.observe(prog(), &cov(&[300, 301]), Some(0)), 2);
+        assert_eq!(c.stats().evicted, 1);
+        let kept: Vec<u32> = c.kept_since_mark().map(|k| k.index).collect();
+        assert_eq!(kept, [0, 2]);
+        assert_eq!(c.added_since_mark().len(), 1);
+        assert_mark_agrees(base, &c);
+        // The next mark renumbers what is there now.
+        c.mark();
+        let kept: Vec<u32> = c.kept_since_mark().map(|k| k.index).collect();
+        assert_eq!(kept, [0, 1, 2]);
+        assert!(c.coverage_since_mark().is_empty());
+        assert_mark_agrees(c.clone(), &c);
+    }
+
+    #[test]
+    fn an_entry_admitted_and_evicted_between_two_marks_leaves_only_its_coverage() {
+        let mut c = Corpus::new(3, 4);
+        for blocks in [[1u64, 2, 3], [10, 11, 12], [20, 21, 22]] {
+            c.observe(prog(), &cov(&blocks), None);
+        }
+        c.mark();
+        let base = c.clone();
+        // One block against three each: admitted, then the cap takes
+        // it straight back out.
+        assert_eq!(c.observe(prog(), &cov(&[64 * 7 + 1]), None), 1);
+        assert_eq!((c.len(), c.stats().evicted), (3, 1));
+        assert_eq!(c.kept_since_mark().len(), 3);
+        assert!(c.added_since_mark().is_empty());
+        assert!(
+            !c.coverage_since_mark().is_empty(),
+            "eviction does not forget what was reached"
+        );
+        assert_mark_agrees(base.clone(), &c);
+        // A strong newcomer stays and pushes a survivor out; a second
+        // one pushes out the newcomer's own neighbour.
+        c.observe(prog(), &cov(&[400, 401, 402, 403, 404]), None);
+        assert_mark_agrees(base.clone(), &c);
+        c.observe(prog(), &cov(&[500, 501, 502, 503, 504, 505]), None);
+        assert_mark_agrees(base, &c);
+    }
+
+    #[test]
+    fn an_import_after_the_mark_is_an_admission_like_any_other() {
+        let mut c = heavy_weak_middling();
+        c.mark();
+        let base = c.clone();
+        // Known claim: refused, nothing moves.
+        assert!(!c.admit_foreign(&prog(), &cov(&[1, 100])));
+        assert!(c.coverage_since_mark().is_empty());
+        assert_mark_agrees(base.clone(), &c);
+        // New claim, padded with zero words by its publisher: taken
+        // (evicting the weakest survivor), keyed by the unknown part.
+        let hub: CoverageMap = cov(&[64 * 30]);
+        let claimed = hub.diff_in(&cov(&[8, 9, 10, 64 * 30]));
+        assert!(c.admit_foreign(&prog(), &claimed));
+        assert_eq!(c.stats().imported, 1);
+        assert_eq!(c.added_since_mark().len(), 1);
+        assert_mark_agrees(base, &c);
+    }
+
+    #[test]
+    fn a_patch_whose_kept_list_does_not_fit_is_skipped_not_a_panic() {
+        let mut c = heavy_weak_middling();
+        let record = |index| KeptEntry {
+            index,
+            execs: 7,
+            hits: 1,
+        };
+        let unfit = [record(2), record(2), record(1), record(9)];
+        c.apply_patch(
+            5,
+            CorpusStats::default(),
+            CoverageWordDiff::Sparse(Vec::new()),
+            &unfit,
+            Vec::new(),
+        );
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.entry(0).contributed, cov(&[200, 201, 202]));
+        assert_eq!(c.total_weight(), c.entry(0).weight());
     }
 
     #[test]

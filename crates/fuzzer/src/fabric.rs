@@ -13,21 +13,70 @@
 //!   (minimization is a pure function of `(capture, kernel,
 //!   lowered)`). Over the whole range, closing its boundaries in
 //!   process, it is the engine of [`crate::ShardedCampaign`]; on a
-//!   worker it emits one [`EpochDelta`] per shard instead — the full
-//!   boundary [`ShardSnapshot`] plus minimized triage candidates and
-//!   observation counts — for the boundary to close elsewhere.
-//! * [`CampaignMerge`] — the coordinator half: collects one delta per
-//!   shard at every boundary and puts them through the crate's one
-//!   `Boundary` (the private `boundary` module): triage admission
+//!   worker it writes each boundary — every shard's state, or its
+//!   increment, plus minimized triage candidates and observation
+//!   counts — for the boundary to close elsewhere.
+//! * [`CampaignMerge`] — the coordinator half: holds the committed
+//!   boundary state of every shard, takes one record per shard at
+//!   every boundary and puts them through the crate's one `Boundary`
+//!   (the private `boundary` module): triage admission
 //!   first-publisher-wins and count folding, then hub publish, then
 //!   hub import, **in shard-id order** — the same code
-//!   `ShardedCampaign` runs on its driving thread, fed from corpora
-//!   rebuilt out of the deltas instead of live shards — and commits
-//!   the post-import snapshots. The coordinator never executes a
+//!   `ShardedCampaign` runs on its driving thread, over the committed
+//!   corpora instead of live shards. The coordinator never executes a
 //!   program — it needs no kernel and no lowered IR — and its
 //!   [`CampaignMerge::finish`] result is bit-identical to the
 //!   single-process run because it *is* that run's boundary code,
 //!   not a copy kept in step with it.
+//!
+//! ## A boundary costs what changed
+//!
+//! Between two boundaries a converged shard admits a fraction of a
+//! percent of its execs, so neither half copies, compares or frees
+//! the state that stayed:
+//!
+//! 1. **Mark.** When a boundary is acked the worker imports the
+//!    reply's seeds and *marks* its shards ([`LeaseRunner::acked`]):
+//!    each corpus numbers its entries and forgets which coverage
+//!    words it touched (the crate-internal `Corpus::mark`), each
+//!    tally notes its counts. No snapshot is taken.
+//! 2. **Live frame.** The next boundary
+//!    ([`LeaseRunner::write_boundary`]) is written straight from live
+//!    state through borrowed views, the way a checkpoint is: a lease's
+//!    first boundary as full [`EpochDelta`] records (there is no
+//!    agreed base yet), every later one as [`EpochPatch`] records — a
+//!    [`KeptEntry`] per marked entry still there, the unmarked
+//!    entries by reference, the coverage words the corpus touched,
+//!    the tally records that moved, the signatures the drain just
+//!    captured. Byte for byte what [`diff_boundary`] makes of two
+//!    snapshot sets: an entry's `(program, contributed)` is unique in
+//!    its shard and survivors keep their order, so the mark index is
+//!    what that scan finds.
+//! 3. **Validate at stash.** The coordinator checks an incremental
+//!    payload against the committed state when it arrives
+//!    ([`CampaignMerge::validate`]: a shard to patch, `kept` strictly
+//!    ascending and in range, coverage runs inside the decoder's
+//!    bound — every way a patch can fail to fit) and stashes the
+//!    decoded payload. Nothing committed is touched before the
+//!    barrier, so a range re-granted meanwhile still restores from
+//!    the previous boundary, and a rejected payload leaves no trace.
+//! 4. **Patch at commit.** Once every range delivered,
+//!    [`CampaignMerge::commit`] installs each — a full record by
+//!    move, a patch in place ([`crate::Corpus`] keeps the named
+//!    entries, overwrites their two counters, appends the new ones,
+//!    rewrites the changed coverage words) — and closes the boundary
+//!    over the committed corpora. An owned [`ShardSnapshot`] is built
+//!    only for a grant ([`CampaignMerge::snapshots`]).
+//!
+//! **The oracle.** The snapshot route is kept whole as the reference
+//! the live one is pinned to: [`LeaseRunner::run_epoch`] (a snapshot
+//! per shard), [`LeaseRunner::snapshots`], [`diff_boundary`],
+//! [`apply_patches`], [`encode_patches`] / [`decode_patches`] and
+//! [`CampaignMerge::apply_boundary`] (every record full). Nothing on
+//! a worker's or the service's blocking path calls them;
+//! [`reference_run`], the frame-cost accounting of `fuzz_bench`, the
+//! benchmark's probe pass and the tests do — frame for frame and
+//! commit for commit against the live route.
 //!
 //! The wire encodings here reuse the [`crate::checkpoint`] field
 //! codecs (the same per-shard layout over [`kgpt_syzlang::codec`]),
@@ -44,7 +93,10 @@
 //! re-acks instead), keeping the merge idempotent.
 
 use crate::boundary::Boundary;
-use crate::campaign::{CampaignConfig, CampaignResult, ShardSnapshot, ShardState, CORPUS_CAP};
+use crate::campaign::{
+    CampaignConfig, CampaignResult, CrashTally, ShardSnapshot, ShardState, ShardView, WorkerResult,
+    CORPUS_CAP,
+};
 use crate::checkpoint::{
     config_fingerprint, decode_corpus_entry, decode_corpus_stats, decode_coverage, decode_crash,
     decode_rng, decode_shard, decode_triage_entry, decode_usize, decode_word_diff,
@@ -59,11 +111,13 @@ use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::prog::Program;
 use kgpt_trace::{decode_signature, encode_signature};
 use kgpt_triage::{TriageEntry, TriageReport};
-use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel};
-use std::mem::take;
+use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel, MAX_COVERAGE_WORDS};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+pub use crate::corpus::KeptEntry;
 
 /// Execution budget of shard `i` in a campaign split over `shards`
 /// shards: `execs` divided as evenly as possible, earlier shards
@@ -104,9 +158,7 @@ impl EpochDelta {
     /// Write the delta: the checkpoint shard layout, then the triage
     /// candidates and counts.
     pub fn encode(&self, w: &mut Writer<'_>) {
-        encode_shard(self.snapshot.view(), w);
-        w.seq(&self.candidates, encode_triage_entry);
-        w.seq(&self.counts, encode_count);
+        encode_delta(self.snapshot.view(), &self.candidates, &self.counts, w);
     }
 
     /// Read one delta (inverse of [`EpochDelta::encode`]).
@@ -121,6 +173,19 @@ impl EpochDelta {
             counts: r.seq(decode_count)?,
         })
     }
+}
+
+/// The full-record layout, from a borrowed shard: an owned
+/// [`EpochDelta`] and a worker's live shard write the same bytes.
+fn encode_delta(
+    shard: ShardView<'_>,
+    candidates: &[TriageEntry],
+    counts: &[(CrashSignature, u64)],
+    w: &mut Writer<'_>,
+) {
+    encode_shard(shard, w);
+    w.seq(candidates, encode_triage_entry);
+    w.seq(counts, encode_count);
 }
 
 /// One per-signature observation count.
@@ -211,21 +276,6 @@ pub fn decode_seeds(r: &mut Reader<'_>) -> Result<Vec<HubSeed>, DecodeError> {
 
 // ---- incremental boundary frames -----------------------------------------
 
-/// A baseline corpus entry that survived an epoch, identified by its
-/// position in the baseline entry list, with its refreshed scheduler
-/// counters. The program and contributed coverage of a surviving
-/// entry never change, so the patch ships 20 bytes instead of the
-/// whole entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeptEntry {
-    /// Index into the baseline snapshot's entry list.
-    pub index: u32,
-    /// Times the entry was picked as a mutation seed, post-epoch.
-    pub execs: u64,
-    /// Times a mutant of the entry was itself admitted, post-epoch.
-    pub hits: u64,
-}
-
 /// One shard's epoch boundary as an increment against the shard's
 /// last *committed* snapshot: scalar boundary state verbatim (RNGs,
 /// budgets, stats — a few dozen bytes), everything bulky as a diff.
@@ -244,9 +294,9 @@ pub struct KeptEntry {
 ///
 /// A patch only means something relative to the snapshot it was
 /// diffed against, so the fabric protocol must guarantee baseline
-/// agreement: patches are diffed by the worker against its post-ack
+/// agreement: a worker's increments are relative to its post-ack
 /// import state, which the barrier commit makes byte-identical to
-/// the coordinator's committed snapshot for that boundary.
+/// the coordinator's committed state for that boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochPatch {
     pub shard_id: u32,
@@ -271,6 +321,65 @@ pub struct EpochPatch {
     pub candidates: Vec<TriageEntry>,
     /// Observation counts, verbatim from the [`EpochDelta`].
     pub counts: Vec<(CrashSignature, u64)>,
+}
+
+/// Borrowed form of an [`EpochPatch`], and the one place its wire
+/// order is written: an owned patch encodes through it
+/// ([`EpochPatch::encode`]), and a worker fills one from a marked
+/// shard's live state ([`LeaseRunner::write_boundary`]) — the way
+/// `ShardView` serves both a snapshot and a live shard.
+struct PatchView<'a, K, C> {
+    shard_id: u32,
+    epoch: u64,
+    rng_pick: u64,
+    remaining: u64,
+    fuel_exhausted: u64,
+    gen_rng: [u64; 4],
+    corpus_rng: u64,
+    corpus_stats: CorpusStats,
+    cov_diff: &'a CoverageWordDiff,
+    kept: K,
+    added: &'a [CorpusEntry],
+    crashes: C,
+    seen: &'a [CrashSignature],
+    candidates: &'a [TriageEntry],
+    counts: &'a [(CrashSignature, u64)],
+}
+
+/// A [`KeptEntry`] on the wire: its index and its two counters.
+const KEPT_RECORD_BYTES: usize = 4 + 8 + 8;
+
+impl<'a, K, C> PatchView<'a, K, C>
+where
+    K: ExactSizeIterator<Item = KeptEntry>,
+    C: ExactSizeIterator<Item = (&'a str, u64, Option<&'a str>)>,
+{
+    /// Scalars verbatim, then the increments.
+    fn encode(self, w: &mut Writer<'_>) {
+        w.u32(self.shard_id);
+        w.u64(self.epoch);
+        w.u64(self.rng_pick);
+        w.u64(self.remaining);
+        w.u64(self.fuel_exhausted);
+        for word in self.gen_rng {
+            w.u64(word);
+        }
+        w.u64(self.corpus_rng);
+        encode_corpus_stats(&self.corpus_stats, w);
+        encode_word_diff(self.cov_diff, w);
+        w.seq(self.kept, |k, w| {
+            w.u32(k.index);
+            w.u64(k.execs);
+            w.u64(k.hits);
+        });
+        w.seq(self.added, encode_corpus_entry);
+        w.seq(self.crashes, |(title, count, cve), w| {
+            encode_crash(title, count, cve, w);
+        });
+        w.seq(self.seen, encode_signature);
+        w.seq(self.candidates, encode_triage_entry);
+        w.seq(self.counts, encode_count);
+    }
 }
 
 impl EpochPatch {
@@ -308,24 +417,25 @@ impl EpochPatch {
         let mut added = Vec::new();
         let mut next = 0usize;
         for e in snapshot.corpus_entries {
+            // Admissions append: once one is seen, the rest of the
+            // list is admissions too. So is a survivor whose index a
+            // [`KeptEntry`] cannot hold.
             let survivor = if added.is_empty() {
                 base.corpus_entries[next..]
                     .iter()
                     .position(|b| b.program == e.program && b.contributed == e.contributed)
-                    .map(|off| next + off)
+                    .and_then(|off| u32::try_from(next + off).ok())
             } else {
-                // Admissions append; once one is seen, the rest of
-                // the list is admissions too.
                 None
             };
             match survivor {
-                Some(idx) => {
+                Some(index) => {
                     kept.push(KeptEntry {
-                        index: u32::try_from(idx).unwrap_or(u32::MAX),
+                        index,
                         execs: e.execs,
                         hits: e.hits,
                     });
-                    next = idx + 1;
+                    next = index as usize + 1;
                 }
                 None => added.push(e),
             }
@@ -368,6 +478,52 @@ impl EpochPatch {
         self.shard_id
     }
 
+    /// Every way a patch can fail to fit the committed state of shard
+    /// `base_id` with `base_len` corpus entries: the wrong shard, a
+    /// kept index out of range, repeated or descending, a coverage
+    /// run past [`MAX_COVERAGE_WORDS`] (the wire decoder's bound,
+    /// held here too for a patch that never crossed a wire). A patch
+    /// that passes applies without a further check.
+    fn fits(&self, base_id: u32, base_len: usize) -> Result<(), CheckpointError> {
+        if base_id != self.shard_id {
+            return Err(CheckpointError::new(format!(
+                "patch for shard {} applied to baseline of shard {}",
+                self.shard_id, base_id
+            )));
+        }
+        let mut min_next = 0u64;
+        for k in &self.kept {
+            if u64::from(k.index) < min_next {
+                return Err(CheckpointError::new(format!(
+                    "kept index {} out of order in shard {} patch",
+                    k.index, self.shard_id
+                )));
+            }
+            if k.index as usize >= base_len {
+                return Err(CheckpointError::new(format!(
+                    "kept index {} out of range (baseline of shard {} has {} entries)",
+                    k.index, self.shard_id, base_len
+                )));
+            }
+            min_next = u64::from(k.index) + 1;
+        }
+        let cov_words = match &self.cov_diff {
+            CoverageWordDiff::Dense(words) => words.len(),
+            CoverageWordDiff::Sparse(runs) => runs
+                .iter()
+                .map(|(start, run)| *start as usize + run.len())
+                .max()
+                .unwrap_or(0),
+        };
+        if cov_words > MAX_COVERAGE_WORDS {
+            return Err(CheckpointError::new(format!(
+                "coverage diff of shard {} patch reaches word {cov_words}, past the coverage bound",
+                self.shard_id
+            )));
+        }
+        Ok(())
+    }
+
     /// Reconstruct the full [`EpochDelta`] this patch encodes,
     /// against the baseline snapshot it was diffed from.
     ///
@@ -378,38 +534,17 @@ impl EpochPatch {
     /// order) — the coordinator treats that as a protocol violation,
     /// exactly like a delta frame for the wrong shard range.
     pub fn apply(self, base: &ShardSnapshot) -> Result<EpochDelta, CheckpointError> {
-        if base.id != self.shard_id {
-            return Err(CheckpointError::new(format!(
-                "patch for shard {} applied to baseline of shard {}",
-                self.shard_id, base.id
-            )));
-        }
-        let mut entries = Vec::with_capacity(self.kept.len() + self.added.len());
-        let mut min_next = 0u64;
-        for k in &self.kept {
-            if u64::from(k.index) < min_next {
-                return Err(CheckpointError::new(format!(
-                    "kept index {} out of order in shard {} patch",
-                    k.index, self.shard_id
-                )));
-            }
-            let Some(b) = base.corpus_entries.get(k.index as usize) else {
-                return Err(CheckpointError::new(format!(
-                    "kept index {} out of range (baseline of shard {} has {} entries)",
-                    k.index,
-                    self.shard_id,
-                    base.corpus_entries.len()
-                )));
-            };
-            min_next = u64::from(k.index) + 1;
-            entries.push(CorpusEntry {
+        self.fits(base.id, base.corpus_entries.len())?;
+        let kept = self.kept.iter().map(|k| {
+            let b = &base.corpus_entries[k.index as usize];
+            CorpusEntry {
                 program: b.program.clone(),
                 contributed: b.contributed.clone(),
                 execs: k.execs,
                 hits: k.hits,
-            });
-        }
-        entries.extend(self.added);
+            }
+        });
+        let entries = kept.chain(self.added).collect();
         let corpus_coverage = base.corpus_coverage.apply_word_diff(&self.cov_diff);
         let mut crashes = base.crashes.clone();
         for (title, count, cve) in self.crashes {
@@ -439,29 +574,25 @@ impl EpochPatch {
 
     /// Write the patch (scalars verbatim, then the increments).
     pub fn encode(&self, w: &mut Writer<'_>) {
-        w.u32(self.shard_id);
-        w.u64(self.epoch);
-        w.u64(self.rng_pick);
-        w.u64(self.remaining);
-        w.u64(self.fuel_exhausted);
-        for word in self.gen_rng {
-            w.u64(word);
+        let crashes = self.crashes.iter();
+        PatchView {
+            shard_id: self.shard_id,
+            epoch: self.epoch,
+            rng_pick: self.rng_pick,
+            remaining: self.remaining,
+            fuel_exhausted: self.fuel_exhausted,
+            gen_rng: self.gen_rng,
+            corpus_rng: self.corpus_rng,
+            corpus_stats: self.corpus_stats,
+            cov_diff: &self.cov_diff,
+            kept: self.kept.iter().copied(),
+            added: &self.added,
+            crashes: crashes.map(|(title, count, cve)| (title.as_str(), *count, cve.as_deref())),
+            seen: &self.seen,
+            candidates: &self.candidates,
+            counts: &self.counts,
         }
-        w.u64(self.corpus_rng);
-        encode_corpus_stats(&self.corpus_stats, w);
-        encode_word_diff(&self.cov_diff, w);
-        w.seq(&self.kept, |k, w| {
-            w.u32(k.index);
-            w.u64(k.execs);
-            w.u64(k.hits);
-        });
-        w.seq(&self.added, encode_corpus_entry);
-        w.seq(&self.crashes, |(title, count, cve), w| {
-            encode_crash(title, *count, cve.as_deref(), w);
-        });
-        w.seq(&self.seen, encode_signature);
-        w.seq(&self.candidates, encode_triage_entry);
-        w.seq(&self.counts, encode_count);
+        .encode(w);
     }
 
     /// Read one patch (inverse of [`EpochPatch::encode`]).
@@ -480,7 +611,9 @@ impl EpochPatch {
             corpus_rng: r.u64()?,
             corpus_stats: decode_corpus_stats(r)?,
             cov_diff: decode_word_diff(r)?,
-            kept: r.seq(|r| {
+            // A record's size is fixed, so the count is exact: one
+            // list, never regrown, however many entries a corpus keeps.
+            kept: r.seq_of(KEPT_RECORD_BYTES, |r| {
                 Ok(KeptEntry {
                     index: r.u32()?,
                     execs: r.u64()?,
@@ -665,6 +798,106 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
     (base, deltas)
 }
 
+// ---- a range's boundary on the wire ---------------------------------------
+
+/// How a [`DeltaPayload`] encodes its boundary state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaKind {
+    /// Complete per-shard boundary snapshots.
+    Full,
+    /// Increments against the last acked boundary's committed state.
+    Incremental,
+}
+
+/// What one shard range delivers at a boundary — the payload of the
+/// fabric protocol's delta frame, and what [`CampaignMerge::commit`]
+/// installs.
+///
+/// A full payload is always valid and is **mandatory** on a worker's
+/// first boundary after a grant — fresh campaign or lease
+/// reassignment alike — because no baseline has been agreed yet. The
+/// grant tells the worker exactly which committed state the
+/// coordinator holds; every boundary the worker gets acked after that
+/// establishes a shared baseline (the post-import state both sides
+/// hold byte-identically), against which the next boundary ships as
+/// increments.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DeltaPayload {
+    /// One full [`EpochDelta`] per shard of the range, ascending id.
+    Full(Vec<EpochDelta>),
+    /// One [`EpochPatch`] per shard of the range, ascending id,
+    /// against the previous acked boundary.
+    Incremental(Vec<EpochPatch>),
+}
+
+const KIND_FULL: u8 = 0;
+const KIND_INCREMENTAL: u8 = 1;
+
+impl DeltaPayload {
+    /// Which kind of payload this is.
+    #[must_use]
+    pub fn kind(&self) -> DeltaKind {
+        match self {
+            DeltaPayload::Full(_) => DeltaKind::Full,
+            DeltaPayload::Incremental(_) => DeltaKind::Incremental,
+        }
+    }
+
+    /// Number of per-shard records carried.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            DeltaPayload::Full(d) => d.len(),
+            DeltaPayload::Incremental(p) => p.len(),
+        }
+    }
+
+    /// Whether the payload carries no records.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Shard ids of the carried records, in payload order.
+    #[must_use]
+    pub fn shard_ids(&self) -> Vec<u32> {
+        match self {
+            DeltaPayload::Full(d) => d.iter().map(EpochDelta::shard_id).collect(),
+            DeltaPayload::Incremental(p) => p.iter().map(EpochPatch::shard_id).collect(),
+        }
+    }
+
+    /// Write the payload: a kind byte, then the counted records.
+    /// [`LeaseRunner::write_boundary`] writes the same layout from
+    /// live state.
+    pub fn encode(&self, w: &mut Writer<'_>) {
+        match self {
+            DeltaPayload::Full(d) => {
+                w.u8(KIND_FULL);
+                w.seq(d, EpochDelta::encode);
+            }
+            DeltaPayload::Incremental(p) => {
+                w.u8(KIND_INCREMENTAL);
+                w.seq(p, EpochPatch::encode);
+            }
+        }
+    }
+
+    /// Read one payload (inverse of [`DeltaPayload::encode`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on an unknown kind byte or any
+    /// malformed record.
+    pub fn decode(r: &mut Reader<'_>) -> Result<DeltaPayload, DecodeError> {
+        match r.u8()? {
+            KIND_FULL => Ok(DeltaPayload::Full(r.seq(EpochDelta::decode)?)),
+            KIND_INCREMENTAL => Ok(DeltaPayload::Incremental(r.seq(EpochPatch::decode)?)),
+            _ => Err(r.err("unknown delta kind")),
+        }
+    }
+}
+
 // ---- shard-range runner: the worker half, or in process the whole campaign
 
 /// A contiguous range of shards stepped one epoch at a time, with the
@@ -677,6 +910,10 @@ pub struct LeaseRunner {
     config: CampaignConfig,
     pub(crate) states: Vec<ShardState>,
     minimizer: TriageMinimizer,
+    /// Whether the shards carry the mark of an acked boundary
+    /// ([`LeaseRunner::acked`]) — whether the next boundary is written
+    /// as increments.
+    marked: bool,
 }
 
 impl LeaseRunner {
@@ -731,6 +968,7 @@ impl LeaseRunner {
             config: config.clone(),
             states,
             minimizer: TriageMinimizer::new(lowered),
+            marked: false,
         }
     }
 
@@ -754,9 +992,10 @@ impl LeaseRunner {
 
     /// Current boundary snapshots of the range, in shard-id order.
     /// Captured right after the import pass of an acked boundary,
-    /// these are byte-identical to the snapshots the coordinator
-    /// committed for that boundary — the baseline agreement that
-    /// makes [`diff_boundary`] increments safe to ship.
+    /// these are byte-identical to the state the coordinator
+    /// committed for that boundary — the baseline [`diff_boundary`]
+    /// diffs against. Part of the oracle route: a worker marks
+    /// ([`LeaseRunner::acked`]) instead of copying its state.
     #[must_use]
     pub fn snapshots(&self) -> Vec<ShardSnapshot> {
         self.states.iter().map(ShardState::snapshot).collect()
@@ -817,14 +1056,87 @@ impl LeaseRunner {
         )
     }
 
-    /// Run one epoch on every shard of the range and return one
-    /// [`EpochDelta`] per shard, ascending — the boundary's input
-    /// when it closes in another process. The worker holds no
+    /// Run one epoch on every shard of the range, on this thread —
+    /// the first half of a worker's boundary;
+    /// [`LeaseRunner::write_boundary`] is the second.
+    pub fn advance(&mut self, kernel: &VKernel) {
+        self.step(kernel, 1);
+    }
+
+    /// Write the boundary the range just reached
+    /// ([`LeaseRunner::advance`]) as a [`DeltaPayload`] on the wire,
+    /// straight from live state: a kind byte, then one record per
+    /// shard, ascending — [`EpochDelta`]s while the range carries no
+    /// mark (a lease's first boundary), [`EpochPatch`]es against the
+    /// mark afterwards. No shard is copied on the way: the bytes are
+    /// those of the payload the oracle route builds
+    /// ([`LeaseRunner::run_epoch`], then [`diff_boundary`] against the
+    /// [`LeaseRunner::snapshots`] taken where the mark was), for work
+    /// proportional to what the epoch changed. The worker holds no
     /// campaign report, so it minimizes every fresh capture and the
     /// coordinator's admission drops the ones that lose.
+    pub fn write_boundary(&mut self, kernel: &VKernel, w: &mut Writer<'_>) {
+        let nobody = TriageReport::new();
+        let LeaseRunner {
+            states,
+            minimizer,
+            marked,
+            ..
+        } = self;
+        w.u8(if *marked { KIND_INCREMENTAL } else { KIND_FULL });
+        w.seq(states.iter_mut(), |state, w| {
+            let (candidates, counts) =
+                minimizer.drain(kernel, state.id, &mut state.triage, &nobody);
+            let shard = state.view();
+            if !*marked {
+                return encode_delta(shard, &candidates, &counts, w);
+            }
+            // The seen-set grows by one signature per capture, and
+            // the drain just handed every capture since the mark out.
+            let mut seen: Vec<CrashSignature> = candidates.iter().map(|c| c.signature).collect();
+            seen.sort_unstable();
+            PatchView {
+                shard_id: shard.id,
+                epoch: shard.epoch,
+                rng_pick: shard.rng_pick,
+                remaining: shard.remaining,
+                fuel_exhausted: shard.fuel_exhausted,
+                gen_rng: shard.gen_rng,
+                corpus_rng: shard.corpus_rng,
+                corpus_stats: shard.corpus_stats,
+                cov_diff: &state.corpus.coverage_since_mark(),
+                kept: state.corpus.kept_since_mark(),
+                added: state.corpus.added_since_mark(),
+                crashes: state.crashes_since_mark().into_iter(),
+                seen: &seen,
+                candidates: &candidates,
+                counts: &counts,
+            }
+            .encode(w);
+        });
+    }
+
+    /// The boundary was acked with `seeds`: import them
+    /// ([`LeaseRunner::import`]) and mark every shard. The coordinator
+    /// committed exactly this post-import state, so what the range
+    /// changes from here on is what the next boundary's patches must
+    /// say — and the mark is all the shards keep of the baseline.
+    pub fn acked(&mut self, seeds: &[HubSeed]) {
+        self.import(seeds);
+        for state in &mut self.states {
+            state.mark();
+        }
+        self.marked = true;
+    }
+
+    /// Run one epoch on every shard of the range and return one
+    /// [`EpochDelta`] per shard, ascending, each holding a snapshot of
+    /// its shard — the oracle route's boundary
+    /// ([`LeaseRunner::advance`] + [`LeaseRunner::write_boundary`] is
+    /// the live one). Minimizes every fresh capture, like a worker.
     #[must_use]
     pub fn run_epoch(&mut self, kernel: &VKernel) -> Vec<EpochDelta> {
-        self.step(kernel, 1);
+        self.advance(kernel);
         let nobody = TriageReport::new();
         self.states
             .iter_mut()
@@ -868,10 +1180,94 @@ pub struct BoundaryOutcome {
     pub seeds: Vec<HubSeed>,
 }
 
+/// One shard's committed boundary state as the coordinator keeps it:
+/// a [`ShardSnapshot`]'s content with the corpus live, so the boundary
+/// closes over it and a patch lands in it in place.
+struct CommittedShard {
+    id: u32,
+    gen_rng: [u64; 4],
+    corpus: Corpus,
+    crashes: CrashTally,
+    triage_seen: BTreeSet<CrashSignature>,
+    epoch: u64,
+    rng_pick: u64,
+    remaining: u64,
+    fuel_exhausted: u64,
+}
+
+impl CommittedShard {
+    /// A full record's state, moved in.
+    fn install(snap: ShardSnapshot) -> CommittedShard {
+        CommittedShard {
+            id: snap.id,
+            gen_rng: snap.gen_rng,
+            corpus: Corpus::from_parts(
+                CORPUS_CAP,
+                snap.corpus_rng,
+                snap.corpus_coverage,
+                snap.corpus_entries,
+                snap.corpus_stats,
+            ),
+            crashes: snap.crashes,
+            triage_seen: snap.triage_seen,
+            epoch: snap.epoch,
+            rng_pick: snap.rng_pick,
+            remaining: snap.remaining,
+            fuel_exhausted: snap.fuel_exhausted,
+        }
+    }
+
+    /// Apply a patch that [`EpochPatch::fits`] in place — the state
+    /// [`EpochPatch::apply`] rebuilds from a copy — and hand back its
+    /// triage candidates and counts.
+    fn patch(&mut self, p: EpochPatch) -> (Vec<TriageEntry>, Vec<(CrashSignature, u64)>) {
+        self.corpus
+            .apply_patch(p.corpus_rng, p.corpus_stats, p.cov_diff, &p.kept, p.added);
+        for (title, count, cve) in p.crashes {
+            self.crashes.insert(title, (count, cve));
+        }
+        self.triage_seen.extend(p.seen);
+        self.gen_rng = p.gen_rng;
+        self.epoch = p.epoch;
+        self.rng_pick = p.rng_pick;
+        self.remaining = p.remaining;
+        self.fuel_exhausted = p.fuel_exhausted;
+        (p.candidates, p.counts)
+    }
+
+    fn view(&self) -> ShardView<'_> {
+        ShardView {
+            id: self.id,
+            gen_rng: self.gen_rng,
+            corpus_rng: self.corpus.rng_state(),
+            corpus_coverage: self.corpus.coverage(),
+            corpus_entries: self.corpus.entries(),
+            corpus_stats: self.corpus.stats(),
+            crashes: &self.crashes,
+            triage_seen: &self.triage_seen,
+            epoch: self.epoch,
+            rng_pick: self.rng_pick,
+            remaining: self.remaining,
+            fuel_exhausted: self.fuel_exhausted,
+        }
+    }
+
+    /// The shard's share of the campaign result.
+    fn into_result(self) -> WorkerResult {
+        let (coverage, corpus_size) = self.corpus.into_coverage();
+        WorkerResult {
+            coverage,
+            crashes: self.crashes,
+            corpus_size,
+            fuel_exhausted: self.fuel_exhausted,
+        }
+    }
+}
+
 /// The coordinator half of a distributed campaign: the committed
 /// boundary state per shard plus the one `Boundary` every route
-/// closes. [`CampaignMerge::apply_boundary`] feeds that boundary from
-/// the workers' deltas instead of live shards — the same code
+/// closes. [`CampaignMerge::commit`] feeds that boundary from the
+/// workers' payloads instead of live shards — the same code
 /// [`crate::ShardedCampaign`] runs, not a replay of it — without ever
 /// executing a program (no kernel, no lowered IR).
 pub struct CampaignMerge {
@@ -880,7 +1276,7 @@ pub struct CampaignMerge {
     boundary: Boundary,
     /// Last committed boundary state per shard, in shard-id order
     /// (empty until the first boundary commits).
-    committed: Vec<ShardSnapshot>,
+    committed: Vec<CommittedShard>,
     finished: bool,
 }
 
@@ -929,11 +1325,11 @@ impl CampaignMerge {
     }
 
     /// Executions the committed boundaries account for: the
-    /// campaign's total exec budget minus what the committed shard
-    /// snapshots still have remaining. Zero before the first boundary
-    /// commits; equal to `config.execs` once finished. A pure
-    /// function of `(config, shards, boundaries merged)` — identical
-    /// at any worker count — which makes it the deterministic coin a
+    /// campaign's total exec budget minus what the committed shards
+    /// still have remaining. Zero before the first boundary commits;
+    /// equal to `config.execs` once finished. A pure function of
+    /// `(config, shards, boundaries merged)` — identical at any
+    /// worker count — which makes it the deterministic coin a
     /// per-tenant exec budget charges.
     #[must_use]
     pub fn execs_done(&self) -> u64 {
@@ -944,92 +1340,138 @@ impl CampaignMerge {
         self.config.execs.saturating_sub(remaining)
     }
 
-    /// Committed boundary snapshots for shards `lo..hi` — what a
-    /// grant for a reassigned range carries. Empty before the first
-    /// boundary commits (a fresh grant: the worker builds fresh
-    /// states itself).
+    /// Committed boundary snapshots of the shards in `lo..hi`, built
+    /// on demand — what a grant for a reassigned range carries. Empty
+    /// before the first boundary commits (a fresh grant: the worker
+    /// builds fresh states itself), and for a range the campaign has
+    /// no shard in.
     #[must_use]
     pub fn snapshots(&self, lo: u32, hi: u32) -> Vec<ShardSnapshot> {
-        if self.committed.is_empty() {
-            return Vec::new();
-        }
-        self.committed[lo as usize..hi as usize].to_vec()
+        let in_range = self.committed.iter().filter(|s| (lo..hi).contains(&s.id));
+        in_range.map(|s| s.view().to_snapshot()).collect()
     }
 
-    /// Merge one full boundary: exactly one delta per shard, in
-    /// ascending shard-id order, all at boundary `epochs_done + 1`.
-    /// Each delta's candidates and counts go through
-    /// `Boundary::admit_shard`; each delta's corpus is rebuilt
-    /// ([`Corpus::from_parts`], the checkpoint-restore path) and the
-    /// boundary closes over them; what comes out — post-import, the
-    /// capture point of a single-process checkpoint — is committed,
-    /// so a reassigned range restored from here re-enters the loop
-    /// with nothing replayed and nothing lost.
+    /// Check an arriving payload against the committed state, so it
+    /// can be refused while its sender is still known: every patch
+    /// must name a shard that has committed state to patch (none
+    /// before the first boundary) and fit it — `kept` strictly
+    /// ascending and in range, coverage runs inside the decoder's
+    /// bound. A payload that passes cannot fail at
+    /// [`CampaignMerge::commit`] for anything it carries, as long as
+    /// no boundary commits in between. A full payload always passes.
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] when the delta set does not cover
-    /// exactly the configured shards in order (a protocol violation —
-    /// the caller should drop the offending lease, not the campaign).
-    pub fn apply_boundary(
+    /// Returns a [`CheckpointError`] naming the first misfit (a
+    /// protocol violation by the sender).
+    pub fn validate(&self, payload: &DeltaPayload) -> Result<(), CheckpointError> {
+        let DeltaPayload::Incremental(patches) = payload else {
+            return Ok(());
+        };
+        for p in patches {
+            let Some(base) = self.committed.get(p.shard_id as usize) else {
+                return Err(CheckpointError::new(format!(
+                    "patch for shard {}, which has no committed boundary to patch",
+                    p.shard_id
+                )));
+            };
+            p.fits(base.id, base.corpus.len())?;
+        }
+        Ok(())
+    }
+
+    /// Merge one full boundary from the payloads of its shard ranges,
+    /// in range order: together exactly one record per shard, in
+    /// ascending shard-id order, all at boundary `epochs_done + 1`.
+    /// Everything is checked before anything is touched
+    /// ([`CampaignMerge::validate`] again, and the shard cover); then
+    /// each record's candidates and counts go through
+    /// `Boundary::admit_shard` and its state is installed — a full
+    /// record by move, a patch in place — and the boundary closes over
+    /// the committed corpora. What comes out — post-import, the
+    /// capture point of a single-process checkpoint — is the new
+    /// committed state, so a reassigned range restored from here
+    /// re-enters the loop with nothing replayed and nothing lost.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`], with the committed state
+    /// untouched, when the merge is already finished, the records do
+    /// not cover exactly the configured shards in order, or a patch
+    /// does not fit (a protocol violation — the caller should drop
+    /// the offending lease, not the campaign).
+    pub fn commit(
         &mut self,
-        mut deltas: Vec<EpochDelta>,
+        ranges: Vec<DeltaPayload>,
     ) -> Result<BoundaryOutcome, CheckpointError> {
         if self.finished {
             return Err(CheckpointError::new("merge already finished"));
         }
-        if deltas.len() != self.shards_total as usize
-            || deltas
-                .iter()
-                .enumerate()
-                .any(|(i, d)| d.snapshot.id as usize != i)
-        {
+        let ids = ranges.iter().flat_map(DeltaPayload::shard_ids);
+        if !ids.eq(0..self.shards_total) {
             return Err(CheckpointError::new(format!(
                 "boundary delta set inconsistent: {} deltas for {} shards",
-                deltas.len(),
+                ranges.iter().map(DeltaPayload::len).sum::<usize>(),
                 self.shards_total
             )));
         }
-        // The deltas are ours: the corpus parts move into the corpora
-        // and back out into the committed snapshots, never copied.
-        let mut corpora = Vec::with_capacity(deltas.len());
-        for d in &mut deltas {
-            self.boundary
-                .admit_shard(take(&mut d.candidates), take(&mut d.counts));
-            let snap = &mut d.snapshot;
-            corpora.push(Corpus::from_parts(
-                CORPUS_CAP,
-                snap.corpus_rng,
-                take(&mut snap.corpus_coverage),
-                take(&mut snap.corpus_entries),
-                snap.corpus_stats,
-            ));
+        for payload in &ranges {
+            self.validate(payload)?;
+        }
+        Ok(self.commit_checked(ranges))
+    }
+
+    /// [`CampaignMerge::commit`] past its checks: the caller vouches
+    /// that the records cover `0..shards_total` in order and every
+    /// patch fits, so nothing here can fail.
+    fn commit_checked(&mut self, ranges: Vec<DeltaPayload>) -> BoundaryOutcome {
+        for payload in ranges {
+            match payload {
+                DeltaPayload::Full(deltas) => {
+                    for d in deltas {
+                        self.boundary.admit_shard(d.candidates, d.counts);
+                        let shard = CommittedShard::install(d.snapshot);
+                        match self.committed.get_mut(shard.id as usize) {
+                            Some(slot) => *slot = shard,
+                            None => self.committed.push(shard),
+                        }
+                    }
+                }
+                DeltaPayload::Incremental(patches) => {
+                    for p in patches {
+                        if let Some(shard) = self.committed.get_mut(p.shard_id as usize) {
+                            let (candidates, counts) = shard.patch(p);
+                            self.boundary.admit_shard(candidates, counts);
+                        }
+                    }
+                }
+            }
         }
         let retained = self.boundary.close(
-            deltas
-                .iter()
-                .zip(&mut corpora)
-                .map(|(d, corpus)| (d.snapshot.id, d.snapshot.remaining, corpus)),
+            self.committed
+                .iter_mut()
+                .map(|s| (s.id, s.remaining, &mut s.corpus)),
         );
-        self.committed = deltas
-            .into_iter()
-            .zip(corpora)
-            .map(|(d, corpus)| {
-                let mut snap = d.snapshot;
-                (
-                    snap.corpus_rng,
-                    snap.corpus_coverage,
-                    snap.corpus_entries,
-                    snap.corpus_stats,
-                ) = corpus.into_parts();
-                snap
-            })
-            .collect();
         self.finished = retained.is_none();
-        Ok(BoundaryOutcome {
+        BoundaryOutcome {
             finished: self.finished,
             seeds: retained.map_or_else(Vec::new, |r| self.boundary.hub.seeds()[r].to_vec()),
-        })
+        }
+    }
+
+    /// [`CampaignMerge::commit`] of one payload holding a full record
+    /// for every shard — the oracle route's merge, which
+    /// [`reference_run`] and the tests drive.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] when the delta set does not cover
+    /// exactly the configured shards in order.
+    pub fn apply_boundary(
+        &mut self,
+        deltas: Vec<EpochDelta>,
+    ) -> Result<BoundaryOutcome, CheckpointError> {
+        self.commit(vec![DeltaPayload::Full(deltas)])
     }
 
     /// Fold the finished campaign into its result — the same merge,
@@ -1054,7 +1496,7 @@ impl CampaignMerge {
     /// Fold the campaign at its **current committed boundary** —
     /// graceful budget termination. The result is bit-identical to an
     /// unlimited run of the same config halted at the same boundary
-    /// (same fold of the same committed snapshots), with `execs` set
+    /// (same fold of the same committed state), with `execs` set
     /// to [`CampaignMerge::execs_done`]. Delegates to
     /// [`CampaignMerge::finish`] when the final boundary has already
     /// merged.
@@ -1078,11 +1520,11 @@ impl CampaignMerge {
         Ok(self.fold(execs))
     }
 
-    /// The shared result fold: merge the committed snapshots in
+    /// The shared result fold: merge the committed shards in
     /// shard-id order — the same fold, in the same order, as the
     /// single-process `ShardedCampaign`.
     fn fold(self, execs: u64) -> CampaignResult {
-        let parts = self.committed.into_iter().map(ShardSnapshot::into_result);
+        let parts = self.committed.into_iter().map(CommittedShard::into_result);
         CampaignResult::fold(parts, execs, self.boundary.triage)
     }
 }
@@ -1102,8 +1544,10 @@ pub struct ReferenceRun {
 }
 
 /// Drive a whole campaign through [`LeaseRunner`] + [`CampaignMerge`]
-/// in one process — the reference that any fabric execution of the
-/// same config must reproduce bit-identically at any worker count.
+/// in one process, over the oracle route (a snapshot per shard per
+/// boundary, every record full) — the reference that any fabric
+/// execution of the same config must reproduce bit-identically at any
+/// worker count.
 ///
 /// `exec_quota` is a per-campaign exec budget (`None` = unlimited):
 /// after each merged boundary, if the committed
@@ -1121,24 +1565,20 @@ pub fn reference_run(
     exec_quota: Option<u64>,
 ) -> ReferenceRun {
     let mut merge = CampaignMerge::new(config.clone(), shards);
+    let shards = merge.shards_total();
     let mut runner = LeaseRunner::fresh(lowered, config, shards, 0, shards);
     loop {
+        // The runner's own deltas over `0..shards`: nothing to check.
         let deltas = runner.run_epoch(kernel);
-        let outcome = merge.apply_boundary(deltas).expect("reference boundary");
-        if outcome.finished {
-            let boundaries = merge.epochs_done();
+        let outcome = merge.commit_checked(vec![DeltaPayload::Full(deltas)]);
+        let budget_exhausted =
+            !outcome.finished && exec_quota.is_some_and(|quota| merge.execs_done() >= quota);
+        if outcome.finished || budget_exhausted {
+            let execs = merge.execs_done();
             return ReferenceRun {
-                result: merge.finish().expect("reference finished"),
-                boundaries,
-                budget_exhausted: false,
-            };
-        }
-        if exec_quota.is_some_and(|quota| merge.execs_done() >= quota) {
-            let boundaries = merge.epochs_done();
-            return ReferenceRun {
-                result: merge.finish_early().expect("reference early fold"),
-                boundaries,
-                budget_exhausted: true,
+                boundaries: merge.epochs_done(),
+                result: merge.fold(execs),
+                budget_exhausted,
             };
         }
         runner.import(&outcome.seeds);
@@ -1446,6 +1886,194 @@ mod tests {
         // baseline must hand the deltas back for a full frame.
         let (_, deltas) = sample_boundary();
         assert!(diff_boundary(&[], deltas).is_err());
+    }
+
+    /// The committed state as a grant would carry it.
+    fn committed_bytes(merge: &CampaignMerge, shards: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_snapshots(&merge.snapshots(0, shards), &mut Writer::new(&mut out));
+        out
+    }
+
+    /// The payload `runner` writes for the boundary it just reached.
+    fn live_payload(runner: &mut LeaseRunner, kernel: &VKernel) -> (Vec<u8>, DeltaPayload) {
+        let mut bytes = Vec::new();
+        runner.write_boundary(kernel, &mut Writer::new(&mut bytes));
+        let mut r = Reader::new(&bytes);
+        let payload = DeltaPayload::decode(&mut r).expect("the runner's own payload");
+        r.finish().expect("payload consumed");
+        (bytes, payload)
+    }
+
+    #[test]
+    fn the_live_route_writes_the_oracles_bytes_and_commits_the_oracles_state() {
+        // Two runners in step — one on each route — and two merges.
+        // The live runner marks and writes from live state, its merge
+        // validates and patches in place; the oracle pair snapshots,
+        // diffs, rebuilds and installs. Same bytes out, same state in.
+        let (kernel, suite, consts) = dm_setup();
+        let config = cfg(2500, 5);
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let reference = crate::ShardedCampaign::new(&kernel, &suite, &consts, config.clone())
+            .with_shards(3)
+            .run();
+        let mut live = LeaseRunner::fresh(&lowered, &config, 3, 0, 3);
+        let mut oracle = LeaseRunner::fresh(&lowered, &config, 3, 0, 3);
+        let mut merge = CampaignMerge::new(config.clone(), 3);
+        let mut twin = CampaignMerge::new(config.clone(), 3);
+        let mut baseline: Option<Vec<ShardSnapshot>> = None;
+        let mut increments = 0;
+        loop {
+            live.advance(&kernel);
+            let (bytes, payload) = live_payload(&mut live, &kernel);
+            let deltas = oracle.run_epoch(&kernel);
+            let want = match &baseline {
+                Some(base) => {
+                    increments += 1;
+                    DeltaPayload::Incremental(
+                        diff_boundary(base, deltas.clone()).expect("diffable"),
+                    )
+                }
+                None => DeltaPayload::Full(deltas.clone()),
+            };
+            let mut want_bytes = Vec::new();
+            want.encode(&mut Writer::new(&mut want_bytes));
+            assert_eq!(bytes, want_bytes, "boundary {}", merge.epochs_done() + 1);
+            assert_eq!(payload, want);
+
+            merge
+                .validate(&payload)
+                .expect("the worker's own payload fits");
+            let outcome = merge.commit(vec![payload]).expect("commit");
+            let rebuilt = match (want, &baseline) {
+                (DeltaPayload::Incremental(patches), Some(base)) => {
+                    apply_patches(base, patches).expect("apply")
+                }
+                _ => deltas,
+            };
+            let twin_outcome = twin.apply_boundary(rebuilt).expect("oracle merge");
+            assert_eq!(merge.snapshots(0, 3), twin.snapshots(0, 3));
+            assert_eq!(committed_bytes(&merge, 3), committed_bytes(&twin, 3));
+            assert_eq!(outcome.seeds, twin_outcome.seeds);
+            if outcome.finished {
+                break;
+            }
+            live.acked(&outcome.seeds);
+            oracle.import(&outcome.seeds);
+            let snaps = oracle.snapshots();
+            assert_eq!(snaps, merge.snapshots(0, 3), "baseline agreement");
+            baseline = Some(snaps);
+        }
+        assert!(increments >= 2, "the campaign is too short to increment");
+        assert_eq!(merge.finish().expect("finished"), reference);
+    }
+
+    #[test]
+    fn a_misfit_patch_is_refused_and_leaves_the_committed_bytes_alone() {
+        let (kernel, suite, consts) = dm_setup();
+        let config = cfg(1500, 5);
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let mut merge = CampaignMerge::new(config.clone(), 2);
+        let mut runner = LeaseRunner::fresh(&lowered, &config, 2, 0, 2);
+
+        // Boundary 1 ships full; the increments of boundary 2 are the
+        // material. Before anything committed there is nothing to
+        // patch, whatever the patch says.
+        runner.advance(&kernel);
+        let (_, first) = live_payload(&mut runner, &kernel);
+        let outcome = merge.commit(vec![first]).expect("boundary 1");
+        runner.acked(&outcome.seeds);
+        runner.advance(&kernel);
+        let (_, second) = live_payload(&mut runner, &kernel);
+        let DeltaPayload::Incremental(patches) = &second else {
+            panic!("a marked runner ships increments");
+        };
+        assert!(patches[0].kept.len() >= 2, "needs two survivors to swap");
+        let fresh = CampaignMerge::new(config.clone(), 2);
+        assert!(fresh.validate(&second).is_err(), "nothing committed yet");
+        let mut fresh = fresh;
+        assert!(fresh.commit(vec![second.clone()]).is_err());
+        assert!(fresh.snapshots(0, 2).is_empty());
+
+        let before = committed_bytes(&merge, 2);
+        let entries = merge.snapshots(0, 1)[0].corpus_entries.len() as u32;
+        let tamper = |edit: &dyn Fn(&mut Vec<EpochPatch>)| {
+            let mut bad = patches.clone();
+            edit(&mut bad);
+            DeltaPayload::Incremental(bad)
+        };
+        let misfits = [
+            (
+                "kept index out of range",
+                tamper(&|p| p[0].kept[0].index = entries),
+            ),
+            ("kept indices descending", tamper(&|p| p[0].kept.swap(0, 1))),
+            (
+                "kept index repeated",
+                tamper(&|p| p[0].kept[1].index = p[0].kept[0].index),
+            ),
+            (
+                "a shard outside the campaign",
+                tamper(&|p| p[1].shard_id = 5),
+            ),
+            (
+                "a coverage run past the bound",
+                tamper(&|p| {
+                    p[1].cov_diff =
+                        CoverageWordDiff::Sparse(vec![(MAX_COVERAGE_WORDS as u32, vec![1])]);
+                }),
+            ),
+        ];
+        for (what, payload) in misfits {
+            assert!(merge.validate(&payload).is_err(), "{what}: validate");
+            assert!(merge.commit(vec![payload]).is_err(), "{what}: commit");
+            assert_eq!(committed_bytes(&merge, 2), before, "{what}");
+            assert_eq!(merge.epochs_done(), 1, "{what}");
+        }
+        // These fit the shards they name — it is the cover that is
+        // wrong, which only the barrier can see: one shard short, out
+        // of order, one shard twice.
+        let covers = [
+            tamper(&|p| p.truncate(1)),
+            tamper(&|p| p.swap(0, 1)),
+            tamper(&|p| p.push(p[1].clone())),
+        ];
+        for payload in covers {
+            assert!(merge.commit(vec![payload]).is_err());
+            assert_eq!(committed_bytes(&merge, 2), before);
+        }
+        // The untampered payload still commits, split over two ranges
+        // or not.
+        let halves = vec![tamper(&|p| p.truncate(1)), tamper(&|p| drop(p.remove(0)))];
+        merge.commit(halves).expect("the clean patches fit");
+        assert_eq!(merge.epochs_done(), 2);
+        assert_ne!(committed_bytes(&merge, 2), before);
+    }
+
+    #[test]
+    fn committed_snapshots_are_total_over_any_range() {
+        let (kernel, suite, consts) = dm_setup();
+        let config = cfg(600, 2);
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let mut merge = CampaignMerge::new(config.clone(), 3);
+        assert!(merge.snapshots(0, 3).is_empty(), "nothing committed yet");
+        let mut runner = LeaseRunner::fresh(&lowered, &config, 3, 0, 3);
+        let deltas = runner.run_epoch(&kernel);
+        merge.apply_boundary(deltas.clone()).expect("boundary 1");
+        let ids = |lo, hi| -> Vec<u32> { merge.snapshots(lo, hi).iter().map(|s| s.id).collect() };
+        assert_eq!(ids(0, 3), [0, 1, 2]);
+        assert_eq!(ids(1, 2), [1]);
+        assert_eq!(ids(2, 9), [2], "a range past the shard count is clamped");
+        assert_eq!(ids(7, 9), Vec::<u32>::new());
+        assert_eq!(ids(2, 1), Vec::<u32>::new());
+        // A zero-shard reference is the one-shard campaign, as it is
+        // for `ShardedCampaign`; it used to panic.
+        let one = reference_run(&kernel, &lowered, &config, 1, None);
+        let none = reference_run(&kernel, &lowered, &config, 0, None);
+        assert_eq!(one.result, none.result);
     }
 
     #[test]

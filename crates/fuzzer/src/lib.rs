@@ -46,8 +46,11 @@
 //!   crashes;
 //! * [`fabric`] — the deterministic halves of a distributed campaign:
 //!   [`fabric::LeaseRunner`] steps a contiguous shard range on a
-//!   worker and [`fabric::CampaignMerge`] folds per-shard
-//!   [`fabric::EpochDelta`]s in shard-id order on a coordinator, so
+//!   worker and writes each boundary from live state, and
+//!   [`fabric::CampaignMerge`] commits the per-shard records — full
+//!   [`fabric::EpochDelta`]s or incremental [`fabric::EpochPatch`]es,
+//!   patched into its committed state in place — in shard-id order
+//!   on a coordinator, so
 //!   the merged result is bit-identical to a single-process
 //!   [`ShardedCampaign`] (the `kgpt-fabric` crate adds the protocol:
 //!   leases, transports, framing);

@@ -413,12 +413,7 @@ impl<'a> Reader<'a> {
     ///
     /// Fails on truncated input or a count past its end.
     pub fn u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
-        let n = self.count(8)?;
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(self.u64()?);
-        }
-        Ok(words)
+        self.seq_of(8, Self::u64)
     }
 
     /// A counted list, each item through `f` (every encoded item is
@@ -434,6 +429,29 @@ impl<'a> Reader<'a> {
     ) -> Result<Vec<T>, DecodeError> {
         let n = self.count(1)?;
         let mut items = Vec::new();
+        for _ in 0..n {
+            items.push(f(self)?);
+        }
+        Ok(items)
+    }
+
+    /// [`Reader::seq`] for items that encode to at least `item_bytes`
+    /// each: the count is checked against that, so the list can be
+    /// allocated once at its final length instead of grown — the
+    /// input still pays for every byte of it, to within the ratio of
+    /// `T`'s size to `item_bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a count past the end of the input, or as `f` does.
+    #[inline]
+    pub fn seq_of<T>(
+        &mut self,
+        item_bytes: usize,
+        mut f: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.count(item_bytes.max(1))?;
+        let mut items = Vec::with_capacity(n);
         for _ in 0..n {
             items.push(f(self)?);
         }
@@ -462,15 +480,28 @@ impl<'a> Reader<'a> {
 #[must_use]
 pub fn frame(magic: &[u8], version: u32, payload: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
     let mut out = Vec::new();
+    frame_into(&mut out, magic, version, payload);
+    out
+}
+
+/// [`frame`] into a buffer its caller keeps: `out` is cleared, not
+/// freed, so a sender that frames one message after another of about
+/// the same size stops allocating for them.
+pub fn frame_into(
+    out: &mut Vec<u8>,
+    magic: &[u8],
+    version: u32,
+    payload: impl FnOnce(&mut Writer<'_>),
+) {
+    out.clear();
     out.extend_from_slice(magic);
-    let mut w = Writer::new(&mut out);
+    let mut w = Writer::new(out);
     w.u32(version);
     w.u64(0); // checksum slot
     payload(&mut w);
     let header = magic.len() + 12;
     let sum = checksum(&out[header..]);
     out[header - 8..header].copy_from_slice(&sum.to_le_bytes());
-    out
 }
 
 /// Validate and strip the envelope [`frame`] wrote, returning the

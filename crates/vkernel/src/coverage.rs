@@ -281,13 +281,24 @@ impl CoverageMap {
     #[must_use]
     pub fn diff_words_since(&self, base: &CoverageMap) -> CoverageWordDiff {
         let (new_words, old_words) = (self.words(), base.words());
+        let word = |words: &[u64], i: usize| words.get(i).copied().unwrap_or(0);
+        self.diff_words_at(
+            (0..new_words.len().max(old_words.len()))
+                .filter(|&i| word(new_words, i) != word(old_words, i)),
+        )
+    }
+
+    /// [`CoverageMap::diff_words_since`] for a caller that already
+    /// knows *which* words differ from the base's — `changed`, their
+    /// indices in ascending order — and so needs no base to compare
+    /// against: the same runs, the same sparse-or-dense choice, for
+    /// work proportional to the change.
+    #[must_use]
+    pub fn diff_words_at(&self, changed: impl IntoIterator<Item = usize>) -> CoverageWordDiff {
+        let new_words = self.words();
         let mut runs: Vec<(u32, Vec<u64>)> = Vec::new();
-        for i in 0..new_words.len().max(old_words.len()) {
+        for i in changed {
             let new = new_words.get(i).copied().unwrap_or(0);
-            let old = old_words.get(i).copied().unwrap_or(0);
-            if new == old {
-                continue;
-            }
             match runs.last_mut() {
                 Some((start, words)) if *start as usize + words.len() == i => words.push(new),
                 _ => runs.push((u32::try_from(i).unwrap_or(u32::MAX), vec![new])),
@@ -320,6 +331,39 @@ impl CoverageMap {
                 }
                 CoverageMap::from_words(words)
             }
+        }
+    }
+
+    /// [`CoverageMap::apply_word_diff`] in place: afterwards `self` is
+    /// the map that call would have returned, [`CoverageMap::words`]
+    /// included, for work proportional to the diff — nothing is copied
+    /// but the words that changed.
+    pub fn patch_words(&mut self, diff: CoverageWordDiff) {
+        match diff {
+            CoverageWordDiff::Dense(words) => *self = CoverageMap::from_words(words),
+            CoverageWordDiff::Sparse(runs) => {
+                for (start, run) in runs {
+                    let start = start as usize;
+                    self.reach(start + run.len());
+                    for (w, bits) in (start..).zip(run) {
+                        self.set_word(w, bits);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replace word `w` (inside the span) with `bits`, keeping the
+    /// live index and the count. A diff between two states of one
+    /// growing map only ever adds bits; one that takes a word back to
+    /// zero is a stranger's, and pays a scan of the index for it.
+    fn set_word(&mut self, w: usize, bits: u64) {
+        let old = std::mem::replace(&mut self.words[w], bits);
+        self.count = self.count - old.count_ones() as usize + bits.count_ones() as usize;
+        match (old == 0, bits == 0) {
+            (true, false) => self.live.push(w as u32),
+            (false, true) => self.live.retain(|&l| l as usize != w),
+            _ => {}
         }
     }
 }
@@ -783,7 +827,19 @@ mod tests {
             ma.fresh().diff_words_since(&mb.fresh()),
             "{ctx}: diff_words_since"
         );
-        assert_eq!(b.apply_word_diff(&diff), *a, "{ctx}: apply");
+        let applied = b.apply_word_diff(&diff);
+        assert_eq!(applied, *a, "{ctx}: apply");
+        // The diff of a caller that knows the changed words, and the
+        // patch in place, are the same diff and the same map.
+        let word = |m: &CoverageMap, i: usize| m.words().get(i).copied().unwrap_or(0);
+        let changed =
+            (0..a.words().len().max(b.words().len())).filter(|&i| word(a, i) != word(b, i));
+        assert_eq!(a.diff_words_at(changed), diff, "{ctx}: diff_words_at");
+        let mut patched = b.clone();
+        patched.patch_words(diff);
+        let mut model = ma.clone();
+        model.span = applied.words().len();
+        assert_models(&patched, &model, &format!("{ctx}: patch_words"));
     }
 
     #[test]

@@ -24,19 +24,27 @@
 //! events per exec — which it could not if anything on its path
 //! unpacked a pointee's tree.
 //!
+//! The fabric's blocking path is held to the same kind of count: past
+//! the boundary where admissions stop, writing a boundary from live
+//! state, marking it, decoding, validating and committing it in place
+//! cost a fixed number of events — the same with four times the
+//! corpus, where one snapshot set costs events in proportion.
+//!
 //! Events are counted per thread, so the tests of this binary (and
 //! libtest's own threads) run in parallel without seeing each other.
 
 use kernelgpt::csrc::blueprint::Blueprint;
 use kernelgpt::csrc::{deepchain, KernelCorpus};
+use kernelgpt::fabric::{DeltaPayload, Message};
 use kernelgpt::fuzzer::{
     ast_execute_with, execute_with, AstGenerator, AstScratch, Campaign, CampaignConfig,
-    ExecScratch, Generator, Program,
+    CampaignMerge, ExecScratch, Generator, HubSeed, LeaseRunner, Program,
 };
-use kernelgpt::syzlang::{LoweredDb, SpecDb, Value};
+use kernelgpt::syzlang::{LoweredDb, SpecCache, SpecDb, Value};
 use kernelgpt::vkernel::VKernel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 use std::sync::Arc;
 
 /// Counts the calling thread's allocation events (alloc + realloc);
@@ -349,4 +357,193 @@ fn a_dm_campaign_never_unpacks_a_pointee() {
     println!("dm campaign: {per_exec:.1} allocation events per exec");
     assert_eq!(result.execs, EXECS);
     assert!(per_exec < 32.0, "{per_exec:.1} allocation events per exec");
+}
+
+/// What one incremental boundary carries, read back from its frame.
+#[derive(Debug, Default, Clone, Copy)]
+struct PatchLoad {
+    /// Survivors named (20 bytes each, no allocation).
+    kept: usize,
+    /// Corpus entries and triage candidates: programs, the dear part.
+    programs: usize,
+    /// What decoding its records costs: a string for a tally record's
+    /// title and one for its CVE, and the growth of each shard's list
+    /// of observation counts and of tally records.
+    record_events: u64,
+}
+
+/// Allocator events of pushing `n` items onto a `Vec::new()`, as a
+/// counted list is decoded: none for none, then 4, 8, 16, ... slots.
+fn pushes(n: usize) -> u64 {
+    let (mut cap, mut events) = (0, 0);
+    while cap < n {
+        cap = (2 * cap).max(4);
+        events += 1;
+    }
+    events
+}
+
+fn patch_load(frame: &[u8]) -> Option<PatchLoad> {
+    let Ok(Message::Delta { deltas, .. }) = Message::from_frame(frame) else {
+        panic!("the worker's own frame does not decode");
+    };
+    let DeltaPayload::Incremental(patches) = deltas else {
+        return None;
+    };
+    let mut load = PatchLoad::default();
+    for p in &patches {
+        load.kept += p.kept.len();
+        load.programs += p.added.len() + p.candidates.len();
+        let strings = |(_, _, cve): &(String, u64, Option<String>)| 1 + u64::from(cve.is_some());
+        load.record_events += p.crashes.iter().map(strings).sum::<u64>();
+        load.record_events += pushes(p.crashes.len()) + pushes(p.counts.len());
+        // No admission, no coverage: nothing here allocates per word.
+        assert!(!p.added.is_empty() || p.cov_diff.is_empty());
+    }
+    Some(load)
+}
+
+/// A deep-chain campaign through the two halves of the fabric's
+/// blocking path — the worker writing each boundary from its live
+/// shards and marking them on the ack, the coordinator decoding,
+/// validating and committing in place — with every shard's corpus
+/// padded, before the lease's first (full) frame, by `inert` entries
+/// that claim blocks no program reaches: the corpus a longer campaign
+/// over a larger kernel would hold, with the epochs of this one.
+/// Returns, for every *converged* boundary of the second half (nothing
+/// admitted, captured or exchanged): `(load, worker events, coordinator
+/// events, events of one snapshot set)`, the last being what the
+/// snapshot route paid four times a boundary.
+fn converged_boundary_costs(inert: u64) -> Vec<(PatchLoad, u64, u64, u64)> {
+    const SHARDS: u32 = 8;
+    const BOUNDARIES: u64 = 40;
+    let kc = KernelCorpus::from_blueprints(deepchain::suite());
+    let suite: Vec<_> = kc
+        .blueprints()
+        .iter()
+        .map(Blueprint::ground_truth_spec)
+        .collect();
+    let kernel = VKernel::boot(deepchain::suite());
+    let db = SpecCache::global().get_or_build(&suite);
+    let lowered = SpecCache::global().get_or_lower(&db, kc.consts());
+    let config = CampaignConfig {
+        execs: 128 * u64::from(SHARDS) * BOUNDARIES,
+        seed: 3,
+        max_prog_len: 12,
+        hub_epoch: 128,
+        hub_top_k: 4,
+        trace_ring: 0,
+        ..CampaignConfig::default()
+    };
+    // One block each, far above the four strata the kernel booted.
+    let mut g = Generator::from_lowered(Arc::clone(&lowered), 77);
+    let padding: Vec<HubSeed> = (0..inert)
+        .map(|i| HubSeed {
+            shard: u32::MAX,
+            program: g.gen_program(4),
+            contributed: [64 * 4096 + 3 * i].into_iter().collect(),
+        })
+        .collect();
+
+    let mut runner = LeaseRunner::fresh(&lowered, &config, SHARDS, 0, SHARDS);
+    let mut merge = CampaignMerge::new(config.clone(), SHARDS);
+    let mut frame = Vec::new();
+    let mut costs = Vec::new();
+    loop {
+        let boundary = merge.epochs_done() + 1;
+        runner.advance(&kernel);
+        if boundary == 1 {
+            runner.import(&padding);
+        }
+        let before = events();
+        Message::write_delta_frame(&mut frame, 0, 1, boundary, |w| {
+            runner.write_boundary(&kernel, w);
+        });
+        let wrote = events() - before;
+        let load = patch_load(&frame);
+
+        let before = events();
+        let Ok(Message::Delta { deltas, .. }) = Message::from_frame(&frame) else {
+            panic!("the worker's own frame does not decode");
+        };
+        merge
+            .validate(&deltas)
+            .expect("the worker's own payload fits");
+        let outcome = merge.commit(vec![deltas]).expect("commit");
+        let committed = events() - before;
+        if outcome.finished {
+            return costs;
+        }
+        let before = events();
+        runner.acked(&outcome.seeds);
+        let marked = events() - before;
+
+        let before = events();
+        drop(black_box(runner.snapshots()));
+        let snapshot = events() - before;
+        match load {
+            Some(load)
+                if boundary > BOUNDARIES / 2 && load.programs == 0 && outcome.seeds.is_empty() =>
+            {
+                costs.push((load, wrote + marked, committed, snapshot));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Past the boundary where admissions stop, a fabric boundary costs a
+/// fixed number of allocator events on either side — a couple per
+/// shard on the worker (the drained counts, the tally records that
+/// moved), the decoded records on the coordinator — whatever the
+/// corpus holds: the same at four times the corpus, where one snapshot
+/// set (the snapshot route took two on the worker and two on the
+/// coordinator every boundary) costs four times the events.
+#[test]
+fn a_converged_fabric_boundary_allocates_for_what_changed_not_for_the_corpus() {
+    const SHARDS: u64 = 8;
+    let summarize = |inert: u64| {
+        let costs = converged_boundary_costs(inert);
+        assert!(
+            costs.len() >= 8,
+            "only {} converged boundaries",
+            costs.len()
+        );
+        for (load, worker, coordinator, _) in &costs {
+            // Per shard: the counts it drained and the tally records
+            // that moved, each one `Vec`.
+            assert!(*worker <= 2 * SHARDS, "{load:?}: {worker} worker events");
+            // Its records aside: the list of patches, each shard's
+            // list of survivors — allocated once, at its length — and
+            // the commit's own three.
+            let fixed = coordinator - load.record_events;
+            assert!(
+                fixed <= pushes(SHARDS as usize) + SHARDS + 3,
+                "{load:?}: {coordinator} coordinator events"
+            );
+        }
+        let kept = costs.iter().map(|c| c.0.kept).min().expect("non-empty");
+        let worker = costs.iter().map(|c| c.1).max().expect("non-empty");
+        let coordinator = costs.iter().map(|c| c.2 - c.0.record_events);
+        let coordinator = coordinator.max().expect("non-empty");
+        let snapshot = costs.iter().map(|c| c.3).min().expect("non-empty");
+        println!(
+            "{} converged boundaries at {kept} entries: worker <= {worker}, coordinator <= \
+             {coordinator} + its decoded records, one snapshot set >= {snapshot} events",
+            costs.len()
+        );
+        (kept, worker, coordinator, snapshot)
+    };
+    let (kept, worker, coordinator, snapshot) = summarize(0);
+    // Three more entries per shard for each one it finds itself.
+    let (kept_x4, worker_x4, coordinator_x4, snapshot_x4) = summarize(46);
+    assert!(kept_x4 >= 4 * kept, "{kept_x4} entries against {kept}");
+    assert_eq!(worker_x4, worker, "the worker's cost moved with the corpus");
+    assert_eq!(
+        coordinator_x4, coordinator,
+        "the coordinator's cost moved with the corpus"
+    );
+    assert!(snapshot >= 2 * kept as u64, "a snapshot copies every entry");
+    // (The padding's programs are short: fewer events an entry.)
+    assert!(snapshot_x4 >= 2 * snapshot, "and grows with the corpus");
 }
