@@ -282,22 +282,38 @@ fn deep_chain_sections(report: &mut Report, execs: u64) -> DeepChain {
     dc
 }
 
-/// `generation`: parallel `generate_all` is thread-count invariant.
+/// `generation`: parallel `generate_all` is thread-count invariant,
+/// a model that has already served a pass answers the next one the
+/// same, and how much of the code a pass shows its model it has to
+/// parse (Algorithm 1 re-sends what it gathered at every stage).
 fn generation_section(report: &mut Report) {
     let kc = KernelCorpus::flagship_only();
     let handlers = find_handlers(kc.corpus());
-    let model = OracleModel::new(ModelKind::Gpt4, 0);
-    let generate = |threads: usize| {
-        KernelGpt::new(&model, kc.corpus())
+    let fresh = || OracleModel::new(ModelKind::Gpt4, 0);
+    let generate = |model: &OracleModel, threads: usize| {
+        KernelGpt::new(model, kc.corpus())
             .with_threads(threads)
             .generate_all(&handlers, kc.consts())
     };
-    let reference = generate(1);
+    let model = fresh();
+    let reference = generate(&model, 1);
+    let (usage, reading) = (model.meter().snapshot(), model.reading());
     report.section("generation");
     report.label("workload", "flagship corpus, oracle gpt-4, seed 0");
     report.count("handlers", handlers.len());
     report.count("valid_count", reference.valid_count());
-    report.flag("bit_identical", reference == generate(8));
+    report.flag("bit_identical", reference == generate(&fresh(), 8));
+    report.count("requests", usage.requests);
+    report.count("prompt_tokens", usage.input_tokens);
+    report.count("syscalls_described", reference.total_syscalls());
+    report.count("source_bytes_shown", reading.shown_bytes);
+    report.count("source_bytes_parsed", reading.parsed_bytes);
+    report.ratio(
+        "reread_ratio",
+        reading.shown_bytes as f64 / reading.parsed_bytes as f64,
+        2,
+    );
+    report.flag("warm_model_identical", reference == generate(&model, 1));
 }
 
 /// The 2 000-step stream (one fresh program, three mutants, repeat)

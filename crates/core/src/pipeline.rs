@@ -1,16 +1,16 @@
 //! The KernelGPT pipeline: Algorithm 1 + staged analyses + repair.
 
 use crate::assemble::assemble_spec;
+use kgpt_csrc::ast::{CFile, CItemKind};
 use kgpt_csrc::Corpus;
 use kgpt_extractor::{extract_code, HandlerKind, OpHandler};
 use kgpt_llm::oracle::prefix_of_ops_var;
-use kgpt_llm::protocol::{Fact, Prompt, Task};
+use kgpt_llm::protocol::{ArgSig, Fact, PromptRef, Task};
 use kgpt_llm::{ChatRequest, LanguageModel};
 use kgpt_syzlang::{ConstDb, SpecCache, SpecFile};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Iteration cap of Algorithm 1 (paper default: 5).
 pub const MAX_ITER: usize = 5;
@@ -212,9 +212,9 @@ impl<'a> KernelGpt<'a> {
 
     /// Run `f` over indices `0..n` on the configured worker threads
     /// and return the results in index order. Each index is one
-    /// logical shard pulled from a shared atomic counter; slot `i`
-    /// only ever receives result `i`, so the merge is deterministic
-    /// regardless of which thread computed what.
+    /// logical shard pulled from a shared atomic counter and handed
+    /// back with its result, so the merge is deterministic regardless
+    /// of which thread computed what. A panic in `f` is re-raised here.
     fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -228,28 +228,28 @@ impl<'a> KernelGpt<'a> {
         if threads <= 1 {
             return (0..n).map(f).collect();
         }
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(i);
-                    *slots[i].lock().expect("generation slot poisoned") = Some(r);
-                });
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break done;
+                }
+                done.push((i, f(i)));
             }
+        };
+        let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            let joined = workers.into_iter().flat_map(|w| match w.join() {
+                Ok(done) => done,
+                Err(panic) => std::panic::resume_unwind(panic),
+            });
+            joined.collect()
         });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("generation slot poisoned")
-                    .expect("shard ran")
-            })
-            .collect()
+        // Every index below `n` was handed out exactly once.
+        done.sort_unstable_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     fn validate_merged(&self, outcomes: &mut [HandlerOutcome], consts: &ConstDb) {
@@ -314,39 +314,41 @@ impl<'a> KernelGpt<'a> {
         self.generate_with_task_errors(handler, attempt, &[])
     }
 
-    fn generate_with_task_errors(
-        &self,
-        handler: &OpHandler,
+    fn generate_with_task_errors<'s>(
+        &'s self,
+        handler: &'s OpHandler,
         attempt: u32,
         errors: &[String],
     ) -> HandlerOutcome {
         let mut queries = 0usize;
         let mut facts: Vec<Fact> = Vec::new();
-        let mut sources = self.initial_sources(handler);
+        let mut sources = Sources::default();
+        let (target, entry) = self.entry_point(handler);
+        sources.extend(entry);
         let usage = self.usage_sources(handler);
+        // What every prompt of this handler says besides its stage.
+        let base = PromptRef {
+            handler_var: Some(&handler.ops_var),
+            errors,
+            ..PromptRef::default()
+        };
 
         // ---- Stage 1: identifier deduction (Algorithm 1) ----
-        let target = match handler.kind {
-            HandlerKind::Driver => handler.ioctl_fn.clone(),
-            HandlerKind::Socket => handler.setsockopt_fn.clone(),
-        };
         let mut iterations = 0usize;
         let mut fetched: BTreeSet<String> = BTreeSet::new();
         for _ in 0..self.max_iter {
             iterations += 1;
-            let prompt = Prompt {
+            let prompt = PromptRef {
                 task: Some(if errors.is_empty() {
                     Task::Identifier
                 } else {
                     Task::Repair
                 }),
-                target_func: target.clone(),
-                handler_var: Some(handler.ops_var.clone()),
-                want_structs: vec![],
-                source: sources.clone(),
-                usage: usage.clone(),
-                known: facts.clone(),
-                errors: errors.to_vec(),
+                target_func: target,
+                source: &sources.texts,
+                usage: &usage,
+                known: &facts,
+                ..base
             };
             let resp = self.chat(&prompt, attempt);
             queries += 1;
@@ -363,7 +365,7 @@ impl<'a> KernelGpt<'a> {
             .iter()
             .filter_map(|f| match f {
                 Fact::Ident {
-                    arg: kgpt_llm::protocol::ArgSig::StructPtr(c),
+                    arg: ArgSig::StructPtr(c),
                     ..
                 } => Some(c.clone()),
                 _ => None,
@@ -375,7 +377,13 @@ impl<'a> KernelGpt<'a> {
         }
         // Gather macros from the handler's file so flag sets resolve,
         // plus the per-command handler functions for role inference.
-        self.add_file_macros(handler, &mut sources);
+        if let Some(file) = self.file_of(handler) {
+            let macros = file
+                .items
+                .iter()
+                .filter(|i| matches!(i.kind, CItemKind::Macro(_)));
+            sources.extend(macros.map(|i| i.text.as_str()));
+        }
         for f in &facts {
             if let Fact::Ident {
                 handler: Some(hf), ..
@@ -391,15 +399,13 @@ impl<'a> KernelGpt<'a> {
             for w in &wants {
                 self.fetch(w, &mut sources, &mut fetched);
             }
-            let prompt = Prompt {
+            let want_structs: Vec<&str> = wants.iter().map(String::as_str).collect();
+            let prompt = PromptRef {
                 task: Some(Task::Types),
-                target_func: None,
-                handler_var: Some(handler.ops_var.clone()),
-                want_structs: wants.iter().cloned().collect(),
-                source: sources.clone(),
-                usage: vec![],
-                known: facts.clone(),
-                errors: errors.to_vec(),
+                want_structs: &want_structs,
+                source: &sources.texts,
+                known: &facts,
+                ..base
             };
             let resp = self.chat(&prompt, attempt);
             queries += 1;
@@ -428,15 +434,13 @@ impl<'a> KernelGpt<'a> {
         }
 
         // ---- Stage 3: dependency analysis ----
-        let prompt = Prompt {
+        let prompt = PromptRef {
             task: Some(Task::Dependency),
-            target_func: target.clone(),
-            handler_var: Some(handler.ops_var.clone()),
-            want_structs: vec![],
-            source: sources.clone(),
-            usage: usage.clone(),
-            known: facts.clone(),
-            errors: errors.to_vec(),
+            target_func: target,
+            source: &sources.texts,
+            usage: &usage,
+            known: &facts,
+            ..base
         };
         let resp = self.chat(&prompt, attempt);
         queries += 1;
@@ -458,23 +462,16 @@ impl<'a> KernelGpt<'a> {
     fn generate_all_in_one(&self, handler: &OpHandler, attempt: u32) -> HandlerOutcome {
         // Stuff *everything* related into one prompt: the entire source
         // file of the handler. Big drivers overflow the context window.
-        let mut sources = Vec::new();
-        if let Some(file) = self.corpus.files().iter().find(|f| f.name == handler.file) {
-            sources.extend(file.items.iter().map(|i| i.text.clone()));
-        }
-        let target = match handler.kind {
-            HandlerKind::Driver => handler.ioctl_fn.clone(),
-            HandlerKind::Socket => handler.setsockopt_fn.clone(),
-        };
-        let prompt = Prompt {
+        let file = self.file_of(handler);
+        let items = file.iter().flat_map(|f| &f.items);
+        let sources: Vec<&str> = items.map(|i| i.text.as_str()).collect();
+        let prompt = PromptRef {
             task: Some(Task::AllInOne),
-            target_func: target,
-            handler_var: Some(handler.ops_var.clone()),
-            want_structs: vec![],
-            source: sources,
-            usage: self.usage_sources(handler),
-            known: vec![],
-            errors: vec![],
+            target_func: self.entry_point(handler).0,
+            handler_var: Some(&handler.ops_var),
+            source: &sources,
+            usage: &self.usage_sources(handler),
+            ..PromptRef::default()
         };
         let resp = self.chat(&prompt, attempt);
         let facts = kgpt_llm::protocol::parse_facts(&resp);
@@ -491,95 +488,113 @@ impl<'a> KernelGpt<'a> {
         }
     }
 
-    fn chat(&self, prompt: &Prompt, attempt: u32) -> String {
+    fn chat(&self, prompt: &PromptRef<'_>, attempt: u32) -> String {
         let mut req = ChatRequest::new(prompt.render());
         req.attempt = attempt;
         self.model.chat(&req).text
     }
 
-    fn initial_sources(&self, handler: &OpHandler) -> Vec<String> {
-        let mut out = Vec::new();
-        let entry = match handler.kind {
+    /// The function a handler's commands enter through, and its source
+    /// where the corpus has it.
+    fn entry_point<'s>(&'s self, handler: &'s OpHandler) -> (Option<&'s str>, Option<&'s str>) {
+        let name = match handler.kind {
             HandlerKind::Driver => handler.ioctl_fn.as_deref(),
             HandlerKind::Socket => handler.setsockopt_fn.as_deref(),
         };
-        if let Some(f) = entry.and_then(|n| extract_code(self.corpus, n)) {
-            out.push(f.to_string());
-        }
-        out
+        (name, name.and_then(|n| extract_code(self.corpus, n)))
     }
 
-    fn usage_sources(&self, handler: &OpHandler) -> Vec<String> {
-        let mut usage = handler.usage.clone();
-        if let Some(def) = extract_code(self.corpus, &handler.ops_var) {
-            usage.push(def.to_string());
-        }
-        usage
+    fn usage_sources<'s>(&'s self, handler: &'s OpHandler) -> Vec<&'s str> {
+        let own = handler.usage.iter().map(String::as_str);
+        own.chain(extract_code(self.corpus, &handler.ops_var))
+            .collect()
     }
 
-    fn add_file_macros(&self, handler: &OpHandler, sources: &mut Vec<String>) {
-        if let Some(file) = self.corpus.files().iter().find(|f| f.name == handler.file) {
-            for item in &file.items {
-                if matches!(item.kind, kgpt_csrc::ast::CItemKind::Macro(_))
-                    && !sources.contains(&item.text)
-                {
-                    sources.push(item.text.clone());
-                }
-            }
-        }
+    /// The source file a handler was found in.
+    fn file_of(&self, handler: &OpHandler) -> Option<&'a CFile> {
+        let files = self.corpus.files().iter();
+        files.map(|f| &**f).find(|f| f.name == handler.file)
     }
 
-    fn fetch(&self, name: &str, sources: &mut Vec<String>, fetched: &mut BTreeSet<String>) -> bool {
-        if !fetched.insert(name.to_string()) {
-            return false;
-        }
-        if let Some(code) = extract_code(self.corpus, name) {
-            if !sources.iter().any(|s| s == code) {
-                sources.push(code.to_string());
-                return true;
-            }
-        }
-        false
+    /// `ExtractCode(name)`, once per name; says whether it showed
+    /// anything new.
+    fn fetch<'s>(
+        &'s self,
+        name: &str,
+        sources: &mut Sources<'s>,
+        fetched: &mut BTreeSet<String>,
+    ) -> bool {
+        fetched.insert(name.to_string())
+            && extract_code(self.corpus, name).is_some_and(|code| sources.push(code))
     }
 
     /// Fetch code for every UNKNOWN target; returns how many new pieces
     /// of source were added.
-    fn fetch_unknowns(
-        &self,
+    fn fetch_unknowns<'s>(
+        &'s self,
         facts: &[Fact],
-        sources: &mut Vec<String>,
+        sources: &mut Sources<'s>,
         fetched: &mut BTreeSet<String>,
     ) -> usize {
-        let mut added = 0;
-        for f in facts {
-            let name = match f {
-                Fact::UnknownFunc { name, .. } | Fact::UnknownVar { name, .. } => {
-                    Some(name.as_str())
-                }
-                Fact::UnknownStruct(n) => Some(n.as_str()),
-                _ => None,
-            };
-            if let Some(n) = name {
-                if self.fetch(n, sources, fetched) {
-                    added += 1;
-                }
-            }
-        }
-        added
+        let names = facts.iter().filter_map(|f| match f {
+            Fact::UnknownFunc { name, .. } | Fact::UnknownVar { name, .. } => Some(name.as_str()),
+            Fact::UnknownStruct(n) => Some(n.as_str()),
+            _ => None,
+        });
+        names.filter(|n| self.fetch(n, sources, fetched)).count()
     }
 }
 
-fn fact_key(f: &Fact) -> Option<String> {
+/// The code a handler's prompts show: item texts borrowed from the
+/// corpus, in the order they were first added, each text once.
+#[derive(Default)]
+struct Sources<'s> {
+    texts: Vec<&'s str>,
+    seen: BTreeSet<&'s str>,
+}
+
+impl<'s> Sources<'s> {
+    /// Add a text unless it is already shown; says whether it was new.
+    fn push(&mut self, text: &'s str) -> bool {
+        let new = self.seen.insert(text);
+        if new {
+            self.texts.push(text);
+        }
+        new
+    }
+
+    fn extend(&mut self, texts: impl IntoIterator<Item = &'s str>) {
+        for text in texts {
+            self.push(text);
+        }
+    }
+}
+
+/// What makes two facts the same statement, of which the later stands.
+#[derive(PartialEq)]
+enum FactKey<'f> {
+    DevPath,
+    Socket,
+    SockCall(&'f str),
+    Transform,
+    Ident(&'f str),
+    Type(&'f str),
+    Flags(&'f str),
+    Resource(&'f str),
+    Dep(&'f str),
+}
+
+fn fact_key(f: &Fact) -> Option<FactKey<'_>> {
     Some(match f {
-        Fact::DevPath(_) => "devpath".to_string(),
-        Fact::Socket { .. } => "socket".to_string(),
-        Fact::SockCallFn { call, .. } => format!("sockcall:{call}"),
-        Fact::Transform { .. } => "transform".to_string(),
-        Fact::Ident { name, .. } => format!("ident:{name}"),
-        Fact::SyzType { c_name, .. } => format!("type:{c_name}"),
-        Fact::FlagSet { name, .. } => format!("flags:{name}"),
-        Fact::ResourceDef { name } => format!("res:{name}"),
-        Fact::CreatesFd { cmd, .. } => format!("dep:{cmd}"),
+        Fact::DevPath(_) => FactKey::DevPath,
+        Fact::Socket { .. } => FactKey::Socket,
+        Fact::SockCallFn { call, .. } => FactKey::SockCall(call),
+        Fact::Transform { .. } => FactKey::Transform,
+        Fact::Ident { name, .. } => FactKey::Ident(name),
+        Fact::SyzType { c_name, .. } => FactKey::Type(c_name),
+        Fact::FlagSet { name, .. } => FactKey::Flags(name),
+        Fact::ResourceDef { name } => FactKey::Resource(name),
+        Fact::CreatesFd { cmd, .. } => FactKey::Dep(cmd),
         Fact::UnknownFunc { .. }
         | Fact::UnknownVar { .. }
         | Fact::UnknownStruct(_)
@@ -594,23 +609,16 @@ fn fact_key(f: &Fact) -> Option<String> {
 /// so new facts replace old facts with the same key.
 fn merge_facts(acc: &mut Vec<Fact>, new: Vec<Fact>) {
     for f in new {
-        match fact_key(&f) {
-            Some(key) => {
-                if let Some(pos) = acc
-                    .iter()
-                    .position(|e| fact_key(e).as_deref() == Some(key.as_str()))
-                {
-                    acc[pos] = f;
-                } else {
-                    acc.push(f);
-                }
+        let Some(key) = fact_key(&f) else {
+            // Unknowns/notes are transient; keep them only if novel.
+            if !acc.contains(&f) {
+                acc.push(f);
             }
-            None => {
-                // Unknowns/notes are transient; keep them only if novel.
-                if !acc.contains(&f) {
-                    acc.push(f);
-                }
-            }
+            continue;
+        };
+        match acc.iter().position(|e| fact_key(e).as_ref() == Some(&key)) {
+            Some(pos) => acc[pos] = f,
+            None => acc.push(f),
         }
     }
 }

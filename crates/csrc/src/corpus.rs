@@ -53,6 +53,13 @@ pub fn base_consts() -> ConstDb {
 
 impl KernelCorpus {
     /// Build from an explicit blueprint set.
+    ///
+    /// # Panics
+    ///
+    /// If a file [`emit_blueprint`] wrote does not parse. Emitter and
+    /// parser are two halves of this crate: that is a bug in one of
+    /// them, not a condition a caller can meet or handle (the parser
+    /// itself is total: hostile text gets an `Err`).
     #[must_use]
     pub fn from_blueprints(blueprints: Vec<Blueprint>) -> KernelCorpus {
         let mut files = Vec::with_capacity(blueprints.len());

@@ -1,21 +1,56 @@
 //! Symbol index over a set of parsed C files — the query surface behind
 //! `ExtractCode` in the paper's Algorithm 1.
+//!
+//! A [`Corpus`] holds its files behind `Arc`, so a file parsed once can
+//! sit in any number of corpora ([`Corpus::from_shared`]) — the oracle
+//! model assembles one per request from the parses it keeps. The index
+//! stores no names: a slot is a position, sorted by the name found
+//! there, so building one allocates twice (the file list and the slot
+//! list) however many items it covers.
 
 use crate::ast::{
-    CArraySize, CEnumDef, CFile, CFunction, CItemKind, CStructDef, CType, CVarDef, MacroDef,
+    CArraySize, CEnumDef, CFile, CFunction, CItem, CItemKind, CStructDef, CType, CVarDef, MacroDef,
 };
-use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Name spaces of the index, in the order [`Corpus::source_of`]
+/// consults them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Ns {
+    Function,
+    Struct,
+    Macro,
+    Var,
+    Enum,
+    /// An enum's variant; the slot points at the declaring enum.
+    Variant,
+}
+
+/// Where a definition sits: `files[file].items[item]`, and for
+/// [`Ns::Variant`] which of the enum's variants carries the name.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    ns: Ns,
+    file: usize,
+    item: usize,
+    variant: usize,
+}
 
 /// Indexed collection of C files.
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
-    files: Vec<CFile>,
-    functions: BTreeMap<String, (usize, usize)>,
-    structs: BTreeMap<String, (usize, usize)>,
-    macros: BTreeMap<String, (usize, usize)>,
-    vars: BTreeMap<String, (usize, usize)>,
-    enums: BTreeMap<String, (usize, usize)>,
-    enum_variant_owner: BTreeMap<String, (usize, usize)>,
+    files: Vec<Arc<CFile>>,
+    /// The visible definition of every `(name space, name)`, sorted by
+    /// that pair.
+    index: Vec<Slot>,
+}
+
+fn slot_name<'a>(files: &'a [Arc<CFile>], s: &Slot) -> &'a str {
+    let item = &files[s.file].items[s.item];
+    match (&item.kind, s.ns) {
+        (CItemKind::Enum(e), Ns::Variant) => &e.variants[s.variant].0,
+        _ => item.name(),
+    }
 }
 
 impl Corpus {
@@ -23,108 +58,134 @@ impl Corpus {
     /// earlier ones with the same name (like link order in the kernel).
     #[must_use]
     pub fn build(files: Vec<CFile>) -> Corpus {
-        let mut c = Corpus {
-            files,
-            ..Corpus::default()
+        Corpus::from_shared(files.into_iter().map(Arc::new).collect())
+    }
+
+    /// [`Corpus::build`] over files that other corpora may hold too.
+    #[must_use]
+    pub fn from_shared(files: Vec<Arc<CFile>>) -> Corpus {
+        let slots = |item: &CItem| match &item.kind {
+            CItemKind::Enum(e) => usize::from(!e.name.is_empty()) + e.variants.len(),
+            CItemKind::Typedef(_) => 0,
+            _ => 1,
         };
-        for (fi, file) in c.files.iter().enumerate() {
-            for (ii, item) in file.items.iter().enumerate() {
-                let key = (fi, ii);
-                match &item.kind {
-                    CItemKind::Function(f) => {
-                        // Prototypes must not shadow definitions.
-                        if !f.is_proto || !c.functions.contains_key(&f.name) {
-                            c.functions.insert(f.name.clone(), key);
-                        }
-                    }
-                    CItemKind::Struct(s) => {
-                        c.structs.insert(s.name.clone(), key);
-                    }
-                    CItemKind::Macro(m) => {
-                        c.macros.insert(m.name.clone(), key);
-                    }
-                    CItemKind::Var(v) => {
-                        c.vars.insert(v.name.clone(), key);
-                    }
+        let total = files.iter().flat_map(|f| &f.items).map(slots).sum();
+        let mut index = Vec::with_capacity(total);
+        for (file, f) in files.iter().enumerate() {
+            for (item, it) in f.items.iter().enumerate() {
+                let mut push = |ns, variant| {
+                    index.push(Slot {
+                        ns,
+                        file,
+                        item,
+                        variant,
+                    });
+                };
+                match &it.kind {
+                    CItemKind::Function(_) => push(Ns::Function, 0),
+                    CItemKind::Struct(_) => push(Ns::Struct, 0),
+                    CItemKind::Macro(_) => push(Ns::Macro, 0),
+                    CItemKind::Var(_) => push(Ns::Var, 0),
                     CItemKind::Enum(e) => {
                         if !e.name.is_empty() {
-                            c.enums.insert(e.name.clone(), key);
+                            push(Ns::Enum, 0);
                         }
-                        for (vn, _) in &e.variants {
-                            c.enum_variant_owner.insert(vn.clone(), key);
-                        }
+                        (0..e.variants.len()).for_each(|v| push(Ns::Variant, v));
                     }
                     CItemKind::Typedef(_) => {}
                 }
             }
         }
-        c
+        // Definitions of one name end up adjacent, in source order.
+        let key = |s: &Slot| (s.ns, slot_name(&files, s), s.file, s.item, s.variant);
+        index.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        let mut kept = 0usize;
+        for i in 0..index.len() {
+            let s = index[i];
+            let same_name = kept > 0 && {
+                let prev = &index[kept - 1];
+                prev.ns == s.ns && slot_name(&files, prev) == slot_name(&files, &s)
+            };
+            if !same_name {
+                index[kept] = s;
+                kept += 1;
+            } else if !is_prototype(&files[s.file].items[s.item]) {
+                // The later definition shadows; a prototype shadows
+                // nothing.
+                index[kept - 1] = s;
+            }
+        }
+        index.truncate(kept);
+        Corpus { files, index }
     }
 
     /// The indexed files.
     #[must_use]
-    pub fn files(&self) -> &[CFile] {
+    pub fn files(&self) -> &[Arc<CFile>] {
         &self.files
     }
 
-    fn item(&self, key: (usize, usize)) -> &crate::ast::CItem {
-        &self.files[key.0].items[key.1]
+    fn find(&self, ns: Ns, name: &str) -> Option<&CItem> {
+        let at = self
+            .index
+            .binary_search_by(|s| (s.ns, slot_name(&self.files, s)).cmp(&(ns, name)))
+            .ok()?;
+        let s = &self.index[at];
+        Some(&self.files[s.file].items[s.item])
     }
 
     /// Look up a function definition (prototypes only if no definition).
     #[must_use]
     pub fn function(&self, name: &str) -> Option<&CFunction> {
-        self.functions.get(name).map(|k| match &self.item(*k).kind {
-            CItemKind::Function(f) => f,
-            _ => unreachable!(),
-        })
+        match &self.find(Ns::Function, name)?.kind {
+            CItemKind::Function(f) => Some(f),
+            _ => None,
+        }
     }
 
     /// Look up a struct/union definition.
     #[must_use]
     pub fn struct_def(&self, name: &str) -> Option<&CStructDef> {
-        self.structs.get(name).map(|k| match &self.item(*k).kind {
-            CItemKind::Struct(s) => s,
-            _ => unreachable!(),
-        })
+        match &self.find(Ns::Struct, name)?.kind {
+            CItemKind::Struct(s) => Some(s),
+            _ => None,
+        }
     }
 
     /// Look up a macro.
     #[must_use]
     pub fn macro_def(&self, name: &str) -> Option<&MacroDef> {
-        self.macros.get(name).map(|k| match &self.item(*k).kind {
-            CItemKind::Macro(m) => m,
-            _ => unreachable!(),
-        })
+        match &self.find(Ns::Macro, name)?.kind {
+            CItemKind::Macro(m) => Some(m),
+            _ => None,
+        }
     }
 
     /// Look up a global variable.
     #[must_use]
     pub fn var_def(&self, name: &str) -> Option<&CVarDef> {
-        self.vars.get(name).map(|k| match &self.item(*k).kind {
-            CItemKind::Var(v) => v,
-            _ => unreachable!(),
-        })
+        match &self.find(Ns::Var, name)?.kind {
+            CItemKind::Var(v) => Some(v),
+            _ => None,
+        }
     }
 
     /// Look up an enum by tag.
     #[must_use]
     pub fn enum_def(&self, name: &str) -> Option<&CEnumDef> {
-        self.enums.get(name).map(|k| match &self.item(*k).kind {
-            CItemKind::Enum(e) => e,
-            _ => unreachable!(),
-        })
+        match &self.find(Ns::Enum, name)?.kind {
+            CItemKind::Enum(e) => Some(e),
+            _ => None,
+        }
     }
 
     /// Find the enum that declares a variant.
     #[must_use]
     pub fn enum_of_variant(&self, variant: &str) -> Option<&CEnumDef> {
-        self.enum_variant_owner
-            .get(variant)
-            .map(|k| match &self.item(*k).kind {
-                CItemKind::Enum(e) => e,
-                _ => unreachable!(),
-            })
+        match &self.find(Ns::Variant, variant)?.kind {
+            CItemKind::Enum(e) => Some(e),
+            _ => None,
+        }
     }
 
     /// Value of an enum variant.
@@ -142,15 +203,17 @@ impl Corpus {
     /// other namespaces; otherwise structs, macros, vars, enums.
     #[must_use]
     pub fn source_of(&self, name: &str) -> Option<&str> {
-        let key = self
-            .functions
-            .get(name)
-            .or_else(|| self.structs.get(name))
-            .or_else(|| self.macros.get(name))
-            .or_else(|| self.vars.get(name))
-            .or_else(|| self.enums.get(name))
-            .or_else(|| self.enum_variant_owner.get(name))?;
-        Some(&self.item(*key).text)
+        [
+            Ns::Function,
+            Ns::Struct,
+            Ns::Macro,
+            Ns::Var,
+            Ns::Enum,
+            Ns::Variant,
+        ]
+        .into_iter()
+        .find_map(|ns| self.find(ns, name))
+        .map(|item| item.text.as_str())
     }
 
     /// All global variables, with their file names.
@@ -281,6 +344,10 @@ impl Corpus {
     }
 }
 
+fn is_prototype(item: &CItem) -> bool {
+    matches!(&item.kind, CItemKind::Function(f) if f.is_proto)
+}
+
 fn round_up(v: u64, align: u64) -> u64 {
     (v + align - 1) & !(align - 1)
 }
@@ -321,6 +388,47 @@ mod tests {
         // And the reverse order too.
         let c = corpus("int g(void) { return 1; }\nint g(void);\n");
         assert!(!c.function("g").unwrap().is_proto);
+    }
+
+    #[test]
+    fn later_definitions_shadow_earlier_ones_in_every_name_space() {
+        let c = corpus(
+            "#define M 1\nstruct s { int a; };\nenum e { A = 1 };\nstatic int v = 1;\nint f(void) { return 1; }\n\
+             #define M 2\nstruct s { int a; int b; };\nenum e { A = 2 };\nstatic int v = 2;\nint f(void) { return 2; }\n",
+        );
+        assert_eq!(c.macro_def("M").unwrap().body, "2");
+        assert_eq!(c.struct_def("s").unwrap().fields.len(), 2);
+        assert_eq!(c.enum_def("e").unwrap().variants[0].1, Some(2));
+        assert_eq!(c.enum_value("A"), Some(2));
+        assert_eq!(c.var_def("v").unwrap().init, Some(crate::Expr::Num(2)));
+        assert_eq!(c.source_of("f"), Some("int f(void) { return 2; }"));
+        // Of prototypes alone the first stands; of definitions the last,
+        // wherever the prototypes fall.
+        let c = corpus("int g(int a);\nint g(int b);\n");
+        assert_eq!(c.function("g").unwrap().params[0].0, "a");
+        let c = corpus(
+            "int g(void) { return 1; }\nint g(void);\nint g(void) { return 2; }\nint g(void);\n",
+        );
+        assert_eq!(c.source_of("g"), Some("int g(void) { return 2; }"));
+    }
+
+    #[test]
+    fn shared_files_index_like_owned_ones_across_files() {
+        let a = Arc::new(cparse("a.c", "#define N 3\nstruct s { int a; };\n").unwrap());
+        let b = Arc::new(cparse("b.c", "struct s { u64 a; };\nenum { K = N };\n").unwrap());
+        let ab = Corpus::from_shared(vec![a.clone(), b.clone()]);
+        let ba = Corpus::from_shared(vec![b, a.clone()]);
+        assert_eq!(ab.sizeof_struct("s"), Some(8));
+        assert_eq!(ba.sizeof_struct("s"), Some(4));
+        assert_eq!(ab.files().len(), 2);
+        assert!(
+            ab.enum_def("").is_none(),
+            "anonymous enums have no tag entry"
+        );
+        assert!(ab.enum_of_variant("K").is_some());
+        // The corpora share `a`; neither copied it.
+        assert_eq!(Arc::strong_count(&a), 3);
+        assert_eq!(ab.macro_def("N"), ba.macro_def("N"));
     }
 
     #[test]

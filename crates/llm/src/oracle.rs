@@ -12,18 +12,56 @@
 //! Capability gates ([`crate::profile`]) and seeded error injection
 //! calibrate it to the paper's measurements: §5.1.3 accuracy for GPT-4
 //! and the §5.2.3 degradation for GPT-3.5.
+//!
+//! # Reading a snippet once
+//!
+//! Algorithm 1 re-sends everything gathered so far at every stage, so
+//! one pass over the flagship handlers shows a model each snippet four
+//! to five times. An [`OracleModel`] therefore keeps, for its own
+//! lifetime, the parse of every *chunk* it has been shown — a chunk
+//! being a blank-line-separated piece of a `## SOURCE` or `## USAGE`
+//! section, which is how the pipeline lays out one C item.
+//!
+//! * **What it holds.** Parses only: an `Arc<CFile>` per chunk (or the
+//!   note that the chunk has no parse of its own). Never a fact, never
+//!   a response — every request is still analysed, rendered and
+//!   metered.
+//! * **Its key** is the chunk's text plus the `typedef` names in scope
+//!   where the chunk starts, the one piece of state the C parser
+//!   carries from item to item ([`kgpt_csrc::parser::cparse_chunk`]).
+//!   A chunk's parse is a pure function of that key, so a model that
+//!   has read a chunk before answers exactly like one that has not:
+//!   the oracle remains a function of the prompt text and
+//!   `(kind, seed, attempt)`. Nothing is shared between models.
+//! * **Assembly.** A request's two corpora are built from the shared
+//!   parses in prompt order ([`Corpus::from_shared`]: no item is
+//!   copied), so iteration order and "later definitions shadow earlier
+//!   ones" are what parsing the joined text gives. That equivalence
+//!   needs every chunk to parse on its own and, but for the last, to
+//!   be [`closed`](kgpt_csrc::parser::CChunk::closed).
+//! * **The fallback.** When a chunk is not like that — a function with
+//!   a blank line inside, a tail cut by the context window — that
+//!   request's section is parsed the way every section once was: the
+//!   joined text, and failing that item by item, dropping the broken
+//!   ones. The result of that is not kept.
+//! * **The memory bound** is the distinct text one model was shown:
+//!   the key copies it and the AST is about nine times its size
+//!   (≤ 1.5 MB for the whole flagship source). There is no size
+//!   option and no eviction; the memo dies with its model.
 
 use crate::profile::{Capability, ModelKind};
 #[cfg(test)]
 use crate::protocol::parse_facts;
-use crate::protocol::{render_facts, ArgSig, Fact, Prompt, Task};
+use crate::protocol::{chunks, render_facts, ArgSig, Fact, Sections, Task};
 use crate::usage::{Usage, UsageMeter};
 use crate::{approx_tokens, ChatRequest, ChatResponse, LanguageModel};
-use kgpt_csrc::ast::{CField, CItemKind, CStructDef, CType, CaseLabel, Expr, Stmt};
+use kgpt_csrc::ast::{CField, CFile, CItemKind, CStructDef, CType, CaseLabel, Expr, Stmt};
 use kgpt_csrc::cmacro;
-use kgpt_csrc::parser::cparse;
+use kgpt_csrc::parser::{cparse, cparse_chunk};
 use kgpt_csrc::Corpus;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// The oracle analysis LLM.
 #[derive(Debug)]
@@ -33,6 +71,17 @@ pub struct OracleModel {
     seed: u64,
     meter: UsageMeter,
     name: String,
+    memo: ParseMemo,
+}
+
+/// How much C a model has been shown in `## SOURCE` / `## USAGE`
+/// sections, and how much of it it had to parse.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reading {
+    /// Bytes of code shown, every request counted.
+    pub shown_bytes: u64,
+    /// Bytes handed to the C parser.
+    pub parsed_bytes: u64,
 }
 
 impl OracleModel {
@@ -45,6 +94,7 @@ impl OracleModel {
             seed,
             meter: UsageMeter::new(),
             name: kind.id().to_string(),
+            memo: ParseMemo::default(),
         }
     }
 
@@ -59,6 +109,54 @@ impl OracleModel {
     pub fn meter(&self) -> &UsageMeter {
         &self.meter
     }
+
+    /// What this model has read so far.
+    #[must_use]
+    pub fn reading(&self) -> Reading {
+        Reading {
+            shown_bytes: self.memo.shown_bytes.load(Relaxed),
+            parsed_bytes: self.memo.parsed_bytes.load(Relaxed),
+        }
+    }
+
+    /// The part of a prompt inside the context window: tail characters
+    /// past it are dropped (this is what makes the all-in-one ablation
+    /// lose commands on big drivers).
+    fn window<'p>(&self, prompt: &'p str) -> &'p str {
+        let mut cut = self.cap.context_tokens.saturating_mul(4).min(prompt.len());
+        while !prompt.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        &prompt[..cut]
+    }
+
+    /// The facts the model states about a prompt, its two code
+    /// sections read into corpora by `read`.
+    fn answer(&self, request: &ChatRequest, read: impl Fn(&str) -> Corpus) -> Vec<Fact> {
+        let prompt = Sections::parse(self.window(&request.prompt));
+        let (corpus, usage_corpus) = (read(prompt.source_body()), read(prompt.usage_body()));
+        let analysis = Analysis::new(
+            &self.cap,
+            self.seed,
+            &prompt,
+            request.attempt,
+            &corpus,
+            &usage_corpus,
+        );
+        analysis.run()
+    }
+
+    /// The facts the model states, through the parses it keeps.
+    fn answer_shared(&self, request: &ChatRequest) -> Vec<Fact> {
+        self.answer(request, |section| self.memo.corpus(section))
+    }
+
+    /// The facts as the model stated them before it kept any parse:
+    /// both code sections parsed joined, from scratch.
+    #[cfg(test)]
+    fn answer_joined(&self, request: &ChatRequest) -> Vec<Fact> {
+        self.answer(request, |section| parse_joined(section).0)
+    }
 }
 
 impl LanguageModel for OracleModel {
@@ -67,23 +165,7 @@ impl LanguageModel for OracleModel {
     }
 
     fn chat(&self, request: &ChatRequest) -> ChatResponse {
-        // Context-window truncation: drop tail characters past the
-        // window (this is what makes the all-in-one ablation lose
-        // commands on big drivers).
-        let max_chars = self.cap.context_tokens.saturating_mul(4);
-        let text: &str = if request.prompt.len() > max_chars {
-            let mut cut = max_chars;
-            while cut > 0 && !request.prompt.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            &request.prompt[..cut]
-        } else {
-            &request.prompt
-        };
-        let prompt = Prompt::parse(text);
-        let analysis = Analysis::new(&self.cap, self.seed, &prompt, request.attempt);
-        let facts = analysis.run();
-        let out = render_facts(&facts);
+        let out = render_facts(&self.answer_shared(request));
         let usage = Usage::of_request(approx_tokens(&request.prompt), approx_tokens(&out));
         self.meter.record(usage);
         ChatResponse { text: out, usage }
@@ -92,6 +174,114 @@ impl LanguageModel for OracleModel {
     fn total_usage(&self) -> Usage {
         self.meter.snapshot()
     }
+}
+
+/// A chunk of code as a model keeps it.
+#[derive(Debug, Clone)]
+struct Chunk {
+    file: Arc<CFile>,
+    /// See [`kgpt_csrc::parser::CChunk::closed`].
+    closed: bool,
+}
+
+/// Chunk text → its parse under one typedef scope, `None` when it has
+/// none of its own.
+type ByText = HashMap<String, Option<Chunk>>;
+
+/// The parses of the chunks one model has been shown (module docs).
+#[derive(Debug, Default)]
+struct ParseMemo {
+    /// Keyed by the typedef names in scope, sorted.
+    chunks: RwLock<HashMap<Vec<String>, ByText>>,
+    shown_bytes: AtomicU64,
+    parsed_bytes: AtomicU64,
+}
+
+/// What looking every chunk of a section up came to.
+enum Assembled {
+    /// Every chunk has a parse that composes: the corpus over them.
+    Shared(Corpus),
+    /// Some chunk does not; the section must be parsed joined.
+    Joined,
+    /// Some chunk has not been looked at yet.
+    Unread,
+}
+
+impl ParseMemo {
+    /// The corpus of one code section: its chunks' shared parses in
+    /// order, or the parse of the joined text where they do not add up
+    /// to it.
+    fn corpus(&self, section: &str) -> Corpus {
+        let (count, shown) = chunks(section).fold((0, 0), |(n, b), c| (n + 1, b + c.len()));
+        self.shown_bytes.fetch_add(shown as u64, Relaxed);
+        // A panic cannot leave the map half-updated (an entry goes in
+        // whole, after its parse), so a poisoned lock is still good.
+        let read = self.chunks.read().unwrap_or_else(PoisonError::into_inner);
+        let mut assembled = assemble(section, count, |scope, text| {
+            read.get(scope)?.get(text).cloned()
+        });
+        drop(read);
+        if matches!(assembled, Assembled::Unread) {
+            // Parse what is new under the write lock: a chunk is parsed
+            // once per scope however many threads meet it first.
+            let mut known = self.chunks.write().unwrap_or_else(PoisonError::into_inner);
+            assembled = assemble(section, count, |scope, text| {
+                if !known.contains_key(scope) {
+                    known.insert(scope.to_vec(), ByText::new());
+                }
+                let by_text = known.get_mut(scope)?;
+                if let Some(hit) = by_text.get(text) {
+                    return Some(hit.clone());
+                }
+                self.parsed_bytes.fetch_add(text.len() as u64, Relaxed);
+                let chunk = cparse_chunk("prompt.c", text, scope).ok().map(|c| Chunk {
+                    file: Arc::new(c.file),
+                    closed: c.closed,
+                });
+                by_text.insert(text.to_string(), chunk.clone());
+                Some(chunk)
+            });
+        }
+        match assembled {
+            Assembled::Shared(corpus) => corpus,
+            Assembled::Joined | Assembled::Unread => {
+                let (corpus, parsed) = parse_joined(section);
+                self.parsed_bytes.fetch_add(parsed as u64, Relaxed);
+                corpus
+            }
+        }
+    }
+}
+
+/// Look each of the `count` chunks of `section` up, under the typedef
+/// names the chunks before it introduced; `lookup` answers `None` for
+/// a chunk it has not read and `Some(None)` for one that has no parse.
+fn assemble<'t>(
+    section: &'t str,
+    count: usize,
+    mut lookup: impl FnMut(&[String], &'t str) -> Option<Option<Chunk>>,
+) -> Assembled {
+    let mut files = Vec::with_capacity(count);
+    let mut scope: Vec<String> = Vec::new();
+    for (i, text) in chunks(section).enumerate() {
+        let Some(known) = lookup(&scope, text) else {
+            return Assembled::Unread;
+        };
+        // Only the last chunk may have looked past its end: there the
+        // joined text ends too.
+        let Some(chunk) = known.filter(|c| c.closed || i + 1 == count) else {
+            return Assembled::Joined;
+        };
+        for item in &chunk.file.items {
+            if let CItemKind::Typedef(t) = &item.kind {
+                if let Err(at) = scope.binary_search(&t.name) {
+                    scope.insert(at, t.name.clone());
+                }
+            }
+        }
+        files.push(chunk.file);
+    }
+    Assembled::Shared(Corpus::from_shared(files))
 }
 
 /// Derive the spec-name prefix from an ops-variable name
@@ -109,10 +299,10 @@ pub fn prefix_of_ops_var(ops_var: &str) -> String {
 struct Analysis<'a> {
     cap: &'a Capability,
     seed: u64,
-    prompt: &'a Prompt,
+    prompt: &'a Sections<'a>,
     attempt: u32,
-    corpus: Corpus,
-    usage_corpus: Corpus,
+    corpus: &'a Corpus,
+    usage_corpus: &'a Corpus,
     prefix: String,
     /// Per-query recall multiplier in permille. The staged pipeline
     /// keeps prompts focused (1000‰); a single all-in-one prompt loses
@@ -122,12 +312,21 @@ struct Analysis<'a> {
 }
 
 impl<'a> Analysis<'a> {
-    fn new(cap: &'a Capability, seed: u64, prompt: &'a Prompt, attempt: u32) -> Analysis<'a> {
+    fn new(
+        cap: &'a Capability,
+        seed: u64,
+        prompt: &'a Sections<'a>,
+        attempt: u32,
+        corpus: &'a Corpus,
+        usage_corpus: &'a Corpus,
+    ) -> Analysis<'a> {
         let recall_permille = if prompt.task == Some(Task::AllInOne) {
             // Focused attention budget ≈ 2000 tokens of source; recall
             // decays proportionally beyond it (floor 30%).
             let budget_chars = 8_000u64;
-            let len = prompt.source_text().len() as u64;
+            // The items as the joined text holds them: a blank line between.
+            let len = prompt.source().map(|c| c.len() as u64 + 2).sum::<u64>();
+            let len = len.saturating_sub(2);
             if len <= budget_chars {
                 1000
             } else {
@@ -141,11 +340,10 @@ impl<'a> Analysis<'a> {
             seed,
             prompt,
             attempt,
-            corpus: parse_lenient(&prompt.source),
-            usage_corpus: parse_lenient(&prompt.usage),
+            corpus,
+            usage_corpus,
             prefix: prompt
-                .handler_var
-                .as_deref()
+                .handler_var()
                 .map(prefix_of_ops_var)
                 .unwrap_or_default(),
             recall_permille,
@@ -157,7 +355,7 @@ impl<'a> Analysis<'a> {
             "{}:{}:{}",
             self.prefix,
             what,
-            self.prompt.handler_var.as_deref().unwrap_or("")
+            self.prompt.handler_var().unwrap_or("")
         );
         Capability::draw(bp, &key, self.seed)
     }
@@ -334,7 +532,7 @@ impl<'a> Analysis<'a> {
         if let Some(s) = e.as_str() {
             return Some(s.to_string());
         }
-        cmacro::eval_string(&self.corpus, e).or_else(|| cmacro::eval_string(&self.usage_corpus, e))
+        cmacro::eval_string(self.corpus, e).or_else(|| cmacro::eval_string(self.usage_corpus, e))
     }
 
     fn find_fn(&self, name: &str) -> Option<&kgpt_csrc::ast::CFunction> {
@@ -347,7 +545,7 @@ impl<'a> Analysis<'a> {
 
     fn identifier_stage(&self, facts: &mut Vec<Fact>) {
         self.registration_facts(facts);
-        let Some(entry) = self.prompt.target_func.as_deref() else {
+        let Some(entry) = self.prompt.target_func() else {
             return;
         };
         let mut visited = BTreeSet::new();
@@ -713,27 +911,22 @@ impl<'a> Analysis<'a> {
     // ---- type stage ---------------------------------------------------
 
     fn type_stage(&self, facts: &mut Vec<Fact>) {
-        let wanted: Vec<String> = if self.prompt.want_structs.is_empty() {
+        let mut wanted: Vec<&str> = self.prompt.want_structs().collect();
+        if wanted.is_empty() {
             // All-in-one: every struct in the prompt.
-            self.corpus
-                .files()
-                .iter()
-                .flat_map(|f| f.items.iter())
-                .filter_map(|i| match &i.kind {
-                    CItemKind::Struct(s) => Some(s.name.clone()),
-                    _ => None,
-                })
-                .collect()
-        } else {
-            self.prompt.want_structs.clone()
-        };
+            let items = self.corpus.files().iter().flat_map(|f| f.items.iter());
+            wanted.extend(items.filter_map(|i| match &i.kind {
+                CItemKind::Struct(s) => Some(s.name.as_str()),
+                _ => None,
+            }));
+        }
         for name in wanted {
             let Some(def) = self
                 .corpus
-                .struct_def(&name)
-                .or_else(|| self.usage_corpus.struct_def(&name))
+                .struct_def(name)
+                .or_else(|| self.usage_corpus.struct_def(name))
             else {
-                facts.push(Fact::UnknownStruct(name));
+                facts.push(Fact::UnknownStruct(name.to_string()));
                 continue;
             };
             self.emit_struct(def, facts);
@@ -846,8 +1039,8 @@ impl<'a> Analysis<'a> {
     }
 
     fn resolve_const(&self, name: &str) -> Option<u64> {
-        cmacro::eval_const(&self.corpus, name)
-            .or_else(|| cmacro::eval_const(&self.usage_corpus, name))
+        cmacro::eval_const(self.corpus, name)
+            .or_else(|| cmacro::eval_const(self.usage_corpus, name))
     }
 
     /// Infer semantic roles by scanning every function body in the
@@ -1120,25 +1313,31 @@ fn int_bits_of(ty: &CType) -> &'static str {
     }
 }
 
-fn parse_lenient(items: &[String]) -> Corpus {
-    // Try the concatenation first (cheapest); fall back to per-item
-    // parsing, dropping any item the (possibly truncated) prompt broke.
+/// Parse a code section the way every section once was: the joined
+/// text first, and where that fails item by item, dropping any item
+/// the (possibly truncated) prompt broke. Also says how many bytes it
+/// handed to the parser.
+fn parse_joined(section: &str) -> (Corpus, usize) {
+    let items: Vec<&str> = chunks(section).collect();
     let joined = items.join("\n\n");
     if let Ok(file) = cparse("prompt.c", &joined) {
-        return Corpus::build(vec![file]);
+        return (Corpus::build(vec![file]), joined.len());
     }
     let mut files = Vec::new();
+    let mut parsed = joined.len();
     for (i, item) in items.iter().enumerate() {
+        parsed += item.len();
         if let Ok(f) = cparse(&format!("prompt{i}.c"), item) {
             files.push(f);
         }
     }
-    Corpus::build(files)
+    (Corpus::build(files), parsed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Prompt;
     use kgpt_csrc::emit::emit_blueprint;
     use kgpt_csrc::flagship;
 
@@ -1377,5 +1576,298 @@ mod tests {
         assert_eq!(prefix_of_ops_var("_dm_fops"), "dm");
         assert_eq!(prefix_of_ops_var("rds_proto_ops"), "rds");
         assert_eq!(prefix_of_ops_var("_kvm_vm_fops"), "kvm_vm");
+    }
+
+    // ---- the memo is exact -------------------------------------------
+
+    const KINDS: [ModelKind; 3] = [ModelKind::Gpt4, ModelKind::Gpt4o, ModelKind::Gpt35];
+
+    /// The shared-parse answer equals the joined-parse oracle's, from
+    /// `model` as it is (whatever it has read) and again now that it
+    /// has read this request.
+    fn assert_exact(model: &OracleModel, request: &ChatRequest) {
+        let expected = model.answer_joined(request);
+        for state in ["first", "again"] {
+            assert_eq!(
+                model.answer_shared(request),
+                expected,
+                "{state}, {:?}, prompt:\n{}",
+                model.kind(),
+                request.prompt
+            );
+        }
+    }
+
+    fn request(prompt: &Prompt, attempt: u32) -> ChatRequest {
+        let mut r = ChatRequest::new(prompt.render());
+        r.attempt = attempt;
+        r
+    }
+
+    /// Prompts shaped like the pipeline's over one flagship file: the
+    /// source list growing item by item under the identifier task,
+    /// then every other task over all of it.
+    fn flagship_prompts(src: &str) -> Vec<(Prompt, u32)> {
+        let file = cparse("f.c", src).unwrap();
+        let texts = |keep: &dyn Fn(&kgpt_csrc::ast::CItem) -> bool| -> Vec<String> {
+            let kept = file.items.iter().filter(|i| keep(i));
+            kept.map(|i| i.text.clone()).collect()
+        };
+        let ops = file.items.iter().find_map(|i| match &i.kind {
+            CItemKind::Var(v) if v.ty.base == "struct file_operations" => {
+                let entry = v.init.as_ref()?.init_field("unlocked_ioctl");
+                Some((v.name.clone(), entry?.as_ident()?.to_string()))
+            }
+            CItemKind::Var(v) if v.ty.base == "struct proto_ops" => {
+                let entry = v.init.as_ref()?.init_field("setsockopt");
+                Some((v.name.clone(), entry?.as_ident()?.to_string()))
+            }
+            _ => None,
+        });
+        let (ops_var, entry) = ops.expect("a flagship file registers a handler");
+        let all = texts(&|_| true);
+        let base = Prompt {
+            target_func: Some(entry),
+            usage: texts(&|i| i.name() != ops_var && i.text.contains(&ops_var)),
+            handler_var: Some(ops_var),
+            ..Prompt::default()
+        };
+        let mut prompts = Vec::new();
+        for shown in (1..=all.len()).step_by(all.len().div_ceil(6)) {
+            let source = all[all.len() - shown..].to_vec();
+            let task = Some(Task::Identifier);
+            prompts.push((
+                Prompt {
+                    task,
+                    source,
+                    ..base.clone()
+                },
+                0,
+            ));
+        }
+        let structs = file.items.iter().filter_map(|i| match &i.kind {
+            CItemKind::Struct(s) => Some(s.name.clone()),
+            _ => None,
+        });
+        let types = Prompt {
+            task: Some(Task::Types),
+            want_structs: structs.chain(["not_shown".to_string()]).collect(),
+            source: all.clone(),
+            target_func: None,
+            usage: vec![],
+            ..base.clone()
+        };
+        prompts.push((types, 0));
+        for (task, attempt) in [
+            (Task::Dependency, 0),
+            (Task::AllInOne, 0),
+            (Task::AllInOne, 1),
+            (Task::Repair, 1),
+        ] {
+            let source = all.clone();
+            prompts.push((
+                Prompt {
+                    task: Some(task),
+                    source,
+                    ..base.clone()
+                },
+                attempt,
+            ));
+        }
+        prompts
+    }
+
+    #[test]
+    fn shared_parses_answer_like_the_joined_parse_on_every_flagship_file() {
+        let models = KINDS.map(|kind| OracleModel::new(kind, 7));
+        for bp in flagship::all_flagships() {
+            let prompts = flagship_prompts(&emit_blueprint(&bp));
+            for model in &models {
+                let before = model.reading().parsed_bytes;
+                for (prompt, attempt) in &prompts {
+                    assert_exact(model, &request(prompt, *attempt));
+                }
+                // Where the window cuts nothing, nothing is parsed
+                // twice: every prompt is made of the file's items, and
+                // the model parsed each of them at most once per
+                // typedef scope it met it under (dm's table typedef).
+                let parsed = model.reading().parsed_bytes - before;
+                let all = &prompts.last().unwrap().0.source;
+                let text: usize = all.iter().map(String::len).sum();
+                let scopes = 1 + all.iter().filter(|t| t.starts_with("typedef")).count();
+                if model.kind() != ModelKind::Gpt35 {
+                    assert!(
+                        parsed <= (text * scopes) as u64,
+                        "{}: {parsed} > {text}",
+                        bp.id
+                    );
+                }
+            }
+        }
+    }
+
+    fn source_prompt(task: Task, source: &[&str]) -> Prompt {
+        Prompt {
+            task: Some(task),
+            target_func: Some("x_ioctl".into()),
+            handler_var: Some("_x_fops".into()),
+            source: source.iter().map(|s| (*s).to_string()).collect(),
+            ..Prompt::default()
+        }
+    }
+
+    const DISPATCH: &str = "static long x_ioctl(struct file *file, unsigned int cmd, unsigned long arg) {\n\tswitch (cmd) {\n\tcase X_SET:\n\t\treturn x_set(file, (struct x_args *)arg);\n\tcase X_GET:\n\t\treturn x_get(file, arg);\n\t}\n\treturn -25;\n}";
+    const ARGS: &str =
+        "struct x_args {\n\t__u32 len;\n\t__u32 flags;\n\tqid_t id;\n\t__u64 data[4];\n};";
+    const SET: &str = "static int x_set(struct file *file, struct x_args *p) {\n\tif (p->flags & ~3)\n\t\treturn -22;\n\tp->id = x_alloc_queue((qid_t)p->len);\n\treturn 0;\n}";
+
+    #[test]
+    fn a_typedef_chunk_changes_how_the_chunks_after_it_read() {
+        let typedef = "typedef __u32 qid_t;";
+        for kind in KINDS {
+            // `SET` casts to `qid_t`: it only parses after the typedef.
+            let with = source_prompt(Task::AllInOne, &[typedef, DISPATCH, ARGS, SET]);
+            let without = source_prompt(Task::AllInOne, &[DISPATCH, ARGS, SET]);
+            let after = source_prompt(Task::AllInOne, &[DISPATCH, ARGS, SET, typedef]);
+            let cold = OracleModel::new(kind, 3);
+            assert_exact(&cold, &request(&with, 0));
+            // The same chunk, shown first without its typedef to a
+            // model that has read it with: a different key, a
+            // different (here: no) parse, the joined path.
+            assert_exact(&cold, &request(&without, 0));
+            assert_exact(&cold, &request(&after, 0));
+            assert_ne!(
+                cold.answer_shared(&request(&with, 0)),
+                cold.answer_shared(&request(&without, 0))
+            );
+            // And in the other order, on a fresh model.
+            let fresh = OracleModel::new(kind, 3);
+            assert_exact(&fresh, &request(&without, 0));
+            assert_exact(&fresh, &request(&with, 0));
+        }
+    }
+
+    #[test]
+    fn a_blank_line_inside_a_function_sends_the_section_down_the_joined_path() {
+        let holed = DISPATCH.replace("\tcase X_GET:", "\n\tcase X_GET:");
+        assert_eq!(chunks(&holed).count(), 2);
+        let model = OracleModel::new(ModelKind::Gpt4, 0);
+        let prompt = source_prompt(Task::Identifier, &[&holed, ARGS]);
+        assert_exact(&model, &request(&prompt, 0));
+        let facts = model.answer_shared(&request(&prompt, 0));
+        let idents = facts.iter().filter(|f| matches!(f, Fact::Ident { .. }));
+        assert_eq!(idents.count(), 2, "{facts:?}");
+        // The halves have no parse of their own, so each request reads
+        // the joined text again; the whole chunks are still kept.
+        let before = model.reading().parsed_bytes;
+        model.answer_shared(&request(&prompt, 0));
+        let joined = holed.len() + 2 + ARGS.len();
+        assert_eq!(model.reading().parsed_bytes - before, joined as u64);
+    }
+
+    #[test]
+    fn the_same_text_under_two_handlers_is_read_once_and_answered_for_each() {
+        let model = OracleModel::new(ModelKind::Gpt4, 5);
+        let mut one = source_prompt(Task::Types, &[ARGS, "typedef __u32 qid_t;", SET]);
+        one.want_structs = vec!["x_args".into()];
+        let mut two = one.clone();
+        two.handler_var = Some("_y_fops".into());
+        assert_exact(&model, &request(&one, 0));
+        let read = model.reading().parsed_bytes;
+        assert_exact(&model, &request(&two, 0));
+        assert_eq!(
+            model.reading().parsed_bytes,
+            read,
+            "the second handler parsed nothing"
+        );
+        let (a, b) = (
+            model.answer_shared(&request(&one, 0)),
+            model.answer_shared(&request(&two, 0)),
+        );
+        assert!(a
+            .iter()
+            .any(|f| matches!(f, Fact::SyzType { text, .. } if text.starts_with("x_x_args"))));
+        assert!(b
+            .iter()
+            .any(|f| matches!(f, Fact::SyzType { text, .. } if text.starts_with("y_x_args"))));
+    }
+
+    #[test]
+    fn a_later_chunk_shadows_an_earlier_definition_as_in_the_joined_text() {
+        let narrow = "struct x_args {\n\t__u8 len;\n};";
+        let proto = "static int x_set(struct file *file, struct x_args *p);";
+        for kind in KINDS {
+            let model = OracleModel::new(kind, 2);
+            for source in [
+                [ARGS, narrow, DISPATCH, SET],
+                [narrow, ARGS, DISPATCH, SET],
+                [ARGS, DISPATCH, SET, proto],
+                [ARGS, DISPATCH, proto, SET],
+            ] {
+                let mut prompt = source_prompt(Task::AllInOne, &source);
+                prompt.source.insert(0, "typedef __u32 qid_t;".into());
+                assert_exact(&model, &request(&prompt, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_prompt_cut_anywhere_in_its_last_chunk_is_answered_like_the_joined_parse() {
+        // The last chunk holds a multi-byte character, a string, a
+        // comment and a typedef — everything a cut can leave open.
+        let last = "typedef __u32 cut_t;\n/* é */ static int x_get(struct file *file, unsigned long arg) {\n\tchar *s = \"né\";\n\treturn x_lookup_queue((cut_t)arg) ? 0 : -2;\n}";
+        let prompt = source_prompt(
+            Task::AllInOne,
+            &["typedef __u32 qid_t;", DISPATCH, ARGS, SET, last],
+        );
+        let text = prompt.render();
+        let from = text.find("typedef __u32 cut_t").unwrap();
+        for kind in KINDS {
+            let warm = OracleModel::new(kind, 11);
+            assert_exact(&warm, &ChatRequest::new(text.clone()));
+            for cut in from..=text.len() {
+                // What the context window does with a cut inside a character.
+                let cut = (0..=cut).rev().find(|c| text.is_char_boundary(*c)).unwrap();
+                let cut_request = ChatRequest::new(text[..cut].to_string());
+                assert_exact(&warm, &cut_request);
+                assert_exact(&OracleModel::new(kind, 11), &cut_request);
+            }
+        }
+    }
+
+    #[test]
+    fn the_context_window_cuts_at_a_character_boundary() {
+        let model = OracleModel::new(ModelKind::Gpt35, 0);
+        let window = 16_000 * 4;
+        // `é` straddles the end of the window.
+        let filler = "#define PAD 1\n\n".repeat(window / 15);
+        let mut prompt = source_prompt(Task::AllInOne, &[DISPATCH]).render();
+        prompt.push_str(&filler);
+        prompt.truncate(window - 1);
+        prompt.push_str("é tail");
+        assert!(!prompt.is_char_boundary(window));
+        assert_eq!(model.window(&prompt).len(), window - 1);
+        assert_exact(&model, &ChatRequest::new(prompt));
+        assert_eq!(model.window("short"), "short");
+    }
+
+    #[test]
+    fn what_a_model_has_read_is_counted_and_a_chunk_is_parsed_once() {
+        let model = OracleModel::new(ModelKind::Gpt4, 0);
+        let mut prompt = source_prompt(Task::Identifier, &[DISPATCH, ARGS]);
+        prompt.usage = vec![ARGS.to_string()];
+        let shown = (DISPATCH.len() + 2 * ARGS.len()) as u64;
+        for round in 1..=3 {
+            let _ = model.chat(&request(&prompt, 0));
+            let reading = model.reading();
+            assert_eq!(reading.shown_bytes, round * shown);
+            // `ARGS` is shown in both sections and parsed for one.
+            assert_eq!(reading.parsed_bytes, (DISPATCH.len() + ARGS.len()) as u64);
+        }
+        // Nothing is shared between models.
+        assert_eq!(
+            OracleModel::new(ModelKind::Gpt4, 0).reading(),
+            Reading::default()
+        );
     }
 }

@@ -112,7 +112,7 @@ impl Capability {
     /// keyed by an arbitrary string (handler id + item + purpose).
     #[must_use]
     pub fn draw(bp: u32, key: &str, seed: u64) -> bool {
-        u32::try_from(stable_hash(key, seed) % 10_000).expect("mod 10k fits") < bp
+        stable_hash(key, seed) % 10_000 < u64::from(bp)
     }
 }
 

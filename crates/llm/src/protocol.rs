@@ -8,6 +8,7 @@
 //! sees internal structures) and renders facts.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Which analysis stage a prompt requests.
@@ -199,87 +200,237 @@ const INSTRUCTIONS: &str = "You are analyzing Linux kernel source code to produc
 UNKNOWN/SYZTYPE/FLAGSET/RESOURCE/DEP/NOTE. If the logic you need lives in a function, struct or \
 table that is not shown, list it in an UNKNOWN line instead of guessing.";
 
+/// A prompt over borrowed parts: what the pipeline renders each round
+/// from text it already holds (item texts in the corpus, the facts so
+/// far) instead of cloning them into a [`Prompt`] first.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PromptRef<'a> {
+    /// Requested stage.
+    pub task: Option<Task>,
+    /// Entry function to analyze (dispatcher or sub-handler).
+    pub target_func: Option<&'a str>,
+    /// The ops variable (handler identity), for context.
+    pub handler_var: Option<&'a str>,
+    /// Structs whose syzlang form is wanted (type stage).
+    pub want_structs: &'a [&'a str],
+    /// Raw C item texts.
+    pub source: &'a [&'a str],
+    /// Raw usage-site texts.
+    pub usage: &'a [&'a str],
+    /// Facts established in earlier rounds.
+    pub known: &'a [Fact],
+    /// Validator errors (repair stage).
+    pub errors: &'a [String],
+}
+
+/// `## {header}\n{items joined by sep}\n\n`, or nothing for no items.
+fn render_section<S: AsRef<str>>(out: &mut String, header: &str, items: &[S], sep: &str) {
+    if items.is_empty() {
+        return;
+    }
+    out.push_str("## ");
+    out.push_str(header);
+    out.push('\n');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        out.push_str(item.as_ref());
+    }
+    out.push_str("\n\n");
+}
+
+impl PromptRef<'_> {
+    /// Render to the textual form sent to the model.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let texts = self.source.iter().chain(self.usage);
+        let code: usize = texts.map(|s| s.len() + 2).sum();
+        let mut out = String::with_capacity(INSTRUCTIONS.len() + code + 256);
+        let _ = writeln!(out, "# INSTRUCTIONS\n{INSTRUCTIONS}\n");
+        if let Some(t) = self.task {
+            render_section(&mut out, "TASK", &[t.keyword()], "");
+        }
+        if let Some(f) = self.target_func {
+            render_section(&mut out, "TARGET-FUNC", &[f], "");
+        }
+        if let Some(v) = self.handler_var {
+            render_section(&mut out, "HANDLER-VAR", &[v], "");
+        }
+        render_section(&mut out, "WANT-STRUCTS", self.want_structs, "\n");
+        if !self.known.is_empty() {
+            out.push_str("## KNOWN\n");
+            render_facts_into(&mut out, self.known);
+            out.push('\n');
+        }
+        render_section(&mut out, "ERRORS", self.errors, "\n");
+        render_section(&mut out, "USAGE", self.usage, "\n\n");
+        render_section(&mut out, "SOURCE", self.source, "\n\n");
+        out
+    }
+}
+
+/// The sections of a rendered prompt, sliced out of its text: what the
+/// model side reads. A body is the text between its `## HEADER` line
+/// and the next, trimmed — a borrow of the request unless a line inside
+/// it had to go (a `# ` comment line, a `\r\n` ending), in which case
+/// it is rebuilt line by line.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Sections<'a> {
+    /// Requested stage.
+    pub task: Option<Task>,
+    target_func: Cow<'a, str>,
+    handler_var: Cow<'a, str>,
+    want_structs: Cow<'a, str>,
+    known: Cow<'a, str>,
+    errors: Cow<'a, str>,
+    usage: Cow<'a, str>,
+    source: Cow<'a, str>,
+}
+
+/// The blank-line-separated pieces of a code section.
+pub(crate) fn chunks(body: &str) -> impl Iterator<Item = &str> + Clone {
+    body.split("\n\n").filter(|s| !s.trim().is_empty())
+}
+
+impl<'a> Sections<'a> {
+    /// Slice a rendered prompt into its sections. Unknown headers and
+    /// whatever precedes the first header are skipped; of a repeated
+    /// header the last body stands.
+    #[must_use]
+    pub fn parse(text: &'a str) -> Sections<'a> {
+        let mut out = Sections::default();
+        let mut header = "";
+        // Of the section being read: where its lines start, the span
+        // of the kept ones, and whether that span is its body verbatim.
+        let (mut lines_from, mut span, mut verbatim) = (0usize, None::<(usize, usize)>, true);
+        let body = |lines: &'a str, span: Option<(usize, usize)>, verbatim: bool| {
+            if verbatim {
+                Cow::Borrowed(span.map_or("", |(from, to)| &text[from..to]).trim())
+            } else {
+                let kept: Vec<&str> = lines.lines().filter(|l| !l.starts_with("# ")).collect();
+                Cow::Owned(kept.join("\n").trim().to_string())
+            }
+        };
+        let mut offset = 0usize;
+        for raw in text.split_inclusive('\n') {
+            let at = offset;
+            offset += raw.len();
+            // What `str::lines` yields for this line.
+            let unix = raw.strip_suffix('\n');
+            let line = unix.map_or(raw, |l| l.strip_suffix('\r').unwrap_or(l));
+            if let Some(next) = line.strip_prefix("## ") {
+                out.set(header, body(&text[lines_from..at], span, verbatim));
+                header = next.trim();
+                (lines_from, span, verbatim) = (offset, None, true);
+            } else if line.starts_with("# ") || unix.is_some_and(|l| l.len() != line.len()) {
+                verbatim = false;
+            } else {
+                span = Some((span.map_or(at, |s| s.0), at + line.len()));
+            }
+        }
+        out.set(header, body(&text[lines_from..], span, verbatim));
+        out
+    }
+
+    fn set(&mut self, header: &str, body: Cow<'a, str>) {
+        let slot = match header {
+            "TASK" => {
+                self.task = Task::from_keyword(&body);
+                return;
+            }
+            // A blank TARGET-FUNC / HANDLER-VAR leaves an earlier one.
+            "TARGET-FUNC" | "HANDLER-VAR" if body.is_empty() => return,
+            "TARGET-FUNC" => &mut self.target_func,
+            "HANDLER-VAR" => &mut self.handler_var,
+            "WANT-STRUCTS" => &mut self.want_structs,
+            "KNOWN" => &mut self.known,
+            "ERRORS" => &mut self.errors,
+            "USAGE" => &mut self.usage,
+            "SOURCE" => &mut self.source,
+            _ => return,
+        };
+        *slot = body;
+    }
+
+    /// Entry function to analyze.
+    #[must_use]
+    pub fn target_func(&self) -> Option<&str> {
+        Some(&*self.target_func).filter(|s| !s.is_empty())
+    }
+
+    /// The ops variable (handler identity).
+    #[must_use]
+    pub fn handler_var(&self) -> Option<&str> {
+        Some(&*self.handler_var).filter(|s| !s.is_empty())
+    }
+
+    /// Structs whose syzlang form is wanted, one per line.
+    pub fn want_structs(&self) -> impl Iterator<Item = &str> + Clone {
+        self.want_structs.lines()
+    }
+
+    /// The C items to analyze, in prompt order.
+    pub fn source(&self) -> impl Iterator<Item = &str> + Clone {
+        chunks(&self.source)
+    }
+
+    /// The usage-site items, in prompt order.
+    pub fn usage(&self) -> impl Iterator<Item = &str> + Clone {
+        chunks(&self.usage)
+    }
+
+    /// The `## SOURCE` body whole; [`chunks`] cuts it into items.
+    pub(crate) fn source_body(&self) -> &str {
+        &self.source
+    }
+
+    /// The `## USAGE` body whole.
+    pub(crate) fn usage_body(&self) -> &str {
+        &self.usage
+    }
+
+    /// The prompt with every part owned.
+    #[must_use]
+    pub fn to_prompt(&self) -> Prompt {
+        let owned = |parts: &mut dyn Iterator<Item = &str>| parts.map(str::to_string).collect();
+        Prompt {
+            task: self.task,
+            target_func: self.target_func().map(str::to_string),
+            handler_var: self.handler_var().map(str::to_string),
+            want_structs: owned(&mut self.want_structs()),
+            source: owned(&mut self.source()),
+            usage: owned(&mut self.usage()),
+            known: parse_facts(&self.known),
+            errors: owned(&mut self.errors.lines()),
+        }
+    }
+}
+
 impl Prompt {
     /// Render to the textual form sent to the model.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# INSTRUCTIONS\n{INSTRUCTIONS}\n");
-        if let Some(t) = self.task {
-            let _ = writeln!(out, "## TASK\n{}\n", t.keyword());
+        fn strs(v: &[String]) -> Vec<&str> {
+            v.iter().map(String::as_str).collect()
         }
-        if let Some(f) = &self.target_func {
-            let _ = writeln!(out, "## TARGET-FUNC\n{f}\n");
+        PromptRef {
+            task: self.task,
+            target_func: self.target_func.as_deref(),
+            handler_var: self.handler_var.as_deref(),
+            want_structs: &strs(&self.want_structs),
+            source: &strs(&self.source),
+            usage: &strs(&self.usage),
+            known: &self.known,
+            errors: &self.errors,
         }
-        if let Some(v) = &self.handler_var {
-            let _ = writeln!(out, "## HANDLER-VAR\n{v}\n");
-        }
-        if !self.want_structs.is_empty() {
-            let _ = writeln!(out, "## WANT-STRUCTS\n{}\n", self.want_structs.join("\n"));
-        }
-        if !self.known.is_empty() {
-            let _ = writeln!(out, "## KNOWN\n{}", render_facts(&self.known));
-        }
-        if !self.errors.is_empty() {
-            let _ = writeln!(out, "## ERRORS\n{}\n", self.errors.join("\n"));
-        }
-        if !self.usage.is_empty() {
-            let _ = writeln!(out, "## USAGE\n{}\n", self.usage.join("\n\n"));
-        }
-        if !self.source.is_empty() {
-            let _ = writeln!(out, "## SOURCE\n{}\n", self.source.join("\n\n"));
-        }
-        out
+        .render()
     }
 
     /// Parse a rendered prompt (oracle side).
     #[must_use]
     pub fn parse(text: &str) -> Prompt {
-        let mut p = Prompt::default();
-        let mut section = String::new();
-        let mut buf: Vec<String> = Vec::new();
-        let flush = |p: &mut Prompt, section: &str, buf: &mut Vec<String>| {
-            let body = buf.join("\n").trim().to_string();
-            match section {
-                "TASK" => p.task = Task::from_keyword(body.trim()),
-                "TARGET-FUNC" if !body.is_empty() => p.target_func = Some(body),
-                "TARGET-FUNC" => {}
-                "HANDLER-VAR" if !body.is_empty() => p.handler_var = Some(body),
-                "HANDLER-VAR" => {}
-                "WANT-STRUCTS" => {
-                    p.want_structs = body.lines().map(str::to_string).collect();
-                }
-                "KNOWN" => p.known = parse_facts(&body),
-                "ERRORS" => p.errors = body.lines().map(str::to_string).collect(),
-                "USAGE" => {
-                    p.usage = body
-                        .split("\n\n")
-                        .filter(|s| !s.trim().is_empty())
-                        .map(str::to_string)
-                        .collect();
-                }
-                "SOURCE" => {
-                    p.source = body
-                        .split("\n\n")
-                        .filter(|s| !s.trim().is_empty())
-                        .map(str::to_string)
-                        .collect();
-                }
-                _ => {}
-            }
-            buf.clear();
-        };
-        for line in text.lines() {
-            if let Some(h) = line.strip_prefix("## ") {
-                let prev = std::mem::replace(&mut section, h.trim().to_string());
-                flush(&mut p, &prev, &mut buf);
-            } else if !line.starts_with("# ") {
-                buf.push(line.to_string());
-            }
-        }
-        let last = section.clone();
-        flush(&mut p, &last, &mut buf);
-        p
+        Sections::parse(text).to_prompt()
     }
 
     /// The concatenated source text (what the oracle re-parses as C).
@@ -299,6 +450,11 @@ impl Prompt {
 #[must_use]
 pub fn render_facts(facts: &[Fact]) -> String {
     let mut out = String::new();
+    render_facts_into(&mut out, facts);
+    out
+}
+
+fn render_facts_into(out: &mut String, facts: &[Fact]) {
     for f in facts {
         match f {
             Fact::DevPath(p) => {
@@ -366,7 +522,6 @@ pub fn render_facts(facts: &[Fact]) -> String {
             }
         }
     }
-    out
 }
 
 fn kv<'a>(token: &'a str, key: &str) -> Option<&'a str> {
@@ -619,6 +774,128 @@ mod tests {
         let text = p.render();
         let q = Prompt::parse(&text);
         assert_eq!(q, p, "rendered:\n{text}");
+    }
+
+    /// `Prompt::parse` as it was before sections were sliced: every
+    /// line copied, bodies joined back together. The oracle for
+    /// [`Sections::parse`].
+    fn parse_by_lines(text: &str) -> Prompt {
+        let mut p = Prompt::default();
+        let mut section = String::new();
+        let mut buf: Vec<String> = Vec::new();
+        let flush = |p: &mut Prompt, section: &str, buf: &mut Vec<String>| {
+            let body = buf.join("\n").trim().to_string();
+            let split = |body: &str| -> Vec<String> {
+                body.split("\n\n")
+                    .filter(|s| !s.trim().is_empty())
+                    .map(str::to_string)
+                    .collect()
+            };
+            match section {
+                "TASK" => p.task = Task::from_keyword(body.trim()),
+                "TARGET-FUNC" if !body.is_empty() => p.target_func = Some(body),
+                "HANDLER-VAR" if !body.is_empty() => p.handler_var = Some(body),
+                "WANT-STRUCTS" => p.want_structs = body.lines().map(str::to_string).collect(),
+                "KNOWN" => p.known = parse_facts(&body),
+                "ERRORS" => p.errors = body.lines().map(str::to_string).collect(),
+                "USAGE" => p.usage = split(&body),
+                "SOURCE" => p.source = split(&body),
+                _ => {}
+            }
+            buf.clear();
+        };
+        for line in text.lines() {
+            if let Some(h) = line.strip_prefix("## ") {
+                let prev = std::mem::replace(&mut section, h.trim().to_string());
+                flush(&mut p, &prev, &mut buf);
+            } else if !line.starts_with("# ") {
+                buf.push(line.to_string());
+            }
+        }
+        let last = section.clone();
+        flush(&mut p, &last, &mut buf);
+        p
+    }
+
+    fn sample_prompt() -> Prompt {
+        Prompt {
+            task: Some(Task::Repair),
+            target_func: Some("dm_ctl_ioctl".into()),
+            handler_var: Some("_ctl_fops".into()),
+            want_structs: vec!["dm_ioctl".into(), "dm_target_spec".into()],
+            source: vec![
+                "static long f(struct file *f, uint c) {\n\tchar *s = \"é\";\n\treturn 0;\n}"
+                    .into(),
+                "#define A 1".into(),
+                "struct dm_ioctl {\n\t__u32 v;\n};".into(),
+            ],
+            usage: vec!["static struct miscdevice _dm = { .fops = &_ctl_fops };".into()],
+            known: vec![
+                Fact::SyzType {
+                    c_name: "dm_ioctl".into(),
+                    text: "dm_dm_ioctl {\n\tv int32\n}".into(),
+                },
+                Fact::Note("## not a header: it is indented by NOTE".into()),
+            ],
+            errors: vec!["in `ioctl$X`: type `y` is not defined".into()],
+        }
+    }
+
+    #[test]
+    fn sliced_sections_equal_the_line_by_line_parse_on_hostile_text() {
+        let rendered = sample_prompt().render();
+        let mut texts = vec![
+            rendered.clone(),
+            // CRLF line endings are folded to LF inside a body.
+            rendered.replace('\n', "\r\n"),
+            // A `# ` line is dropped wherever it sits.
+            rendered.replace("\treturn 0;", "# dropped\n\treturn 0;"),
+            rendered.replace("## SOURCE\n", "## SOURCE\n# dropped\n\n\n"),
+            // A repeated header: the last body stands, but a blank
+            // TARGET-FUNC does not erase an earlier one.
+            format!("{rendered}## SOURCE\nint late;\n\n## TARGET-FUNC\n\n## TASK\nbogus\n"),
+            // Headers the protocol does not know, no trailing newline,
+            // a lone CR, blank chunks.
+            "junk\n## NOPE\nx\n## SOURCE\n\n\n\nint a;\n\n\n\n \n\nint b;\r".to_string(),
+            "## SOURCE".to_string(),
+            "## \n## SOURCE \nint a;".to_string(),
+            String::new(),
+        ];
+        // Cut anywhere, as the context window does (also inside `é`,
+        // where the cut falls back to the previous boundary).
+        for cut in 0..=rendered.len() {
+            if rendered.is_char_boundary(cut) {
+                texts.push(rendered[..cut].to_string());
+            }
+        }
+        for text in &texts {
+            assert_eq!(Prompt::parse(text), parse_by_lines(text), "text:\n{text:?}");
+        }
+        // The common case borrows: nothing in a rendered prompt needs rebuilding.
+        let sections = Sections::parse(&rendered);
+        assert!(matches!(sections.source, Cow::Borrowed(_)));
+        assert!(matches!(sections.known, Cow::Borrowed(_)));
+        assert_eq!(sections.source().count(), 3);
+        assert_eq!(sections.target_func(), Some("dm_ctl_ioctl"));
+    }
+
+    #[test]
+    fn borrowed_parts_render_like_the_owned_prompt() {
+        let p = sample_prompt();
+        let expected = "# INSTRUCTIONS\n".to_string()
+            + INSTRUCTIONS
+            + "\n\n## TASK\nrepair\n\n## TARGET-FUNC\ndm_ctl_ioctl\n\n## HANDLER-VAR\n_ctl_fops\n\n\
+               ## WANT-STRUCTS\ndm_ioctl\ndm_target_spec\n\n## KNOWN\n"
+            + &render_facts(&p.known)
+            + "\n## ERRORS\nin `ioctl$X`: type `y` is not defined\n\n## USAGE\n"
+            + &p.usage_text()
+            + "\n\n## SOURCE\n"
+            + &p.source_text() + "\n\n";
+        assert_eq!(p.render(), expected);
+        assert_eq!(
+            Prompt::default().render(),
+            format!("# INSTRUCTIONS\n{INSTRUCTIONS}\n\n")
+        );
     }
 
     #[test]

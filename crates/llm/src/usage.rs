@@ -3,7 +3,8 @@
 
 use crate::profile::Capability;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Token usage of one or many requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,10 +56,19 @@ impl Usage {
     }
 }
 
-/// Thread-safe cumulative meter shared by a model instance.
+/// Thread-safe cumulative meter shared by a model instance: three
+/// counters, each exact; a snapshot taken while requests are in flight
+/// may catch one between its counters.
 #[derive(Debug, Clone, Default)]
 pub struct UsageMeter {
-    inner: Arc<Mutex<Usage>>,
+    inner: Arc<Counters>,
+}
+
+#[derive(Debug, Default)]
+struct Counters {
+    input_tokens: AtomicU64,
+    output_tokens: AtomicU64,
+    requests: AtomicU64,
 }
 
 impl UsageMeter {
@@ -70,18 +80,30 @@ impl UsageMeter {
 
     /// Record one request's usage.
     pub fn record(&self, usage: Usage) {
-        self.inner.lock().expect("usage meter poisoned").add(usage);
+        // Statistics: nothing is published through these counters.
+        let c = &*self.inner;
+        c.input_tokens.fetch_add(usage.input_tokens, Relaxed);
+        c.output_tokens.fetch_add(usage.output_tokens, Relaxed);
+        c.requests.fetch_add(usage.requests, Relaxed);
     }
 
     /// Snapshot the cumulative usage.
     #[must_use]
     pub fn snapshot(&self) -> Usage {
-        *self.inner.lock().expect("usage meter poisoned")
+        let c = &*self.inner;
+        Usage {
+            input_tokens: c.input_tokens.load(Relaxed),
+            output_tokens: c.output_tokens.load(Relaxed),
+            requests: c.requests.load(Relaxed),
+        }
     }
 
     /// Reset to zero (between experiments).
     pub fn reset(&self) {
-        *self.inner.lock().expect("usage meter poisoned") = Usage::default();
+        let c = &*self.inner;
+        c.input_tokens.store(0, Relaxed);
+        c.output_tokens.store(0, Relaxed);
+        c.requests.store(0, Relaxed);
     }
 }
 
