@@ -40,8 +40,9 @@ use kgpt_llm::{ModelKind, OracleModel};
 use kgpt_syzlang::lowered::LType;
 use kgpt_syzlang::{LoweredDb, SpecCache, SpecFile};
 use kgpt_vkernel::VKernel;
+use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 const SHARDS: u32 = 8;
@@ -394,9 +395,47 @@ fn lowering_section(report: &mut Report, dm: &Suite, dc: &Suite) {
 /// watchdog.
 fn durability_section(report: &mut Report, dc: &DeepChain) {
     let path = std::env::temp_dir().join(format!("kgpt-bench-{}.ckpt", std::process::id()));
-    let checkpointed = dc.suite.campaign(&dc.cfg, 1).with_checkpoint(&path).run();
-    let checkpoint_bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-    // What the last boundary wrote of the flight recorder: the ring
+    let journal = path.with_extension("ckpt.journal");
+    let len = |file: &Path| std::fs::metadata(file).map_or(0, |m| m.len());
+    // Every durable boundary is a base (the journal starts over) or a
+    // record appended to it; a snapshot at every boundary would have
+    // written what the two files load as, re-encoded, each time.
+    #[derive(Default)]
+    struct Written {
+        journal_len: u64,
+        records: u64,
+        record_bytes: u64,
+        bases: u64,
+        base_bytes: u64,
+        last_base: u64,
+        snapshot_bytes: u64,
+    }
+    let written = Mutex::new(Written::default());
+    let checkpointed = dc
+        .suite
+        .campaign(&dc.cfg, 1)
+        .with_checkpoint(&path)
+        .with_on_checkpoint(|_| {
+            let mut w = written.lock().unwrap_or_else(PoisonError::into_inner);
+            match len(&journal) {
+                0 => {
+                    w.bases += 1;
+                    w.last_base = len(&path);
+                    w.base_bytes += w.last_base;
+                    w.journal_len = 0;
+                }
+                now => {
+                    w.records += 1;
+                    w.record_bytes += now - w.journal_len;
+                    w.journal_len = now;
+                }
+            }
+            w.snapshot_bytes +=
+                CampaignSnapshot::load(&path).map_or(0, |s| s.to_bytes().len()) as u64;
+        })
+        .run();
+    let written = written.into_inner().unwrap_or_else(PoisonError::into_inner);
+    // What the last boundary holds of the flight recorder: the ring
     // traces the final epoch keeps, and every pinned crash trace (a
     // checkpoint that does not load counts none, and says so).
     let (ring_traces, pinned_traces) = CampaignSnapshot::load(&path)
@@ -406,24 +445,27 @@ fn durability_section(report: &mut Report, dc: &DeepChain) {
                 (ring + s.ring().count(), pinned + s.pinned_len())
             })
         });
-    // Interrupt after the second surviving checkpoint under a
+    // Interrupt after the third surviving boundary under a
     // seed-derived fault plan (write retries, torn writes, bitrot and
     // a shard abort stacked on the first boundary; later boundaries
-    // stay clean so recovery always has an intact generation), resume
-    // from disk, and demand the uninterrupted result.
+    // stay clean so recovery always has an intact generation — the
+    // second boundary's base and the third's record), resume from
+    // disk, and demand the uninterrupted result.
     let _halted = dc
         .suite
         .campaign(&dc.cfg, 1)
         .with_checkpoint(&path)
         .with_faults(FaultPlan::from_seed(0xC0FFEE, 1, 8))
-        .with_halt_after(2)
+        .with_halt_after(3)
         .run();
+    let replayed_records = CampaignSnapshot::load_counting(&path).map_or(0, |(_, n)| n);
     let resumed = dc.suite.campaign(&dc.cfg, 1).resume(&path);
     if let Err(e) = &resumed {
         eprintln!("resume from checkpoint failed: {e}");
     }
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
+    for file in [&path, &journal, &path.with_extension("ckpt.prev")] {
+        let _ = std::fs::remove_file(file);
+    }
     // A starved budget must terminate programs gracefully and count
     // exhaustions as a pure function of the config.
     const FUEL_BUDGET: u64 = 64;
@@ -437,7 +479,17 @@ fn durability_section(report: &mut Report, dc: &DeepChain) {
     report.section("durability");
     report.label("workload", DC_WORKLOAD);
     report.flag("resume_identical", resume_identical);
-    report.count("checkpoint_bytes", checkpoint_bytes);
+    report.count("checkpoint_bytes", written.last_base);
+    report.count("base_rewrites", written.bases);
+    report.count("journal_records", written.records);
+    report.count("journal_bytes", written.record_bytes);
+    report.count("replayed_records", replayed_records);
+    let wrote = written.base_bytes + written.record_bytes;
+    report.ratio(
+        "bytes_written_ratio",
+        written.snapshot_bytes as f64 / wrote.max(1) as f64,
+        3,
+    );
     report.count("checkpoint_ring_traces", ring_traces);
     report.count("checkpoint_pinned_traces", pinned_traces);
     report.count("fuel_budget", FUEL_BUDGET);

@@ -120,6 +120,9 @@ pub const RULES: &[(Term, Term)] = &[
     (Term::Path("fabric.delta_shrink"), Term::Num(5.0)),
     // No worker may outlive its lease in a clean in-memory run.
     (Term::Num(0.0), Term::Path("fabric.expired_leases")),
+    // The resume the durability section performs must come through a
+    // journal record, not a base alone.
+    (Term::Path("durability.replayed_records"), Term::Num(1.0)),
 ];
 
 const REGENERATE: &str = "regenerate `BENCH_baseline.json` in this PR \
@@ -309,6 +312,7 @@ mod tests {
         r.ratio("workloads.deep_chain.on.coverage_per_exec", 0.01625, 8);
         r.ratio("triage.mean_shrink_ratio", 2.13, 4);
         r.ratio("trace.bits_per_exec", 6.7752, 4);
+        r.count("durability.replayed_records", 1u64);
         r.ratio("fabric.delta_shrink", 8.349, 3);
         r.count("fabric.expired_leases", 0u64);
         r
@@ -374,6 +378,7 @@ mod tests {
             ("trace.bits_per_exec", f(16.5, 4)),
             ("fabric.delta_shrink", f(4.9, 3)),
             ("fabric.expired_leases", Value::U64(1)),
+            ("durability.replayed_records", Value::U64(0)),
             // A rule whose operand is gone or not a number does not hold.
             ("triage.mean_shrink_ratio", Value::Str("n/a".into())),
         ] {

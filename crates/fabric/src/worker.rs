@@ -141,7 +141,7 @@ where
         worker_id: opts.worker_id,
     }
     .to_frame();
-    let grant: Grant = loop {
+    let mut grant: Grant = loop {
         if t.send(&register).is_err() {
             return Ok(surrender(None, 0));
         }
@@ -188,7 +188,11 @@ where
             grant.shard_hi,
         )
     } else {
-        LeaseRunner::restore(&lowered, &grant.config, &grant.snapshots)
+        LeaseRunner::restore(
+            &lowered,
+            &grant.config,
+            std::mem::take(&mut grant.snapshots),
+        )
     };
     if let Some(cb) = opts.on_grant.as_mut() {
         cb(grant.slot, grant.shard_lo, grant.shard_hi, grant.boundary);

@@ -213,10 +213,10 @@ pub(crate) struct ShardState {
 pub struct ShardSnapshot {
     pub(crate) id: u32,
     pub(crate) gen_rng: [u64; 4],
-    pub(crate) corpus_rng: u64,
-    pub(crate) corpus_coverage: kgpt_vkernel::CoverageMap,
-    pub(crate) corpus_entries: Vec<crate::corpus::CorpusEntry>,
-    pub(crate) corpus_stats: crate::corpus::CorpusStats,
+    /// The corpus itself, not its parts: a restored shard takes it as
+    /// it is, and a coordinator closes its boundaries over it and
+    /// patches it in place ([`crate::fabric`]).
+    pub(crate) corpus: Corpus,
     pub(crate) crashes: CrashTally,
     pub(crate) triage_seen: std::collections::BTreeSet<kgpt_vkernel::CrashSignature>,
     pub(crate) epoch: u64,
@@ -227,17 +227,13 @@ pub struct ShardSnapshot {
 
 /// Borrowed form of a [`ShardSnapshot`]: the same fields, pointing
 /// into a live `ShardState` or into an owned snapshot. The shard
-/// codec ([`crate::checkpoint`]) encodes this, so a boundary
-/// checkpoint is written straight from live state and the field order
-/// exists once.
+/// codec ([`crate::checkpoint`]) encodes this, so a base is written
+/// straight from live state and the field order exists once.
 #[derive(Clone, Copy)]
 pub(crate) struct ShardView<'a> {
     pub(crate) id: u32,
     pub(crate) gen_rng: [u64; 4],
-    pub(crate) corpus_rng: u64,
-    pub(crate) corpus_coverage: &'a CoverageMap,
-    pub(crate) corpus_entries: &'a [crate::corpus::CorpusEntry],
-    pub(crate) corpus_stats: crate::corpus::CorpusStats,
+    pub(crate) corpus: &'a Corpus,
     pub(crate) crashes: &'a CrashTally,
     pub(crate) triage_seen: &'a std::collections::BTreeSet<kgpt_vkernel::CrashSignature>,
     pub(crate) epoch: u64,
@@ -252,10 +248,7 @@ impl ShardView<'_> {
         ShardSnapshot {
             id: self.id,
             gen_rng: self.gen_rng,
-            corpus_rng: self.corpus_rng,
-            corpus_coverage: self.corpus_coverage.clone(),
-            corpus_entries: self.corpus_entries.to_vec(),
-            corpus_stats: self.corpus_stats,
+            corpus: self.corpus.clone(),
             crashes: self.crashes.clone(),
             triage_seen: self.triage_seen.clone(),
             epoch: self.epoch,
@@ -272,15 +265,23 @@ impl ShardSnapshot {
         ShardView {
             id: self.id,
             gen_rng: self.gen_rng,
-            corpus_rng: self.corpus_rng,
-            corpus_coverage: &self.corpus_coverage,
-            corpus_entries: &self.corpus_entries,
-            corpus_stats: self.corpus_stats,
+            corpus: &self.corpus,
             crashes: &self.crashes,
             triage_seen: &self.triage_seen,
             epoch: self.epoch,
             rng_pick: self.rng_pick,
             remaining: self.remaining,
+            fuel_exhausted: self.fuel_exhausted,
+        }
+    }
+
+    /// The shard's share of the campaign result.
+    pub(crate) fn into_result(self) -> WorkerResult {
+        let (coverage, corpus_size) = self.corpus.into_coverage();
+        WorkerResult {
+            coverage,
+            crashes: self.crashes,
+            corpus_size,
             fuel_exhausted: self.fuel_exhausted,
         }
     }
@@ -358,9 +359,35 @@ impl ShardState {
         Some((self.id, tracer.boundary_store(self.epoch_len(budget))))
     }
 
+    /// Whether a flight recorder is attached.
+    pub(crate) fn traced(&self) -> bool {
+        self.tracer.is_some()
+    }
+
+    /// What a journal record says of a traced shard's flight recorder
+    /// since the shard was marked (see `ShardTracer::write_since_mark`),
+    /// under its shard id.
+    pub(crate) fn write_traces_since_mark(
+        &self,
+        budget: u64,
+        w: &mut kgpt_syzlang::codec::Writer<'_>,
+    ) {
+        if let Some(tracer) = &self.tracer {
+            w.u32(self.id);
+            tracer.write_since_mark(self.epoch_len(budget), w);
+        }
+    }
+
     /// Executions the shard's next epoch runs under `budget`.
     fn epoch_len(&self, budget: u64) -> u64 {
         budget.min(self.remaining)
+    }
+
+    /// The scalars of [`ShardState::view`] that are not already fields
+    /// a sibling module can read — `(epoch, rng_pick, gen_rng)` — for
+    /// a boundary written as an increment, which borrows no view.
+    pub(crate) fn clocks(&self) -> (u64, u64, [u64; 4]) {
+        (self.epoch, self.rng_pick, self.generator.rng_state())
     }
 
     /// Borrowed serializable projection of this shard's live state
@@ -369,10 +396,7 @@ impl ShardState {
         ShardView {
             id: self.id,
             gen_rng: self.generator.rng_state(),
-            corpus_rng: self.corpus.rng_state(),
-            corpus_coverage: self.corpus.coverage(),
-            corpus_entries: self.corpus.entries(),
-            corpus_stats: self.corpus.stats(),
+            corpus: &self.corpus,
             crashes: &self.crashes,
             triage_seen: self.triage.seen(),
             epoch: self.epoch,
@@ -387,16 +411,21 @@ impl ShardState {
         self.view().to_snapshot()
     }
 
-    /// Mark the shard where another process holds the same state (a
-    /// fabric worker, right after an acked boundary's import): the
-    /// corpus numbers its entries ([`Corpus::mark`]) and the tally
-    /// notes its counts, so the next boundary can be written as an
-    /// increment from live state. The third map that grows between
-    /// boundaries needs no mark: the signatures first seen since are
-    /// the captures the boundary's triage drain hands out. Allocates
-    /// only for a title the tally gained since the last mark.
+    /// Mark the shard where somebody else holds the same state — a
+    /// fabric coordinator, right after an acked boundary's import; a
+    /// checkpoint and its journal, right after a durable boundary: the
+    /// corpus numbers its entries ([`Corpus::mark`]), the tally notes
+    /// its counts and the flight recorder its exec count, so the next
+    /// boundary can be written as an increment from live state. The
+    /// third map that grows between boundaries needs no mark: the
+    /// signatures first seen since are the captures the boundary's
+    /// triage drain takes. Allocates only for a title the tally gained
+    /// since the last mark.
     pub(crate) fn mark(&mut self) {
         self.corpus.mark();
+        if let Some(tracer) = &mut self.tracer {
+            tracer.mark();
+        }
         for (title, (count, _)) in &self.crashes {
             match self.crash_marks.get_mut(title) {
                 Some(marked) => *marked = *count,
@@ -422,25 +451,20 @@ impl ShardState {
         records
     }
 
-    /// Rebuild a live shard from a snapshot, sharing the campaign's
-    /// lowered IR. Inverse of [`ShardState::snapshot`]: continuing the
-    /// restored shard is bit-identical to continuing the original.
+    /// Rebuild a live shard from a snapshot, which it consumes,
+    /// sharing the campaign's lowered IR. Inverse of
+    /// [`ShardState::snapshot`]: continuing the restored shard is
+    /// bit-identical to continuing the original.
     pub(crate) fn restore(
         lowered: &Arc<LoweredDb>,
         config: &CampaignConfig,
-        snap: &ShardSnapshot,
+        snap: ShardSnapshot,
     ) -> ShardState {
         let mut state = ShardState::new(lowered, config, snap.id, snap.remaining, 0);
         state.generator.restore_rng(snap.gen_rng);
-        state.corpus = Corpus::from_parts(
-            CORPUS_CAP,
-            snap.corpus_rng,
-            snap.corpus_coverage.clone(),
-            snap.corpus_entries.clone(),
-            snap.corpus_stats,
-        );
-        state.crashes = snap.crashes.clone();
-        state.triage = ShardTriage::from_seen(snap.triage_seen.clone());
+        state.corpus = snap.corpus;
+        state.crashes = snap.crashes;
+        state.triage = ShardTriage::from_seen(snap.triage_seen);
         state.epoch = snap.epoch;
         state.rng_pick = snap.rng_pick;
         state.fuel_exhausted = snap.fuel_exhausted;

@@ -1,4 +1,4 @@
-//! Crash-safe campaign checkpointing.
+//! Crash-safe campaign checkpointing: a base and a journal.
 //!
 //! A [`CampaignSnapshot`] is the complete serializable identity of a
 //! paused [`crate::ShardedCampaign`] at an epoch boundary: config and
@@ -10,86 +10,133 @@
 //! to never having stopped — result and returned trace stores alike
 //! (pinned by `tests/durability.rs`).
 //!
-//! The encoding is composed from the workspace codec — layout rules
-//! and the envelope are documented in [`kgpt_syzlang::codec`]. Four
-//! things are particular to this format (version 4):
+//! ## Two files
+//!
+//! A checkpointing campaign makes every boundary durable, and writes
+//! what the epoch changed:
+//!
+//! * `<path>` is a **base** — a whole snapshot in the version-4
+//!   encoding below, installed atomically over one generation of
+//!   history (`<path>.prev`);
+//! * `<path>.journal` holds one **record** per boundary since: a
+//!   counted envelope (`KGPTJRNL`, its own version, `codec::checksum`)
+//!   of `base id | boundary | payload | trace increments`. The payload
+//!   is a fabric worker's incremental frame body —
+//!   [`crate::fabric::LeaseRunner::write_boundary`]'s bytes, one
+//!   `EpochPatch` per shard written from live state against the mark
+//!   of the last durable boundary, fed the very `(candidates, counts)`
+//!   the in-process boundary admits — and a trace increment is what
+//!   `TraceStore::advance` takes (the kept ring traces recorded and
+//!   the traces pinned since, each sealed for it once). Records on the
+//!   benchmark's campaign run 5–16 KB beside a 125 KB base; the
+//!   shards are then marked exactly as an acked fabric boundary marks
+//!   them. One patch codec, two sinks.
+//!
+//! **What binds a record to its base** is the base's envelope
+//! checksum (the id) and the boundary number: [`CampaignSnapshot::load`]
+//! reads the base, moves it into the fabric coordinator's committed
+//! state and, for each record in turn, checks `id` and `boundary ==
+//! epochs_done + 1` and runs the coordinator's own `validate` and
+//! `commit` — hub publish, import and triage admission replay through
+//! the crate's one `Boundary`. A record that is short, fails its
+//! checksum, names another base (an earlier generation's, another
+//! campaign's at the same path) or another boundary, or does not fit
+//! is **the end of the log**: nothing of it is applied, and what it
+//! and its successors held is re-executed on resume. It costs epochs,
+//! never determinism and never the campaign.
+//!
+//! **The rewrite rule.** A boundary is written as a base when there is
+//! none to append to (a fresh or resumed run's first; after a write
+//! that failed) or the journal has outgrown a quarter of it, as a
+//! record otherwise — derived from the two files' sizes, not a cadence
+//! or an option. So a restore decodes at most 1.25 bases' worth of
+//! bytes (a record replays at about a base decode's cost per byte),
+//! and a campaign writes a fifth of what a snapshot at every boundary
+//! did.
+//!
+//! ## Kill windows
+//!
+//! A base of generation *N+1* over `<path>` = *N*, `<path>.prev` =
+//! *N−1* is five steps, and a process killed between any two of them
+//! leaves a loadable campaign that has lost no durable boundary:
+//!
+//! 1. the payload is written to `<path>.tmp`, complete, before
+//!    anything else is touched — killed here: *N* and its records;
+//! 2. if `<path>` exists, `<path>.prev` is removed — *N* and its
+//!    records (the generation a save retires is *N−1* either way; it
+//!    goes one step earlier so that no rename below replaces a file);
+//! 3. `<path>` renames to `<path>.prev` — no `<path>`: `load` falls
+//!    back to `.prev` = *N*, and the journal's records are *N*'s;
+//! 4. `<path>.tmp` renames to `<path>` — *N+1*; the journal still
+//!    holds *N*'s records, which name another base and are skipped;
+//! 5. the journal is truncated.
+//!
+//! A record is one positioned write after the last intact one: killed
+//! inside it, the tail is short or fails its checksum and the log ends
+//! at the record before. When only `<path>.prev` exists (a resume
+//! after a kill between 3 and 4), step 2 is skipped with step 3 and
+//! the fallback generation stays until the install. Neither rename
+//! lands on an existing file: replacing one makes ext4
+//! (`auto_da_alloc`) allocate and flush the moved file's still-dirty
+//! pages on the spot. No step syncs, as none did before the journal:
+//! the contract is against process death (the page cache survives
+//! it), and a base that is missing, truncated or corrupt at rest falls
+//! back to `.prev` — taking the records written against it along, so
+//! it costs the epochs since `.prev` was written.
+//!
+//! ## The base encoding
+//!
+//! Composed from the workspace codec — layout rules and the envelope
+//! are documented in [`kgpt_syzlang::codec`]. Four things are
+//! particular to this format (version 4):
 //!
 //! * **One encoder, over borrowed state.** `SnapshotView` is the
 //!   snapshot's fields as references; it is what gets encoded. The
-//!   driver builds one over its live shards at every boundary and
-//!   writes it, so the write path never deep-copies the campaign;
-//!   [`CampaignSnapshot::to_bytes`] encodes a view of itself. The
-//!   file a boundary writes is byte-identical to re-encoding what
-//!   [`CampaignSnapshot::load`] reads back.
+//!   base writer builds one over its live shards, so it never
+//!   deep-copies the campaign; [`CampaignSnapshot::to_bytes`] encodes
+//!   a view of itself — which makes it the journal's oracle: loading
+//!   base + journal re-encodes to the view of the live state at the
+//!   last durable boundary, byte for byte.
 //! * **Coverage is written sparse.** Every [`CoverageMap`] on the
 //!   wire — corpus-entry keys, shard and hub unions, hub seeds — goes
 //!   through `encode_coverage`: the [`CoverageWordDiff`] layout of
-//!   the map against the empty map, i.e. runs of nonzero words. A
-//!   corpus entry's key holds a handful of set words in a bitmap
-//!   hundreds of words long, so this is where most of a snapshot's
-//!   bytes used to go. Trailing zero words are never written and the
-//!   sparse/dense choice is made on the trimmed length, which makes
-//!   the encoding canonical: equal maps encode to equal bytes.
+//!   the map against the empty map, i.e. runs of nonzero words.
+//!   Trailing zero words are never written and the sparse/dense choice
+//!   is made on the trimmed length, which makes the encoding
+//!   canonical: equal maps encode to equal bytes.
 //! * **Trace stores are elements, not blobs.** Each store is written
 //!   by [`TraceStore::encode`] straight into the payload, under the
 //!   checkpoint's one checksum.
 //! * **A trace store holds only what the next epoch cannot push
 //!   out.** A shard starts an epoch of `n` execs by trimming its ring
 //!   to the newest `cap − n` traces (see [`crate::flight`]), so the
-//!   store written at a boundary is the shard's `cap`, `execs_seen`,
-//!   every pinned crash trace, and the newest `cap − n_next` ring
-//!   traces, `n_next = min(hub_epoch, remaining)` — the whole ring of
-//!   a shard that has finished, no ring trace at all when an epoch is
-//!   at least as long as the ring (the default 32 under any
-//!   `hub_epoch` ≥ 32). Nothing else could be read back: the rest of
-//!   the ring is gone from the uninterrupted run too before its next
-//!   exec records. What is persisted follows from `(trace_ring,
-//!   hub_epoch, remaining)`; there is no cadence and no option.
+//!   store of a boundary is the shard's `cap`, `execs_seen`, every
+//!   pinned crash trace, and the newest `cap − n_next` ring traces,
+//!   `n_next = min(hub_epoch, remaining)` — no ring trace at all when
+//!   an epoch is at least as long as the ring (the default 32 under
+//!   any `hub_epoch` ≥ 32). What is persisted follows from
+//!   `(trace_ring, hub_epoch, remaining)`; there is no option.
 //!
 //! The fabric's delta and patch frames reuse the element codecs below
 //! (see [`crate::fabric`]), so they share the sparse coverage rule.
-//!
-//! Writes are atomic and keep one generation of history. A save of
-//! generation *N+1* over `<path>` = *N*, `<path>.prev` = *N−1* is four
-//! steps, and a process killed between any two of them leaves a
-//! loadable campaign:
-//!
-//! 1. the payload is written to `<path>.tmp`, complete, before
-//!    anything else is touched — killed here: `<path>` = *N*;
-//! 2. if `<path>` exists, `<path>.prev` is removed — `<path>` = *N*
-//!    alone (the generation a save retires is *N−1* either way; it
-//!    goes one step earlier so that no rename below replaces a file);
-//! 3. `<path>` renames to `<path>.prev` — no `<path>`, `<path>.prev`
-//!    = *N*, which is what `load` falls back to;
-//! 4. `<path>.tmp` renames to `<path>` — `<path>` = *N+1*,
-//!    `<path>.prev` = *N*.
-//!
-//! So at every instant `<path>` or `<path>.prev` is an intact
-//! generation, provided one was when the save began. When only
-//! `<path>.prev` exists (a resume after a kill between 3 and 4), step
-//! 2 is skipped with step 3 and the fallback generation stays until
-//! the install. Neither rename lands on an existing file: replacing
-//! one makes ext4 (`auto_da_alloc`) allocate and flush the moved
-//! file's still-dirty pages on the spot. [`CampaignSnapshot::load`]
-//! verifies magic, version and checksum, and falls back to the
-//! previous-good rotation when the current file is missing, truncated
-//! or corrupt — a torn write costs one epoch of progress, never the
-//! campaign.
 
-use crate::campaign::{CampaignConfig, ShardSnapshot, ShardView};
-use crate::corpus::{CorpusEntry, CorpusStats};
-use crate::fabric::{decode_seeds, encode_config, encode_seeds};
+use crate::boundary::Boundary;
+use crate::campaign::{CampaignConfig, ShardSnapshot, ShardView, CORPUS_CAP};
+use crate::corpus::{Corpus, CorpusEntry, CorpusStats};
+use crate::fabric::{decode_seeds, encode_config, encode_seeds, DeltaPayload, MergeState};
 use crate::hub::SeedHub;
-use kgpt_syzlang::codec::{frame, unframe, DecodeError, Reader, Writer};
+use kgpt_syzlang::codec::{frame_into, frame_onto, unframe, DecodeError, Reader, Writer};
 use kgpt_syzlang::prog::Program;
-use kgpt_trace::{decode_signature, encode_signature, TraceStore};
+use kgpt_trace::{decode_signature, encode_signature, ExecTrace, TraceStore};
 use kgpt_triage::{TriageEntry, TriageReport};
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff, MAX_COVERAGE_WORDS};
+use std::fs::File;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 pub use kgpt_syzlang::codec::fnv1a;
 
-/// File magic: identifies a campaign checkpoint.
+/// File magic: identifies a campaign checkpoint (a base).
 const MAGIC: &[u8; 8] = b"KGPTCKPT";
 
 /// Current snapshot format version. Bumped on any layout change; a
@@ -98,6 +145,13 @@ const MAGIC: &[u8; 8] = b"KGPTCKPT";
 /// bytes of a v3 store would parse and mean something else — and the
 /// envelope carries `codec::checksum`.)
 const VERSION: u32 = 4;
+
+/// Magic and version of a journal record's envelope.
+const JOURNAL_MAGIC: &[u8; 8] = b"KGPTJRNL";
+const JOURNAL_VERSION: u32 = 1;
+
+/// Magic, version and checksum: what an envelope's payload follows.
+pub(crate) const HEADER: usize = 20;
 
 /// Error reading, writing, or validating a campaign snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,8 +218,8 @@ pub struct CampaignSnapshot {
 }
 
 /// A [`CampaignSnapshot`] by reference — the form that is encoded.
-/// The driver points one at its live state to write a boundary
-/// checkpoint without copying the campaign first.
+/// The base writer points one at its live state to write a base
+/// without copying the campaign first.
 pub(crate) struct SnapshotView<'a> {
     pub(crate) config_fingerprint: u64,
     pub(crate) spec_fingerprint: u64,
@@ -177,9 +231,10 @@ pub(crate) struct SnapshotView<'a> {
 }
 
 impl SnapshotView<'_> {
-    /// Serialize to the versioned, checksummed on-disk format.
-    pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        frame(MAGIC, VERSION, |w| {
+    /// Serialize to the versioned, checksummed on-disk format, into a
+    /// buffer the caller keeps.
+    pub(crate) fn frame_into(&self, out: &mut Vec<u8>) {
+        frame_into(out, MAGIC, VERSION, |w| {
             w.u64(self.config_fingerprint);
             w.u64(self.spec_fingerprint);
             w.u64(self.epochs_done);
@@ -193,34 +248,136 @@ impl SnapshotView<'_> {
                 w.u32(*id);
                 store.encode(w);
             });
-        })
+        });
+    }
+}
+
+/// Install `bytes` as the base at `path`: steps 1–4 of the module
+/// docs' kill windows.
+fn install(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let io = |what: &str, at: &Path, e: std::io::Error| {
+        CheckpointError::new(format!("{what} {} failed: {e}", at.display()))
+    };
+    let (tmp, prev) = (sibling(path, "tmp"), sibling(path, "prev"));
+    std::fs::write(&tmp, bytes).map_err(|e| io("write", &tmp, e))?;
+    if path.exists() {
+        // Clear the rotation slot first: neither rename below may
+        // replace a file (module docs).
+        match std::fs::remove_file(&prev) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(io("clear", &prev, e));
+            }
+            _ => {}
+        }
+        std::fs::rename(path, &prev).map_err(|e| io("rotate", path, e))?;
+    }
+    std::fs::rename(&tmp, path).map_err(|e| io("install", path, e))
+}
+
+/// What names a base to its records: its envelope's checksum word.
+fn base_id(bytes: &[u8]) -> u64 {
+    let word = bytes
+        .get(HEADER - 8..HEADER)
+        .and_then(|w| w.try_into().ok());
+    u64::from_le_bytes(word.unwrap_or_default())
+}
+
+/// The write side of a checkpointing campaign's two files (module
+/// docs): frames each durable boundary — a base or a record — into one
+/// kept buffer and writes it.
+#[derive(Default)]
+pub(crate) struct Journal {
+    /// `<path>` and `<path>.journal`.
+    path: PathBuf,
+    log: PathBuf,
+    buf: Vec<u8>,
+    /// The journal, open while this run has a base to append to: from
+    /// its first durable boundary on, until a write fails.
+    file: Option<File>,
+    /// Id and size of that base, and the bytes of records after it.
+    base_id: u64,
+    base_len: u64,
+    logged: u64,
+}
+
+impl Journal {
+    pub(crate) fn new(path: &Path) -> Journal {
+        Journal {
+            path: path.to_path_buf(),
+            log: sibling(path, "journal"),
+            ..Journal::default()
+        }
     }
 
-    /// Write atomically to `path` (see [`CampaignSnapshot::save`] and
-    /// the module docs for the step order and its kill windows).
-    pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = sibling(path, "tmp");
-        std::fs::write(&tmp, self.to_bytes())
-            .map_err(|e| CheckpointError::new(format!("write {} failed: {e}", tmp.display())))?;
-        if path.exists() {
-            // Clear the rotation slot first: neither rename below
-            // may replace a file (module docs).
-            let prev = sibling(path, "prev");
-            match std::fs::remove_file(&prev) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    return Err(CheckpointError::new(format!(
-                        "clear {} failed: {e}",
-                        prev.display()
-                    )));
-                }
-                _ => {}
-            }
-            std::fs::rename(path, &prev).map_err(|e| {
-                CheckpointError::new(format!("rotate {} failed: {e}", path.display()))
-            })?;
+    /// Run `payload` where the boundary closes — around the record of
+    /// boundary `boundary` it then writes, when this boundary is due a
+    /// record rather than a base (module docs, the rewrite rule).
+    /// [`Journal::write`] makes either durable.
+    pub(crate) fn record<R>(
+        &mut self,
+        boundary: u64,
+        payload: impl FnOnce(Option<&mut Writer<'_>>) -> R,
+    ) -> R {
+        self.buf.clear();
+        if self.file.is_none() || self.logged * 4 > self.base_len {
+            return payload(None);
         }
-        std::fs::rename(&tmp, path)
-            .map_err(|e| CheckpointError::new(format!("install {} failed: {e}", path.display())))
+        let id = self.base_id;
+        self.buf.extend_from_slice(&[0; 4]); // the record's length
+        let out = frame_onto(&mut self.buf, JOURNAL_MAGIC, JOURNAL_VERSION, |w| {
+            w.u64(id);
+            w.u64(boundary);
+            payload(Some(w))
+        });
+        let len = u32::try_from(self.buf.len() - 4).unwrap_or(u32::MAX);
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
+        out
+    }
+
+    /// Make the boundary durable: put the record [`Journal::record`]
+    /// framed after the last one, or — it framed none — install the
+    /// base `frame_base` frames and start the journal over. A failure
+    /// leaves the files loadable and makes the next boundary a base.
+    pub(crate) fn write(
+        &mut self,
+        frame_base: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), CheckpointError> {
+        let log = &self.log;
+        let io = |e| CheckpointError::new(format!("write {} failed: {e}", log.display()));
+        match self.file.take() {
+            Some(mut file) if !self.buf.is_empty() => {
+                file.seek(SeekFrom::Start(self.logged)).map_err(io)?;
+                file.write_all(&self.buf).map_err(io)?;
+                self.logged += self.buf.len() as u64;
+                self.file = Some(file);
+            }
+            _ => {
+                frame_base(&mut self.buf);
+                install(&self.path, &self.buf)?;
+                self.file = Some(File::create(log).map_err(io)?);
+                (self.base_id, self.base_len) = (base_id(&self.buf), self.buf.len() as u64);
+                self.logged = 0;
+            }
+        }
+        Ok(())
+    }
+
+    /// The boundary could not be written: nothing can be appended past
+    /// the hole, so the next boundary is a base.
+    pub(crate) fn abandon(&mut self) {
+        self.file = None;
+    }
+
+    /// Fault injection: damage, as [`crate::faults::damage_file`] does,
+    /// the record or base [`Journal::write`] wrote last — and abandon
+    /// it, as a writer that saw its medium fail would.
+    pub(crate) fn damage(&mut self, damage: Option<usize>) {
+        let record = self.logged.checked_sub(self.buf.len() as u64);
+        match record.filter(|_| self.logged > 0) {
+            Some(at) => crate::faults::damage_file(&self.log, at, damage),
+            None => crate::faults::damage_file(&self.path, 0, damage),
+        }
+        self.abandon();
     }
 }
 
@@ -253,7 +410,9 @@ impl CampaignSnapshot {
     /// Serialize to the versioned, checksummed on-disk format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.view().to_bytes()
+        let mut out = Vec::new();
+        self.view().frame_into(&mut out);
+        out
     }
 
     /// Parse a snapshot from bytes previously produced by
@@ -288,41 +447,81 @@ impl CampaignSnapshot {
         })
     }
 
-    /// Write atomically to `path`: serialize to `<path>.tmp`, rotate
-    /// any current snapshot to `<path>.prev` (the previous-good
-    /// fallback), then rename the temp file into place. A crash at any
-    /// point leaves either the old snapshot or the new one intact —
-    /// never a torn file under `path` alone.
+    /// Write atomically to `path` as a base (module docs, steps 1–4):
+    /// a crash at any point leaves either the old snapshot or the new
+    /// one intact — never a torn file under `path` alone. A journal
+    /// beside it is left as it is; its records name the base they
+    /// continue, so [`CampaignSnapshot::load`] skips them.
     ///
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] when the filesystem rejects the
     /// temp-file write or a rename.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.view().save(path)
+        install(path, &self.to_bytes())
     }
 
-    /// Load the snapshot at `path`, falling back to the previous-good
-    /// rotation (`<path>.prev`) when the current file is missing,
-    /// truncated, or corrupt. Falling back costs the epochs between
-    /// the two snapshots — they are simply re-executed on resume — and
-    /// never determinism.
+    /// Load the campaign at `path` as of its last durable boundary:
+    /// the base — falling back to the previous-good rotation
+    /// (`<path>.prev`) when the current file is missing, truncated, or
+    /// corrupt — and on it every intact journal record that continues
+    /// it (module docs). What a fallback or a cut log loses is simply
+    /// re-executed on resume — epochs, never determinism.
     ///
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] describing both failures when
     /// neither generation parses.
     pub fn load(path: &Path) -> Result<CampaignSnapshot, CheckpointError> {
-        let current = read_and_parse(path);
-        match current {
-            Ok(snap) => Ok(snap),
-            Err(e) => match read_and_parse(&sibling(path, "prev")) {
-                Ok(snap) => Ok(snap),
-                Err(e2) => Err(CheckpointError::new(format!(
-                    "no intact snapshot: current: {e}; previous: {e2}"
-                ))),
-            },
+        Ok(CampaignSnapshot::load_counting(path)?.0)
+    }
+
+    /// [`CampaignSnapshot::load`], also saying how many journal
+    /// records it replayed: the base was written that many boundaries
+    /// before [`CampaignSnapshot::epochs_done`].
+    ///
+    /// # Errors
+    ///
+    /// As [`CampaignSnapshot::load`].
+    pub fn load_counting(path: &Path) -> Result<(CampaignSnapshot, u64), CheckpointError> {
+        let (id, base) = read_and_parse(path).or_else(|e| {
+            read_and_parse(&sibling(path, "prev")).map_err(|e2| {
+                CheckpointError::new(format!("no intact snapshot: current: {e}; previous: {e2}"))
+            })
+        })?;
+        let journal = std::fs::read(sibling(path, "journal")).unwrap_or_default();
+        Ok(base.replay(id, &journal))
+    }
+
+    /// This base (`id`) moved on by every record of `journal`, a
+    /// journal file's bytes, up to the first that is not intact or does
+    /// not continue it; and how many that was.
+    fn replay(self, id: u64, journal: &[u8]) -> (CampaignSnapshot, u64) {
+        let (hub, triage, epochs_done) = (self.hub, self.triage, self.epochs_done);
+        let boundary = Boundary {
+            hub,
+            triage,
+            epochs_done,
+        };
+        let mut merge = MergeState::from_snapshot(self.shards, boundary);
+        let mut traces = self.traces;
+        let mut log = Reader::new(journal);
+        let mut replayed = 0;
+        while let Ok(record) = log.bytes() {
+            if apply_record(&mut merge, &mut traces, id, record).is_err() {
+                break;
+            }
+            replayed += 1;
         }
+        let snapshot = CampaignSnapshot {
+            shards: merge.committed,
+            hub: merge.boundary.hub,
+            triage: merge.boundary.triage,
+            epochs_done: merge.boundary.epochs_done,
+            traces,
+            ..self
+        };
+        (snapshot, replayed)
     }
 
     /// Validate that this snapshot belongs to a campaign with the
@@ -348,10 +547,47 @@ impl CampaignSnapshot {
     }
 }
 
-fn read_and_parse(path: &Path) -> Result<CampaignSnapshot, CheckpointError> {
+/// One journal record (an envelope, its length prefix stripped) onto
+/// the state replayed so far. Everything is checked before anything is
+/// touched: the envelope, the base it names, its boundary number, that
+/// it decodes to the end, that every trace increment names a store,
+/// and — inside `commit` — that the patches cover the shards and fit.
+fn apply_record(
+    merge: &mut MergeState,
+    traces: &mut [(u32, TraceStore)],
+    id: u64,
+    record: &[u8],
+) -> Result<(), CheckpointError> {
+    let mut r = Reader::new(unframe(JOURNAL_MAGIC, JOURNAL_VERSION, record)?);
+    if (r.u64()?, r.u64()?) != (id, merge.boundary.epochs_done + 1) {
+        return Err(CheckpointError::new("record of another base or boundary"));
+    }
+    let payload = DeltaPayload::decode(&mut r)?;
+    let advances = r.seq(|r| {
+        let (shard, execs_seen, keep) = (r.u32()?, r.u64()?, r.u32()? as usize);
+        let mut retained = r.seq(ExecTrace::decode)?;
+        retained.extend(r.seq(ExecTrace::decode)?);
+        Ok((shard, execs_seen, keep, retained))
+    })?;
+    r.finish()?;
+    let store_of = |(shard, ..): &(u32, u64, usize, Vec<ExecTrace>)| {
+        traces.iter().position(|(id, _)| id == shard)
+    };
+    let stores: Option<Vec<usize>> = advances.iter().map(store_of).collect();
+    let stores =
+        stores.ok_or_else(|| CheckpointError::new("trace increment for an untraced shard"))?;
+    merge.commit(vec![payload])?;
+    for (store, (_, execs_seen, keep, retained)) in stores.into_iter().zip(advances) {
+        traces[store].1.advance(execs_seen, keep, retained);
+    }
+    Ok(())
+}
+
+/// The base at `path`, under its id.
+fn read_and_parse(path: &Path) -> Result<(u64, CampaignSnapshot), CheckpointError> {
     let bytes = std::fs::read(path)
         .map_err(|e| CheckpointError::new(format!("read {} failed: {e}", path.display())))?;
-    CampaignSnapshot::from_bytes(&bytes)
+    Ok((base_id(&bytes), CampaignSnapshot::from_bytes(&bytes)?))
 }
 
 /// `<path>.<ext>` with the extension appended (not substituted), so
@@ -539,10 +775,10 @@ pub(crate) fn encode_shard(s: ShardView<'_>, w: &mut Writer<'_>) {
     for word in s.gen_rng {
         w.u64(word);
     }
-    w.u64(s.corpus_rng);
-    encode_coverage(s.corpus_coverage, w);
-    encode_corpus_stats(&s.corpus_stats, w);
-    w.seq(s.corpus_entries, encode_corpus_entry);
+    w.u64(s.corpus.rng_state());
+    encode_coverage(s.corpus.coverage(), w);
+    encode_corpus_stats(&s.corpus.stats(), w);
+    w.seq(s.corpus.entries(), encode_corpus_entry);
     w.seq(s.crashes, |(title, (count, cve)), w| {
         encode_crash(title, *count, cve.as_deref(), w);
     });
@@ -557,10 +793,16 @@ pub(crate) fn decode_shard(r: &mut Reader<'_>) -> Result<ShardSnapshot, DecodeEr
         remaining: r.u64()?,
         fuel_exhausted: r.u64()?,
         gen_rng: decode_rng(r)?,
-        corpus_rng: r.u64()?,
-        corpus_coverage: decode_coverage(r)?,
-        corpus_stats: decode_corpus_stats(r)?,
-        corpus_entries: r.seq(decode_corpus_entry)?,
+        corpus: {
+            let (rng, coverage, stats) = (r.u64()?, decode_coverage(r)?, decode_corpus_stats(r)?);
+            Corpus::from_parts(
+                CORPUS_CAP,
+                rng,
+                coverage,
+                r.seq(decode_corpus_entry)?,
+                stats,
+            )
+        },
         crashes: r
             .seq(decode_crash)?
             .into_iter()
@@ -618,18 +860,25 @@ mod tests {
 
     thread_local! {
         static ALLOC_BYTES: Cell<usize> = const { Cell::new(0) };
+        static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Count one allocator event of `size` bytes against this thread.
+    fn count(size: usize) {
+        let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + size));
+        let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
     }
 
     // SAFETY: delegates everything to `System`; the counter is a
     // const-initialised thread-local `Cell` with no destructor.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + layout.size()));
+            count(layout.size());
             System.alloc(layout)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + layout.size()));
+            count(layout.size());
             System.alloc_zeroed(layout)
         }
 
@@ -638,7 +887,7 @@ mod tests {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + new_size));
+            count(new_size);
             System.realloc(ptr, layout, new_size)
         }
     }
@@ -695,19 +944,22 @@ mod tests {
             shards: vec![ShardSnapshot {
                 id: 0,
                 gen_rng: [1, 2, 3, 4],
-                corpus_rng: 99,
-                corpus_coverage: cov(&[1, 2, 64, 500]),
-                corpus_entries: vec![CorpusEntry {
-                    program: prog(1),
-                    contributed: cov(&[64]),
-                    execs: 12,
-                    hits: 2,
-                }],
-                corpus_stats: CorpusStats {
-                    admitted: 5,
-                    imported: 1,
-                    evicted: 2,
-                },
+                corpus: Corpus::from_parts(
+                    CORPUS_CAP,
+                    99,
+                    cov(&[1, 2, 64, 500]),
+                    vec![CorpusEntry {
+                        program: prog(1),
+                        contributed: cov(&[64]),
+                        execs: 12,
+                        hits: 2,
+                    }],
+                    CorpusStats {
+                        admitted: 5,
+                        imported: 1,
+                        evicted: 2,
+                    },
+                ),
                 crashes,
                 triage_seen: seen,
                 epoch: 7,
@@ -902,6 +1154,273 @@ mod tests {
         assert!(e.message.contains("previous"), "{e}");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `save` knows nothing of a journal and a journal nothing of a
+    /// `save`: records beside a base they do not name are not applied,
+    /// and `load` of a lone base replays none.
+    #[test]
+    fn a_saved_base_ignores_a_journal_that_names_another() {
+        let dir = scratch_dir("foreign-journal");
+        let path = dir.join("campaign.ckpt");
+        let snap = sample();
+        snap.save(&path).unwrap();
+        assert_eq!(
+            CampaignSnapshot::load_counting(&path).unwrap(),
+            (snap.clone(), 0)
+        );
+        let mut journal = Journal::new(&path);
+        journal.write(|out| snap.view().frame_into(out)).unwrap();
+        let id = base_id(&snap.to_bytes());
+        assert_eq!((journal.base_id, journal.base_len), (id, 755));
+        // A record that names this base but patches a shard it has not.
+        journal.record(8, |w| {
+            let w = w.expect("a base to append to, and an empty journal");
+            w.u8(1);
+            w.seq([9u32], |shard, w| w.u32(shard));
+        });
+        journal
+            .write(|_| unreachable!("a record was framed"))
+            .unwrap();
+        let log = std::fs::read(sibling(&path, "journal")).unwrap();
+        assert_eq!(log.len() as u64, journal.logged);
+        assert_eq!(log[..4], (log.len() as u32 - 4).to_le_bytes());
+        assert_eq!(
+            CampaignSnapshot::load_counting(&path).unwrap(),
+            (snap.clone(), 0)
+        );
+        // One that names another base, or another boundary, or nothing.
+        let (other, _) = snap.clone().replay(id ^ 1, &log);
+        assert_eq!(other, snap);
+        assert_eq!(snap.clone().replay(id, b"\x03\0\0\0abc"), (snap.clone(), 0));
+        assert_eq!(snap.clone().replay(id, &[0xFF; 64]), (snap.clone(), 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A small deep-chain campaign's third base and the journal of the
+    /// four records after it: `(base bytes, journal bytes)`.
+    fn recorded_journal() -> (Vec<u8>, Vec<u8>) {
+        use crate::{CampaignConfig, ShardedCampaign};
+        use kgpt_csrc::{deepchain, KernelCorpus};
+        let kc = KernelCorpus::from_blueprints(deepchain::suite());
+        let suite: Vec<_> = kc
+            .blueprints()
+            .iter()
+            .map(|bp| bp.ground_truth_spec())
+            .collect();
+        let kernel = kgpt_vkernel::VKernel::boot(deepchain::suite());
+        let dir = scratch_dir("recorded");
+        let path = dir.join("campaign.ckpt");
+        let config = CampaignConfig {
+            execs: 2 * 16 * 10,
+            seed: 5,
+            max_prog_len: 6,
+            hub_epoch: 16,
+            trace_ring: 4,
+            ..CampaignConfig::default()
+        };
+        let _ = ShardedCampaign::new(&kernel, &suite, kc.consts(), config)
+            .with_shards(2)
+            .with_checkpoint(&path)
+            .with_halt_after(7)
+            .run();
+        let files = (
+            std::fs::read(&path).unwrap(),
+            std::fs::read(sibling(&path, "journal")).unwrap(),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    }
+
+    /// The journal reader is total: over every prefix and every
+    /// single-byte mutation of a recorded journal it never panics,
+    /// allocates within a constant times its input, and applies exactly
+    /// the records before the damage — what loads is the campaign as of
+    /// one of its boundaries, never a record half applied.
+    #[test]
+    fn the_journal_reader_is_total_over_prefixes_and_mutations() {
+        let (base_bytes, journal) = recorded_journal();
+        let base = CampaignSnapshot::from_bytes(&base_bytes).unwrap();
+        let id = base_id(&base_bytes);
+        let mut ends = vec![0usize];
+        let mut log = Reader::new(&journal);
+        while log.bytes().is_ok() {
+            ends.push(log.pos());
+        }
+        assert_eq!(ends.last(), Some(&journal.len()), "a clean journal");
+        assert_eq!(ends.len(), 5, "base 3 and four records");
+        let states: Vec<CampaignSnapshot> = ends
+            .iter()
+            .zip(0u64..)
+            .map(|(end, n)| {
+                let (state, replayed) = base.clone().replay(id, &journal[..*end]);
+                assert_eq!(replayed, n);
+                assert_eq!(state.epochs_done, base.epochs_done + n);
+                // Coherent: it is a snapshot like any other.
+                assert_eq!(
+                    CampaignSnapshot::from_bytes(&state.to_bytes()).unwrap(),
+                    state
+                );
+                state
+            })
+            .collect();
+        let input = base_bytes.len() + journal.len();
+        let mut worst = 0;
+        let mut check = |damaged: &[u8], intact: usize, what: &str| {
+            let start = base.clone();
+            let before = ALLOC_BYTES.with(Cell::get);
+            let (state, replayed) = start.replay(id, damaged);
+            worst = worst.max(ALLOC_BYTES.with(Cell::get) - before);
+            assert_eq!(replayed as usize, intact, "{what}");
+            assert!(state == states[intact], "{what}");
+        };
+        for cut in 0..journal.len() {
+            let intact = ends.iter().rposition(|end| *end <= cut).unwrap();
+            check(&journal[..cut], intact, &format!("cut at {cut}"));
+        }
+        for offset in 0..journal.len() {
+            let mut mutated = journal.clone();
+            mutated[offset] = mutated[offset].wrapping_add(1 + (offset % 255) as u8);
+            let intact = ends.iter().rposition(|end| *end <= offset).unwrap();
+            check(&mutated, intact, &format!("mutation at {offset}"));
+        }
+        assert!(
+            worst <= 8 * input,
+            "a replay allocated {worst} bytes over {input} of input"
+        );
+    }
+
+    /// A deep-chain campaign driven the way `ShardedCampaign` drives a
+    /// checkpointing one — step, close the boundary around the
+    /// journal's record, write, mark — with every corpus padded by
+    /// `inert` entries no program reaches and every recorder by
+    /// `pinned` traces no exec produced. For each durable boundary:
+    /// whether it was a base, whether anything was admitted, captured
+    /// or exchanged at it, and the allocator events of making it
+    /// durable (close + write + mark, less those of closing it bare).
+    fn durable_boundary_costs(inert: u64, pinned: u64) -> Vec<(bool, bool, u64)> {
+        use crate::campaign::{CampaignConfig, ShardState};
+        use crate::fabric::LeaseRunner;
+        use crate::flight::{cfg_successors, ShardTracer};
+        use crate::gen::Generator;
+        use kgpt_csrc::{deepchain, KernelCorpus};
+        use kgpt_syzlang::SpecCache;
+        use std::sync::Arc;
+        const SHARDS: u32 = 8;
+        let kc = KernelCorpus::from_blueprints(deepchain::suite());
+        let suite: Vec<_> = kc
+            .blueprints()
+            .iter()
+            .map(|bp| bp.ground_truth_spec())
+            .collect();
+        let kernel = kgpt_vkernel::VKernel::boot(deepchain::suite());
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, kc.consts());
+        let config = CampaignConfig {
+            execs: 128 * u64::from(SHARDS) * 40,
+            seed: 3,
+            max_prog_len: 12,
+            hub_epoch: 128,
+            ..CampaignConfig::default()
+        };
+        let mut g = Generator::from_lowered(Arc::clone(&lowered), 77);
+        let padding: Vec<HubSeed> = (0..inert)
+            .map(|i| HubSeed {
+                shard: u32::MAX,
+                program: g.gen_program(4),
+                contributed: [64 * 4096 + 3 * i].into_iter().collect(),
+            })
+            .collect();
+        let mut runner = LeaseRunner::fresh(&lowered, &config, SHARDS, 0, SHARDS);
+        let table = Arc::new(cfg_successors(&kernel));
+        for state in &mut runner.states {
+            state.attach_tracer(ShardTracer::new(Arc::clone(&table), 1, state.id, 32));
+            let fake = (0..pinned).map(|i| ExecTrace {
+                crash: Some(sig(1 << 40 | i)),
+                ..store().ring().next().unwrap().clone()
+            });
+            state.set_trace_store(TraceStore::from_traces(32, 0, fake));
+        }
+        let dir = scratch_dir(&format!("costs-{inert}-{pinned}"));
+        let mut journal = Journal::new(&dir.join("campaign.ckpt"));
+        let mut boundary = Boundary::new(config.hub_top_k);
+        let mut costs = Vec::new();
+        let budget = config.epoch_budget();
+        loop {
+            runner.step(&kernel, 1);
+            if boundary.epochs_done == 0 {
+                runner.import(&padding);
+            }
+            let quiet = |runner: &LeaseRunner| {
+                let stats = |s: &ShardState| (s.corpus.stats(), s.triage.seen().len());
+                runner.states.iter().map(stats).collect::<Vec<_>>()
+            };
+            let was = quiet(&runner);
+            let before = ALLOC_EVENTS.with(Cell::get);
+            let closed = journal.record(boundary.epochs_done + 1, |record| {
+                runner.close_boundary(&kernel, &mut boundary, record)
+            });
+            if closed.is_none() {
+                let _ = std::fs::remove_dir_all(&dir);
+                return costs;
+            }
+            let base = journal.buf.is_empty();
+            let write = journal.write(|out| {
+                crate::shard::frame_base(out, (1, 1), &runner.states, &boundary, budget)
+            });
+            write.unwrap();
+            runner.mark();
+            let spent = ALLOC_EVENTS.with(Cell::get) - before;
+            costs.push((base, quiet(&runner) == was, spent));
+        }
+    }
+
+    /// Past the boundary where admissions stop, making a boundary
+    /// durable by a record costs a fixed number of allocator events —
+    /// per shard the drained counts, the tally records that moved, the
+    /// boundary's own list of shards — whatever the corpora and the
+    /// recorders hold: the same at four times the corpus and with fifty
+    /// more pinned traces a shard. The record buffer is kept, no store
+    /// is built, no trace sealed before is sealed again. A base costs
+    /// events in proportion to both — and is the only boundary that does.
+    #[test]
+    fn a_converged_journalled_boundary_allocates_for_what_changed() {
+        let summarize = |inert: u64, pinned: u64| {
+            let costs = durable_boundary_costs(inert, pinned);
+            let late = &costs[costs.len() / 2..];
+            let records = late.iter().filter(|(base, quiet, _)| !base && *quiet);
+            let records: Vec<u64> = records.map(|(.., events)| *events).collect();
+            let bases = late
+                .iter()
+                .filter(|(base, ..)| *base)
+                .map(|(.., events)| *events);
+            assert!(
+                records.len() >= 8,
+                "only {} converged records",
+                records.len()
+            );
+            let (record, base) = (records.iter().max().unwrap(), bases.min().unwrap());
+            println!(
+                "{} converged records at +{inert} entries, +{pinned} pinned: <= {record} events \
+                 each; a base >= {base}",
+                records.len()
+            );
+            (*record, base)
+        };
+        let (record, base) = summarize(0, 0);
+        let (record_padded, base_padded) = summarize(46, 50);
+        assert!(
+            record <= 4 * 8 + 2,
+            "{record} events for a converged record"
+        );
+        assert_eq!(
+            record_padded, record,
+            "a record's cost moved with what the shards hold"
+        );
+        // A base copies every pinned trace into a store (two buffers
+        // each) and views every shard; its buffer, too, is the one kept.
+        assert!(base_padded >= base + 8 * 50 * 2, "{base} -> {base_padded}");
+        assert!(base < 8 * 50 * 2, "a base of {base} events");
     }
 
     fn encoded(map: &CoverageMap) -> Vec<u8> {

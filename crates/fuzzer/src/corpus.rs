@@ -118,6 +118,20 @@ pub struct Corpus {
     touched: CoverageMap,
 }
 
+/// Two corpora are equal when continuing them is: the cap, the
+/// selection stream, the coverage, the entries and the counters — what
+/// a checkpoint persists. The marks are bookkeeping about somebody
+/// else's copy and take no part.
+impl PartialEq for Corpus {
+    fn eq(&self, other: &Corpus) -> bool {
+        (self.cap, self.rng.state(), self.stats) == (other.cap, other.rng.state(), other.stats)
+            && self.coverage == other.coverage
+            && self.entries == other.entries
+    }
+}
+
+impl Eq for Corpus {}
+
 impl Corpus {
     /// Empty corpus holding at most `cap` entries, with its own
     /// deterministic selection stream seeded by `seed`.

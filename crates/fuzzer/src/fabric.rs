@@ -65,8 +65,19 @@
 //!    move, a patch in place ([`crate::Corpus`] keeps the named
 //!    entries, overwrites their two counters, appends the new ones,
 //!    rewrites the changed coverage words) — and closes the boundary
-//!    over the committed corpora. An owned [`ShardSnapshot`] is built
-//!    only for a grant ([`CampaignMerge::snapshots`]).
+//!    over the committed corpora — the committed state of a shard
+//!    *is* a [`ShardSnapshot`], its corpus live; one is copied only
+//!    for a grant ([`CampaignMerge::snapshots`]).
+//!
+//! **Two sinks.** A checkpointing campaign is its own coordinator with
+//! a disk between the halves: it marks its shards at every durable
+//! boundary and writes the next one as the same patch records into its
+//! checkpoint's journal (`LeaseRunner::close_boundary` with a record —
+//! the one drain feeds the in-process boundary and the record), and
+//! [`crate::CampaignSnapshot::load`] moves a base into the committed
+//! state above and replays the journal through `validate` and
+//! `commit` ([`crate::checkpoint`]). `PatchView::encode` is the one
+//! place the patch's wire order is written, whichever sink it is for.
 //!
 //! **The oracle.** The snapshot route is kept whole as the reference
 //! the live one is pinned to: [`LeaseRunner::run_epoch`] (a snapshot
@@ -94,8 +105,7 @@
 
 use crate::boundary::Boundary;
 use crate::campaign::{
-    CampaignConfig, CampaignResult, CrashTally, ShardSnapshot, ShardState, ShardView, WorkerResult,
-    CORPUS_CAP,
+    CampaignConfig, CampaignResult, ShardSnapshot, ShardState, ShardView, CORPUS_CAP,
 };
 use crate::checkpoint::{
     config_fingerprint, decode_corpus_entry, decode_corpus_stats, decode_coverage, decode_crash,
@@ -112,7 +122,6 @@ use kgpt_syzlang::prog::Program;
 use kgpt_trace::{decode_signature, encode_signature};
 use kgpt_triage::{TriageEntry, TriageReport};
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel, MAX_COVERAGE_WORDS};
-use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -382,6 +391,37 @@ where
     }
 }
 
+/// One marked shard's boundary as an [`EpochPatch`] on the wire,
+/// straight from live state: `seen` is what its seen-set gained since
+/// the mark, `candidates` and `counts` what the boundary's drain took.
+fn write_patch(
+    state: &ShardState,
+    seen: &[CrashSignature],
+    candidates: &[TriageEntry],
+    counts: &[(CrashSignature, u64)],
+    w: &mut Writer<'_>,
+) {
+    let (epoch, rng_pick, gen_rng) = state.clocks();
+    PatchView {
+        shard_id: state.id,
+        epoch,
+        rng_pick,
+        remaining: state.remaining,
+        fuel_exhausted: state.fuel_exhausted,
+        gen_rng,
+        corpus_rng: state.corpus.rng_state(),
+        corpus_stats: state.corpus.stats(),
+        cov_diff: &state.corpus.coverage_since_mark(),
+        kept: state.corpus.kept_since_mark(),
+        added: state.corpus.added_since_mark(),
+        crashes: state.crashes_since_mark().into_iter(),
+        seen,
+        candidates,
+        counts,
+    }
+    .encode(w);
+}
+
 impl EpochPatch {
     /// Whether `delta` can be expressed as an increment against
     /// `base`. False only on id misalignment or if a monotonic map
@@ -413,15 +453,17 @@ impl EpochPatch {
             candidates,
             counts,
         } = delta;
+        let (corpus_rng, coverage, entries, corpus_stats) = snapshot.corpus.into_parts();
+        let base_entries = base.corpus.entries();
         let mut kept = Vec::new();
         let mut added = Vec::new();
         let mut next = 0usize;
-        for e in snapshot.corpus_entries {
+        for e in entries {
             // Admissions append: once one is seen, the rest of the
             // list is admissions too. So is a survivor whose index a
             // [`KeptEntry`] cannot hold.
             let survivor = if added.is_empty() {
-                base.corpus_entries[next..]
+                base_entries[next..]
                     .iter()
                     .position(|b| b.program == e.program && b.contributed == e.contributed)
                     .and_then(|off| u32::try_from(next + off).ok())
@@ -458,11 +500,9 @@ impl EpochPatch {
             remaining: snapshot.remaining,
             fuel_exhausted: snapshot.fuel_exhausted,
             gen_rng: snapshot.gen_rng,
-            corpus_rng: snapshot.corpus_rng,
-            corpus_stats: snapshot.corpus_stats,
-            cov_diff: snapshot
-                .corpus_coverage
-                .diff_words_since(&base.corpus_coverage),
+            corpus_rng,
+            corpus_stats,
+            cov_diff: coverage.diff_words_since(base.corpus.coverage()),
             kept,
             added,
             crashes,
@@ -534,9 +574,9 @@ impl EpochPatch {
     /// order) — the coordinator treats that as a protocol violation,
     /// exactly like a delta frame for the wrong shard range.
     pub fn apply(self, base: &ShardSnapshot) -> Result<EpochDelta, CheckpointError> {
-        self.fits(base.id, base.corpus_entries.len())?;
+        self.fits(base.id, base.corpus.len())?;
         let kept = self.kept.iter().map(|k| {
-            let b = &base.corpus_entries[k.index as usize];
+            let b = base.corpus.entry(k.index as usize);
             CorpusEntry {
                 program: b.program.clone(),
                 contributed: b.contributed.clone(),
@@ -545,7 +585,7 @@ impl EpochPatch {
             }
         });
         let entries = kept.chain(self.added).collect();
-        let corpus_coverage = base.corpus_coverage.apply_word_diff(&self.cov_diff);
+        let coverage = base.corpus.coverage().apply_word_diff(&self.cov_diff);
         let mut crashes = base.crashes.clone();
         for (title, count, cve) in self.crashes {
             crashes.insert(title, (count, cve));
@@ -556,10 +596,13 @@ impl EpochPatch {
             snapshot: ShardSnapshot {
                 id: self.shard_id,
                 gen_rng: self.gen_rng,
-                corpus_rng: self.corpus_rng,
-                corpus_coverage,
-                corpus_entries: entries,
-                corpus_stats: self.corpus_stats,
+                corpus: Corpus::from_parts(
+                    CORPUS_CAP,
+                    self.corpus_rng,
+                    coverage,
+                    entries,
+                    self.corpus_stats,
+                ),
                 crashes,
                 triage_seen,
                 epoch: self.epoch,
@@ -734,14 +777,17 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
     let snap = |id: u32, epoch: u64, words: Vec<u64>, entries: Vec<CorpusEntry>| ShardSnapshot {
         id,
         gen_rng: [0x9E37_79B9_7F4A_7C15 ^ u64::from(id), 2, 3, 4 + epoch],
-        corpus_rng: 0xD1B5_4A32_D192_ED03 ^ epoch,
-        corpus_coverage: CoverageMap::from_words(words),
-        corpus_entries: entries,
-        corpus_stats: CorpusStats {
-            admitted: epoch * 3,
-            imported: epoch,
-            evicted: 0,
-        },
+        corpus: Corpus::from_parts(
+            CORPUS_CAP,
+            0xD1B5_4A32_D192_ED03 ^ epoch,
+            CoverageMap::from_words(words),
+            entries,
+            CorpusStats {
+                admitted: epoch * 3,
+                imported: epoch,
+                evicted: 0,
+            },
+        ),
         crashes: [(
             format!("KASAN: use-after-free in shard {id}"),
             (epoch + 1, Some("CVE-2023-0001".to_string())),
@@ -943,17 +989,18 @@ impl LeaseRunner {
     }
 
     /// Reassigned lease (or resumed campaign): restore the range from
-    /// its last committed boundary snapshots (in shard-id order).
+    /// its last committed boundary snapshots (in shard-id order),
+    /// which it consumes — no corpus is copied on the way.
     /// Continuing the restored range is bit-identical to continuing
     /// the original — the epochs it never committed are simply re-run.
     #[must_use]
     pub fn restore(
         lowered: &Arc<LoweredDb>,
         config: &CampaignConfig,
-        snapshots: &[ShardSnapshot],
+        snapshots: Vec<ShardSnapshot>,
     ) -> LeaseRunner {
         let states = snapshots
-            .iter()
+            .into_iter()
             .map(|s| ShardState::restore(lowered, config, s))
             .collect();
         LeaseRunner::from_states(lowered, config, states)
@@ -1036,18 +1083,41 @@ impl LeaseRunner {
     /// shard's triage into `boundary` in shard-id order — skipping
     /// captures the report already owns, so only an admitted capture
     /// is ever minimized — then close it over the live corpora. No
-    /// [`ShardSnapshot`] is taken. Returns [`Boundary::close`]'s
-    /// verdict: `None` when the campaign is finished.
+    /// [`ShardSnapshot`] is taken. With a `record` (a checkpoint
+    /// journal's; the shards carry the mark of the last durable
+    /// boundary) the same drain also writes the boundary as
+    /// [`LeaseRunner::write_boundary`] writes an incremental one — what
+    /// [`CampaignMerge::commit`] makes this very boundary of — and
+    /// after it what each traced shard's recorder retained since. Returns
+    /// [`Boundary::close`]'s verdict: `None` when the campaign is
+    /// finished.
     pub(crate) fn close_boundary(
         &mut self,
         kernel: &VKernel,
         boundary: &mut Boundary,
+        record: Option<&mut Writer<'_>>,
     ) -> Option<Range<usize>> {
-        for state in &mut self.states {
+        let LeaseRunner {
+            states, minimizer, ..
+        } = self;
+        let mut drain = |state: &mut ShardState, record: Option<&mut Writer<'_>>| {
+            let seen = record.as_ref().map(|_| state.triage.fresh_seen());
             let (candidates, counts) =
-                self.minimizer
-                    .drain(kernel, state.id, &mut state.triage, &boundary.triage);
+                minimizer.drain(kernel, state.id, &mut state.triage, &boundary.triage);
+            if let (Some(w), Some(seen)) = (record, seen) {
+                write_patch(state, &seen, &candidates, &counts, w);
+            }
             boundary.admit_shard(candidates, counts);
+        };
+        match record {
+            Some(w) => {
+                w.u8(KIND_INCREMENTAL);
+                w.seq(states.iter_mut(), |state, w| drain(state, Some(w)));
+                let budget = self.config.epoch_budget();
+                let traced: Vec<&ShardState> = states.iter().filter(|s| s.traced()).collect();
+                w.seq(traced, |state, w| state.write_traces_since_mark(budget, w));
+            }
+            None => states.iter_mut().for_each(|state| drain(state, None)),
         }
         boundary.close(
             self.states
@@ -1085,34 +1155,14 @@ impl LeaseRunner {
         } = self;
         w.u8(if *marked { KIND_INCREMENTAL } else { KIND_FULL });
         w.seq(states.iter_mut(), |state, w| {
+            let seen = state.triage.fresh_seen();
             let (candidates, counts) =
                 minimizer.drain(kernel, state.id, &mut state.triage, &nobody);
-            let shard = state.view();
-            if !*marked {
-                return encode_delta(shard, &candidates, &counts, w);
+            if *marked {
+                write_patch(state, &seen, &candidates, &counts, w);
+            } else {
+                encode_delta(state.view(), &candidates, &counts, w);
             }
-            // The seen-set grows by one signature per capture, and
-            // the drain just handed every capture since the mark out.
-            let mut seen: Vec<CrashSignature> = candidates.iter().map(|c| c.signature).collect();
-            seen.sort_unstable();
-            PatchView {
-                shard_id: shard.id,
-                epoch: shard.epoch,
-                rng_pick: shard.rng_pick,
-                remaining: shard.remaining,
-                fuel_exhausted: shard.fuel_exhausted,
-                gen_rng: shard.gen_rng,
-                corpus_rng: shard.corpus_rng,
-                corpus_stats: shard.corpus_stats,
-                cov_diff: &state.corpus.coverage_since_mark(),
-                kept: state.corpus.kept_since_mark(),
-                added: state.corpus.added_since_mark(),
-                crashes: state.crashes_since_mark().into_iter(),
-                seen: &seen,
-                candidates: &candidates,
-                counts: &counts,
-            }
-            .encode(w);
         });
     }
 
@@ -1123,6 +1173,13 @@ impl LeaseRunner {
     /// say — and the mark is all the shards keep of the baseline.
     pub fn acked(&mut self, seeds: &[HubSeed]) {
         self.import(seeds);
+        self.mark();
+    }
+
+    /// Mark every shard: somebody else now holds this state (a
+    /// coordinator's commit, a checkpoint and its journal), and the
+    /// next boundary is written against it.
+    pub(crate) fn mark(&mut self) {
         for state in &mut self.states {
             state.mark();
         }
@@ -1180,191 +1237,58 @@ pub struct BoundaryOutcome {
     pub seeds: Vec<HubSeed>,
 }
 
-/// One shard's committed boundary state as the coordinator keeps it:
-/// a [`ShardSnapshot`]'s content with the corpus live, so the boundary
-/// closes over it and a patch lands in it in place.
-struct CommittedShard {
-    id: u32,
-    gen_rng: [u64; 4],
-    corpus: Corpus,
-    crashes: CrashTally,
-    triage_seen: BTreeSet<CrashSignature>,
-    epoch: u64,
-    rng_pick: u64,
-    remaining: u64,
-    fuel_exhausted: u64,
+/// Apply a patch that [`EpochPatch::fits`] to a committed shard in
+/// place — the state [`EpochPatch::apply`] rebuilds from a copy — and
+/// hand back its triage candidates and counts.
+fn patch_in_place(
+    shard: &mut ShardSnapshot,
+    p: EpochPatch,
+) -> (Vec<TriageEntry>, Vec<(CrashSignature, u64)>) {
+    shard
+        .corpus
+        .apply_patch(p.corpus_rng, p.corpus_stats, p.cov_diff, &p.kept, p.added);
+    for (title, count, cve) in p.crashes {
+        shard.crashes.insert(title, (count, cve));
+    }
+    shard.triage_seen.extend(p.seen);
+    shard.gen_rng = p.gen_rng;
+    shard.epoch = p.epoch;
+    shard.rng_pick = p.rng_pick;
+    shard.remaining = p.remaining;
+    shard.fuel_exhausted = p.fuel_exhausted;
+    (p.candidates, p.counts)
 }
 
-impl CommittedShard {
-    /// A full record's state, moved in.
-    fn install(snap: ShardSnapshot) -> CommittedShard {
-        CommittedShard {
-            id: snap.id,
-            gen_rng: snap.gen_rng,
-            corpus: Corpus::from_parts(
-                CORPUS_CAP,
-                snap.corpus_rng,
-                snap.corpus_coverage,
-                snap.corpus_entries,
-                snap.corpus_stats,
-            ),
-            crashes: snap.crashes,
-            triage_seen: snap.triage_seen,
-            epoch: snap.epoch,
-            rng_pick: snap.rng_pick,
-            remaining: snap.remaining,
-            fuel_exhausted: snap.fuel_exhausted,
-        }
-    }
-
-    /// Apply a patch that [`EpochPatch::fits`] in place — the state
-    /// [`EpochPatch::apply`] rebuilds from a copy — and hand back its
-    /// triage candidates and counts.
-    fn patch(&mut self, p: EpochPatch) -> (Vec<TriageEntry>, Vec<(CrashSignature, u64)>) {
-        self.corpus
-            .apply_patch(p.corpus_rng, p.corpus_stats, p.cov_diff, &p.kept, p.added);
-        for (title, count, cve) in p.crashes {
-            self.crashes.insert(title, (count, cve));
-        }
-        self.triage_seen.extend(p.seen);
-        self.gen_rng = p.gen_rng;
-        self.epoch = p.epoch;
-        self.rng_pick = p.rng_pick;
-        self.remaining = p.remaining;
-        self.fuel_exhausted = p.fuel_exhausted;
-        (p.candidates, p.counts)
-    }
-
-    fn view(&self) -> ShardView<'_> {
-        ShardView {
-            id: self.id,
-            gen_rng: self.gen_rng,
-            corpus_rng: self.corpus.rng_state(),
-            corpus_coverage: self.corpus.coverage(),
-            corpus_entries: self.corpus.entries(),
-            corpus_stats: self.corpus.stats(),
-            crashes: &self.crashes,
-            triage_seen: &self.triage_seen,
-            epoch: self.epoch,
-            rng_pick: self.rng_pick,
-            remaining: self.remaining,
-            fuel_exhausted: self.fuel_exhausted,
-        }
-    }
-
-    /// The shard's share of the campaign result.
-    fn into_result(self) -> WorkerResult {
-        let (coverage, corpus_size) = self.corpus.into_coverage();
-        WorkerResult {
-            coverage,
-            crashes: self.crashes,
-            corpus_size,
-            fuel_exhausted: self.fuel_exhausted,
-        }
-    }
-}
-
-/// The coordinator half of a distributed campaign: the committed
-/// boundary state per shard plus the one `Boundary` every route
-/// closes. [`CampaignMerge::commit`] feeds that boundary from the
-/// workers' payloads instead of live shards — the same code
-/// [`crate::ShardedCampaign`] runs, not a replay of it — without ever
-/// executing a program (no kernel, no lowered IR).
-pub struct CampaignMerge {
-    config: CampaignConfig,
+/// What a commit advances: the committed boundary state per shard
+/// plus the one `Boundary` every route closes. A coordinator holds one
+/// beside its config ([`CampaignMerge`]); a checkpoint's journal is
+/// replayed into one built from its base ([`crate::checkpoint`]) — the
+/// same `validate` and `commit`, so a restore closes every boundary it
+/// replays with the code that closed it live.
+pub(crate) struct MergeState {
     shards_total: u32,
-    boundary: Boundary,
+    pub(crate) boundary: Boundary,
     /// Last committed boundary state per shard, in shard-id order
-    /// (empty until the first boundary commits).
-    committed: Vec<CommittedShard>,
+    /// (empty until the first boundary commits): the boundary closes
+    /// over these corpora and a patch lands in them in place.
+    pub(crate) committed: Vec<ShardSnapshot>,
     finished: bool,
 }
 
-impl CampaignMerge {
-    /// Fresh merge state for a campaign of `shards_total` shards.
-    #[must_use]
-    pub fn new(config: CampaignConfig, shards_total: u32) -> CampaignMerge {
-        CampaignMerge {
-            boundary: Boundary::new(config.hub_top_k),
-            config,
-            shards_total: shards_total.max(1),
-            committed: Vec::new(),
+impl MergeState {
+    /// The state a decoded checkpoint holds: every shard committed at
+    /// `boundary.epochs_done`.
+    pub(crate) fn from_snapshot(committed: Vec<ShardSnapshot>, boundary: Boundary) -> MergeState {
+        MergeState {
+            shards_total: u32::try_from(committed.len()).unwrap_or(u32::MAX),
+            boundary,
+            committed,
             finished: false,
         }
     }
 
-    /// The campaign config this merge was built for.
-    #[must_use]
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
-    /// Total shard count.
-    #[must_use]
-    pub fn shards_total(&self) -> u32 {
-        self.shards_total
-    }
-
-    /// Fingerprint of the campaign's deterministic identity (what
-    /// grants advertise and what a resume-style check would validate).
-    #[must_use]
-    pub fn config_fingerprint(&self) -> u64 {
-        config_fingerprint(&self.config, self.shards_total)
-    }
-
-    /// Boundaries fully merged so far.
-    #[must_use]
-    pub fn epochs_done(&self) -> u64 {
-        self.boundary.epochs_done
-    }
-
-    /// Whether the final boundary has been merged.
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Executions the committed boundaries account for: the
-    /// campaign's total exec budget minus what the committed shards
-    /// still have remaining. Zero before the first boundary commits;
-    /// equal to `config.execs` once finished. A pure function of
-    /// `(config, shards, boundaries merged)` — identical at any
-    /// worker count — which makes it the deterministic coin a
-    /// per-tenant exec budget charges.
-    #[must_use]
-    pub fn execs_done(&self) -> u64 {
-        if self.committed.is_empty() {
-            return 0;
-        }
-        let remaining: u64 = self.committed.iter().map(|s| s.remaining).sum();
-        self.config.execs.saturating_sub(remaining)
-    }
-
-    /// Committed boundary snapshots of the shards in `lo..hi`, built
-    /// on demand — what a grant for a reassigned range carries. Empty
-    /// before the first boundary commits (a fresh grant: the worker
-    /// builds fresh states itself), and for a range the campaign has
-    /// no shard in.
-    #[must_use]
-    pub fn snapshots(&self, lo: u32, hi: u32) -> Vec<ShardSnapshot> {
-        let in_range = self.committed.iter().filter(|s| (lo..hi).contains(&s.id));
-        in_range.map(|s| s.view().to_snapshot()).collect()
-    }
-
-    /// Check an arriving payload against the committed state, so it
-    /// can be refused while its sender is still known: every patch
-    /// must name a shard that has committed state to patch (none
-    /// before the first boundary) and fit it — `kept` strictly
-    /// ascending and in range, coverage runs inside the decoder's
-    /// bound. A payload that passes cannot fail at
-    /// [`CampaignMerge::commit`] for anything it carries, as long as
-    /// no boundary commits in between. A full payload always passes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] naming the first misfit (a
-    /// protocol violation by the sender).
-    pub fn validate(&self, payload: &DeltaPayload) -> Result<(), CheckpointError> {
+    /// [`CampaignMerge::validate`].
+    fn validate(&self, payload: &DeltaPayload) -> Result<(), CheckpointError> {
         let DeltaPayload::Incremental(patches) = payload else {
             return Ok(());
         };
@@ -1380,27 +1304,8 @@ impl CampaignMerge {
         Ok(())
     }
 
-    /// Merge one full boundary from the payloads of its shard ranges,
-    /// in range order: together exactly one record per shard, in
-    /// ascending shard-id order, all at boundary `epochs_done + 1`.
-    /// Everything is checked before anything is touched
-    /// ([`CampaignMerge::validate`] again, and the shard cover); then
-    /// each record's candidates and counts go through
-    /// `Boundary::admit_shard` and its state is installed — a full
-    /// record by move, a patch in place — and the boundary closes over
-    /// the committed corpora. What comes out — post-import, the
-    /// capture point of a single-process checkpoint — is the new
-    /// committed state, so a reassigned range restored from here
-    /// re-enters the loop with nothing replayed and nothing lost.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`], with the committed state
-    /// untouched, when the merge is already finished, the records do
-    /// not cover exactly the configured shards in order, or a patch
-    /// does not fit (a protocol violation — the caller should drop
-    /// the offending lease, not the campaign).
-    pub fn commit(
+    /// [`CampaignMerge::commit`].
+    pub(crate) fn commit(
         &mut self,
         ranges: Vec<DeltaPayload>,
     ) -> Result<BoundaryOutcome, CheckpointError> {
@@ -1430,17 +1335,16 @@ impl CampaignMerge {
                 DeltaPayload::Full(deltas) => {
                     for d in deltas {
                         self.boundary.admit_shard(d.candidates, d.counts);
-                        let shard = CommittedShard::install(d.snapshot);
-                        match self.committed.get_mut(shard.id as usize) {
-                            Some(slot) => *slot = shard,
-                            None => self.committed.push(shard),
+                        match self.committed.get_mut(d.snapshot.id as usize) {
+                            Some(slot) => *slot = d.snapshot,
+                            None => self.committed.push(d.snapshot),
                         }
                     }
                 }
                 DeltaPayload::Incremental(patches) => {
                     for p in patches {
                         if let Some(shard) = self.committed.get_mut(p.shard_id as usize) {
-                            let (candidates, counts) = shard.patch(p);
+                            let (candidates, counts) = patch_in_place(shard, p);
                             self.boundary.admit_shard(candidates, counts);
                         }
                     }
@@ -1457,6 +1361,139 @@ impl CampaignMerge {
             finished: self.finished,
             seeds: retained.map_or_else(Vec::new, |r| self.boundary.hub.seeds()[r].to_vec()),
         }
+    }
+}
+
+/// The coordinator half of a distributed campaign: its config and the
+/// committed state its boundaries advance (the crate-private
+/// `MergeState`). [`CampaignMerge::commit`] feeds the one `Boundary`
+/// from the workers' payloads instead of live shards — the same code
+/// [`crate::ShardedCampaign`] runs, not a replay of it — without ever
+/// executing a program (no kernel, no lowered IR).
+pub struct CampaignMerge {
+    config: CampaignConfig,
+    state: MergeState,
+}
+
+impl CampaignMerge {
+    /// Fresh merge state for a campaign of `shards_total` shards.
+    #[must_use]
+    pub fn new(config: CampaignConfig, shards_total: u32) -> CampaignMerge {
+        CampaignMerge {
+            state: MergeState {
+                shards_total: shards_total.max(1),
+                boundary: Boundary::new(config.hub_top_k),
+                committed: Vec::new(),
+                finished: false,
+            },
+            config,
+        }
+    }
+
+    /// The campaign config this merge was built for.
+    #[must_use]
+    pub fn config(&self) -> &CampaignConfig {
+        &self.config
+    }
+
+    /// Total shard count.
+    #[must_use]
+    pub fn shards_total(&self) -> u32 {
+        self.state.shards_total
+    }
+
+    /// Fingerprint of the campaign's deterministic identity (what
+    /// grants advertise and what a resume-style check would validate).
+    #[must_use]
+    pub fn config_fingerprint(&self) -> u64 {
+        config_fingerprint(&self.config, self.state.shards_total)
+    }
+
+    /// Boundaries fully merged so far.
+    #[must_use]
+    pub fn epochs_done(&self) -> u64 {
+        self.state.boundary.epochs_done
+    }
+
+    /// Whether the final boundary has been merged.
+    #[must_use]
+    pub fn finished(&self) -> bool {
+        self.state.finished
+    }
+
+    /// Executions the committed boundaries account for: the
+    /// campaign's total exec budget minus what the committed shards
+    /// still have remaining. Zero before the first boundary commits;
+    /// equal to `config.execs` once finished. A pure function of
+    /// `(config, shards, boundaries merged)` — identical at any
+    /// worker count — which makes it the deterministic coin a
+    /// per-tenant exec budget charges.
+    #[must_use]
+    pub fn execs_done(&self) -> u64 {
+        if self.state.committed.is_empty() {
+            return 0;
+        }
+        let remaining: u64 = self.state.committed.iter().map(|s| s.remaining).sum();
+        self.config.execs.saturating_sub(remaining)
+    }
+
+    /// Committed boundary snapshots of the shards in `lo..hi`, built
+    /// on demand — what a grant for a reassigned range carries. Empty
+    /// before the first boundary commits (a fresh grant: the worker
+    /// builds fresh states itself), and for a range the campaign has
+    /// no shard in.
+    #[must_use]
+    pub fn snapshots(&self, lo: u32, hi: u32) -> Vec<ShardSnapshot> {
+        let in_range = self
+            .state
+            .committed
+            .iter()
+            .filter(|s| (lo..hi).contains(&s.id));
+        in_range.cloned().collect()
+    }
+
+    /// Check an arriving payload against the committed state, so it
+    /// can be refused while its sender is still known: every patch
+    /// must name a shard that has committed state to patch (none
+    /// before the first boundary) and fit it — `kept` strictly
+    /// ascending and in range, coverage runs inside the decoder's
+    /// bound. A payload that passes cannot fail at
+    /// [`CampaignMerge::commit`] for anything it carries, as long as
+    /// no boundary commits in between. A full payload always passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] naming the first misfit (a
+    /// protocol violation by the sender).
+    pub fn validate(&self, payload: &DeltaPayload) -> Result<(), CheckpointError> {
+        self.state.validate(payload)
+    }
+
+    /// Merge one full boundary from the payloads of its shard ranges,
+    /// in range order: together exactly one record per shard, in
+    /// ascending shard-id order, all at boundary `epochs_done + 1`.
+    /// Everything is checked before anything is touched
+    /// ([`CampaignMerge::validate`] again, and the shard cover); then
+    /// each record's candidates and counts go through
+    /// `Boundary::admit_shard` and its state is installed — a full
+    /// record by move, a patch in place — and the boundary closes over
+    /// the committed corpora. What comes out — post-import, the
+    /// capture point of a single-process checkpoint — is the new
+    /// committed state, so a reassigned range restored from here
+    /// re-enters the loop with nothing replayed and nothing lost.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`], with the committed state
+    /// untouched, when the merge is already finished, the records do
+    /// not cover exactly the configured shards in order, or a patch
+    /// does not fit (a protocol violation — the caller should drop
+    /// the offending lease, not the campaign).
+    pub fn commit(
+        &mut self,
+        ranges: Vec<DeltaPayload>,
+    ) -> Result<BoundaryOutcome, CheckpointError> {
+        self.state.commit(ranges)
     }
 
     /// [`CampaignMerge::commit`] of one payload holding a full record
@@ -1483,10 +1520,10 @@ impl CampaignMerge {
     /// Returns a [`CheckpointError`] when called before the final
     /// boundary was merged.
     pub fn finish(self) -> Result<CampaignResult, CheckpointError> {
-        if !self.finished {
+        if !self.state.finished {
             return Err(CheckpointError::new(format!(
                 "campaign not finished: {} boundaries merged",
-                self.boundary.epochs_done
+                self.state.boundary.epochs_done
             )));
         }
         let execs = self.config.execs;
@@ -1508,10 +1545,10 @@ impl CampaignMerge {
     /// before its first boundary would not be a boundary-aligned
     /// truncation.
     pub fn finish_early(self) -> Result<CampaignResult, CheckpointError> {
-        if self.finished {
+        if self.state.finished {
             return self.finish();
         }
-        if self.committed.is_empty() {
+        if self.state.committed.is_empty() {
             return Err(CheckpointError::new(
                 "no boundary committed: nothing to fold early",
             ));
@@ -1524,8 +1561,12 @@ impl CampaignMerge {
     /// shard-id order — the same fold, in the same order, as the
     /// single-process `ShardedCampaign`.
     fn fold(self, execs: u64) -> CampaignResult {
-        let parts = self.committed.into_iter().map(CommittedShard::into_result);
-        CampaignResult::fold(parts, execs, self.boundary.triage)
+        let parts = self
+            .state
+            .committed
+            .into_iter()
+            .map(ShardSnapshot::into_result);
+        CampaignResult::fold(parts, execs, self.state.boundary.triage)
     }
 }
 
@@ -1570,7 +1611,7 @@ pub fn reference_run(
     loop {
         // The runner's own deltas over `0..shards`: nothing to check.
         let deltas = runner.run_epoch(kernel);
-        let outcome = merge.commit_checked(vec![DeltaPayload::Full(deltas)]);
+        let outcome = merge.state.commit_checked(vec![DeltaPayload::Full(deltas)]);
         let budget_exhausted =
             !outcome.finished && exec_quota.is_some_and(|quota| merge.execs_done() >= quota);
         if outcome.finished || budget_exhausted {
@@ -1689,7 +1730,7 @@ mod tests {
             let mut right = if merge.epochs_done() == 0 {
                 LeaseRunner::fresh(&lowered, &config, 4, 2, 4)
             } else {
-                LeaseRunner::restore(&lowered, &config, &merge.snapshots(2, 4))
+                LeaseRunner::restore(&lowered, &config, merge.snapshots(2, 4))
             };
             let mut deltas = left.run_epoch(&kernel);
             deltas.extend(right.run_epoch(&kernel));
@@ -1761,7 +1802,7 @@ mod tests {
     #[test]
     fn a_map_that_merged_a_zero_padded_contribution_keeps_its_patch_bytes() {
         let (base, mut deltas) = sample_boundary();
-        let mut cov = deltas[0].snapshot.corpus_coverage.clone();
+        let mut cov = deltas[0].snapshot.corpus.coverage().clone();
         cov.extend((5..=25).step_by(2).map(|w| w * 64 + 3));
         // The publisher's exec reached word 40; its hub already had
         // that block, so the contribution is a low word and padding.
@@ -1770,7 +1811,8 @@ mod tests {
         let contributed = hub.diff_in(&exec);
         assert_eq!(contributed.words().len(), 41);
         cov.merge(&contributed);
-        deltas[0].snapshot.corpus_coverage = cov;
+        let (rng, _, entries, stats) = deltas[0].snapshot.corpus.clone().into_parts();
+        deltas[0].snapshot.corpus = Corpus::from_parts(CORPUS_CAP, rng, cov, entries, stats);
         let patches = diff_boundary(&base, deltas).expect("diffable fixture");
         // 13 one-word runs: dearer than the 26 words that hold a
         // block, cheaper than the 41 the map spans.
@@ -1998,7 +2040,7 @@ mod tests {
         assert!(fresh.snapshots(0, 2).is_empty());
 
         let before = committed_bytes(&merge, 2);
-        let entries = merge.snapshots(0, 1)[0].corpus_entries.len() as u32;
+        let entries = merge.snapshots(0, 1)[0].corpus.len() as u32;
         let tamper = |edit: &dyn Fn(&mut Vec<EpochPatch>)| {
             let mut bad = patches.clone();
             edit(&mut bad);

@@ -349,6 +349,29 @@ impl FaultPlan {
     }
 }
 
+/// Damage what a checkpointing campaign wrote last, in place (fault
+/// injection only): the bytes of `path` from offset `from` on — a
+/// whole base, or a journal's last record. `None` cuts them to half
+/// their length (a torn write), `Some(byte)` flips one of them
+/// (bitrot), wrapped past the 20 bytes an envelope's payload follows
+/// so the checksum — not the magic/version check — is what trips.
+/// Deliberately a direct, non-atomic rewrite: it simulates damage that
+/// happens *after* the write.
+pub(crate) fn damage_file(path: &std::path::Path, from: u64, damage: Option<usize>) {
+    use crate::checkpoint::HEADER;
+    let Ok(mut bytes) = std::fs::read(path) else {
+        return;
+    };
+    let from = usize::try_from(from).map_or(bytes.len(), |from| from.min(bytes.len()));
+    let len = bytes.len() - from;
+    match damage {
+        None => bytes.truncate(from + len / 2),
+        Some(byte) if len > HEADER => bytes[from + HEADER + byte % (len - HEADER)] ^= 0xFF,
+        Some(_) => {}
+    }
+    let _ = std::fs::write(path, bytes);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,13 +26,18 @@
 //! those would displace depends on how many of its execs crash. What
 //! is left is all a checkpoint at the boundary before it persists
 //! (`ShardTracer::boundary_store`) — nothing at all when an epoch is
-//! at least as long as the ring.
+//! at least as long as the ring. A journal record
+//! ([`crate::checkpoint`]) persists the same thing as an increment
+//! (`ShardTracer::write_since_mark`): how many of the ring traces its
+//! predecessor persisted are still kept, and the kept and the pinned
+//! traces recorded since — so a trace is sealed for a record once.
 //!
 //! [`replay_trace`] is the other direction: re-execute any recorded
 //! exec from its self-contained header and cross-check the recorded
 //! block stream against the live run, byte for byte.
 
 use crate::exec::{execute_with, ExecScratch};
+use kgpt_syzlang::codec::Writer;
 use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors};
 use kgpt_syzlang::prog::Program;
 use kgpt_trace::{decode_events, encode_events, ExecTrace, TraceError, TraceStore};
@@ -90,6 +95,9 @@ pub(crate) struct ShardTracer {
     cap: usize,
     /// Executions recorded over the shard's lifetime.
     execs_seen: u64,
+    /// `execs_seen` when the shard was last marked: a trace of an
+    /// earlier exec is in what was persisted then.
+    mark: u64,
     /// Most recent non-crashing execs, oldest first.
     ring: VecDeque<Slot>,
     /// Emptied event buffers of the slots the ring let go, for the
@@ -112,6 +120,7 @@ impl ShardTracer {
             shard,
             cap,
             execs_seen: 0,
+            mark: 0,
             ring: VecDeque::new(),
             spare: Vec::new(),
             pinned: BTreeMap::new(),
@@ -223,6 +232,35 @@ impl ShardTracer {
     /// and all it seals.
     pub(crate) fn boundary_store(&self, n: u64) -> TraceStore {
         self.sealed(self.survivors(n))
+    }
+
+    /// Everything up to here is persisted (a base or a journal record
+    /// was written at this boundary).
+    pub(crate) fn mark(&mut self) {
+        self.mark = self.execs_seen;
+    }
+
+    /// [`ShardTracer::boundary_store`] as an increment on the one of
+    /// the boundary the recorder was marked at — what
+    /// [`TraceStore::advance`] takes: `execs_seen`, how many of the
+    /// ring traces persisted then the next epoch (of `n` execs) still
+    /// keeps, the kept ring traces recorded since (sealed here, and
+    /// nowhere again), the traces pinned since.
+    pub(crate) fn write_since_mark(&self, n: u64, w: &mut Writer<'_>) {
+        let exec = |slot: &Slot| match slot {
+            Slot::Raw(raw) => raw.exec,
+            Slot::Sealed(trace) => trace.exec,
+        };
+        let kept = self.ring.range(self.ring.len() - self.survivors(n)..);
+        let old = kept.clone().take_while(|s| exec(s) < self.mark).count();
+        w.u64(self.execs_seen);
+        w.u32(u32::try_from(old).unwrap_or(u32::MAX));
+        w.seq(kept.skip(old), |slot, w| match slot {
+            Slot::Raw(raw) => self.seal(raw, None).encode(w),
+            Slot::Sealed(trace) => trace.encode(w),
+        });
+        let pins = self.pinned.values().filter(|t| t.exec >= self.mark);
+        w.seq(pins.collect::<Vec<_>>(), ExecTrace::encode);
     }
 
     /// A store of the `newest` ring slots and every pinned trace.

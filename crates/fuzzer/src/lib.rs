@@ -33,10 +33,13 @@
 //!   decomposition executed by N threads sharing the kernel by
 //!   reference, with epoch-barrier hub exchange and a merge that are
 //!   both independent of thread count;
-//! * [`checkpoint`] — crash-safe campaign durability: a
+//! * [`checkpoint`] — crash-safe campaign durability: a base
 //!   [`checkpoint::CampaignSnapshot`] of the whole boundary state
 //!   (RNGs, corpora, coverage, hub, triage) written atomically with a
-//!   previous-good rotation, such that interrupt-plus-resume is
+//!   previous-good rotation, and beside it a journal of what each
+//!   later epoch changed — the fabric's patch records, replayed
+//!   through the fabric's merge on load — such that
+//!   interrupt-plus-resume at any boundary, or a kill at any byte, is
 //!   bit-identical to an uninterrupted run at any thread count;
 //! * [`faults`] — deterministic fault injection
 //!   ([`faults::FaultPlan`]): checkpoint-write failures, torn/corrupt

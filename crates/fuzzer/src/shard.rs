@@ -36,10 +36,13 @@
 
 use crate::boundary::Boundary;
 use crate::campaign::{CampaignConfig, CampaignResult, ShardState};
-use crate::checkpoint::{config_fingerprint, CampaignSnapshot, CheckpointError, SnapshotView};
+use crate::checkpoint::{
+    config_fingerprint, CampaignSnapshot, CheckpointError, Journal, SnapshotView,
+};
 use crate::fabric::LeaseRunner;
 use crate::faults::FaultPlan;
 use crate::flight::{self, ShardTracer};
+use kgpt_syzlang::codec::Writer;
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::{ConstDb, SpecCache, SpecDb, SpecFile};
 use kgpt_trace::TraceStore;
@@ -54,7 +57,8 @@ pub const DEFAULT_SHARDS: u32 = 8;
 
 /// Checkpoint-write attempt cap: an injected or real write failure is
 /// retried with deterministic linear backoff this many times before
-/// the boundary is skipped (keeping the previous-good snapshot).
+/// the boundary is skipped (keeping what is on disk; the next one
+/// writes a base).
 const MAX_WRITE_ATTEMPTS: u32 = 3;
 
 /// A campaign split across logical shards and executed by a pool of
@@ -75,17 +79,17 @@ pub struct ShardedCampaign<'a> {
     spec_fp: u64,
     /// 0 = one thread per available CPU (capped at the shard count).
     threads: usize,
-    /// Snapshot path; `Some` enables checkpointing at epoch
-    /// boundaries.
+    /// Base path; `Some` makes every epoch boundary durable (a base
+    /// there, a journal beside it: [`crate::checkpoint`]).
     checkpoint: Option<PathBuf>,
     /// Injected faults (empty in production).
     faults: FaultPlan,
-    /// Stop after this many checkpoints were written (test/bench
+    /// Stop after this many boundaries were made durable (test/bench
     /// hook simulating an interrupt at an epoch boundary).
     halt_after: Option<u64>,
-    /// Observer called with the running install count after every
-    /// successful checkpoint install (`Sync` because `&self` is
-    /// shared with the worker threads during chunks).
+    /// Observer called with the running count after every boundary
+    /// made durable (`Sync` because `&self` is shared with the worker
+    /// threads during chunks).
     on_checkpoint: Option<Box<dyn Fn(u64) + Sync + 'a>>,
 }
 
@@ -166,10 +170,14 @@ impl<'a> ShardedCampaign<'a> {
         self
     }
 
-    /// Write a [`CampaignSnapshot`] to `path` at every epoch boundary
-    /// (post-exchange, shard-id order — the loop-top state of the next
-    /// epoch). Checkpointing never changes the campaign result: it
-    /// only reads state the boundary already fixed.
+    /// Make every epoch boundary durable under `path`: a base
+    /// [`CampaignSnapshot`] there (post-exchange, shard-id order — the
+    /// loop-top state of the next epoch) and, beside it, a journal
+    /// record of what each later epoch changed, until the journal
+    /// outgrows a quarter of the base and a new one is written (see
+    /// [`crate::checkpoint`]; [`CampaignSnapshot::load`] answers the
+    /// last boundary either way). Checkpointing never changes the
+    /// campaign result: it only reads state the boundary already fixed.
     #[must_use]
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> ShardedCampaign<'a> {
         self.checkpoint = Some(path.into());
@@ -185,22 +193,23 @@ impl<'a> ShardedCampaign<'a> {
         self
     }
 
-    /// Stop the run right after the `n`-th successful checkpoint write
-    /// (test/bench hook: simulates an interrupt at an epoch boundary;
-    /// the returned result is the partial merge at the halt). Only
-    /// meaningful together with [`ShardedCampaign::with_checkpoint`].
+    /// Stop the run right after the `n`-th boundary made durable, by a
+    /// base or a record (test/bench hook: simulates an interrupt at an
+    /// epoch boundary; the returned result is the partial merge at the
+    /// halt). Only meaningful together with
+    /// [`ShardedCampaign::with_checkpoint`].
     #[must_use]
     pub fn with_halt_after(mut self, n: u64) -> ShardedCampaign<'a> {
         self.halt_after = Some(n);
         self
     }
 
-    /// Observe successful checkpoint installs: `hook` is called on
-    /// the driving thread with the total number installed so far
-    /// (1-based), right after each atomic install. Lets a harness
-    /// wait for "a resumable snapshot exists" instead of sleeping —
-    /// the CI kill-and-resume job kills the process only after the
-    /// first `CHECKPOINT` line this hook prints.
+    /// Observe durable boundaries: `hook` is called on the driving
+    /// thread with how many there have been so far (1-based), right
+    /// after each base install or record write. Lets a harness wait
+    /// for "a resumable snapshot exists" instead of sleeping — the CI
+    /// kill-and-resume job kills the process only after the first
+    /// `CHECKPOINT` line this hook prints.
     #[must_use]
     pub fn with_on_checkpoint(mut self, hook: impl Fn(u64) + Sync + 'a) -> ShardedCampaign<'a> {
         self.on_checkpoint = Some(Box::new(hook));
@@ -300,13 +309,7 @@ impl<'a> ShardedCampaign<'a> {
     ) -> Result<(CampaignResult, Vec<TraceStore>), CheckpointError> {
         let snap = CampaignSnapshot::load(path)?;
         snap.validate(self.config_fp, self.spec_fp)?;
-        if snap.shards.len() != self.shards as usize
-            || snap
-                .shards
-                .iter()
-                .enumerate()
-                .any(|(i, s)| s.id as usize != i)
-        {
+        if !(0..self.shards).eq(snap.shards.iter().map(|s| s.id)) {
             return Err(CheckpointError {
                 message: format!(
                     "snapshot shard list inconsistent: {} shards in snapshot, {} configured",
@@ -315,7 +318,7 @@ impl<'a> ShardedCampaign<'a> {
                 ),
             });
         }
-        let mut runner = LeaseRunner::restore(&self.lowered, &self.config, &snap.shards);
+        let mut runner = LeaseRunner::restore(&self.lowered, &self.config, snap.shards);
         self.attach_tracers(&mut runner.states);
         for (id, store) in snap.traces {
             let state = runner
@@ -337,10 +340,11 @@ impl<'a> ShardedCampaign<'a> {
     /// The epoch-major loop from an arbitrary boundary: step every
     /// shard for one epoch (on `threads` threads, where a fabric
     /// worker steps its range on one), close the boundary in process
-    /// over the live shards, checkpoint. With the hub off the epoch is
-    /// the whole budget and the loop body runs once. Fault injection
-    /// and checkpoints key off `boundary.epochs_done` (0 for a fresh
-    /// run), so a resumed run continues the same epoch numbering.
+    /// over the live shards, make it durable. With the hub off the
+    /// epoch is the whole budget and the loop body runs once. Fault
+    /// injection and checkpoints key off `boundary.epochs_done` (0 for
+    /// a fresh run), so a resumed run continues the same epoch
+    /// numbering.
     fn run_from(
         &self,
         mut runner: LeaseRunner,
@@ -351,6 +355,7 @@ impl<'a> ShardedCampaign<'a> {
             t => t,
         }
         .clamp(1, self.shards as usize);
+        let mut journal = self.checkpoint.as_deref().map(Journal::new);
         let mut checkpoints_written = 0u64;
         loop {
             let iter = boundary.epochs_done;
@@ -372,36 +377,39 @@ impl<'a> ShardedCampaign<'a> {
                 // flight recorder gets the same treatment: the
                 // boundary clone replaces the poisoned store before
                 // the re-run, so retained traces stay bit-identical
-                // to an undisturbed campaign too.
+                // to an undisturbed campaign too. The snapshot is of
+                // the state the shard was last marked in.
                 let state = &mut runner.states[idx];
-                *state = ShardState::restore(&self.lowered, &self.config, &snap);
+                *state = ShardState::restore(&self.lowered, &self.config, snap);
                 if let Some(t) = tracer {
                     state.attach_tracer(t);
                 }
+                state.mark();
                 state.run_epoch(self.kernel, self.config.epoch_budget());
             }
-            if runner.close_boundary(self.kernel, &mut boundary).is_none() {
+            // A boundary due a journal record is written where it
+            // closes, from the drain that feeds it. (Not the last one:
+            // nothing resumes from where the campaign has finished,
+            // and its record would seal every ring the shards hold.)
+            let unfinished = runner.remaining() > 0;
+            let mut close = |record: Option<&mut Writer<'_>>| {
+                runner.close_boundary(self.kernel, &mut boundary, record)
+            };
+            let closed = match &mut journal {
+                Some(journal) if unfinished => journal.record(iter + 1, close),
+                _ => close(None),
+            };
+            if closed.is_none() {
                 break;
             }
-            // Checkpoint after the exchange: the snapshot is exactly
-            // the loop-top state of the next iteration, so resume
-            // re-enters here with nothing replayed and nothing lost.
-            if let Some(path) = &self.checkpoint {
-                let traces: Vec<(u32, TraceStore)> = runner
-                    .states
-                    .iter()
-                    .filter_map(|s| s.boundary_trace_store(self.config.epoch_budget()))
-                    .collect();
-                let snap = SnapshotView {
-                    config_fingerprint: self.config_fp,
-                    spec_fingerprint: self.spec_fp,
-                    epochs_done: boundary.epochs_done,
-                    shards: runner.states.iter().map(ShardState::view).collect(),
-                    hub: &boundary.hub,
-                    triage: &boundary.triage,
-                    traces: &traces,
-                };
-                if self.write_checkpoint(&snap, path, iter) {
+            // Durable after the exchange: a base is exactly the
+            // loop-top state of the next iteration and a record
+            // replays to it, so resume re-enters here with nothing
+            // lost. The shards are then marked, as a fabric worker's
+            // are on an ack: the next record says what changed since.
+            if let Some(journal) = &mut journal {
+                if self.write_checkpoint(journal, &runner, &boundary, iter) {
+                    runner.mark();
                     checkpoints_written += 1;
                     if let Some(hook) = &self.on_checkpoint {
                         hook(checkpoints_written);
@@ -409,7 +417,7 @@ impl<'a> ShardedCampaign<'a> {
                     if self.halt_after == Some(checkpoints_written) {
                         // Simulated interrupt: return the partial
                         // merge (tests discard it and resume from the
-                        // snapshot just written).
+                        // boundary just written).
                         break;
                     }
                 }
@@ -418,21 +426,32 @@ impl<'a> ShardedCampaign<'a> {
         self.merge(runner.states, boundary.triage)
     }
 
-    /// Write one checkpoint with the fault plan applied: injected (or
-    /// real) write failures retry with deterministic linear backoff up
-    /// to [`MAX_WRITE_ATTEMPTS`]; exhausting the attempts skips the
-    /// boundary — the previous-good snapshot stays in place and the
-    /// campaign continues. Post-write damage faults (torn write,
-    /// bitrot) are applied to the installed file so a later resume
-    /// exercises the previous-good fallback. Returns whether a
-    /// snapshot was installed.
-    fn write_checkpoint(&self, snap: &SnapshotView<'_>, path: &Path, iter: u64) -> bool {
+    /// Make one boundary durable with the fault plan applied: injected
+    /// (or real) write failures retry with deterministic linear backoff
+    /// up to [`MAX_WRITE_ATTEMPTS`]; exhausting the attempts skips the
+    /// boundary — what is on disk stays and the campaign continues.
+    /// Post-write damage faults (torn write, bitrot) are applied to
+    /// what was just written so a later resume exercises the cut log
+    /// or the previous-good fallback. The base writer runs only when
+    /// the journal asks for a base. Returns whether the boundary was
+    /// written.
+    fn write_checkpoint(
+        &self,
+        journal: &mut Journal,
+        runner: &LeaseRunner,
+        boundary: &Boundary,
+        iter: u64,
+    ) -> bool {
+        let frame_base = |out: &mut Vec<u8>| {
+            let (fingerprints, budget) =
+                ((self.config_fp, self.spec_fp), self.config.epoch_budget());
+            frame_base(out, fingerprints, &runner.states, boundary, budget);
+        };
         let injected_failures = self.faults.write_fail_attempts(iter);
         for attempt in 1..=MAX_WRITE_ATTEMPTS {
-            let failed = attempt <= injected_failures || snap.save(path).is_err();
-            if !failed {
+            if attempt > injected_failures && journal.write(frame_base).is_ok() {
                 if let Some(damage) = self.faults.post_write_damage(iter) {
-                    apply_damage(path, damage);
+                    journal.damage(damage);
                 }
                 return true;
             }
@@ -440,6 +459,7 @@ impl<'a> ShardedCampaign<'a> {
             // part of the campaign's result.
             std::thread::sleep(std::time::Duration::from_millis(u64::from(attempt)));
         }
+        journal.abandon();
         false
     }
 
@@ -461,27 +481,29 @@ impl<'a> ShardedCampaign<'a> {
     }
 }
 
-/// Damage an installed snapshot in place (fault injection only):
-/// `None` truncates the file to half its length (a torn write),
-/// `Some(byte)` flips one payload byte (bitrot), wrapped past the
-/// 20-byte header so the checksum — not the magic/version check —
-/// is what trips. Deliberately a direct, non-atomic rewrite: it
-/// simulates damage that happens *after* the atomic install.
-fn apply_damage(path: &Path, damage: Option<usize>) {
-    let Ok(mut bytes) = std::fs::read(path) else {
-        return;
-    };
-    match damage {
-        None => bytes.truncate(bytes.len() / 2),
-        Some(byte) => {
-            const HEADER: usize = 20;
-            if bytes.len() > HEADER {
-                let idx = HEADER + byte % (bytes.len() - HEADER);
-                bytes[idx] ^= 0xFF;
-            }
-        }
+/// The base writer: frame the whole campaign at a boundary — config
+/// and spec `fingerprints`, every live shard viewed whole, the hub, the
+/// report, and of every recorder what its shard's next epoch (under
+/// `budget`) keeps — into `out`. The one place a running campaign
+/// builds a [`SnapshotView`] and seals every retained trace.
+pub(crate) fn frame_base(
+    out: &mut Vec<u8>,
+    (config_fingerprint, spec_fingerprint): (u64, u64),
+    states: &[ShardState],
+    boundary: &Boundary,
+    budget: u64,
+) {
+    let stores = states.iter().map(|s| s.boundary_trace_store(budget));
+    SnapshotView {
+        config_fingerprint,
+        spec_fingerprint,
+        epochs_done: boundary.epochs_done,
+        shards: states.iter().map(ShardState::view).collect(),
+        hub: &boundary.hub,
+        triage: &boundary.triage,
+        traces: &stores.flatten().collect::<Vec<_>>(),
     }
-    let _ = std::fs::write(path, bytes);
+    .frame_into(out);
 }
 
 #[cfg(test)]

@@ -56,6 +56,15 @@ impl ShardTriage {
         &self.seen
     }
 
+    /// The signatures first seen since the last drain, ascending —
+    /// what the seen-set gained, whichever of their captures the drain
+    /// goes on to minimize. No allocation when there are none.
+    pub(crate) fn fresh_seen(&self) -> Vec<CrashSignature> {
+        let mut seen: Vec<CrashSignature> = self.fresh.iter().map(|c| c.signature).collect();
+        seen.sort_unstable();
+        seen
+    }
+
     /// Rebuild boundary-state triage from a checkpointed seen-set
     /// (fresh captures and pending counts are empty at boundaries by
     /// construction).

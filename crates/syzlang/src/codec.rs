@@ -494,14 +494,27 @@ pub fn frame_into(
     payload: impl FnOnce(&mut Writer<'_>),
 ) {
     out.clear();
+    frame_onto(out, magic, version, payload);
+}
+
+/// [`frame`] appended to what `out` already holds (a length prefix, an
+/// earlier envelope): the checksum covers this envelope's payload
+/// only. Hands back what `payload` returns.
+pub fn frame_onto<R>(
+    out: &mut Vec<u8>,
+    magic: &[u8],
+    version: u32,
+    payload: impl FnOnce(&mut Writer<'_>) -> R,
+) -> R {
+    let header = out.len() + magic.len() + 12;
     out.extend_from_slice(magic);
     let mut w = Writer::new(out);
     w.u32(version);
     w.u64(0); // checksum slot
-    payload(&mut w);
-    let header = magic.len() + 12;
+    let result = payload(&mut w);
     let sum = checksum(&out[header..]);
     out[header - 8..header].copy_from_slice(&sum.to_le_bytes());
+    result
 }
 
 /// Validate and strip the envelope [`frame`] wrote, returning the
@@ -706,6 +719,13 @@ mod tests {
                 "flip of bit {bit} accepted"
             );
         }
+        // Appended after a prefix, the envelope is the same bytes.
+        let mut prefixed = vec![0xAA; 5];
+        assert_eq!(
+            frame_onto(&mut prefixed, b"KGPTTEST", 7, |w| (put(w), 9).1),
+            9
+        );
+        assert_eq!(prefixed[5..], framed[..]);
         // An empty magic is a valid envelope (the fabric wire frame).
         let bare = frame(b"", 3, put);
         assert_eq!(bare.len(), 12 + payload.len());

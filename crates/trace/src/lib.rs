@@ -504,7 +504,9 @@ impl ExecTrace {
         Ok(prog)
     }
 
-    fn encode(&self, w: &mut Writer<'_>) {
+    /// Write the trace as an element of a larger payload (a store, a
+    /// checkpoint journal record).
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u32(self.shard);
         w.u64(self.epoch);
         w.u64(self.exec);
@@ -519,7 +521,12 @@ impl ExecTrace {
         w.bytes(&self.stream);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<ExecTrace, DecodeError> {
+    /// Read a trace written by [`ExecTrace::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on malformed fields.
+    pub fn decode(r: &mut Reader<'_>) -> Result<ExecTrace, DecodeError> {
         let shard = r.u32()?;
         let epoch = r.u64()?;
         let exec = r.u64()?;
@@ -694,6 +701,25 @@ impl TraceStore {
             store.file(trace);
         }
         store
+    }
+
+    /// Move the store on to a later boundary of the recorder it was
+    /// read from: it has now seen `execs_seen` executions, kept the
+    /// newest `keep` of its ring traces, and retained `traces` since
+    /// (each filed as [`TraceStore::record`] files it). Total like
+    /// [`TraceStore::from_traces`] — how a checkpoint journal record
+    /// brings its base's store up to date.
+    pub fn advance(
+        &mut self,
+        execs_seen: u64,
+        keep: usize,
+        traces: impl IntoIterator<Item = ExecTrace>,
+    ) {
+        self.execs_seen = execs_seen;
+        self.ring.drain(..self.ring.len().saturating_sub(keep));
+        for trace in traces {
+            self.file(trace);
+        }
     }
 
     /// Assemble a store from parts somebody else wrote: `ring` oldest

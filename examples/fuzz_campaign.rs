@@ -14,10 +14,13 @@
 //!
 //! * `FUZZ_EXECS` — per-campaign exec budget (default 20000);
 //! * `FUZZ_CHECKPOINT` — base path for crash-safe per-epoch campaign
-//!   snapshots (each suite checkpoints to `<base>.suiteN.ckpt`);
-//! * `FUZZ_RESUME` — when set, resume each campaign from its snapshot
-//!   instead of starting fresh, falling back to a fresh run when no
-//!   usable snapshot exists (e.g. killed before the first boundary);
+//!   checkpoints (each suite writes a base to `<base>.suiteN.ckpt` and
+//!   a journal of the boundaries since to `<base>.suiteN.ckpt.journal`);
+//! * `FUZZ_RESUME` — when set, resume each campaign from its last
+//!   durable boundary instead of starting fresh (a `RESUME` line says
+//!   which base was read and how many journal records were replayed on
+//!   it), falling back to a fresh run when no usable snapshot exists
+//!   (e.g. killed before the first boundary);
 //! * `FUZZ_TRACE` — per-shard flight-recorder ring capacity override
 //!   (0 disables tracing; the default is [`CampaignConfig`]'s). A
 //!   shard trims its ring where each hub epoch starts — to the newest
@@ -39,7 +42,8 @@ use kernelgpt::core::KernelGpt;
 use kernelgpt::csrc::{flagship, KernelCorpus};
 use kernelgpt::extractor::find_handlers;
 use kernelgpt::fuzzer::{
-    cfg_successors, replay_trace, CampaignConfig, ExecScratch, ShardedCampaign, TraceStore,
+    cfg_successors, replay_trace, CampaignConfig, CampaignSnapshot, ExecScratch, ShardedCampaign,
+    TraceStore,
 };
 use kernelgpt::llm::{ModelKind, OracleModel};
 use kernelgpt::syzlang::{SpecCache, SpecFile};
@@ -121,16 +125,24 @@ fn main() {
                 .with_on_checkpoint(move |n| println!("CHECKPOINT {i}.{n}"));
         }
         let (result, stores) = match (&ckpt, resume) {
-            (Some(path), true) => match campaign.resume_traced(path) {
-                Ok(r) => {
-                    println!("{name:<20}: resumed from {}", path.display());
-                    r
+            (Some(path), true) => {
+                // Where the resume starts: the base on disk and the
+                // journal records replayed on top of it.
+                if let Ok((at, records)) = CampaignSnapshot::load_counting(path) {
+                    let base = at.epochs_done() - records;
+                    println!("RESUME {name}: base={base} records={records}");
                 }
-                Err(e) => {
-                    println!("{name:<20}: no usable snapshot ({e}); running fresh");
-                    campaign.run_traced()
+                match campaign.resume_traced(path) {
+                    Ok(r) => {
+                        println!("{name:<20}: resumed from {}", path.display());
+                        r
+                    }
+                    Err(e) => {
+                        println!("{name:<20}: no usable snapshot ({e}); running fresh");
+                        campaign.run_traced()
+                    }
                 }
-            },
+            }
             _ => campaign.run_traced(),
         };
         println!(

@@ -28,7 +28,13 @@
 //! the boundary where admissions stop, writing a boundary from live
 //! state, marking it, decoding, validating and committing it in place
 //! cost a fixed number of events — the same with four times the
-//! corpus, where one snapshot set costs events in proportion.
+//! corpus, where one snapshot set costs events in proportion. (A
+//! checkpointing campaign writes the same patch records into its
+//! journal; the writer is private to `kgpt-fuzzer`, so its count —
+//! a converged durable boundary costs the same events at four times
+//! the corpus and with fifty more pinned traces a shard — sits beside
+//! it, in `fuzzer/src/checkpoint.rs`'s tests, under that crate's own
+//! counting allocator.)
 //!
 //! The paper's own pipeline is held to two counts. A request to an
 //! oracle model that has read its code before costs the same number

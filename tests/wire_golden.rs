@@ -54,3 +54,63 @@ fn delta_frames_are_golden() {
     assert_eq!((incr.len(), fnv1a(&incr)), (686, 0xa026_4a02_3f4d_bc01));
     assert_eq!(fnv1a(&incr[12..]), 0xfe1a_19bf_25bb_9735);
 }
+
+/// A checkpoint journal's record (`fuzzer/src/checkpoint.rs`): a
+/// `u32` length, then an envelope — `KGPTJRNL`, version 1,
+/// `codec::checksum` — of the id of the base it continues (that base's
+/// own checksum word), its boundary number, a fabric frame's
+/// incremental body written from live state, and what each shard's
+/// flight recorder retained since the base. Recorded from the second
+/// boundary of a two-shard deep-chain campaign; the base beside it is
+/// a version-4 checkpoint.
+#[test]
+fn a_journal_record_is_golden() {
+    use kernelgpt::csrc::{deepchain, KernelCorpus};
+    use kernelgpt::fuzzer::{CampaignConfig, CampaignSnapshot, ShardedCampaign};
+    use kernelgpt::syzlang::codec::{unframe, Reader};
+    let kc = KernelCorpus::from_blueprints(deepchain::suite());
+    let suite: Vec<_> = kc
+        .blueprints()
+        .iter()
+        .map(|bp| bp.ground_truth_spec())
+        .collect();
+    let kernel = kernelgpt::vkernel::VKernel::boot(deepchain::suite());
+    let dir = std::env::temp_dir().join(format!("kgpt-wire-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("campaign.ckpt");
+    let config = CampaignConfig {
+        execs: 2 * 16 * 10,
+        seed: 5,
+        max_prog_len: 6,
+        hub_epoch: 16,
+        trace_ring: 4,
+        ..CampaignConfig::default()
+    };
+    let _ = ShardedCampaign::new(&kernel, &suite, kc.consts(), config)
+        .with_shards(2)
+        .with_checkpoint(&path)
+        .with_halt_after(2)
+        .run();
+    let base = std::fs::read(&path).expect("a base");
+    let journal = std::fs::read(path.with_extension("ckpt.journal")).expect("a journal");
+    assert_eq!((base.len(), fnv1a(&base)), (10_998, 0x7e82faac71055af6));
+    assert_eq!((journal.len(), fnv1a(&journal)), (3595, 0xe212b7f50b9844f0));
+
+    let mut log = Reader::new(&journal);
+    let record = log.bytes().expect("a counted record");
+    log.finish().expect("and nothing after it");
+    let mut r = Reader::new(unframe(b"KGPTJRNL", 1, record).expect("its envelope"));
+    assert_eq!(
+        r.u64().unwrap().to_le_bytes(),
+        base[12..20],
+        "the base's id"
+    );
+    assert_eq!(r.u64().unwrap(), 2, "the boundary");
+    let Ok(DeltaPayload::Incremental(patches)) = DeltaPayload::decode(&mut r) else {
+        panic!("the payload is not a frame's incremental body");
+    };
+    assert_eq!(patches.len(), 2);
+    let loaded = CampaignSnapshot::load_counting(&path).expect("loads");
+    assert_eq!((loaded.0.epochs_done(), loaded.1), (2, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
