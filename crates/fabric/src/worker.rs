@@ -188,11 +188,9 @@ where
             grant.shard_hi,
         )
     } else {
-        LeaseRunner::restore(
-            &lowered,
-            &grant.config,
-            std::mem::take(&mut grant.snapshots),
-        )
+        let snapshots = std::mem::take(&mut grant.snapshots);
+        LeaseRunner::restore(&lowered, &grant.config, snapshots)
+            .map_err(|e| FabricError::Protocol(format!("grant refused: {e}")))?
     };
     if let Some(cb) = opts.on_grant.as_mut() {
         cb(grant.slot, grant.shard_lo, grant.shard_hi, grant.boundary);

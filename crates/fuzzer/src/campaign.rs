@@ -5,6 +5,18 @@
 //! epochs so the sharded driver can interleave execution with
 //! cross-shard seed exchange (see [`crate::hub::SeedHub`]). A
 //! sequential [`Campaign`] is a single shard run in one epoch.
+//!
+//! One [`Program`] goes round that loop. The generator builds each
+//! program into it ([`crate::gen`]), the executor reads it, and it
+//! leaves the shard only when somebody keeps it: the corpus takes it
+//! on admission ([`Corpus::observe_in_place`]) and a flight recorder
+//! swaps it for the program of a ring slot it let go
+//! ([`crate::flight`]). All but a fraction of a percent of execs are
+//! rejected, and a rejected program is the next one's storage — so a
+//! converged exec costs the allocator its new pointees and nothing per
+//! call. The storage is no part of a shard's state: not in its
+//! snapshot, its view, a checkpoint or a frame, because no result
+//! depends on it.
 
 use crate::boundary::Boundary;
 use crate::corpus::Corpus;
@@ -12,6 +24,7 @@ use crate::exec::{execute_with, ExecScratch};
 use crate::gen::Generator;
 use crate::triage::{ShardTriage, TriageMinimizer};
 use kgpt_syzlang::lowered::LoweredDb;
+use kgpt_syzlang::prog::Program;
 use kgpt_syzlang::{ConstDb, SpecCache, SpecDb, SpecFile};
 use kgpt_triage::TriageReport;
 use kgpt_vkernel::{CoverageMap, VKernel};
@@ -173,6 +186,9 @@ pub(crate) struct ShardState {
     pub(crate) id: u32,
     generator: Generator,
     scratch: ExecScratch,
+    /// The program of the exec in progress; between execs, storage
+    /// for the next (module docs). Scratch like `scratch`.
+    prog: Program,
     pub(crate) corpus: Corpus,
     pub(crate) crashes: CrashTally,
     /// Each title's count when the shard was last marked
@@ -308,6 +324,7 @@ impl ShardState {
             id,
             generator,
             scratch,
+            prog: Program::default(),
             corpus: Corpus::new(CORPUS_CAP, seed),
             crashes: BTreeMap::new(),
             crash_marks: BTreeMap::new(),
@@ -494,13 +511,15 @@ impl ShardState {
             } else {
                 self.corpus.select()
             };
-            let prog = match parent {
-                None => self.generator.gen_program(self.max_prog_len),
-                Some(idx) => self
-                    .generator
-                    .mutate(self.corpus.program(idx), self.max_prog_len),
-            };
-            execute_with(kernel, &prog, &mut self.scratch);
+            let prog = &mut self.prog;
+            match parent {
+                None => self.generator.gen_program_into(self.max_prog_len, prog),
+                Some(idx) => {
+                    let seed = self.corpus.program(idx);
+                    self.generator.mutate_into(seed, self.max_prog_len, prog);
+                }
+            }
+            execute_with(kernel, prog, &mut self.scratch);
             if self.scratch.state.fuel_exhausted() {
                 self.fuel_exhausted += 1;
             }
@@ -516,18 +535,19 @@ impl ShardState {
                 }
                 // Capture the reproducer on the first local sighting
                 // of the signature (clones only then), count always.
-                self.triage.observe(c, &prog, self.epoch);
+                self.triage.observe(c, prog, self.epoch);
             }
-            // The recorder keeps a program the corpus would drop, so
-            // a traced exec moves it into the ring instead of copying.
+            // The recorder keeps a program the corpus would reject: it
+            // swaps it into the ring and there is nothing to offer.
             let offered = match &mut self.tracer {
                 Some(tracer) => {
-                    tracer.record(&self.scratch, prog, self.epoch, self.corpus.coverage())
+                    tracer.record(&mut self.scratch, prog, self.epoch, self.corpus.coverage())
                 }
-                None => Some(prog),
+                None => true,
             };
-            if let Some(prog) = offered {
-                self.corpus.observe(prog, self.scratch.coverage(), parent);
+            if offered {
+                let cov = self.scratch.coverage();
+                self.corpus.observe_in_place(prog, cov, parent);
             }
         }
         self.remaining -= n;

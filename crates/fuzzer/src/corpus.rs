@@ -250,16 +250,16 @@ impl Corpus {
             return None;
         }
         let mut r = self.rng.bounded(self.total_weight);
-        let mut idx = self.entries.len() - 1;
+        // Falling off the end picks the last entry.
+        let (mut idx, mut old) = (self.entries.len() - 1, 0);
         for (i, e) in self.entries.iter().enumerate() {
-            let w = e.weight();
-            if r < w {
+            old = e.weight();
+            if r < old {
                 idx = i;
                 break;
             }
-            r -= w;
+            r -= old;
         }
-        let old = self.entries[idx].weight();
         self.entries[idx].execs += 1;
         self.total_weight = self.total_weight - old + self.entries[idx].weight();
         Some(idx)
@@ -269,10 +269,32 @@ impl Corpus {
     /// coverage and admit `prog` if it contributed new blocks,
     /// crediting `parent` (the mutation seed it came from, if any)
     /// with a hit. Returns the number of newly covered blocks
-    /// (0 = nothing new). The nothing-new path allocates nothing, but
-    /// it is where the rejected program is dropped: that frees every
-    /// argument tree the program does not share with a corpus parent.
-    pub fn observe(&mut self, prog: Program, cov: &CoverageMap, parent: Option<usize>) -> usize {
+    /// (0 = nothing new). By-value form of
+    /// [`Corpus::observe_in_place`]: the nothing-new path allocates
+    /// nothing, but it is where this form drops the rejected program,
+    /// which frees every argument list and every pointee the program
+    /// does not share with a corpus parent.
+    pub fn observe(
+        &mut self,
+        mut prog: Program,
+        cov: &CoverageMap,
+        parent: Option<usize>,
+    ) -> usize {
+        self.observe_in_place(&mut prog, cov, parent)
+    }
+
+    /// [`Corpus::observe`] on a program the caller keeps: the program
+    /// is taken (an empty one is left in its place) only when it is
+    /// admitted. A rejected program stays where it is, untouched —
+    /// storage for the caller's next one
+    /// ([`crate::gen::Generator::mutate_into`]) — so the nothing-new
+    /// path neither allocates nor frees.
+    pub fn observe_in_place(
+        &mut self,
+        prog: &mut Program,
+        cov: &CoverageMap,
+        parent: Option<usize>,
+    ) -> usize {
         if self.coverage.new_blocks_in(cov) == 0 {
             return 0;
         }
@@ -285,7 +307,7 @@ impl Corpus {
         let new = contributed.len();
         self.stats.admitted += 1;
         self.push(CorpusEntry {
-            program: prog,
+            program: std::mem::take(prog),
             contributed,
             execs: 0,
             hits: 0,
@@ -507,7 +529,8 @@ impl SplitMix64 {
 /// accepted range `threshold..2^64` has a size divisible by `n`.
 #[must_use]
 pub(crate) fn reject_threshold(n: u64) -> u64 {
-    (u64::MAX % n).wrapping_add(1) % n
+    // `2^64 - n` is a multiple of `n` away from `2^64`.
+    n.wrapping_neg() % n
 }
 
 #[cfg(test)]
@@ -614,6 +637,22 @@ mod tests {
             assert!(
                 b.abs_diff(expect) < expect / 10,
                 "bucket {i}: {b} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_threshold_is_two_to_the_64_mod_n_in_one_division() {
+        // What `reject_threshold` computed in two: `2^64 mod n` as
+        // `((2^64 - 1) mod n + 1) mod n`. The selection stream hangs
+        // on the two agreeing everywhere.
+        let two_divisions = |n: u64| (u64::MAX % n).wrapping_add(1) % n;
+        let powers = (1..64).flat_map(|k| [(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        for n in (1..=4096).chain(powers).chain([u64::MAX - 1, u64::MAX]) {
+            assert_eq!(reject_threshold(n), two_divisions(n), "n={n}");
+            assert_eq!(
+                u128::from(reject_threshold(n)),
+                (1u128 << 64) % u128::from(n)
             );
         }
     }

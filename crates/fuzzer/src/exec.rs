@@ -87,6 +87,11 @@ impl ExecScratch {
         }
     }
 
+    /// The lowered IR programs are executed against.
+    pub(crate) fn lowered(&self) -> &LoweredDb {
+        &self.lowered
+    }
+
     /// Coverage of the last executed program — what the campaign
     /// loop feeds to [`crate::corpus::Corpus::observe`] (borrowed, so
     /// the admission test allocates nothing on the nothing-new path).

@@ -913,6 +913,24 @@ impl DeltaPayload {
         }
     }
 
+    /// Every program the payload would commit — corpus entries and
+    /// triage captures — against `lowered` (`check_programs`).
+    fn check_programs(&self, lowered: &LoweredDb) -> Result<(), CheckpointError> {
+        let check = |shard: u32, corpus: &[CorpusEntry], candidates: &[TriageEntry]| {
+            let origin = format_args!("the boundary record of shard {shard}");
+            let corpus = corpus.iter().map(|e| &e.program);
+            check_programs(lowered, origin, corpus.chain(triage_programs(candidates)))
+        };
+        match self {
+            DeltaPayload::Full(deltas) => deltas
+                .iter()
+                .try_for_each(|d| check(d.snapshot.id, d.snapshot.corpus.entries(), &d.candidates)),
+            DeltaPayload::Incremental(patches) => patches
+                .iter()
+                .try_for_each(|p| check(p.shard_id, &p.added, &p.candidates)),
+        }
+    }
+
     /// Write the payload: a kind byte, then the counted records.
     /// [`LeaseRunner::write_boundary`] writes the same layout from
     /// live state.
@@ -942,6 +960,36 @@ impl DeltaPayload {
             _ => Err(r.err("unknown delta kind")),
         }
     }
+}
+
+// ---- the door for programs that arrive as bytes ----------------------------
+
+/// [`Program::fits`] over `programs`, the first misfit as the error of
+/// the door that met it, naming `origin`. [`Program::decode`] knows no
+/// specification and accepts any syscall index, argument count and
+/// producer; generation, mutation and execution index by them
+/// unchecked. So a program that arrives as bytes is checked once where
+/// it enters — a resume or a grant ([`LeaseRunner::restore`]), a
+/// coordinator that knows its suite ([`CampaignMerge::validate`]), a
+/// trace ([`crate::replay_trace`]).
+pub(crate) fn check_programs<'a>(
+    lowered: &LoweredDb,
+    origin: impl std::fmt::Display,
+    programs: impl IntoIterator<Item = &'a Program>,
+) -> Result<(), CheckpointError> {
+    for program in programs {
+        let misfit = |m| CheckpointError::new(format!("{origin} holds a misfit program: {m}"));
+        program.fits(lowered).map_err(misfit)?;
+    }
+    Ok(())
+}
+
+/// The programs of triage entries: each one's raw capture and its
+/// reproducer.
+pub(crate) fn triage_programs<'a>(
+    entries: impl IntoIterator<Item = &'a TriageEntry>,
+) -> impl Iterator<Item = &'a Program> {
+    entries.into_iter().flat_map(|e| [&e.raw, &e.minimized])
 }
 
 // ---- shard-range runner: the worker half, or in process the whole campaign
@@ -993,17 +1041,29 @@ impl LeaseRunner {
     /// which it consumes — no corpus is copied on the way.
     /// Continuing the restored range is bit-identical to continuing
     /// the original — the epochs it never committed are simply re-run.
-    #[must_use]
+    /// Snapshots come from bytes (a checkpoint and its journal, a
+    /// grant), so this is where their corpus programs are held to
+    /// `lowered` (`check_programs`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] naming the first corpus program
+    /// that `lowered` could not have generated; nothing is restored.
     pub fn restore(
         lowered: &Arc<LoweredDb>,
         config: &CampaignConfig,
         snapshots: Vec<ShardSnapshot>,
-    ) -> LeaseRunner {
+    ) -> Result<LeaseRunner, CheckpointError> {
+        for snap in &snapshots {
+            let origin = format_args!("the snapshot of shard {}", snap.id);
+            let programs = snap.corpus.entries().iter().map(|e| &e.program);
+            check_programs(lowered, origin, programs)?;
+        }
         let states = snapshots
             .into_iter()
             .map(|s| ShardState::restore(lowered, config, s))
             .collect();
-        LeaseRunner::from_states(lowered, config, states)
+        Ok(LeaseRunner::from_states(lowered, config, states))
     }
 
     fn from_states(
@@ -1266,6 +1326,10 @@ fn patch_in_place(
 /// same `validate` and `commit`, so a restore closes every boundary it
 /// replays with the code that closed it live.
 pub(crate) struct MergeState {
+    /// The suite the campaign runs over, when the holder knows it
+    /// ([`CampaignMerge::for_suite`]): what arriving programs are held
+    /// to.
+    lowered: Option<Arc<LoweredDb>>,
     shards_total: u32,
     pub(crate) boundary: Boundary,
     /// Last committed boundary state per shard, in shard-id order
@@ -1280,6 +1344,9 @@ impl MergeState {
     /// `boundary.epochs_done`.
     pub(crate) fn from_snapshot(committed: Vec<ShardSnapshot>, boundary: Boundary) -> MergeState {
         MergeState {
+            // A journal is replayed unchecked: the resume it serves
+            // restores the shards, and that is a door.
+            lowered: None,
             shards_total: u32::try_from(committed.len()).unwrap_or(u32::MAX),
             boundary,
             committed,
@@ -1289,6 +1356,9 @@ impl MergeState {
 
     /// [`CampaignMerge::validate`].
     fn validate(&self, payload: &DeltaPayload) -> Result<(), CheckpointError> {
+        if let Some(lowered) = &self.lowered {
+            payload.check_programs(lowered)?;
+        }
         let DeltaPayload::Incremental(patches) = payload else {
             return Ok(());
         };
@@ -1381,6 +1451,7 @@ impl CampaignMerge {
     pub fn new(config: CampaignConfig, shards_total: u32) -> CampaignMerge {
         CampaignMerge {
             state: MergeState {
+                lowered: None,
                 shards_total: shards_total.max(1),
                 boundary: Boundary::new(config.hub_top_k),
                 committed: Vec::new(),
@@ -1388,6 +1459,24 @@ impl CampaignMerge {
             },
             config,
         }
+    }
+
+    /// [`CampaignMerge::new`] for a coordinator that knows the suite
+    /// its campaign runs over: [`CampaignMerge::validate`] then also
+    /// holds every program a payload carries to `lowered`, so a payload
+    /// that passes can neither fail to commit nor, granted on or
+    /// resumed from, panic the epoch that runs it. A merge built
+    /// without one is spec-blind and leaves that check to whoever
+    /// restores from its state ([`LeaseRunner::restore`]).
+    #[must_use]
+    pub fn for_suite(
+        lowered: Arc<LoweredDb>,
+        config: CampaignConfig,
+        shards_total: u32,
+    ) -> CampaignMerge {
+        let mut merge = CampaignMerge::new(config, shards_total);
+        merge.state.lowered = Some(lowered);
+        merge
     }
 
     /// The campaign config this merge was built for.
@@ -1459,7 +1548,10 @@ impl CampaignMerge {
     /// ascending and in range, coverage runs inside the decoder's
     /// bound. A payload that passes cannot fail at
     /// [`CampaignMerge::commit`] for anything it carries, as long as
-    /// no boundary commits in between. A full payload always passes.
+    /// no boundary commits in between. A merge that knows its suite
+    /// ([`CampaignMerge::for_suite`]) also holds every program of the
+    /// payload, full or incremental, to it; for a spec-blind one a full
+    /// payload always passes.
     ///
     /// # Errors
     ///
@@ -1627,10 +1719,43 @@ pub fn reference_run(
 }
 
 #[cfg(test)]
+pub(crate) type Forge = Box<dyn Fn(&mut Program)>;
+
+/// The three ways bytes can spell a program no generator over
+/// `lowered` writes — [`Program::decode`] takes them all: a syscall
+/// index past the table, an argument too many, a resource produced
+/// by its own consumer. Each edits the first call that can carry it.
+#[cfg(test)]
+pub(crate) fn forgeries(lowered: &LoweredDb) -> [(&'static str, Forge); 3] {
+    let past = u32::try_from(lowered.syscall_count()).expect("a small table");
+    [
+        ("syscall index", Box::new(move |p| p.calls[0].sys = past)),
+        (
+            "argument count",
+            Box::new(|p| p.calls[0].args.push(kgpt_syzlang::Value::Int(0))),
+        ),
+        (
+            "resource producer",
+            Box::new(|p| {
+                let args = p.calls.iter_mut().enumerate();
+                let found = args.flat_map(|(i, c)| c.args.iter_mut().map(move |a| (i, a)));
+                for (i, arg) in found {
+                    if let kgpt_syzlang::Value::Res(r) = arg {
+                        r.producer = Some(i);
+                        return;
+                    }
+                }
+                panic!("no resource argument to forge");
+            }),
+        ),
+    ]
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use kgpt_csrc::KernelCorpus;
-    use kgpt_syzlang::{ConstDb, SpecCache, SpecFile};
+    use kgpt_syzlang::{ConstDb, SpecCache, SpecFile, Value};
 
     fn dm_setup() -> (VKernel, Vec<SpecFile>, ConstDb) {
         let kc = KernelCorpus::from_blueprints(vec![kgpt_csrc::flagship::dm()]);
@@ -1730,7 +1855,7 @@ mod tests {
             let mut right = if merge.epochs_done() == 0 {
                 LeaseRunner::fresh(&lowered, &config, 4, 2, 4)
             } else {
-                LeaseRunner::restore(&lowered, &config, merge.snapshots(2, 4))
+                LeaseRunner::restore(&lowered, &config, merge.snapshots(2, 4)).expect("fits")
             };
             let mut deltas = left.run_epoch(&kernel);
             deltas.extend(right.run_epoch(&kernel));
@@ -1962,7 +2087,9 @@ mod tests {
             .run();
         let mut live = LeaseRunner::fresh(&lowered, &config, 3, 0, 3);
         let mut oracle = LeaseRunner::fresh(&lowered, &config, 3, 0, 3);
-        let mut merge = CampaignMerge::new(config.clone(), 3);
+        // The live merge knows its suite: every program a real payload
+        // carries passes its door.
+        let mut merge = CampaignMerge::for_suite(Arc::clone(&lowered), config.clone(), 3);
         let mut twin = CampaignMerge::new(config.clone(), 3);
         let mut baseline: Option<Vec<ShardSnapshot>> = None;
         let mut increments = 0;
@@ -2092,6 +2219,97 @@ mod tests {
         merge.commit(halves).expect("the clean patches fit");
         assert_eq!(merge.epochs_done(), 2);
         assert_ne!(committed_bytes(&merge, 2), before);
+    }
+
+    /// Whether some call of `p` takes a resource argument.
+    fn consumes(p: &Program) -> bool {
+        p.calls.iter().any(|c| c.args.iter().any(Value::has_res))
+    }
+
+    /// `snap` with `forge` applied to the first corpus program that
+    /// consumes a resource.
+    fn forged_snapshot(mut snap: ShardSnapshot, forge: &dyn Fn(&mut Program)) -> ShardSnapshot {
+        let (rng, coverage, mut entries, stats) = snap.corpus.into_parts();
+        let consumer = entries
+            .iter_mut()
+            .find(|e| consumes(&e.program))
+            .expect("a corpus program that consumes a resource");
+        forge(&mut consumer.program);
+        snap.corpus = Corpus::from_parts(CORPUS_CAP, rng, coverage, entries, stats);
+        snap
+    }
+
+    #[test]
+    fn a_hostile_program_is_a_typed_error_at_the_grant_and_at_a_coordinator_that_knows_its_suite() {
+        let (kernel, suite, consts) = dm_setup();
+        let config = cfg(1500, 5);
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let mut runner = LeaseRunner::fresh(&lowered, &config, 2, 0, 2);
+        let mut merge = CampaignMerge::for_suite(Arc::clone(&lowered), config.clone(), 2);
+        runner.advance(&kernel);
+        let (_, first) = live_payload(&mut runner, &kernel);
+        let DeltaPayload::Full(deltas) = &first else {
+            panic!("an unmarked runner ships full records");
+        };
+
+        for (what, forge) in forgeries(&lowered) {
+            // A full record, to a coordinator that knows the suite and
+            // to one that does not.
+            let mut bad = deltas.clone();
+            bad[1].snapshot = forged_snapshot(bad[1].snapshot.clone(), &*forge);
+            let bad = DeltaPayload::Full(bad);
+            let err = merge.validate(&bad).expect_err(what);
+            assert!(err.message.contains("misfit program"), "{what}: {err}");
+            assert!(merge.commit(vec![bad.clone()]).is_err(), "{what}: commit");
+            assert_eq!(merge.epochs_done(), 0, "{what}");
+            let mut blind = CampaignMerge::new(config.clone(), 2);
+            blind
+                .validate(&bad)
+                .expect("a spec-blind merge cannot tell");
+            blind.commit(vec![bad]).expect("and commits it");
+            // Whoever is granted that state meets it at the door.
+            let granted = LeaseRunner::restore(&lowered, &config, blind.snapshots(0, 2));
+            let err = granted.err().expect(what);
+            assert!(err.message.contains("shard 1"), "{what}: {err}");
+        }
+
+        // The same three in an increment: an added entry, a capture.
+        let outcome = merge.commit(vec![first.clone()]).expect("boundary 1");
+        runner.acked(&outcome.seeds);
+        let patches = loop {
+            runner.advance(&kernel);
+            let (_, payload) = live_payload(&mut runner, &kernel);
+            let DeltaPayload::Incremental(patches) = &payload else {
+                panic!("a marked runner ships increments");
+            };
+            let usable = patches[0].added.iter().any(|e| consumes(&e.program))
+                && patches.iter().any(|p| !p.candidates.is_empty());
+            if usable {
+                break patches.clone();
+            }
+            let outcome = merge.commit(vec![payload]).expect("a clean boundary");
+            assert!(!outcome.finished, "no boundary both admits and captures");
+            runner.acked(&outcome.seeds);
+        };
+        let done = merge.epochs_done();
+        for (what, forge) in forgeries(&lowered) {
+            let mut added = patches.clone();
+            let entry = added[0].added.iter_mut().find(|e| consumes(&e.program));
+            forge(&mut entry.expect("checked above").program);
+            let mut captured = patches.clone();
+            let capture = captured.iter_mut().find_map(|p| p.candidates.first_mut());
+            forge(&mut capture.expect("checked above").minimized);
+            for bad in [added, captured] {
+                let bad = DeltaPayload::Incremental(bad);
+                assert!(merge.validate(&bad).is_err(), "{what}: validate");
+                assert!(merge.commit(vec![bad]).is_err(), "{what}: commit");
+                assert_eq!(merge.epochs_done(), done, "{what}");
+            }
+        }
+        merge
+            .commit(vec![DeltaPayload::Incremental(patches)])
+            .expect("the clean increment fits");
     }
 
     #[test]

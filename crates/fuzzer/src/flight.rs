@@ -6,8 +6,8 @@
 //! `ShardState` and keeps what a [`TraceStore`] would — a bounded
 //! ring of the latest non-crashing execs plus the first exec per
 //! crash signature — but keeps the ring **raw**: the executed
-//! [`Program`] itself and a copy of the VM's
-//! [`kgpt_vkernel::TraceLog`] events. All but a fraction of a percent
+//! [`Program`] itself and the VM's [`kgpt_vkernel::TraceLog`] events,
+//! in the buffer they were logged into. All but a fraction of a percent
 //! of ring entries are evicted unread, so the delta coding against
 //! the kernel's [`CfgSuccessors`] table and the program encoding run
 //! only when somebody reads: the stores a traced run returns, the
@@ -31,6 +31,18 @@
 //! (`ShardTracer::write_since_mark`): how many of the ring traces its
 //! predecessor persisted are still kept, and the kept and the pinned
 //! traces recorded since — so a trace is sealed for a record once.
+//!
+//! **Storage goes round.** A slot the ring lets go — at a full ring's
+//! next `record`, at an epoch's trim — keeps its program and its
+//! (emptied) event buffer as a spare. The next exec the corpus rejects
+//! is *swapped* into a spare: the slot takes the executed program and
+//! the buffer the VM logged into, the shard gets the spare's program
+//! back as the storage its next program is generated into
+//! ([`crate::gen`]) and the VM its buffer to log into. Ring and spares
+//! together never hold more than the ring's capacity, so that is the
+//! bound on programs in flight, as it was when a slot's program was
+//! freed on the way out. An exec the corpus admits is cloned into its
+//! slot, as ever.
 //!
 //! [`replay_trace`] is the other direction: re-execute any recorded
 //! exec from its self-contained header and cross-check the recorded
@@ -62,13 +74,19 @@ pub fn cfg_successors(kernel: &VKernel) -> CfgSuccessors {
     )
 }
 
-/// One exec as the recorder captured it, before any encoding.
-#[derive(Clone)]
-struct RawTrace {
+/// What a trace header says of its exec besides the program.
+#[derive(Clone, Copy, Default)]
+struct ExecMeta {
     epoch: u64,
     exec: u64,
     exec_fuel: u64,
     fuel_exhausted: bool,
+}
+
+/// One exec as the recorder captured it, before any encoding.
+#[derive(Clone, Default)]
+struct RawTrace {
+    meta: ExecMeta,
     program: Program,
     events: Vec<TraceEvent>,
 }
@@ -100,9 +118,10 @@ pub(crate) struct ShardTracer {
     mark: u64,
     /// Most recent non-crashing execs, oldest first.
     ring: VecDeque<Slot>,
-    /// Emptied event buffers of the slots the ring let go, for the
-    /// next execs to record into.
-    spare: Vec<Vec<TraceEvent>>,
+    /// The raw slots the ring let go, for the next execs to be
+    /// recorded into (module docs): event buffers emptied, programs as
+    /// they were. With the ring, at most `cap` slots.
+    spare: Vec<RawTrace>,
     /// First trace per crash signature, sealed when pinned.
     pinned: BTreeMap<CrashSignature, ExecTrace>,
 }
@@ -143,79 +162,93 @@ impl ShardTracer {
         }
     }
 
-    /// Let go of the oldest ring slot, keeping its event buffer.
+    /// Let go of the oldest ring slot, keeping its storage.
     fn drop_oldest(&mut self) {
         if let Some(Slot::Raw(mut dropped)) = self.ring.pop_front() {
             dropped.events.clear();
-            self.spare.push(dropped.events);
+            self.spare.push(dropped);
         }
     }
 
-    /// Record the execution of `prog` that just finished in `scratch`.
-    /// `seen` is the shard corpus's coverage: a program the corpus is
-    /// about to drop (nothing new over `seen`) moves into its ring
-    /// slot and `None` comes back; otherwise the slot takes a copy and
-    /// the program is returned for admission. At steady state the
-    /// moved path allocates nothing — the event buffer of a slot the
-    /// ring let go is reused.
+    /// Record the execution of `prog` that just finished in `scratch`
+    /// and say whether `prog` is still that program, to be offered to
+    /// the corpus. `seen` is the shard corpus's coverage: a program the
+    /// corpus would reject (nothing new over `seen`) is swapped into
+    /// its ring slot, `prog` becomes the storage of a slot the ring
+    /// let go, and the answer is no; otherwise the slot takes a copy.
+    /// Either way the slot takes the buffer the VM logged the exec
+    /// into and the VM gets the slot's to log the next one into. At
+    /// steady state the swapped path neither allocates nor frees.
     pub(crate) fn record(
         &mut self,
-        scratch: &ExecScratch,
-        prog: Program,
+        scratch: &mut ExecScratch,
+        prog: &mut Program,
         epoch: u64,
         seen: &CoverageMap,
-    ) -> Option<Program> {
-        let state = &scratch.state;
-        let mut raw = RawTrace {
+    ) -> bool {
+        let state = &mut scratch.state;
+        let meta = ExecMeta {
             epoch,
             exec: self.execs_seen,
             exec_fuel: state.fuel_limit(),
             fuel_exhausted: state.fuel_exhausted(),
-            program: Program::default(),
-            events: Vec::new(),
         };
         self.execs_seen += 1;
-        if let Some(crash) = scratch.crash() {
-            raw.program = prog;
-            if !self.pinned.contains_key(&crash.signature) {
-                raw.events = state.trace().events().to_vec();
-                let sealed = self.seal(&raw, Some(crash.signature));
-                self.pinned.insert(crash.signature, sealed);
+        if let Some(crash) = &state.crash {
+            let sig = crash.signature;
+            if !self.pinned.contains_key(&sig) {
+                let sealed = self.seal(meta, prog, state.trace().events(), Some(sig));
+                self.pinned.insert(sig, sealed);
             }
-            return Some(raw.program);
+            return true;
         }
         if self.cap == 0 {
-            return Some(prog);
+            return true;
         }
         if self.ring.len() == self.cap {
             self.drop_oldest();
         }
-        raw.events = self.spare.pop().unwrap_or_default();
-        raw.events.extend_from_slice(state.trace().events());
-        let admitted = seen.new_blocks_in(scratch.coverage()) != 0;
-        let back = admitted.then(|| prog.clone());
-        raw.program = prog;
+        let mut raw = self.spare.pop().unwrap_or_default();
+        raw.meta = meta;
+        state.trace_mut().swap_events(&mut raw.events);
+        let admitted = seen.new_blocks_in(&state.coverage) != 0;
+        if admitted {
+            raw.program = prog.clone();
+        } else {
+            std::mem::swap(&mut raw.program, prog);
+        }
         self.ring.push_back(Slot::Raw(raw));
-        back
+        admitted
     }
 
-    /// Encode one raw exec into its self-contained trace.
-    fn seal(&self, raw: &RawTrace, crash: Option<CrashSignature>) -> ExecTrace {
-        let (stream, stream_bits) = encode_events(&self.cfg, &raw.events);
-        let mut program = Vec::new();
-        raw.program.encode_into(&mut program);
+    /// Encode a ring slot into its self-contained trace.
+    fn seal_slot(&self, raw: &RawTrace) -> ExecTrace {
+        self.seal(raw.meta, &raw.program, &raw.events, None)
+    }
+
+    /// Encode one exec into its self-contained trace.
+    fn seal(
+        &self,
+        meta: ExecMeta,
+        program: &Program,
+        events: &[TraceEvent],
+        crash: Option<CrashSignature>,
+    ) -> ExecTrace {
+        let (stream, stream_bits) = encode_events(&self.cfg, events);
+        let mut bytes = Vec::new();
+        program.encode_into(&mut bytes);
         // A returned store lives as long as its caller keeps it: do
         // not leave it holding the buffer's growth slack.
-        program.shrink_to_fit();
+        bytes.shrink_to_fit();
         ExecTrace {
             shard: self.shard,
-            epoch: raw.epoch,
-            exec: raw.exec,
-            exec_fuel: raw.exec_fuel,
+            epoch: meta.epoch,
+            exec: meta.exec,
+            exec_fuel: meta.exec_fuel,
             spec_fingerprint: self.spec_fp,
-            fuel_exhausted: raw.fuel_exhausted,
+            fuel_exhausted: meta.fuel_exhausted,
             crash,
-            program,
+            program: bytes,
             stream,
             stream_bits,
         }
@@ -248,7 +281,7 @@ impl ShardTracer {
     /// nowhere again), the traces pinned since.
     pub(crate) fn write_since_mark(&self, n: u64, w: &mut Writer<'_>) {
         let exec = |slot: &Slot| match slot {
-            Slot::Raw(raw) => raw.exec,
+            Slot::Raw(raw) => raw.meta.exec,
             Slot::Sealed(trace) => trace.exec,
         };
         let kept = self.ring.range(self.ring.len() - self.survivors(n)..);
@@ -256,7 +289,7 @@ impl ShardTracer {
         w.u64(self.execs_seen);
         w.u32(u32::try_from(old).unwrap_or(u32::MAX));
         w.seq(kept.skip(old), |slot, w| match slot {
-            Slot::Raw(raw) => self.seal(raw, None).encode(w),
+            Slot::Raw(raw) => self.seal_slot(raw).encode(w),
             Slot::Sealed(trace) => trace.encode(w),
         });
         let pins = self.pinned.values().filter(|t| t.exec >= self.mark);
@@ -267,7 +300,7 @@ impl ShardTracer {
     fn sealed(&self, newest: usize) -> TraceStore {
         let older = self.ring.len().saturating_sub(newest);
         let ring = self.ring.iter().skip(older).map(|slot| match slot {
-            Slot::Raw(raw) => self.seal(raw, None),
+            Slot::Raw(raw) => self.seal_slot(raw),
             Slot::Sealed(trace) => trace.clone(),
         });
         TraceStore::from_traces(
@@ -314,8 +347,10 @@ pub struct ReplayOutcome {
 /// # Errors
 ///
 /// Returns a [`TraceError`] when `spec_fp` (the live suite's
-/// fingerprint) does not match the trace header, or when the embedded
-/// program or stream fails strict decoding. A *divergent* replay is
+/// fingerprint) does not match the trace header, when the embedded
+/// program or stream fails strict decoding, or when the program is not
+/// one the scratch's suite could have generated
+/// ([`Program::fits`]). A *divergent* replay is
 /// not an error — it reports `identical == false`.
 pub fn replay_trace(
     kernel: &VKernel,
@@ -331,6 +366,10 @@ pub fn replay_trace(
         )));
     }
     let prog = trace.decode_program()?;
+    // A trace file is bytes from outside: its program is held to the
+    // suite before it is executed.
+    prog.fits(scratch.lowered())
+        .map_err(|m| TraceError::new(format!("the trace holds a misfit program: {m}")))?;
     // Strict well-formedness check of the recorded stream (and the
     // block tally for reporting) before anything executes.
     let recorded = decode_events(cfg, &trace.stream, trace.stream_bits)?;
@@ -455,6 +494,9 @@ mod tests {
             let mut tracer = ShardTracer::new(Arc::clone(&cfg), SPEC_FP, SHARD, ring);
             let mut corpus = Corpus::new(64, 0);
             let mut moved = 0usize;
+            // The shard's one program: what the recorder handed back
+            // last, overwritten with the next exec's.
+            let mut storage = Program::default();
             // One epoch on the recorder and (unless it is to be thrown
             // away) on the oracle; returns how many of its execs crashed.
             let mut run = |e: usize,
@@ -467,22 +509,24 @@ mod tests {
                 }
                 let mut crashed = 0usize;
                 for (i, prog) in epochs[e].iter().enumerate() {
-                    execute_with(&kernel, prog, &mut scratch);
+                    storage.calls.clone_from(&prog.calls);
+                    execute_with(&kernel, &storage, &mut scratch);
                     if let Some(oracle) = oracle.as_deref_mut() {
                         record_eagerly(oracle, &cfg, &scratch, prog, e as u64);
                     }
                     let fresh = corpus.coverage().new_blocks_in(scratch.coverage()) != 0;
-                    let back = tracer.record(&scratch, prog.clone(), e as u64, corpus.coverage());
-                    // Handed back exactly when the ring did not take
-                    // it, or the corpus wants it too.
+                    let offered =
+                        tracer.record(&mut scratch, &mut storage, e as u64, corpus.coverage());
+                    // Offered exactly when the ring did not take it, or
+                    // the corpus wants it too — and then still itself.
                     let ringed = ring > 0 && scratch.crash().is_none();
-                    assert_eq!(back.is_some(), !ringed || fresh, "epoch {e} exec {i}");
+                    assert_eq!(offered, !ringed || fresh, "epoch {e} exec {i}");
                     crashed += usize::from(scratch.crash().is_some());
-                    match back {
-                        Some(prog) => {
-                            corpus.observe(prog, scratch.coverage(), None);
-                        }
-                        None => moved += 1,
+                    if offered {
+                        assert_eq!(&storage, prog, "epoch {e} exec {i}");
+                        corpus.observe_in_place(&mut storage, scratch.coverage(), None);
+                    } else {
+                        moved += 1;
                     }
                 }
                 crashed
@@ -590,6 +634,39 @@ mod tests {
         let t = stores[0].iter().next().expect("a retained trace");
         let err = replay_trace(&kernel, &mut scratch, &cfg, t, 0xDEAD).unwrap_err();
         assert!(err.message.contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn a_trace_holding_a_hostile_program_is_refused_not_replayed() {
+        let (kernel, suite, consts) = dm_setup();
+        let config = CampaignConfig {
+            execs: 500,
+            seed: 2,
+            ..CampaignConfig::default()
+        };
+        let campaign = ShardedCampaign::new(&kernel, &suite, &consts, config).with_shards(1);
+        let (_, stores) = campaign.run_traced();
+        let spec_fp = SpecCache::fingerprint(campaign.db().files());
+        let cfg = cfg_successors(&kernel);
+        let lowered = campaign.lowered_shared();
+        let mut scratch = ExecScratch::from_lowered(Arc::clone(&lowered));
+        // A pinned trace: its program opened the device and crashed an
+        // ioctl on the fd, so it has a resource argument to forge.
+        let clean = stores[0]
+            .iter()
+            .find(|t| t.crash.is_some())
+            .expect("pinned");
+        for (what, forge) in crate::fabric::forgeries(&lowered) {
+            let mut prog = clean.decode_program().unwrap();
+            forge(&mut prog);
+            let mut bad = clean.clone();
+            bad.program.clear();
+            prog.encode_into(&mut bad.program);
+            let err = replay_trace(&kernel, &mut scratch, &cfg, &bad, spec_fp).expect_err(what);
+            assert!(err.message.contains("misfit program"), "{what}: {err}");
+        }
+        let out = replay_trace(&kernel, &mut scratch, &cfg, clean, spec_fp).unwrap();
+        assert!(out.identical, "the scratch is as usable as before");
     }
 
     #[test]

@@ -18,6 +18,19 @@
 //! paths call them, so there is one stream, not two kept in step; the
 //! tree path stays for every other type and for a pointee whose
 //! nesting would cross the `MAX_DEPTH` cut-off.
+//!
+//! **A program is built into storage the caller owns**
+//! ([`Generator::gen_program_into`], [`Generator::mutate_into`]): the
+//! call list and each call's argument list keep their allocations from
+//! one program to the next, a call the new program has no use for
+//! leaves its emptied argument list with the generator, and a call
+//! appended takes one from there. A campaign hands the storage of a
+//! program its corpus rejected straight back, so at steady state a
+//! program costs the allocator only the pointees it draws anew — which
+//! a corpus entry, a ring slot or a mutant may go on sharing, and which
+//! are therefore never recycled. What the storage held before never
+//! shows: the draws, their order and the program that comes out are
+//! those of the by-value forms, which are wrappers over these.
 
 use crate::reference::INTERESTING;
 use kgpt_syzlang::ast::ArrayLen;
@@ -36,7 +49,29 @@ pub struct Generator {
     rng: StdRng,
     /// Enabled syscalls as dense database indices.
     enabled: Vec<u32>,
+    /// Emptied argument lists of calls cut off the storage a program
+    /// was built into, for the calls appended next: at most
+    /// [`MAX_SPARE_ARGS`] of them.
+    spare_args: Vec<Vec<Value>>,
 }
+
+/// A program of this many calls is full: [`append_call`] adds none to
+/// it. (A call already being appended still lands behind its
+/// producers, one per level of nesting, so the longest program has
+/// `FULL_AT + 6` calls.)
+const FULL_AT: usize = 25;
+
+/// Most spare argument lists a generator keeps. Lists are neither made
+/// nor lost while storage goes round, so the spares are what the
+/// programs in flight do not hold just now: with one program in flight
+/// never more than the longest program has calls; behind a flight
+/// recorder, whose ring hands back the storage of an exec of `cap`
+/// execs ago, as many as the total length of `cap + 1` programs swings
+/// from exec to exec — some 120 at the default ring of 32. The bound is
+/// what that ring holds of full programs: it binds only on a longer
+/// ring (which then pays for a list now and then) or on a caller that
+/// keeps feeding in storage it never takes back.
+const MAX_SPARE_ARGS: usize = 33 * FULL_AT;
 
 impl Generator {
     /// Create a generator over all syscalls of a database, lowering
@@ -59,6 +94,7 @@ impl Generator {
             lowered,
             rng: StdRng::seed_from_u64(seed),
             enabled,
+            spare_args: Vec::new(),
         }
     }
 
@@ -101,24 +137,32 @@ impl Generator {
 
     /// Generate a fresh program of at most `max_len` calls.
     pub fn gen_program(&mut self, max_len: usize) -> Program {
+        let mut prog = Program::default();
+        self.gen_program_into(max_len, &mut prog);
+        prog
+    }
+
+    /// [`Generator::gen_program`] into `out`, whatever it held: same
+    /// draws, same program, in `out`'s storage (module docs).
+    pub fn gen_program_into(&mut self, max_len: usize, out: &mut Program) {
         let Generator {
             lowered,
             rng,
             enabled,
+            spare_args,
         } = self;
-        let mut prog = Program::default();
+        cut(spare_args, out, 0);
         let want = rng.random_range(1..=max_len.max(1));
         for _ in 0..want {
             if enabled.is_empty() {
                 break;
             }
             let pick = enabled[rng.random_range(0..enabled.len())];
-            append_call(lowered, rng, &mut prog, pick, 0);
-            if prog.len() >= max_len {
+            append_call(lowered, rng, spare_args, out, pick, 0);
+            if out.len() >= max_len {
                 break;
             }
         }
-        prog
     }
 
     /// Mutate a program: regenerate an argument, append a call, or
@@ -128,44 +172,95 @@ impl Generator {
     /// are bit-identical to
     /// [`crate::reference::AstGenerator::mutate`].
     pub fn mutate(&mut self, prog: &Program, max_len: usize) -> Program {
+        let mut mutant = Program::default();
+        self.mutate_into(prog, max_len, &mut mutant);
+        mutant
+    }
+
+    /// [`Generator::mutate`] into `out`, whatever it held: same draws,
+    /// same mutant, in `out`'s storage (module docs). The parent is
+    /// copied call by call over the calls `out` already has.
+    pub fn mutate_into(&mut self, prog: &Program, max_len: usize, out: &mut Program) {
         if prog.is_empty() {
-            return self.gen_program(max_len);
+            return self.gen_program_into(max_len, out);
         }
         let Generator {
             lowered,
             rng,
             enabled,
+            spare_args,
         } = self;
         match rng.random_range(0..10u32) {
             // Regenerate one argument of one call.
             0..=5 => {
-                let mut p = prog.clone();
-                let ci = rng.random_range(0..p.calls.len());
-                let n_args = p.calls[ci].args.len();
+                copy_calls(spare_args, &prog.calls, out);
+                let ci = rng.random_range(0..out.calls.len());
+                let n_args = out.calls[ci].args.len();
                 if n_args > 0 {
                     let ai = rng.random_range(0..n_args);
-                    let ty = lowered.syscall(p.calls[ci].sys as usize).params[ai].ty;
-                    p.calls[ci].args[ai] = gen_value(lowered, rng, ty, &p, ci, 0);
+                    let ty = lowered.syscall(out.calls[ci].sys as usize).params[ai].ty;
+                    out.calls[ci].args[ai] = gen_value(lowered, rng, ty, out, ci, 0);
                 }
-                p
             }
             // Append a random enabled call.
             6..=8 => {
-                let mut p = prog.clone();
-                if !enabled.is_empty() && p.len() < max_len {
+                copy_calls(spare_args, &prog.calls, out);
+                if !enabled.is_empty() && out.len() < max_len {
                     let pick = enabled[rng.random_range(0..enabled.len())];
-                    append_call(lowered, rng, &mut p, pick, 0);
+                    append_call(lowered, rng, spare_args, out, pick, 0);
                 }
-                p
             }
-            // Truncate: clone only the kept prefix.
+            // Truncate: copy only the kept prefix.
             _ => {
                 let keep = rng.random_range(1..=prog.calls.len());
-                Program {
-                    calls: prog.calls[..keep].to_vec(),
-                }
+                copy_calls(spare_args, &prog.calls[..keep], out);
             }
         }
+    }
+}
+
+/// Cut `out` down to its first `len` calls; the emptied argument
+/// lists of the rest go to `spare` while it holds fewer than
+/// [`MAX_SPARE_ARGS`].
+fn cut(spare: &mut Vec<Vec<Value>>, out: &mut Program, len: usize) {
+    for mut call in out.calls.drain(len.min(out.calls.len())..) {
+        if spare.len() < MAX_SPARE_ARGS {
+            call.args.clear();
+            spare.push(call.args);
+        }
+    }
+}
+
+/// Make `out` a copy of `calls`, in the storage it has: a call `out`
+/// already holds is overwritten where it lies, a surplus one is
+/// [`cut`], a missing one takes its argument list from `spare`.
+fn copy_calls(spare: &mut Vec<Vec<Value>>, calls: &[ProgCall], out: &mut Program) {
+    cut(spare, out, calls.len());
+    let have = out.calls.len();
+    for (to, from) in out.calls.iter_mut().zip(calls) {
+        to.sys = from.sys;
+        to.args.clone_from(&from.args);
+    }
+    out.calls.reserve(calls.len() - have);
+    for from in &calls[have..] {
+        let args = arg_list(spare, from.args.iter().cloned());
+        out.calls.push(ProgCall {
+            sys: from.sys,
+            args,
+        });
+    }
+}
+
+/// An argument list holding `values`: a spare one refilled or, with
+/// none to spare, a new one sized for them (what the by-value forms,
+/// which bring no storage, always get).
+fn arg_list(spare: &mut Vec<Vec<Value>>, values: impl Iterator<Item = Value>) -> Vec<Value> {
+    match spare.pop() {
+        Some(mut args) => {
+            args.extend(values);
+            args
+        }
+        None => values.collect(),
     }
 }
 
@@ -186,15 +281,17 @@ fn find_producer(
         .map(|(i, _)| i)
 }
 
-/// Append a call (prepending producers for its resources).
+/// Append a call (prepending producers for its resources), its
+/// argument list taken from `spare` when there is one.
 fn append_call(
     lowered: &LoweredDb,
     rng: &mut StdRng,
+    spare: &mut Vec<Vec<Value>>,
     prog: &mut Program,
     sys_idx: u32,
     depth: usize,
 ) -> Option<usize> {
-    if depth > 6 || prog.len() > 24 {
+    if depth > 6 || prog.len() >= FULL_AT {
         return None;
     }
     let sys = lowered.syscall(sys_idx as usize);
@@ -208,16 +305,14 @@ fn append_call(
                     .and_then(|list| list.choose(rng))
                     .copied()
                 {
-                    append_call(lowered, rng, prog, pick, depth + 1);
+                    append_call(lowered, rng, spare, prog, pick, depth + 1);
                 }
             }
         }
     }
-    let args = sys
-        .params
-        .iter()
-        .map(|p| gen_value(lowered, rng, p.ty, prog, prog.len(), 0))
-        .collect();
+    let values = sys.params.iter();
+    let values = values.map(|p| gen_value(lowered, rng, p.ty, prog, prog.len(), 0));
+    let args = arg_list(spare, values);
     prog.calls.push(ProgCall { sys: sys_idx, args });
     Some(prog.len() - 1)
 }
@@ -477,6 +572,96 @@ mod tests {
         let mut ast = AstGenerator::new(&db, &consts, 42);
         for i in 0..40 {
             assert_eq!(lowered.gen_program(6), ast.gen_program(6), "program {i}");
+        }
+    }
+
+    /// Whatever the storage held — a longer program, a shorter one,
+    /// nothing — the in-place forms make the draws of the by-value
+    /// wrappers and leave their program in it: 10⁴ interleaved fresh
+    /// and mutate steps per suite, the storage now and then taken away
+    /// as an admission takes it, every mutate arm met with a parent of
+    /// one call and of a full one.
+    #[test]
+    fn in_place_generation_equals_by_value_out_of_dirty_storage() {
+        use kgpt_csrc::blueprint::Blueprint;
+        const STEPS: usize = 10_000;
+        let suites = [
+            ("dm", vec![kgpt_csrc::flagship::dm()]),
+            ("deep-chain", kgpt_csrc::deepchain::suite()),
+            ("flagships", kgpt_csrc::flagship::all_flagships()),
+        ];
+        for (suite, blueprints) in suites {
+            let kc = KernelCorpus::from_blueprints(blueprints);
+            let specs = kc.blueprints().iter().map(Blueprint::ground_truth_spec);
+            let db = SpecDb::from_files(specs.collect());
+            let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
+            let mut scout = Generator::from_lowered(Arc::clone(&lowered), 3);
+            let mut sized = |len: usize| {
+                let found = (0..20_000)
+                    .map(|_| scout.gen_program(len))
+                    .find(|p| p.len() == len);
+                found.unwrap_or_else(|| panic!("{suite}: no program of {len} calls"))
+            };
+            let (single, full) = (sized(1), sized(FULL_AT));
+
+            let mut by_value = Generator::from_lowered(Arc::clone(&lowered), 17);
+            let mut in_place = Generator::from_lowered(Arc::clone(&lowered), 17);
+            let mut storage = Program::default();
+            let mut parents = vec![single, full];
+            // [parent of one call, a full parent][regenerate, append, truncate]
+            let mut arms = [[0u32; 3]; 2];
+            // The storage was [longer than, shorter than, empty before] its program.
+            let mut dirt = [0u32; 3];
+            for step in 0..STEPS {
+                let max_len = [4, 12, FULL_AT][step % 3];
+                if step % 7 == 0 {
+                    drop(std::mem::take(&mut storage));
+                }
+                let held = storage.len();
+                let want = if step % 4 == 0 {
+                    in_place.gen_program_into(max_len, &mut storage);
+                    by_value.gen_program(max_len)
+                } else {
+                    let parent = &parents[(step / 4) % parents.len()];
+                    let arm = match StdRng::from_state(by_value.rng_state()).random_range(0..10u32)
+                    {
+                        0..=5 => 0,
+                        6..=8 => 1,
+                        _ => 2,
+                    };
+                    match parent.len() {
+                        1 => arms[0][arm] += 1,
+                        FULL_AT => arms[1][arm] += 1,
+                        _ => {}
+                    }
+                    in_place.mutate_into(parent, max_len, &mut storage);
+                    by_value.mutate(parent, max_len)
+                };
+                assert_eq!(storage, want, "{suite} step {step}");
+                assert_eq!(
+                    in_place.rng_state(),
+                    by_value.rng_state(),
+                    "{suite} step {step}"
+                );
+                assert!(
+                    in_place.spare_args.len() <= FULL_AT + 6,
+                    "one program in flight"
+                );
+                match held {
+                    0 => dirt[2] += 1,
+                    n if n > want.len() => dirt[0] += 1,
+                    n if n < want.len() => dirt[1] += 1,
+                    _ => {}
+                }
+                // The two fixed parents stay; the rest turn over.
+                if parents.len() < 24 {
+                    parents.push(want);
+                } else {
+                    parents[2 + step % 22] = want;
+                }
+            }
+            assert!(arms.iter().flatten().all(|n| *n > 0), "{suite}: {arms:?}");
+            assert!(dirt.iter().all(|n| *n > 100), "{suite}: {dirt:?}");
         }
     }
 

@@ -25,7 +25,8 @@
 //!   scheduling, and least-productive eviction under the size cap;
 //! * [`campaign`] — the coverage-guided loop: mutate/generate, admit
 //!   inputs that reach new blocks into the [`corpus::Corpus`],
-//!   deduplicate crashes by title;
+//!   deduplicate crashes by title — one [`Program`] a shard goes round
+//!   it, a rejected program being the storage the next is built into;
 //! * [`hub`] — deterministic cross-shard seed exchange: shards
 //!   publish their best seeds at fixed exec-epoch boundaries in
 //!   shard-id order and import what they have not seen;

@@ -39,7 +39,7 @@ use crate::campaign::{CampaignConfig, CampaignResult, ShardState};
 use crate::checkpoint::{
     config_fingerprint, CampaignSnapshot, CheckpointError, Journal, SnapshotView,
 };
-use crate::fabric::LeaseRunner;
+use crate::fabric::{check_programs, triage_programs, LeaseRunner};
 use crate::faults::FaultPlan;
 use crate::flight::{self, ShardTracer};
 use kgpt_syzlang::codec::Writer;
@@ -318,7 +318,12 @@ impl<'a> ShardedCampaign<'a> {
                 ),
             });
         }
-        let mut runner = LeaseRunner::restore(&self.lowered, &self.config, snap.shards);
+        // Every program the file holds is held to the suite here, once:
+        // the shards' corpora by the restore, the rest beside it.
+        let seeds = snap.hub.seeds().iter().map(|s| &s.program);
+        let rest = seeds.chain(triage_programs(snap.triage.entries()));
+        check_programs(&self.lowered, "the checkpoint", rest)?;
+        let mut runner = LeaseRunner::restore(&self.lowered, &self.config, snap.shards)?;
         self.attach_tracers(&mut runner.states);
         for (id, store) in snap.traces {
             let state = runner
@@ -765,6 +770,72 @@ mod tests {
             .unwrap();
         assert_eq!(full_result, resumed_result, "resumed vs uninterrupted");
         assert_eq!(full_stores, resumed_stores);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_holding_a_hostile_program_is_refused_not_resumed() {
+        // A checksum-valid file whose programs no generator over the
+        // suite wrote: in a shard's corpus, in the hub, in the triage
+        // report. The parent decoded it, restored it and panicked in
+        // the first epoch that mutated or executed the program.
+        use crate::corpus::Corpus;
+        use crate::hub::SeedHub;
+        use kgpt_syzlang::prog::Program;
+        use kgpt_triage::TriageReport;
+
+        let (kernel, suite, consts) = dm_setup();
+        let dir = std::env::temp_dir().join(format!("kgpt_hostile_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile.ckpt");
+        let campaign = || {
+            ShardedCampaign::new(&kernel, &suite, &consts, hub_cfg(2000, 7))
+                .with_shards(4)
+                .with_threads(1)
+                .with_checkpoint(&path)
+        };
+        let _ = campaign().with_halt_after(2).run();
+        let clean = CampaignSnapshot::load(&path).unwrap();
+        assert!(!clean.hub.seeds().is_empty() && !clean.triage.is_empty());
+        let lowered = campaign().lowered_shared();
+
+        type Tamper = fn(&mut CampaignSnapshot, &dyn Fn(&mut Program));
+        let sites: [(&str, Tamper); 3] = [
+            ("a corpus entry", |snap, forge| {
+                let shard = &mut snap.shards[2];
+                let (rng, coverage, mut entries, stats) =
+                    std::mem::replace(&mut shard.corpus, Corpus::new(1, 0)).into_parts();
+                let last = entries.last_mut().expect("a corpus entry");
+                forge(&mut last.program);
+                let cap = crate::campaign::CORPUS_CAP;
+                shard.corpus = Corpus::from_parts(cap, rng, coverage, entries, stats);
+            }),
+            ("a hub seed", |snap, forge| {
+                let (hub, mut seeds) = (&snap.hub, snap.hub.seeds().to_vec());
+                forge(&mut seeds[0].program);
+                let (top_k, coverage) = (hub.top_k(), hub.coverage().clone());
+                snap.hub = SeedHub::from_parts(top_k, seeds, coverage, hub.published());
+            }),
+            ("a triage entry", |snap, forge| {
+                let mut entries: Vec<_> = snap.triage.entries().cloned().collect();
+                forge(&mut entries[0].raw);
+                snap.triage = TriageReport::from_entries(entries).expect("distinct");
+            }),
+        ];
+        for (site, tamper) in sites {
+            for (what, forge) in crate::fabric::forgeries(&lowered) {
+                let mut snap = clean.clone();
+                tamper(&mut snap, &*forge);
+                snap.save(&path).unwrap();
+                let err = campaign().resume(&path).expect_err(what);
+                assert!(
+                    err.message.contains("misfit program"),
+                    "{site}, {what}: {err}"
+                );
+            }
+        }
+        clean.save(&path).unwrap();
+        campaign().resume(&path).expect("the clean file resumes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

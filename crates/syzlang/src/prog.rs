@@ -14,7 +14,7 @@
 
 use crate::codec::{Reader, Writer};
 use crate::db::SpecDb;
-use crate::lowered::PlanSink;
+use crate::lowered::{LoweredDb, PlanSink};
 use crate::value::ResRef;
 use crate::{Syscall, Value};
 use serde::{Deserialize, Serialize};
@@ -106,6 +106,34 @@ impl Program {
         forms
     }
 
+    /// Whether the program is one `lowered` could have generated, as
+    /// far as generating from it and executing it rely on: every `sys`
+    /// names a syscall of the database, every call has one argument per
+    /// parameter, and every resource reference names an earlier call.
+    /// [`Program::decode`] knows no database and accepts any of these;
+    /// a program that arrives as bytes — a checkpoint, a journal or
+    /// fabric record, a trace — is checked here once, where it enters,
+    /// and the hot paths index without a check of their own.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Misfit`].
+    pub fn fits(&self, lowered: &LoweredDb) -> Result<(), Misfit> {
+        for (call, c) in self.calls.iter().enumerate() {
+            let misfit = |message| Err(Misfit { call, message });
+            if c.sys as usize >= lowered.syscall_count() {
+                return misfit("syscall index out of range");
+            }
+            if c.args.len() != lowered.syscall(c.sys as usize).params.len() {
+                return misfit("argument count differs from the parameter count");
+            }
+            if c.args.iter().any(|a| refers_forward(a, call)) {
+                return misfit("resource producer does not precede its consumer");
+            }
+        }
+        Ok(())
+    }
+
     /// Write the program's binary encoding (layout rules:
     /// [`crate::codec`]). The format is self-delimiting, so programs
     /// concatenate and embed in every other format. This is the
@@ -152,6 +180,34 @@ impl Program {
         let program = Program::decode(&mut r)?;
         *pos = r.pos();
         Ok(program)
+    }
+}
+
+/// Whether some resource reference in `v`, an argument of call `call`,
+/// names that call or a later one (allocation-free walk).
+fn refers_forward(v: &Value, call: usize) -> bool {
+    match v {
+        Value::Res(r) => r.producer.is_some_and(|p| p >= call),
+        Value::Group(vs) => vs.iter().any(|v| refers_forward(v, call)),
+        Value::Union { value, .. } => refers_forward(value, call),
+        // A packed pointee holds no reference; only a tree is walked.
+        Value::Ptr { pointee: Some(p) } if p.packed().is_none() => refers_forward(p, call),
+        _ => false,
+    }
+}
+
+/// Why a [`Program`] does not fit a specification ([`Program::fits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Misfit {
+    /// Index of the offending call.
+    pub call: usize,
+    /// What is wrong with it.
+    pub message: &'static str,
+}
+
+impl std::fmt::Display for Misfit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "program call {}: {}", self.call, self.message)
     }
 }
 
@@ -283,6 +339,58 @@ mod tests {
         p.truncate(1);
         assert_eq!(p.display(&db), "close$b");
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn fits_holds_a_program_to_the_table_the_arity_and_the_call_order() {
+        let db = SpecDb::from_files(vec![crate::parse(
+            "t",
+            "resource fd_t[fd]\nopen$t(mode int32) fd_t\nuse$t(fd fd_t, n int32)\n",
+        )
+        .unwrap()]);
+        let lowered = LoweredDb::build(&db, &crate::ConstDb::new());
+        let open = db.syscall_index("open$t").unwrap() as u32;
+        let consume = db.syscall_index("use$t").unwrap() as u32;
+        let from = |producer| {
+            Value::Res(ResRef {
+                producer,
+                fallback: 3,
+            })
+        };
+        let prog = |producer| Program {
+            calls: vec![
+                ProgCall {
+                    sys: open,
+                    args: vec![Value::Int(0)],
+                },
+                ProgCall {
+                    sys: consume,
+                    args: vec![
+                        Value::ptr_to(Value::Group(vec![from(producer)])),
+                        Value::Int(1),
+                    ],
+                },
+            ],
+        };
+        // The reference is found wherever it hides; a value of the
+        // wrong shape for its slot is the encoder's business, not ours.
+        assert_eq!(prog(Some(0)).fits(&lowered), Ok(()));
+        assert_eq!(prog(None).fits(&lowered), Ok(()));
+        assert_eq!(Program::default().fits(&lowered), Ok(()));
+        let misfit = |p: Program| p.fits(&lowered).unwrap_err();
+        assert_eq!(misfit(prog(Some(1))).call, 1, "its own consumer");
+        assert_eq!(misfit(prog(Some(7))).call, 1, "a call that is not there");
+        let mut long = prog(Some(0));
+        long.calls[0].args.push(Value::Int(0));
+        assert_eq!(misfit(long).call, 0);
+        let mut short = prog(Some(0));
+        short.calls[1].args.pop();
+        assert_eq!(misfit(short).call, 1);
+        let mut unknown = prog(Some(0));
+        unknown.calls[1].sys = lowered.syscall_count() as u32;
+        let m = misfit(unknown);
+        assert_eq!((m.call, m.message), (1, "syscall index out of range"));
+        assert_eq!(m.to_string(), "program call 1: syscall index out of range");
     }
 
     #[test]

@@ -426,6 +426,14 @@ impl TraceLog {
         }
     }
 
+    /// Hand the buffered events over in the buffer they were logged
+    /// into and go on logging into `spare`, which is emptied first: the
+    /// flight recorder keeps an exec's events without copying them.
+    pub fn swap_events(&mut self, spare: &mut Vec<TraceEvent>) {
+        spare.clear();
+        std::mem::swap(&mut self.events, spare);
+    }
+
     /// Drop the buffered events (allocation retained); the enabled
     /// flag is untouched.
     pub fn clear(&mut self) {

@@ -13,6 +13,14 @@
 //! pointees, so a mutation that touches no pointer argument allocates
 //! per call, not per node of the trees behind the calls.
 //!
+//! and in place — into the storage of the mutant before — a mutant that
+//! redraws a scalar or drops a suffix costs no event at all. Two more
+//! tests hold the whole loop to that: the benchmark's deep-chain
+//! campaign costs under three events an exec, traced or not (the
+//! parent commit, which built every program by value and freed it on
+//! rejection, spent 13.3), and a converged shard's step costs events
+//! for the pointees it draws anew and for an admission, none per call.
+//!
 //! A third holds the kernel to its crate doc: at steady state an exec
 //! — encode, dispatch, fd table, per-fd history, coverage, a filed
 //! crash report — touches the allocator not at all.
@@ -52,7 +60,7 @@ use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fabric::{DeltaPayload, Message};
 use kernelgpt::fuzzer::{
     ast_execute_with, execute_with, AstGenerator, AstScratch, Campaign, CampaignConfig,
-    CampaignMerge, ExecScratch, Generator, HubSeed, LeaseRunner, Program,
+    CampaignMerge, Corpus, ExecScratch, Generator, HubSeed, LeaseRunner, Program, ShardedCampaign,
 };
 use kernelgpt::llm::protocol::{Prompt, Task};
 use kernelgpt::llm::{ChatRequest, LanguageModel, ModelKind, OracleModel};
@@ -165,17 +173,25 @@ fn longest_group(v: &Value) -> usize {
     }
 }
 
-/// Whether every non-null pointer argument of `mutant` is the very
-/// pointee `parent` holds at the same position: the mutation built no
-/// argument tree of its own.
-fn shares_every_pointee(mutant: &Program, parent: &Program) -> bool {
-    mutant.calls.iter().zip(&parent.calls).all(|(m, p)| {
+/// Whether building `mutant` from `parent` drew nothing that owns
+/// memory: every non-null pointer argument is the parent's own pointee
+/// and every other argument — a call past the parent's last included —
+/// is a scalar, a resource or a null pointer.
+fn draws_no_pointee(mutant: &Program, parent: &Program) -> bool {
+    let scalar = |v: &Value| {
+        matches!(
+            v,
+            Value::Int(_) | Value::Res(_) | Value::Ptr { pointee: None }
+        )
+    };
+    let kept = mutant.calls.iter().zip(&parent.calls).all(|(m, p)| {
         m.args.iter().zip(&p.args).all(|pair| match pair {
             (Value::Ptr { pointee: Some(a) }, Value::Ptr { pointee: Some(b) }) => Arc::ptr_eq(a, b),
-            (Value::Ptr { pointee: Some(_) }, _) => false,
-            _ => true,
+            (m, _) => scalar(m),
         })
-    })
+    });
+    let appended = mutant.calls.iter().skip(parent.len());
+    kept && appended.flat_map(|c| &c.args).all(scalar)
 }
 
 /// Mutating a dm program whose `targets` array has thousands of
@@ -183,7 +199,9 @@ fn shares_every_pointee(mutant: &Program, parent: &Program) -> bool {
 /// proportion to its calls on the truncate arm and on the regenerate
 /// arm when a scalar argument (`fd`, `cmd`) is the one redrawn — not in
 /// proportion to the ~10 000 nodes behind its `arg` pointers, which a
-/// deep clone would copy and a deep drop would free.
+/// deep clone would copy and a deep drop would free. Built in place,
+/// into the storage of the mutant before it, the same mutant costs no
+/// event at all.
 #[test]
 fn a_mutant_that_keeps_every_pointee_costs_allocations_per_call_not_per_node() {
     let kc = KernelCorpus::from_blueprints(vec![kernelgpt::csrc::flagship::dm()]);
@@ -204,7 +222,7 @@ fn a_mutant_that_keeps_every_pointee_costs_allocations_per_call_not_per_node() {
     for _ in 0..400 {
         let before = events();
         let mutant = g.mutate(&parent, 8);
-        let keeps_all = mutant.len() <= parent.len() && shares_every_pointee(&mutant, &parent);
+        let keeps_all = mutant.len() <= parent.len() && draws_no_pointee(&mutant, &parent);
         truncated += u32::from(keeps_all && mutant.len() < parent.len());
         redrawn += u32::from(keeps_all && mutant.len() == parent.len() && mutant != parent);
         drop(mutant);
@@ -219,6 +237,142 @@ fn a_mutant_that_keeps_every_pointee_costs_allocations_per_call_not_per_node() {
     );
     assert!(truncated > 0, "the truncate arm never ran");
     assert!(redrawn > 0, "the regenerate arm never redrew a scalar");
+
+    // In place: a few mutants first, so the storage and the generator's
+    // spare argument lists have held the longest of them.
+    let mut storage = Program::default();
+    for _ in 0..50 {
+        g.mutate_into(&parent, 8, &mut storage);
+    }
+    let (mut truncated, mut redrawn) = (0u32, 0u32);
+    for _ in 0..400 {
+        let before = events();
+        g.mutate_into(&parent, 8, &mut storage);
+        let cost = events() - before;
+        if draws_no_pointee(&storage, &parent) {
+            truncated += u32::from(storage.len() < parent.len());
+            redrawn += u32::from(storage.len() == parent.len() && storage != parent);
+            assert_eq!(cost, 0, "a mutant of {} calls, in place", storage.len());
+        }
+    }
+    assert!(
+        truncated > 0 && redrawn > 0,
+        "{truncated} truncated, {redrawn} redrawn in place"
+    );
+}
+
+/// The benchmark's deep-chain campaign (`deepchain_sharded`, and with
+/// the ring on the campaign under `deepchain_durable`): 8 shards on
+/// one thread, epochs of 128, programs of up to 12 calls, 50 000
+/// execs. One program goes round each shard's loop, so an exec costs
+/// the allocator the pointees it draws anew — about one, an `Arc` and
+/// its image — and, once in 200, an admission: 2.26 events an exec
+/// untraced and 2.45 traced (the difference is set-up, first pins and
+/// the final sealing of eight rings, not the steady state:
+/// `tests/trace_alloc.rs`), where the parent commit spent 13.3 and
+/// 13.4 building every program by value and freeing it on rejection.
+#[test]
+fn a_deep_chain_exec_costs_a_pointee_not_a_program() {
+    const EXECS: u64 = 50_000;
+    let kc = KernelCorpus::from_blueprints(deepchain::suite());
+    let suite: Vec<_> = kc
+        .blueprints()
+        .iter()
+        .map(Blueprint::ground_truth_spec)
+        .collect();
+    let kernel = VKernel::boot(deepchain::suite());
+    let campaign = |execs: u64, trace_ring: usize| {
+        let config = CampaignConfig {
+            execs,
+            seed: 7,
+            max_prog_len: 12,
+            hub_epoch: 128,
+            hub_top_k: 4,
+            trace_ring,
+            ..CampaignConfig::default()
+        };
+        ShardedCampaign::new(&kernel, &suite, kc.consts(), config)
+            .with_shards(8)
+            .with_threads(1)
+    };
+    // Compile and lower the suite into the global cache first.
+    let _ = campaign(10, 0).run();
+    for ring in [0, 32] {
+        let before = events();
+        let (result, stores) = campaign(EXECS, ring).run_traced();
+        let per_exec = (events() - before) as f64 / EXECS as f64;
+        println!("deep-chain campaign, ring {ring}: {per_exec:.2} allocation events per exec");
+        assert_eq!(result.execs, EXECS);
+        assert_eq!(stores.len(), if ring > 0 { 8 } else { 0 });
+        assert!(
+            per_exec <= 3.0,
+            "ring {ring}: {per_exec:.2} events per exec"
+        );
+    }
+}
+
+/// A converged shard's loop, by hand from its public parts: select,
+/// build into the one program, execute, offer it to the corpus. Once
+/// the storage has settled after the last admission, a step whose
+/// program draws no pointee costs **no** allocator event, however many
+/// calls it copies, cuts or appends; over the whole run an exec costs
+/// what its new pointees do.
+#[test]
+fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
+    const SETTLE: u32 = 5_000;
+    const HELD: u32 = 5_000;
+    let kc = KernelCorpus::from_blueprints(deepchain::suite());
+    let db = SpecDb::from_files(
+        kc.blueprints()
+            .iter()
+            .map(Blueprint::ground_truth_spec)
+            .collect(),
+    );
+    let kernel = VKernel::boot(deepchain::suite());
+    let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
+    let mut g = Generator::from_lowered(Arc::clone(&lowered), 9);
+    let mut scratch = ExecScratch::from_lowered(lowered);
+    let mut corpus = Corpus::new(2048, 9);
+    let mut prog = Program::default();
+    let fresh = Program::default();
+
+    let (mut since_admission, mut held, mut steps) = (0u32, 0u32, 0u64);
+    let start = events();
+    while held < HELD {
+        steps += 1;
+        assert!(steps < 400_000, "the shard never settles: held {held}");
+        let parent = if steps.is_multiple_of(4) {
+            None
+        } else {
+            corpus.select()
+        };
+        let before = events();
+        match parent {
+            None => g.gen_program_into(12, &mut prog),
+            Some(idx) => g.mutate_into(corpus.program(idx), 12, &mut prog),
+        }
+        execute_with(&kernel, &prog, &mut scratch);
+        let from = parent.map_or(&fresh, |idx| corpus.program(idx));
+        let cheap = draws_no_pointee(&prog, from);
+        let admitted = corpus.observe_in_place(&mut prog, scratch.coverage(), parent) > 0;
+        let cost = events() - before;
+        if admitted {
+            assert!(prog.is_empty(), "an admitted program is taken");
+            since_admission = 0;
+            continue;
+        }
+        since_admission += 1;
+        if since_admission > SETTLE && cheap {
+            held += 1;
+            assert_eq!(cost, 0, "step {steps}: {} calls", prog.len());
+        }
+    }
+    let per_exec = (events() - start) as f64 / steps as f64;
+    println!(
+        "in-place shard: {steps} steps, {} entries, {per_exec:.2} events a step, {held} pointee-free steps at 0",
+        corpus.len()
+    );
+    assert!(per_exec <= 3.0, "{per_exec:.2} events a step");
 }
 
 /// After warm-up, executing recorded deep-chain programs — opens,

@@ -338,8 +338,8 @@ fn assert_live_route_is_the_oracle_route(
         if regrant_after == Some(boundary) {
             let last = table.len() - 1;
             let (lo, hi) = table.range(last);
-            live[last] = LeaseRunner::restore(&lowered, config, merge.snapshots(lo, hi));
-            oracle[last] = LeaseRunner::restore(&lowered, config, twin.snapshots(lo, hi));
+            live[last] = LeaseRunner::restore(&lowered, config, merge.snapshots(lo, hi)).unwrap();
+            oracle[last] = LeaseRunner::restore(&lowered, config, twin.snapshots(lo, hi)).unwrap();
             baselines[last] = None;
         }
     }
