@@ -253,20 +253,20 @@ impl<'a> KernelGpt<'a> {
     }
 
     fn validate_merged(&self, outcomes: &mut [HandlerOutcome], consts: &ConstDb) {
-        let files: Vec<SpecFile> = outcomes.iter().filter_map(|o| o.spec.clone()).collect();
-        // Cached compile: when the repair round changed nothing (the
-        // common case), the post-repair validation is a pure hit.
-        let db = SpecCache::global().get_or_build(&files);
+        // Cached compile over the specs where they lie: when the repair
+        // round changed nothing (the common case), the post-repair
+        // validation is a pure hit, and a hit copies nothing.
+        let specs = outcomes.iter().filter_map(|o| o.spec.as_ref());
+        let db = SpecCache::global().get_or_build(specs);
         let errors = kgpt_syzlang::validate::validate(&db, consts);
         for o in outcomes.iter_mut() {
             let Some(spec) = &o.spec else {
                 o.valid = false;
                 continue;
             };
-            let own_names: BTreeSet<String> = spec.items.iter().map(|i| i.name()).collect();
             let mut own_errors: Vec<String> = errors
                 .iter()
-                .filter(|e| own_names.contains(&e.item))
+                .filter(|e| spec.defines(&e.item))
                 .map(ToString::to_string)
                 .collect();
             // A description that recovered no commands at all (deep

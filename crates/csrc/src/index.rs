@@ -242,6 +242,36 @@ impl Corpus {
         out
     }
 
+    /// [`Corpus::usages_of`] for many names in one pass over the items:
+    /// `out[k]` is `usages_of(names[k])`. Every name is looked for at
+    /// every byte of every item's text by walking a trie of the names,
+    /// so the pass costs the text once, not once per name.
+    #[must_use]
+    pub fn usages_of_all(&self, names: &[&str]) -> Vec<Vec<&str>> {
+        let trie = Trie::new(names);
+        let mut out: Vec<Vec<&str>> = vec![Vec::new(); names.len()];
+        // The last item each name was found in, so an item that
+        // mentions a name twice is listed once.
+        let mut last: Vec<Option<(usize, usize)>> = vec![None; names.len()];
+        for (f, file) in self.files.iter().enumerate() {
+            for (i, item) in file.items.iter().enumerate() {
+                trie.each_match(&item.text, |k| {
+                    if last[k] != Some((f, i)) && item.name() != names[k] {
+                        last[k] = Some((f, i));
+                        out[k].push(item.text.as_str());
+                    }
+                });
+            }
+        }
+        // A name given twice has one trie entry: the first's list.
+        for (k, &first) in trie.first.iter().enumerate() {
+            if first != k {
+                out[k] = out[first].clone();
+            }
+        }
+        out
+    }
+
     // ---- C sizeof/alignof ------------------------------------------
 
     /// Size in bytes of a C type under x86-64 rules, or `None` for
@@ -341,6 +371,78 @@ impl Corpus {
             }
         }
         Some((round_up(size, align), align))
+    }
+}
+
+/// A byte trie of names, to find every one of them in a text at once.
+struct Trie {
+    /// Per node, its children and the bytes leading to them (the
+    /// root's are in `root`).
+    next: Vec<Vec<(u8, u32)>>,
+    /// Per node, the name that ends there.
+    name: Vec<Option<usize>>,
+    /// The root's child per first byte; node 0, the root, means none.
+    root: [u32; 256],
+    /// Per name, the first name equal to it: the one its node names.
+    first: Vec<usize>,
+}
+
+impl Trie {
+    fn new(names: &[&str]) -> Trie {
+        let mut t = Trie {
+            next: vec![Vec::new()],
+            name: vec![None],
+            root: [0; 256],
+            first: Vec::with_capacity(names.len()),
+        };
+        for (k, name) in names.iter().enumerate() {
+            let mut node = 0;
+            for &b in name.as_bytes() {
+                node = t.child(node, b).unwrap_or_else(|| {
+                    let child = t.next.len();
+                    t.next.push(Vec::new());
+                    t.name.push(None);
+                    match node {
+                        0 => t.root[usize::from(b)] = child as u32,
+                        _ => t.next[node].push((b, child as u32)),
+                    }
+                    child
+                });
+            }
+            t.first.push(*t.name[node].get_or_insert(k));
+        }
+        t
+    }
+
+    fn child(&self, node: usize, b: u8) -> Option<usize> {
+        let child = match node {
+            0 => self.root[usize::from(b)],
+            _ => self.next[node].iter().find(|(c, _)| *c == b)?.1,
+        };
+        (child != 0).then_some(child as usize)
+    }
+
+    /// Calls `found(k)` for every occurrence in `text` of a name `k`
+    /// (of equal names, the first) — a substring match, as
+    /// `str::contains` sees it.
+    fn each_match(&self, text: &str, mut found: impl FnMut(usize)) {
+        // The empty name occurs in every text.
+        if let Some(k) = self.name[0] {
+            found(k);
+        }
+        let bytes = text.as_bytes();
+        for start in 0..bytes.len() {
+            let mut node = 0;
+            for &b in &bytes[start..] {
+                let Some(child) = self.child(node, b) else {
+                    break;
+                };
+                node = child;
+                if let Some(k) = self.name[node] {
+                    found(k);
+                }
+            }
+        }
     }
 }
 
@@ -463,6 +565,55 @@ mod tests {
         let uses = c.usages_of("dm_ctl_ioctl");
         assert_eq!(uses.len(), 1);
         assert!(uses[0].contains("_ctl_fops"));
+    }
+
+    /// `usages_of_all` against `usages_of`, name by name.
+    fn usages_agree(c: &Corpus, names: &[&str]) {
+        let all = c.usages_of_all(names);
+        assert_eq!(all.len(), names.len());
+        for (name, found) in names.iter().zip(&all) {
+            assert_eq!(*found, c.usages_of(name), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn one_pass_usages_keep_substring_semantics() {
+        let c = corpus(
+            "struct ops { int x; };\nstatic const struct ops my_ops = { .x = 1 };\n\
+             static const struct ops my_ops_v2 = { .x = 2 };\n\
+             static int reg(void) { return use(&my_ops) + use(&my_ops) + use(&xmy_ops_v2); }\n\
+             #define OPS_NAME \"my_ops\"\n",
+        );
+        // Names inside longer identifiers and strings, a name mentioned
+        // twice in one item, a name that is its own item's, one name a
+        // prefix of another, repeats, a name found nowhere, the empty
+        // name, and names that are not identifiers.
+        usages_agree(
+            &c,
+            &[
+                "my_ops",
+                "my_ops_v2",
+                "ops",
+                "my_ops",
+                "y_o",
+                "absent",
+                "",
+                "&my",
+                "(void) {",
+                "s",
+            ],
+        );
+        usages_agree(&c, &[]);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "751 files: release builds only")]
+    fn one_pass_usages_match_the_scan_on_the_full_corpus() {
+        let kc = crate::KernelCorpus::full(1);
+        let c = kc.corpus();
+        let names: Vec<&str> = c.all_vars().map(|(_, v)| v.name.as_str()).collect();
+        assert!(names.len() >= 751, "{} vars", names.len());
+        usages_agree(c, &names);
     }
 
     #[test]

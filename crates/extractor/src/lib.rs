@@ -57,48 +57,50 @@ impl OpHandler {
 }
 
 /// Find every operation handler in the corpus.
+///
+/// The ops variables are found first; then one pass over the corpus's
+/// items finds what mentions each of them ([`Corpus::usages_of_all`]).
 #[must_use]
 pub fn find_handlers(corpus: &Corpus) -> Vec<OpHandler> {
-    let mut out = Vec::new();
+    let mut found = Vec::new();
     for file in corpus.files() {
         for item in &file.items {
             let CItemKind::Var(v) = &item.kind else {
                 continue;
             };
             let Some(init) = &v.init else { continue };
-            match v.ty.base.as_str() {
-                "struct file_operations" => {
-                    let ioctl_fn = init
-                        .init_field("unlocked_ioctl")
-                        .or_else(|| init.init_field("ioctl"))
-                        .and_then(Expr::as_ident)
-                        .map(str::to_string);
-                    if ioctl_fn.is_none() {
-                        continue; // not an ioctl-capable handler
-                    }
-                    out.push(OpHandler {
-                        kind: HandlerKind::Driver,
-                        ops_var: v.name.clone(),
-                        file: file.name.clone(),
-                        ioctl_fn,
-                        setsockopt_fn: None,
-                        open_fn: init
-                            .init_field("open")
-                            .and_then(Expr::as_ident)
-                            .map(str::to_string),
-                        usage: corpus
-                            .usages_of(&v.name)
-                            .into_iter()
-                            .map(str::to_string)
-                            .collect(),
-                    });
-                }
-                "struct proto_ops" => {
-                    let mut usage: Vec<String> = corpus
-                        .usages_of(&v.name)
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect();
+            let kind = match v.ty.base.as_str() {
+                // Only an ioctl-capable driver is a handler.
+                "struct file_operations" if driver_ioctl(init).is_some() => HandlerKind::Driver,
+                "struct proto_ops" => HandlerKind::Socket,
+                _ => continue,
+            };
+            found.push((file, v, init, kind));
+        }
+    }
+    let names: Vec<&str> = found.iter().map(|(_, v, _, _)| v.name.as_str()).collect();
+    let usages = corpus.usages_of_all(&names);
+    found
+        .into_iter()
+        .zip(usages)
+        .map(|((file, v, init, kind), usage)| {
+            let field = |name: &str| {
+                init.init_field(name)
+                    .and_then(Expr::as_ident)
+                    .map(str::to_string)
+            };
+            let mut usage: Vec<String> = usage.into_iter().map(str::to_string).collect();
+            match kind {
+                HandlerKind::Driver => OpHandler {
+                    kind,
+                    ops_var: v.name.clone(),
+                    file: file.name.clone(),
+                    ioctl_fn: driver_ioctl(init).map(str::to_string),
+                    setsockopt_fn: None,
+                    open_fn: field("open"),
+                    usage,
+                },
+                HandlerKind::Socket => {
                     // Socket registration evidence: the family ops var
                     // in the same file and its create function.
                     for sib in &file.items {
@@ -123,27 +125,27 @@ pub fn find_handlers(corpus: &Corpus) -> Vec<OpHandler> {
                             }
                         }
                     }
-                    out.push(OpHandler {
-                        kind: HandlerKind::Socket,
+                    OpHandler {
+                        kind,
                         ops_var: v.name.clone(),
                         file: file.name.clone(),
-                        ioctl_fn: init
-                            .init_field("ioctl")
-                            .and_then(Expr::as_ident)
-                            .map(str::to_string),
-                        setsockopt_fn: init
-                            .init_field("setsockopt")
-                            .and_then(Expr::as_ident)
-                            .map(str::to_string),
+                        ioctl_fn: field("ioctl"),
+                        setsockopt_fn: field("setsockopt"),
                         open_fn: None,
                         usage,
-                    });
+                    }
                 }
-                _ => {}
             }
-        }
-    }
-    out
+        })
+        .collect()
+}
+
+/// The function a driver registers for ioctls: its `unlocked_ioctl`
+/// initializer where it has one, else its `ioctl`.
+fn driver_ioctl(init: &Expr) -> Option<&str> {
+    init.init_field("unlocked_ioctl")
+        .or_else(|| init.init_field("ioctl"))
+        .and_then(Expr::as_ident)
 }
 
 /// `ExtractCode(id)` — raw definition text for any named entity.
@@ -197,6 +199,32 @@ mod tests {
         assert_eq!(rds.setsockopt_fn.as_deref(), Some("rds_setsockopt"));
         // Usage includes the create function hooking sock->ops.
         assert!(rds.usage.iter().any(|u| u.contains("rds_create")));
+    }
+
+    /// A handler's usage list begins with exactly what the per-handler
+    /// `Corpus::usages_of` scan finds (a socket's continues with its
+    /// family registration).
+    fn usages_are_the_scans(kc: &KernelCorpus) -> usize {
+        let handlers = find_handlers(kc.corpus());
+        for h in &handlers {
+            let scan = kc.corpus().usages_of(&h.ops_var);
+            assert_eq!(h.usage[..scan.len()], scan, "{}", h.ops_var);
+            if h.kind == HandlerKind::Driver {
+                assert_eq!(h.usage.len(), scan.len(), "{}", h.ops_var);
+            }
+        }
+        handlers.len()
+    }
+
+    #[test]
+    fn flagship_usages_are_the_scans() {
+        assert_eq!(usages_are_the_scans(&KernelCorpus::flagship_only()), 48);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "751 handlers: release builds only")]
+    fn full_corpus_usages_are_the_scans() {
+        assert_eq!(usages_are_the_scans(&KernelCorpus::full(1)), 751);
     }
 
     #[test]

@@ -81,15 +81,14 @@ pub fn describe_all(
             errors: Vec::new(),
         })
         .collect();
-    let files: Vec<SpecFile> = outcomes.iter().filter_map(|o| o.spec.clone()).collect();
-    let db = syz::SpecCache::global().get_or_build(&files);
+    let specs = outcomes.iter().filter_map(|o| o.spec.as_ref());
+    let db = syz::SpecCache::global().get_or_build(specs);
     let errors = syz::validate::validate(&db, consts);
     for o in &mut outcomes {
         let Some(spec) = &o.spec else { continue };
-        let own: BTreeSet<String> = spec.items.iter().map(|i| i.name()).collect();
         o.errors = errors
             .iter()
-            .filter(|e| own.contains(&e.item))
+            .filter(|e| spec.defines(&e.item))
             .map(ToString::to_string)
             .collect();
         o.valid = o.errors.is_empty();

@@ -327,6 +327,33 @@ impl Syscall {
             None => self.base.clone(),
         }
     }
+
+    /// The bytes of [`Syscall::name`], without building it.
+    pub fn name_bytes(&self) -> impl Iterator<Item = u8> + Clone + '_ {
+        let variant = self.variant.iter();
+        let suffix = variant.flat_map(|v| std::iter::once(b'$').chain(v.bytes()));
+        self.base.bytes().chain(suffix)
+    }
+
+    /// [`Syscall::name`] compared with `full`, in place.
+    #[must_use]
+    pub fn cmp_name(&self, full: &str) -> std::cmp::Ordering {
+        self.name_bytes().cmp(full.bytes())
+    }
+
+    /// Whether [`Syscall::name`] is `full`, compared in place.
+    #[must_use]
+    pub fn name_is(&self, full: &str) -> bool {
+        match &self.variant {
+            None => self.base == full,
+            Some(v) => {
+                full.len() == self.base.len() + 1 + v.len()
+                    && full.starts_with(self.base.as_str())
+                    && full[self.base.len()..].starts_with('$')
+                    && full.ends_with(v.as_str())
+            }
+        }
+    }
 }
 
 /// One field of a struct or union.
@@ -408,6 +435,28 @@ impl Item {
             Item::Flags(fl) => fl.name.clone(),
         }
     }
+
+    /// Whether [`Item::name`] is `name`, compared in place.
+    #[must_use]
+    pub fn name_is(&self, name: &str) -> bool {
+        match self {
+            Item::Resource(Resource { name: own, .. })
+            | Item::Struct(StructDef { name: own, .. })
+            | Item::Flags(FlagsDef { name: own, .. }) => own == name,
+            Item::Syscall(s) => s.name_is(name),
+        }
+    }
+
+    /// The bytes of [`Item::name`], without building it.
+    pub fn name_bytes(&self) -> impl Iterator<Item = u8> + Clone + '_ {
+        let (own, call) = match self {
+            Item::Resource(Resource { name, .. })
+            | Item::Struct(StructDef { name, .. })
+            | Item::Flags(FlagsDef { name, .. }) => (name.as_str(), None),
+            Item::Syscall(s) => ("", Some(s.name_bytes())),
+        };
+        own.bytes().chain(call.into_iter().flatten())
+    }
 }
 
 /// A parsed specification file.
@@ -426,6 +475,13 @@ impl SpecFile {
             name: name.into(),
             items: Vec::new(),
         }
+    }
+
+    /// Whether an item of this file is named `name` (an error's
+    /// [`crate::SpecError::item`], say), compared in place.
+    #[must_use]
+    pub fn defines(&self, name: &str) -> bool {
+        self.items.iter().any(|i| i.name_is(name))
     }
 
     /// Iterate over the syscalls declared in this file.

@@ -9,7 +9,9 @@
 //! (FNV-1a over the `Hash` of every file — names and full ASTs,
 //! no allocation), a hit is an `Arc` clone, and the stored suite is
 //! compared for full equality on every hit so two distinct suites can
-//! never alias even if their 64-bit fingerprints collide.
+//! never alias even if their 64-bit fingerprints collide. A lookup
+//! borrows its suite — a slice, or the specs of a generation report
+//! where they lie — and copies it only on a miss.
 //!
 //! The databases are immutable once built, so sharing one compiled
 //! [`SpecDb`] across campaigns — including across threads; the cache
@@ -33,7 +35,7 @@ use crate::lowered::LoweredDb;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Entry cap of the process-wide [`SpecCache::global`] cache: far
 /// above any sweep's distinct-suite count, but a hard bound so a
@@ -117,53 +119,71 @@ impl SpecCache {
     }
 
     /// Structural content fingerprint of a suite: FNV-1a over the
-    /// [`Hash`] of every file (names and full ASTs), allocation-free.
-    /// Equal suites always fingerprint equally; the cache never trusts
-    /// the converse — every hit compares the stored suite for full
-    /// equality.
+    /// [`Hash`] of every file (names and full ASTs), allocation-free —
+    /// the bytes `<[SpecFile]>::hash` feeds it, whether the files sit
+    /// in one slice or are borrowed one by one. Equal suites always
+    /// fingerprint equally; the cache never trusts the converse —
+    /// every hit compares the stored suite for full equality.
     #[must_use]
-    pub fn fingerprint(files: &[SpecFile]) -> u64 {
+    pub fn fingerprint<'a, S>(files: S) -> u64
+    where
+        S: IntoIterator<Item = &'a SpecFile>,
+        S::IntoIter: Clone,
+    {
+        let files = files.into_iter();
         let mut h = Fnv1a::default();
-        files.hash(&mut h);
+        h.write_usize(files.clone().count());
+        files.for_each(|f| f.hash(&mut h));
         h.finish()
     }
 
     /// The compiled database for a suite: an `Arc` clone on a hit, a
     /// fresh [`SpecDb::from_files`] compilation on a miss. Two calls
     /// with equal suites return the *same* `Arc` (pointer-equal). The
-    /// warm path is a fingerprint plus one equality check — no
-    /// parsing, no indexing, no allocation.
+    /// suite is borrowed — a slice, or files gathered from wherever
+    /// they live — and copied only on a miss: the warm path is a
+    /// fingerprint plus one equality check — no parsing, no indexing,
+    /// no allocation.
     #[must_use]
-    pub fn get_or_build(&self, files: &[SpecFile]) -> Arc<SpecDb> {
-        let key = SpecCache::fingerprint(files);
+    pub fn get_or_build<'a, S>(&self, files: S) -> Arc<SpecDb>
+    where
+        S: IntoIterator<Item = &'a SpecFile>,
+        S::IntoIter: Clone,
+    {
+        let files = files.into_iter();
+        let key = SpecCache::fingerprint(files.clone());
+        let same = |e: &CacheEntry| e.files.iter().eq(files.clone());
         {
-            let mut entries = self.entries.lock().expect("spec cache poisoned");
-            if let Some(bucket) = entries.get_mut(&key) {
-                if let Some(e) = bucket.iter_mut().find(|e| e.files == files) {
-                    e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(&e.db);
-                }
+            let mut entries = self.entries();
+            if let Some(e) = entries
+                .get_mut(&key)
+                .and_then(|b| b.iter_mut().find(|e| same(e)))
+            {
+                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(&e.db);
             }
         }
         // Compile outside the lock; on a race, the first insertion
         // wins so repeated lookups keep returning one pointer.
-        let db = Arc::new(SpecDb::from_files(files.to_vec()));
+        let db = Arc::new(SpecDb::from_files(files.clone().cloned().collect()));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("spec cache poisoned");
+        let mut entry = CacheEntry {
+            files: files.clone().cloned().collect(),
+            db: Arc::clone(&db),
+            lowered: Vec::new(),
+            last_used: 0,
+        };
+        let mut entries = self.entries();
         if let Some(e) = entries
             .get_mut(&key)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.files == files))
+            .and_then(|b| b.iter_mut().find(|e| same(e)))
         {
             e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(&e.db);
         }
-        entries.entry(key).or_default().push(CacheEntry {
-            files: files.to_vec(),
-            db: Arc::clone(&db),
-            lowered: Vec::new(),
-            last_used: self.tick.fetch_add(1, Ordering::Relaxed),
-        });
+        entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+        entries.entry(key).or_default().push(entry);
         self.evict_over_capacity(&mut entries);
         db
     }
@@ -182,7 +202,7 @@ impl SpecCache {
     pub fn get_or_lower(&self, db: &Arc<SpecDb>, consts: &ConstDb) -> Arc<LoweredDb> {
         let ckey = consts_fingerprint(consts);
         {
-            let mut entries = self.entries.lock().expect("spec cache poisoned");
+            let mut entries = self.entries();
             for bucket in entries.values_mut() {
                 for e in bucket.iter_mut() {
                     if Arc::ptr_eq(&e.db, db) {
@@ -204,7 +224,7 @@ impl SpecCache {
         // Lower outside the lock; first insertion wins on a race.
         let lowered = Arc::new(LoweredDb::build(db, consts));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("spec cache poisoned");
+        let mut entries = self.entries();
         for bucket in entries.values_mut() {
             for e in bucket.iter_mut() {
                 if Arc::ptr_eq(&e.db, db) {
@@ -239,6 +259,17 @@ impl SpecCache {
         (db, lowered)
     }
 
+    /// The entries, poisoned or not. A panic under the lock — a
+    /// caller's suite iterator panicking while a lookup compares it,
+    /// say — cannot leave the map half-written: an entry is built
+    /// whole outside the lock and goes in with one `push`, a hit
+    /// writes one recency stamp, an eviction removes one entry (and
+    /// its bucket once empty). So a poisoned lock still guards a good
+    /// map, and the cache keeps answering.
+    fn entries(&self) -> MutexGuard<'_, BTreeMap<u64, Vec<CacheEntry>>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Drop least-recently-used suites until the entry count is back
     /// under capacity. Called with the entries lock held.
     fn evict_over_capacity(&self, entries: &mut BTreeMap<u64, Vec<CacheEntry>>) {
@@ -259,10 +290,11 @@ impl SpecCache {
             else {
                 return;
             };
-            let bucket = entries.get_mut(&key).expect("victim bucket exists");
-            bucket.remove(idx);
-            if bucket.is_empty() {
-                entries.remove(&key);
+            if let Some(bucket) = entries.get_mut(&key) {
+                bucket.remove(idx);
+                if bucket.is_empty() {
+                    entries.remove(&key);
+                }
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -289,12 +321,7 @@ impl SpecCache {
     /// Number of distinct suites currently cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("spec cache poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.entries().values().map(Vec::len).sum()
     }
 
     /// Whether the cache holds no compiled suites.
@@ -306,7 +333,7 @@ impl SpecCache {
     /// Drop every cached database (outstanding `Arc`s stay alive) and
     /// reset the hit/miss/eviction counters.
     pub fn clear(&self) {
-        self.entries.lock().expect("spec cache poisoned").clear();
+        self.entries().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
@@ -602,6 +629,86 @@ mod tests {
         assert_eq!(cache.hits(), 8, "4 rounds x 2 same-round lowering hits");
         // Every insertion past the very first evicts the other suite.
         assert_eq!(cache.evictions(), 7);
+    }
+
+    #[test]
+    fn the_fingerprint_is_the_hash_of_the_slice_however_the_suite_is_lent() {
+        // `spec_fp` is written into traces and checkpoints: the value
+        // is what `<[SpecFile]>::hash` fed FNV-1a before lookups
+        // borrowed their suites.
+        let files = vec![
+            parse("a", "resource fd_h[fd]\n").unwrap(),
+            parse(
+                "b",
+                "ioctl$H(fd fd_h, cmd const[1], arg ptr[in, array[int8]])\n",
+            )
+            .unwrap(),
+        ];
+        let mut h = Fnv1a::default();
+        files.hash(&mut h);
+        assert_eq!(SpecCache::fingerprint(&files), h.finish());
+        let lent: Vec<Option<&SpecFile>> = vec![Some(&files[0]), None, Some(&files[1])];
+        assert_eq!(
+            SpecCache::fingerprint(lent.iter().flatten().copied()),
+            h.finish()
+        );
+        assert_eq!(SpecCache::fingerprint(&[]), {
+            let mut h = Fnv1a::default();
+            Vec::<SpecFile>::new().hash(&mut h);
+            h.finish()
+        });
+    }
+
+    #[test]
+    fn a_lent_suite_hits_the_entry_its_slice_built() {
+        let cache = SpecCache::new();
+        let files = suite("resource fd_lent[fd]\n");
+        let owned = cache.get_or_build(&files);
+        let slots = [None, Some(files[0].clone())];
+        let lent = cache.get_or_build(slots.iter().flatten());
+        assert!(Arc::ptr_eq(&owned, &lent));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_answers() {
+        // A caller's suite iterator that panics while a lookup compares
+        // it under the lock poisons the mutex. Nothing under the lock is
+        // ever half-written, so the cache answers on as before.
+        let cache = SpecCache::with_capacity(2);
+        let files =
+            suite("resource fd_p[fd]\nioctl$P(fd fd_p, cmd const[1], arg ptr[in, array[int8]])\n");
+        let consts = ConstDb::new();
+        let db = cache.get_or_build(&files);
+        let lowered = cache.get_or_lower(&db, &consts);
+        // Panic at the n-th file the lookup reads, for growing n, until
+        // the panic lands under the lock.
+        for n in 0.. {
+            assert!(n < 16, "no reader panicked under the lock");
+            let reads = std::sync::atomic::AtomicUsize::new(0);
+            let panicky = files.iter().inspect(|_| {
+                if reads.fetch_add(1, Ordering::Relaxed) == n {
+                    panic!("reader {n} gives up");
+                }
+            });
+            let lookup = std::panic::AssertUnwindSafe(|| cache.get_or_build(panicky));
+            assert!(std::panic::catch_unwind(lookup).is_err());
+            if cache.entries.is_poisoned() {
+                break;
+            }
+        }
+        assert_eq!(cache.len(), 1);
+        assert!(Arc::ptr_eq(&db, &cache.get_or_build(&files)));
+        assert!(Arc::ptr_eq(&lowered, &cache.get_or_lower(&db, &consts)));
+        // Misses still compile, insert and evict.
+        let other = suite("resource fd_q[fd]\n");
+        let q = cache.get_or_build(&other);
+        assert!(q.resource("fd_q").is_some());
+        assert!(Arc::ptr_eq(&q, &cache.get_or_build(&other)));
+        let _ = cache.get_or_build(&suite("resource fd_s[fd]\n"));
+        assert_eq!((cache.len(), cache.evictions()), (2, 1));
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

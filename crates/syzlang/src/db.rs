@@ -7,7 +7,7 @@
 //! need to disambiguate.
 
 use crate::ast::{
-    Field, FlagsDef, IntBits, Item, Param, Resource, SpecFile, StructDef, Syscall, Type,
+    Dir, Field, FlagsDef, IntBits, Item, Param, Resource, SpecFile, StructDef, Syscall, Type,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -24,20 +24,26 @@ pub const BUILTIN_RESOURCES: &[(&str, IntBits)] = &[
 
 /// A merged, indexed set of specification files.
 ///
-/// Syscalls are additionally interned: every syscall has a stable
-/// dense index (its rank in name order) so hot paths — the generator
-/// and executor — can refer to calls by `u32` instead of cloning
-/// names or whole `Syscall` ASTs per generated call.
+/// Syscalls are interned: every syscall has a stable dense index (its
+/// rank in name order) so hot paths — the generator and executor — can
+/// refer to calls by `u32` instead of cloning names or whole `Syscall`
+/// ASTs per generated call, and a name is found by binary search,
+/// compared in place.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SpecDb {
     files: Vec<SpecFile>,
     structs: BTreeMap<String, StructDef>,
     resources: BTreeMap<String, Resource>,
     flags: BTreeMap<String, FlagsDef>,
-    syscalls: BTreeMap<String, Syscall>,
     /// Syscalls in name order; `interned[i]` is the syscall with
     /// index `i`. Rebuilt by [`SpecDb::from_files`].
     interned: Vec<Syscall>,
+    /// The producer table: per resource name, the indices of the
+    /// syscalls producing it, ascending — what
+    /// [`SpecDb::producers_of`] yields, found in one sweep at compile
+    /// time. Validation and lowering read it; `producers_of` is their
+    /// oracle.
+    producers: BTreeMap<String, Vec<u32>>,
 }
 
 impl SpecDb {
@@ -55,26 +61,24 @@ impl SpecDb {
                 },
             );
         }
-        // First pass: index declarations.
+        // First pass: index declarations (structs are indexed once
+        // rewritten, below).
         for f in &files {
             for item in &f.items {
                 match item {
                     Item::Resource(r) => {
                         db.resources.insert(r.name.clone(), r.clone());
                     }
-                    Item::Struct(s) => {
-                        db.structs.insert(s.name.clone(), s.clone());
-                    }
                     Item::Flags(fl) => {
                         db.flags.insert(fl.name.clone(), fl.clone());
                     }
-                    Item::Syscall(_) => {}
+                    Item::Struct(_) | Item::Syscall(_) => {}
                 }
             }
         }
-        // Second pass: rewrite Named → Resource and index syscalls.
-        let resource_names: Vec<String> = db.resources.keys().cloned().collect();
-        let rewrite = |ty: &mut Type| rewrite_resources(ty, &resource_names);
+        // Second pass: rewrite Named → Resource.
+        let resources = &db.resources;
+        let rewrite = |ty: &mut Type| rewrite_resources(ty, resources);
         let mut files = files;
         for f in &mut files {
             for item in &mut f.items {
@@ -93,22 +97,28 @@ impl SpecDb {
                 }
             }
         }
-        // Re-index rewritten structs and syscalls.
-        for f in &files {
-            for item in &f.items {
-                match item {
-                    Item::Struct(s) => {
-                        db.structs.insert(s.name.clone(), s.clone());
-                    }
-                    Item::Syscall(s) => {
-                        db.syscalls.insert(s.name(), s.clone());
-                    }
-                    _ => {}
-                }
-            }
+        // Index the rewritten structs, and intern the syscalls: sorted
+        // by name (stably, so one name's definitions keep source
+        // order), the last definition of a name standing.
+        for s in files.iter().flat_map(SpecFile::structs) {
+            db.structs.insert(s.name.clone(), s.clone());
         }
+        let mut calls: Vec<(String, &Syscall)> = files
+            .iter()
+            .flat_map(SpecFile::syscalls)
+            .map(|s| (s.name(), s))
+            .collect();
+        calls.sort_by(|a, b| a.0.cmp(&b.0));
+        calls.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        db.interned = calls.into_iter().map(|(_, s)| s.clone()).collect();
         db.files = files;
-        db.interned = db.syscalls.values().cloned().collect();
+        db.producers = producer_table(&db);
         db
     }
 
@@ -118,8 +128,16 @@ impl SpecDb {
     #[must_use]
     pub fn syscall_index(&self, full_name: &str) -> Option<usize> {
         self.interned
-            .binary_search_by(|s| s.name().as_str().cmp(full_name))
+            .binary_search_by(|s| s.cmp_name(full_name))
             .ok()
+    }
+
+    /// Dense indices ([`SpecDb::syscall_index`]) of the syscalls that
+    /// produce `resource`, ascending: [`SpecDb::producers_of`], read
+    /// from the table compiled with the database.
+    #[must_use]
+    pub fn producer_indices(&self, resource: &str) -> &[u32] {
+        self.producers.get(resource).map_or(&[], Vec::as_slice)
     }
 
     /// The syscall at a dense index (see [`SpecDb::syscall_index`]).
@@ -159,12 +177,12 @@ impl SpecDb {
     /// Look up a syscall by full name (`ioctl$DM_VERSION`).
     #[must_use]
     pub fn syscall(&self, full_name: &str) -> Option<&Syscall> {
-        self.syscalls.get(full_name)
+        self.syscall_index(full_name).map(|i| &self.interned[i])
     }
 
     /// All syscalls, in name order.
     pub fn syscalls(&self) -> impl Iterator<Item = &Syscall> {
-        self.syscalls.values()
+        self.interned.iter()
     }
 
     /// All declared (non-builtin) resources, in name order.
@@ -187,7 +205,7 @@ impl SpecDb {
     /// Number of syscall descriptions.
     #[must_use]
     pub fn syscall_count(&self) -> usize {
-        self.syscalls.len()
+        self.interned.len()
     }
 
     /// Number of struct/union type definitions.
@@ -215,7 +233,7 @@ impl SpecDb {
     /// Syscalls that *produce* the given resource (via return value or
     /// an `out`-directed resource-typed field).
     pub fn producers_of<'a>(&'a self, resource: &'a str) -> impl Iterator<Item = &'a Syscall> {
-        self.syscalls.values().filter(move |s| {
+        self.interned.iter().filter(move |s| {
             if s.ret.as_deref() == Some(resource) {
                 return true;
             }
@@ -256,9 +274,63 @@ fn pointee_produces(ty: &Type, resource: &str, db: &SpecDb, depth: usize) -> boo
     }
 }
 
-fn rewrite_resources(ty: &mut Type, resources: &[String]) {
+/// The producer table of a compiled database: one sweep over its
+/// syscalls in index order, each contributing its return resource and
+/// every resource [`pointee_produces`] would find behind its out
+/// pointers — collected rather than matched, so each syscall is walked
+/// once instead of once per resource.
+fn producer_table(db: &SpecDb) -> BTreeMap<String, Vec<u32>> {
+    let mut table: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+    let mut produced: Vec<&str> = Vec::new();
+    for (i, s) in db.interned.iter().enumerate() {
+        produced.clear();
+        produced.extend(s.ret.as_deref());
+        for p in &s.params {
+            if let Type::Ptr {
+                dir: Dir::Out | Dir::InOut,
+                elem,
+            } = &p.ty
+            {
+                collect_produced(elem, db, 0, &mut produced);
+            }
+        }
+        produced.sort_unstable();
+        produced.dedup();
+        for &name in &produced {
+            match table.get_mut(name) {
+                Some(list) => list.push(i as u32),
+                None => {
+                    table.insert(name.to_string(), vec![i as u32]);
+                }
+            }
+        }
+    }
+    table
+}
+
+/// Every resource `r` for which `pointee_produces(ty, r, db, depth)`
+/// holds, pushed onto `out` (with repeats).
+fn collect_produced<'a>(ty: &'a Type, db: &'a SpecDb, depth: usize, out: &mut Vec<&'a str>) {
+    if depth > 8 {
+        return;
+    }
     match ty {
-        Type::Named(n) if resources.iter().any(|r| r == n) => {
+        Type::Resource(n) => out.push(n),
+        Type::Named(n) => {
+            for f in db.struct_def(n).iter().flat_map(|s| &s.fields) {
+                collect_produced(&f.ty, db, depth + 1, out);
+            }
+        }
+        Type::Array { elem, .. } | Type::Ptr { elem, .. } => {
+            collect_produced(elem, db, depth + 1, out);
+        }
+        _ => {}
+    }
+}
+
+fn rewrite_resources(ty: &mut Type, resources: &BTreeMap<String, Resource>) {
+    match ty {
+        Type::Named(n) if resources.contains_key(n.as_str()) => {
             let name = n.clone();
             *ty = Type::Resource(name);
         }
@@ -333,6 +405,17 @@ q_new {
             assert_eq!(db.syscall_at(i).name(), name);
         }
         assert_eq!(db.syscall_index("ioctl$NOPE"), None);
+    }
+
+    #[test]
+    fn the_last_definition_of_a_syscall_name_stands() {
+        let db = db("x$a(p int8)\nx$b(p int8)\nx$a(p int16)\nx(p int8)\n");
+        let names: Vec<String> = db.syscalls().map(Syscall::name).collect();
+        assert_eq!(names, ["x", "x$a", "x$b"]);
+        let a = db.syscall("x$a").unwrap();
+        assert_eq!(a.params[0].ty, Type::int(IntBits::I16));
+        assert_eq!(db.syscall_index("x$a"), Some(1));
+        assert!(db.syscall("x$").is_none() && db.syscall("x$a$").is_none());
     }
 
     #[test]

@@ -71,6 +71,18 @@ pub fn struct_layout(def: &StructDef, db: &SpecDb) -> Result<Layout, LayoutError
     struct_layout_inner(def, db, &mut Vec::new())
 }
 
+/// [`struct_layout`] on a caller's stack of the struct names being
+/// laid out (cleared first), so a pass over many structs allocates it
+/// once.
+pub(crate) fn struct_layout_in<'a>(
+    def: &'a StructDef,
+    db: &'a SpecDb,
+    stack: &mut Vec<&'a str>,
+) -> Result<Layout, LayoutError> {
+    stack.clear();
+    struct_layout_inner(def, db, stack)
+}
+
 /// Byte offsets of every field of a (non-union) struct, plus the total
 /// size, under the same rules as [`struct_layout`].
 ///
@@ -109,7 +121,11 @@ fn int_layout(bits: IntBits) -> Layout {
     Layout::fixed(bits.size(), bits.size())
 }
 
-fn layout_inner(ty: &Type, db: &SpecDb, stack: &mut Vec<String>) -> Result<Layout, LayoutError> {
+fn layout_inner<'a>(
+    ty: &'a Type,
+    db: &'a SpecDb,
+    stack: &mut Vec<&'a str>,
+) -> Result<Layout, LayoutError> {
     Ok(match ty {
         Type::Int { bits, .. }
         | Type::Const { bits, .. }
@@ -160,7 +176,7 @@ fn layout_inner(ty: &Type, db: &SpecDb, stack: &mut Vec<String>) -> Result<Layou
             if stack.iter().any(|s| s == name) {
                 return Err(LayoutError::Recursive(name.clone()));
             }
-            stack.push(name.clone());
+            stack.push(name);
             let l = struct_layout_inner(def, db, stack)?;
             stack.pop();
             l
@@ -168,10 +184,10 @@ fn layout_inner(ty: &Type, db: &SpecDb, stack: &mut Vec<String>) -> Result<Layou
     })
 }
 
-fn struct_layout_inner(
-    def: &StructDef,
-    db: &SpecDb,
-    stack: &mut Vec<String>,
+fn struct_layout_inner<'a>(
+    def: &'a StructDef,
+    db: &'a SpecDb,
+    stack: &mut Vec<&'a str>,
 ) -> Result<Layout, LayoutError> {
     let mut size: u64 = 0;
     let mut align: u64 = 1;

@@ -416,23 +416,13 @@ impl LoweredDb {
             });
             l.out.syscall_names.push(sys.name());
         }
-        // Producer tables: the same ascending-index lists the AST-walk
-        // generator precomputed per construction, now computed once.
-        let producer_lists: Vec<(ResourceId, Vec<u32>)> = l
-            .resource_ids
-            .iter()
-            .filter(|(name, _)| db.resource(name).is_some())
-            .map(|(name, &rid)| {
-                let list = db
-                    .producers_of(name)
-                    .filter_map(|s| db.syscall_index(&s.name()))
-                    .map(|i| i as u32)
-                    .collect();
-                (rid, list)
-            })
-            .collect();
-        for (rid, list) in producer_lists {
-            l.out.resources[rid as usize].producers = list;
+        // Producer lists: the same ascending-index lists the AST-walk
+        // generator precomputed per construction, read from the
+        // database's producer table.
+        for (name, &rid) in &l.resource_ids {
+            if db.resource(name).is_some() {
+                l.out.resources[rid as usize].producers = db.producer_indices(name).to_vec();
+            }
         }
         // Last, with every struct flattened: one plan per pointee type
         // that is closed by construction.
@@ -1733,6 +1723,10 @@ mod tests {
         assert!(l.flag_values(values).is_empty());
     }
 
+    /// The compiled producer table and the lowered lists read from it
+    /// against `producers_of`, their oracle. `tests/validate_differential.rs`
+    /// holds them to it on every flagship, full-corpus, synthetic,
+    /// deep-chain and seeded-mutation suite too (its `check_producers`).
     #[test]
     fn producer_tables_match_producers_of() {
         let src = r#"
@@ -1760,6 +1754,7 @@ q_use {
                 .collect();
             let r = l.lresource(rid);
             assert!(r.declared, "{name} must be declared");
+            assert_eq!(db.producer_indices(name), want, "{name}");
             assert_eq!(r.producers, want, "{name}");
             assert_eq!(r.producer_list(), Some(want.as_slice()), "{name}");
         }

@@ -8,13 +8,14 @@
 //! arity for known syscalls, non-scalar register arguments, recursive
 //! types, empty structs, duplicate definitions).
 
-use crate::ast::{ConstExpr, Field, Item, Param, StructDef, Syscall, Type};
+use crate::ast::{ConstExpr, Dir, Field, Item, Param, StructDef, Syscall, Type};
 use crate::consts::ConstDb;
 use crate::db::SpecDb;
-use crate::layout::{struct_layout, LayoutError};
+use crate::layout::{struct_layout_in, LayoutError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Category of a specification error.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,6 +118,8 @@ pub const ARITY: &[(&str, usize)] = &[
 /// Validate a database against a constant table.
 ///
 /// Returns all errors found (empty when the specification is valid).
+/// Reads the database in place: it allocates for the errors it
+/// reports and a constant number of times besides, never per item.
 #[must_use]
 pub fn validate(db: &SpecDb, consts: &ConstDb) -> Vec<SpecError> {
     let mut errors = Vec::new();
@@ -124,91 +127,97 @@ pub fn validate(db: &SpecDb, consts: &ConstDb) -> Vec<SpecError> {
     for s in db.syscalls() {
         check_syscall(s, db, consts, &mut errors);
     }
+    let mut stack = Vec::new();
     for def in db.structs() {
-        check_struct(def, db, consts, &mut errors);
+        check_struct(def, db, consts, &mut stack, &mut errors);
     }
     for r in db.resources() {
         if db.resource_bits(&r.name).is_none() {
-            errors.push(SpecError {
-                kind: SpecErrorKind::UndefinedType(r.base.clone()),
-                item: r.name.clone(),
-            });
+            let kind = SpecErrorKind::UndefinedType(r.base.clone());
+            report(&mut errors, &|| r.name.clone(), kind);
         }
     }
     for fl in db.flag_sets() {
         for v in &fl.values {
-            check_const(v, consts, &fl.name, &mut errors);
+            check_const(v, consts, &|| fl.name.clone(), &mut errors);
         }
     }
     check_resource_production(db, &mut errors);
     errors
 }
 
+/// Files an error under the item `item` names — called only when
+/// there is one, so a name is built for errors alone.
+fn report(errors: &mut Vec<SpecError>, item: &dyn Fn() -> String, kind: SpecErrorKind) {
+    errors.push(SpecError { kind, item: item() });
+}
+
+/// An item keyed by its namespace (syscalls, resources, and types —
+/// structs and flag sets share one) and its name, compared and hashed
+/// in place.
+struct Key<'a>(u8, &'a Item);
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0 && self.1.name_bytes().eq(other.1.name_bytes())
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.0);
+        self.1.name_bytes().for_each(|b| state.write_u8(b));
+    }
+}
+
 fn check_duplicates(db: &SpecDb, errors: &mut Vec<SpecError>) {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut seen_resources: Vec<&crate::ast::Resource> = Vec::new();
-    for f in db.files() {
-        for item in &f.items {
-            let name = item.name();
-            // Identical resource redeclarations are tolerated: suite
-            // files each declare the shared resources they produce.
-            if let Item::Resource(r) = item {
-                if let Some(prev) = seen_resources.iter().find(|p| p.name == r.name) {
-                    if *prev != r {
-                        errors.push(SpecError {
-                            kind: SpecErrorKind::DuplicateDefinition(name.clone()),
-                            item: name,
-                        });
-                    }
-                    continue;
-                }
-                seen_resources.push(r);
+    let items = db.files().iter().flat_map(|f| &f.items);
+    let mut first: HashMap<Key<'_>, ()> = HashMap::with_capacity(items.clone().count());
+    for item in items {
+        let ns = match item {
+            Item::Syscall(_) => 0,
+            Item::Resource(_) => 1,
+            Item::Struct(_) | Item::Flags(_) => 2,
+        };
+        let prev = match first.entry(Key(ns, item)) {
+            Entry::Vacant(slot) => {
+                slot.insert(());
                 continue;
             }
-            // Syscalls and types live in different namespaces.
-            let key = match item {
-                Item::Syscall(_) => format!("call:{name}"),
-                _ => format!("type:{name}"),
-            };
-            if !seen.insert(key) {
-                errors.push(SpecError {
-                    kind: SpecErrorKind::DuplicateDefinition(name.clone()),
-                    item: name,
-                });
-            }
+            Entry::Occupied(prev) => prev.key().1,
+        };
+        // Identical resource redeclarations are tolerated: suite
+        // files each declare the shared resources they produce.
+        if matches!(item, Item::Resource(_)) && prev == item {
+            continue;
         }
+        let name = item.name();
+        errors.push(SpecError {
+            kind: SpecErrorKind::DuplicateDefinition(name.clone()),
+            item: name,
+        });
     }
 }
 
 fn check_syscall(s: &Syscall, db: &SpecDb, consts: &ConstDb, errors: &mut Vec<SpecError>) {
-    let item = s.name();
-    if let Some((_, expected)) = ARITY.iter().find(|(b, _)| *b == s.base) {
-        if s.params.len() != *expected {
-            errors.push(SpecError {
-                kind: SpecErrorKind::BadArgCount {
-                    expected: *expected,
-                    found: s.params.len(),
-                },
-                item: item.clone(),
-            });
-        }
+    let item = &|| s.name();
+    let found = s.params.len();
+    let arity = ARITY.iter().find(|(b, _)| *b == s.base);
+    if let Some(&(_, expected)) = arity.filter(|(_, n)| *n != found) {
+        report(errors, item, SpecErrorKind::BadArgCount { expected, found });
     }
-    let siblings: Vec<&str> = s.params.iter().map(|p| p.name.as_str()).collect();
+    let sibling = |name: &str| s.params.iter().any(|p| p.name == name);
     for Param { name, ty } in &s.params {
         if !is_register_type(ty) {
-            errors.push(SpecError {
-                kind: SpecErrorKind::NonScalarArg(name.clone()),
-                item: item.clone(),
-            });
+            report(errors, item, SpecErrorKind::NonScalarArg(name.clone()));
         }
-        check_type(ty, db, consts, &item, &siblings, errors);
+        check_type(ty, db, consts, item, &sibling, errors);
     }
     if let Some(ret) = &s.ret {
         if db.resource(ret).is_none() {
-            errors.push(SpecError {
-                kind: SpecErrorKind::UndefinedType(ret.clone()),
-                item: item.clone(),
-            });
+            report(errors, item, SpecErrorKind::UndefinedType(ret.clone()));
         }
     }
 }
@@ -227,25 +236,25 @@ fn is_register_type(ty: &Type) -> bool {
     )
 }
 
-fn check_struct(def: &StructDef, db: &SpecDb, consts: &ConstDb, errors: &mut Vec<SpecError>) {
+fn check_struct<'a>(
+    def: &'a StructDef,
+    db: &'a SpecDb,
+    consts: &ConstDb,
+    stack: &mut Vec<&'a str>,
+    errors: &mut Vec<SpecError>,
+) {
+    let item = &|| def.name.clone();
     if def.fields.is_empty() {
-        errors.push(SpecError {
-            kind: SpecErrorKind::EmptyStruct(def.name.clone()),
-            item: def.name.clone(),
-        });
+        report(errors, item, SpecErrorKind::EmptyStruct(def.name.clone()));
         return;
     }
-    match struct_layout(def, db) {
-        Err(LayoutError::Recursive(n)) => errors.push(SpecError {
-            kind: SpecErrorKind::RecursiveType(n),
-            item: def.name.clone(),
-        }),
-        // Unknown types are reported with precise context below.
-        Err(LayoutError::UnknownType(_)) | Ok(_) => {}
+    // Unknown types are reported with precise context below.
+    if let Err(LayoutError::Recursive(n)) = struct_layout_in(def, db, stack) {
+        report(errors, item, SpecErrorKind::RecursiveType(n));
     }
-    let siblings: Vec<&str> = def.fields.iter().map(|f| f.name.as_str()).collect();
+    let sibling = |name: &str| def.fields.iter().any(|f| f.name == name);
     for Field { ty, .. } in &def.fields {
-        check_type(ty, db, consts, &def.name, &siblings, errors);
+        check_type(ty, db, consts, item, &sibling, errors);
     }
 }
 
@@ -253,51 +262,41 @@ fn check_type(
     ty: &Type,
     db: &SpecDb,
     consts: &ConstDb,
-    item: &str,
-    siblings: &[&str],
+    item: &dyn Fn() -> String,
+    sibling: &dyn Fn(&str) -> bool,
     errors: &mut Vec<SpecError>,
 ) {
-    match ty {
-        Type::Const { value, .. } => check_const(value, consts, item, errors),
+    let kind = match ty {
+        Type::Const { value, .. } => return check_const(value, consts, item, errors),
         Type::Flags { set, .. } if db.flags_def(set).is_none() => {
-            errors.push(SpecError {
-                kind: SpecErrorKind::UnknownFlagSet(set.clone()),
-                item: item.to_string(),
-            });
+            SpecErrorKind::UnknownFlagSet(set.clone())
         }
-        Type::Len { target, .. } | Type::Bytesize { target, .. }
-            if !siblings.contains(&target.as_str()) =>
-        {
-            errors.push(SpecError {
-                kind: SpecErrorKind::BadLenTarget(target.clone()),
-                item: item.to_string(),
-            });
+        Type::Len { target, .. } | Type::Bytesize { target, .. } if !sibling(target) => {
+            SpecErrorKind::BadLenTarget(target.clone())
         }
         Type::Resource(name) if db.resource(name).is_none() => {
-            errors.push(SpecError {
-                kind: SpecErrorKind::UndefinedType(name.clone()),
-                item: item.to_string(),
-            });
+            SpecErrorKind::UndefinedType(name.clone())
         }
         Type::Named(name) if db.struct_def(name).is_none() && db.resource(name).is_none() => {
-            errors.push(SpecError {
-                kind: SpecErrorKind::UndefinedType(name.clone()),
-                item: item.to_string(),
-            });
+            SpecErrorKind::UndefinedType(name.clone())
         }
-        Type::Ptr { elem, .. } => check_type(elem, db, consts, item, siblings, errors),
-        Type::Array { elem, .. } => check_type(elem, db, consts, item, siblings, errors),
-        _ => {}
-    }
+        Type::Ptr { elem, .. } | Type::Array { elem, .. } => {
+            return check_type(elem, db, consts, item, sibling, errors)
+        }
+        _ => return,
+    };
+    report(errors, item, kind);
 }
 
-fn check_const(value: &ConstExpr, consts: &ConstDb, item: &str, errors: &mut Vec<SpecError>) {
+fn check_const(
+    value: &ConstExpr,
+    consts: &ConstDb,
+    item: &dyn Fn() -> String,
+    errors: &mut Vec<SpecError>,
+) {
     if let ConstExpr::Sym(name) = value {
         if !consts.contains(name) {
-            errors.push(SpecError {
-                kind: SpecErrorKind::UnknownConst(name.clone()),
-                item: item.to_string(),
-            });
+            report(errors, item, SpecErrorKind::UnknownConst(name.clone()));
         }
     }
 }
@@ -306,35 +305,28 @@ fn check_resource_production(db: &SpecDb, errors: &mut Vec<SpecError>) {
     // A resource consumed by some syscall must be produced by some
     // syscall; builtins (plain `fd`, `sock`, …) are exempt because the
     // kernel provides generic producers.
-    let mut consumed: BTreeSet<&str> = BTreeSet::new();
-    for s in db.syscalls() {
-        for p in &s.params {
-            collect_consumed(&p.ty, &mut consumed);
-        }
-    }
     for r in db.resources() {
-        if consumed.contains(r.name.as_str()) && db.producers_of(&r.name).next().is_none() {
-            errors.push(SpecError {
-                kind: SpecErrorKind::UnproducedResource(r.name.clone()),
-                item: r.name.clone(),
-            });
+        let consumed = || {
+            let mut params = db.syscalls().flat_map(|s| &s.params);
+            params.any(|p| consumes(&p.ty, &r.name))
+        };
+        if db.producer_indices(&r.name).is_empty() && consumed() {
+            let kind = SpecErrorKind::UnproducedResource(r.name.clone());
+            report(errors, &|| r.name.clone(), kind);
         }
     }
 }
 
-fn collect_consumed<'a>(ty: &'a Type, out: &mut BTreeSet<&'a str>) {
+fn consumes(ty: &Type, resource: &str) -> bool {
     match ty {
-        Type::Resource(n) => {
-            out.insert(n);
+        Type::Resource(n) => n == resource,
+        // Out-pointers *produce* the resource; only in/inout consume.
+        Type::Ptr {
+            elem,
+            dir: Dir::In | Dir::InOut,
         }
-        Type::Ptr { elem, dir } => {
-            // Out-pointers *produce* the resource; only in/inout consume.
-            if matches!(dir, crate::ast::Dir::In | crate::ast::Dir::InOut) {
-                collect_consumed(elem, out);
-            }
-        }
-        Type::Array { elem, .. } => collect_consumed(elem, out),
-        _ => {}
+        | Type::Array { elem, .. } => consumes(elem, resource),
+        _ => false,
     }
 }
 

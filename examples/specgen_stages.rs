@@ -16,7 +16,10 @@
 //!   same model (everything is looked up);
 //!
 //! then the pipeline's own share of a pass (`generate_all` less the
-//! time inside `chat`), the front-end's speed on the flagship source,
+//! time inside `chat`) and the part of it that is merged validation
+//! (the suite looked up in the spec cache, validated and its errors
+//! routed to their handlers — twice a pass, before and after the
+//! repair round), the front-end's speed on the flagship source,
 //! how much code a pass shows against how much it parses, and a pass
 //! from a fresh model next to the benchmark's round of four.
 //!
@@ -24,8 +27,9 @@
 //! cargo run --release --example specgen_stages
 //! ```
 //!
-//! A record for EXPERIMENTS.md § "Where a handler's 0.8 ms goes",
-//! never a gate: the referee is `benchmark/`'s `specgen_flagship`.
+//! A record for EXPERIMENTS.md § "Where a handler's 0.8 ms goes" and
+//! § "Where a handler's time outside the model goes", never a gate:
+//! the referee is `benchmark/`'s `specgen_flagship`.
 
 use kernelgpt::core::KernelGpt;
 use kernelgpt::csrc::emit::emit_blueprint;
@@ -35,6 +39,8 @@ use kernelgpt::csrc::{flagship, Corpus, KernelCorpus};
 use kernelgpt::extractor::find_handlers;
 use kernelgpt::llm::protocol::Sections;
 use kernelgpt::llm::{ChatRequest, ChatResponse, LanguageModel, ModelKind, OracleModel, Usage};
+use kernelgpt::syzlang::validate::validate;
+use kernelgpt::syzlang::SpecCache;
 use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -103,17 +109,22 @@ fn main() {
     // A pass before it leaves the merged suite compiled in the spec
     // cache, as every pass of a benchmark round but the first finds it.
     black_box(pass(&OracleModel::new(ModelKind::Gpt4, SEED)));
-    let (requests, pipeline_self, reading) = {
+    let (requests, pipeline_self, reading, report) = {
         let model = OracleModel::new(ModelKind::Gpt4, SEED);
         let recording = Recording {
             inner: &model,
             log: Mutex::new((Vec::new(), Duration::ZERO)),
         };
         let t = Instant::now();
-        black_box(pass(&recording));
+        let report = black_box(pass(&recording));
         let whole = t.elapsed();
         let (requests, in_chat) = recording.log.into_inner().expect("no chat panicked");
-        (requests, whole.saturating_sub(in_chat), model.reading())
+        (
+            requests,
+            whole.saturating_sub(in_chat),
+            model.reading(),
+            report,
+        )
     };
     let r = requests.len();
     let prompt_bytes: usize = requests.iter().map(|q| q.prompt.len()).sum();
@@ -151,6 +162,19 @@ fn main() {
             *slot = t.elapsed().min(*slot);
         }
     }
+    // What `generate_all` does around its two merged validations, on
+    // the pass's suite: look it up where the specs lie, validate it,
+    // hand each handler the errors in its own items.
+    let merged = fastest(|| {
+        for _ in 0..2 {
+            let specs = report.outcomes.iter().filter_map(|o| o.spec.as_ref());
+            let db = SpecCache::global().get_or_build(specs);
+            let errors = validate(&db, kc.consts());
+            for spec in report.outcomes.iter().filter_map(|o| o.spec.as_ref()) {
+                black_box(errors.iter().filter(|e| spec.defines(&e.item)).count());
+            }
+        }
+    });
     println!("\nstage                      µs/request   µs/handler");
     for (stage, total) in [
         ("slice the prompt", slice),
@@ -158,6 +182,7 @@ fn main() {
         ("chat, first sighting", first),
         ("chat, warm", warm),
         ("pipeline outside chat", pipeline_self),
+        ("  of which merged valid.", merged),
     ] {
         println!(
             "{stage:<26} {:>10.1} {:>12.1}",

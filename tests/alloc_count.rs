@@ -44,7 +44,8 @@
 //! it, in `fuzzer/src/checkpoint.rs`'s tests, under that crate's own
 //! counting allocator.)
 //!
-//! The paper's own pipeline is held to two counts. A request to an
+//! The paper's own pipeline is held to three counts. Validating a
+//! valid suite costs a constant, not a term per item. A request to an
 //! oracle model that has read its code before costs the same number
 //! of events with ten times the chunks in it — the parses are shared,
 //! not redone, copied or re-indexed name by name — and the C
@@ -835,4 +836,42 @@ fn the_c_front_end_allocates_per_ast_node_not_per_token() {
     let before = events();
     black_box(kernelgpt::csrc::token::clex(&src).unwrap());
     assert_eq!(events() - before, 1);
+}
+
+/// Validating a suite costs the allocator what it reports and a
+/// constant besides. The merged flagship suite the benchmark validates
+/// (48 files, 547 items, no error) and dm's ground truth cost the same
+/// two events — the duplicate table and the layout stack. The parent
+/// commit's validator, which keyed every item by a `format!`ed name,
+/// allocated every syscall's name and sibling list and collected the
+/// consumed resources into a tree, spent 3 513 on the merged suite
+/// (6.4 an item) and 153 on dm's.
+#[test]
+fn validating_a_valid_suite_allocates_a_constant_not_per_item() {
+    const PARENT_EVENTS: u64 = 3_513;
+    let kc = KernelCorpus::flagship_only();
+    let handlers = kernelgpt::extractor::find_handlers(kc.corpus());
+    let model = OracleModel::new(ModelKind::Gpt4, 1);
+    let report = kernelgpt::core::KernelGpt::new(&model, kc.corpus())
+        .with_threads(1)
+        .generate_all(&handlers, kc.consts());
+    assert_eq!(report.valid_count(), handlers.len());
+    let merged: Vec<_> = report.outcomes.into_iter().filter_map(|o| o.spec).collect();
+    let items: usize = merged.iter().map(|f| f.items.len()).sum();
+    let dm = kc.blueprint("dm").expect("dm").ground_truth_spec();
+    let mut costs = Vec::new();
+    for suite in [merged, vec![dm]] {
+        let db = SpecDb::from_files(suite);
+        let before = events();
+        let errors = black_box(kernelgpt::syzlang::validate::validate(&db, kc.consts()));
+        costs.push(events() - before);
+        assert!(errors.is_empty(), "{errors:?}");
+    }
+    println!(
+        "validate: {} events for the merged flagship suite ({items} items), {} for dm's ground truth",
+        costs[0], costs[1]
+    );
+    assert!(PARENT_EVENTS >= items as u64);
+    assert_eq!(costs[0], costs[1], "events grew with the items");
+    assert!(costs[0] <= 4, "{costs:?}");
 }
