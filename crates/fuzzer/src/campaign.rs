@@ -17,6 +17,13 @@
 //! call. The storage is no part of a shard's state: not in its
 //! snapshot, its view, a checkpoint or a frame, because no result
 //! depends on it.
+//!
+//! A mutant is executed from its parent's state at the first call it
+//! may differ in ([`crate::exec::ExecPrefix`]): three execs in four are
+//! mutants, and about half a deep-chain mutant's calls are its
+//! parent's. The states are derived like the storage — kept beside the
+//! corpus entry ([`Corpus::prefix`]), recorded as its mutants run — so
+//! no snapshot, checkpoint or frame knows of them either.
 
 use crate::boundary::Boundary;
 use crate::corpus::Corpus;
@@ -513,13 +520,20 @@ impl ShardState {
             };
             let prog = &mut self.prog;
             match parent {
-                None => self.generator.gen_program_into(self.max_prog_len, prog),
+                None => {
+                    self.generator.gen_program_into(self.max_prog_len, prog);
+                    execute_with(kernel, prog, &mut self.scratch);
+                }
                 Some(idx) => {
                     let seed = self.corpus.program(idx);
-                    self.generator.mutate_into(seed, self.max_prog_len, prog);
+                    let from = self.generator.mutate_into(seed, self.max_prog_len, prog);
+                    // The mutant's first `from` calls are its parent's:
+                    // it runs from the state they leave.
+                    let prefix = self.corpus.prefix(idx, &self.scratch);
+                    prefix.restore(from, &mut self.scratch);
+                    prefix.run(kernel, prog, &mut self.scratch, from);
                 }
             }
-            execute_with(kernel, prog, &mut self.scratch);
             if self.scratch.state.fuel_exhausted() {
                 self.fuel_exhausted += 1;
             }

@@ -31,7 +31,14 @@
 //! block — without a copy of its marked self to compare against. That
 //! is what a fabric worker ships at a boundary; the bookkeeping is one
 //! `u32` per entry and nothing per exec.
+//!
+//! Beside each entry a corpus may also hold the states its program
+//! leaves at its call boundaries ([`Corpus::prefix`]), from which a
+//! campaign resumes the entry's mutants. They are derived — recorded
+//! as the entry's mutants run — and take no part in equality, a clone,
+//! a checkpoint or a frame.
 
+use crate::exec::{ExecPrefix, ExecScratch};
 use kgpt_syzlang::prog::Program;
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff};
 
@@ -96,7 +103,7 @@ pub struct CorpusStats {
 
 /// A size-bounded, coverage-deduplicated seed corpus with weighted
 /// scheduling. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Corpus {
     entries: Vec<CorpusEntry>,
     /// Union of every block this corpus knows about — executed here
@@ -116,12 +123,41 @@ pub struct Corpus {
     /// Indices of the `coverage` words that gained a block since the
     /// last mark — a set of small dense integers, so a bitmap.
     touched: CoverageMap,
+    /// In step with `entries`: the states each entry's program passes
+    /// through at its first call boundaries, once somebody ran a mutant
+    /// of it ([`Corpus::prefix`]). Derived, like the marks beside the
+    /// entries: recorded again when missing, never cloned, compared,
+    /// persisted or shipped.
+    prefixes: Vec<Option<Box<ExecPrefix>>>,
+}
+
+/// A copy holds no prefix states: they are recorded again where the
+/// copy is stepped, against its kernel.
+impl Clone for Corpus {
+    fn clone(&self) -> Corpus {
+        Corpus {
+            entries: self.entries.clone(),
+            coverage: self.coverage.clone(),
+            cap: self.cap,
+            rng: self.rng.clone(),
+            total_weight: self.total_weight,
+            stats: self.stats,
+            marks: self.marks.clone(),
+            touched: self.touched.clone(),
+            prefixes: unrecorded(self.entries.len()),
+        }
+    }
+}
+
+/// `n` prefix slots, none recorded.
+fn unrecorded(n: usize) -> Vec<Option<Box<ExecPrefix>>> {
+    std::iter::repeat_with(|| None).take(n).collect()
 }
 
 /// Two corpora are equal when continuing them is: the cap, the
 /// selection stream, the coverage, the entries and the counters — what
-/// a checkpoint persists. The marks are bookkeeping about somebody
-/// else's copy and take no part.
+/// a checkpoint persists. The marks and the prefix states are
+/// bookkeeping and take no part.
 impl PartialEq for Corpus {
     fn eq(&self, other: &Corpus) -> bool {
         (self.cap, self.rng.state(), self.stats) == (other.cap, other.rng.state(), other.stats)
@@ -146,6 +182,7 @@ impl Corpus {
             stats: CorpusStats::default(),
             marks: Vec::new(),
             touched: CoverageMap::new(),
+            prefixes: Vec::new(),
         }
     }
 
@@ -195,6 +232,21 @@ impl Corpus {
         &self.entries[idx]
     }
 
+    /// The states entry `idx`'s program leaves at its first call
+    /// boundaries, to run a mutant of it from ([`ExecPrefix::restore`],
+    /// [`ExecPrefix::run`], which records more of them). Empty the
+    /// first time it is asked for — and again when `scratch` runs under
+    /// another fuel limit or trace flag than it was recorded under —
+    /// and kept until the entry leaves. A corpus is stepped against one
+    /// kernel: a clone starts with none.
+    pub fn prefix(&mut self, idx: usize, scratch: &ExecScratch) -> &mut ExecPrefix {
+        let slot = &mut self.prefixes[idx];
+        if !slot.as_ref().is_some_and(|prefix| prefix.fits(scratch)) {
+            *slot = None;
+        }
+        slot.get_or_insert_with(|| Box::new(ExecPrefix::new(scratch)))
+    }
+
     /// All retained entries in admission order (checkpointing view).
     #[must_use]
     pub fn entries(&self) -> &[CorpusEntry] {
@@ -226,6 +278,7 @@ impl Corpus {
         Corpus {
             marks: vec![UNMARKED; entries.len()],
             touched: CoverageMap::new(),
+            prefixes: unrecorded(entries.len()),
             entries,
             coverage,
             cap: cap.max(1),
@@ -361,6 +414,7 @@ impl Corpus {
             .extend(gained.filter_map(|(w, bits)| (*bits != 0).then_some(w)));
         self.entries.push(entry);
         self.marks.push(UNMARKED);
+        self.prefixes.push(None);
         while self.entries.len() > self.cap {
             self.evict_least_productive();
         }
@@ -381,6 +435,7 @@ impl Corpus {
         };
         let gone = self.entries.remove(victim);
         self.marks.remove(victim);
+        self.prefixes.remove(victim);
         self.total_weight -= gone.weight();
         self.stats.evicted += 1;
     }
@@ -455,12 +510,15 @@ impl Corpus {
                 continue;
             }
             self.entries.swap(n, at);
+            self.prefixes.swap(n, at);
             (self.entries[n].execs, self.entries[n].hits) = (k.execs, k.hits);
             n += 1;
             next = at + 1;
         }
         self.entries.truncate(n);
         self.entries.extend(added);
+        self.prefixes.truncate(n);
+        self.prefixes.resize_with(self.entries.len(), || None);
         self.total_weight = self.entries.iter().map(CorpusEntry::weight).sum();
         self.coverage.patch_words(cov_diff);
         self.rng = SplitMix64::from_state(rng_state);
@@ -536,9 +594,23 @@ pub(crate) fn reject_threshold(n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgpt_syzlang::{ConstDb, SpecDb};
 
     fn cov(blocks: &[u64]) -> CoverageMap {
         blocks.iter().copied().collect()
+    }
+
+    /// Give every entry a prefix; its address names the entry it was
+    /// recorded for.
+    fn box_prefixes(c: &mut Corpus) -> Vec<*const ExecPrefix> {
+        let scratch = ExecScratch::new(&SpecDb::default(), &ConstDb::default());
+        (0..c.len())
+            .map(|i| std::ptr::from_ref(c.prefix(i, &scratch)))
+            .collect()
+    }
+
+    fn prefix_at(c: &Corpus, i: usize) -> Option<*const ExecPrefix> {
+        c.prefixes[i].as_deref().map(std::ptr::from_ref)
     }
 
     fn prog() -> Program {
@@ -582,10 +654,16 @@ mod tests {
         let w: Vec<u64> = c.entries.iter().map(CorpusEntry::weight).collect();
         c.total_weight = w.iter().sum();
         assert!(w[1] < w[2] && w[1] < w[0]);
-        // Overflow the cap: the weakest (entry 1) goes, not entry 0.
+        // Overflow the cap: the weakest (entry 1) goes, not entry 0,
+        // and its prefix with it.
+        let boxed = box_prefixes(&mut c);
         c.observe(prog(), &cov(&[300]), None);
         assert_eq!(c.len(), 3);
         assert_eq!(c.stats().evicted, 1);
+        assert_eq!(
+            (0..3).map(|i| prefix_at(&c, i)).collect::<Vec<_>>(),
+            [Some(boxed[0]), Some(boxed[2]), None]
+        );
         assert_eq!(c.entry(0).contributed, cov(&[1, 2, 3, 4, 5, 6, 7, 8]));
         assert_eq!(c.entry(1).contributed, cov(&[200]));
         // Evicted coverage is not forgotten: re-observing block 100
@@ -713,7 +791,14 @@ mod tests {
         // (which may be shorter than the live one: zero words the live
         // map merely spans are not a change).
         let rebuilt = base.coverage().apply_word_diff(&cov_diff);
+        let boxed = box_prefixes(&mut base);
         base.apply_patch(live.rng_state(), live.stats(), cov_diff, &kept, added);
+        // A kept entry keeps its prefix; an added one has none yet.
+        assert_eq!(base.prefixes.len(), base.len());
+        for (n, k) in kept.iter().enumerate() {
+            assert_eq!(prefix_at(&base, n), Some(boxed[k.index as usize]));
+        }
+        assert!((kept.len()..base.len()).all(|n| prefix_at(&base, n).is_none()));
         assert_eq!(base.coverage().words(), rebuilt.words());
         assert_eq!(base.total_weight(), live.total_weight());
         assert_eq!(base.marks, vec![UNMARKED; base.len()]);
@@ -836,6 +921,7 @@ mod tests {
             Vec::new(),
         );
         assert_eq!(c.len(), 1);
+        assert_eq!(c.prefixes.len(), 1);
         assert_eq!(c.entry(0).contributed, cov(&[200, 201, 202]));
         assert_eq!(c.total_weight(), c.entry(0).weight());
     }

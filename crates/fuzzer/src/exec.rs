@@ -18,12 +18,24 @@
 //! After a run, [`ExecScratch::coverage`] and [`ExecScratch::crash`]
 //! expose the outcome the campaign loop feeds into the shared
 //! [`crate::corpus::Corpus`].
+//!
+//! **A mutant runs from its parent's state.** There is one exec loop:
+//! it runs a program's calls from an index on, the scratch holding the
+//! state the calls before it leave. [`execute_with`] is that loop
+//! started at call 0 from the empty state. A mutant's first calls are
+//! its parent's up to the index [`crate::gen::Generator::mutate_into`]
+//! returns, and `VKernel::exec_call` is a pure function of the state,
+//! the call and a memory image the encoder rebuilds per call — so the
+//! campaign restores the parent's state there from an [`ExecPrefix`]
+//! (recorded as the parent's earlier mutants ran, kept beside its
+//! corpus entry) and runs only the rest: about half the calls of a
+//! deep-chain exec.
 
 use kgpt_syzlang::lowered::{LoweredDb, LoweredEncoder};
 use kgpt_syzlang::prog::Program;
 use kgpt_syzlang::value::ResRef;
 use kgpt_syzlang::{ConstDb, SpecDb};
-use kgpt_vkernel::{CoverageMap, CrashReport, MemMap, Sysno, VKernel, VmState};
+use kgpt_vkernel::{BoundaryStates, CoverageMap, CrashReport, MemMap, Sysno, VKernel, VmState};
 use std::sync::Arc;
 
 /// Result of executing one program.
@@ -128,7 +140,27 @@ pub fn execute(kernel: &VKernel, db: &SpecDb, consts: &ConstDb, prog: &Program) 
 /// Execute a program, reusing `scratch` across calls. Afterwards,
 /// `scratch.state.coverage`, `scratch.state.crash` and `scratch.rets`
 /// hold the program's outcome until the next invocation.
+///
+/// This is the exec loop a resumed mutant runs ([`ExecPrefix::run`]),
+/// started at call 0 from the empty state.
 pub fn execute_with(kernel: &VKernel, prog: &Program, scratch: &mut ExecScratch) {
+    scratch.state.reset();
+    scratch.rets.clear();
+    run_calls(kernel, prog, scratch, 0, |_, _, _| {});
+}
+
+/// The exec loop: run `prog.calls[from..]` on the state in `scratch`
+/// (which holds the returns of the calls before), handing the calls
+/// done, the state and the returns after every call to `after_call` —
+/// a generic hook, so a loop that saves nothing compiles to the loop
+/// alone.
+fn run_calls(
+    kernel: &VKernel,
+    prog: &Program,
+    scratch: &mut ExecScratch,
+    from: usize,
+    mut after_call: impl FnMut(usize, &VmState, &[i64]),
+) {
     let ExecScratch {
         lowered,
         sysno,
@@ -139,80 +171,164 @@ pub fn execute_with(kernel: &VKernel, prog: &Program, scratch: &mut ExecScratch)
         shuttle,
     } = scratch;
     let lowered: &LoweredDb = lowered;
-    state.reset();
-    rets.clear();
-    for (call_index, call) in prog.calls.iter().enumerate() {
-        if state.crash.is_some() {
-            rets.push(-kgpt_vkernel::errno::EFAULT);
-            continue;
-        }
-        if state.fuel_exhausted() {
-            // The fuel watchdog tripped: skip the remaining calls
-            // without decoding them (decode itself burns fuel), the
-            // same way a crash short-circuits the rest of a program.
-            rets.push(-kgpt_vkernel::errno::ENOMEM);
-            continue;
-        }
-        let sys = lowered.syscall(call.sys as usize);
-        // Restart the encoder's address space; any segments still in
-        // it (from an aborted encode) are recycled into its pool.
-        enc.reset();
-        let mut regs = [0u64; 6];
-        let mut ok = true;
-        {
-            let rets = &*rets;
-            let resolve = |r: &ResRef| -> u64 {
-                match r.producer.and_then(|i| rets.get(i)) {
-                    Some(v) if *v >= 0 => *v as u64,
-                    _ => r.fallback,
-                }
-            };
-            for (i, (param, value)) in sys.params.iter().zip(&call.args).enumerate() {
-                if i >= 6 {
-                    break;
-                }
-                match enc.encode_arg(lowered, param.ty, value, &resolve) {
-                    Ok(v) => regs[i] = v,
-                    Err(_) => {
-                        ok = false;
+    debug_assert_eq!(rets.len(), from, "resumed without the returns before");
+    let calls = prog.calls.get(from..).unwrap_or_default();
+    for (call_index, call) in (from..).zip(calls) {
+        let ret = 'call: {
+            if state.crash.is_some() {
+                break 'call -kgpt_vkernel::errno::EFAULT;
+            }
+            if state.fuel_exhausted() {
+                // The fuel watchdog tripped: skip the remaining calls
+                // without decoding them (decode itself burns fuel), the
+                // same way a crash short-circuits the rest of a program.
+                break 'call -kgpt_vkernel::errno::ENOMEM;
+            }
+            let sys = lowered.syscall(call.sys as usize);
+            // Restart the encoder's address space; any segments still in
+            // it (from an aborted encode) are recycled into its pool.
+            enc.reset();
+            let mut regs = [0u64; 6];
+            let mut ok = true;
+            {
+                let rets = &*rets;
+                let resolve = |r: &ResRef| -> u64 {
+                    match r.producer.and_then(|i| rets.get(i)) {
+                        Some(v) if *v >= 0 => *v as u64,
+                        _ => r.fallback,
+                    }
+                };
+                for (i, (param, value)) in sys.params.iter().zip(&call.args).enumerate() {
+                    if i >= 6 {
                         break;
+                    }
+                    match enc.encode_arg(lowered, param.ty, value, &resolve) {
+                        Ok(v) => regs[i] = v,
+                        Err(_) => {
+                            ok = false;
+                            break;
+                        }
                     }
                 }
             }
-        }
-        if !ok {
-            rets.push(-kgpt_vkernel::errno::EINVAL);
-            continue;
-        }
-        // Auto-fill top-level len/bytesize parameters from the encoded
-        // sibling (`setsockopt(..., val, len)`): the encoder fills them
-        // inside structs, but register-level lens refer to the pointee
-        // segment size. The sibling's index was resolved at lowering;
-        // segments are address-sorted, so the lookup is a binary search.
-        let segments = enc.segments();
-        for (i, param) in sys.params.iter().enumerate().take(6) {
-            // Targets past the register window cannot be fixed up
-            // (only reachable via unvalidated >6-ary specs).
-            if let Some(ti) = param.len_target.filter(|ti| (*ti as usize) < regs.len()) {
-                let addr = regs[ti as usize];
-                if let Ok(si) = segments.binary_search_by_key(&addr, |s| s.0) {
-                    regs[i] = segments[si].1.len() as u64;
+            if !ok {
+                break 'call -kgpt_vkernel::errno::EINVAL;
+            }
+            // Auto-fill top-level len/bytesize parameters from the encoded
+            // sibling (`setsockopt(..., val, len)`): the encoder fills them
+            // inside structs, but register-level lens refer to the pointee
+            // segment size. The sibling's index was resolved at lowering;
+            // segments are address-sorted, so the lookup is a binary search.
+            let segments = enc.segments();
+            for (i, param) in sys.params.iter().enumerate().take(6) {
+                // Targets past the register window cannot be fixed up
+                // (only reachable via unvalidated >6-ary specs).
+                if let Some(ti) = param.len_target.filter(|ti| (*ti as usize) < regs.len()) {
+                    let addr = regs[ti as usize];
+                    if let Ok(si) = segments.binary_search_by_key(&addr, |s| s.0) {
+                        regs[i] = segments[si].1.len() as u64;
+                    }
                 }
             }
-        }
-        // Move the encoded segments into the memory image; the image's
-        // previous segments land back in the encoder for recycling on
-        // the next `reset`.
-        enc.swap_segments(shuttle);
-        mem.load(shuttle);
-        enc.recycle(shuttle);
-        // Syscall-boundary marker for the flight recorder: calls that
-        // were skipped (crash, fuel, encode failure) emit no marker,
-        // so the trace's call indices name exactly the calls that
-        // reached the kernel. One branch when tracing is off.
-        state.trace_mut().call(call_index as u32);
-        let ret = kernel.exec_call(state, sysno[call.sys as usize], &regs, mem);
+            // Move the encoded segments into the memory image; the image's
+            // previous segments land back in the encoder for recycling on
+            // the next `reset`.
+            enc.swap_segments(shuttle);
+            mem.load(shuttle);
+            enc.recycle(shuttle);
+            // Syscall-boundary marker for the flight recorder: calls that
+            // were skipped (crash, fuel, encode failure) emit no marker,
+            // so the trace's call indices name exactly the calls that
+            // reached the kernel. One branch when tracing is off.
+            state.trace_mut().call(call_index as u32);
+            kernel.exec_call(state, sysno[call.sys as usize], &regs, mem)
+        };
         rets.push(ret);
+        after_call(call_index + 1, state, rets);
+    }
+}
+
+/// The states a corpus entry's program passes through at its first
+/// call boundaries — the VM state and the returns after its first
+/// call, its second, … — so that a mutant, whose first `from` calls
+/// are the entry's ([`crate::gen::Generator::mutate_into`] returns
+/// `from`), runs from the entry's state there instead of from the empty
+/// one: [`ExecPrefix::restore`], then [`ExecPrefix::run`].
+///
+/// Derived data, a function of the program, the kernel and the
+/// scratch's fuel limit and trace flag. It is recorded as the entry's
+/// mutants run — a call of a mutant before its `from` is the entry's
+/// call, so the state after it is the entry's — and grows as deep as
+/// they diverge, never by an execution of its own. A corpus keeps one
+/// per entry it was asked for ([`crate::corpus::Corpus::prefix`]).
+#[derive(Debug, Clone)]
+pub struct ExecPrefix {
+    vm: BoundaryStates,
+    rets: Vec<i64>,
+}
+
+impl ExecPrefix {
+    /// No state recorded yet, under `scratch`'s fuel limit and trace
+    /// flag.
+    #[must_use]
+    pub fn new(scratch: &ExecScratch) -> ExecPrefix {
+        ExecPrefix {
+            vm: scratch.state.boundary_states(),
+            rets: Vec::new(),
+        }
+    }
+
+    /// Call boundaries recorded: the most calls a restore skips.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.rets.len()
+    }
+
+    /// Whether no boundary is recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.rets.is_empty()
+    }
+
+    /// Whether it was recorded under `scratch`'s fuel limit and trace
+    /// flag — whether its states are the ones `scratch` would compute.
+    pub(crate) fn fits(&self, scratch: &ExecScratch) -> bool {
+        self.vm.fits(&scratch.state)
+    }
+
+    /// Put `scratch` in the state the entry's first `k` calls leave,
+    /// `k` the smaller of `from` and [`ExecPrefix::len`] (0: the empty
+    /// state), and return `k`. Allocates nothing once the scratch's
+    /// buffers have held that state.
+    pub fn restore(&self, from: usize, scratch: &mut ExecScratch) -> usize {
+        let k = from.min(self.len());
+        scratch.state.restore_boundary(&self.vm, k);
+        scratch.rets.clear();
+        scratch.rets.extend_from_slice(&self.rets[..k]);
+        k
+    }
+
+    /// Execute the rest of `prog` — whose first `from` calls are the
+    /// entry's — from where [`ExecPrefix::restore`] left `scratch`,
+    /// recording the state after each of those calls the prefix does
+    /// not hold yet. Afterwards `scratch` holds exactly what
+    /// [`execute_with`] of `prog` would have left.
+    pub fn run(
+        &mut self,
+        kernel: &VKernel,
+        prog: &Program,
+        scratch: &mut ExecScratch,
+        from: usize,
+    ) {
+        let ExecPrefix { vm, rets: saved } = self;
+        let at = scratch.rets.len();
+        saved.reserve(from.saturating_sub(saved.len()));
+        run_calls(kernel, prog, scratch, at, |done, state, rets| {
+            if done == saved.len() + 1 && done <= from {
+                state.save_boundary(vm, from - done);
+                saved.push(rets[done - 1]);
+            }
+        });
     }
 }
 

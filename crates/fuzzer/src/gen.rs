@@ -180,9 +180,18 @@ impl Generator {
     /// [`Generator::mutate`] into `out`, whatever it held: same draws,
     /// same mutant, in `out`'s storage (module docs). The parent is
     /// copied call by call over the calls `out` already has.
-    pub fn mutate_into(&mut self, prog: &Program, max_len: usize, out: &mut Program) {
+    ///
+    /// Returns the **divergence index**: the mutant's calls before it
+    /// are the parent's, so an execution of the mutant may resume from
+    /// the parent's state there ([`crate::exec::ExecPrefix`]). It is
+    /// the edited call on the regenerate arm (the parent's length when
+    /// that call takes no argument and nothing changed), the parent's
+    /// length on the append arm, the kept length on the truncate arm,
+    /// and 0 for a fresh program generated from an empty parent.
+    pub fn mutate_into(&mut self, prog: &Program, max_len: usize, out: &mut Program) -> usize {
         if prog.is_empty() {
-            return self.gen_program_into(max_len, out);
+            self.gen_program_into(max_len, out);
+            return 0;
         }
         let Generator {
             lowered,
@@ -196,11 +205,13 @@ impl Generator {
                 copy_calls(spare_args, &prog.calls, out);
                 let ci = rng.random_range(0..out.calls.len());
                 let n_args = out.calls[ci].args.len();
-                if n_args > 0 {
-                    let ai = rng.random_range(0..n_args);
-                    let ty = lowered.syscall(out.calls[ci].sys as usize).params[ai].ty;
-                    out.calls[ci].args[ai] = gen_value(lowered, rng, ty, out, ci, 0);
+                if n_args == 0 {
+                    return prog.len();
                 }
+                let ai = rng.random_range(0..n_args);
+                let ty = lowered.syscall(out.calls[ci].sys as usize).params[ai].ty;
+                out.calls[ci].args[ai] = gen_value(lowered, rng, ty, out, ci, 0);
+                ci
             }
             // Append a random enabled call.
             6..=8 => {
@@ -209,11 +220,13 @@ impl Generator {
                     let pick = enabled[rng.random_range(0..enabled.len())];
                     append_call(lowered, rng, spare_args, out, pick, 0);
                 }
+                prog.len()
             }
             // Truncate: copy only the kept prefix.
             _ => {
                 let keep = rng.random_range(1..=prog.calls.len());
                 copy_calls(spare_args, &prog.calls[..keep], out);
+                keep
             }
         }
     }
@@ -662,6 +675,68 @@ mod tests {
             }
             assert!(arms.iter().flatten().all(|n| *n > 0), "{suite}: {arms:?}");
             assert!(dirt.iter().all(|n| *n > 100), "{suite}: {dirt:?}");
+        }
+    }
+
+    /// `mutate_into` returns the index its arm defines, and the mutant's
+    /// calls before it are the parent's. The index wanted is drawn from
+    /// a copy of the generator's stream, so an off-by-one on any arm —
+    /// regenerate (and its edit of a call that takes no argument),
+    /// append (onto a full parent too), truncate, the fresh program
+    /// from an empty parent — fails.
+    #[test]
+    fn mutate_into_returns_the_index_the_mutant_diverges_at() {
+        let (dm, consts) = dm_db();
+        let bare = kgpt_syzlang::parse(
+            "bare",
+            "resource fd_b[fd]\nopenat$b(dir const[0], file ptr[in, string[\"/dev/b\"]], flags const[2], mode const[0]) fd_b\nioctl$B(fd fd_b, cmd const[3], arg ptr[in, array[int8]])\nsync$b()\n",
+        )
+        .unwrap();
+        for (suite, db) in [("dm", dm), ("bare", SpecDb::from_files(vec![bare]))] {
+            let lowered = Arc::new(LoweredDb::build(&db, &consts));
+            let mut scout = Generator::from_lowered(Arc::clone(&lowered), 3);
+            let full = (0..20_000)
+                .map(|_| scout.gen_program(FULL_AT))
+                .find(|p| p.len() == FULL_AT)
+                .unwrap_or_else(|| panic!("{suite}: no full program"));
+            let mut g = Generator::from_lowered(lowered, 11);
+            let mut parents = vec![Program::default(), full];
+            let mut storage = Program::default();
+            // [fresh, regenerate, regenerate a call without arguments,
+            // append, append onto a full parent, truncate]
+            let mut arms = [0u32; 6];
+            for step in 0..4_000 {
+                let parent = &parents[step % parents.len()];
+                let mut draws = StdRng::from_state(g.rng_state());
+                let (arm, want) = match parent.len() {
+                    0 => (0, 0),
+                    len => match draws.random_range(0..10u32) {
+                        0..=5 => match draws.random_range(0..len) {
+                            ci if parent.calls[ci].args.is_empty() => (2, len),
+                            ci => (1, ci),
+                        },
+                        6..=8 if len == FULL_AT => (4, len),
+                        6..=8 => (3, len),
+                        _ => (5, draws.random_range(1..=len)),
+                    },
+                };
+                let from = g.mutate_into(parent, [4, 12, FULL_AT][step % 3], &mut storage);
+                assert_eq!(from, want, "{suite} step {step}: arm {arm}");
+                assert_eq!(
+                    storage.calls[..from],
+                    parent.calls[..from],
+                    "{suite} step {step}: arm {arm}"
+                );
+                arms[arm] += 1;
+                if parents.len() < 16 {
+                    parents.push(storage.clone());
+                } else {
+                    parents[2 + step % 14] = storage.clone();
+                }
+            }
+            let met = |arm: usize| arms[arm] > 0;
+            assert!([0, 1, 3, 4, 5].into_iter().all(met), "{suite}: {arms:?}");
+            assert!(suite == "dm" || met(2), "{suite}: {arms:?}");
         }
     }
 

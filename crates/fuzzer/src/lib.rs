@@ -88,7 +88,7 @@ mod triage;
 pub use campaign::{Campaign, CampaignConfig, CampaignResult, CrashTally, ShardSnapshot};
 pub use checkpoint::{CampaignSnapshot, CheckpointError};
 pub use corpus::{Corpus, CorpusEntry, CorpusStats};
-pub use exec::{execute, execute_with, ExecResult, ExecScratch};
+pub use exec::{execute, execute_with, ExecPrefix, ExecResult, ExecScratch};
 pub use fabric::{
     reference_run, BoundaryOutcome, CampaignMerge, EpochDelta, EpochPatch, KeptEntry, LeaseRunner,
     ReferenceRun,

@@ -353,6 +353,39 @@ impl CoverageMap {
         }
     }
 
+    /// Append to `log` a `(word, bits)` record for every live word
+    /// that changed since the last call over the same `seen` — each
+    /// live word's value then, in live order. A map that only grew
+    /// since it was cleared is rebuilt, live order included, by
+    /// [`CoverageMap::replay`] of the records logged so far: the
+    /// coverage of an exec at each of its call boundaries, stored once.
+    pub(crate) fn log_growth(&self, seen: &mut Vec<u64>, log: &mut Vec<(u32, u64)>) {
+        for (i, (w, bits)) in self.live_words().enumerate() {
+            match seen.get_mut(i) {
+                Some(old) if *old == bits => {}
+                Some(old) => {
+                    *old = bits;
+                    log.push((w, bits));
+                }
+                None => {
+                    seen.push(bits);
+                    log.push((w, bits));
+                }
+            }
+        }
+    }
+
+    /// Become the map that or-ing `log`'s records into an empty one
+    /// builds ([`CoverageMap::log_growth`]): only the live words are
+    /// cleared first, and nothing is allocated once the storage has
+    /// held the words.
+    pub(crate) fn replay(&mut self, log: &[(u32, u64)]) {
+        self.clear();
+        for &(w, bits) in log {
+            self.or_word(w as usize, bits);
+        }
+    }
+
     /// Replace word `w` (inside the span) with `bits`, keeping the
     /// live index and the count. A diff between two states of one
     /// growing map only ever adds bits; one that takes a word back to
@@ -927,6 +960,35 @@ mod tests {
                 let (a, b) = (&pool[at], &other);
                 assert_pair_models((&a.0, &a.1), (&b.0, &b.1), &ctx);
                 assert_pair_models((&b.0, &b.1), (&a.0, &a.1), &ctx);
+            }
+        }
+    }
+
+    /// A growth log replayed up to any boundary rebuilds the map as it
+    /// was there — words, span, count and live order — whatever the
+    /// map replayed into held before.
+    #[test]
+    fn a_replayed_growth_log_is_the_map_at_each_boundary() {
+        let mut rng = TestRng(0x10C);
+        for case in 0..40 {
+            let mut map = CoverageMap::new();
+            let (mut seen, mut log) = (Vec::new(), Vec::new());
+            let mut boundaries = Vec::new();
+            for _ in 0..1 + rng.next() % 12 {
+                for _ in 0..rng.next() % 4 {
+                    let start = rng.next() % 900 + (rng.next() % 3) * 64 * 40;
+                    map.insert_run(start, (rng.next() % 70) as u32);
+                }
+                map.log_growth(&mut seen, &mut log);
+                boundaries.push((map.clone(), log.len()));
+            }
+            let mut replayed = random_map(&mut rng, 30, 64 * 200);
+            for (k, (want, end)) in boundaries.iter().enumerate() {
+                replayed.replay(&log[..*end]);
+                let ctx = format!("case {case} boundary {k}");
+                assert_eq!(replayed.words(), want.words(), "{ctx}: words");
+                assert_eq!(replayed.live, want.live, "{ctx}: live order");
+                assert_eq!(replayed.len(), want.len(), "{ctx}: count");
             }
         }
     }

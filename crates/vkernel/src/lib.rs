@@ -53,6 +53,14 @@
 //! bytes directly from the memory image when the read stays inside one
 //! segment, copying into the amortized decode buffer only for
 //! segment-crossing reads.
+//!
+//! Because [`VKernel::exec_call`] is a pure function of the state, the
+//! call and the memory image, a state reached once need not be
+//! reached again: [`VmState::save_boundary`] keeps what an execution
+//! left after each call in a compact [`BoundaryStates`], and
+//! [`VmState::restore_boundary`] puts a worker back at any of them for
+//! the price of copying it — how the fuzzer runs a mutant from its
+//! parent's state.
 
 pub mod coverage;
 pub mod mem;
@@ -571,6 +579,133 @@ impl VmState {
     fn live_fd(&self, fd: u64) -> Option<usize> {
         let idx = usize::try_from((fd as i64).checked_sub(3)?).ok()?;
         self.fds.get(idx).filter(|f| !f.closed).map(|_| idx)
+    }
+
+    /// No boundary yet, to save this worker's next execution into:
+    /// take it on a reset state, before the first call, then
+    /// [`VmState::save_boundary`] after every call.
+    #[must_use]
+    pub fn boundary_states(&self) -> BoundaryStates {
+        BoundaryStates {
+            settings: (self.fuel_limit, self.trace.enabled),
+            ..BoundaryStates::default()
+        }
+    }
+
+    /// Save the state after the call just made as the next boundary of
+    /// `into`, `still` more to follow in this execution. The fd table,
+    /// the per-command counters and the fuel are copied whole — room is
+    /// made at once for `still` more of each at least this big, since
+    /// neither shrinks within an execution; of what only grows —
+    /// coverage words, trace events — just what the call added. (A
+    /// call's events start with its boundary marker, so no block run
+    /// merges across a boundary.)
+    pub fn save_boundary(&self, into: &mut BoundaryStates, still: usize) {
+        into.ends.reserve(still + 1);
+        into.fds.reserve((still + 1) * self.fds.len());
+        into.cmd_counts.reserve((still + 1) * self.cmd_counts.len());
+        into.fds.extend_from_slice(&self.fds);
+        into.cmd_counts.extend_from_slice(&self.cmd_counts);
+        self.coverage
+            .log_growth(&mut into.seen, &mut into.cover_log);
+        into.events
+            .extend_from_slice(&self.trace.events[into.events.len()..]);
+        if into.crash.is_none() {
+            if let Some(crash) = &self.crash {
+                into.crash = Some((into.ends.len() + 1, crash.clone()));
+            }
+        }
+        into.ends.push(BoundaryEnds {
+            fds: into.fds.len() as u32,
+            cmd_counts: into.cmd_counts.len() as u32,
+            cover_log: into.cover_log.len() as u32,
+            events: into.events.len() as u32,
+            fuel_spent: self.fuel_spent,
+            fuel_exhausted: self.fuel_exhausted,
+        });
+    }
+
+    /// Become the state the saved execution was in after its first
+    /// `k` calls (`k = 0`: the reset state; `k` at most the calls it
+    /// saved). `exec_call` is a pure function of the
+    /// state, the call and the memory image, so this is the state any
+    /// execution whose first `k` calls are those reaches there. Only
+    /// the live coverage words are cleared, and nothing is allocated
+    /// once the buffers have held the saved state. The fuel limit and
+    /// the trace flag stay this worker's ([`BoundaryStates::fits`]).
+    pub fn restore_boundary(&mut self, from: &BoundaryStates, k: usize) {
+        let Some(at) = k.checked_sub(1).map(|i| from.ends[i]) else {
+            return self.reset();
+        };
+        let before = k.checked_sub(2).map(|i| from.ends[i]);
+        let fds = before.map_or(0, |b| b.fds as usize)..at.fds as usize;
+        self.fds.clear();
+        self.fds.extend_from_slice(&from.fds[fds]);
+        let counts = before.map_or(0, |b| b.cmd_counts as usize)..at.cmd_counts as usize;
+        self.cmd_counts.clear();
+        self.cmd_counts.extend_from_slice(&from.cmd_counts[counts]);
+        self.coverage
+            .replay(&from.cover_log[..at.cover_log as usize]);
+        self.crash = match &from.crash {
+            Some((first, crash)) if *first <= k => Some(crash.clone()),
+            _ => None,
+        };
+        self.trace.events.clear();
+        self.trace
+            .events
+            .extend_from_slice(&from.events[..at.events as usize]);
+        self.fuel_spent = at.fuel_spent;
+        self.fuel_exhausted = at.fuel_exhausted;
+    }
+}
+
+/// The [`VmState`]s one execution passed through at its call
+/// boundaries — after its first call, its second, … — saved by
+/// [`VmState::save_boundary`] so that a later execution sharing its
+/// first `k` calls starts from the state after call `k`
+/// ([`VmState::restore_boundary`]) instead of recomputing it.
+///
+/// Compact: what a call may rewrite — the fd table, the per-command
+/// counters, the fuel — is kept whole per boundary; what only grows —
+/// the coverage map's words (as or-records), trace events — once per
+/// execution, with each boundary's end offset; a crash once, with the
+/// boundary it first shows at.
+#[derive(Debug, Clone, Default)]
+pub struct BoundaryStates {
+    /// `(fuel limit, tracing on)` of the state the boundaries were
+    /// saved from: fuel is charged and events logged under them.
+    settings: (u64, bool),
+    fds: Vec<FdState>,
+    cmd_counts: Vec<u32>,
+    /// One per boundary, in call order.
+    ends: Vec<BoundaryEnds>,
+    cover_log: Vec<(u32, u64)>,
+    events: Vec<TraceEvent>,
+    /// The first crash and the boundary (1-based) it shows at.
+    crash: Option<(usize, CrashReport)>,
+    /// Saving scratch: each live coverage word's value at the last
+    /// boundary, in live order.
+    seen: Vec<u64>,
+}
+
+/// Where one boundary's share of a [`BoundaryStates`] ends, and its
+/// fuel.
+#[derive(Debug, Clone, Copy)]
+struct BoundaryEnds {
+    fds: u32,
+    cmd_counts: u32,
+    cover_log: u32,
+    events: u32,
+    fuel_spent: u64,
+    fuel_exhausted: bool,
+}
+
+impl BoundaryStates {
+    /// Whether the boundaries were saved under `state`'s fuel limit
+    /// and trace flag — the worker settings a restored state keeps.
+    #[must_use]
+    pub fn fits(&self, state: &VmState) -> bool {
+        self.settings == (state.fuel_limit, state.trace.enabled)
     }
 }
 

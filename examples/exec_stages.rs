@@ -1,40 +1,47 @@
 //! Where a deep-chain exec's time and allocator events go, stage by
-//! stage, with every program built **by value** (the wrappers
-//! `gen_program` / `mutate` / `Corpus::observe`: a new program an exec,
-//! freed on rejection — the loop every shard ran until PR 24) against
-//! the loop shards run now, **in place** (`gen_program_into` /
-//! `mutate_into` / `observe_in_place`: the rejected program is the
-//! next one's storage).
+//! stage, with every program executed **whole** (`execute_with` from
+//! call 0: the loop shards ran before mutants resumed) against the loop
+//! shards run now, **resumed** (a mutant from its parent's state at the
+//! index `mutate_into` returns: `Corpus::prefix`, `ExecPrefix::restore`,
+//! `ExecPrefix::run`).
 //!
 //! Two shards built from the library's public parts mirror the one
 //! shard of a sequential campaign — the scheduler's LCG, one turn in
-//! four fresh, the corpus cap — one on each route. After a warm-up that
-//! converges them they advance in alternating blocks, a clock and the
-//! allocator's event count read between stages:
+//! four fresh, the corpus cap, every program built in place — one on
+//! each route. After a warm-up that converges them they advance in
+//! alternating blocks, a clock and the allocator's event count read
+//! between stages:
 //!
 //! * **select** — `Corpus::select`, the weighted pick;
 //! * **fresh** / **mutate** — the program, per program of that kind;
-//! * **exec** — `execute_with`;
-//! * **observe** — the admission test and, by value, the drop of the
-//!   rejected program.
+//! * **prefix** — `Corpus::prefix`: the parent's recorded states;
+//! * **restore** — `ExecPrefix::restore`: the VM state and returns at
+//!   the mutant's divergence index (or as far as the parent's states
+//!   are recorded);
+//! * **exec** — `execute_with` of a whole program, `ExecPrefix::run` of
+//!   a resumed one (which records the parent's states it passes that
+//!   are not recorded yet);
+//! * **observe** — the admission test.
 //!
-//! After every pair of blocks the two shards must agree — corpus,
-//! selection stream, generator draws — or the example panics. Then the
-//! campaign itself (`ShardedCampaign`, one shard, one epoch) runs the
-//! same execs traced and untraced in alternating repetitions: the
-//! difference is **capture**, the flight recorder's share, and what it
-//! returns must equal what the hand-built shards hold — coverage and
-//! corpus size, and byte for byte the store of a third hand-built
-//! shard that encodes every exec the moment it finishes.
+//! Beside the table: the kernel calls the exec loop ran per exec on
+//! each route — the count resuming cuts. After every pair of blocks the
+//! two shards must agree — corpus, selection stream, generator draws —
+//! or the example panics. Then the campaign itself (`ShardedCampaign`,
+//! one shard, one epoch) runs the same execs traced and untraced in
+//! alternating repetitions: the difference is **capture**, the flight
+//! recorder's share, and what it returns must equal what the hand-built
+//! shards hold — coverage and corpus size, and byte for byte the store
+//! of a third hand-built shard that executes every program whole and
+//! encodes it the moment it finishes.
 //!
 //! ```text
 //! cargo run --release --example exec_stages
 //! ```
 //!
-//! A record for EXPERIMENTS.md § "Where a deep-chain exec's allocator
-//! events go", never a gate: the referee is `benchmark/`'s
-//! `deepchain_sharded`, the pinned count `tests/alloc_count.rs`'s. A
-//! stage's time includes one clock read (some 20 ns here).
+//! A record for EXPERIMENTS.md § "Where a mutant's exec goes",
+//! never a gate: the referee is `benchmark/`'s `deepchain_sharded`, the
+//! pinned counts `tests/alloc_count.rs`'s. A stage's time includes one
+//! clock read (some 20 ns here).
 
 use kernelgpt::csrc::blueprint::Blueprint;
 use kernelgpt::csrc::{deepchain, KernelCorpus};
@@ -98,13 +105,20 @@ fn events() -> u64 {
     ALLOC_EVENTS.with(Cell::get)
 }
 
-const STAGES: [&str; 5] = ["select", "fresh", "mutate", "exec", "observe"];
+const STAGES: [&str; 7] = [
+    "select", "fresh", "mutate", "prefix", "restore", "exec", "observe",
+];
+const SELECT: usize = 0;
 const FRESH: usize = 1;
 const MUTATE: usize = 2;
+const PREFIX: usize = 3;
+const RESTORE: usize = 4;
+const EXEC: usize = 5;
+const OBSERVE: usize = 6;
 
 /// Time, allocator events and runs of each stage.
 #[derive(Default)]
-struct Tally([(u64, u64, u64); 5]);
+struct Tally([(u64, u64, u64); 7]);
 
 /// A clock and an event count, read between stages.
 struct Lap(Instant, u64);
@@ -140,8 +154,10 @@ struct Shard {
     scratch: ExecScratch,
     corpus: Corpus,
     rng_pick: u64,
-    /// The in-place route's one program.
+    /// The one program every exec is built into.
     prog: Program,
+    /// Calls the exec loop ran, over every exec of a timed block.
+    calls_run: u64,
 }
 
 impl Shard {
@@ -154,6 +170,7 @@ impl Shard {
             corpus: Corpus::new(CORPUS_CAP, config.seed),
             rng_pick: config.seed,
             prog: Program::default(),
+            calls_run: 0,
         }
     }
 
@@ -171,49 +188,57 @@ impl Shard {
         }
     }
 
-    /// One exec, every program built by value; with `eager`, traced.
-    fn step_by_value(&mut self, kernel: &VKernel, tally: &mut Tally, eager: Option<&mut Eager>) {
+    /// One exec, a mutant resumed from its parent's state when
+    /// `resume`, every program whole otherwise; with `eager`, traced.
+    fn step(
+        &mut self,
+        kernel: &VKernel,
+        tally: &mut Tally,
+        resume: bool,
+        eager: Option<&mut Eager>,
+    ) {
         let mut lap = Lap::start();
         let parent = self.pick();
-        lap.charge(tally, 0);
-        let prog = match parent {
-            None => self.generator.gen_program(MAX_PROG_LEN),
-            Some(idx) => self
-                .generator
-                .mutate(self.corpus.program(idx), MAX_PROG_LEN),
-        };
-        lap.charge(tally, if parent.is_none() { FRESH } else { MUTATE });
-        execute_with(kernel, &prog, &mut self.scratch);
-        lap.charge(tally, 3);
-        if let Some(eager) = eager {
-            eager.record(&self.scratch, &prog);
-            lap = Lap::start();
-        }
-        self.corpus.observe(prog, self.scratch.coverage(), parent);
-        lap.charge(tally, 4);
-    }
-
-    /// One exec, the program built into the one before it.
-    fn step_in_place(&mut self, kernel: &VKernel, tally: &mut Tally) {
-        let mut lap = Lap::start();
-        let parent = self.pick();
-        lap.charge(tally, 0);
-        match parent {
-            None => self
-                .generator
-                .gen_program_into(MAX_PROG_LEN, &mut self.prog),
+        lap.charge(tally, SELECT);
+        let resume_at = match parent {
+            None => {
+                self.generator
+                    .gen_program_into(MAX_PROG_LEN, &mut self.prog);
+                lap.charge(tally, FRESH);
+                None
+            }
             Some(idx) => {
                 let seed = self.corpus.program(idx);
-                self.generator
+                let from = self
+                    .generator
                     .mutate_into(seed, MAX_PROG_LEN, &mut self.prog);
+                lap.charge(tally, MUTATE);
+                resume.then_some((idx, from))
             }
+        };
+        let at = match resume_at {
+            Some((idx, from)) => {
+                let prefix = self.corpus.prefix(idx, &self.scratch);
+                lap.charge(tally, PREFIX);
+                let at = prefix.restore(from, &mut self.scratch);
+                lap.charge(tally, RESTORE);
+                prefix.run(kernel, &self.prog, &mut self.scratch, from);
+                at
+            }
+            None => {
+                execute_with(kernel, &self.prog, &mut self.scratch);
+                0
+            }
+        };
+        lap.charge(tally, EXEC);
+        self.calls_run += (self.prog.len() - at) as u64;
+        if let Some(eager) = eager {
+            eager.record(&self.scratch, &self.prog);
+            lap = Lap::start();
         }
-        lap.charge(tally, if parent.is_none() { FRESH } else { MUTATE });
-        execute_with(kernel, &self.prog, &mut self.scratch);
-        lap.charge(tally, 3);
         let cov = self.scratch.coverage();
         self.corpus.observe_in_place(&mut self.prog, cov, parent);
-        lap.charge(tally, 4);
+        lap.charge(tally, OBSERVE);
     }
 
     /// Panic unless continuing `self` and `other` is the same thing.
@@ -268,55 +293,53 @@ fn main() {
     let traced_ring = CampaignConfig::default().trace_ring;
 
     // The two routes, converged and then block against block.
-    let mut by_value = Shard::new(&lowered, &config(0));
-    let mut in_place = Shard::new(&lowered, &config(0));
+    let mut whole = Shard::new(&lowered, &config(0));
+    let mut resumed = Shard::new(&lowered, &config(0));
     let mut unmeasured = Tally::default();
     for _ in 0..WARM {
-        by_value.step_by_value(&kernel, &mut unmeasured, None);
-        in_place.step_in_place(&kernel, &mut unmeasured);
+        whole.step(&kernel, &mut unmeasured, false, None);
+        resumed.step(&kernel, &mut unmeasured, true, None);
     }
-    by_value.assert_agrees(&in_place, WARM);
-    let (mut value_tally, mut place_tally) = (Tally::default(), Tally::default());
+    whole.assert_agrees(&resumed, WARM);
+    (whole.calls_run, resumed.calls_run) = (0, 0);
+    let mut tallies = [Tally::default(), Tally::default()];
     for block in 0..BLOCKS {
-        let mut value_block = |shard: &mut Shard| {
+        for side in [block % 2, 1 - block % 2] {
+            let shard = if side == 0 { &mut whole } else { &mut resumed };
             for _ in 0..BLOCK {
-                shard.step_by_value(&kernel, &mut value_tally, None);
+                shard.step(&kernel, &mut tallies[side as usize], side == 1, None);
             }
-        };
-        let mut place_block = |shard: &mut Shard| {
-            for _ in 0..BLOCK {
-                shard.step_in_place(&kernel, &mut place_tally);
-            }
-        };
-        if block % 2 == 0 {
-            value_block(&mut by_value);
-            place_block(&mut in_place);
-        } else {
-            place_block(&mut in_place);
-            value_block(&mut by_value);
         }
-        by_value.assert_agrees(&in_place, WARM + BLOCK * (block + 1));
+        whole.assert_agrees(&resumed, WARM + BLOCK * (block + 1));
     }
-    let admitted = by_value.corpus.stats().admitted;
+    let admitted = whole.corpus.stats().admitted;
     println!(
         "one deep-chain shard, seed {SEED}: {EXECS} execs, {} timed a route after {WARM}; \
          {} corpus entries, {admitted} admissions",
         BLOCK * BLOCKS,
-        by_value.corpus.len()
+        whole.corpus.len()
     );
-    println!("\n                 by value            in place");
+    println!("\n                   whole             resumed");
     println!("stage          ns   events        ns   events   (per run of the stage)");
     let mut totals = [(0u64, 0u64); 2];
     for (i, stage) in STAGES.iter().enumerate() {
-        let cell = |tally: &Tally, total: &mut (u64, u64)| {
+        let mut cells = tallies.iter().zip(&mut totals).map(|(tally, total)| {
             let (ns, events, runs) = tally.0[i];
             *total = (total.0 + ns, total.1 + events);
-            let runs = runs.max(1) as f64;
-            format!("{:>7.0} {:>8.2}", ns as f64 / runs, events as f64 / runs)
-        };
-        let value = cell(&value_tally, &mut totals[0]);
-        let place = cell(&place_tally, &mut totals[1]);
-        println!("{stage:<8} {value}   {place}");
+            match runs {
+                0 => format!("{:>7} {:>8}", "-", "-"),
+                runs => format!(
+                    "{:>7.0} {:>8.2}",
+                    ns as f64 / runs as f64,
+                    events as f64 / runs as f64
+                ),
+            }
+        });
+        let (w, r) = (
+            cells.next().unwrap_or_default(),
+            cells.next().unwrap_or_default(),
+        );
+        println!("{stage:<8} {w}   {r}");
     }
     let execs = (BLOCK * BLOCKS) as f64;
     let per = |(ns, events): (u64, u64)| {
@@ -326,6 +349,11 @@ fn main() {
         "an exec  {}   {}   (every stage, its share of execs)",
         per(totals[0]),
         per(totals[1])
+    );
+    println!(
+        "\nkernel calls the exec loop ran per exec: whole {:.2}, resumed {:.2}",
+        whole.calls_run as f64 / execs,
+        resumed.calls_run as f64 / execs
     );
 
     // The campaign: the same execs through the library's own shard,
@@ -342,14 +370,14 @@ fn main() {
             let out = black_box(campaign(ring).with_threads(1).run_traced());
             let (ns, cost) = (t.elapsed().as_nanos(), events() - before);
             runs[side] = (runs[side].0.min(ns), cost);
-            assert_eq!(out.0.coverage, *in_place.corpus.coverage(), "ring {ring}");
-            assert_eq!(out.0.corpus_size, in_place.corpus.len(), "ring {ring}");
+            assert_eq!(out.0.coverage, *resumed.corpus.coverage(), "ring {ring}");
+            assert_eq!(out.0.corpus_size, resumed.corpus.len(), "ring {ring}");
             if side == 1 {
                 traced = Some(out.1);
             }
         }
     }
-    // A third shard, by value and traced, files every exec eagerly.
+    // A third shard, whole programs and traced, files every exec eagerly.
     let mut oracle = Shard::new(&lowered, &config(traced_ring));
     oracle.scratch.state.trace_mut().set_enabled(true);
     let mut eager = Eager {
@@ -358,9 +386,9 @@ fn main() {
         spec_fp: SpecCache::fingerprint(db.files()),
     };
     for _ in 0..EXECS {
-        oracle.step_by_value(&kernel, &mut unmeasured, Some(&mut eager));
+        oracle.step(&kernel, &mut unmeasured, false, Some(&mut eager));
     }
-    oracle.assert_agrees(&in_place, EXECS);
+    oracle.assert_agrees(&resumed, EXECS);
     let stores = traced.expect("a traced repetition ran");
     assert_eq!(stores.len(), 1);
     assert!(

@@ -61,7 +61,8 @@ use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fabric::{DeltaPayload, Message};
 use kernelgpt::fuzzer::{
     ast_execute_with, execute_with, AstGenerator, AstScratch, Campaign, CampaignConfig,
-    CampaignMerge, Corpus, ExecScratch, Generator, HubSeed, LeaseRunner, Program, ShardedCampaign,
+    CampaignMerge, Corpus, ExecPrefix, ExecScratch, Generator, HubSeed, LeaseRunner, Program,
+    ShardedCampaign,
 };
 use kernelgpt::llm::protocol::{Prompt, Task};
 use kernelgpt::llm::{ChatRequest, LanguageModel, ModelKind, OracleModel};
@@ -270,11 +271,22 @@ fn a_mutant_that_keeps_every_pointee_costs_allocations_per_call_not_per_node() {
 /// its image — and, once in 200, an admission: 2.26 events an exec
 /// untraced and 2.45 traced (the difference is set-up, first pins and
 /// the final sealing of eight rings, not the steady state:
-/// `tests/trace_alloc.rs`), where the parent commit spent 13.3 and
+/// `tests/trace_alloc.rs`), where the commit before spent 13.3 and
 /// 13.4 building every program by value and freeing it on rejection.
+///
+/// Mutants now run from their parent's state, recorded as the parent's
+/// mutants run: each corpus entry's states are stored once, and grow
+/// no further than the entry's calls. The count may rise over what it
+/// was before (2.27106 and 2.49206 events an exec, at 135 entries) by
+/// at most the storage of every entry's states, each at most what
+/// recording all the states of the dearest deep-chain program or
+/// mutant of it costs with tracing on.
 #[test]
 fn a_deep_chain_exec_costs_a_pointee_not_a_program() {
     const EXECS: u64 = 50_000;
+    /// Events of the whole campaign, ring 0 and ring 32, before mutants
+    /// resumed.
+    const BEFORE_RESUMING: [u64; 2] = [113_553, 124_603];
     let kc = KernelCorpus::from_blueprints(deepchain::suite());
     let suite: Vec<_> = kc
         .blueprints()
@@ -282,6 +294,29 @@ fn a_deep_chain_exec_costs_a_pointee_not_a_program() {
         .map(Blueprint::ground_truth_spec)
         .collect();
     let kernel = VKernel::boot(deepchain::suite());
+    let dearest_states = {
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, kc.consts());
+        let mut g = Generator::from_lowered(Arc::clone(&lowered), 13);
+        let mut scratch = ExecScratch::from_lowered(lowered);
+        scratch.state.trace_mut().set_enabled(true);
+        let mut dearest = 0;
+        for _ in 0..200 {
+            let mut prog = g.gen_program(12);
+            for _ in 0..4 {
+                execute_with(&kernel, &prog, &mut scratch);
+                let before = events();
+                let mut prefix = Box::new(ExecPrefix::new(&scratch));
+                prefix.restore(prog.len(), &mut scratch);
+                prefix.run(&kernel, &prog, &mut scratch, prog.len());
+                assert_eq!(prefix.len(), prog.len());
+                drop(black_box(prefix));
+                dearest = dearest.max(events() - before);
+                prog = g.mutate(&prog, 12);
+            }
+        }
+        dearest
+    };
     let campaign = |execs: u64, trace_ring: usize| {
         let config = CampaignConfig {
             execs,
@@ -298,13 +333,25 @@ fn a_deep_chain_exec_costs_a_pointee_not_a_program() {
     };
     // Compile and lower the suite into the global cache first.
     let _ = campaign(10, 0).run();
-    for ring in [0, 32] {
+    for (ring, before_resuming) in [0, 32].into_iter().zip(BEFORE_RESUMING) {
         let before = events();
         let (result, stores) = campaign(EXECS, ring).run_traced();
-        let per_exec = (events() - before) as f64 / EXECS as f64;
-        println!("deep-chain campaign, ring {ring}: {per_exec:.2} allocation events per exec");
+        let spent = events() - before;
+        let per_exec = spent as f64 / EXECS as f64;
+        // No eviction at this size: a shard held each entry it ends with.
+        let states_bound = result.corpus_size as u64 * dearest_states;
+        println!(
+            "deep-chain campaign, ring {ring}: {per_exec:.2} allocation events per exec; \
+             {} over the count before resuming, at most {} entries x {dearest_states}",
+            spent as i64 - before_resuming as i64,
+            result.corpus_size
+        );
         assert_eq!(result.execs, EXECS);
         assert_eq!(stores.len(), if ring > 0 { 8 } else { 0 });
+        assert!(
+            spent <= before_resuming + states_bound,
+            "ring {ring}: {spent} events, {before_resuming} + at most {states_bound} in states"
+        );
         assert!(
             per_exec <= 3.0,
             "ring {ring}: {per_exec:.2} events per exec"
@@ -313,15 +360,20 @@ fn a_deep_chain_exec_costs_a_pointee_not_a_program() {
 }
 
 /// A converged shard's loop, by hand from its public parts: select,
-/// build into the one program, execute, offer it to the corpus. Once
-/// the storage has settled after the last admission, a step whose
-/// program draws no pointee costs **no** allocator event, however many
-/// calls it copies, cuts or appends; over the whole run an exec costs
-/// what its new pointees do.
+/// build into the one program, execute it — a mutant from its parent's
+/// state at the index it diverges at, a fresh program whole — and offer
+/// it to the corpus. Once the storage has settled after the last
+/// admission, a step whose program draws no pointee costs **no**
+/// allocator event, however many calls it copies, cuts, appends or
+/// resumes past — unless it is the first to ask for its parent's
+/// prefix or records states the prefix does not hold yet (it grows
+/// once per entry, as deep as its mutants diverge); over the whole run
+/// an exec costs what its new pointees do.
 #[test]
 fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
     const SETTLE: u32 = 5_000;
     const HELD: u32 = 5_000;
+    const CAP: usize = 2048;
     let kc = KernelCorpus::from_blueprints(deepchain::suite());
     let db = SpecDb::from_files(
         kc.blueprints()
@@ -333,11 +385,16 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
     let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
     let mut g = Generator::from_lowered(Arc::clone(&lowered), 9);
     let mut scratch = ExecScratch::from_lowered(lowered);
-    let mut corpus = Corpus::new(2048, 9);
+    let mut corpus = Corpus::new(CAP, 9);
     let mut prog = Program::default();
     let fresh = Program::default();
 
+    // Which entries' prefixes exist: the first ask boxes one. Indices
+    // are stable, as nothing is evicted under this cap.
+    let mut asked = vec![false; CAP];
+
     let (mut since_admission, mut held, mut steps) = (0u32, 0u32, 0u64);
+    let (mut grew, mut skipped) = (0u32, 0u64);
     let start = events();
     while held < HELD {
         steps += 1;
@@ -348,13 +405,27 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
             corpus.select()
         };
         let before = events();
+        let (mut recorded, mut at) = (false, 0);
         match parent {
-            None => g.gen_program_into(12, &mut prog),
-            Some(idx) => g.mutate_into(corpus.program(idx), 12, &mut prog),
+            None => {
+                g.gen_program_into(12, &mut prog);
+                execute_with(&kernel, &prog, &mut scratch);
+            }
+            Some(idx) => {
+                let from = g.mutate_into(corpus.program(idx), 12, &mut prog);
+                let first = !std::mem::replace(&mut asked[idx], true);
+                let prefix = corpus.prefix(idx, &scratch);
+                let len_before = prefix.len();
+                at = prefix.restore(from, &mut scratch);
+                prefix.run(&kernel, &prog, &mut scratch, from);
+                // Only a boxed or grown prefix may allocate; any other
+                // event in `prefix`, `restore` or `run` fails the step.
+                recorded = first || prefix.len() > len_before;
+            }
         }
-        execute_with(&kernel, &prog, &mut scratch);
-        let from = parent.map_or(&fresh, |idx| corpus.program(idx));
-        let cheap = draws_no_pointee(&prog, from);
+        grew += u32::from(recorded);
+        let parent_prog = parent.map_or(&fresh, |idx| corpus.program(idx));
+        let cheap = draws_no_pointee(&prog, parent_prog);
         let admitted = corpus.observe_in_place(&mut prog, scratch.coverage(), parent) > 0;
         let cost = events() - before;
         if admitted {
@@ -363,16 +434,20 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
             continue;
         }
         since_admission += 1;
-        if since_admission > SETTLE && cheap {
+        if since_admission > SETTLE && cheap && !recorded {
             held += 1;
-            assert_eq!(cost, 0, "step {steps}: {} calls", prog.len());
+            skipped += at as u64;
+            assert_eq!(cost, 0, "step {steps}: {} calls from {at}", prog.len());
         }
     }
     let per_exec = (events() - start) as f64 / steps as f64;
     println!(
-        "in-place shard: {steps} steps, {} entries, {per_exec:.2} events a step, {held} pointee-free steps at 0",
+        "in-place shard: {steps} steps, {} entries, {grew} steps grew a prefix, {per_exec:.2} \
+         events a step, {held} pointee-free steps at 0 resuming past {skipped} calls",
         corpus.len()
     );
+    assert_eq!(corpus.stats().evicted, 0, "an entry moved");
+    assert!(skipped > u64::from(held), "the held steps hardly resumed");
     assert!(per_exec <= 3.0, "{per_exec:.2} events a step");
 }
 
