@@ -28,7 +28,9 @@ pub use kgpt_fuzzer::fabric::{DeltaKind, DeltaPayload};
 /// written sparse (the `kgpt_fuzzer::checkpoint` coverage rule).
 /// v5: the envelope carries `codec::checksum` (a word at a time) where
 /// v4 carried byte-wise FNV-1a; bodies are unchanged.
-pub const FRAME_VERSION: u32 = 5;
+/// v6: snapshots, deltas and patches carry no crash tally (a
+/// campaign's tally is folded from its triage report).
+pub const FRAME_VERSION: u32 = 6;
 
 /// A granted lease: everything a worker needs to run its shard range
 /// deterministically.
@@ -386,17 +388,18 @@ mod tests {
 
     #[test]
     fn superseded_frame_versions_are_rejected() {
-        // A v4 frame has the same bodies under another checksum, a v3
-        // frame the same envelope around dense coverage maps: a v5
-        // reader must refuse both by version, not misparse them or
+        // A v5 frame has the same envelope around shards that carry a
+        // crash tally, a v4 frame v5's bodies under another checksum, a
+        // v3 frame the same envelope around dense coverage maps: a v6
+        // reader must refuse them all by version, not misparse them or
         // call them corrupt.
         let mut frame = Message::Finish {
             tenant: 1,
             boundary: 42,
         }
         .to_frame();
-        assert_eq!(frame[..4], 5u32.to_le_bytes());
-        for version in [4, 3, 2, FRAME_VERSION as u8 + 1] {
+        assert_eq!(frame[..4], 6u32.to_le_bytes());
+        for version in [5, 4, 3, 2, FRAME_VERSION as u8 + 1] {
             frame[0] = version;
             let e = Message::from_frame(&frame).unwrap_err();
             assert!(e.to_string().contains("unsupported version"), "{e}");

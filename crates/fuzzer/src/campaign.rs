@@ -113,7 +113,8 @@ impl CampaignConfig {
     }
 }
 
-/// Crash title → (count, CVE).
+/// Crash title → (count, CVE): a campaign's triage report folded by
+/// title (see [`CampaignResult::crashes`]).
 pub type CrashTally = BTreeMap<String, (u64, Option<String>)>;
 
 /// Outcome of a campaign.
@@ -122,7 +123,11 @@ pub struct CampaignResult {
     /// Union of covered blocks (dense bitmap; use
     /// [`CoverageMap::to_btree_set`] for a sorted-set report view).
     pub coverage: CoverageMap,
-    /// Crash title → (count, CVE).
+    /// Crash title → (count, CVE), derived from [`Self::triage`] when
+    /// the result is folded: per title, the sum of its entries'
+    /// `count`, with their CVE. A signature's site names exactly one
+    /// bug of one handler, so one title and one CVE; no shard,
+    /// snapshot, checkpoint or frame keeps a count of its own.
     pub crashes: CrashTally,
     /// Programs executed.
     pub execs: u64,
@@ -138,7 +143,8 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Number of distinct crash titles.
+    /// Number of distinct crash titles among the triage report's
+    /// entries (the keys of [`Self::crashes`]).
     #[must_use]
     pub fn unique_crashes(&self) -> usize {
         self.crashes.len()
@@ -153,15 +159,23 @@ impl CampaignResult {
     /// The one result fold: merge per-shard parts, given in shard-id
     /// order, into the campaign result. Every route — sequential,
     /// sharded, fabric-merged — ends here, so their results agree by
-    /// construction.
+    /// construction. The crash tally is folded from `triage` here and
+    /// nowhere else.
     pub(crate) fn fold(
         parts: impl IntoIterator<Item = WorkerResult>,
         execs: u64,
         triage: TriageReport,
     ) -> CampaignResult {
+        let mut crashes = CrashTally::new();
+        for e in triage.entries() {
+            crashes
+                .entry(e.title.clone())
+                .or_insert((0, e.cve.clone()))
+                .0 += e.count;
+        }
         let mut result = CampaignResult {
             coverage: CoverageMap::new(),
-            crashes: CrashTally::new(),
+            crashes,
             execs,
             corpus_size: 0,
             triage,
@@ -169,9 +183,6 @@ impl CampaignResult {
         };
         for part in parts {
             result.coverage.merge(&part.coverage);
-            for (title, (count, cve)) in part.crashes {
-                result.crashes.entry(title).or_insert((0, cve)).0 += count;
-            }
             result.corpus_size += part.corpus_size;
             result.fuel_exhausted += part.fuel_exhausted;
         }
@@ -184,7 +195,7 @@ impl CampaignResult {
 pub(crate) const CORPUS_CAP: usize = 2048;
 
 /// One worker's live state: generator, coverage-keyed corpus, crash
-/// tally, and execution scratch. The loop is advanced in epochs
+/// capture, and execution scratch. The loop is advanced in epochs
 /// ([`ShardState::run_epoch`]) so the sharded driver can pause every
 /// shard at the same exec boundary for hub exchange; running the
 /// whole budget as one epoch is bit-identical to the epoch-chunked
@@ -197,12 +208,9 @@ pub(crate) struct ShardState {
     /// for the next (module docs). Scratch like `scratch`.
     prog: Program,
     pub(crate) corpus: Corpus,
-    pub(crate) crashes: CrashTally,
-    /// Each title's count when the shard was last marked
-    /// ([`ShardState::mark`]); empty on a shard never marked.
-    crash_marks: BTreeMap<String, u64>,
-    /// Per-shard signature capture (drained by the driver at epoch
-    /// boundaries in shard-id order; see [`crate::triage`]).
+    /// Per-shard signature capture and counts (drained by the driver
+    /// at epoch boundaries in shard-id order; see [`crate::triage`]) —
+    /// the shard's only record of its crashes.
     pub(crate) triage: ShardTriage,
     /// Epochs this shard has completed (the capture timestamp).
     epoch: u64,
@@ -240,7 +248,6 @@ pub struct ShardSnapshot {
     /// it is, and a coordinator closes its boundaries over it and
     /// patches it in place ([`crate::fabric`]).
     pub(crate) corpus: Corpus,
-    pub(crate) crashes: CrashTally,
     pub(crate) triage_seen: std::collections::BTreeSet<kgpt_vkernel::CrashSignature>,
     pub(crate) epoch: u64,
     pub(crate) rng_pick: u64,
@@ -257,7 +264,6 @@ pub(crate) struct ShardView<'a> {
     pub(crate) id: u32,
     pub(crate) gen_rng: [u64; 4],
     pub(crate) corpus: &'a Corpus,
-    pub(crate) crashes: &'a CrashTally,
     pub(crate) triage_seen: &'a std::collections::BTreeSet<kgpt_vkernel::CrashSignature>,
     pub(crate) epoch: u64,
     pub(crate) rng_pick: u64,
@@ -272,7 +278,6 @@ impl ShardView<'_> {
             id: self.id,
             gen_rng: self.gen_rng,
             corpus: self.corpus.clone(),
-            crashes: self.crashes.clone(),
             triage_seen: self.triage_seen.clone(),
             epoch: self.epoch,
             rng_pick: self.rng_pick,
@@ -289,7 +294,6 @@ impl ShardSnapshot {
             id: self.id,
             gen_rng: self.gen_rng,
             corpus: &self.corpus,
-            crashes: &self.crashes,
             triage_seen: &self.triage_seen,
             epoch: self.epoch,
             rng_pick: self.rng_pick,
@@ -303,7 +307,6 @@ impl ShardSnapshot {
         let (coverage, corpus_size) = self.corpus.into_coverage();
         WorkerResult {
             coverage,
-            crashes: self.crashes,
             corpus_size,
             fuel_exhausted: self.fuel_exhausted,
         }
@@ -333,8 +336,6 @@ impl ShardState {
             scratch,
             prog: Program::default(),
             corpus: Corpus::new(CORPUS_CAP, seed),
-            crashes: BTreeMap::new(),
-            crash_marks: BTreeMap::new(),
             triage: ShardTriage::default(),
             epoch: 0,
             max_prog_len: config.max_prog_len,
@@ -421,7 +422,6 @@ impl ShardState {
             id: self.id,
             gen_rng: self.generator.rng_state(),
             corpus: &self.corpus,
-            crashes: &self.crashes,
             triage_seen: self.triage.seen(),
             epoch: self.epoch,
             rng_pick: self.rng_pick,
@@ -438,41 +438,17 @@ impl ShardState {
     /// Mark the shard where somebody else holds the same state — a
     /// fabric coordinator, right after an acked boundary's import; a
     /// checkpoint and its journal, right after a durable boundary: the
-    /// corpus numbers its entries ([`Corpus::mark`]), the tally notes
-    /// its counts and the flight recorder its exec count, so the next
-    /// boundary can be written as an increment from live state. The
-    /// third map that grows between boundaries needs no mark: the
-    /// signatures first seen since are the captures the boundary's
-    /// triage drain takes. Allocates only for a title the tally gained
-    /// since the last mark.
+    /// corpus numbers its entries ([`Corpus::mark`]) and the flight
+    /// recorder notes its exec count, so the next boundary can be
+    /// written as an increment from live state. The seen-set needs no
+    /// mark: the signatures first seen since are the captures the
+    /// boundary's triage drain takes, and the crash counts are drained
+    /// whole at every boundary. Allocates nothing.
     pub(crate) fn mark(&mut self) {
         self.corpus.mark();
         if let Some(tracer) = &mut self.tracer {
             tracer.mark();
         }
-        for (title, (count, _)) in &self.crashes {
-            match self.crash_marks.get_mut(title) {
-                Some(marked) => *marked = *count,
-                None => {
-                    self.crash_marks.insert(title.clone(), *count);
-                }
-            }
-        }
-    }
-
-    /// The tally records that are new or counted further since the
-    /// mark, in title order. One allocation when there are any (they
-    /// are counted first), none otherwise.
-    pub(crate) fn crashes_since_mark(&self) -> Vec<(&str, u64, Option<&str>)> {
-        let changed = || {
-            let moved = |(title, (count, _)): &(&String, &(u64, Option<String>))| {
-                self.crash_marks.get(*title) != Some(count)
-            };
-            self.crashes.iter().filter(moved)
-        };
-        let mut records = Vec::with_capacity(changed().count());
-        records.extend(changed().map(|(t, (count, cve))| (t.as_str(), *count, cve.as_deref())));
-        records
     }
 
     /// Rebuild a live shard from a snapshot, which it consumes,
@@ -487,7 +463,6 @@ impl ShardState {
         let mut state = ShardState::new(lowered, config, snap.id, snap.remaining, 0);
         state.generator.restore_rng(snap.gen_rng);
         state.corpus = snap.corpus;
-        state.crashes = snap.crashes;
         state.triage = ShardTriage::from_seen(snap.triage_seen);
         state.epoch = snap.epoch;
         state.rng_pick = snap.rng_pick;
@@ -538,15 +513,6 @@ impl ShardState {
                 self.fuel_exhausted += 1;
             }
             if let Some(c) = self.scratch.crash() {
-                // A title already tallied is counted in place; only a
-                // new one copies its strings into the tally.
-                match self.crashes.get_mut(&*c.title) {
-                    Some(tally) => tally.0 += 1,
-                    None => {
-                        let cve = c.cve.as_deref().map(String::from);
-                        self.crashes.insert(c.title.to_string(), (1, cve));
-                    }
-                }
                 // Capture the reproducer on the first local sighting
                 // of the signature (clones only then), count always.
                 self.triage.observe(c, prog, self.epoch);
@@ -569,16 +535,14 @@ impl ShardState {
     }
 
     /// Fold the finished shard into a mergeable result (the triage
-    /// report is accumulated by the driver's boundary drains).
+    /// report, and the crash tally folded from it, are accumulated by
+    /// the driver's boundary drains).
     pub(crate) fn finish(self) -> WorkerResult {
-        let crashes = self.crashes;
-        let fuel_exhausted = self.fuel_exhausted;
         let (coverage, corpus_size) = self.corpus.into_coverage();
         WorkerResult {
             coverage,
-            crashes,
             corpus_size,
-            fuel_exhausted,
+            fuel_exhausted: self.fuel_exhausted,
         }
     }
 }
@@ -611,7 +575,6 @@ pub(crate) fn run_worker(
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerResult {
     pub(crate) coverage: CoverageMap,
-    pub(crate) crashes: CrashTally,
     pub(crate) corpus_size: usize,
     pub(crate) fuel_exhausted: u64,
 }

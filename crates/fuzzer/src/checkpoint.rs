@@ -2,9 +2,11 @@
 //!
 //! A [`CampaignSnapshot`] is the complete serializable identity of a
 //! paused [`crate::ShardedCampaign`] at an epoch boundary: config and
-//! spec fingerprints, every shard's RNG streams / corpus / crash
-//! tally / triage seen-set in shard-id order, the cross-shard
-//! [`crate::hub::SeedHub`], the campaign [`TriageReport`], and what
+//! spec fingerprints, every shard's RNG streams / corpus / triage
+//! seen-set in shard-id order, the cross-shard
+//! [`crate::hub::SeedHub`], the campaign [`TriageReport`] (the one
+//! record of the campaign's crashes: the title tally is folded from it
+//! with the result, never persisted), and what
 //! the next epoch keeps of the flight recorder's per-shard
 //! [`TraceStore`]s. Restoring it and continuing is **bit-identical**
 //! to never having stopped — result and returned trace stores alike
@@ -15,7 +17,7 @@
 //! A checkpointing campaign makes every boundary durable, and writes
 //! what the epoch changed:
 //!
-//! * `<path>` is a **base** — a whole snapshot in the version-4
+//! * `<path>` is a **base** — a whole snapshot in the version-5
 //!   encoding below, installed atomically over one generation of
 //!   history (`<path>.prev`);
 //! * `<path>.journal` holds one **record** per boundary since: a
@@ -28,7 +30,7 @@
 //!   the in-process boundary admits — and a trace increment is what
 //!   `TraceStore::advance` takes (the kept ring traces recorded and
 //!   the traces pinned since, each sealed for it once). Records on the
-//!   benchmark's campaign run 5–16 KB beside a 125 KB base; the
+//!   benchmark's campaign average 5.6 KB beside a 124 KB base; the
 //!   shards are then marked exactly as an acked fabric boundary marks
 //!   them. One patch codec, two sinks.
 //!
@@ -88,7 +90,7 @@
 //!
 //! Composed from the workspace codec — layout rules and the envelope
 //! are documented in [`kgpt_syzlang::codec`]. Four things are
-//! particular to this format (version 4):
+//! particular to this format (version 5):
 //!
 //! * **One encoder, over borrowed state.** `SnapshotView` is the
 //!   snapshot's fields as references; it is what gets encoded. The
@@ -143,12 +145,14 @@ const MAGIC: &[u8; 8] = b"KGPTCKPT";
 /// reader never guesses at an unknown version. (Version 4: a trace
 /// store holds what the next epoch keeps, not the whole ring — the
 /// bytes of a v3 store would parse and mean something else — and the
-/// envelope carries `codec::checksum`.)
-const VERSION: u32 = 4;
+/// envelope carries `codec::checksum`. Version 5: a shard carries no
+/// crash tally.)
+const VERSION: u32 = 5;
 
-/// Magic and version of a journal record's envelope.
+/// Magic and version of a journal record's envelope (version 2: its
+/// patches carry no crash-tally records).
 const JOURNAL_MAGIC: &[u8; 8] = b"KGPTJRNL";
-const JOURNAL_VERSION: u32 = 1;
+const JOURNAL_VERSION: u32 = 2;
 
 /// Magic, version and checksum: what an envelope's payload follows.
 pub(crate) const HEADER: usize = 20;
@@ -719,19 +723,6 @@ pub(crate) fn decode_word_diff(r: &mut Reader<'_>) -> Result<CoverageWordDiff, D
     }
 }
 
-/// One crash-tally record: `title | count | cve`.
-pub(crate) fn encode_crash(title: &str, count: u64, cve: Option<&str>, w: &mut Writer<'_>) {
-    w.str(title);
-    w.u64(count);
-    w.opt_str(cve);
-}
-
-pub(crate) fn decode_crash(
-    r: &mut Reader<'_>,
-) -> Result<(String, u64, Option<String>), DecodeError> {
-    Ok((r.str()?, r.u64()?, r.opt_str()?))
-}
-
 pub(crate) fn encode_corpus_stats(stats: &CorpusStats, w: &mut Writer<'_>) {
     w.u64(stats.admitted);
     w.u64(stats.imported);
@@ -779,9 +770,6 @@ pub(crate) fn encode_shard(s: ShardView<'_>, w: &mut Writer<'_>) {
     encode_coverage(s.corpus.coverage(), w);
     encode_corpus_stats(&s.corpus.stats(), w);
     w.seq(s.corpus.entries(), encode_corpus_entry);
-    w.seq(s.crashes, |(title, (count, cve)), w| {
-        encode_crash(title, *count, cve.as_deref(), w);
-    });
     w.seq(s.triage_seen, encode_signature);
 }
 
@@ -803,11 +791,6 @@ pub(crate) fn decode_shard(r: &mut Reader<'_>) -> Result<ShardSnapshot, DecodeEr
                 stats,
             )
         },
-        crashes: r
-            .seq(decode_crash)?
-            .into_iter()
-            .map(|(title, count, cve)| (title, (count, cve)))
-            .collect(),
         triage_seen: r.seq(decode_signature)?.into_iter().collect(),
     })
 }
@@ -843,7 +826,6 @@ pub(crate) fn decode_triage_entry(r: &mut Reader<'_>) -> Result<TriageEntry, Dec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::CrashTally;
     use crate::hub::HubSeed;
     use kgpt_syzlang::prog::ProgCall;
     use kgpt_syzlang::Value;
@@ -918,9 +900,6 @@ mod tests {
     }
 
     fn sample() -> CampaignSnapshot {
-        let mut crashes = CrashTally::new();
-        crashes.insert("bug a".into(), (3, Some("CVE-2023-0001".into())));
-        crashes.insert("bug b".into(), (1, None));
         let mut seen = BTreeSet::new();
         seen.insert(sig(5));
         seen.insert(sig(9));
@@ -960,7 +939,6 @@ mod tests {
                         evicted: 2,
                     },
                 ),
-                crashes,
                 triage_seen: seen,
                 epoch: 7,
                 rng_pick: 0x1234,
@@ -1018,15 +996,13 @@ mod tests {
     }
 
     /// Format stability: a mismatch means the on-disk layout changed
-    /// and `VERSION` must bump. The whole file was recorded when
-    /// `VERSION` became 4; the payload digest dates from version 3 —
-    /// the bump moved the envelope (version word, `codec::checksum`)
-    /// and what a trace section means, not a payload byte.
+    /// and `VERSION` must bump. Recorded when `VERSION` became 5 (the
+    /// shard's crash tally left the payload).
     #[test]
     fn golden_bytes() {
         let bytes = sample().to_bytes();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (755, 0xd3d2_033c_cce5_9bb7));
-        assert_eq!(fnv1a(&bytes[20..]), 0x434f_ec6c_d5da_64b9);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (698, 0xce36_982c_2368_32b0));
+        assert_eq!(fnv1a(&bytes[20..]), 0xdbe6_e09e_5bcc_5146);
     }
 
     #[test]
@@ -1050,11 +1026,11 @@ mod tests {
         assert!(e.message.contains("magic"), "{e}");
 
         // An unknown version and the superseded versions alike — 1 and
-        // 2 (dense coverage, framed trace blobs) and 3 (whole rings
-        // under a byte-wise checksum): a reader never guesses at a
-        // layout it was not built for.
-        assert_eq!(good[8..12], 4u32.to_le_bytes());
-        for version in [0xFF, 1, 2, 3] {
+        // 2 (dense coverage, framed trace blobs), 3 (whole rings under
+        // a byte-wise checksum) and 4 (a crash tally per shard): a
+        // reader never guesses at a layout it was not built for.
+        assert_eq!(good[8..12], 5u32.to_le_bytes());
+        for version in [0xFF, 1, 2, 3, 4] {
             let mut bad = good.clone();
             bad[8] = version; // version LE low byte
             let e = CampaignSnapshot::from_bytes(&bad).unwrap_err();
@@ -1172,7 +1148,7 @@ mod tests {
         let mut journal = Journal::new(&path);
         journal.write(|out| snap.view().frame_into(out)).unwrap();
         let id = base_id(&snap.to_bytes());
-        assert_eq!((journal.base_id, journal.base_len), (id, 755));
+        assert_eq!((journal.base_id, journal.base_len), (id, 698));
         // A record that names this base but patches a shard it has not.
         journal.record(8, |w| {
             let w = w.expect("a base to append to, and an empty journal");
@@ -1290,13 +1266,62 @@ mod tests {
         );
     }
 
+    /// A record whose patch counts a signature that neither the report
+    /// nor a capture of the record holds is refused at `validate`, as a
+    /// misfit patch is: the journal loads up to the record before it.
+    /// (Re-framed untouched, the same record applies: the forgery is
+    /// the count, not the re-framing.)
+    #[test]
+    fn a_record_counting_an_uncaptured_signature_ends_the_log() {
+        let (base_bytes, journal) = recorded_journal();
+        let base = CampaignSnapshot::from_bytes(&base_bytes).unwrap();
+        let id = base_id(&base_bytes);
+        let mut log = Reader::new(&journal);
+        let records: Vec<&[u8]> = std::iter::from_fn(|| log.bytes().ok()).collect();
+        assert_eq!(records.len(), 4);
+        let reframed = |forge: bool| {
+            let body = unframe(JOURNAL_MAGIC, JOURNAL_VERSION, records[1]).unwrap();
+            let mut r = Reader::new(body);
+            let (record_id, boundary) = (r.u64().unwrap(), r.u64().unwrap());
+            let Ok(DeltaPayload::Incremental(mut patches)) = DeltaPayload::decode(&mut r) else {
+                panic!("a record's payload is incremental");
+            };
+            if forge {
+                patches[1].counts.push((sig(1 << 41), 1));
+            }
+            let mut record = Vec::new();
+            frame_into(&mut record, JOURNAL_MAGIC, JOURNAL_VERSION, |w| {
+                w.u64(record_id);
+                w.u64(boundary);
+                DeltaPayload::Incremental(patches).encode(w);
+                body[r.pos()..].iter().for_each(|b| w.u8(*b));
+            });
+            let mut log = Vec::new();
+            let mut w = Writer::new(&mut log);
+            for (i, original) in records.iter().enumerate() {
+                w.bytes(if i == 1 { &record } else { original });
+            }
+            log
+        };
+        let (clean, replayed) = base.clone().replay(id, &reframed(false));
+        assert_eq!(replayed, 4);
+        assert_eq!(clean, base.clone().replay(id, &journal).0);
+        let (cut, replayed) = base.clone().replay(id, &reframed(true));
+        assert_eq!(replayed, 1, "the forged record ends the log");
+        assert_eq!(
+            cut,
+            base.clone().replay(id, &journal[..4 + records[0].len()]).0
+        );
+    }
+
     /// A deep-chain campaign driven the way `ShardedCampaign` drives a
     /// checkpointing one — step, close the boundary around the
     /// journal's record, write, mark — with every corpus padded by
     /// `inert` entries no program reaches and every recorder by
     /// `pinned` traces no exec produced. For each durable boundary:
-    /// whether it was a base, whether anything was admitted, captured
-    /// or exchanged at it, and the allocator events of making it
+    /// whether it was a base, whether nothing was admitted, captured
+    /// or exchanged in its epoch or at it (a record carries what its
+    /// epoch admitted), and the allocator events of making it
     /// durable (close + write + mark, less those of closing it bare).
     fn durable_boundary_costs(inert: u64, pinned: u64) -> Vec<(bool, bool, u64)> {
         use crate::campaign::{CampaignConfig, ShardState};
@@ -1346,16 +1371,16 @@ mod tests {
         let mut boundary = Boundary::new(config.hub_top_k);
         let mut costs = Vec::new();
         let budget = config.epoch_budget();
+        let quiet = |runner: &LeaseRunner| {
+            let stats = |s: &ShardState| (s.corpus.stats(), s.triage.seen().len());
+            runner.states.iter().map(stats).collect::<Vec<_>>()
+        };
         loop {
+            let was = quiet(&runner);
             runner.step(&kernel, 1);
             if boundary.epochs_done == 0 {
                 runner.import(&padding);
             }
-            let quiet = |runner: &LeaseRunner| {
-                let stats = |s: &ShardState| (s.corpus.stats(), s.triage.seen().len());
-                runner.states.iter().map(stats).collect::<Vec<_>>()
-            };
-            let was = quiet(&runner);
             let before = ALLOC_EVENTS.with(Cell::get);
             let closed = journal.record(boundary.epochs_done + 1, |record| {
                 runner.close_boundary(&kernel, &mut boundary, record)
@@ -1377,11 +1402,11 @@ mod tests {
 
     /// Past the boundary where admissions stop, making a boundary
     /// durable by a record costs a fixed number of allocator events —
-    /// per shard the drained counts, the tally records that moved, the
-    /// boundary's own list of shards — whatever the corpora and the
-    /// recorders hold: the same at four times the corpus and with fifty
-    /// more pinned traces a shard. The record buffer is kept, no store
-    /// is built, no trace sealed before is sealed again. A base costs
+    /// per shard its drained counts, and three of the boundary's own —
+    /// whatever the corpora and the recorders hold: the same at four
+    /// times the corpus and with fifty more pinned traces a shard. The
+    /// record buffer is kept, no store is built, no trace sealed before
+    /// is sealed again. A base costs
     /// events in proportion to both — and is the only boundary that does.
     #[test]
     fn a_converged_journalled_boundary_allocates_for_what_changed() {
@@ -1409,10 +1434,7 @@ mod tests {
         };
         let (record, base) = summarize(0, 0);
         let (record_padded, base_padded) = summarize(46, 50);
-        assert!(
-            record <= 4 * 8 + 2,
-            "{record} events for a converged record"
-        );
+        assert!(record <= 8 + 3, "{record} events for a converged record");
         assert_eq!(
             record_padded, record,
             "a record's cost moved with what the shards hold"

@@ -38,8 +38,8 @@
 //! 1. **Mark.** When a boundary is acked the worker imports the
 //!    reply's seeds and *marks* its shards ([`LeaseRunner::acked`]):
 //!    each corpus numbers its entries and forgets which coverage
-//!    words it touched (the crate-internal `Corpus::mark`), each
-//!    tally notes its counts. No snapshot is taken.
+//!    words it touched (the crate-internal `Corpus::mark`). No
+//!    snapshot is taken.
 //! 2. **Live frame.** The next boundary
 //!    ([`LeaseRunner::write_boundary`]) is written straight from live
 //!    state through borrowed views, the way a checkpoint is: a lease's
@@ -47,8 +47,8 @@
 //!    agreed base yet), every later one as [`EpochPatch`] records — a
 //!    [`KeptEntry`] per marked entry still there, the unmarked
 //!    entries by reference, the coverage words the corpus touched,
-//!    the tally records that moved, the signatures the drain just
-//!    captured. Byte for byte what [`diff_boundary`] makes of two
+//!    the signatures the drain just captured and the counts it took.
+//!    Byte for byte what [`diff_boundary`] makes of two
 //!    snapshot sets: an entry's `(program, contributed)` is unique in
 //!    its shard and survivors keep their order, so the mark index is
 //!    what that scan finds.
@@ -56,7 +56,8 @@
 //!    payload against the committed state when it arrives
 //!    ([`CampaignMerge::validate`]: a shard to patch, `kept` strictly
 //!    ascending and in range, coverage runs inside the decoder's
-//!    bound — every way a patch can fail to fit) and stashes the
+//!    bound — every way a patch can fail to fit — and no count for a
+//!    signature the report will not hold) and stashes the
 //!    decoded payload. Nothing committed is touched before the
 //!    barrier, so a range re-granted meanwhile still restores from
 //!    the previous boundary, and a rejected payload leaves no trace.
@@ -108,10 +109,10 @@ use crate::campaign::{
     CampaignConfig, CampaignResult, ShardSnapshot, ShardState, ShardView, CORPUS_CAP,
 };
 use crate::checkpoint::{
-    config_fingerprint, decode_corpus_entry, decode_corpus_stats, decode_coverage, decode_crash,
-    decode_rng, decode_shard, decode_triage_entry, decode_usize, decode_word_diff,
-    encode_corpus_entry, encode_corpus_stats, encode_coverage, encode_crash, encode_shard,
-    encode_triage_entry, encode_word_diff, CheckpointError,
+    config_fingerprint, decode_corpus_entry, decode_corpus_stats, decode_coverage, decode_rng,
+    decode_shard, decode_triage_entry, decode_usize, decode_word_diff, encode_corpus_entry,
+    encode_corpus_stats, encode_coverage, encode_shard, encode_triage_entry, encode_word_diff,
+    CheckpointError,
 };
 use crate::corpus::{Corpus, CorpusEntry, CorpusStats};
 use crate::hub::HubSeed;
@@ -296,8 +297,8 @@ pub fn decode_seeds(r: &mut Reader<'_>) -> Result<Vec<HubSeed>, DecodeError> {
 ///   admissions, and an entry's `(program, contributed)` pair is
 ///   unique within a shard (contributions are pairwise disjoint).
 /// * coverage — a [`CoverageWordDiff`] against the baseline map.
-/// * crashes / triage-seen — only new or changed records; both maps
-///   grow monotonically between boundaries.
+/// * triage-seen — only the signatures new since the baseline; the
+///   set grows monotonically between boundaries.
 /// * triage candidates / counts — already per-boundary increments in
 ///   [`EpochDelta`]; carried verbatim.
 ///
@@ -322,8 +323,6 @@ pub struct EpochPatch {
     pub kept: Vec<KeptEntry>,
     /// Newly admitted entries, appended after the survivors.
     pub added: Vec<CorpusEntry>,
-    /// Crash-tally records that are new or changed since the baseline.
-    pub crashes: Vec<(String, u64, Option<String>)>,
     /// Triage signatures seen for the first time since the baseline.
     pub seen: Vec<CrashSignature>,
     /// Fresh minimized captures, verbatim from the [`EpochDelta`].
@@ -337,7 +336,7 @@ pub struct EpochPatch {
 /// ([`EpochPatch::encode`]), and a worker fills one from a marked
 /// shard's live state ([`LeaseRunner::write_boundary`]) — the way
 /// `ShardView` serves both a snapshot and a live shard.
-struct PatchView<'a, K, C> {
+struct PatchView<'a, K> {
     shard_id: u32,
     epoch: u64,
     rng_pick: u64,
@@ -349,7 +348,6 @@ struct PatchView<'a, K, C> {
     cov_diff: &'a CoverageWordDiff,
     kept: K,
     added: &'a [CorpusEntry],
-    crashes: C,
     seen: &'a [CrashSignature],
     candidates: &'a [TriageEntry],
     counts: &'a [(CrashSignature, u64)],
@@ -358,11 +356,7 @@ struct PatchView<'a, K, C> {
 /// A [`KeptEntry`] on the wire: its index and its two counters.
 const KEPT_RECORD_BYTES: usize = 4 + 8 + 8;
 
-impl<'a, K, C> PatchView<'a, K, C>
-where
-    K: ExactSizeIterator<Item = KeptEntry>,
-    C: ExactSizeIterator<Item = (&'a str, u64, Option<&'a str>)>,
-{
+impl<K: ExactSizeIterator<Item = KeptEntry>> PatchView<'_, K> {
     /// Scalars verbatim, then the increments.
     fn encode(self, w: &mut Writer<'_>) {
         w.u32(self.shard_id);
@@ -382,9 +376,6 @@ where
             w.u64(k.hits);
         });
         w.seq(self.added, encode_corpus_entry);
-        w.seq(self.crashes, |(title, count, cve), w| {
-            encode_crash(title, count, cve, w);
-        });
         w.seq(self.seen, encode_signature);
         w.seq(self.candidates, encode_triage_entry);
         w.seq(self.counts, encode_count);
@@ -414,7 +405,6 @@ fn write_patch(
         cov_diff: &state.corpus.coverage_since_mark(),
         kept: state.corpus.kept_since_mark(),
         added: state.corpus.added_since_mark(),
-        crashes: state.crashes_since_mark().into_iter(),
         seen,
         candidates,
         counts,
@@ -424,17 +414,12 @@ fn write_patch(
 
 impl EpochPatch {
     /// Whether `delta` can be expressed as an increment against
-    /// `base`. False only on id misalignment or if a monotonic map
-    /// shrank (impossible for real shard evolution, but diffing is
-    /// fallible by construction — the caller falls back to a full
-    /// frame rather than ship a lossy patch).
+    /// `base`. False only on id misalignment or if the seen-set shrank
+    /// (impossible for real shard evolution, but diffing is fallible
+    /// by construction — the caller falls back to a full frame rather
+    /// than ship a lossy patch).
     fn diffable(base: &ShardSnapshot, delta: &EpochDelta) -> bool {
-        base.id == delta.snapshot.id
-            && base
-                .crashes
-                .keys()
-                .all(|t| delta.snapshot.crashes.contains_key(t))
-            && base.triage_seen.is_subset(&delta.snapshot.triage_seen)
+        base.id == delta.snapshot.id && base.triage_seen.is_subset(&delta.snapshot.triage_seen)
     }
 
     /// Diff `delta` against `base` (requires [`EpochPatch::diffable`]).
@@ -482,12 +467,6 @@ impl EpochPatch {
                 None => added.push(e),
             }
         }
-        let crashes = snapshot
-            .crashes
-            .iter()
-            .filter(|(title, record)| base.crashes.get(*title) != Some(record))
-            .map(|(t, (c, cve))| (t.clone(), *c, cve.clone()))
-            .collect();
         let seen = snapshot
             .triage_seen
             .difference(&base.triage_seen)
@@ -505,7 +484,6 @@ impl EpochPatch {
             cov_diff: coverage.diff_words_since(base.corpus.coverage()),
             kept,
             added,
-            crashes,
             seen,
             candidates,
             counts,
@@ -586,10 +564,6 @@ impl EpochPatch {
         });
         let entries = kept.chain(self.added).collect();
         let coverage = base.corpus.coverage().apply_word_diff(&self.cov_diff);
-        let mut crashes = base.crashes.clone();
-        for (title, count, cve) in self.crashes {
-            crashes.insert(title, (count, cve));
-        }
         let mut triage_seen = base.triage_seen.clone();
         triage_seen.extend(self.seen);
         Ok(EpochDelta {
@@ -603,7 +577,6 @@ impl EpochPatch {
                     entries,
                     self.corpus_stats,
                 ),
-                crashes,
                 triage_seen,
                 epoch: self.epoch,
                 rng_pick: self.rng_pick,
@@ -617,7 +590,6 @@ impl EpochPatch {
 
     /// Write the patch (scalars verbatim, then the increments).
     pub fn encode(&self, w: &mut Writer<'_>) {
-        let crashes = self.crashes.iter();
         PatchView {
             shard_id: self.shard_id,
             epoch: self.epoch,
@@ -630,7 +602,6 @@ impl EpochPatch {
             cov_diff: &self.cov_diff,
             kept: self.kept.iter().copied(),
             added: &self.added,
-            crashes: crashes.map(|(title, count, cve)| (title.as_str(), *count, cve.as_deref())),
             seen: &self.seen,
             candidates: &self.candidates,
             counts: &self.counts,
@@ -664,7 +635,6 @@ impl EpochPatch {
                 })
             })?,
             added: r.seq(decode_corpus_entry)?,
-            crashes: r.seq(decode_crash)?,
             seen: r.seq(decode_signature)?,
             candidates: r.seq(decode_triage_entry)?,
             counts: r.seq(decode_count)?,
@@ -747,7 +717,7 @@ pub fn decode_patches(bytes: &[u8], pos: &mut usize) -> Result<Vec<EpochPatch>, 
 /// Hand-rolled two-shard boundary fixture — baseline snapshots plus
 /// the deltas of the next boundary, wired so [`diff_boundary`]
 /// produces nontrivial patches (kept + added entries, coverage runs,
-/// a changed crash record, a fresh triage signature). The snapshot
+/// a fresh triage signature, an observation count). The snapshot
 /// fields are crate-private on purpose; protocol-crate tests and
 /// benches build realistic frames through this instead.
 #[doc(hidden)]
@@ -788,12 +758,6 @@ pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
                 evicted: 0,
             },
         ),
-        crashes: [(
-            format!("KASAN: use-after-free in shard {id}"),
-            (epoch + 1, Some("CVE-2023-0001".to_string())),
-        )]
-        .into_iter()
-        .collect(),
         triage_seen: (0..=epoch).map(|i| sig(100 + i)).collect(),
         epoch,
         rng_pick: epoch * 17,
@@ -913,22 +877,60 @@ impl DeltaPayload {
         }
     }
 
+    /// `check` over every record in payload order — its shard id, the
+    /// corpus entries it carries whole, its triage candidates and its
+    /// observation counts — up to the first error.
+    fn try_for_each_record(
+        &self,
+        mut check: impl FnMut(
+            u32,
+            &[CorpusEntry],
+            &[TriageEntry],
+            &[(CrashSignature, u64)],
+        ) -> Result<(), CheckpointError>,
+    ) -> Result<(), CheckpointError> {
+        match self {
+            DeltaPayload::Full(deltas) => deltas.iter().try_for_each(|d| {
+                let corpus = d.snapshot.corpus.entries();
+                check(d.snapshot.id, corpus, &d.candidates, &d.counts)
+            }),
+            DeltaPayload::Incremental(patches) => patches
+                .iter()
+                .try_for_each(|p| check(p.shard_id, &p.added, &p.candidates, &p.counts)),
+        }
+    }
+
     /// Every program the payload would commit — corpus entries and
     /// triage captures — against `lowered` (`check_programs`).
     fn check_programs(&self, lowered: &LoweredDb) -> Result<(), CheckpointError> {
-        let check = |shard: u32, corpus: &[CorpusEntry], candidates: &[TriageEntry]| {
+        self.try_for_each_record(|shard, corpus, candidates, _| {
             let origin = format_args!("the boundary record of shard {shard}");
             let corpus = corpus.iter().map(|e| &e.program);
             check_programs(lowered, origin, corpus.chain(triage_programs(candidates)))
-        };
-        match self {
-            DeltaPayload::Full(deltas) => deltas
-                .iter()
-                .try_for_each(|d| check(d.snapshot.id, d.snapshot.corpus.entries(), &d.candidates)),
-            DeltaPayload::Incremental(patches) => patches
-                .iter()
-                .try_for_each(|p| check(p.shard_id, &p.added, &p.candidates)),
-        }
+        })
+    }
+
+    /// Every count of the payload names a signature the report will
+    /// hold when `Boundary::admit_shard` adds it: one `report` holds
+    /// already, or one a candidate of the same or an earlier record
+    /// captures (an in-process drain drops a capture an earlier shard
+    /// of the boundary admitted, so a journal record's later shard may
+    /// count a signature it carries no capture of). A count for
+    /// anything else would be dropped, and be a crash missing from the
+    /// result's tally. Allocates only when the payload captures.
+    fn check_counts(&self, report: &TriageReport) -> Result<(), CheckpointError> {
+        let mut captured = Vec::new();
+        self.try_for_each_record(|shard, _, candidates, counts| {
+            captured.extend(candidates.iter().map(|c| c.signature));
+            let held = |sig: &CrashSignature| report.contains(sig) || captured.contains(sig);
+            match counts.iter().find(|(sig, _)| !held(sig)) {
+                Some((sig, _)) => Err(CheckpointError::new(format!(
+                    "the boundary record of shard {shard} counts {sig:?}, which no report entry \
+                     or capture holds"
+                ))),
+                None => Ok(()),
+            }
+        })
     }
 
     /// Write the payload: a kind byte, then the counted records.
@@ -1307,9 +1309,6 @@ fn patch_in_place(
     shard
         .corpus
         .apply_patch(p.corpus_rng, p.corpus_stats, p.cov_diff, &p.kept, p.added);
-    for (title, count, cve) in p.crashes {
-        shard.crashes.insert(title, (count, cve));
-    }
     shard.triage_seen.extend(p.seen);
     shard.gen_rng = p.gen_rng;
     shard.epoch = p.epoch;
@@ -1344,8 +1343,8 @@ impl MergeState {
     /// `boundary.epochs_done`.
     pub(crate) fn from_snapshot(committed: Vec<ShardSnapshot>, boundary: Boundary) -> MergeState {
         MergeState {
-            // A journal is replayed unchecked: the resume it serves
-            // restores the shards, and that is a door.
+            // A journal's programs are replayed unchecked: the resume
+            // it serves restores the shards, and that is a door.
             lowered: None,
             shards_total: u32::try_from(committed.len()).unwrap_or(u32::MAX),
             boundary,
@@ -1359,6 +1358,7 @@ impl MergeState {
         if let Some(lowered) = &self.lowered {
             payload.check_programs(lowered)?;
         }
+        payload.check_counts(&self.boundary.triage)?;
         let DeltaPayload::Incremental(patches) = payload else {
             return Ok(());
         };
@@ -1546,12 +1546,13 @@ impl CampaignMerge {
     /// must name a shard that has committed state to patch (none
     /// before the first boundary) and fit it — `kept` strictly
     /// ascending and in range, coverage runs inside the decoder's
-    /// bound. A payload that passes cannot fail at
-    /// [`CampaignMerge::commit`] for anything it carries, as long as
-    /// no boundary commits in between. A merge that knows its suite
-    /// ([`CampaignMerge::for_suite`]) also holds every program of the
-    /// payload, full or incremental, to it; for a spec-blind one a full
-    /// payload always passes.
+    /// bound — and every observation count, full or incremental, must
+    /// name a signature the committed report holds or a candidate of
+    /// its own or an earlier record captures. A payload that passes
+    /// cannot fail at [`CampaignMerge::commit`] for anything it
+    /// carries, as long as no boundary commits in between. A merge that
+    /// knows its suite ([`CampaignMerge::for_suite`]) also holds every
+    /// program of the payload, full or incremental, to it.
     ///
     /// # Errors
     ///
@@ -1922,8 +1923,8 @@ mod tests {
     /// length: `diff_in` sizes a contribution like the exec it came
     /// from, and `merge` grows to it even when the high words add
     /// nothing. The sparse-or-dense choice is made on that length, so
-    /// these bytes — recorded before the map indexed its non-zero
-    /// words — pin that the index did not move it.
+    /// these bytes pin that the map's index of its non-zero words does
+    /// not move it (the 13 runs were first recorded before the index).
     #[test]
     fn a_map_that_merged_a_zero_padded_contribution_keeps_its_patch_bytes() {
         let (base, mut deltas) = sample_boundary();
@@ -1950,7 +1951,7 @@ mod tests {
         encode_patches(&patches, &mut incr);
         assert_eq!(
             (incr.len(), kgpt_syzlang::codec::fnv1a(&incr)),
-            (828, 0x866a_a76b_3a96_6590)
+            (696, 0x81f5_7364_3043_38a3)
         );
     }
 
@@ -1966,7 +1967,6 @@ mod tests {
         assert_eq!(patches[1].kept.len(), 1);
         assert_eq!(patches[1].added.len(), 1);
         assert!(!patches[0].cov_diff.is_empty());
-        assert_eq!(patches[0].crashes.len(), 1, "crash count changed");
         assert_eq!(patches[0].seen.len(), 1, "one fresh signature");
 
         let mut incr = Vec::new();
@@ -2219,6 +2219,96 @@ mod tests {
         merge.commit(halves).expect("the clean patches fit");
         assert_eq!(merge.epochs_done(), 2);
         assert_ne!(committed_bytes(&merge, 2), before);
+    }
+
+    /// A count for a signature that neither the committed report nor a
+    /// capture of the payload holds must not reach `add_count`, which
+    /// would panic a debug-built coordinator on its `debug_assert` or
+    /// drop a crash from the result. Full or incremental, it is refused
+    /// at the door and the committed state is left alone; a capture in
+    /// an earlier record of the same payload holds a later record's
+    /// count, one in a later record does not.
+    #[test]
+    fn a_count_for_a_signature_nobody_captured_is_refused() {
+        let (kernel, suite, consts) = dm_setup();
+        let config = cfg(1500, 5);
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let mut merge = CampaignMerge::new(config.clone(), 2);
+        let mut runner = LeaseRunner::fresh(&lowered, &config, 2, 0, 2);
+        let forged = CrashSignature {
+            sysno: kgpt_vkernel::Sysno::Ioctl,
+            chain_depth: 9,
+            sanitizer: kgpt_vkernel::SanitizerKind::UseAfterFree,
+            site: u64::MAX,
+        };
+        let refused = |merge: &mut CampaignMerge, payload: DeltaPayload, what: &str| {
+            let (before, done) = (committed_bytes(merge, 2), merge.epochs_done());
+            let err = merge.validate(&payload).expect_err(what);
+            assert!(
+                err.message.contains("no report entry or capture"),
+                "{what}: {err}"
+            );
+            assert!(merge.commit(vec![payload]).is_err(), "{what}: commit");
+            assert_eq!(committed_bytes(merge, 2), before, "{what}");
+            assert_eq!(merge.epochs_done(), done, "{what}");
+        };
+
+        runner.advance(&kernel);
+        let (_, first) = live_payload(&mut runner, &kernel);
+        let DeltaPayload::Full(deltas) = &first else {
+            panic!("an unmarked runner ships full records");
+        };
+        let full = |edit: &dyn Fn(&mut Vec<EpochDelta>)| {
+            let mut bad = deltas.clone();
+            edit(&mut bad);
+            DeltaPayload::Full(bad)
+        };
+        refused(&mut merge, full(&|d| d[1].counts.push((forged, 1))), "full");
+        // Both shards count a signature only `shard` captures: shard 0's
+        // capture holds shard 1's count (an in-process drain drops the
+        // capture of a signature an earlier shard admitted), shard 1's
+        // does not hold shard 0's.
+        let capture = deltas[0].candidates.first().expect("a boundary-1 capture");
+        let held = (capture.signature, 1);
+        let only = |shard: usize| {
+            full(&|d| {
+                for (i, delta) in d.iter_mut().enumerate() {
+                    delta.candidates.retain(|c| c.signature != held.0);
+                    if i == shard {
+                        delta.candidates.push(capture.clone());
+                    }
+                    if delta.counts.iter().all(|(sig, _)| *sig != held.0) {
+                        delta.counts.push(held);
+                    }
+                }
+            })
+        };
+        refused(&mut merge, only(1), "captured by a later record");
+        merge
+            .validate(&only(0))
+            .expect("captured by an earlier record");
+
+        let outcome = merge.commit(vec![first.clone()]).expect("boundary 1");
+        runner.acked(&outcome.seeds);
+        runner.advance(&kernel);
+        let (_, second) = live_payload(&mut runner, &kernel);
+        let DeltaPayload::Incremental(patches) = &second else {
+            panic!("a marked runner ships increments");
+        };
+        let mut bad = patches.clone();
+        bad[0].counts.push((forged, 1));
+        refused(&mut merge, DeltaPayload::Incremental(bad), "incremental");
+        // A signature the committed report holds may be counted by any
+        // record, capture or not.
+        let mut good = patches.clone();
+        good[1].counts.push(held);
+        merge
+            .validate(&DeltaPayload::Incremental(good))
+            .expect("held by the report");
+        merge
+            .commit(vec![second])
+            .expect("the clean increment fits");
     }
 
     /// Whether some call of `p` takes a resource argument.

@@ -611,29 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn triage_dedup_counts_match_the_crash_tally() {
-        // Signatures refine titles: the per-signature dedup counts
-        // must sum to the same total as the title tally, and every
-        // entry's first observation carries a consistent title.
-        let (kernel, suite, consts) = dm_setup();
-        let r = ShardedCampaign::new(&kernel, &suite, &consts, hub_cfg(4000, 1)).run();
-        assert!(!r.triage.is_empty());
-        let tally_total: u64 = r.crashes.values().map(|(n, _)| n).sum();
-        let triage_total: u64 = r.triage.entries().map(|e| e.count).sum();
-        assert_eq!(tally_total, triage_total);
-        for e in r.triage.entries() {
-            assert!(
-                r.crashes.contains_key(&e.title),
-                "unknown title {}",
-                e.title
-            );
-            assert!(e.count > 0);
-            assert!(!e.minimized.is_empty());
-            assert!(e.minimized.len() <= e.raw.len());
-        }
-    }
-
-    #[test]
     fn exchange_never_loses_coverage_and_spreads_seeds() {
         // The executed-coverage union can only be helped by seeing
         // other shards' seeds earlier; at minimum nothing is lost,

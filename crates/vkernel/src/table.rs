@@ -544,6 +544,41 @@ mod tests {
         }
     }
 
+    /// What a campaign's crash tally rests on, over every kernel the
+    /// repo boots. A crash's signature site is `block_base + 4000 +
+    /// bug`: it names one bug of one handler only while every handler's
+    /// bug sites fit inside its own block stratum. The tally is folded
+    /// from the triage report by title: it carries one CVE a title only
+    /// while equal titles carry equal CVEs.
+    #[test]
+    fn a_crash_site_names_one_bug_and_a_title_one_cve() {
+        let kernels = [
+            ("flagships", flagship::all_flagships()),
+            (
+                "full(1)",
+                kgpt_csrc::KernelCorpus::full(1).blueprints().to_vec(),
+            ),
+            ("deep-chain", deepchain::suite()),
+        ];
+        for (name, blueprints) in kernels {
+            let kernel = VKernel::boot(blueprints);
+            let mut cves = BTreeMap::new();
+            for t in &kernel.targets {
+                let bugs = t.bugs.len() as u64;
+                assert!(
+                    4000 + bugs <= BLOCK_STRIDE,
+                    "{name}: {} has {bugs} bugs",
+                    t.id
+                );
+                for bug in &t.bugs {
+                    let cve = *cves.entry(&*bug.title).or_insert(bug.cve.as_deref());
+                    assert_eq!(cve, bug.cve.as_deref(), "{name}: {}", bug.title);
+                }
+            }
+            assert!(!cves.is_empty(), "{name} boots no bug");
+        }
+    }
+
     #[test]
     fn names_that_resolve_to_nothing_compile_to_arms_that_cannot_fire() {
         // A command on an undeclared struct, a sub-handler that was

@@ -612,9 +612,8 @@ struct PatchLoad {
     kept: usize,
     /// Corpus entries and triage candidates: programs, the dear part.
     programs: usize,
-    /// What decoding its records costs: a string for a tally record's
-    /// title and one for its CVE, and the growth of each shard's list
-    /// of observation counts and of tally records.
+    /// What decoding its records costs: the growth of each shard's
+    /// list of observation counts.
     record_events: u64,
 }
 
@@ -640,9 +639,7 @@ fn patch_load(frame: &[u8]) -> Option<PatchLoad> {
     for p in &patches {
         load.kept += p.kept.len();
         load.programs += p.added.len() + p.candidates.len();
-        let strings = |(_, _, cve): &(String, u64, Option<String>)| 1 + u64::from(cve.is_some());
-        load.record_events += p.crashes.iter().map(strings).sum::<u64>();
-        load.record_events += pushes(p.crashes.len()) + pushes(p.counts.len());
+        load.record_events += pushes(p.counts.len());
         // No admission, no coverage: nothing here allocates per word.
         assert!(!p.added.is_empty() || p.cov_diff.is_empty());
     }
@@ -739,9 +736,9 @@ fn converged_boundary_costs(inert: u64) -> Vec<(PatchLoad, u64, u64, u64)> {
 }
 
 /// Past the boundary where admissions stop, a fabric boundary costs a
-/// fixed number of allocator events on either side — a couple per
-/// shard on the worker (the drained counts, the tally records that
-/// moved), the decoded records on the coordinator — whatever the
+/// fixed number of allocator events on either side — one per shard on
+/// the worker (the drained counts), the decoded records on the
+/// coordinator — whatever the
 /// corpus holds: the same at four times the corpus, where one snapshot
 /// set (the snapshot route took two on the worker and two on the
 /// coordinator every boundary) costs four times the events.
@@ -756,9 +753,8 @@ fn a_converged_fabric_boundary_allocates_for_what_changed_not_for_the_corpus() {
             costs.len()
         );
         for (load, worker, coordinator, _) in &costs {
-            // Per shard: the counts it drained and the tally records
-            // that moved, each one `Vec`.
-            assert!(*worker <= 2 * SHARDS, "{load:?}: {worker} worker events");
+            // Per shard: the counts it drained, one `Vec`.
+            assert!(*worker <= SHARDS, "{load:?}: {worker} worker events");
             // Its records aside: the list of patches, each shard's
             // list of survivors — allocated once, at its length — and
             // the commit's own three.

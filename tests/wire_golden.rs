@@ -1,11 +1,11 @@
 //! Format stability: FNV-1a of every serialized format reachable
 //! through the public API. A mismatch means a wire or on-disk format
 //! changed — which needs a version bump, not a new constant. The
-//! bodies were recorded with `FRAME_VERSION` 4 (sparse coverage maps
-//! inside deltas, patches and seeds) and the whole frames with
-//! `FRAME_VERSION` 5 (`codec::checksum` in the envelope, bodies
-//! untouched); the program and trace-store payload pins still date
-//! from before the port onto `kgpt_syzlang::codec`.
+//! delta and patch bodies and frames were recorded with
+//! `FRAME_VERSION` 6 (no crash tally in a shard, delta or patch), the
+//! journal record with journal version 2 beside a version-5 base; the
+//! program and trace-store payload pins still date from before the
+//! port onto `kgpt_syzlang::codec`.
 //! (The program, checkpoint and trace-store fixtures are private to
 //! their crates' unit tests; their `golden_bytes` assertions sit
 //! beside them in `syzlang/src/prog.rs`, `fuzzer/src/checkpoint.rs`
@@ -33,36 +33,35 @@ fn fabric_delta_and_patch_bytes_are_golden() {
     // A full frame's body: the counted list of deltas.
     let mut full = Vec::new();
     Writer::new(&mut full).seq(&deltas, EpochDelta::encode);
-    assert_eq!((full.len(), fnv1a(&full)), (775, 0x665d_ebc4_e00a_b049));
+    assert_eq!((full.len(), fnv1a(&full)), (643, 0x4ed9_3737_6fdf_8aae));
 
     let patches = diff_boundary(&base, deltas).expect("diffable fixture");
     let mut incr = Vec::new();
     encode_patches(&patches, &mut incr);
-    assert_eq!((incr.len(), fnv1a(&incr)), (652, 0x94ed_eade_fe34_7643));
+    assert_eq!((incr.len(), fnv1a(&incr)), (520, 0x48e7_a9b6_32e4_7b10));
 }
 
 #[test]
 fn delta_frames_are_golden() {
     let (base, deltas) = sample_boundary();
     let full = delta_frame(DeltaPayload::Full(deltas.clone()));
-    assert_eq!((full.len(), fnv1a(&full)), (809, 0xf469_420f_67a8_471b));
-    // What the 12-byte envelope wraps is what version 4 wrapped.
-    assert_eq!(fnv1a(&full[12..]), 0x16f8_e89f_af13_999e);
+    assert_eq!((full.len(), fnv1a(&full)), (677, 0x243d_c3e2_0805_15b9));
+    assert_eq!(fnv1a(&full[12..]), 0xfe45_e17b_e35f_0609);
 
     let patches = diff_boundary(&base, deltas).expect("diffable fixture");
     let incr = delta_frame(DeltaPayload::Incremental(patches));
-    assert_eq!((incr.len(), fnv1a(&incr)), (686, 0xa026_4a02_3f4d_bc01));
-    assert_eq!(fnv1a(&incr[12..]), 0xfe1a_19bf_25bb_9735);
+    assert_eq!((incr.len(), fnv1a(&incr)), (554, 0x57b3_5262_e9bc_447a));
+    assert_eq!(fnv1a(&incr[12..]), 0xae86_bdfd_de32_c2ca);
 }
 
 /// A checkpoint journal's record (`fuzzer/src/checkpoint.rs`): a
-/// `u32` length, then an envelope — `KGPTJRNL`, version 1,
+/// `u32` length, then an envelope — `KGPTJRNL`, version 2,
 /// `codec::checksum` — of the id of the base it continues (that base's
 /// own checksum word), its boundary number, a fabric frame's
 /// incremental body written from live state, and what each shard's
 /// flight recorder retained since the base. Recorded from the second
 /// boundary of a two-shard deep-chain campaign; the base beside it is
-/// a version-4 checkpoint.
+/// a version-5 checkpoint.
 #[test]
 fn a_journal_record_is_golden() {
     use kernelgpt::csrc::{deepchain, KernelCorpus};
@@ -93,13 +92,16 @@ fn a_journal_record_is_golden() {
         .run();
     let base = std::fs::read(&path).expect("a base");
     let journal = std::fs::read(path.with_extension("ckpt.journal")).expect("a journal");
-    assert_eq!((base.len(), fnv1a(&base)), (10_998, 0x7e82faac71055af6));
-    assert_eq!((journal.len(), fnv1a(&journal)), (3595, 0xe212b7f50b9844f0));
+    assert_eq!((base.len(), fnv1a(&base)), (10_990, 0xafa1_01f4_52ca_e288));
+    assert_eq!(
+        (journal.len(), fnv1a(&journal)),
+        (3587, 0xd52f_4289_7b8d_f9db)
+    );
 
     let mut log = Reader::new(&journal);
     let record = log.bytes().expect("a counted record");
     log.finish().expect("and nothing after it");
-    let mut r = Reader::new(unframe(b"KGPTJRNL", 1, record).expect("its envelope"));
+    let mut r = Reader::new(unframe(b"KGPTJRNL", 2, record).expect("its envelope"));
     assert_eq!(
         r.u64().unwrap().to_le_bytes(),
         base[12..20],
