@@ -80,6 +80,8 @@ pub struct CampaignConfig {
     /// replay contract in [`kgpt_trace`]): a warm ring holds `cap`
     /// traces less the crashing execs of the epoch in progress, and a
     /// ring of `execs / shards` still retains every non-crashing exec.
+    /// An epoch whose ring the next one trims away unread runs
+    /// untraced (see [`crate::flight`]).
     pub trace_ring: usize,
 }
 
@@ -346,9 +348,9 @@ impl ShardState {
         }
     }
 
-    /// Attach a flight recorder and switch the VM's trace log on.
+    /// Attach a flight recorder. It switches the VM's trace log on and
+    /// off itself, where each epoch begins.
     pub(crate) fn attach_tracer(&mut self, tracer: crate::flight::ShardTracer) {
-        self.scratch.state.trace_mut().set_enabled(true);
         self.tracer = Some(tracer);
     }
 
@@ -474,12 +476,16 @@ impl ShardState {
     /// budget is smaller) of the coverage-guided loop: 1-in-4 fresh
     /// generation, otherwise mutate a corpus seed picked by the
     /// weighted scheduler; admit whatever contributes new coverage.
-    /// A traced shard first trims its ring for the epoch's length
-    /// (see [`crate::flight`]).
+    /// A traced shard first trims its ring for the epoch's length and
+    /// records only if a reader can see the epoch: if the shard
+    /// finishes with it or the next epoch keeps some of its ring (see
+    /// [`crate::flight`]).
     pub(crate) fn run_epoch(&mut self, kernel: &VKernel, budget: u64) {
         let n = self.epoch_len(budget);
         if let Some(tracer) = &mut self.tracer {
-            tracer.begin_epoch(n);
+            let after = self.remaining - n;
+            let next = (after > 0).then(|| budget.min(after));
+            tracer.begin_epoch(&mut self.scratch, n, next);
         }
         for _ in 0..n {
             self.rng_pick = self
@@ -517,12 +523,17 @@ impl ShardState {
                 // of the signature (clones only then), count always.
                 self.triage.observe(c, prog, self.epoch);
             }
-            // The recorder keeps a program the corpus would reject: it
-            // swaps it into the ring and there is nothing to offer.
+            // In a live epoch the recorder keeps a program the corpus
+            // would reject: it swaps it into the ring and there is
+            // nothing to offer.
             let offered = match &mut self.tracer {
-                Some(tracer) => {
-                    tracer.record(&mut self.scratch, prog, self.epoch, self.corpus.coverage())
-                }
+                Some(tracer) => tracer.record(
+                    kernel,
+                    &mut self.scratch,
+                    prog,
+                    self.epoch,
+                    self.corpus.coverage(),
+                ),
                 None => true,
             };
             if offered {
@@ -815,6 +826,72 @@ mod tests {
         assert_eq!(by_files.coverage, by_db.coverage);
         assert_eq!(by_files.crashes, by_db.crashes);
         assert_eq!(by_files.corpus_size, by_db.corpus_size);
+    }
+
+    #[test]
+    fn an_epoch_no_reader_can_see_records_no_ring_and_logs_no_events() {
+        // The benchmark's shape: 8 shards, epochs of 128, ring 32. The
+        // next epoch keeps none of a ring of 32, so every epoch but a
+        // shard's last is dead. The oracle's ring of 129 outlasts every
+        // epoch, so all of its epochs are live and each pin is sealed
+        // from the events the exec itself logged, as the recorder once
+        // sealed every pin.
+        use crate::boundary::Boundary;
+        use crate::fabric::LeaseRunner;
+        use crate::flight::{cfg_successors, ShardTracer};
+
+        let (kernel, suite, consts) = dm_setup();
+        let config = CampaignConfig {
+            hub_epoch: 128,
+            ..cfg(8 * (4 * 128 + 50), 5)
+        };
+        assert_eq!(config.trace_ring, 32);
+        let db = SpecCache::global().get_or_build(&suite);
+        let lowered = SpecCache::global().get_or_lower(&db, &consts);
+        let table = Arc::new(cfg_successors(&kernel));
+        let traced = |ring: usize| {
+            let mut runner = LeaseRunner::fresh(&lowered, &config, 8, 0, 8);
+            for state in &mut runner.states {
+                let tracer = ShardTracer::new(Arc::clone(&table), 1, state.id, ring);
+                state.attach_tracer(tracer);
+            }
+            (runner, Boundary::new(config.hub_top_k))
+        };
+        let logs = |state: &ShardState| state.scratch.state.trace().enabled();
+        let (mut runner, mut boundary) = traced(config.trace_ring);
+        let (mut oracle, mut oracle_boundary) = traced(129);
+        let mut boundaries = 0;
+        loop {
+            runner.step(&kernel, 1);
+            oracle.step(&kernel, 1);
+            let closed = runner.close_boundary(&kernel, &mut boundary, None);
+            oracle.close_boundary(&kernel, &mut oracle_boundary, None);
+            for (state, twin) in runner.states.iter().zip(&oracle.states) {
+                let at = (state.id, state.epoch);
+                let store = state.trace_store().unwrap();
+                let eager = twin.trace_store().unwrap();
+                assert!(store.pinned().eq(eager.pinned()), "shard, epoch {at:?}");
+                assert!(logs(twin), "shard, epoch {at:?}");
+                if state.remaining > 0 {
+                    assert_eq!(store.ring().count(), 0, "shard, epoch {at:?}");
+                    assert!(!logs(state), "shard, epoch {at:?}");
+                }
+            }
+            boundaries += 1;
+            if closed.is_none() {
+                break;
+            }
+        }
+        assert_eq!(boundaries, 5);
+        // The last epoch is live: it logged and filled the ring.
+        let mut rerun = 0;
+        for state in &runner.states {
+            let store = state.trace_store().unwrap();
+            assert!(logs(state), "shard {}", state.id);
+            assert_eq!(store.ring().count(), 32, "shard {}", state.id);
+            rerun += store.pinned().filter(|(_, t)| t.epoch < 4).count();
+        }
+        assert!(rerun > 0, "no pin was sealed in a dead epoch");
     }
 
     #[test]

@@ -99,8 +99,9 @@ impl ExecScratch {
         }
     }
 
-    /// The lowered IR programs are executed against.
-    pub(crate) fn lowered(&self) -> &LoweredDb {
+    /// The shared lowered IR programs are executed against — what a
+    /// second scratch over the same programs is built from.
+    pub(crate) fn lowered(&self) -> &Arc<LoweredDb> {
         &self.lowered
     }
 

@@ -32,6 +32,29 @@
 //! predecessor persisted are still kept, and the kept and the pinned
 //! traces recorded since — so a trace is sealed for a record once.
 //!
+//! **Only a live epoch records.** Every reader of the ring reads at
+//! most what the next epoch keeps of it, the newest `cap − n_next`
+//! slots (`n_next` the next epoch's length), or — when the shard
+//! finishes with the epoch — the whole ring the final store returns.
+//! So an epoch is **live** when the shard finishes with it or
+//! `cap > n_next`; any other epoch's ring slots are let go at the next
+//! trim before anybody could read them. `ShardTracer::begin_epoch`
+//! decides it from the ring's capacity and the next epoch's length —
+//! no option — and switches the VM's trace log on for a live epoch and
+//! off for a dead one: a dead epoch runs the untraced loop, its execs
+//! are counted (a trace header carries the exec index) and offered to
+//! the corpus as if nothing recorded them, and its ring takes nothing.
+//! A crash signature first seen in a dead epoch is still pinned: its
+//! exec is run again on a traced scratch of the recorder's own under
+//! the exec's fuel limit, and an exec's events are a function of
+//! program, kernel and fuel (what [`replay_trace`] relies on), so the
+//! pin is the trace a live epoch would have sealed. At the default
+//! ring 32 and epochs of 128 only a shard's last epoch is live. What
+//! no reader sees is all that changes — with one exception: a run
+//! halted at a boundary (`ShardedCampaign::with_halt_after`) returns
+//! its recorders as they stand, and after a dead epoch that is the
+//! pins and an empty ring, exactly what the checkpoint there persisted.
+//!
 //! **Storage goes round.** A slot the ring lets go — at a full ring's
 //! next `record`, at an epoch's trim — keeps its program and its
 //! (emptied) event buffer as a spare. The next exec the corpus rejects
@@ -50,7 +73,7 @@
 
 use crate::exec::{execute_with, ExecScratch};
 use kgpt_syzlang::codec::Writer;
-use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors};
+use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors, LoweredDb};
 use kgpt_syzlang::prog::Program;
 use kgpt_trace::{decode_events, encode_events, ExecTrace, TraceError, TraceStore};
 use kgpt_vkernel::{CoverageMap, CrashSignature, TraceEvent, VKernel};
@@ -124,6 +147,24 @@ pub(crate) struct ShardTracer {
     spare: Vec<RawTrace>,
     /// First trace per crash signature, sealed when pinned.
     pinned: BTreeMap<CrashSignature, ExecTrace>,
+    /// Whether the epoch in progress is live (module docs): its ring
+    /// slots can be read, so it records them and the VM logs events.
+    /// Nothing is live until an epoch begins.
+    live: bool,
+    /// Where a dead epoch's first crash of a signature is run again,
+    /// traced, to be pinned.
+    rerun: RerunScratch,
+}
+
+/// A traced scratch of the recorder's own, made on first use. A clone
+/// of the recorder starts without one: it is storage, not state.
+#[derive(Default)]
+struct RerunScratch(Option<Box<ExecScratch>>);
+
+impl Clone for RerunScratch {
+    fn clone(&self) -> RerunScratch {
+        RerunScratch(None)
+    }
 }
 
 impl ShardTracer {
@@ -143,6 +184,8 @@ impl ShardTracer {
             ring: VecDeque::new(),
             spare: Vec::new(),
             pinned: BTreeMap::new(),
+            live: false,
+            rerun: RerunScratch::default(),
         }
     }
 
@@ -153,13 +196,19 @@ impl ShardTracer {
         self.cap.saturating_sub(n).min(self.ring.len())
     }
 
-    /// Start an epoch of `n` execs: let go of every ring slot but the
-    /// [`ShardTracer::survivors`]. `n = 0` (a shard that has finished
-    /// while others run on) lets go of nothing.
-    pub(crate) fn begin_epoch(&mut self, n: u64) {
+    /// Start an epoch of `n` execs in `scratch`, to be followed by one
+    /// of `next` execs (`None`: the shard finishes with this one): let
+    /// go of every ring slot but the [`ShardTracer::survivors`], decide
+    /// whether the epoch is live (module docs) and switch the VM's trace
+    /// log on for a live epoch, off for a dead one. `n = 0` (a shard
+    /// that has finished while others run on) lets go of nothing.
+    pub(crate) fn begin_epoch(&mut self, scratch: &mut ExecScratch, n: u64, next: Option<u64>) {
         for _ in self.survivors(n)..self.ring.len() {
             self.drop_oldest();
         }
+        let cap = u64::try_from(self.cap).unwrap_or(u64::MAX);
+        self.live = next.is_none_or(|n_next| cap > n_next);
+        scratch.state.trace_mut().set_enabled(self.live);
     }
 
     /// Let go of the oldest ring slot, keeping its storage.
@@ -170,17 +219,21 @@ impl ShardTracer {
         }
     }
 
-    /// Record the execution of `prog` that just finished in `scratch`
-    /// and say whether `prog` is still that program, to be offered to
-    /// the corpus. `seen` is the shard corpus's coverage: a program the
-    /// corpus would reject (nothing new over `seen`) is swapped into
-    /// its ring slot, `prog` becomes the storage of a slot the ring
-    /// let go, and the answer is no; otherwise the slot takes a copy.
-    /// Either way the slot takes the buffer the VM logged the exec
-    /// into and the VM gets the slot's to log the next one into. At
-    /// steady state the swapped path neither allocates nor frees.
+    /// Record the execution of `prog` on `kernel` that just finished
+    /// in `scratch` and say whether `prog` is still that program, to be
+    /// offered to the corpus. `seen` is the shard corpus's coverage: a
+    /// program the corpus would reject (nothing new over `seen`) is
+    /// swapped into its ring slot, `prog` becomes the storage of a slot
+    /// the ring let go, and the answer is no; otherwise the slot takes
+    /// a copy. Either way the slot takes the buffer the VM logged the
+    /// exec into and the VM gets the slot's to log the next one into.
+    /// At steady state the swapped path neither allocates nor frees.
+    /// A dead epoch's exec only counts, and is pinned if it is the
+    /// first crash of its signature; it is offered to the corpus as if
+    /// nothing recorded it.
     pub(crate) fn record(
         &mut self,
+        kernel: &VKernel,
         scratch: &mut ExecScratch,
         prog: &mut Program,
         epoch: u64,
@@ -197,12 +250,16 @@ impl ShardTracer {
         if let Some(crash) = &state.crash {
             let sig = crash.signature;
             if !self.pinned.contains_key(&sig) {
-                let sealed = self.seal(meta, prog, state.trace().events(), Some(sig));
+                let sealed = if self.live {
+                    self.seal(meta, prog, state.trace().events(), Some(sig))
+                } else {
+                    self.seal_rerun(kernel, scratch.lowered(), meta, prog, sig)
+                };
                 self.pinned.insert(sig, sealed);
             }
             return true;
         }
-        if self.cap == 0 {
+        if !self.live || self.cap == 0 {
             return true;
         }
         if self.ring.len() == self.cap {
@@ -219,6 +276,32 @@ impl ShardTracer {
         }
         self.ring.push_back(Slot::Raw(raw));
         admitted
+    }
+
+    /// Seal a crashing exec of a dead epoch, whose events the VM did
+    /// not log: run `prog` again on the recorder's traced scratch under
+    /// the exec's fuel limit. An exec's events are a function of
+    /// program, kernel and fuel — what [`replay_trace`] relies on — so
+    /// the trace is the one a live epoch would have sealed.
+    fn seal_rerun(
+        &mut self,
+        kernel: &VKernel,
+        lowered: &Arc<LoweredDb>,
+        meta: ExecMeta,
+        prog: &Program,
+        sig: CrashSignature,
+    ) -> ExecTrace {
+        let mut rerun = self.rerun.0.take().unwrap_or_else(|| {
+            let mut scratch = ExecScratch::from_lowered(Arc::clone(lowered));
+            scratch.state.trace_mut().set_enabled(true);
+            Box::new(scratch)
+        });
+        rerun.state.set_fuel_limit(meta.exec_fuel);
+        execute_with(kernel, prog, &mut rerun);
+        debug_assert_eq!(rerun.crash().map(|c| c.signature), Some(sig));
+        let sealed = self.seal(meta, prog, rerun.state.trace().events(), Some(sig));
+        self.rerun.0 = Some(rerun);
+        sealed
     }
 
     /// Encode a ring slot into its self-contained trace.
@@ -310,9 +393,10 @@ impl ShardTracer {
         )
     }
 
-    /// Replace the retained traces (checkpoint resume).
+    /// Replace the retained traces (checkpoint resume) with a store of
+    /// the recorder's own ring capacity — resume refuses any other.
     pub(crate) fn set_store(&mut self, store: TraceStore) {
-        self.cap = store.cap();
+        debug_assert_eq!(store.cap(), self.cap, "a store of another ring");
         self.execs_seen = store.execs_seen();
         let (ring, pinned) = store.into_parts();
         self.ring = ring.into_iter().map(Slot::Sealed).collect();
@@ -467,8 +551,11 @@ mod tests {
         let db = SpecCache::global().get_or_build(&suite);
         let lowered = SpecCache::global().get_or_lower(&db, &consts);
         let cfg = Arc::new(cfg_successors(&kernel));
+        // The recorder's scratch, whose trace log the recorder switches,
+        // and the oracle's, which logs every exec.
         let mut scratch = ExecScratch::from_lowered(Arc::clone(&lowered));
-        scratch.state.trace_mut().set_enabled(true);
+        let mut eager = ExecScratch::from_lowered(Arc::clone(&lowered));
+        eager.state.trace_mut().set_enabled(true);
 
         // One fixed exec sequence, generated the way a shard would:
         // ten epochs of 128 execs and a last one of 120.
@@ -482,14 +569,20 @@ mod tests {
                 Some(idx) if i % 4 != 0 => generator.mutate(corpus.program(idx), 8),
                 _ => generator.gen_program(8),
             };
-            execute_with(&kernel, &prog, &mut scratch);
-            corpus.observe(prog.clone(), scratch.coverage(), None);
+            execute_with(&kernel, &prog, &mut eager);
+            corpus.observe(prog.clone(), eager.coverage(), None);
             progs.push(prog);
         }
         let epochs: Vec<&[Program]> = progs.chunks(EPOCH).collect();
         let epoch_len = |e: usize| epochs[e].len();
+        let last_len = epoch_len(epochs.len() - 1);
 
-        for ring in [0usize, 1, 32, 512] {
+        // 125 lies between the last epoch (120) and the others (128):
+        // the second-to-last epoch is live as well as the last.
+        for ring in [0usize, 1, 32, 125, 512] {
+            // The rule, spelled out: live when the shard finishes with
+            // the epoch or the next one keeps some of its ring.
+            let live = |e: usize| e + 1 == epochs.len() || ring > epoch_len(e + 1);
             let mut oracle = TraceStore::new(ring);
             let mut tracer = ShardTracer::new(Arc::clone(&cfg), SPEC_FP, SHARD, ring);
             let mut corpus = Corpus::new(64, 0);
@@ -503,7 +596,13 @@ mod tests {
                            tracer: &mut ShardTracer,
                            corpus: &mut Corpus,
                            mut oracle: Option<&mut TraceStore>| {
-                tracer.begin_epoch(epoch_len(e) as u64);
+                let next = epochs.get(e + 1).map(|p| p.len() as u64);
+                tracer.begin_epoch(&mut scratch, epoch_len(e) as u64, next);
+                assert_eq!(
+                    scratch.state.trace().enabled(),
+                    live(e),
+                    "ring {ring} epoch {e}"
+                );
                 if let Some(oracle) = oracle.as_deref_mut() {
                     trim(oracle, epoch_len(e));
                 }
@@ -512,14 +611,20 @@ mod tests {
                     storage.calls.clone_from(&prog.calls);
                     execute_with(&kernel, &storage, &mut scratch);
                     if let Some(oracle) = oracle.as_deref_mut() {
-                        record_eagerly(oracle, &cfg, &scratch, prog, e as u64);
+                        execute_with(&kernel, prog, &mut eager);
+                        record_eagerly(oracle, &cfg, &eager, prog, e as u64);
                     }
                     let fresh = corpus.coverage().new_blocks_in(scratch.coverage()) != 0;
-                    let offered =
-                        tracer.record(&mut scratch, &mut storage, e as u64, corpus.coverage());
+                    let offered = tracer.record(
+                        &kernel,
+                        &mut scratch,
+                        &mut storage,
+                        e as u64,
+                        corpus.coverage(),
+                    );
                     // Offered exactly when the ring did not take it, or
                     // the corpus wants it too — and then still itself.
-                    let ringed = ring > 0 && scratch.crash().is_none();
+                    let ringed = ring > 0 && live(e) && scratch.crash().is_none();
                     assert_eq!(offered, !ringed || fresh, "epoch {e} exec {i}");
                     crashed += usize::from(scratch.crash().is_some());
                     if offered {
@@ -563,10 +668,17 @@ mod tests {
             assert_eq!(sealed.to_bytes(), oracle.to_bytes(), "ring {ring}");
             assert_eq!(sealed.execs_seen(), EXECS as u64);
             assert!(oracle.pinned_len() > 0, "the sequence never crashed");
+            // Below a ring of 128 some pins were sealed by running their
+            // exec again, in an epoch that logged nothing.
+            let rerun = oracle
+                .pinned()
+                .filter(|(_, t)| !live(t.epoch as usize))
+                .count();
+            assert_eq!(rerun > 0, ring < EPOCH, "ring {ring}: {rerun} pins rerun");
             // A warm ring: full, less — when it is longer than the
-            // epoch — the crashing execs of the epoch in progress.
+            // last epoch — the crashing execs of that epoch.
             assert!(crashed_last > 0, "the last epoch never crashed");
-            let held = if ring > EPOCH {
+            let held = if ring > last_len {
                 ring - crashed_last
             } else {
                 ring

@@ -196,8 +196,10 @@ impl<'a> ShardedCampaign<'a> {
     /// Stop the run right after the `n`-th boundary made durable, by a
     /// base or a record (test/bench hook: simulates an interrupt at an
     /// epoch boundary; the returned result is the partial merge at the
-    /// halt). Only meaningful together with
-    /// [`ShardedCampaign::with_checkpoint`].
+    /// halt, the returned stores the recorders as they stand — after an
+    /// epoch no reader could see, the pinned traces and an empty ring,
+    /// as the checkpoint has them: [`crate::flight`]). Only meaningful
+    /// together with [`ShardedCampaign::with_checkpoint`].
     #[must_use]
     pub fn with_halt_after(mut self, n: u64) -> ShardedCampaign<'a> {
         self.halt_after = Some(n);
@@ -302,7 +304,8 @@ impl<'a> ShardedCampaign<'a> {
     ///
     /// Returns a [`CheckpointError`] under the same conditions as
     /// [`ShardedCampaign::resume`], plus when the snapshot's trace
-    /// section names an unknown shard.
+    /// section is not the one this campaign writes (see
+    /// `ShardedCampaign::check_traces`).
     pub fn resume_traced(
         &self,
         path: &Path,
@@ -323,16 +326,11 @@ impl<'a> ShardedCampaign<'a> {
         let seeds = snap.hub.seeds().iter().map(|s| &s.program);
         let rest = seeds.chain(triage_programs(snap.triage.entries()));
         check_programs(&self.lowered, "the checkpoint", rest)?;
+        self.check_traces(&snap.traces)?;
         let mut runner = LeaseRunner::restore(&self.lowered, &self.config, snap.shards)?;
         self.attach_tracers(&mut runner.states);
         for (id, store) in snap.traces {
-            let state = runner
-                .states
-                .get_mut(id as usize)
-                .ok_or_else(|| CheckpointError {
-                    message: format!("snapshot trace store names unknown shard {id}"),
-                })?;
-            state.set_trace_store(store);
+            runner.states[id as usize].set_trace_store(store);
         }
         let boundary = Boundary {
             hub: snap.hub,
@@ -340,6 +338,49 @@ impl<'a> ShardedCampaign<'a> {
             epochs_done: snap.epochs_done,
         };
         Ok(self.run_from(runner, boundary))
+    }
+
+    /// Hold a checkpoint's trace section to the one this campaign
+    /// writes: one store per shard, each of the configured ring — or
+    /// none at all when the campaign runs untraced. A section that
+    /// disagrees would resume a different recorder: a ring that never
+    /// trims (and makes every epoch live), a shard whose store another
+    /// replaces or that starts empty.
+    fn check_traces(&self, traces: &[(u32, TraceStore)]) -> Result<(), CheckpointError> {
+        let ring = self.config.trace_ring;
+        let refuse = |what: String| {
+            Err(CheckpointError {
+                message: format!("snapshot trace section {what}"),
+            })
+        };
+        if let (0, Some((id, _))) = (ring, traces.first()) {
+            return refuse(format!(
+                "holds shard {id}'s store, the campaign runs untraced"
+            ));
+        }
+        let mut named = std::collections::BTreeSet::new();
+        for (id, store) in traces {
+            if *id >= self.shards {
+                return refuse(format!("names unknown shard {id}"));
+            }
+            if !named.insert(*id) {
+                return refuse(format!("names shard {id} twice"));
+            }
+            if store.cap() != ring {
+                return refuse(format!(
+                    "gives shard {id} a ring of {}, the campaign's is {ring}",
+                    store.cap()
+                ));
+            }
+        }
+        if ring > 0 && named.len() != self.shards as usize {
+            return refuse(format!(
+                "holds {} stores for {} traced shards",
+                named.len(),
+                self.shards
+            ));
+        }
+        Ok(())
     }
 
     /// The epoch-major loop from an arbitrary boundary: step every
@@ -817,9 +858,87 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_whose_trace_section_disagrees_is_refused_not_resumed() {
+        // A checksum-valid file whose trace section is not the one the
+        // campaign writes. The parent adopted each store as it came:
+        // the file's ring, the last of two stores for a shard, an empty
+        // recorder for a shard it left out, nothing of a section an
+        // untraced campaign never reads.
+        let (kernel, suite, consts) = dm_setup();
+        let dir = std::env::temp_dir().join(format!("kgpt_trace_section_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let campaign = |ring: usize, path: &Path| {
+            let config = CampaignConfig {
+                trace_ring: ring,
+                ..hub_cfg(2000, 7)
+            };
+            ShardedCampaign::new(&kernel, &suite, &consts, config)
+                .with_shards(4)
+                .with_threads(1)
+                .with_checkpoint(path)
+        };
+        let path = dir.join("traced.ckpt");
+        let _ = campaign(32, &path).with_halt_after(2).run();
+        let clean = CampaignSnapshot::load(&path).unwrap();
+        assert_eq!(clean.traces.len(), 4);
+
+        type Forge = fn(&mut Vec<(u32, TraceStore)>);
+        let forgeries: [(&str, Forge); 3] = [
+            ("a ring of 2^40", |traces| {
+                let store = &mut traces[1].1;
+                let execs_seen = store.execs_seen();
+                let (ring, pinned) = std::mem::replace(store, TraceStore::new(0)).into_parts();
+                *store = TraceStore::from_parts(1 << 40, execs_seen, ring, pinned.into_values())
+                    .unwrap();
+            }),
+            ("shard 1 named twice", |traces| {
+                let twin = traces[1].clone();
+                traces.insert(2, twin);
+            }),
+            ("shard 2 left out", |traces| {
+                traces.remove(2);
+            }),
+        ];
+        let says = [
+            "a ring of 1099511627776",
+            "names shard 1 twice",
+            "holds 3 stores",
+        ];
+        for ((what, forge), says) in forgeries.into_iter().zip(says) {
+            let mut snap = clean.clone();
+            forge(&mut snap.traces);
+            snap.save(&path).unwrap();
+            let err = campaign(32, &path).resume_traced(&path).expect_err(what);
+            assert!(err.message.contains(says), "{what}: {err}");
+        }
+        clean.save(&path).unwrap();
+        let resumed = campaign(32, &path)
+            .resume_traced(&path)
+            .expect("the clean file resumes");
+        assert_eq!(resumed, campaign(32, &path).run_traced());
+
+        // Stores in the file of a campaign that runs untraced.
+        let untraced = dir.join("untraced.ckpt");
+        let _ = campaign(0, &untraced).with_halt_after(2).run();
+        let mut snap = CampaignSnapshot::load(&untraced).unwrap();
+        assert!(snap.traces.is_empty());
+        campaign(0, &untraced)
+            .resume(&untraced)
+            .expect("the clean file resumes");
+        snap.traces.clone_from(&clean.traces);
+        snap.save(&untraced).unwrap();
+        let err = campaign(0, &untraced)
+            .resume(&untraced)
+            .expect_err("stores, untraced");
+        assert!(err.message.contains("runs untraced"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_default_config_boundary_persists_the_pinned_traces_and_an_empty_ring() {
         // Ring 32 under epochs of 128: the next epoch keeps nothing of
-        // the ring, so the boundary seals and writes none of it.
+        // the ring, so the boundary seals and writes none of it — and
+        // the epoch before it, which no reader could see, recorded none.
         let (kernel, suite, consts) = dm_setup();
         let config = CampaignConfig {
             hub_epoch: 128,
@@ -829,7 +948,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kgpt_trace_boundary_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("boundary.ckpt");
-        // The halted run returns the live stores of the boundary.
+        // The halted run returns the recorders as they stand at the
+        // boundary: exactly what the checkpoint persisted.
         let (_, live) = ShardedCampaign::new(&kernel, &suite, &consts, config)
             .with_shards(4)
             .with_checkpoint(&path)
@@ -838,9 +958,8 @@ mod tests {
         let snap = CampaignSnapshot::load(&path).unwrap();
         assert_eq!(snap.traces.len(), 4);
         for ((id, persisted), live) in snap.traces.iter().zip(&live) {
+            assert_eq!(persisted, live, "shard {id}");
             assert_eq!(persisted.ring().count(), 0, "shard {id}");
-            assert_eq!(live.ring().count(), 32, "shard {id}");
-            assert!(persisted.pinned().eq(live.pinned()), "shard {id}");
             assert_eq!(
                 (persisted.cap(), persisted.execs_seen()),
                 (32, 2 * 128),

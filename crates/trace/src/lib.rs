@@ -124,6 +124,18 @@
 //! shards`) is never trimmed and retains every non-crashing exec; a
 //! campaign with the hub off, and a sequential one, is a single epoch
 //! and trims an empty ring.
+//!
+//! Because no reader ever sees more of an epoch's ring than the next
+//! epoch keeps, a shard **records an epoch only if a reader can see
+//! it** (*live*): if the shard finishes with it, or if `cap > n_next`.
+//! Any other epoch runs untraced — no ring slot, no event logged — and
+//! still pins the first trace of every crash signature it meets, by
+//! running that exec again traced under its fuel limit (an exec's
+//! events are a function of program, kernel and fuel). Every store a
+//! finished, resumed or checkpointed campaign returns is unchanged by
+//! it. A run halted at a boundary returns its stores as they stand:
+//! after a dead epoch, the pinned traces and an empty ring — what the
+//! checkpoint at that boundary holds.
 
 use kgpt_syzlang::codec::{frame, unframe, DecodeError, Reader, Writer};
 use kgpt_syzlang::lowered::CfgSuccessors;

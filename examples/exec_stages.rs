@@ -32,22 +32,28 @@
 //! recorder's share, and what it returns must equal what the hand-built
 //! shards hold — coverage and corpus size, and byte for byte the store
 //! of a third hand-built shard that executes every program whole and
-//! encodes it the moment it finishes.
+//! encodes it the moment it finishes. One epoch is the only shape in
+//! which every epoch is live (the recorder records only an epoch whose
+//! ring a reader can see: `kgpt_fuzzer`'s `flight` module), so last
+//! the same execs run in the benchmark's shape — eight shards on one
+//! thread, epochs of 128 — where at ring 32 only a shard's last epoch
+//! is; the traced result must equal the untraced one.
 //!
 //! ```text
 //! cargo run --release --example exec_stages
 //! ```
 //!
-//! A record for EXPERIMENTS.md § "Where a mutant's exec goes",
-//! never a gate: the referee is `benchmark/`'s `deepchain_sharded`, the
+//! A record for EXPERIMENTS.md § "Where a mutant's exec goes" and
+//! § "What a reader can see", never a gate: the referees are
+//! `benchmark/`'s `deepchain_sharded` and `deepchain_durable`, the
 //! pinned counts `tests/alloc_count.rs`'s. A stage's time includes one
 //! clock read (some 20 ns here).
 
 use kernelgpt::csrc::blueprint::Blueprint;
 use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fuzzer::{
-    cfg_successors, execute_with, CampaignConfig, Corpus, ExecScratch, ExecTrace, Generator,
-    Program, ShardedCampaign, TraceStore,
+    cfg_successors, execute_with, CampaignConfig, CampaignResult, Corpus, ExecScratch, ExecTrace,
+    Generator, Program, ShardedCampaign, TraceStore,
 };
 use kernelgpt::syzlang::lowered::{CfgSuccessors, LoweredDb};
 use kernelgpt::syzlang::SpecCache;
@@ -358,24 +364,13 @@ fn main() {
 
     // The campaign: the same execs through the library's own shard,
     // untraced against traced.
-    let campaign = |ring: usize| {
+    let one = |ring: usize| {
         ShardedCampaign::new(&kernel, &suite, kc.consts(), config(ring)).with_shards(1)
     };
-    let mut runs = [(u128::MAX, 0u64), (u128::MAX, 0u64)];
-    let mut traced = None;
-    for rep in 0..REPS {
-        for side in [rep % 2, 1 - rep % 2] {
-            let ring = [0, traced_ring][side];
-            let (t, before) = (Instant::now(), events());
-            let out = black_box(campaign(ring).with_threads(1).run_traced());
-            let (ns, cost) = (t.elapsed().as_nanos(), events() - before);
-            runs[side] = (runs[side].0.min(ns), cost);
-            assert_eq!(out.0.coverage, *resumed.corpus.coverage(), "ring {ring}");
-            assert_eq!(out.0.corpus_size, resumed.corpus.len(), "ring {ring}");
-            if side == 1 {
-                traced = Some(out.1);
-            }
-        }
+    let (runs, [untraced_out, traced_out]) = alternate(one, traced_ring);
+    for out in [&untraced_out, &traced_out] {
+        assert_eq!(out.0.coverage, *resumed.corpus.coverage());
+        assert_eq!(out.0.corpus_size, resumed.corpus.len());
     }
     // A third shard, whole programs and traced, files every exec eagerly.
     let mut oracle = Shard::new(&lowered, &config(traced_ring));
@@ -389,23 +384,73 @@ fn main() {
         oracle.step(&kernel, &mut unmeasured, false, Some(&mut eager));
     }
     oracle.assert_agrees(&resumed, EXECS);
-    let stores = traced.expect("a traced repetition ran");
+    let stores = traced_out.1;
     assert_eq!(stores.len(), 1);
     assert!(
         stores[0].to_bytes() == eager.store.to_bytes(),
         "the recorder's store differs from the eager oracle's"
     );
+    println!("\nthe campaign itself (one shard, one epoch; fastest of {REPS}, set-up and sealing included):");
+    print_capture(runs, traced_ring, &stores, "equal to the eager oracle's");
 
+    // The benchmark's shape: eight shards on one thread, epochs of 128.
+    // The next epoch keeps nothing of a ring of 32, so only a shard's
+    // last epoch is live; the others run untraced and re-run the first
+    // crash of a signature to pin it.
+    let sharded = |ring: usize| {
+        let config = CampaignConfig {
+            hub_epoch: 128,
+            ..config(ring)
+        };
+        ShardedCampaign::new(&kernel, &suite, kc.consts(), config).with_shards(8)
+    };
+    let (runs, [untraced_out, traced_out]) = alternate(sharded, traced_ring);
+    assert_eq!(untraced_out.0, traced_out.0, "tracing changed the result");
+    println!("\n8 shards, epochs of 128, one thread (the benchmark's shape; fastest of {REPS}):");
+    print_capture(
+        runs,
+        traced_ring,
+        &traced_out.1,
+        "only the last epoch's ring",
+    );
+}
+
+/// What a traced campaign returns.
+type Traced = (CampaignResult, Vec<TraceStore>);
+
+/// The fastest of `REPS` runs of `campaign` untraced and at `ring`,
+/// alternating, with the allocator events of each side, and each
+/// side's last result and stores.
+fn alternate<'k>(
+    campaign: impl Fn(usize) -> ShardedCampaign<'k>,
+    ring: usize,
+) -> ([(u128, u64); 2], [Traced; 2]) {
+    let mut runs = [(u128::MAX, 0u64), (u128::MAX, 0u64)];
+    let mut outs: [Option<Traced>; 2] = [None, None];
+    for rep in 0..REPS {
+        for side in [rep % 2, 1 - rep % 2] {
+            let (t, before) = (Instant::now(), events());
+            let out = black_box(campaign([0, ring][side]).with_threads(1).run_traced());
+            let (ns, cost) = (t.elapsed().as_nanos(), events() - before);
+            runs[side] = (runs[side].0.min(ns), cost);
+            outs[side] = Some(out);
+        }
+    }
+    (runs, outs.map(|out| out.expect("a repetition ran")))
+}
+
+/// Per exec: the untraced and the traced row of [`alternate`]'s
+/// runs, and capture, their difference, with what the stores hold.
+fn print_capture(runs: [(u128, u64); 2], ring: usize, stores: &[TraceStore], note: &str) {
     let per_exec = |(ns, cost): (u128, u64)| (ns as f64 / EXECS as f64, cost as f64 / EXECS as f64);
     let (untraced, traced) = (per_exec(runs[0]), per_exec(runs[1]));
-    println!("\nthe campaign itself (one shard, one epoch; fastest of {REPS}, set-up and sealing included):");
+    let ringed: usize = stores.iter().map(|s| s.ring().count()).sum();
+    let pinned: usize = stores.iter().map(TraceStore::pinned_len).sum();
     println!("untraced {:>7.0} {:>8.2}", untraced.0, untraced.1);
-    println!("ring {traced_ring:<3} {:>7.0} {:>8.2}", traced.0, traced.1);
+    println!("ring {ring:<3} {:>7.0} {:>8.2}", traced.0, traced.1);
     println!(
-        "capture  {:>7.0} {:>8.2}   ({} ring and {} pinned traces, equal to the eager oracle's)",
+        "capture  {:>7.0} {:>8.2}   ({ringed} ring and {pinned} pinned traces, {note})",
         traced.0 - untraced.0,
         traced.1 - untraced.1,
-        stores[0].ring().count(),
-        stores[0].pinned_len()
     );
 }
