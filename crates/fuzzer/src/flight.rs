@@ -75,7 +75,9 @@ use crate::exec::{execute_with, ExecScratch};
 use kgpt_syzlang::codec::Writer;
 use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors, LoweredDb};
 use kgpt_syzlang::prog::Program;
-use kgpt_trace::{decode_events, encode_events, ExecTrace, TraceError, TraceStore};
+use kgpt_trace::{
+    encode_events_into, stream_matches, walk_events, ExecTrace, TraceError, TraceStore,
+};
 use kgpt_vkernel::{CoverageMap, CrashSignature, TraceEvent, VKernel};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -251,7 +253,8 @@ impl ShardTracer {
             let sig = crash.signature;
             if !self.pinned.contains_key(&sig) {
                 let sealed = if self.live {
-                    self.seal(meta, prog, state.trace().events(), Some(sig))
+                    let events = state.trace().events();
+                    self.seal(meta, prog, events, Some(sig), &mut Vec::new())
                 } else {
                     self.seal_rerun(kernel, scratch.lowered(), meta, prog, sig)
                 };
@@ -299,30 +302,36 @@ impl ShardTracer {
         rerun.state.set_fuel_limit(meta.exec_fuel);
         execute_with(kernel, prog, &mut rerun);
         debug_assert_eq!(rerun.crash().map(|c| c.signature), Some(sig));
-        let sealed = self.seal(meta, prog, rerun.state.trace().events(), Some(sig));
+        let events = rerun.state.trace().events();
+        let sealed = self.seal(meta, prog, events, Some(sig), &mut Vec::new());
         self.rerun.0 = Some(rerun);
         sealed
     }
 
     /// Encode a ring slot into its self-contained trace.
-    fn seal_slot(&self, raw: &RawTrace) -> ExecTrace {
-        self.seal(raw.meta, &raw.program, &raw.events, None)
+    fn seal_slot(&self, raw: &RawTrace, buf: &mut Vec<u8>) -> ExecTrace {
+        self.seal(raw.meta, &raw.program, &raw.events, None, buf)
     }
 
-    /// Encode one exec into its self-contained trace.
+    /// Encode one exec into its self-contained trace. Both encodings
+    /// are written into `buf`, a buffer the caller keeps across the
+    /// traces it seals, and copied out at their exact size: a returned
+    /// store lives as long as its caller keeps it, so it holds no
+    /// growth slack, and a trace costs the allocator its two vectors.
     fn seal(
         &self,
         meta: ExecMeta,
         program: &Program,
         events: &[TraceEvent],
         crash: Option<CrashSignature>,
+        buf: &mut Vec<u8>,
     ) -> ExecTrace {
-        let (stream, stream_bits) = encode_events(&self.cfg, events);
-        let mut bytes = Vec::new();
-        program.encode_into(&mut bytes);
-        // A returned store lives as long as its caller keeps it: do
-        // not leave it holding the buffer's growth slack.
-        bytes.shrink_to_fit();
+        buf.clear();
+        let stream_bits = encode_events_into(&self.cfg, events, buf);
+        let stream = buf.to_vec();
+        buf.clear();
+        program.encode_into(buf);
+        let bytes = buf.to_vec();
         ExecTrace {
             shard: self.shard,
             epoch: meta.epoch,
@@ -371,8 +380,9 @@ impl ShardTracer {
         let old = kept.clone().take_while(|s| exec(s) < self.mark).count();
         w.u64(self.execs_seen);
         w.u32(u32::try_from(old).unwrap_or(u32::MAX));
+        let mut buf = Vec::new();
         w.seq(kept.skip(old), |slot, w| match slot {
-            Slot::Raw(raw) => self.seal_slot(raw).encode(w),
+            Slot::Raw(raw) => self.seal_slot(raw, &mut buf).encode(w),
             Slot::Sealed(trace) => trace.encode(w),
         });
         let pins = self.pinned.values().filter(|t| t.exec >= self.mark);
@@ -382,8 +392,9 @@ impl ShardTracer {
     /// A store of the `newest` ring slots and every pinned trace.
     fn sealed(&self, newest: usize) -> TraceStore {
         let older = self.ring.len().saturating_sub(newest);
+        let mut buf = Vec::new();
         let ring = self.ring.iter().skip(older).map(|slot| match slot {
-            Slot::Raw(raw) => self.seal_slot(raw),
+            Slot::Raw(raw) => self.seal_slot(raw, &mut buf),
             Slot::Sealed(trace) => trace.clone(),
         });
         TraceStore::from_traces(
@@ -422,11 +433,14 @@ pub struct ReplayOutcome {
 ///
 /// The trace header carries everything replay needs: the encoded
 /// program, the fuel budget it ran under, and the fingerprint of the
-/// spec suite it was generated against. The live run's event log is
-/// re-encoded with the same prediction table and compared
-/// byte-for-byte against the recorded stream; crash signatures and
-/// the fuel-exhaustion verdict must match too. The scratch's tracing
-/// flag and fuel limit are restored afterwards.
+/// spec suite it was generated against. The recorded stream is checked
+/// where it is read ([`walk_events`]: strict decoding, its blocks
+/// counted, no event list built), and the live run's event log is
+/// compared with it by the encoder itself ([`stream_matches`]: the
+/// same prediction table, byte for byte, no stream built); crash
+/// signatures and the fuel-exhaustion verdict must match too. Past
+/// decoding the program, replay allocates nothing. The scratch's
+/// tracing flag and fuel limit are restored afterwards.
 ///
 /// # Errors
 ///
@@ -456,25 +470,22 @@ pub fn replay_trace(
         .map_err(|m| TraceError::new(format!("the trace holds a misfit program: {m}")))?;
     // Strict well-formedness check of the recorded stream (and the
     // block tally for reporting) before anything executes.
-    let recorded = decode_events(cfg, &trace.stream, trace.stream_bits)?;
-    let blocks = recorded
-        .iter()
-        .map(|e| match e {
-            TraceEvent::Block { len, .. } => u64::from(*len),
-            _ => 0,
-        })
-        .sum();
+    let mut blocks = 0u64;
+    walk_events(cfg, &trace.stream, trace.stream_bits, |e| {
+        if let TraceEvent::Block { len, .. } = e {
+            blocks += u64::from(len);
+        }
+    })?;
     let was_enabled = scratch.state.trace().enabled();
     let prior_fuel = scratch.state.fuel_limit();
     scratch.state.trace_mut().set_enabled(true);
     scratch.state.set_fuel_limit(trace.exec_fuel);
     execute_with(kernel, &prog, scratch);
-    let (live_stream, live_bits) = encode_events(cfg, scratch.state.trace().events());
+    let live = scratch.state.trace().events();
     let live_crash = scratch.crash().map(|c| c.signature);
-    let identical = live_stream == trace.stream
-        && live_bits == trace.stream_bits
-        && live_crash == trace.crash
-        && scratch.state.fuel_exhausted() == trace.fuel_exhausted;
+    let identical = live_crash == trace.crash
+        && scratch.state.fuel_exhausted() == trace.fuel_exhausted
+        && stream_matches(cfg, live, &trace.stream, trace.stream_bits);
     scratch.state.set_fuel_limit(prior_fuel);
     scratch.state.trace_mut().set_enabled(was_enabled);
     Ok(ReplayOutcome {
@@ -492,6 +503,7 @@ mod tests {
     use crate::shard::ShardedCampaign;
     use kgpt_csrc::KernelCorpus;
     use kgpt_syzlang::{ConstDb, SpecCache, SpecFile};
+    use kgpt_trace::encode_events;
 
     fn dm_setup() -> (VKernel, Vec<SpecFile>, ConstDb) {
         let kc = KernelCorpus::from_blueprints(vec![kgpt_csrc::flagship::dm()]);
@@ -779,6 +791,39 @@ mod tests {
         }
         let out = replay_trace(&kernel, &mut scratch, &cfg, clean, spec_fp).unwrap();
         assert!(out.identical, "the scratch is as usable as before");
+    }
+
+    /// Two streams the encoder never writes — a `DIVERGE` whose delta
+    /// is 0 (17 bits), a `PRED` whose length varint ends in a zero chunk
+    /// (15 bits) — say what its 10-bit stream for one predicted block
+    /// says. Strict decoding refuses them, so replay reports them as
+    /// malformed, not as a divergence.
+    #[test]
+    fn replay_refuses_a_stream_the_encoder_never_writes() {
+        let (kernel, suite, consts) = dm_setup();
+        let config = CampaignConfig {
+            execs: 200,
+            seed: 5,
+            ..CampaignConfig::default()
+        };
+        let campaign = ShardedCampaign::new(&kernel, &suite, &consts, config).with_shards(1);
+        let (_, stores) = campaign.run_traced();
+        let spec_fp = SpecCache::fingerprint(campaign.db().files());
+        let cfg = cfg_successors(&kernel);
+        let mut scratch = ExecScratch::from_lowered(campaign.lowered_shared());
+        let t = stores[0].iter().next().expect("a retained trace");
+        for (stream, bits, why) in [
+            (vec![0x03, 0xE0, 0x01], 17, "zero delta"),
+            (vec![0x02, 0x78], 15, "non-minimal varint"),
+        ] {
+            let bad = ExecTrace {
+                stream,
+                stream_bits: bits,
+                ..t.clone()
+            };
+            let err = replay_trace(&kernel, &mut scratch, &cfg, &bad, spec_fp).unwrap_err();
+            assert!(err.message.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -1585,7 +1585,8 @@ pub struct CfgRun {
 }
 
 /// The static successor-prediction table for trace delta coding:
-/// sorted [`CfgRun`] rows queried by predecessor block id.
+/// [`CfgRun`] rows, and the jump table derived from them that
+/// [`CfgSuccessors::predict`] reads.
 ///
 /// The table is *advisory*: a misprediction only costs the trace
 /// encoder a wider `DIVERGE` token, never correctness — so the rows
@@ -1595,21 +1596,74 @@ pub struct CfgRun {
 /// the replayer must use the same table for a trace's bit stream to
 /// compare byte-for-byte, which holds because the table is a pure
 /// function of the booted kernel.
+///
+/// **The rule and its jump table.** The rows define the prediction:
+/// the row for `prev` is the last row, by start, that starts at or
+/// before it, and `prev` predicts that row's `next` when it is the
+/// row's last block and the row fixes one, else `prev + 1`. Only a
+/// handful of blocks — a run's last, where the run falls through
+/// somewhere else — predict anything but `prev + 1`, so
+/// [`CfgSuccessors::build`] derives from the rows an open-addressed
+/// table of exactly those blocks and `predict` is one probe into it,
+/// not a search of the rows. Rows may overlap or repeat a start (the
+/// kernel's do neither); the derived table gives the rule's answer all
+/// the same, because a row's last block is an exception only when no
+/// later row starts at or before it.
 #[derive(Debug, Clone, Default)]
 pub struct CfgSuccessors {
-    /// Rows sorted by `start`; disjoint by construction of the block
-    /// namespace (each handler owns a disjoint stratum).
+    /// Rows sorted by `start` (equal starts in the order given) —
+    /// what the jump table is derived from.
     runs: Vec<CfgRun>,
+    /// `(block, successor)` for every block whose prediction is not
+    /// `block + 1`, open-addressed by [`jump_slot`]; a power-of-two
+    /// length at least twice the entries, free slots keyed
+    /// [`NO_BLOCK`].
+    jumps: Vec<(u64, u64)>,
+}
+
+/// The key of a free jump-table slot: no row that fits in the id space
+/// ends at `u64::MAX` (see [`CfgSuccessors::build`]).
+const NO_BLOCK: u64 = u64::MAX;
+
+/// Home slot of `block` in a jump table of `mask + 1` slots
+/// (Fibonacci hashing: the product's high bits).
+#[inline]
+fn jump_slot(block: u64, mask: usize) -> usize {
+    (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
 }
 
 impl CfgSuccessors {
     /// Build the table from unordered rows: empty runs are dropped,
-    /// the rest sorted by start block.
+    /// the rest sorted by start block, and the jump table derived. A
+    /// row whose ids run past `u64::MAX` (`start + len` overflows)
+    /// predicts nothing: its blocks predict `prev + 1`.
     #[must_use]
     pub fn build(mut runs: Vec<CfgRun>) -> CfgSuccessors {
         runs.retain(|r| r.len > 0);
         runs.sort_by_key(|r| r.start);
-        CfgSuccessors { runs }
+        let exceptions: Vec<(u64, u64)> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| {
+                let end = r.start.checked_add(r.len)?;
+                let last = end - 1;
+                let next = r.next.filter(|&n| n != end)?;
+                // The row answers for its last block only if no later
+                // row starts at or before it.
+                let shadowed = runs.get(i + 1).is_some_and(|later| later.start <= last);
+                (!shadowed).then_some((last, next))
+            })
+            .collect();
+        let mask = (2 * exceptions.len()).next_power_of_two().max(2) - 1;
+        let mut jumps = vec![(NO_BLOCK, 0); mask + 1];
+        for (block, next) in exceptions {
+            let mut slot = jump_slot(block, mask);
+            while jumps[slot].0 != NO_BLOCK {
+                slot = (slot + 1) & mask;
+            }
+            jumps[slot] = (block, next);
+        }
+        CfgSuccessors { runs, jumps }
     }
 
     /// Number of rows in the table.
@@ -1628,17 +1682,22 @@ impl CfgSuccessors {
     /// Predicted successor of block `prev`: `prev + 1` inside a run,
     /// the run's `next` at its last block (when fixed), and `prev + 1`
     /// outside any run. Total — an unknown `prev` is not an error,
-    /// just a likely misprediction.
+    /// just a likely misprediction. One probe of the jump table (type
+    /// docs).
     #[must_use]
+    #[inline]
     pub fn predict(&self, prev: u64) -> u64 {
-        let i = self.runs.partition_point(|r| r.start <= prev);
-        if i > 0 {
-            let r = &self.runs[i - 1];
-            if prev < r.start + r.len && prev + 1 == r.start + r.len {
-                if let Some(next) = r.next {
-                    return next;
-                }
+        let mask = self.jumps.len().wrapping_sub(1);
+        let mut slot = jump_slot(prev, mask);
+        // An empty table (the `Default` one) has no slot to probe.
+        while let Some(&(block, next)) = self.jumps.get(slot) {
+            if block == NO_BLOCK {
+                break;
             }
+            if block == prev {
+                return next;
+            }
+            slot = (slot + 1) & mask;
         }
         prev.wrapping_add(1)
     }

@@ -64,6 +64,29 @@
 //!    which holds because the table is a pure function of the booted
 //!    kernel.
 //!
+//!    **Tokens are read and written whole.** The writer puts a token's
+//!    prefix, or one varint chunk, into a 64-bit accumulator in one
+//!    step and flushes whole words; the reader looks at the stream
+//!    through a little-endian 64-bit window, classifies a prefix in one
+//!    look and reads each chunk in one more. The prediction is one
+//!    probe of the table's jump table ([`CfgSuccessors`]). The writer's
+//!    words can go to a buffer ([`encode_events`],
+//!    [`encode_events_into`]) or be compared with a recorded stream as
+//!    they are made ([`stream_matches`]), and the reader can hand its
+//!    events to a visitor ([`walk_events`]) instead of a list
+//!    ([`decode_events`]).
+//!
+//!    **The accepted set is exactly the encoder's image**: for every
+//!    stream [`decode_events`] accepts, [`encode_events`] of the events
+//!    it returns gives back the same bytes and bit length. So besides
+//!    truncation, bad lengths, set padding bits, out-of-range deltas
+//!    and trailing bits, the decoder refuses the two spellings the
+//!    encoder never writes: a varint whose last chunk after the first
+//!    carries no data, and a `DIVERGE` whose delta is 0 (that block is
+//!    a `PRED`). A stream that decodes therefore names one event list,
+//!    and a trace the replayer could only call divergent because its
+//!    stream is not canonical is refused as malformed instead.
+//!
 //! 3. **Trace framing** ([`ExecTrace`]): the stream plus everything
 //!    replay needs — shard, epoch, per-shard exec ordinal, fuel
 //!    budget, spec fingerprint, crash signature, and the encoded
@@ -94,9 +117,11 @@
 //! booted kernel with the same fuel limit reproduces the recorded
 //! event stream bit-for-bit — the campaign loop is deterministic and
 //! an exec's events depend only on (program, kernel, fuel). The
-//! replayer (`kgpt-fuzzer`'s `flight` module) re-encodes the live
-//! events with the same table and demands byte equality plus matching
-//! crash signatures.
+//! replayer (`kgpt-fuzzer`'s `flight` module) checks the recorded
+//! stream where it reads it ([`walk_events`]), encodes the live events
+//! with the same table against the recorded words ([`stream_matches`])
+//! and demands byte equality plus matching crash signatures — building
+//! no event list and no second stream.
 //!
 //! **Which execs a campaign's store holds.** Every pinned crash trace,
 //! always. Of the ring, a sharded campaign keeps less than "the last
@@ -220,36 +245,91 @@ pub fn decode_signature(r: &mut Reader<'_>) -> Result<CrashSignature, DecodeErro
 
 // ---- bit-level coding -----------------------------------------------------
 
-/// LSB-first bit writer for the token stream.
-#[derive(Default)]
-struct BitWriter {
-    bytes: Vec<u8>,
-    bits: u32,
+/// Where a [`BitWriter`] puts each whole 64-bit word of the stream.
+trait Words {
+    /// Take the next word, little-endian; `false` stops the encoder (a
+    /// comparison that has already failed).
+    fn word(&mut self, word: u64) -> bool;
 }
 
-impl BitWriter {
-    fn bit(&mut self, b: bool) {
-        let idx = (self.bits / 8) as usize;
-        if idx == self.bytes.len() {
-            self.bytes.push(0);
+/// Encoding appends the stream's bytes.
+impl Words for &mut Vec<u8> {
+    fn word(&mut self, word: u64) -> bool {
+        self.extend_from_slice(&word.to_le_bytes());
+        true
+    }
+}
+
+/// Encoding compares against a recorded stream: `rest` is what the
+/// words so far have not matched yet.
+struct Compare<'a> {
+    rest: &'a [u8],
+}
+
+impl Words for Compare<'_> {
+    fn word(&mut self, word: u64) -> bool {
+        match self.rest.split_first_chunk::<8>() {
+            Some((head, tail)) if u64::from_le_bytes(*head) == word => {
+                self.rest = tail;
+                true
+            }
+            _ => false,
         }
-        if b {
-            self.bytes[idx] |= 1 << (self.bits % 8);
+    }
+}
+
+/// LSB-first bit writer for the token stream: tokens and varint chunks
+/// go into a 64-bit accumulator whole, and the accumulator goes out a
+/// word at a time.
+struct BitWriter<W> {
+    out: W,
+    /// Pending bits, the oldest lowest; `fill` of them are in use.
+    acc: u64,
+    fill: u32,
+    bits: u32,
+    /// Whether `out` still takes words.
+    open: bool,
+}
+
+impl<W: Words> BitWriter<W> {
+    fn new(out: W) -> BitWriter<W> {
+        BitWriter {
+            out,
+            acc: 0,
+            fill: 0,
+            bits: 0,
+            open: true,
         }
-        self.bits += 1;
+    }
+
+    /// Append the low `n` bits of `v` (`n ≤ 32`, no bit above them set),
+    /// the lowest first.
+    #[inline]
+    fn put(&mut self, v: u64, n: u32) {
+        debug_assert!(n <= 32 && v >> n == 0);
+        self.acc |= v << self.fill;
+        self.fill += n;
+        self.bits += n;
+        if self.fill >= 64 {
+            if self.open {
+                self.open = self.out.word(self.acc);
+            }
+            self.fill -= 64;
+            // The bits of `v` that did not fit (none when `fill` is 0:
+            // `v >> n` is 0).
+            self.acc = v >> (n - self.fill);
+        }
     }
 
     /// Little-endian variable-length code: 5-bit chunks of
     /// `[more:1][data:4]`, low data bits first, at most 16 chunks.
+    #[inline]
     fn varint(&mut self, mut v: u64) {
         loop {
-            let chunk = (v & 0xF) as u8;
+            let chunk = v & 0xF;
             v >>= 4;
             let more = v != 0;
-            self.bit(more);
-            for i in 0..4 {
-                self.bit(chunk >> i & 1 == 1);
-            }
+            self.put(u64::from(more) | chunk << 1, 5);
             if !more {
                 break;
             }
@@ -261,17 +341,45 @@ impl BitWriter {
         self.varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
-    fn finish(self) -> (Vec<u8>, u32) {
-        (self.bytes, self.bits)
+    /// The bytes of the last, partial word: `fill` bits, zero-padded to
+    /// whole bytes.
+    fn tail(&self) -> ([u8; 8], usize) {
+        (self.acc.to_le_bytes(), self.fill.div_ceil(8) as usize)
     }
 }
 
-/// LSB-first bit reader; every read is bounds-checked against the
-/// declared bit length.
+impl BitWriter<&mut Vec<u8>> {
+    /// Append the last, partial word; the stream's bit length.
+    fn finish(self) -> u32 {
+        let (tail, len) = self.tail();
+        self.out.extend_from_slice(&tail[..len]);
+        self.bits
+    }
+}
+
+/// LSB-first bit reader over a little-endian 64-bit window; every read
+/// is bounds-checked against the declared bit length.
 struct BitReader<'a> {
-    bytes: &'a [u8],
-    bits: u32,
-    pos: u32,
+    /// The bytes not yet loaded into the window.
+    rest: &'a [u8],
+    /// The next `have` bits of the stream, the next lowest; zero above
+    /// them. Refilled to at least 57 bits while bytes remain, so a token
+    /// prefix or a varint chunk is one look at it; past the stream's end
+    /// it reads zeros (the padding is zero too), and a token classified
+    /// there is refused by [`BitReader::take`].
+    window: u64,
+    have: u32,
+    /// Declared bits not yet read.
+    left: u32,
+}
+
+/// A token's prefix, classified by one look at the stream.
+enum Token {
+    Pred,
+    Call,
+    Diverge,
+    Crash,
+    End,
 }
 
 impl<'a> BitReader<'a> {
@@ -283,45 +391,97 @@ impl<'a> BitReader<'a> {
                 bytes.len()
             )));
         }
-        BitReader {
-            bytes,
-            bits,
-            pos: 0,
-        }
-        .check_padding()
-    }
-
-    /// The writer zero-fills the final partial byte; any set padding
-    /// bit means the stream was not produced by the encoder.
-    fn check_padding(self) -> Result<BitReader<'a>, TraceError> {
-        if let Some(&last) = self.bytes.last() {
-            let used = self.bits % 8;
+        // The writer zero-fills the final partial byte; any set padding
+        // bit means the stream was not produced by the encoder.
+        if let Some(&last) = bytes.last() {
+            let used = bits % 8;
             if used != 0 && last >> used != 0 {
                 return Err(TraceError::new("nonzero padding bits in trace stream"));
             }
         }
-        Ok(self)
+        let mut r = BitReader {
+            rest: bytes,
+            window: 0,
+            have: 0,
+            left: bits,
+        };
+        r.refill();
+        Ok(r)
     }
 
-    fn bit(&mut self) -> Result<bool, TraceError> {
-        if self.pos >= self.bits {
+    /// Load whole bytes into the window while a byte fits: eight at a
+    /// time while eight remain, then one by one.
+    #[inline]
+    fn refill(&mut self) {
+        if self.have > 56 {
+            return;
+        }
+        let fit = (64 - self.have) / 8;
+        if let Some((word, _)) = self.rest.split_first_chunk::<8>() {
+            let word = u64::from_le_bytes(*word);
+            let word = if fit == 8 {
+                word
+            } else {
+                word & ((1 << (8 * fit)) - 1)
+            };
+            self.window |= word << self.have;
+            self.have += 8 * fit;
+            self.rest = &self.rest[fit as usize..];
+        } else {
+            while self.have <= 56 {
+                let Some((&byte, rest)) = self.rest.split_first() else {
+                    break;
+                };
+                self.window |= u64::from(byte) << self.have;
+                self.have += 8;
+                self.rest = rest;
+            }
+        }
+    }
+
+    /// Consume `n ≤ 5` bits.
+    #[inline]
+    fn take(&mut self, n: u32) -> Result<(), TraceError> {
+        if self.left < n {
             return Err(TraceError::new("trace stream ended mid-token"));
         }
-        let b = self.bytes[(self.pos / 8) as usize] >> (self.pos % 8) & 1 == 1;
-        self.pos += 1;
-        Ok(b)
+        // `left ≥ n` bits remain, so the window holds at least `n`.
+        self.left -= n;
+        self.window >>= n;
+        self.have -= n;
+        self.refill();
+        Ok(())
     }
 
+    /// Read a token prefix: `0`, `10`, `110`, `1110` or `1111`.
+    #[inline]
+    fn token(&mut self) -> Result<Token, TraceError> {
+        let ones = (!self.window).trailing_zeros().min(4);
+        self.take((ones + 1).min(4))?;
+        Ok(match ones {
+            0 => Token::Pred,
+            1 => Token::Call,
+            2 => Token::Diverge,
+            3 => Token::Crash,
+            _ => Token::End,
+        })
+    }
+
+    /// A [`BitWriter::varint`]: one look at the stream per chunk. Only
+    /// the minimal encoding is accepted — a last chunk after the first
+    /// carries a nonzero digit — since that is all the writer writes.
+    #[inline]
     fn varint(&mut self) -> Result<u64, TraceError> {
         let mut v = 0u64;
         for chunk in 0..16 {
-            let more = self.bit()?;
-            let mut data = 0u64;
-            for i in 0..4 {
-                data |= u64::from(self.bit()?) << i;
-            }
+            let c = self.window & 0x1F;
+            self.take(5)?;
+            let data = c >> 1;
             v |= data << (4 * chunk);
-            if !more {
+            if c & 1 == 0 {
+                if data == 0 && chunk > 0 {
+                    return Err(TraceError::new("non-minimal varint in trace stream"));
+                }
                 return Ok(v);
             }
         }
@@ -343,10 +503,43 @@ impl<'a> BitReader<'a> {
 /// streams byte-for-byte.
 #[must_use]
 pub fn encode_events(cfg: &CfgSuccessors, events: &[TraceEvent]) -> (Vec<u8>, u32) {
-    let mut w = BitWriter::default();
+    let mut stream = Vec::new();
+    let bits = encode_events_into(cfg, events, &mut stream);
+    (stream, bits)
+}
+
+/// [`encode_events`], appending the stream to `out` (a buffer the
+/// caller keeps); returns its bit length.
+pub fn encode_events_into(cfg: &CfgSuccessors, events: &[TraceEvent], out: &mut Vec<u8>) -> u32 {
+    let mut w = BitWriter::new(out);
+    write_events(cfg, events, &mut w);
+    w.finish()
+}
+
+/// Whether [`encode_events`] of `events` is exactly `(stream, bits)`,
+/// found without building the stream: the encoder compares each word
+/// as it would write it, and stops at the first that differs.
+#[must_use]
+pub fn stream_matches(
+    cfg: &CfgSuccessors,
+    events: &[TraceEvent],
+    stream: &[u8],
+    bits: u32,
+) -> bool {
+    let mut w = BitWriter::new(Compare { rest: stream });
+    write_events(cfg, events, &mut w);
+    let (tail, len) = w.tail();
+    w.open && w.bits == bits && w.out.rest == &tail[..len]
+}
+
+/// The encoder proper, into any [`Words`]; stops early when they do.
+fn write_events<W: Words>(cfg: &CfgSuccessors, events: &[TraceEvent], w: &mut BitWriter<W>) {
     let mut prev_block = 0u64;
     let mut next_call = 0u32;
     for ev in events {
+        if !w.open {
+            return;
+        }
         match *ev {
             TraceEvent::Block { start, len } => {
                 if len == 0 {
@@ -354,36 +547,26 @@ pub fn encode_events(cfg: &CfgSuccessors, events: &[TraceEvent]) -> (Vec<u8>, u3
                 }
                 let predicted = cfg.predict(prev_block);
                 if start == predicted {
-                    w.bit(false);
+                    w.put(0b0, 1);
                 } else {
-                    w.bit(true);
-                    w.bit(true);
-                    w.bit(false);
+                    w.put(0b011, 3);
                     w.svarint((start as i64).wrapping_sub(predicted as i64));
                 }
                 w.varint(u64::from(len - 1));
-                prev_block = start + u64::from(len) - 1;
+                prev_block = start.wrapping_add(u64::from(len) - 1);
             }
             TraceEvent::Call { index } => {
-                w.bit(true);
-                w.bit(false);
+                w.put(0b01, 2);
                 w.varint(u64::from(index.wrapping_sub(next_call)));
                 next_call = index.wrapping_add(1);
             }
             TraceEvent::Crash { site } => {
-                w.bit(true);
-                w.bit(true);
-                w.bit(true);
-                w.bit(false);
+                w.put(0b0111, 4);
                 w.svarint((site as i64).wrapping_sub(prev_block as i64));
             }
         }
     }
-    w.bit(true);
-    w.bit(true);
-    w.bit(true);
-    w.bit(true);
-    w.finish()
+    w.put(0b1111, 4);
 }
 
 /// Decode a token stream produced by [`encode_events`] back into the
@@ -391,63 +574,79 @@ pub fn encode_events(cfg: &CfgSuccessors, events: &[TraceEvent]) -> (Vec<u8>, u3
 ///
 /// # Errors
 ///
-/// Returns a [`TraceError`] on truncation (stream ends before `END`),
-/// length mismatches, nonzero padding, out-of-range deltas, or
-/// trailing bits after `END` — strict, never a panic or a silent
-/// partial decode.
+/// As [`walk_events`].
 pub fn decode_events(
     cfg: &CfgSuccessors,
     stream: &[u8],
     bits: u32,
 ) -> Result<Vec<TraceEvent>, TraceError> {
-    let mut r = BitReader::new(stream, bits)?;
     let mut events = Vec::new();
+    walk_events(cfg, stream, bits, |ev| events.push(ev))?;
+    Ok(events)
+}
+
+/// Check a token stream and hand `visit` each event it holds, in order,
+/// building nothing — [`decode_events`] collects them, the replayer
+/// only counts blocks. A stream is accepted only if [`encode_events`]
+/// writes it (crate docs).
+///
+/// # Errors
+///
+/// Returns a [`TraceError`] on truncation (stream ends before `END`),
+/// length mismatches, nonzero padding, non-minimal varints, a zero
+/// `DIVERGE` delta, out-of-range deltas, or trailing bits after `END`
+/// — strict, never a panic. `visit` may have seen the events before
+/// the fault.
+pub fn walk_events(
+    cfg: &CfgSuccessors,
+    stream: &[u8],
+    bits: u32,
+    mut visit: impl FnMut(TraceEvent),
+) -> Result<(), TraceError> {
+    let mut r = BitReader::new(stream, bits)?;
     let mut prev_block = 0u64;
     let mut next_call = 0u32;
     loop {
-        if !r.bit()? {
-            // PRED: the block run starts where the table predicts.
-            let start = cfg.predict(prev_block);
-            let len = take_len(&mut r)?;
-            prev_block = end_of_run(start, len)?;
-            events.push(TraceEvent::Block { start, len });
-            continue;
-        }
-        if !r.bit()? {
-            // CALL
-            let delta = r.varint()?;
-            let delta = u32::try_from(delta)
-                .map_err(|_| TraceError::new("call-index delta out of range"))?;
-            let index = next_call.wrapping_add(delta);
-            next_call = index.wrapping_add(1);
-            events.push(TraceEvent::Call { index });
-            continue;
-        }
-        if !r.bit()? {
-            // DIVERGE
-            let delta = r.svarint()?;
-            let predicted = cfg.predict(prev_block);
-            let start = offset_block(predicted, delta)?;
-            let len = take_len(&mut r)?;
-            prev_block = end_of_run(start, len)?;
-            events.push(TraceEvent::Block { start, len });
-        } else if !r.bit()? {
-            // CRASH
-            let delta = r.svarint()?;
-            let site = offset_block(prev_block, delta)?;
-            events.push(TraceEvent::Crash { site });
-        } else {
-            // END
-            break;
+        match r.token()? {
+            Token::Pred => {
+                // The block run starts where the table predicts.
+                let start = cfg.predict(prev_block);
+                let len = take_len(&mut r)?;
+                prev_block = end_of_run(start, len)?;
+                visit(TraceEvent::Block { start, len });
+            }
+            Token::Call => {
+                let delta = u32::try_from(r.varint()?)
+                    .map_err(|_| TraceError::new("call-index delta out of range"))?;
+                let index = next_call.wrapping_add(delta);
+                next_call = index.wrapping_add(1);
+                visit(TraceEvent::Call { index });
+            }
+            Token::Diverge => {
+                let delta = r.svarint()?;
+                if delta == 0 {
+                    // The writer says PRED for a predicted start.
+                    return Err(TraceError::new("DIVERGE token with a zero delta"));
+                }
+                let start = offset_block(cfg.predict(prev_block), delta)?;
+                let len = take_len(&mut r)?;
+                prev_block = end_of_run(start, len)?;
+                visit(TraceEvent::Block { start, len });
+            }
+            Token::Crash => {
+                let site = offset_block(prev_block, r.svarint()?)?;
+                visit(TraceEvent::Crash { site });
+            }
+            Token::End => break,
         }
     }
-    if r.pos != r.bits {
+    if r.left != 0 {
         return Err(TraceError::new(format!(
             "{} trailing bits after trace END token",
-            r.bits - r.pos
+            r.left
         )));
     }
-    Ok(events)
+    Ok(())
 }
 
 /// Read a `len-1` varint and return the run length as `u32`.
@@ -934,19 +1133,68 @@ mod tests {
     #[test]
     fn varints_round_trip_at_extremes() {
         for v in [0u64, 1, 15, 16, 255, 4096, u64::from(u32::MAX), u64::MAX] {
-            let mut w = BitWriter::default();
+            let mut bytes = Vec::new();
+            let mut w = BitWriter::new(&mut bytes);
             w.varint(v);
-            let (bytes, bits) = w.finish();
+            let bits = w.finish();
             let mut r = BitReader::new(&bytes, bits).unwrap();
             assert_eq!(r.varint().unwrap(), v);
         }
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            let mut w = BitWriter::default();
+            let mut bytes = Vec::new();
+            let mut w = BitWriter::new(&mut bytes);
             w.svarint(v);
-            let (bytes, bits) = w.finish();
+            let bits = w.finish();
             let mut r = BitReader::new(&bytes, bits).unwrap();
             assert_eq!(r.svarint().unwrap(), v);
         }
+    }
+
+    /// A stream from its bits, written first to last as `0`s and `1`s.
+    fn stream_of(bits: &str) -> (Vec<u8>, u32) {
+        let mut bytes = vec![0u8; bits.len().div_ceil(8)];
+        for (i, b) in bits.bytes().enumerate() {
+            bytes[i / 8] |= u8::from(b == b'1') << (i % 8);
+        }
+        (bytes, bits.len() as u32)
+    }
+
+    /// A `DIVERGE` token whose delta is 0, and a `PRED` whose length
+    /// varint ends in a zero chunk, say what the encoder says in 10 bits
+    /// (`PRED`, `len - 1 = 0`, `END`): neither is what it writes, so
+    /// neither is a stream.
+    #[test]
+    fn streams_the_encoder_never_writes_are_refused() {
+        let cfg = table();
+        let canonical = [TraceEvent::Block { start: 1, len: 1 }];
+        let (stream, bits) = encode_events(&cfg, &canonical);
+        assert_eq!((stream.clone(), bits), stream_of("0000001111"));
+        assert_eq!(decode_events(&cfg, &stream, bits).unwrap(), canonical);
+        // DIVERGE, svarint(0), varint(0), END.
+        let (stream, bits) = stream_of("110000000000001111");
+        let err = decode_events(&cfg, &stream, bits).unwrap_err();
+        assert!(err.message.contains("zero delta"), "{err}");
+        // PRED, varint chunks [more=1, 0] [more=0, 0], END.
+        let (stream, bits) = stream_of("0100000000001111");
+        let err = decode_events(&cfg, &stream, bits).unwrap_err();
+        assert!(err.message.contains("non-minimal"), "{err}");
+        // The same trailing zero chunk in a CALL delta, a DIVERGE delta
+        // and a CRASH delta.
+        for bits in [
+            "10100000000001111",
+            "110100000000000000001111",
+            "1110100000000001111",
+        ] {
+            let (stream, n) = stream_of(bits);
+            let err = decode_events(&cfg, &stream, n).unwrap_err();
+            assert!(err.message.contains("non-minimal"), "{bits}: {err}");
+        }
+        // A zero chunk that is the whole varint is the minimal zero.
+        let (stream, bits) = stream_of("10000001111");
+        assert_eq!(
+            decode_events(&cfg, &stream, bits).unwrap(),
+            [TraceEvent::Call { index: 0 }]
+        );
     }
 
     #[test]

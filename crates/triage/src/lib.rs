@@ -35,5 +35,7 @@
 pub mod minimize;
 pub mod report;
 
-pub use minimize::{minimize, minimize_guided, project, without_call, MinimizeOutcome, TraceGuide};
+pub use minimize::{
+    minimize, minimize_guided, project, project_into, without_call, MinimizeOutcome, TraceGuide,
+};
 pub use report::{TriageEntry, TriageReport};

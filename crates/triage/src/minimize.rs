@@ -37,21 +37,114 @@ pub struct MinimizeOutcome {
 /// fallback value is preserved).
 #[must_use]
 pub fn project(prog: &Program, keep: &[usize]) -> Program {
-    let mut map: Vec<Option<usize>> = vec![None; prog.len()];
-    for (new_idx, &old_idx) in keep.iter().enumerate() {
-        map[old_idx] = Some(new_idx);
+    let mut out = Program::default();
+    project_into(prog, keep, &mut out);
+    out
+}
+
+/// [`project`], written over `out`: its call list and each call's
+/// argument list are overwritten in place, the way
+/// `Generator::mutate_into` builds a mutant. A list that must grow
+/// grows to what `prog` could need — all its calls, each as wide as its
+/// widest — so projecting `prog` or any projection of it into `out`
+/// again allocates nothing while `out` keeps its calls. What it
+/// allocates besides is a pointee that holds a [`ResRef`]: its remapped
+/// tree is a new value (any other pointee is shared with `prog`).
+pub fn project_into(prog: &Program, keep: &[usize], out: &mut Program) {
+    out.calls.truncate(keep.len());
+    let new_index = |i| keep.binary_search(&i).ok();
+    write_calls(prog, keep, out, &mut Vec::new(), |v| {
+        remap_value(v, &new_index)
+    });
+}
+
+/// The calls of `prog` at `keep` over the calls `out` holds — no more
+/// than `keep` names — each argument through `arg`; a call `out` lacks
+/// takes its argument list from `spare` while it has one. The body of
+/// [`project_into`], storage rule included.
+fn write_calls(
+    prog: &Program,
+    keep: &[usize],
+    out: &mut Program,
+    spare: &mut Vec<Vec<Value>>,
+    arg: impl Fn(&Value) -> Value,
+) {
+    debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep ascends");
+    let widest = prog.calls.iter().map(|c| c.args.len()).max().unwrap_or(0);
+    let calls = &mut out.calls;
+    if calls.capacity() < keep.len() {
+        calls.reserve_exact(prog.len() - calls.len());
     }
-    let calls = keep
-        .iter()
-        .map(|&i| {
-            let c = &prog.calls[i];
-            ProgCall {
-                sys: c.sys,
-                args: c.args.iter().map(|v| remap_value(v, &map)).collect(),
-            }
-        })
-        .collect();
-    Program { calls }
+    for (at, &i) in keep.iter().enumerate() {
+        let src = &prog.calls[i];
+        if at == calls.len() {
+            let args = spare.pop().unwrap_or_else(|| Vec::with_capacity(widest));
+            calls.push(ProgCall { sys: src.sys, args });
+        }
+        let dst = &mut calls[at];
+        dst.sys = src.sys;
+        dst.args.clear();
+        if dst.args.capacity() < src.args.len() {
+            dst.args.reserve_exact(widest);
+        }
+        dst.args.extend(src.args.iter().map(&arg));
+    }
+}
+
+/// What a search keeps between probes: the candidate buffer, the index
+/// list of the calls it keeps and the index map it inverts to (a call's
+/// position in the candidate, by its position in the program
+/// projected), and a pool of argument lists for the calls a candidate
+/// grows by, which takes back the lists of the calls a candidate is
+/// cut by.
+struct Kept {
+    candidate: Program,
+    keep: Vec<usize>,
+    map: Vec<Option<usize>>,
+    spare: Vec<Vec<Value>>,
+}
+
+impl Kept {
+    /// Storage for the search over `prog` and its projections, made up
+    /// front: a candidate holds fewer calls than `prog`, so the pool
+    /// starts with a list as wide as `prog`'s widest call for each of
+    /// them, with room for every list the search will hold (its base
+    /// program's too).
+    fn for_program(prog: &Program) -> Kept {
+        let widest = prog.calls.iter().map(|c| c.args.len()).max().unwrap_or(0);
+        let mut spare = Vec::with_capacity(2 * prog.len());
+        spare.extend((1..prog.len()).map(|_| Vec::with_capacity(widest)));
+        Kept {
+            candidate: Program::default(),
+            keep: Vec::with_capacity(prog.len()),
+            map: Vec::with_capacity(prog.len()),
+            spare,
+        }
+    }
+
+    /// [`project_into`] of `prog` at `keep` over the candidate, its cut
+    /// calls' argument lists kept.
+    fn project(&mut self, prog: &Program) {
+        let Kept {
+            candidate,
+            keep,
+            map,
+            spare,
+        } = self;
+        map.clear();
+        map.resize(prog.len(), None);
+        for (at, &i) in keep.iter().enumerate() {
+            map[i] = Some(at);
+        }
+        if candidate.calls.len() > keep.len() {
+            spare.extend(candidate.calls.drain(keep.len()..).map(|mut c| {
+                c.args.clear();
+                c.args
+            }));
+        }
+        let new_index = |i| map.get(i).copied().flatten();
+        write_calls(prog, keep, candidate, spare, |v| remap_value(v, &new_index));
+    }
 }
 
 /// The program with call `idx` removed (references remapped) — the
@@ -62,20 +155,22 @@ pub fn without_call(prog: &Program, idx: usize) -> Program {
     project(prog, &keep)
 }
 
-fn remap_value(v: &Value, map: &[Option<usize>]) -> Value {
+/// `v` with every producer index `i` remapped to `new_index(i)` (its
+/// position among the kept calls, `None` for a call not kept).
+fn remap_value(v: &Value, new_index: &impl Fn(usize) -> Option<usize>) -> Value {
     match v {
         Value::Res(r) => Value::Res(ResRef {
-            producer: r.producer.and_then(|i| map.get(i).copied().flatten()),
+            producer: r.producer.and_then(new_index),
             fallback: r.fallback,
         }),
-        Value::Group(vs) => Value::Group(vs.iter().map(|v| remap_value(v, map)).collect()),
+        Value::Group(vs) => Value::Group(vs.iter().map(|v| remap_value(v, new_index)).collect()),
         Value::Union { arm, value } => Value::Union {
             arm: *arm,
-            value: Box::new(remap_value(value, map)),
+            value: Box::new(remap_value(value, new_index)),
         },
         // Only a pointee that holds a reference needs rebuilding; any
         // other is shared with the input.
-        Value::Ptr { pointee: Some(p) } if p.has_res() => Value::ptr_to(remap_value(p, map)),
+        Value::Ptr { pointee: Some(p) } if p.has_res() => Value::ptr_to(remap_value(p, new_index)),
         Value::Ptr { .. } | Value::Int(_) | Value::Bytes(_) => v.clone(),
     }
 }
@@ -97,34 +192,50 @@ fn remap_value(v: &Value, map: &[Option<usize>]) -> Value {
 ///
 /// Termination of phase 2 is the 1-minimality proof: the final sweep
 /// witnessed every single-call removal failing to reproduce.
-pub fn minimize<F>(prog: &Program, mut reproduces: F) -> MinimizeOutcome
+///
+/// **Candidates are built in kept storage.** The search holds two
+/// programs — the current reproducer and one candidate buffer — one
+/// index list and one index map; every candidate is projected over the
+/// buffer ([`project_into`]'s storage rule) and an accepted one is
+/// swapped with the current program, whose storage becomes the next
+/// candidate's. What the search holds is sized from `prog` before its
+/// first probe, so once the first candidate has been built a probe
+/// allocates only for the pointees holding a [`ResRef`] it rebuilds
+/// (`tests/alloc_count.rs` pins none on reproducers with no such
+/// pointee). The guided search's pruned candidate is swapped in as the
+/// base the same way.
+pub fn minimize<F>(prog: &Program, reproduces: F) -> MinimizeOutcome
 where
     F: FnMut(&Program) -> bool,
 {
-    let mut execs = 0u64;
-    {
-        execs += 1;
-        if !reproduces(prog) {
-            return MinimizeOutcome {
-                program: prog.clone(),
-                execs,
-            };
-        }
-    }
-    let mut current = prog.clone();
+    minimize_guided(prog, &TraceGuide::default(), reproduces)
+}
+
+/// The search of [`minimize`] from `current`, which reproduces (the
+/// probe that said so is in `execs`), building each candidate in
+/// `kept`.
+fn shrink<F>(
+    mut current: Program,
+    kept: &mut Kept,
+    reproduces: &mut F,
+    mut execs: u64,
+) -> MinimizeOutcome
+where
+    F: FnMut(&Program) -> bool,
+{
     // Chunk phase.
     let mut chunk = current.len().div_ceil(2).max(1);
     while chunk >= 1 {
         let mut start = 0usize;
         while start < current.len() && current.len() > 1 {
             let end = (start + chunk).min(current.len());
-            let keep: Vec<usize> = (0..current.len())
-                .filter(|&i| i < start || i >= end)
-                .collect();
-            let candidate = project(&current, &keep);
+            kept.keep.clear();
+            kept.keep
+                .extend((0..current.len()).filter(|&i| i < start || i >= end));
+            kept.project(&current);
             execs += 1;
-            if !candidate.is_empty() && reproduces(&candidate) {
-                current = candidate;
+            if !kept.candidate.is_empty() && reproduces(&kept.candidate) {
+                std::mem::swap(&mut current, &mut kept.candidate);
                 // Do not advance: the next chunk slid into `start`.
             } else {
                 start = end;
@@ -140,10 +251,12 @@ where
         let mut shrunk = false;
         let mut i = 0usize;
         while i < current.len() && current.len() > 1 {
-            let candidate = without_call(&current, i);
+            kept.keep.clear();
+            kept.keep.extend((0..current.len()).filter(|&k| k != i));
+            kept.project(&current);
             execs += 1;
-            if reproduces(&candidate) {
-                current = candidate;
+            if reproduces(&kept.candidate) {
+                std::mem::swap(&mut current, &mut kept.candidate);
                 shrunk = true;
                 // The call that slid into position `i` is probed next.
             } else {
@@ -197,27 +310,41 @@ where
     F: FnMut(&Program) -> bool,
 {
     let mut execs = 0u64;
-    let mut base = prog.clone();
+    let mut kept = Kept::for_program(prog);
+    let mut pruned = false;
     if let Some(cc) = guide.crash_call {
         if cc < prog.len()
             && guide.call_blocks.len() == prog.len()
             && guide.call_errs.len() == prog.len()
         {
-            let keep: Vec<usize> = (0..=cc)
-                .filter(|&i| i == cc || guide.call_blocks[i] > 0 || !guide.call_errs[i])
-                .collect();
-            if keep.len() < prog.len() {
-                let candidate = project(prog, &keep);
+            kept.keep.extend(
+                (0..=cc).filter(|&i| i == cc || guide.call_blocks[i] > 0 || !guide.call_errs[i]),
+            );
+            if kept.keep.len() < prog.len() {
+                kept.project(prog);
                 execs += 1;
-                if !candidate.is_empty() && reproduces(&candidate) {
-                    base = candidate;
-                }
+                pruned = !kept.candidate.is_empty() && reproduces(&kept.candidate);
             }
         }
     }
-    let mut out = minimize(&base, reproduces);
-    out.execs += execs;
-    out
+    // The base: the pruned candidate, swapped in, or a copy of `prog`
+    // in storage its candidates fit.
+    let mut base = Program::default();
+    if pruned {
+        std::mem::swap(&mut base, &mut kept.candidate);
+    } else {
+        kept.keep.clear();
+        kept.keep.extend(0..prog.len());
+        write_calls(prog, &kept.keep, &mut base, &mut Vec::new(), Value::clone);
+    }
+    execs += 1;
+    if !reproduces(&base) {
+        return MinimizeOutcome {
+            program: base,
+            execs,
+        };
+    }
+    shrink(base, &mut kept, &mut reproduces, execs)
 }
 
 #[cfg(test)]

@@ -39,12 +39,25 @@
 //! thread, epochs of 128 — where at ring 32 only a shard's last epoch
 //! is; the traced result must equal the untraced one.
 //!
+//! Last, the read side over what that run returns — the sealed store
+//! of every shard and the campaign's crash reproducers, what the
+//! benchmark's `recover_replay` reads back: per trace, a replay's
+//! stages as `replay_trace` runs them — **decode** (the program, held to
+//! the suite), **check** (the recorded stream, walked and its blocks
+//! counted), **exec** (traced, under the trace's fuel) and **compare**
+//! (the live log encoded against the recorded words) — and per probe, a
+//! ddmin search's **project** (from one probe's end to the next's
+//! start: the candidate built in kept storage; the copy of the base
+//! before the first) and **exec**. Every replay must be identical and
+//! every minimized reproducer must still crash with its signature.
+//!
 //! ```text
 //! cargo run --release --example exec_stages
 //! ```
 //!
-//! A record for EXPERIMENTS.md § "Where a mutant's exec goes" and
-//! § "What a reader can see", never a gate: the referees are
+//! A record for EXPERIMENTS.md § "Where a mutant's exec goes",
+//! § "What a reader can see" and § "Where a replay's 12 µs goes",
+//! never a gate: the referees are
 //! `benchmark/`'s `deepchain_sharded` and `deepchain_durable`, the
 //! pinned counts `tests/alloc_count.rs`'s. A stage's time includes one
 //! clock read (some 20 ns here).
@@ -52,13 +65,14 @@
 use kernelgpt::csrc::blueprint::Blueprint;
 use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fuzzer::{
-    cfg_successors, execute_with, CampaignConfig, CampaignResult, Corpus, ExecScratch, ExecTrace,
-    Generator, Program, ShardedCampaign, TraceStore,
+    cfg_successors, execute_with, replay_trace, CampaignConfig, CampaignResult, Corpus,
+    ExecScratch, ExecTrace, Generator, Program, ShardedCampaign, TraceStore,
 };
 use kernelgpt::syzlang::lowered::{CfgSuccessors, LoweredDb};
 use kernelgpt::syzlang::SpecCache;
-use kernelgpt::trace::encode_events;
-use kernelgpt::vkernel::VKernel;
+use kernelgpt::trace::{encode_events, stream_matches, walk_events};
+use kernelgpt::triage::minimize;
+use kernelgpt::vkernel::{TraceEvent, VKernel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -122,9 +136,14 @@ const RESTORE: usize = 4;
 const EXEC: usize = 5;
 const OBSERVE: usize = 6;
 
-/// Time, allocator events and runs of each stage.
-#[derive(Default)]
-struct Tally([(u64, u64, u64); 7]);
+/// Time, allocator events and runs of each of `N` stages.
+struct Tally<const N: usize = 7>([(u64, u64, u64); N]);
+
+impl<const N: usize> Default for Tally<N> {
+    fn default() -> Tally<N> {
+        Tally([(0, 0, 0); N])
+    }
+}
 
 /// A clock and an event count, read between stages.
 struct Lap(Instant, u64);
@@ -135,7 +154,7 @@ impl Lap {
     }
 
     /// Charge what passed since the last reading to `stage`.
-    fn charge(&mut self, tally: &mut Tally, stage: usize) {
+    fn charge<const N: usize>(&mut self, tally: &mut Tally<N>, stage: usize) {
         let now = Lap::start();
         let slot = &mut tally.0[stage];
         slot.0 += u64::try_from((now.0 - self.0).as_nanos()).unwrap_or(u64::MAX);
@@ -413,6 +432,127 @@ fn main() {
         &traced_out.1,
         "only the last epoch's ring",
     );
+
+    let spec_fp = SpecCache::fingerprint(db.files());
+    read_back(&kernel, &lowered, spec_fp, &traced_out.0, &traced_out.1);
+}
+
+const READ_STAGES: [&str; 4] = ["decode", "check", "exec", "compare"];
+const DECODE: usize = 0;
+const CHECK: usize = 1;
+const REPLAY_EXEC: usize = 2;
+const COMPARE: usize = 3;
+const PROBE_STAGES: [&str; 2] = ["project", "exec"];
+const PROJECT: usize = 0;
+const PROBE_EXEC: usize = 1;
+
+/// The read side's stage table over what a traced campaign returned:
+/// every trace of `stores` replayed, every reproducer of `result`
+/// minimized, `REPS` times after a warm-up pass.
+fn read_back(
+    kernel: &VKernel,
+    lowered: &Arc<LoweredDb>,
+    spec_fp: u64,
+    result: &CampaignResult,
+    stores: &[TraceStore],
+) {
+    let cfg = cfg_successors(kernel);
+    let mut scratch = ExecScratch::from_lowered(Arc::clone(lowered));
+    let traces: Vec<&ExecTrace> = stores.iter().flat_map(TraceStore::iter).collect();
+    for t in &traces {
+        let out = replay_trace(kernel, &mut scratch, &cfg, t, spec_fp).expect("a sealed trace");
+        assert!(out.identical, "shard {} exec {} diverged", t.shard, t.exec);
+    }
+    let mut replays = Tally::<4>::default();
+    scratch.state.trace_mut().set_enabled(true);
+    for _ in 0..REPS {
+        for t in &traces {
+            let mut lap = Lap::start();
+            let prog = t.decode_program().expect("a sealed program");
+            prog.fits(lowered).expect("a program of the suite");
+            lap.charge(&mut replays, DECODE);
+            let mut blocks = 0u64;
+            walk_events(&cfg, &t.stream, t.stream_bits, |e| {
+                if let TraceEvent::Block { len, .. } = e {
+                    blocks += u64::from(len);
+                }
+            })
+            .expect("a sealed stream");
+            black_box(blocks);
+            lap.charge(&mut replays, CHECK);
+            scratch.state.set_fuel_limit(t.exec_fuel);
+            execute_with(kernel, &prog, &mut scratch);
+            lap.charge(&mut replays, REPLAY_EXEC);
+            let same = stream_matches(
+                &cfg,
+                scratch.state.trace().events(),
+                &t.stream,
+                t.stream_bits,
+            );
+            lap.charge(&mut replays, COMPARE);
+            assert!(
+                same && scratch.crash().map(|c| c.signature) == t.crash
+                    && scratch.state.fuel_exhausted() == t.fuel_exhausted,
+                "shard {} exec {} diverged",
+                t.shard,
+                t.exec
+            );
+        }
+    }
+    let pinned: usize = stores.iter().map(TraceStore::pinned_len).sum();
+    println!(
+        "\nreplaying that run's stores ({} traces, {pinned} pinned; {REPS} passes after a warm-up, every replay identical):",
+        traces.len()
+    );
+    print_stages(&READ_STAGES, &replays, "a replay");
+
+    // ddmin probes run untraced, under the campaign's fuel.
+    scratch.state.trace_mut().set_enabled(false);
+    scratch
+        .state
+        .set_fuel_limit(CampaignConfig::default().exec_fuel);
+    let mut probes = Tally::<2>::default();
+    for rep in 0..=REPS {
+        let mut tally = Tally::<2>::default();
+        for e in result.triage.entries() {
+            let mut lap = Lap::start();
+            let out = minimize(&e.raw, |candidate| {
+                lap.charge(&mut tally, PROJECT);
+                execute_with(kernel, candidate, &mut scratch);
+                let hit = scratch.crash().is_some_and(|c| c.signature == e.signature);
+                lap.charge(&mut tally, PROBE_EXEC);
+                hit
+            });
+            execute_with(kernel, &out.program, &mut scratch);
+            let crash = scratch.crash().map(|c| c.signature);
+            assert_eq!(crash, Some(e.signature), "{} no longer reproduces", e.title);
+        }
+        // The first pass warms the scratch and the pointees' images.
+        if rep > 0 {
+            for (sum, t) in probes.0.iter_mut().zip(tally.0) {
+                *sum = (sum.0 + t.0, sum.1 + t.1, sum.2 + t.2);
+            }
+        }
+    }
+    println!(
+        "\nminimizing its {} reproducers ({REPS} passes after a warm-up):",
+        result.triage.entries().count()
+    );
+    print_stages(&PROBE_STAGES, &probes, "a probe");
+}
+
+/// One row per stage — ns and allocator events a run of it — and
+/// their sum, a run of `whole`.
+fn print_stages<const N: usize>(names: &[&str; N], tally: &Tally<N>, whole: &str) {
+    println!("stage           ns   events");
+    let (mut ns, mut events) = (0.0, 0.0);
+    for (name, &(t, e, runs)) in names.iter().zip(&tally.0) {
+        let runs = runs.max(1) as f64;
+        let (t, e) = (t as f64 / runs, e as f64 / runs);
+        println!("{name:<10} {t:>7.0} {e:>8.2}");
+        (ns, events) = (ns + t, events + e);
+    }
+    println!("{whole:<10} {ns:>7.0} {events:>8.2}");
 }
 
 /// What a traced campaign returns.

@@ -67,6 +67,7 @@ use kernelgpt::fuzzer::{
 use kernelgpt::llm::protocol::{Prompt, Task};
 use kernelgpt::llm::{ChatRequest, LanguageModel, ModelKind, OracleModel};
 use kernelgpt::syzlang::{LoweredDb, SpecCache, SpecDb, Value};
+use kernelgpt::triage::minimize;
 use kernelgpt::vkernel::VKernel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -518,6 +519,85 @@ fn a_deep_chain_exec_allocates_nothing_in_the_kernel() {
     );
     assert_eq!(quiet_events, 0, "a non-crashing exec allocated");
     assert_eq!(crash_events, 0, "filing a crash report allocated");
+}
+
+/// Whether projecting a call list rebuilds none of these arguments:
+/// scalars, references and pointers to pointees holding no `ResRef`
+/// are moved or shared, never built anew.
+fn projects_in_place(prog: &Program) -> bool {
+    prog.calls.iter().flat_map(|c| &c.args).all(|v| match v {
+        Value::Int(_) | Value::Res(_) => true,
+        Value::Ptr { pointee } => pointee.as_ref().is_none_or(|p| !p.has_res()),
+        _ => false,
+    })
+}
+
+/// ddmin builds every candidate in storage it keeps: once the first
+/// candidate is built, a converged `minimize` — a deep-chain reproducer
+/// whose pointees hold no `ResRef`, judged by executing it on a warm
+/// scratch — costs no allocator event for any later probe, accepted or
+/// not, nor for returning its result. The reproducers have 8 to 24
+/// calls, so candidates shrink and grow again many times over a search:
+/// a pool that dropped a cut call's argument list instead of taking it
+/// back would run dry and allocate.
+#[test]
+fn a_converged_minimize_allocates_nothing_per_probe_after_the_first() {
+    let kc = KernelCorpus::from_blueprints(deepchain::suite());
+    let db = SpecDb::from_files(
+        kc.blueprints()
+            .iter()
+            .map(Blueprint::ground_truth_spec)
+            .collect(),
+    );
+    let kernel = VKernel::boot(deepchain::suite());
+    let mut g = Generator::new(&db, kc.consts(), 29);
+    let mut scratch = ExecScratch::new(&db, kc.consts());
+    let mut reproducers = Vec::new();
+    while reproducers.len() < 40 {
+        let prog = g.gen_program(24);
+        execute_with(&kernel, &prog, &mut scratch);
+        if let Some(c) = scratch.crash() {
+            if prog.len() >= 8 && projects_in_place(&prog) {
+                reproducers.push((prog, c.signature));
+            }
+        }
+    }
+    // Start of each probe, in events; reserved, so stamping allocates
+    // nothing.
+    let mut stamps: Vec<u64> = Vec::with_capacity(4096);
+    let (mut probes, mut shrunk) = (0usize, 0usize);
+    for (prog, sig) in &reproducers {
+        let mut run = |stamps: &mut Vec<u64>| {
+            minimize(prog, |candidate| {
+                stamps.push(events());
+                execute_with(&kernel, candidate, &mut scratch);
+                scratch.crash().is_some_and(|c| c.signature == *sig)
+            })
+        };
+        // Warm-up: the scratch and the shared pointees' images.
+        let warm = run(&mut stamps);
+        stamps.clear();
+        let out = run(&mut stamps);
+        let end = events();
+        assert_eq!(out, warm);
+        assert!(stamps.len() >= 3, "{} probes", stamps.len());
+        // Probe 0 is the program itself, probe 1 the first candidate.
+        assert_eq!(
+            end - stamps[1],
+            0,
+            "probes 1..{} allocated: {:?}",
+            stamps.len(),
+            stamps.iter().map(|s| s - stamps[1]).collect::<Vec<_>>()
+        );
+        probes += stamps.len();
+        shrunk += usize::from(out.program.len() < prog.len());
+        stamps.clear();
+    }
+    println!(
+        "minimize: {} reproducers, {probes} probes, {shrunk} shrunk, no event past each first candidate",
+        reproducers.len()
+    );
+    assert!(shrunk > reproducers.len() / 2, "only {shrunk} shrank");
 }
 
 /// A dm call whose `targets` array has thousands of elements is born
