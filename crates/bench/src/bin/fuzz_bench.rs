@@ -614,14 +614,16 @@ fn tenancy_section(report: &mut Report, dc: &DeepChain) {
             health: HealthOpts::default(),
         });
         for (i, config) in configs.iter().enumerate() {
-            service.admit(TenantSpec {
-                name: format!("tenant-{i}"),
-                config: config.clone(),
-                shards: SHARDS,
-                workers: 2,
-                spec_fp: dc.spec_fp,
-                quota: quota_of(i).map_or_else(TenantQuota::unlimited, TenantQuota::execs),
-            });
+            service
+                .admit(TenantSpec {
+                    name: format!("tenant-{i}"),
+                    config: config.clone(),
+                    shards: SHARDS,
+                    workers: 2,
+                    spec_fp: dc.spec_fp,
+                    quota: quota_of(i).map_or_else(TenantQuota::unlimited, TenantQuota::execs),
+                })
+                .expect("admit");
         }
         service.run(&mut dc.workers(scope)).expect("tenant service")
     });

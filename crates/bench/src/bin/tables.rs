@@ -17,23 +17,24 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let exp = args.first().map(String::as_str).unwrap_or("all");
     match exp {
-        "table1" => table1(),
+        "table1" => table1(&census_run()),
         "fig7" => fig7(),
-        "table2" => table2(),
+        "table2" => table2(&census_run()),
         "table3" => table3(),
         "table4" => table4(),
         "table5" => table5(),
         "table6" => table6(),
-        "cost" => cost(),
-        "correctness" => correctness_exp(),
+        "cost" => cost(&census_run()),
+        "correctness" => correctness_exp(&census_run()),
         "ablation-iter" => ablation_iter(),
         "ablation-model" => ablation_model(),
         "all" => {
-            table1();
+            let census = census_run();
+            table1(&census);
             fig7();
-            table2();
-            cost();
-            correctness_exp();
+            table2(&census);
+            cost(&census);
+            correctness_exp(&census);
             table3();
             table4();
             table5();
@@ -48,8 +49,8 @@ fn main() {
     }
 }
 
-/// Shared state for the census experiments (Table 1/2, Fig 7, cost,
-/// correctness), computed once.
+/// Shared state for the census experiments (Table 1/2, cost,
+/// correctness), computed once a run.
 struct CensusRun {
     env: Env,
     model: OracleModel,
@@ -77,8 +78,7 @@ fn census_run() -> CensusRun {
     }
 }
 
-fn table1() {
-    let run = census_run();
+fn table1(run: &CensusRun) {
     let census = run.env.kc.census();
     let d_out: Vec<_> = run
         .report
@@ -158,8 +158,7 @@ fn fig7() {
     }
 }
 
-fn table2() {
-    let run = census_run();
+fn table2(run: &CensusRun) {
     let d_sys: usize = run
         .report
         .outcomes
@@ -215,8 +214,7 @@ fn table2() {
     );
 }
 
-fn cost() {
-    let run = census_run();
+fn cost(run: &CensusRun) {
     let usage = run.model.total_usage();
     let cap = ModelKind::Gpt4.capability();
     println!(
@@ -233,8 +231,7 @@ fn cost() {
     );
 }
 
-fn correctness_exp() {
-    let run = census_run();
+fn correctness_exp(run: &CensusRun) {
     // The 45 loaded drivers with no existing specs (§5.1.3's target).
     let ids: Vec<String> = run
         .env

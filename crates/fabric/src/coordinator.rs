@@ -146,7 +146,7 @@ impl Coordinator {
             workers: self.opts.workers,
             spec_fp: self.opts.spec_fp,
             quota: TenantQuota::unlimited(),
-        });
+        })?;
         let (results, _) = service.run(accept)?;
         let tenant = results.into_iter().next().ok_or_else(|| {
             FabricError::Protocol("the service returned no result for its one tenant".into())

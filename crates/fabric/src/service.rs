@@ -443,13 +443,15 @@ impl Tenant {
             return None;
         };
         let slot = self.table.vacant_slot()?;
+        // A table has at most `workers: u32` slots; a slot no `u32`
+        // names is refused, not granted.
+        let slot_id = u32::try_from(slot).ok()?;
         let (lo, hi) = self.table.range(slot);
         let lease_id = self.table.grant(slot, Instant::now(), lease_timeout);
         let grant = Grant {
             tenant: self.id,
             lease_id,
-            // A table has at most `workers: u32` slots.
-            slot: u32::try_from(slot).expect("slot fits u32"),
+            slot: slot_id,
             shard_lo: lo,
             shard_hi: hi,
             shards_total: merge.shards_total(),
@@ -491,13 +493,17 @@ impl TenantService {
 
     /// Admit a tenant; returns its id (admission order, and the
     /// `tenant` tag on every frame it owns).
-    pub fn admit(&mut self, spec: TenantSpec) -> u32 {
-        // Each tenant holds a merge, a lease table and a stash: 2^32
-        // of them do not fit in memory.
-        let id = u32::try_from(self.tenants.len()).expect("tenant id fits u32");
+    ///
+    /// # Errors
+    ///
+    /// [`FabricError::Protocol`] when every `u32` tenant id is taken.
+    pub fn admit(&mut self, spec: TenantSpec) -> Result<u32, FabricError> {
+        let id = u32::try_from(self.tenants.len()).map_err(|_| {
+            FabricError::Protocol("every u32 tenant id is taken: tenant refused".into())
+        })?;
         self.tenants.push(Tenant::new(id, spec));
         self.stats.grants_per_tenant.push(0);
-        id
+        Ok(id)
     }
 
     /// Admitted tenant count.

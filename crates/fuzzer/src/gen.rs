@@ -432,8 +432,11 @@ fn gen_value(
 
 // The draw rules. Each is written once: the tree arms above and the
 // born-packed path (through `Stream`) run the same code, so a pointee
-// consumes the same draws whichever form it is born in.
+// consumes the same draws whichever form it is born in. The per-scalar
+// rules are inlined into both: out of line, every draw would store and
+// reload the generator's state.
 
+#[inline(always)]
 fn draw_int(rng: &mut StdRng, range: Option<(u64, u64)>) -> u64 {
     match range {
         // Mostly respect declared ranges; occasionally probe
@@ -449,6 +452,7 @@ fn draw_int(rng: &mut StdRng, range: Option<(u64, u64)>) -> u64 {
     }
 }
 
+#[inline(always)]
 fn draw_flags(rng: &mut StdRng, members: &[u64]) -> u64 {
     let mut acc = 0u64;
     for v in members {
@@ -502,18 +506,22 @@ fn gen_int(rng: &mut StdRng) -> u64 {
 struct Stream<'a>(&'a mut StdRng);
 
 impl PlanDraws for Stream<'_> {
+    #[inline]
     fn int(&mut self, range: Option<(u64, u64)>) -> u64 {
         draw_int(self.0, range)
     }
 
+    #[inline]
     fn flags(&mut self, members: &[u64]) -> u64 {
         draw_flags(self.0, members)
     }
 
+    #[inline]
     fn array_len(&mut self, len: ArrayLen) -> u64 {
         draw_len(self.0, len)
     }
 
+    #[inline]
     fn bytes(&mut self, dst: &mut [u8]) {
         draw_bytes(self.0, dst);
     }

@@ -19,7 +19,7 @@ use kgpt_syzlang::{ConstDb, SpecDb, Value};
 use kgpt_vkernel::{MemMap, Sysno, VKernel, VmState};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Interesting scalar boundary values the generator favours. Shared
@@ -279,7 +279,7 @@ impl<'a> AstGenerator<'a> {
 
     fn gen_int(&mut self) -> u64 {
         if self.rng.random_bool(0.7) {
-            *INTERESTING.choose(&mut self.rng).expect("non-empty")
+            INTERESTING[(self.rng.next_u64() % INTERESTING.len() as u64) as usize]
         } else {
             self.rng.random()
         }

@@ -527,6 +527,7 @@ impl LoweredDb {
 
     /// Pre-resolved members of a flag set (see [`LType::Flags`]).
     #[must_use]
+    #[inline]
     pub fn flag_values(&self, range: (u32, u32)) -> &[u64] {
         &self.flag_pool[range.0 as usize..range.1 as usize]
     }
@@ -806,6 +807,90 @@ enum Node {
     },
 }
 
+/// One step of [`Plan::fill`]: the plan's [`Node`]s in draw order as
+/// one flat program. Struct nodes, which draw nothing, and fills of
+/// zero, which the zeroed image already holds, are left out; an array
+/// of non-byte elements is a `Repeat` of the ops after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// An `intN` draw, stored at `off`.
+    Int {
+        off: u32,
+        bits: IntBits,
+        range: Option<(u64, u64)>,
+    },
+    /// A `flags[set]` draw over this range of the flag pool.
+    Flags {
+        off: u32,
+        bits: IntBits,
+        values: (u32, u32),
+    },
+    /// A non-zero [`Draw::Filled`] value, stored with no draw.
+    Filled { off: u32, bits: IntBits, value: u64 },
+    /// A byte array, each byte drawn.
+    Bytes { off: u32, len: Count },
+    /// An array of `count` elements `stride` bytes apart from `off`:
+    /// the next `body` ops, up to and including their [`Op::Next`],
+    /// run once per element.
+    Repeat {
+        off: u32,
+        count: Count,
+        stride: u32,
+        body: u32,
+    },
+    /// The end of a `Repeat`'s element: on to the next, or past the
+    /// array after the last.
+    Next,
+}
+
+/// Most arrays a plan nests inside one another (what [`Plan::fill`]
+/// keeps open at once); a type nesting deeper has no plan.
+const MAX_NEST: usize = 8;
+
+/// Append the ops of `nodes`, whole subtrees inside `nest` arrays, to
+/// `ops`; `None` when arrays nest deeper than [`MAX_NEST`].
+fn lower_ops(nodes: &[Node], nest: usize, ops: &mut Vec<Op>) -> Option<()> {
+    let mut i = 0;
+    while let Some(&node) = nodes.get(i) {
+        i += 1;
+        match node {
+            Node::Struct { .. }
+            | Node::Scalar {
+                draw: Draw::Filled(0),
+                ..
+            } => {}
+            Node::Scalar { off, bits, draw } => ops.push(match draw {
+                Draw::Int { range } => Op::Int { off, bits, range },
+                Draw::Flags { values } => Op::Flags { off, bits, values },
+                Draw::Filled(value) => Op::Filled { off, bits, value },
+            }),
+            Node::Bytes { off, len } => ops.push(Op::Bytes { off, len }),
+            Node::Array {
+                off,
+                count,
+                stride,
+                body,
+            } => {
+                if nest == MAX_NEST {
+                    return None;
+                }
+                let at = ops.len();
+                ops.push(Op::Next);
+                lower_ops(&nodes[i..i + body as usize], nest + 1, ops)?;
+                ops.push(Op::Next);
+                ops[at] = Op::Repeat {
+                    off,
+                    count,
+                    stride,
+                    body: u32::try_from(ops.len() - at - 1).ok()?,
+                };
+                i += body as usize;
+            }
+        }
+    }
+    Some(())
+}
+
 /// How to generate, read back and serialise one pointee type that is
 /// *closed by construction*: only `intN` / resolved `const` / `flags` /
 /// `len` / `bytesize` scalars, byte arrays, arrays and non-empty
@@ -824,7 +909,10 @@ enum Node {
 /// database at hand.
 #[derive(Debug)]
 pub struct Plan {
+    /// The type's tree, in pre-order: what [`Plan::read`] walks.
     nodes: Vec<Node>,
+    /// The same nodes as the draws that fill an image.
+    ops: Vec<Op>,
     /// Image bytes before the trailing array's elements (the whole
     /// image when every count is fixed).
     head: usize,
@@ -843,9 +931,9 @@ pub struct Plan {
 struct Tail {
     /// How its count is drawn.
     len: ArrayLen,
-    /// Index of its node; every node before is of fixed shape, every
-    /// node after is its element's body.
-    node: usize,
+    /// Index of its op; every op before is of fixed shape, every op
+    /// after is its element's body.
+    op: usize,
     /// Bytes per element.
     stride: usize,
     /// `len` / `bytesize` slots measuring it: `(offset, width, units
@@ -930,7 +1018,7 @@ impl PlanCompiler<'_> {
                     self.plan.head = off as usize;
                     self.plan.tail = Some(Tail {
                         len,
-                        node: at,
+                        op: 0,
                         stride: usize::try_from(stride).ok()?,
                         measures: Vec::new(),
                     });
@@ -1013,6 +1101,7 @@ impl PlanCompiler<'_> {
 
 /// Store the low `bits` of `v` at `at`, little-endian — what
 /// `push_int` appends for `bits.truncate(v)`.
+#[inline]
 #[allow(clippy::cast_possible_truncation)]
 fn put_int(image: &mut [u8], at: usize, bits: IntBits, v: u64) {
     // One fixed-width store per arm (a variable-length copy is a call).
@@ -1031,6 +1120,7 @@ impl Plan {
             db,
             plan: Plan {
                 nodes: Vec::new(),
+                ops: Vec::new(),
                 head: 0,
                 floor: 0,
                 tail: None,
@@ -1040,47 +1130,88 @@ impl Plan {
         let size = usize::try_from(c.node(ty, 0, 0, true)?.size).ok()?;
         let layout = usize::try_from(db.layout(ty).as_ref().ok()?.size).ok()?;
         let mut plan = c.plan;
-        if plan.tail.is_none() {
-            plan.head = size;
+        lower_ops(&plan.nodes, 0, &mut plan.ops)?;
+        match &mut plan.tail {
+            // The trailing array's op is the one array op of drawn count.
+            Some(tail) => {
+                tail.op = plan.ops.iter().position(|op| {
+                    matches!(
+                        op,
+                        Op::Bytes {
+                            len: Count::Tail,
+                            ..
+                        } | Op::Repeat {
+                            count: Count::Tail,
+                            ..
+                        }
+                    )
+                })?;
+            }
+            None => plan.head = size,
         }
         plan.floor = size.max(layout);
         Some(plan)
     }
 
-    /// Draw `nodes` — fixed-shape subtrees, or one array element's
-    /// body; the trailing array's own node never comes here — into
-    /// `image`, the bytes their offsets are relative to. Image and
-    /// draw source are separate `&mut` parameters on purpose: the
-    /// generator's state stays in registers across the stores.
-    fn fill<D: PlanDraws>(&self, db: &LoweredDb, nodes: &[Node], image: &mut [u8], draws: &mut D) {
+    /// Run `ops` — the fixed-shape ops, or the trailing array's, whose
+    /// count is `tail` — into `image`, the whole image: one loop, with
+    /// an array's element body re-run in place. Image and draw source
+    /// are separate `&mut` parameters on purpose: the generator's state
+    /// stays in registers across the stores.
+    fn fill<D: PlanDraws>(
+        &self,
+        db: &LoweredDb,
+        ops: &[Op],
+        tail: u32,
+        image: &mut [u8],
+        draws: &mut D,
+    ) {
+        // The open arrays, innermost last: (first body op, elements
+        // left, stride, `base` outside).
+        let mut open = [(0usize, 0usize, 0usize, 0usize); MAX_NEST];
+        let mut nest = 0;
+        // Where the innermost open element starts.
+        let mut base = 0;
         let mut i = 0;
-        while let Some(&node) = nodes.get(i) {
+        while let Some(&op) = ops.get(i) {
             i += 1;
-            match node {
-                Node::Struct { .. } => {}
-                Node::Scalar { off, bits, draw } => {
-                    let v = match draw {
-                        Draw::Int { range } => draws.int(range),
-                        Draw::Flags { values } => draws.flags(db.flag_values(values)),
-                        Draw::Filled(v) => v,
-                    };
-                    put_int(image, off as usize, bits, v);
+            match op {
+                Op::Int { off, bits, range } => {
+                    put_int(image, base + off as usize, bits, draws.int(range));
                 }
-                Node::Bytes { off, len } => {
-                    draws.bytes(&mut image[off as usize..][..len.get(0)]);
+                Op::Flags { off, bits, values } => {
+                    let v = draws.flags(db.flag_values(values));
+                    put_int(image, base + off as usize, bits, v);
                 }
-                Node::Array {
+                Op::Filled { off, bits, value } => {
+                    put_int(image, base + off as usize, bits, value);
+                }
+                Op::Bytes { off, len } => {
+                    draws.bytes(&mut image[base + off as usize..][..len.get(tail)]);
+                }
+                Op::Repeat {
                     off,
                     count,
                     stride,
                     body,
-                } => {
-                    let body = &nodes[i..i + body as usize];
-                    let elems = &mut image[off as usize..][..count.get(0) * stride as usize];
-                    for elem in elems.chunks_exact_mut(stride as usize) {
-                        self.fill(db, body, elem, draws);
+                } => match count.get(tail) {
+                    0 => i += body as usize,
+                    n => {
+                        open[nest] = (i, n, stride as usize, base);
+                        nest += 1;
+                        base += off as usize;
                     }
-                    i += body.len();
+                },
+                Op::Next => {
+                    let (first, left, stride, outer) = &mut open[nest - 1];
+                    *left -= 1;
+                    if *left == 0 {
+                        base = *outer;
+                        nest -= 1;
+                    } else {
+                        base += *stride;
+                        i = *first;
+                    }
                 }
             }
         }
@@ -1090,27 +1221,19 @@ impl Plan {
     fn generate<D: PlanDraws>(&self, db: &LoweredDb, draws: &mut D) -> (Vec<u8>, u32) {
         let mut image = vec![0u8; self.head];
         let Some(tail) = &self.tail else {
-            self.fill(db, &self.nodes, &mut image, draws);
+            self.fill(db, &self.ops, 0, &mut image, draws);
             return (image, 0);
         };
         // Everything before the trailing array, then its count — the
         // order the tree generator draws in — which sizes the image
         // once; then the elements, then what measures them.
-        let (fixed, array) = self.nodes.split_at(tail.node);
-        self.fill(db, fixed, &mut image, draws);
+        let (fixed, array) = self.ops.split_at(tail.op);
+        self.fill(db, fixed, 0, &mut image, draws);
         let count = u32::try_from(draws.array_len(tail.len)).unwrap_or(u32::MAX);
-        let n = count as usize;
-        let end = self.head + n * tail.stride;
+        let end = self.head + count as usize * tail.stride;
         image.reserve_exact(end.max(self.floor) - self.head);
         image.resize(end, 0);
-        match array {
-            [Node::Array { .. }, body @ ..] => {
-                for elem in image[self.head..].chunks_exact_mut(tail.stride) {
-                    self.fill(db, body, elem, draws);
-                }
-            }
-            _ => draws.bytes(&mut image[self.head..]),
-        }
+        self.fill(db, array, count, &mut image, draws);
         if image.len() < self.floor {
             image.resize(self.floor, 0);
         }
@@ -1127,7 +1250,7 @@ impl Plan {
         self.read_nodes(&self.nodes, image, tail, out);
     }
 
-    /// [`Plan::fill`]'s walk, reading.
+    /// The tree walk of the nodes [`Plan::fill`]'s ops draw, reading.
     fn read_nodes(&self, nodes: &[Node], image: &[u8], tail: u32, out: &mut impl PlanSink) {
         let mut i = 0;
         while let Some(&node) = nodes.get(i) {
@@ -2072,7 +2195,8 @@ ioctl$X(fd fd_v, cmd const[1], arg ptr[in, s])
 
     /// The struct shapes the ground-truth suites point at (dm's two
     /// verbatim), and the corners of the plan compiler: nesting,
-    /// `[packed]`, fixed arrays of structs, trailing arrays of bytes /
+    /// `[packed]`, fixed arrays of structs, arrays three deep inside
+    /// a trailing one, trailing arrays of bytes /
     /// scalars / structs / a range, `len` and `bytesize` of fixed
     /// siblings, of the trailing array, of themselves and of nothing,
     /// and a struct whose total pads past an empty trailing array.
@@ -2084,6 +2208,7 @@ ioctl$BUF(fd fd, cmd const[4], arg ptr[in, array[int8]])
 ioctl$WORDS(fd fd, cmd const[5], arg ptr[in, array[int32, 2:4]])
 ioctl$PAIRS(fd fd, cmd const[6], arg ptr[in, array[pair, 3]])
 ioctl$INT(fd fd, cmd const[7], arg ptr[in, int16[3:9]])
+ioctl$GRID(fd fd, cmd const[8], arg ptr[in, grid])
 dm_target_spec {
 	sector_start	int64
 	length	int64
@@ -2134,6 +2259,20 @@ pads {
 	wide	int64
 	n	int32
 	tail	array[int32]
+}
+grid {
+	rows	array[row, 2]
+	rows_n	len[rows, int8]
+	more	array[row, 0:2]
+}
+row {
+	cells	array[cell, 2]
+	mode	flags[dm_flags, int8]
+	tag	array[int8, 3]
+}
+cell {
+	v	array[int16, 2]
+	magic	const[0x5a, int16]
 }
 "#;
 
@@ -2251,10 +2390,10 @@ pads {
         }
     }
 
-    /// Nodes after the trailing array's own: its element's body.
-    fn tail_body(node: &Node) -> usize {
-        match node {
-            Node::Array { body, .. } => *body as usize,
+    /// Ops after the trailing array's own: its element's body.
+    fn tail_body(op: Op) -> usize {
+        match op {
+            Op::Repeat { body, .. } => body as usize,
             _ => 0,
         }
     }
@@ -2274,10 +2413,7 @@ pads {
             assert!(plan.floor as u64 >= layout.size, "{ast:?}");
             assert_eq!(plan.tail.is_some(), layout.dynamic, "{ast:?}");
             if let Some(tail) = &plan.tail {
-                assert_eq!(
-                    tail.node + 1 + tail_body(&plan.nodes[tail.node]),
-                    plan.nodes.len()
-                );
+                assert_eq!(tail.op + 1 + tail_body(plan.ops[tail.op]), plan.ops.len());
             }
             if plan.tail.is_none() {
                 assert_eq!(
@@ -2422,6 +2558,38 @@ pads {
         assert!(draws.made > 0);
         // No pointer points at the pointer type itself: no plan there.
         assert!(l.gen_pointee(ptr, 12, &mut draws).is_none());
+    }
+
+    #[test]
+    fn arrays_nesting_past_max_nest_have_no_plan() {
+        let nested = |levels: usize| {
+            let mut ty = "int16".to_string();
+            for _ in 0..levels {
+                ty = format!("array[{ty}, 2]");
+            }
+            ty
+        };
+        let src = format!(
+            "ioctl$IN(fd fd, cmd const[1], arg ptr[in, {}])\n\
+             ioctl$OUT(fd fd, cmd const[2], arg ptr[in, {}])\n",
+            nested(MAX_NEST),
+            nested(MAX_NEST + 1)
+        );
+        let db = db(&src);
+        let l = LoweredDb::build(&db, &ConstDb::new());
+        let (_, inside) = arg_of(&db, &l, "IN");
+        let plan = l.plan(inside).expect("MAX_NEST arrays deep");
+        let repeats = plan.ops.iter().filter(|op| matches!(op, Op::Repeat { .. }));
+        assert_eq!(repeats.count(), MAX_NEST);
+        let mut draws = TestDraws { state: 3, made: 0 };
+        let born = l.gen_pointee(inside, 12, &mut draws).unwrap();
+        let Value::Ptr { pointee: Some(p) } = &born else {
+            panic!("not a pointer");
+        };
+        let (_, image, _) = p.packed().unwrap();
+        assert_eq!((image.len(), draws.made), (2 << MAX_NEST, 1 << MAX_NEST));
+        let (_, outside) = arg_of(&db, &l, "OUT");
+        assert!(l.plan(outside).is_none());
     }
 
     #[test]

@@ -384,18 +384,20 @@ fn run_soak() {
             },
         });
         for (i, config) in configs.iter().enumerate() {
-            service.admit(TenantSpec {
-                name: format!("tenant-{i}"),
-                config: config.clone(),
-                shards: SHARDS,
-                workers,
-                spec_fp,
-                quota: if i == 1 {
-                    TenantQuota::execs(starve_quota)
-                } else {
-                    TenantQuota::unlimited()
-                },
-            });
+            service
+                .admit(TenantSpec {
+                    name: format!("tenant-{i}"),
+                    config: config.clone(),
+                    shards: SHARDS,
+                    workers,
+                    spec_fp,
+                    quota: if i == 1 {
+                        TenantQuota::execs(starve_quota)
+                    } else {
+                        TenantQuota::unlimited()
+                    },
+                })
+                .expect("admit");
         }
         let mut spawned = 0usize;
         let mut accept = || -> Option<Box<dyn Transport>> {

@@ -87,14 +87,16 @@ fn run_service(
     let (results, stats) = std::thread::scope(|scope| {
         let mut service = TenantService::new(opts);
         for (i, (config, workers, quota)) in tenants.iter().enumerate() {
-            service.admit(TenantSpec {
-                name: format!("tenant-{i}"),
-                config: config.clone(),
-                shards: SHARDS,
-                workers: *workers,
-                spec_fp,
-                quota: *quota,
-            });
+            service
+                .admit(TenantSpec {
+                    name: format!("tenant-{i}"),
+                    config: config.clone(),
+                    shards: SHARDS,
+                    workers: *workers,
+                    spec_fp,
+                    quota: *quota,
+                })
+                .expect("admit");
         }
         let mut spawned = 0usize;
         let mut accepted = 0usize;
@@ -357,14 +359,16 @@ fn registrations_beyond_the_worker_cap_are_parked_with_retry_advice() {
             },
         });
         for (i, (config, workers)) in tenants.iter().enumerate() {
-            service.admit(TenantSpec {
-                name: format!("tenant-{i}"),
-                config: config.clone(),
-                shards: SHARDS,
-                workers: *workers,
-                spec_fp,
-                quota: TenantQuota::unlimited(),
-            });
+            service
+                .admit(TenantSpec {
+                    name: format!("tenant-{i}"),
+                    config: config.clone(),
+                    shards: SHARDS,
+                    workers: *workers,
+                    spec_fp,
+                    quota: TenantQuota::unlimited(),
+                })
+                .expect("admit");
         }
         let mut spawned = 0usize;
         let mut accept = || -> Option<Box<dyn Transport>> {
