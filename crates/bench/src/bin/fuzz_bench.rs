@@ -7,8 +7,8 @@
 //! `--check BENCH_baseline.json` (byte equality with the committed
 //! file plus the rule table of [`kgpt_bench::report`]). Throughput,
 //! overhead ratios and latencies live in the frozen `benchmark/`
-//! package; the AST-walk vs lowered timing pairs in
-//! `benches/fuzzing.rs`. Every flag is `==` on whole
+//! package; the AST-walk vs lowered timing pairs in the stage
+//! registry's rows (`examples/stages.rs`). Every flag is `==` on whole
 //! [`CampaignResult`]s; EXPERIMENTS.md has a section per report
 //! section, and each `*_section` function below says what it runs.
 //!

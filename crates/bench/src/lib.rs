@@ -11,7 +11,7 @@ use kgpt_core::{GenerationReport, KernelGpt, Strategy};
 use kgpt_csrc::blueprint::Blueprint;
 use kgpt_csrc::KernelCorpus;
 use kgpt_extractor::{find_handlers, OpHandler};
-use kgpt_fuzzer::{Campaign, CampaignConfig, CampaignResult, ShardedCampaign};
+use kgpt_fuzzer::{Campaign, CampaignConfig, CampaignResult};
 use kgpt_llm::{LanguageModel, ModelKind, OracleModel};
 use kgpt_syzlang::{SpecDb, SpecFile, Syscall};
 use kgpt_vkernel::VKernel;
@@ -98,24 +98,6 @@ impl Env {
         cfg: CampaignConfig,
     ) -> CampaignResult {
         Campaign::new(kernel, suite, self.kc.consts(), cfg).run()
-    }
-
-    /// Run a campaign split over `shards` logical shards on `threads`
-    /// worker threads (0 = one per CPU). The result is independent of
-    /// `threads`; see [`ShardedCampaign`].
-    #[must_use]
-    pub fn sharded_campaign(
-        &self,
-        kernel: &VKernel,
-        suite: &[SpecFile],
-        cfg: CampaignConfig,
-        shards: u32,
-        threads: usize,
-    ) -> CampaignResult {
-        ShardedCampaign::new(kernel, suite, self.kc.consts(), cfg)
-            .with_shards(shards)
-            .with_threads(threads)
-            .run()
     }
 
     /// Mean coverage over repetitions with seeds `0..reps`.

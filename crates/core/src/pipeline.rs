@@ -7,6 +7,7 @@ use kgpt_extractor::{extract_code, HandlerKind, OpHandler};
 use kgpt_llm::oracle::prefix_of_ops_var;
 use kgpt_llm::protocol::{ArgSig, Fact, PromptRef, Task};
 use kgpt_llm::{ChatRequest, LanguageModel};
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_syzlang::{ConstDb, SpecCache, SpecFile};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -253,6 +254,7 @@ impl<'a> KernelGpt<'a> {
     }
 
     fn validate_merged(&self, outcomes: &mut [HandlerOutcome], consts: &ConstDb) {
+        let _span = stage::span(Stage::MergedValidation);
         // Cached compile over the specs where they lie: when the repair
         // round changed nothing (the common case), the post-repair
         // validation is a pure hit, and a hit copies nothing.
@@ -491,7 +493,7 @@ impl<'a> KernelGpt<'a> {
     fn chat(&self, prompt: &PromptRef<'_>, attempt: u32) -> String {
         let mut req = ChatRequest::new(prompt.render());
         req.attempt = attempt;
-        self.model.chat(&req).text
+        stage::time(Stage::Chat, || self.model.chat(&req).text)
     }
 
     /// The function a handler's commands enter through, and its source

@@ -11,8 +11,8 @@
 //! the analyzers' backs.
 
 use crate::blueprint::{
-    ArgKind, ArgStruct, Blueprint, CmdBlueprint, CmdEncoding, CmdTransform, DispatchStyle,
-    FieldRole, FieldTy, RegStyle, SockCall,
+    ArgKind, ArgStruct, Blueprint, BlueprintKind, CmdBlueprint, CmdEncoding, CmdTransform,
+    DispatchStyle, DriverBlueprint, FieldRole, FieldTy, RegStyle, SockCall, SocketBlueprint,
 };
 use std::fmt::Write as _;
 
@@ -26,8 +26,8 @@ pub fn emit_blueprint(bp: &Blueprint) -> String {
     emit_macros(bp, &mut out);
     emit_structs(bp, &mut out);
     match &bp.kind {
-        crate::blueprint::BlueprintKind::Driver(_) => emit_driver(bp, &mut out),
-        crate::blueprint::BlueprintKind::Socket(_) => emit_socket(bp, &mut out),
+        BlueprintKind::Driver(d) => emit_driver(bp, d, &mut out),
+        BlueprintKind::Socket(s) => emit_socket(bp, s, &mut out),
     }
     out
 }
@@ -324,8 +324,7 @@ fn dynamic_tail(bp: &Blueprint) -> String {
     }
 }
 
-fn emit_driver(bp: &Blueprint, out: &mut String) {
-    let d = bp.driver().expect("driver blueprint");
+fn emit_driver(bp: &Blueprint, d: &DriverBlueprint, out: &mut String) {
     let id = &bp.id;
     // open handler
     let _ = writeln!(
@@ -521,8 +520,7 @@ fn dispatch_label(bp: &Blueprint, cmd: &CmdBlueprint) -> String {
     }
 }
 
-fn emit_socket(bp: &Blueprint, out: &mut String) {
-    let s = bp.socket().expect("socket blueprint");
+fn emit_socket(bp: &Blueprint, s: &SocketBlueprint, out: &mut String) {
     let id = &bp.id;
     for cmd in &bp.cmds {
         emit_sockopt_handler(bp, cmd, out);
@@ -660,9 +658,7 @@ fn emit_sockopt_handler(bp: &Blueprint, cmd: &CmdBlueprint, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blueprint::{
-        ArgDir, ArgField, BlueprintKind, DriverBlueprint, ExistingSpec, SocketBlueprint,
-    };
+    use crate::blueprint::{ArgDir, ArgField, ExistingSpec};
     use crate::cmacro;
     use crate::index::Corpus;
     use crate::parser::cparse;

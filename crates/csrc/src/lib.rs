@@ -43,3 +43,6 @@ pub use ast::{CFile, CItem, CType, Expr, Stmt};
 pub use blueprint::Blueprint;
 pub use corpus::KernelCorpus;
 pub use index::Corpus;
+/// The stage registry, for the crates above this one that take no
+/// dependency on `kgpt-syzlang` of their own.
+pub use kgpt_syzlang::stage;

@@ -25,6 +25,7 @@ use crate::ast::{
     CVarDef, CaseLabel, Expr, MacroDef, Stmt, SwitchCase,
 };
 use crate::token::{clex, unescape, CSpanned, CTok, Punct as P};
+use kgpt_syzlang::stage::{self, Stage};
 use std::cell::Cell;
 use std::fmt;
 
@@ -202,6 +203,7 @@ pub fn cparse_chunk(
     src: &str,
     typedefs: &[String],
 ) -> Result<CChunk, CParseError> {
+    let _span = stage::span(Stage::Parse);
     let mut p = CParser::new(file_name, src)?;
     p.typedefs.extend(typedefs.iter().map(String::as_str));
     let file = p.file()?;

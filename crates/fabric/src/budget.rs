@@ -74,7 +74,7 @@ pub enum OverflowKind {
 pub struct BudgetUsage {
     /// Executions committed so far.
     pub execs: u64,
-    /// Wall-clock milliseconds elapsed since admission.
+    /// Wall-clock milliseconds since admission.
     pub wall_ms: u64,
     /// Accepted delta frame bytes so far.
     pub delta_bytes: u64,
@@ -103,7 +103,7 @@ impl BudgetUsage {
 /// Charges a tenant's actual resource usage against its declared
 /// [`TenantQuota`] and reports overflow. Totals are absolute (set,
 /// not accumulated) for the dimensions whose source of truth is
-/// elsewhere — committed execs and elapsed wall time — and
+/// elsewhere — committed execs and wall time so far — and
 /// accumulated for delta bytes, which the service meters itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetTracker {
@@ -131,7 +131,8 @@ impl BudgetTracker {
         self.execs = self.execs.max(total);
     }
 
-    /// Record the elapsed wall-clock total in milliseconds (monotone).
+    /// Record the wall-clock total since admission in milliseconds
+    /// (monotone).
     pub fn record_wall_ms(&mut self, total: u64) {
         self.wall_ms = self.wall_ms.max(total);
     }

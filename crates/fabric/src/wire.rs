@@ -15,6 +15,7 @@ use kgpt_fuzzer::fabric::{
 };
 use kgpt_fuzzer::{CampaignConfig, HubSeed, ShardSnapshot};
 use kgpt_syzlang::codec::{frame, frame_into, unframe, Reader, Writer};
+use kgpt_syzlang::stage::{self, Stage};
 
 pub use kgpt_fuzzer::fabric::{DeltaKind, DeltaPayload};
 
@@ -144,6 +145,7 @@ impl Message {
     /// Encode to a self-validating frame.
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
+        let _span = stage::span(Stage::FrameCodec);
         frame(b"", FRAME_VERSION, |w| self.encode_body(w))
     }
 
@@ -230,6 +232,7 @@ impl Message {
     /// malformed body, or trailing bytes. Receivers treat any error as
     /// a dropped frame: the sender's resend loop recovers it.
     pub fn from_frame(frame: &[u8]) -> Result<Message, FabricError> {
+        let _span = stage::span(Stage::FrameCodec);
         let mut r = Reader::new(unframe(b"", FRAME_VERSION, frame)?);
         let msg = match r.u8()? {
             TAG_REGISTER => Message::Register {

@@ -32,6 +32,7 @@ use crate::gen::Generator;
 use crate::triage::{ShardTriage, TriageMinimizer};
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::prog::Program;
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_syzlang::{ConstDb, SpecCache, SpecDb, SpecFile};
 use kgpt_triage::TriageReport;
 use kgpt_vkernel::{CoverageMap, VKernel};
@@ -497,22 +498,32 @@ impl ShardState {
             let parent = if self.rng_pick.is_multiple_of(4) {
                 None
             } else {
-                self.corpus.select()
+                stage::time(Stage::Select, || self.corpus.select())
             };
             let prog = &mut self.prog;
             match parent {
                 None => {
-                    self.generator.gen_program_into(self.max_prog_len, prog);
-                    execute_with(kernel, prog, &mut self.scratch);
+                    stage::time(Stage::Generate, || {
+                        self.generator.gen_program_into(self.max_prog_len, prog);
+                    });
+                    stage::time(Stage::Exec, || {
+                        execute_with(kernel, prog, &mut self.scratch);
+                    });
                 }
                 Some(idx) => {
                     let seed = self.corpus.program(idx);
-                    let from = self.generator.mutate_into(seed, self.max_prog_len, prog);
+                    let from = stage::time(Stage::Mutate, || {
+                        self.generator.mutate_into(seed, self.max_prog_len, prog)
+                    });
                     // The mutant's first `from` calls are its parent's:
                     // it runs from the state they leave.
+                    let restore = stage::span(Stage::Restore);
                     let prefix = self.corpus.prefix(idx, &self.scratch);
                     prefix.restore(from, &mut self.scratch);
-                    prefix.run(kernel, prog, &mut self.scratch, from);
+                    drop(restore);
+                    stage::time(Stage::Exec, || {
+                        prefix.run(kernel, prog, &mut self.scratch, from);
+                    });
                 }
             }
             if self.scratch.state.fuel_exhausted() {
@@ -527,18 +538,22 @@ impl ShardState {
             // would reject: it swaps it into the ring and there is
             // nothing to offer.
             let offered = match &mut self.tracer {
-                Some(tracer) => tracer.record(
-                    kernel,
-                    &mut self.scratch,
-                    prog,
-                    self.epoch,
-                    self.corpus.coverage(),
-                ),
+                Some(tracer) => stage::time(Stage::Record, || {
+                    tracer.record(
+                        kernel,
+                        &mut self.scratch,
+                        prog,
+                        self.epoch,
+                        self.corpus.coverage(),
+                    )
+                }),
                 None => true,
             };
             if offered {
                 let cov = self.scratch.coverage();
-                self.corpus.observe_in_place(prog, cov, parent);
+                stage::time(Stage::Observe, || {
+                    self.corpus.observe_in_place(prog, cov, parent);
+                });
             }
         }
         self.remaining -= n;

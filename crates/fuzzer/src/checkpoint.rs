@@ -129,6 +129,7 @@ use crate::fabric::{decode_seeds, encode_config, encode_seeds, DeltaPayload, Mer
 use crate::hub::SeedHub;
 use kgpt_syzlang::codec::{frame_into, frame_onto, unframe, DecodeError, Reader, Writer};
 use kgpt_syzlang::prog::Program;
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_trace::{decode_signature, encode_signature, ExecTrace, TraceStore};
 use kgpt_triage::{TriageEntry, TriageReport};
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff, MAX_COVERAGE_WORDS};
@@ -346,6 +347,7 @@ impl Journal {
         &mut self,
         frame_base: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), CheckpointError> {
+        let _span = stage::span(Stage::Journal);
         let log = &self.log;
         let io = |e| CheckpointError::new(format!("write {} failed: {e}", log.display()));
         match self.file.take() {

@@ -120,6 +120,7 @@ use crate::triage::TriageMinimizer;
 use kgpt_syzlang::codec::{DecodeError, Reader, Writer};
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::prog::Program;
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_trace::{decode_signature, encode_signature};
 use kgpt_triage::{TriageEntry, TriageReport};
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel, MAX_COVERAGE_WORDS};
@@ -718,8 +719,8 @@ pub fn decode_patches(bytes: &[u8], pos: &mut usize) -> Result<Vec<EpochPatch>, 
 /// the deltas of the next boundary, wired so [`diff_boundary`]
 /// produces nontrivial patches (kept + added entries, coverage runs,
 /// a fresh triage signature, an observation count). The snapshot
-/// fields are crate-private on purpose; protocol-crate tests and
-/// benches build realistic frames through this instead.
+/// fields are crate-private on purpose; protocol-crate tests build
+/// realistic frames through this instead.
 #[doc(hidden)]
 #[must_use]
 pub fn sample_boundary() -> (Vec<ShardSnapshot>, Vec<EpochDelta>) {
@@ -1159,6 +1160,7 @@ impl LeaseRunner {
         boundary: &mut Boundary,
         record: Option<&mut Writer<'_>>,
     ) -> Option<Range<usize>> {
+        let _span = stage::span(Stage::Boundary);
         let LeaseRunner {
             states, minimizer, ..
         } = self;
@@ -1208,6 +1210,7 @@ impl LeaseRunner {
     /// campaign report, so it minimizes every fresh capture and the
     /// coordinator's admission drops the ones that lose.
     pub fn write_boundary(&mut self, kernel: &VKernel, w: &mut Writer<'_>) {
+        let _span = stage::span(Stage::WriteBoundary);
         let nobody = TriageReport::new();
         let LeaseRunner {
             states,
@@ -1355,6 +1358,7 @@ impl MergeState {
 
     /// [`CampaignMerge::validate`].
     fn validate(&self, payload: &DeltaPayload) -> Result<(), CheckpointError> {
+        let _span = stage::span(Stage::Validate);
         if let Some(lowered) = &self.lowered {
             payload.check_programs(lowered)?;
         }
@@ -1379,6 +1383,7 @@ impl MergeState {
         &mut self,
         ranges: Vec<DeltaPayload>,
     ) -> Result<BoundaryOutcome, CheckpointError> {
+        let _span = stage::span(Stage::Commit);
         if self.finished {
             return Err(CheckpointError::new("merge already finished"));
         }

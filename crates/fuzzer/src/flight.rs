@@ -75,6 +75,7 @@ use crate::exec::{execute_with, ExecScratch};
 use kgpt_syzlang::codec::Writer;
 use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors, LoweredDb};
 use kgpt_syzlang::prog::Program;
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_trace::{
     encode_events_into, stream_matches, walk_events, ExecTrace, TraceError, TraceStore,
 };
@@ -326,6 +327,7 @@ impl ShardTracer {
         crash: Option<CrashSignature>,
         buf: &mut Vec<u8>,
     ) -> ExecTrace {
+        let _span = stage::span(Stage::Seal);
         buf.clear();
         let stream_bits = encode_events_into(&self.cfg, events, buf);
         let stream = buf.to_vec();
@@ -463,29 +465,35 @@ pub fn replay_trace(
             trace.spec_fingerprint, spec_fp
         )));
     }
+    let decode = stage::span(Stage::Decode);
     let prog = trace.decode_program()?;
     // A trace file is bytes from outside: its program is held to the
     // suite before it is executed.
     prog.fits(scratch.lowered())
         .map_err(|m| TraceError::new(format!("the trace holds a misfit program: {m}")))?;
+    drop(decode);
     // Strict well-formedness check of the recorded stream (and the
     // block tally for reporting) before anything executes.
+    let check = stage::span(Stage::Check);
     let mut blocks = 0u64;
     walk_events(cfg, &trace.stream, trace.stream_bits, |e| {
         if let TraceEvent::Block { len, .. } = e {
             blocks += u64::from(len);
         }
     })?;
+    drop(check);
     let was_enabled = scratch.state.trace().enabled();
     let prior_fuel = scratch.state.fuel_limit();
     scratch.state.trace_mut().set_enabled(true);
     scratch.state.set_fuel_limit(trace.exec_fuel);
-    execute_with(kernel, &prog, scratch);
+    stage::time(Stage::ReplayExec, || execute_with(kernel, &prog, scratch));
     let live = scratch.state.trace().events();
     let live_crash = scratch.crash().map(|c| c.signature);
     let identical = live_crash == trace.crash
         && scratch.state.fuel_exhausted() == trace.fuel_exhausted
-        && stream_matches(cfg, live, &trace.stream, trace.stream_bits);
+        && stage::time(Stage::Compare, || {
+            stream_matches(cfg, live, &trace.stream, trace.stream_bits)
+        });
     scratch.state.set_fuel_limit(prior_fuel);
     scratch.state.trace_mut().set_enabled(was_enabled);
     Ok(ReplayOutcome {

@@ -44,6 +44,7 @@ use crate::faults::FaultPlan;
 use crate::flight::{self, ShardTracer};
 use kgpt_syzlang::codec::Writer;
 use kgpt_syzlang::lowered::LoweredDb;
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_syzlang::{ConstDb, SpecCache, SpecDb, SpecFile};
 use kgpt_trace::TraceStore;
 use kgpt_triage::TriageReport;
@@ -539,6 +540,7 @@ pub(crate) fn frame_base(
     boundary: &Boundary,
     budget: u64,
 ) {
+    let _span = stage::span(Stage::Frame);
     let stores = states.iter().map(|s| s.boundary_trace_store(budget));
     SnapshotView {
         config_fingerprint,
@@ -1013,6 +1015,25 @@ mod tests {
         let big = run(512);
         assert_eq!(on, off, "ring 32 vs off");
         assert_eq!(on, big, "ring 32 vs 512");
+        // And in the benchmark's shape, where at a ring of 32 only a
+        // shard's last epoch of 128 records.
+        let kc = KernelCorpus::from_blueprints(kgpt_csrc::deepchain::suite());
+        let kernel = VKernel::boot(kc.blueprints().to_vec());
+        let suite = kc.ground_truth_suite();
+        let run = |trace_ring: usize| {
+            let config = CampaignConfig {
+                execs: 6_000,
+                seed: 7,
+                max_prog_len: 12,
+                hub_epoch: 128,
+                trace_ring,
+                ..CampaignConfig::default()
+            };
+            ShardedCampaign::new(&kernel, &suite, kc.consts(), config)
+                .with_shards(8)
+                .run()
+        };
+        assert_eq!(run(32), run(0), "deep-chain, ring 32 vs off");
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use crate::exec::{execute_with, ExecScratch};
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::prog::Program;
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_triage::{minimize_guided, MinimizeOutcome, TraceGuide, TriageEntry, TriageReport};
 use kgpt_vkernel::{CrashReport, CrashSignature, TraceEvent, VKernel};
 use std::collections::{BTreeMap, BTreeSet};
@@ -204,7 +205,9 @@ pub fn minimize_program(
         return (outcome, false);
     }
     let outcome = minimize_guided(raw, &guide, |candidate| {
-        execute_with(kernel, candidate, scratch);
+        stage::time(Stage::ProbeExec, || {
+            execute_with(kernel, candidate, scratch)
+        });
         scratch.crash().is_some_and(|c| c.signature == sig)
     });
     (outcome, true)

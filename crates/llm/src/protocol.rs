@@ -7,6 +7,7 @@
 //! parses [`Fact`]s back; the oracle parses the prompt text (it never
 //! sees internal structures) and renders facts.
 
+use kgpt_csrc::stage::{self, Stage};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -299,6 +300,7 @@ impl<'a> Sections<'a> {
     /// header the last body stands.
     #[must_use]
     pub fn parse(text: &'a str) -> Sections<'a> {
+        let _span = stage::span(Stage::Slice);
         let mut out = Sections::default();
         let mut header = "";
         // Of the section being read: where its lines start, the span

@@ -26,6 +26,9 @@
 //! * a [`codec`] module — the one byte codec ([`codec::Writer`] /
 //!   [`codec::Reader`], FNV-1a, the `magic | version | checksum`
 //!   envelope) every binary format in the workspace is composed from;
+//! * a [`stage`] module — the one stage registry: spans in the loops
+//!   that run charge a fixed table of stages with time and allocator
+//!   events, for a binary or a test that attaches a sink;
 //! * a [`prog`] module with the concrete [`Program`] representation
 //!   (dense syscall indices + argument [`Value`]s) shared by the
 //!   fuzzer's generation/execution loop and the crash-triage
@@ -73,6 +76,7 @@ pub mod lowered;
 pub mod parser;
 pub mod printer;
 pub mod prog;
+pub mod stage;
 pub mod token;
 pub mod validate;
 pub mod value;

@@ -18,6 +18,7 @@
 //! order and stay bit-identical at any thread count.
 
 use kgpt_syzlang::prog::{ProgCall, Program};
+use kgpt_syzlang::stage::{self, Stage};
 use kgpt_syzlang::value::ResRef;
 use kgpt_syzlang::Value;
 
@@ -125,6 +126,7 @@ impl Kept {
     /// [`project_into`] of `prog` at `keep` over the candidate, its cut
     /// calls' argument lists kept.
     fn project(&mut self, prog: &Program) {
+        let _span = stage::span(Stage::Project);
         let Kept {
             candidate,
             keep,
