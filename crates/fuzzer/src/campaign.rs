@@ -7,8 +7,8 @@
 //! sequential [`Campaign`] is a single shard run in one epoch.
 //!
 //! One [`Program`] goes round that loop. The generator builds each
-//! program into it ([`crate::gen`]), the executor reads it, and it
-//! leaves the shard only when somebody keeps it: the corpus takes it
+//! fresh program into it ([`crate::gen`]), the executor reads it, and
+//! it leaves the shard only when somebody keeps it: the corpus takes it
 //! on admission ([`Corpus::observe_in_place`]) and a flight recorder
 //! swaps it for the program of a ring slot it let go
 //! ([`crate::flight`]). All but a fraction of a percent of execs are
@@ -18,17 +18,25 @@
 //! snapshot, its view, a checkpoint or a frame, because no result
 //! depends on it.
 //!
-//! A mutant is executed from its parent's state at the first call it
-//! may differ in ([`crate::exec::ExecPrefix`]): three execs in four are
-//! mutants, and about half a deep-chain mutant's calls are its
-//! parent's. The states are derived like the storage — kept beside the
-//! corpus entry ([`Corpus::prefix`]), recorded as its mutants run — so
-//! no snapshot, checkpoint or frame knows of them either.
+//! **A mutant is its parent edited in place** — three execs in four
+//! are mutants. The shard borrows the corpus entry's program and its
+//! prefix states together ([`Corpus::mutant`]), edits the mutant into
+//! the program ([`Generator::mutate_in_place`]) and executes it from
+//! the parent's state at the first call it may differ in
+//! ([`crate::exec::ExecPrefix`]): about half a deep-chain mutant's
+//! calls are its parent's. Crash capture and a dead epoch's pin read
+//! the edited entry where it lies; the mutant is copied into the
+//! shard's program only when somebody keeps it — the corpus admits it,
+//! or a live recorder files it in a ring slot — and the parent is put
+//! back ([`Generator::undo`]) before an admission may evict it. The
+//! prefix states are derived like the storage — kept beside the corpus
+//! entry ([`Corpus::prefix`]), recorded as its mutants run — so no
+//! snapshot, checkpoint or frame knows of them either.
 
 use crate::boundary::Boundary;
 use crate::corpus::Corpus;
 use crate::exec::{execute_with, ExecScratch};
-use crate::gen::Generator;
+use crate::gen::{Edit, Generator};
 use crate::triage::{ShardTriage, TriageMinimizer};
 use kgpt_syzlang::lowered::LoweredDb;
 use kgpt_syzlang::prog::Program;
@@ -210,6 +218,9 @@ pub(crate) struct ShardState {
     /// The program of the exec in progress; between execs, storage
     /// for the next (module docs). Scratch like `scratch`.
     prog: Program,
+    /// What the mutant in progress changed in its parent, which it is
+    /// edited into (module docs). Scratch like `prog`.
+    edit: Edit,
     pub(crate) corpus: Corpus,
     /// Per-shard signature capture and counts (drained by the driver
     /// at epoch boundaries in shard-id order; see [`crate::triage`]) —
@@ -338,6 +349,7 @@ impl ShardState {
             generator,
             scratch,
             prog: Program::default(),
+            edit: Edit::default(),
             corpus: Corpus::new(CORPUS_CAP, seed),
             triage: ShardTriage::default(),
             epoch: 0,
@@ -500,9 +512,9 @@ impl ShardState {
             } else {
                 stage::time(Stage::Select, || self.corpus.select())
             };
-            let prog = &mut self.prog;
             match parent {
                 None => {
+                    let prog = &mut self.prog;
                     stage::time(Stage::Generate, || {
                         self.generator.gen_program_into(self.max_prog_len, prog);
                     });
@@ -511,48 +523,68 @@ impl ShardState {
                     });
                 }
                 Some(idx) => {
-                    let seed = self.corpus.program(idx);
+                    // The mutant is its parent edited where it lies. Its
+                    // first `from` calls are the parent's: it runs from
+                    // the state they leave.
+                    let (seed, prefix) = self.corpus.mutant(idx, &self.scratch);
+                    let max_len = self.max_prog_len;
                     let from = stage::time(Stage::Mutate, || {
-                        self.generator.mutate_into(seed, self.max_prog_len, prog)
+                        self.generator
+                            .mutate_in_place(seed, max_len, &mut self.edit)
                     });
-                    // The mutant's first `from` calls are its parent's:
-                    // it runs from the state they leave.
                     let restore = stage::span(Stage::Restore);
-                    let prefix = self.corpus.prefix(idx, &self.scratch);
                     prefix.restore(from, &mut self.scratch);
                     drop(restore);
                     stage::time(Stage::Exec, || {
-                        prefix.run(kernel, prog, &mut self.scratch, from);
+                        prefix.run(kernel, seed, &mut self.scratch, from);
                     });
                 }
             }
             if self.scratch.state.fuel_exhausted() {
                 self.fuel_exhausted += 1;
             }
+            let cov = self.scratch.coverage();
+            let admitted = stage::time(Stage::Observe, || self.corpus.admits(cov));
+            // A mutant somebody keeps — the corpus, or a ring slot it is
+            // swapped into — is copied out, and its parent put back before
+            // an admission may evict it. Any other is read where it lies
+            // and put back after.
+            let kept = admitted || self.tracer.as_ref().is_some_and(|t| t.files(&self.scratch));
+            let edited = match parent {
+                Some(idx) if kept => {
+                    stage::time(Stage::Undo, || {
+                        let seed = self.corpus.mutant(idx, &self.scratch).0;
+                        self.generator.copy_into(seed, &mut self.prog);
+                        self.generator.undo(seed, &mut self.edit);
+                    });
+                    None
+                }
+                edited => edited,
+            };
+            let prog = match edited {
+                Some(idx) => self.corpus.mutant(idx, &self.scratch).0,
+                None => &mut self.prog,
+            };
             if let Some(c) = self.scratch.crash() {
                 // Capture the reproducer on the first local sighting
                 // of the signature (clones only then), count always.
                 self.triage.observe(c, prog, self.epoch);
             }
-            // In a live epoch the recorder keeps a program the corpus
-            // would reject: it swaps it into the ring and there is
-            // nothing to offer.
-            let offered = match &mut self.tracer {
-                Some(tracer) => stage::time(Stage::Record, || {
-                    tracer.record(
-                        kernel,
-                        &mut self.scratch,
-                        prog,
-                        self.epoch,
-                        self.corpus.coverage(),
-                    )
-                }),
-                None => true,
-            };
-            if offered {
+            if let Some(tracer) = &mut self.tracer {
+                stage::time(Stage::Record, || {
+                    tracer.record(kernel, &mut self.scratch, prog, self.epoch, admitted);
+                });
+            }
+            if let Some(idx) = edited {
+                stage::time(Stage::Undo, || {
+                    let seed = self.corpus.mutant(idx, &self.scratch).0;
+                    self.generator.undo(seed, &mut self.edit);
+                });
+            }
+            if admitted {
                 let cov = self.scratch.coverage();
-                stage::time(Stage::Observe, || {
-                    self.corpus.observe_in_place(prog, cov, parent);
+                stage::time(Stage::Admit, || {
+                    self.corpus.observe_in_place(&mut self.prog, cov, parent);
                 });
             }
         }

@@ -154,6 +154,15 @@ fn unrecorded(n: usize) -> Vec<Option<Box<ExecPrefix>>> {
     std::iter::repeat_with(|| None).take(n).collect()
 }
 
+/// The prefix in `slot`, a new one in place of none or of one recorded
+/// under another fuel limit or trace flag than `scratch` runs under.
+fn fitted<'a>(slot: &'a mut Option<Box<ExecPrefix>>, scratch: &ExecScratch) -> &'a mut ExecPrefix {
+    if !slot.as_ref().is_some_and(|prefix| prefix.fits(scratch)) {
+        *slot = None;
+    }
+    slot.get_or_insert_with(|| Box::new(ExecPrefix::new(scratch)))
+}
+
 /// Two corpora are equal when continuing them is: the cap, the
 /// selection stream, the coverage, the entries and the counters — what
 /// a checkpoint persists. The marks and the prefix states are
@@ -240,11 +249,18 @@ impl Corpus {
     /// and kept until the entry leaves. A corpus is stepped against one
     /// kernel: a clone starts with none.
     pub fn prefix(&mut self, idx: usize, scratch: &ExecScratch) -> &mut ExecPrefix {
-        let slot = &mut self.prefixes[idx];
-        if !slot.as_ref().is_some_and(|prefix| prefix.fits(scratch)) {
-            *slot = None;
-        }
-        slot.get_or_insert_with(|| Box::new(ExecPrefix::new(scratch)))
+        fitted(&mut self.prefixes[idx], scratch)
+    }
+
+    /// Entry `idx`'s program and its [`Corpus::prefix`] together, for a
+    /// mutant to be edited into the program where it lies
+    /// ([`crate::gen::Generator::mutate_in_place`]) and run from the
+    /// prefix's state. The caller puts the program back as it was
+    /// ([`crate::gen::Generator::undo`]) before the corpus is used
+    /// again: the entry and its prefix are that program's.
+    pub fn mutant(&mut self, idx: usize, scratch: &ExecScratch) -> (&mut Program, &mut ExecPrefix) {
+        let prefix = fitted(&mut self.prefixes[idx], scratch);
+        (&mut self.entries[idx].program, prefix)
     }
 
     /// All retained entries in admission order (checkpointing view).
@@ -348,7 +364,7 @@ impl Corpus {
         cov: &CoverageMap,
         parent: Option<usize>,
     ) -> usize {
-        if self.coverage.new_blocks_in(cov) == 0 {
+        if !self.admits(cov) {
             return 0;
         }
         if let Some(p) = parent {
@@ -366,6 +382,13 @@ impl Corpus {
             hits: 0,
         });
         new
+    }
+
+    /// Whether [`Corpus::observe`] admits an exec that covered `cov`:
+    /// whether it reached a block the corpus does not know.
+    #[must_use]
+    pub fn admits(&self, cov: &CoverageMap) -> bool {
+        self.coverage.new_blocks_in(cov) != 0
     }
 
     /// Admit a seed published by another shard: if its claimed

@@ -23,8 +23,8 @@
 //! it runs a program's calls from an index on, the scratch holding the
 //! state the calls before it leave. [`execute_with`] is that loop
 //! started at call 0 from the empty state. A mutant's first calls are
-//! its parent's up to the index [`crate::gen::Generator::mutate_into`]
-//! returns, and `VKernel::exec_call` is a pure function of the state,
+//! its parent's up to the index
+//! [`crate::gen::Generator::mutate_in_place`] returns, and `VKernel::exec_call` is a pure function of the state,
 //! the call and a memory image the encoder rebuilds per call — so the
 //! campaign restores the parent's state there from an [`ExecPrefix`]
 //! (recorded as the parent's earlier mutants ran, kept beside its
@@ -252,7 +252,7 @@ fn run_calls(
 /// The states a corpus entry's program passes through at its first
 /// call boundaries — the VM state and the returns after its first
 /// call, its second, … — so that a mutant, whose first `from` calls
-/// are the entry's ([`crate::gen::Generator::mutate_into`] returns
+/// are the entry's ([`crate::gen::Generator::mutate_in_place`] returns
 /// `from`), runs from the entry's state there instead of from the empty
 /// one: [`ExecPrefix::restore`], then [`ExecPrefix::run`].
 ///

@@ -125,8 +125,7 @@ use kgpt_trace::{decode_signature, encode_signature};
 use kgpt_triage::{TriageEntry, TriageReport};
 use kgpt_vkernel::{CoverageMap, CoverageWordDiff, CrashSignature, VKernel, MAX_COVERAGE_WORDS};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 pub use crate::corpus::KeptEntry;
 
@@ -1124,19 +1123,15 @@ impl LeaseRunner {
             }
             return;
         }
-        let slots: Vec<Mutex<&mut ShardState>> = self.states.iter_mut().map(Mutex::new).collect();
-        let next = AtomicUsize::new(0);
+        // Held only for `next()`: a shard runs with the lock released,
+        // so not even a panicking one leaves it poisoned.
+        let shards = Mutex::new(self.states.iter_mut());
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    slots[i]
-                        .lock()
-                        .expect("shard slot poisoned")
-                        .run_epoch(kernel, epoch);
+                    let next = shards.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some(state) = next else { break };
+                    state.run_epoch(kernel, epoch);
                 });
             }
         });

@@ -65,7 +65,10 @@
 //! together never hold more than the ring's capacity, so that is the
 //! bound on programs in flight, as it was when a slot's program was
 //! freed on the way out. An exec the corpus admits is cloned into its
-//! slot, as ever.
+//! slot, as ever. A mutant reaches the recorder as the shard's program
+//! only when it is filed or admitted: the shard copies it out of the
+//! corpus entry it was edited into ([`crate::campaign`]) and hands any
+//! other exec — a crash to pin, a dead epoch's — over where it lies.
 //!
 //! [`replay_trace`] is the other direction: re-execute any recorded
 //! exec from its self-contained header and cross-check the recorded
@@ -79,7 +82,7 @@ use kgpt_syzlang::stage::{self, Stage};
 use kgpt_trace::{
     encode_events_into, stream_matches, walk_events, ExecTrace, TraceError, TraceStore,
 };
-use kgpt_vkernel::{CoverageMap, CrashSignature, TraceEvent, VKernel};
+use kgpt_vkernel::{CrashSignature, TraceEvent, VKernel};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -222,26 +225,31 @@ impl ShardTracer {
         }
     }
 
+    /// Whether [`ShardTracer::record`] files the exec that just
+    /// finished in `scratch` in a ring slot — a live epoch's exec that
+    /// did not crash — and so keeps its program.
+    pub(crate) fn files(&self, scratch: &ExecScratch) -> bool {
+        self.live && self.cap > 0 && scratch.crash().is_none()
+    }
+
     /// Record the execution of `prog` on `kernel` that just finished
-    /// in `scratch` and say whether `prog` is still that program, to be
-    /// offered to the corpus. `seen` is the shard corpus's coverage: a
-    /// program the corpus would reject (nothing new over `seen`) is
-    /// swapped into its ring slot, `prog` becomes the storage of a slot
-    /// the ring let go, and the answer is no; otherwise the slot takes
-    /// a copy. Either way the slot takes the buffer the VM logged the
-    /// exec into and the VM gets the slot's to log the next one into.
-    /// At steady state the swapped path neither allocates nor frees.
-    /// A dead epoch's exec only counts, and is pinned if it is the
-    /// first crash of its signature; it is offered to the corpus as if
-    /// nothing recorded it.
+    /// in `scratch`; `admitted` says whether the corpus takes `prog`
+    /// next. An exec the recorder files ([`ShardTracer::files`]) and
+    /// the corpus rejects is swapped into its ring slot, and `prog`
+    /// becomes the storage of a slot the ring let go; an admitted one
+    /// the slot takes a copy of. Either way the slot takes the buffer
+    /// the VM logged the exec into and the VM gets the slot's to log
+    /// the next one into. At steady state the swapped path neither
+    /// allocates nor frees. Any other exec only counts, and is pinned
+    /// if it is the first crash of its signature: `prog` is only read.
     pub(crate) fn record(
         &mut self,
         kernel: &VKernel,
         scratch: &mut ExecScratch,
         prog: &mut Program,
         epoch: u64,
-        seen: &CoverageMap,
-    ) -> bool {
+        admitted: bool,
+    ) {
         let state = &mut scratch.state;
         let meta = ExecMeta {
             epoch,
@@ -261,10 +269,10 @@ impl ShardTracer {
                 };
                 self.pinned.insert(sig, sealed);
             }
-            return true;
+            return;
         }
         if !self.live || self.cap == 0 {
-            return true;
+            return;
         }
         if self.ring.len() == self.cap {
             self.drop_oldest();
@@ -272,14 +280,12 @@ impl ShardTracer {
         let mut raw = self.spare.pop().unwrap_or_default();
         raw.meta = meta;
         state.trace_mut().swap_events(&mut raw.events);
-        let admitted = seen.new_blocks_in(&state.coverage) != 0;
         if admitted {
             raw.program = prog.clone();
         } else {
             std::mem::swap(&mut raw.program, prog);
         }
         self.ring.push_back(Slot::Raw(raw));
-        admitted
     }
 
     /// Seal a crashing exec of a dead epoch, whose events the VM did
@@ -634,18 +640,13 @@ mod tests {
                         execute_with(&kernel, prog, &mut eager);
                         record_eagerly(oracle, &cfg, &eager, prog, e as u64);
                     }
-                    let fresh = corpus.coverage().new_blocks_in(scratch.coverage()) != 0;
-                    let offered = tracer.record(
-                        &kernel,
-                        &mut scratch,
-                        &mut storage,
-                        e as u64,
-                        corpus.coverage(),
-                    );
-                    // Offered exactly when the ring did not take it, or
-                    // the corpus wants it too — and then still itself.
+                    let fresh = corpus.admits(scratch.coverage());
                     let ringed = ring > 0 && live(e) && scratch.crash().is_none();
-                    assert_eq!(offered, !ringed || fresh, "epoch {e} exec {i}");
+                    assert_eq!(tracer.files(&scratch), ringed, "epoch {e} exec {i}");
+                    tracer.record(&kernel, &mut scratch, &mut storage, e as u64, fresh);
+                    // Still itself, to be offered, unless the ring took
+                    // it and the corpus does not want it.
+                    let offered = !ringed || fresh;
                     crashed += usize::from(scratch.crash().is_some());
                     if offered {
                         assert_eq!(&storage, prog, "epoch {e} exec {i}");

@@ -31,6 +31,19 @@
 //! are therefore never recycled. What the storage held before never
 //! shows: the draws, their order and the program that comes out are
 //! those of the by-value forms, which are wrappers over these.
+//!
+//! **A mutant is its parent edited in place**
+//! ([`Generator::mutate_in_place`]): the regenerate arm swaps one
+//! argument for a new one, the append arm appends onto the parent and
+//! the truncate arm moves the calls it cuts into an [`Edit`], which
+//! keeps what the edit changed so that [`Generator::undo`] puts the
+//! parent back — `==`, every pointee the very `Arc` it held. Nearly
+//! every mutant is run and thrown away, so a campaign edits the corpus
+//! entry where it lies, runs it, and copies the mutant out
+//! ([`Generator::copy_into`]) only for whoever keeps it: the corpus on
+//! an admission, a live flight recorder's ring. There is one mutator:
+//! [`Generator::mutate_into`] is a copy of the parent edited in place,
+//! the edit kept.
 
 use crate::reference::INTERESTING;
 use kgpt_syzlang::ast::ArrayLen;
@@ -53,6 +66,9 @@ pub struct Generator {
     /// was built into, for the calls appended next: at most
     /// [`MAX_SPARE_ARGS`] of them.
     spare_args: Vec<Vec<Value>>,
+    /// The edit [`Generator::mutate_into`] makes to its copy, kept
+    /// for the storage of its cut calls.
+    edit: Edit,
 }
 
 /// A program of this many calls is full: [`append_call`] adds none to
@@ -95,6 +111,7 @@ impl Generator {
             rng: StdRng::seed_from_u64(seed),
             enabled,
             spare_args: Vec::new(),
+            edit: Edit::default(),
         }
     }
 
@@ -150,6 +167,7 @@ impl Generator {
             rng,
             enabled,
             spare_args,
+            ..
         } = self;
         cut(spare_args, out, 0);
         let want = rng.random_range(1..=max_len.max(1));
@@ -179,7 +197,9 @@ impl Generator {
 
     /// [`Generator::mutate`] into `out`, whatever it held: same draws,
     /// same mutant, in `out`'s storage (module docs). The parent is
-    /// copied call by call over the calls `out` already has.
+    /// copied call by call over the calls `out` already has, and the
+    /// copy edited in place ([`Generator::mutate_in_place`]); the edit
+    /// is kept.
     ///
     /// Returns the **divergence index**: the mutant's calls before it
     /// are the parent's, so an execution of the mutant may resume from
@@ -189,8 +209,33 @@ impl Generator {
     /// length on the append arm, the kept length on the truncate arm,
     /// and 0 for a fresh program generated from an empty parent.
     pub fn mutate_into(&mut self, prog: &Program, max_len: usize, out: &mut Program) -> usize {
+        copy_calls(&mut self.spare_args, &prog.calls, out);
+        let mut edit = std::mem::take(&mut self.edit);
+        let from = self.mutate_in_place(out, max_len, &mut edit);
+        forget(&mut self.spare_args, &mut edit);
+        self.edit = edit;
+        from
+    }
+
+    /// Turn `prog` into its mutant where it lies: the draws, the
+    /// mutant and the divergence index of [`Generator::mutate_into`]
+    /// with `prog` as the parent, and what the edit changed kept in
+    /// `edit`, for [`Generator::undo`] to put back. The regenerate arm
+    /// swaps one argument for a new one, the append arm appends onto
+    /// the parent, the truncate arm moves the calls it cuts into
+    /// `edit`; a fresh program from an empty parent is an append onto
+    /// nothing. An edit `edit` still holds is the mutant's to keep: it
+    /// is forgotten first.
+    pub fn mutate_in_place(
+        &mut self,
+        prog: &mut Program,
+        max_len: usize,
+        edit: &mut Edit,
+    ) -> usize {
+        forget(&mut self.spare_args, edit);
+        edit.len = prog.len();
         if prog.is_empty() {
-            self.gen_program_into(max_len, out);
+            self.gen_program_into(max_len, prog);
             return 0;
         }
         let Generator {
@@ -198,45 +243,98 @@ impl Generator {
             rng,
             enabled,
             spare_args,
+            ..
         } = self;
         match rng.random_range(0..10u32) {
             // Regenerate one argument of one call.
             0..=5 => {
-                copy_calls(spare_args, &prog.calls, out);
-                let ci = rng.random_range(0..out.calls.len());
-                let n_args = out.calls[ci].args.len();
+                let ci = rng.random_range(0..prog.calls.len());
+                let n_args = prog.calls[ci].args.len();
                 if n_args == 0 {
                     return prog.len();
                 }
                 let ai = rng.random_range(0..n_args);
-                let ty = lowered.syscall(out.calls[ci].sys as usize).params[ai].ty;
-                out.calls[ci].args[ai] = gen_value(lowered, rng, ty, out, ci, 0);
+                let ty = lowered.syscall(prog.calls[ci].sys as usize).params[ai].ty;
+                let value = gen_value(lowered, rng, ty, prog, ci, 0);
+                let old = std::mem::replace(&mut prog.calls[ci].args[ai], value);
+                edit.arg = Some((ci, ai, old));
                 ci
             }
             // Append a random enabled call.
             6..=8 => {
-                copy_calls(spare_args, &prog.calls, out);
-                if !enabled.is_empty() && out.len() < max_len {
+                if !enabled.is_empty() && prog.len() < max_len {
                     let pick = enabled[rng.random_range(0..enabled.len())];
-                    append_call(lowered, rng, spare_args, out, pick, 0);
+                    append_call(lowered, rng, spare_args, prog, pick, 0);
                 }
-                prog.len()
+                edit.len
             }
-            // Truncate: copy only the kept prefix.
+            // Truncate: the cut calls wait in the edit.
             _ => {
                 let keep = rng.random_range(1..=prog.calls.len());
-                copy_calls(spare_args, &prog.calls[..keep], out);
+                edit.tail.extend(prog.calls.drain(keep..));
                 keep
             }
         }
     }
+
+    /// Put back the parent [`Generator::mutate_in_place`] edited
+    /// `prog` from, `==` to what it was, every pointee the very `Arc`
+    /// it held: the replaced argument goes back, the cut calls are
+    /// appended again, an appended call is cut off, its emptied
+    /// argument list going to the generator's spares. `edit` is left
+    /// empty, its storage kept for the next edit.
+    pub fn undo(&mut self, prog: &mut Program, edit: &mut Edit) {
+        cut(&mut self.spare_args, prog, edit.len);
+        prog.calls.append(&mut edit.tail);
+        if let Some((ci, ai, old)) = edit.arg.take() {
+            prog.calls[ci].args[ai] = old;
+        }
+    }
+
+    /// Make `out` a copy of `prog`, in the storage it has and with
+    /// argument lists from the generator's spares — what a mutant
+    /// edited into its parent is copied out as when somebody keeps it.
+    pub fn copy_into(&mut self, prog: &Program, out: &mut Program) {
+        copy_calls(&mut self.spare_args, &prog.calls, out);
+    }
+}
+
+/// What [`Generator::mutate_in_place`] changed in the program it
+/// edited, for [`Generator::undo`] to put back. Storage the caller
+/// keeps from one edit to the next: a truncation moves the calls it
+/// cuts into it, not into a new list.
+#[derive(Debug, Default)]
+pub struct Edit {
+    /// The program's length before the edit: what an append or a
+    /// fresh program is cut back to.
+    len: usize,
+    /// The argument the regenerate arm replaced: call, argument, and
+    /// the value it held.
+    arg: Option<(usize, usize, Value)>,
+    /// The calls the truncate arm cut off, in order.
+    tail: Vec<ProgCall>,
+}
+
+/// Forget `edit`, which leaves the mutant as it is: the replaced
+/// argument is dropped and the cut calls' emptied argument lists go to
+/// `spare`.
+fn forget(spare: &mut Vec<Vec<Value>>, edit: &mut Edit) {
+    edit.arg = None;
+    if !edit.tail.is_empty() {
+        keep_spares(spare, edit.tail.drain(..));
+    }
 }
 
 /// Cut `out` down to its first `len` calls; the emptied argument
-/// lists of the rest go to `spare` while it holds fewer than
-/// [`MAX_SPARE_ARGS`].
+/// lists of the rest go to `spare`.
 fn cut(spare: &mut Vec<Vec<Value>>, out: &mut Program, len: usize) {
-    for mut call in out.calls.drain(len.min(out.calls.len())..) {
+    keep_spares(spare, out.calls.drain(len.min(out.calls.len())..));
+}
+
+/// Empty the argument lists of `calls` into `spare` while it holds
+/// fewer than [`MAX_SPARE_ARGS`].
+fn keep_spares(spare: &mut Vec<Vec<Value>>, calls: impl Iterator<Item = ProgCall>) {
+    for mut call in calls {
         if spare.len() < MAX_SPARE_ARGS {
             call.args.clear();
             spare.push(call.args);
@@ -745,6 +843,111 @@ mod tests {
             let met = |arm: usize| arms[arm] > 0;
             assert!([0, 1, 3, 4, 5].into_iter().all(met), "{suite}: {arms:?}");
             assert!(suite == "dm" || met(2), "{suite}: {arms:?}");
+        }
+    }
+
+    /// Whether every pointer of `a` holds the very pointee of `b`'s.
+    fn same_pointees(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Ptr { pointee: Some(x) }, Value::Ptr { pointee: Some(y) }) => Arc::ptr_eq(x, y),
+            (Value::Group(xs), Value::Group(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_pointees(x, y))
+            }
+            (Value::Union { value: x, .. }, Value::Union { value: y, .. }) => same_pointees(x, y),
+            _ => true,
+        }
+    }
+
+    /// A parent edited in place is the mutant `mutate_into` copies out
+    /// of it: same calls, same divergence index, same draws. `undo` puts
+    /// it back `==` to a clone taken before, every pointee the `Arc` it
+    /// held. Over 200 seeds of dm and deep-chain (and a suite with a
+    /// call of no argument), 20 steps a seed, the copy's storage, the
+    /// edit and the spares dirty from the steps before; parents of one
+    /// call, of `max_len` calls and of none among them, the mutants
+    /// turning into parents. Every arm is met and undone: a truncate,
+    /// an append onto a parent already at `max_len`, a regenerate of a
+    /// call without arguments.
+    #[test]
+    fn a_mutant_edited_into_its_parent_is_mutate_into_and_undo_puts_the_parent_back() {
+        use kgpt_csrc::blueprint::Blueprint;
+        let (_, consts) = dm_db();
+        let bare = kgpt_syzlang::parse(
+            "bare",
+            "resource fd_b[fd]\nopenat$b(dir const[0], file ptr[in, string[\"/dev/b\"]], flags const[2], mode const[0]) fd_b\nioctl$B(fd fd_b, cmd const[3], arg ptr[in, array[int8]])\nsync$b()\n",
+        )
+        .unwrap();
+        let suites = [
+            ("dm", vec![kgpt_csrc::flagship::dm()]),
+            ("deep-chain", kgpt_csrc::deepchain::suite()),
+        ];
+        let mut dbs: Vec<(&str, SpecDb, ConstDb)> = suites
+            .into_iter()
+            .map(|(suite, blueprints)| {
+                let kc = KernelCorpus::from_blueprints(blueprints);
+                let specs = kc.blueprints().iter().map(Blueprint::ground_truth_spec);
+                (
+                    suite,
+                    SpecDb::from_files(specs.collect()),
+                    kc.consts().clone(),
+                )
+            })
+            .collect();
+        dbs.push(("bare", SpecDb::from_files(vec![bare]), consts));
+        for (suite, db, consts) in dbs {
+            let lowered = Arc::new(LoweredDb::build(&db, &consts));
+            // [regenerate, regenerate a call without arguments, append,
+            // append onto a parent at `max_len`, truncate, fresh]
+            let mut arms = [0u32; 6];
+            let mut storage = Program::default();
+            let mut edit = Edit::default();
+            for seed in 0..200u64 {
+                let mut by_copy = Generator::from_lowered(Arc::clone(&lowered), seed);
+                let mut in_place = Generator::from_lowered(Arc::clone(&lowered), seed);
+                let mut scout = Generator::from_lowered(Arc::clone(&lowered), !seed);
+                let mut parents = vec![Program::default(), scout.gen_program(1)];
+                parents.extend((0..4).map(|_| scout.gen_program(12)));
+                for step in 0..20 {
+                    let max_len = [1, 4, 12][step % 3];
+                    if step % 7 == 3 {
+                        drop(std::mem::take(&mut storage));
+                    }
+                    let at = (step * 5 + seed as usize) % parents.len();
+                    let parent = &mut parents[at];
+                    let before = parent.clone();
+                    let mut draws = StdRng::from_state(in_place.rng_state());
+                    let arm = match before.len() {
+                        0 => 5,
+                        len => match draws.random_range(0..10u32) {
+                            0..=5 => match draws.random_range(0..len) {
+                                ci if before.calls[ci].args.is_empty() => 1,
+                                _ => 0,
+                            },
+                            6..=8 if len >= max_len => 3,
+                            6..=8 => 2,
+                            _ => 4,
+                        },
+                    };
+                    arms[arm] += 1;
+                    let ctx = format!("{suite} seed {seed} step {step}: arm {arm}");
+                    let want = by_copy.mutate_into(&before, max_len, &mut storage);
+                    let from = in_place.mutate_in_place(parent, max_len, &mut edit);
+                    assert_eq!(*parent, storage, "{ctx}");
+                    assert_eq!(from, want, "{ctx}");
+                    assert_eq!(in_place.rng_state(), by_copy.rng_state(), "{ctx}");
+                    in_place.undo(parent, &mut edit);
+                    assert_eq!(*parent, before, "{ctx}");
+                    let calls = parent.calls.iter().zip(&before.calls);
+                    let args = calls.flat_map(|(p, b)| p.args.iter().zip(&b.args));
+                    assert!(args.into_iter().all(|(p, b)| same_pointees(p, b)), "{ctx}");
+                    if step % 2 == 1 && !storage.is_empty() {
+                        parents.push(storage.clone());
+                    }
+                }
+            }
+            let met = |arm: usize| arms[arm] > 0;
+            assert!([0, 2, 3, 4, 5].into_iter().all(met), "{suite}: {arms:?}");
+            assert!(suite != "bare" || met(1), "{suite}: {arms:?}");
         }
     }
 

@@ -95,7 +95,7 @@ pub use fabric::{
 };
 pub use faults::{Fault, FaultPlan};
 pub use flight::{cfg_successors, replay_trace, ReplayOutcome};
-pub use gen::Generator;
+pub use gen::{Edit, Generator};
 pub use hub::{HubSeed, SeedHub};
 pub use kgpt_syzlang::prog::{ProgCall, Program};
 pub use kgpt_trace::{ExecTrace, TraceError, TraceStore};

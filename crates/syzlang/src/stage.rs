@@ -71,7 +71,7 @@ stages! {
     Select = "select",
     /// A fresh program built in place.
     Generate = "generate",
-    /// A mutant built from its parent.
+    /// A mutant edited into its parent.
     Mutate = "mutate",
     /// A mutant's parent states found and restored.
     Restore = "restore",
@@ -80,8 +80,13 @@ stages! {
     Exec = "exec",
     /// The corpus's admission test.
     Observe = "observe",
+    /// A mutant's parent put back, the mutant copied out first when
+    /// the corpus or a ring slot keeps it.
+    Undo = "undo",
     /// The flight recorder filing an exec.
     Record = "record",
+    /// A program admitted to the corpus.
+    Admit = "admit",
     /// One trace encoded into its self-contained form.
     Seal = "seal",
     /// An in-process boundary closed: triage drain, hub exchange and,

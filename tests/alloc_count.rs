@@ -61,7 +61,7 @@ use kernelgpt::csrc::{deepchain, KernelCorpus};
 use kernelgpt::fabric::{DeltaPayload, Message};
 use kernelgpt::fuzzer::{
     ast_execute_with, execute_with, AstGenerator, AstScratch, Campaign, CampaignConfig,
-    CampaignMerge, Corpus, ExecPrefix, ExecScratch, Generator, HubSeed, LeaseRunner, Program,
+    CampaignMerge, Corpus, Edit, ExecPrefix, ExecScratch, Generator, HubSeed, LeaseRunner, Program,
     ShardedCampaign,
 };
 use kernelgpt::llm::protocol::{Prompt, Task};
@@ -194,6 +194,36 @@ fn draws_no_pointee(mutant: &Program, parent: &Program) -> bool {
         })
     });
     let appended = mutant.calls.iter().skip(parent.len());
+    kept && appended.flat_map(|c| &c.args).all(scalar)
+}
+
+/// Where `prog`'s arguments point, in order: a pointee's address, 0
+/// for any other argument.
+fn pointees(prog: &Program, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(prog.calls.iter().flat_map(|c| &c.args).map(|a| match a {
+        Value::Ptr { pointee: Some(p) } => Arc::as_ptr(p) as usize,
+        _ => 0,
+    }));
+}
+
+/// [`draws_no_pointee`] against a parent of `parent_len` calls known
+/// only by its [`pointees`] — what a mutant edited into its parent is
+/// held to, with no copy of the parent made.
+fn draws_no_pointee_over(mutant: &Program, parent_len: usize, parent: &[usize]) -> bool {
+    let scalar = |v: &Value| {
+        matches!(
+            v,
+            Value::Int(_) | Value::Res(_) | Value::Ptr { pointee: None }
+        )
+    };
+    let mut parent = parent.iter();
+    let kept = mutant.calls.iter().take(parent_len).flat_map(|c| &c.args);
+    let kept = kept.zip(&mut parent).all(|(m, p)| match m {
+        Value::Ptr { pointee: Some(a) } => Arc::as_ptr(a) as usize == *p,
+        m => scalar(m),
+    });
+    let appended = mutant.calls.iter().skip(parent_len);
     kept && appended.flat_map(|c| &c.args).all(scalar)
 }
 
@@ -361,15 +391,17 @@ fn a_deep_chain_exec_costs_a_pointee_not_a_program() {
 }
 
 /// A converged shard's loop, by hand from its public parts: select,
-/// build into the one program, execute it — a mutant from its parent's
-/// state at the index it diverges at, a fresh program whole — and offer
-/// it to the corpus. Once the storage has settled after the last
-/// admission, a step whose program draws no pointee costs **no**
-/// allocator event, however many calls it copies, cuts, appends or
-/// resumes past — unless it is the first to ask for its parent's
-/// prefix or records states the prefix does not hold yet (it grows
-/// once per entry, as deep as its mutants diverge); over the whole run
-/// an exec costs what its new pointees do.
+/// build — a fresh program into the one program, a mutant into its
+/// parent where the corpus holds it — execute it — the mutant from its
+/// parent's state at the index it diverges at, a fresh program whole —
+/// offer it to the corpus, copying a mutant out only when it is
+/// admitted, and put the parent back. Once the storage has settled
+/// after the last admission, a step whose program draws no pointee
+/// costs **no** allocator event, however many calls it edits, cuts,
+/// appends, resumes past or puts back — unless it is the first to ask
+/// for its parent's prefix or records states the prefix does not hold
+/// yet (it grows once per entry, as deep as its mutants diverge); over
+/// the whole run an exec costs what its new pointees do.
 #[test]
 fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
     const SETTLE: u32 = 5_000;
@@ -388,7 +420,9 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
     let mut scratch = ExecScratch::from_lowered(lowered);
     let mut corpus = Corpus::new(CAP, 9);
     let mut prog = Program::default();
+    let mut edit = Edit::default();
     let fresh = Program::default();
+    let (mut parent_ptrs, mut undone_ptrs) = (Vec::new(), Vec::new());
 
     // Which entries' prefixes exist: the first ask boxes one. Indices
     // are stable, as nothing is evicted under this cap.
@@ -405,6 +439,13 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
         } else {
             corpus.select()
         };
+        // What the step is held to: where its parent's arguments point,
+        // noted before the count starts.
+        let parent_len = parent.map_or(0, |idx| corpus.program(idx).len());
+        pointees(
+            parent.map_or(&fresh, |idx| corpus.program(idx)),
+            &mut parent_ptrs,
+        );
         let before = events();
         let (mut recorded, mut at) = (false, 0);
         match parent {
@@ -413,22 +454,45 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
                 execute_with(&kernel, &prog, &mut scratch);
             }
             Some(idx) => {
-                let from = g.mutate_into(corpus.program(idx), 12, &mut prog);
                 let first = !std::mem::replace(&mut asked[idx], true);
-                let prefix = corpus.prefix(idx, &scratch);
+                let (edited, prefix) = corpus.mutant(idx, &scratch);
+                let from = g.mutate_in_place(edited, 12, &mut edit);
                 let len_before = prefix.len();
                 at = prefix.restore(from, &mut scratch);
-                prefix.run(&kernel, &prog, &mut scratch, from);
+                prefix.run(&kernel, edited, &mut scratch, from);
                 // Only a boxed or grown prefix may allocate; any other
                 // event in `prefix`, `restore` or `run` fails the step.
                 recorded = first || prefix.len() > len_before;
             }
         }
         grew += u32::from(recorded);
-        let parent_prog = parent.map_or(&fresh, |idx| corpus.program(idx));
-        let cheap = draws_no_pointee(&prog, parent_prog);
-        let admitted = corpus.observe_in_place(&mut prog, scratch.coverage(), parent) > 0;
+        let admitted = corpus.admits(scratch.coverage());
+        let (cheap, calls) = match parent {
+            None => (draws_no_pointee_over(&prog, 0, &[]), prog.len()),
+            Some(idx) => {
+                let edited = corpus.mutant(idx, &scratch).0;
+                let cheap = draws_no_pointee_over(edited, parent_len, &parent_ptrs);
+                if admitted {
+                    g.copy_into(edited, &mut prog);
+                }
+                let calls = edited.len();
+                g.undo(edited, &mut edit);
+                (cheap, calls)
+            }
+        };
+        if admitted {
+            corpus.observe_in_place(&mut prog, scratch.coverage(), parent);
+        }
         let cost = events() - before;
+        if let Some(idx) = parent {
+            pointees(corpus.program(idx), &mut undone_ptrs);
+            let undone = (corpus.program(idx).len(), &undone_ptrs);
+            assert_eq!(
+                undone,
+                (parent_len, &parent_ptrs),
+                "step {steps}: not undone"
+            );
+        }
         if admitted {
             assert!(prog.is_empty(), "an admitted program is taken");
             since_admission = 0;
@@ -438,7 +502,7 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
         if since_admission > SETTLE && cheap && !recorded {
             held += 1;
             skipped += at as u64;
-            assert_eq!(cost, 0, "step {steps}: {} calls from {at}", prog.len());
+            assert_eq!(cost, 0, "step {steps}: {calls} calls from {at}");
         }
     }
     let per_exec = (events() - start) as f64 / steps as f64;

@@ -1,15 +1,17 @@
 //! A mutant resumed from its parent's state is the mutant executed
 //! whole.
 //!
-//! A campaign runs a mutant from the state its parent's first `k`
-//! calls leave — `k` the index `Generator::mutate_into` returns, or
-//! less while the parent's `ExecPrefix` (derived per corpus entry,
-//! recorded as its mutants run) holds fewer states — and only the
-//! calls from there on. This test drives that loop by hand, as a
-//! shard does (one turn in four fresh, a weighted pick otherwise,
+//! A campaign edits a mutant into its parent where the corpus holds it
+//! and runs it from the state the parent's first `k` calls leave — `k`
+//! the index `Generator::mutate_in_place` returns, or less while the
+//! parent's `ExecPrefix` (derived per corpus entry, recorded as its
+//! mutants run) holds fewer states — and only the calls from there on;
+//! then it puts the parent back. This test drives that loop by hand, as
+//! a shard does (one turn in four fresh, a weighted pick otherwise,
 //! admission on new coverage), and holds every exec to `execute_with`
-//! of the same program on a scratch of its own: coverage words (span
-//! included), crash, returns, fuel spent and exhausted, trace events.
+//! of the same program, copied out, on a scratch of its own: coverage
+//! words (span included), crash, returns, fuel spent and exhausted,
+//! trace events. Every parent is `==` to its clone once undone.
 //!
 //! Over dm, the deep-chain suite, and dm with the kvm chain, rds and
 //! caif merged; at seeds drawn from a fixed stream; untraced, and
@@ -23,7 +25,9 @@
 
 use kernelgpt::csrc::blueprint::Blueprint;
 use kernelgpt::csrc::{deepchain, flagship, KernelCorpus};
-use kernelgpt::fuzzer::{execute_with, CampaignConfig, Corpus, ExecScratch, Generator, Program};
+use kernelgpt::fuzzer::{
+    execute_with, CampaignConfig, Corpus, Edit, ExecScratch, Generator, Program,
+};
 use kernelgpt::syzlang::{LoweredDb, SpecDb};
 use kernelgpt::vkernel::VKernel;
 use std::sync::Arc;
@@ -90,6 +94,7 @@ fn run(
     let mut g = Generator::from_lowered(Arc::clone(lowered), seed);
     let mut corpus = Corpus::new(cap, seed);
     let mut prog = Program::default();
+    let mut edit = Edit::default();
     let mut pick = seed;
     for step in 0..execs {
         let ctx =
@@ -110,19 +115,27 @@ fn run(
                 execute_with(kernel, &prog, &mut resumed);
             }
             Some(idx) => {
-                let calls = corpus.program(idx).len();
-                let from = g.mutate_into(corpus.program(idx), MAX_PROG_LEN, &mut prog);
-                let prefix = corpus.prefix(idx, &resumed);
+                let before = corpus.program(idx).clone();
+                let (edited, prefix) = corpus.mutant(idx, &resumed);
+                let from = g.mutate_in_place(edited, MAX_PROG_LEN, &mut edit);
                 let at = prefix.restore(from, &mut resumed);
                 met.resumed += 1;
                 met.skipped += at as u64;
-                met.calls += prog.len() as u64;
+                met.calls += edited.len() as u64;
                 met.crashed += u64::from(at > 0 && resumed.crash().is_some());
                 met.exhausted += u64::from(at > 0 && resumed.state.fuel_exhausted());
-                prefix.run(kernel, &prog, &mut resumed, from);
+                prefix.run(kernel, edited, &mut resumed, from);
                 // Recorded as deep as the mutants diverged, no deeper
                 // than the entry.
-                assert!(from <= prefix.len() && prefix.len() <= calls, "{ctx}");
+                assert!(
+                    from <= prefix.len() && prefix.len() <= before.len(),
+                    "{ctx}"
+                );
+                // The mutant, copied out to be run whole (and offered);
+                // the entry is its parent again.
+                g.copy_into(edited, &mut prog);
+                g.undo(edited, &mut edit);
+                assert_eq!(*corpus.program(idx), before, "{ctx}: undone");
             }
         }
         execute_with(kernel, &prog, &mut whole);
