@@ -226,24 +226,10 @@ impl Corpus {
         })
     }
 
-    /// Uses of an identifier: source texts of items (other than its own
-    /// definition) whose text mentions `name`. This backs the paper's
-    /// "usage information" in prompts.
-    #[must_use]
-    pub fn usages_of(&self, name: &str) -> Vec<&str> {
-        let mut out = Vec::new();
-        for f in &self.files {
-            for item in &f.items {
-                if item.name() != name && item.text.contains(name) {
-                    out.push(item.text.as_str());
-                }
-            }
-        }
-        out
-    }
-
-    /// [`Corpus::usages_of`] for many names in one pass over the items:
-    /// `out[k]` is `usages_of(names[k])`. Every name is looked for at
+    /// Uses of identifiers: `out[k]` lists the source texts of the items
+    /// (other than `names[k]`'s own definition) whose text mentions
+    /// `names[k]`, each once, in item order. This backs the paper's
+    /// "usage information" in prompts. Every name is looked for at
     /// every byte of every item's text by walking a trie of the names,
     /// so the pass costs the text once, not once per name.
     #[must_use]
@@ -562,18 +548,23 @@ mod tests {
         let c = corpus(
             "static long dm_ctl_ioctl(struct file *f, uint c, ulong u) { return 0; }\nstatic const struct file_operations _ctl_fops = { .unlocked_ioctl = dm_ctl_ioctl };\n",
         );
-        let uses = c.usages_of("dm_ctl_ioctl");
+        let uses = &c.usages_of_all(&["dm_ctl_ioctl"])[0];
         assert_eq!(uses.len(), 1);
         assert!(uses[0].contains("_ctl_fops"));
     }
 
-    /// `usages_of_all` against `usages_of`, name by name.
-    fn usages_agree(c: &Corpus, names: &[&str]) {
-        let all = c.usages_of_all(names);
-        assert_eq!(all.len(), names.len());
-        for (name, found) in names.iter().zip(&all) {
-            assert_eq!(*found, c.usages_of(name), "{name:?}");
-        }
+    /// Each name's usages as indices of the items they are the texts of.
+    fn usage_items(c: &Corpus, names: &[&str]) -> Vec<Vec<usize>> {
+        let items: Vec<&str> = c.files[0].items.iter().map(|i| i.text.as_str()).collect();
+        c.usages_of_all(names)
+            .iter()
+            .map(|found| {
+                found
+                    .iter()
+                    .map(|t| items.iter().position(|i| std::ptr::eq(*i, *t)).unwrap())
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -587,33 +578,65 @@ mod tests {
         // Names inside longer identifiers and strings, a name mentioned
         // twice in one item, a name that is its own item's, one name a
         // prefix of another, repeats, a name found nowhere, the empty
-        // name, and names that are not identifiers.
-        usages_agree(
-            &c,
-            &[
-                "my_ops",
-                "my_ops_v2",
-                "ops",
-                "my_ops",
-                "y_o",
-                "absent",
-                "",
-                "&my",
-                "(void) {",
-                "s",
-            ],
-        );
-        usages_agree(&c, &[]);
+        // name, and names that are not identifiers. Items: 0 `ops`,
+        // 1 `my_ops`, 2 `my_ops_v2`, 3 `reg`, 4 `OPS_NAME`; an item is
+        // listed once, in item order, and never for its own name.
+        let names = [
+            "my_ops",
+            "my_ops_v2",
+            "ops",
+            "my_ops",
+            "y_o",
+            "absent",
+            "",
+            "&my",
+            "(void) {",
+            "s",
+        ];
+        let want: [&[usize]; 10] = [
+            &[2, 3, 4],
+            &[3],
+            &[1, 2, 3, 4],
+            &[2, 3, 4],
+            &[1, 2, 3, 4],
+            &[],
+            &[0, 1, 2, 3, 4],
+            &[3],
+            &[3],
+            &[0, 1, 2, 3, 4],
+        ];
+        assert_eq!(usage_items(&c, &names), want);
+        assert!(c.usages_of_all(&[]).is_empty());
+    }
+
+    /// FNV-1a over every global variable's usage list: its length, then
+    /// each text and a separator — with the number of variables. The
+    /// pins were recorded when `usages_of_all` still had the per-name
+    /// scan it replaced beside it, and agreed with it name by name.
+    fn usages_digest(c: &Corpus) -> (usize, u64) {
+        let names: Vec<&str> = c.all_vars().map(|(_, v)| v.name.as_str()).collect();
+        let mut bytes = Vec::new();
+        for found in c.usages_of_all(&names) {
+            bytes.extend_from_slice(&(found.len() as u64).to_le_bytes());
+            for text in found {
+                bytes.extend_from_slice(text.as_bytes());
+                bytes.push(0);
+            }
+        }
+        (names.len(), kgpt_syzlang::codec::fnv1a(&bytes))
+    }
+
+    #[test]
+    fn one_pass_usages_are_pinned_on_the_flagship_corpus() {
+        let kc = crate::KernelCorpus::flagship_only();
+        assert_eq!(usages_digest(kc.corpus()), (88, 0x8761_b1b5_f989_366b));
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "751 files: release builds only")]
-    fn one_pass_usages_match_the_scan_on_the_full_corpus() {
+    fn one_pass_usages_are_pinned_on_the_full_corpus() {
         let kc = crate::KernelCorpus::full(1);
-        let c = kc.corpus();
-        let names: Vec<&str> = c.all_vars().map(|(_, v)| v.name.as_str()).collect();
-        assert!(names.len() >= 751, "{} vars", names.len());
-        usages_agree(c, &names);
+        assert_eq!(usages_digest(kc.corpus()), (1447, 0x64c7_5d23_5ce5_9e01));
     }
 
     #[test]

@@ -201,14 +201,15 @@ mod tests {
         assert!(rds.usage.iter().any(|u| u.contains("rds_create")));
     }
 
-    /// A handler's usage list begins with exactly what the per-handler
-    /// `Corpus::usages_of` scan finds (a socket's continues with its
-    /// family registration).
+    /// A handler's usage list begins with exactly what the corpus finds
+    /// for its ops variable alone (a socket's continues with its family
+    /// registration) — the usages `find_handlers` looks up for every
+    /// handler in one pass, pinned by digest in `kgpt-csrc`.
     fn usages_are_the_scans(kc: &KernelCorpus) -> usize {
         let handlers = find_handlers(kc.corpus());
         for h in &handlers {
-            let scan = kc.corpus().usages_of(&h.ops_var);
-            assert_eq!(h.usage[..scan.len()], scan, "{}", h.ops_var);
+            let scan = &kc.corpus().usages_of_all(&[h.ops_var.as_str()])[0];
+            assert_eq!(h.usage[..scan.len()], scan[..], "{}", h.ops_var);
             if h.kind == HandlerKind::Driver {
                 assert_eq!(h.usage.len(), scan.len(), "{}", h.ops_var);
             }

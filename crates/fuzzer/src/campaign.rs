@@ -89,8 +89,8 @@ pub struct CampaignConfig {
     /// replay contract in [`kgpt_trace`]): a warm ring holds `cap`
     /// traces less the crashing execs of the epoch in progress, and a
     /// ring of `execs / shards` still retains every non-crashing exec.
-    /// An epoch whose ring the next one trims away unread runs
-    /// untraced (see [`crate::flight`]).
+    /// An epoch whose ring the next one trims away unread files nothing
+    /// in it (see [`crate::flight`]).
     pub trace_ring: usize,
 }
 
@@ -235,8 +235,8 @@ pub(crate) struct ShardState {
     pub(crate) fuel_exhausted: u64,
     /// Flight recorder, when the campaign runs traced
     /// ([`CampaignConfig::trace_ring`] > 0 under the sharded driver).
-    /// `None` leaves the exec path one never-taken branch per cover
-    /// call. Not part of the snapshot: the sharded driver re-attaches
+    /// `None` files nothing; the VM logs every exec's events either
+    /// way. Not part of the snapshot: the sharded driver re-attaches
     /// tracers on restore and carries what the next epoch keeps of
     /// the stores in the checkpoint's own trace section.
     tracer: Option<crate::flight::ShardTracer>,
@@ -361,8 +361,8 @@ impl ShardState {
         }
     }
 
-    /// Attach a flight recorder. It switches the VM's trace log on and
-    /// off itself, where each epoch begins.
+    /// Attach a flight recorder. It decides where each epoch begins
+    /// whether it files the epoch's execs.
     pub(crate) fn attach_tracer(&mut self, tracer: crate::flight::ShardTracer) {
         self.tracer = Some(tracer);
     }
@@ -490,7 +490,7 @@ impl ShardState {
     /// generation, otherwise mutate a corpus seed picked by the
     /// weighted scheduler; admit whatever contributes new coverage.
     /// A traced shard first trims its ring for the epoch's length and
-    /// records only if a reader can see the epoch: if the shard
+    /// files ring slots only if a reader can see the epoch: if the shard
     /// finishes with it or the next epoch keeps some of its ring (see
     /// [`crate::flight`]).
     pub(crate) fn run_epoch(&mut self, kernel: &VKernel, budget: u64) {
@@ -498,7 +498,7 @@ impl ShardState {
         if let Some(tracer) = &mut self.tracer {
             let after = self.remaining - n;
             let next = (after > 0).then(|| budget.min(after));
-            tracer.begin_epoch(&mut self.scratch, n, next);
+            tracer.begin_epoch(n, next);
         }
         for _ in 0..n {
             self.rng_pick = self
@@ -543,8 +543,16 @@ impl ShardState {
             if self.scratch.state.fuel_exhausted() {
                 self.fuel_exhausted += 1;
             }
-            let cov = self.scratch.coverage();
-            let admitted = stage::time(Stage::Observe, || self.corpus.admits(cov));
+            let scratch = &self.scratch;
+            let admitted = stage::time(Stage::Observe, || {
+                let admitted = self.corpus.admits(scratch.events());
+                if admitted {
+                    // Its map is built while the VM still holds its
+                    // events: a ring slot takes them below.
+                    let _ = scratch.coverage();
+                }
+                admitted
+            });
             // A mutant somebody keeps — the corpus, or a ring slot it is
             // swapped into — is copied out, and its parent put back before
             // an admission may evict it. Any other is read where it lies
@@ -572,7 +580,7 @@ impl ShardState {
             }
             if let Some(tracer) = &mut self.tracer {
                 stage::time(Stage::Record, || {
-                    tracer.record(kernel, &mut self.scratch, prog, self.epoch, admitted);
+                    tracer.record(&mut self.scratch, prog, self.epoch, admitted);
                 });
             }
             if let Some(idx) = edited {
@@ -876,13 +884,13 @@ mod tests {
     }
 
     #[test]
-    fn an_epoch_no_reader_can_see_records_no_ring_and_logs_no_events() {
+    fn an_epoch_no_reader_can_see_records_no_ring() {
         // The benchmark's shape: 8 shards, epochs of 128, ring 32. The
         // next epoch keeps none of a ring of 32, so every epoch but a
         // shard's last is dead. The oracle's ring of 129 outlasts every
-        // epoch, so all of its epochs are live and each pin is sealed
-        // from the events the exec itself logged, as the recorder once
-        // sealed every pin.
+        // epoch, so all of its epochs are live. A dead epoch still pins
+        // every first crash, from the events its exec logged: the pins
+        // are the oracle's.
         use crate::boundary::Boundary;
         use crate::fabric::LeaseRunner;
         use crate::flight::{cfg_successors, ShardTracer};
@@ -904,7 +912,6 @@ mod tests {
             }
             (runner, Boundary::new(config.hub_top_k))
         };
-        let logs = |state: &ShardState| state.scratch.state.trace().enabled();
         let (mut runner, mut boundary) = traced(config.trace_ring);
         let (mut oracle, mut oracle_boundary) = traced(129);
         let mut boundaries = 0;
@@ -918,10 +925,8 @@ mod tests {
                 let store = state.trace_store().unwrap();
                 let eager = twin.trace_store().unwrap();
                 assert!(store.pinned().eq(eager.pinned()), "shard, epoch {at:?}");
-                assert!(logs(twin), "shard, epoch {at:?}");
                 if state.remaining > 0 {
                     assert_eq!(store.ring().count(), 0, "shard, epoch {at:?}");
-                    assert!(!logs(state), "shard, epoch {at:?}");
                 }
             }
             boundaries += 1;
@@ -930,15 +935,14 @@ mod tests {
             }
         }
         assert_eq!(boundaries, 5);
-        // The last epoch is live: it logged and filled the ring.
-        let mut rerun = 0;
+        // The last epoch is live: it filled the ring.
+        let mut dead_pins = 0;
         for state in &runner.states {
             let store = state.trace_store().unwrap();
-            assert!(logs(state), "shard {}", state.id);
             assert_eq!(store.ring().count(), 32, "shard {}", state.id);
-            rerun += store.pinned().filter(|(_, t)| t.epoch < 4).count();
+            dead_pins += store.pinned().filter(|(_, t)| t.epoch < 4).count();
         }
-        assert!(rerun > 0, "no pin was sealed in a dead epoch");
+        assert!(dead_pins > 0, "no pin was sealed in a dead epoch");
     }
 
     #[test]

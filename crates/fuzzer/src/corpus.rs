@@ -40,7 +40,7 @@
 
 use crate::exec::{ExecPrefix, ExecScratch};
 use kgpt_syzlang::prog::Program;
-use kgpt_vkernel::{CoverageMap, CoverageWordDiff};
+use kgpt_vkernel::{CoverageMap, CoverageWordDiff, TraceEvent};
 
 /// One retained seed with its coverage key and productivity stats.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,7 +155,7 @@ fn unrecorded(n: usize) -> Vec<Option<Box<ExecPrefix>>> {
 }
 
 /// The prefix in `slot`, a new one in place of none or of one recorded
-/// under another fuel limit or trace flag than `scratch` runs under.
+/// under another fuel limit than `scratch` runs under.
 fn fitted<'a>(slot: &'a mut Option<Box<ExecPrefix>>, scratch: &ExecScratch) -> &'a mut ExecPrefix {
     if !slot.as_ref().is_some_and(|prefix| prefix.fits(scratch)) {
         *slot = None;
@@ -245,9 +245,9 @@ impl Corpus {
     /// boundaries, to run a mutant of it from ([`ExecPrefix::restore`],
     /// [`ExecPrefix::run`], which records more of them). Empty the
     /// first time it is asked for — and again when `scratch` runs under
-    /// another fuel limit or trace flag than it was recorded under —
-    /// and kept until the entry leaves. A corpus is stepped against one
-    /// kernel: a clone starts with none.
+    /// another fuel limit than it was recorded under — and kept until
+    /// the entry leaves. A corpus is stepped against one kernel: a clone
+    /// starts with none.
     pub fn prefix(&mut self, idx: usize, scratch: &ExecScratch) -> &mut ExecPrefix {
         fitted(&mut self.prefixes[idx], scratch)
     }
@@ -364,7 +364,7 @@ impl Corpus {
         cov: &CoverageMap,
         parent: Option<usize>,
     ) -> usize {
-        if !self.admits(cov) {
+        if self.coverage.new_blocks_in(cov) == 0 {
             return 0;
         }
         if let Some(p) = parent {
@@ -384,11 +384,17 @@ impl Corpus {
         new
     }
 
-    /// Whether [`Corpus::observe`] admits an exec that covered `cov`:
-    /// whether it reached a block the corpus does not know.
+    /// Whether [`Corpus::observe`] admits the exec that logged
+    /// `events` ([`crate::ExecScratch::events`]): whether it reached a
+    /// block the corpus does not know. Walks the exec's block runs and
+    /// stops at the first one the corpus does not cover whole — no map
+    /// of the exec is built.
     #[must_use]
-    pub fn admits(&self, cov: &CoverageMap) -> bool {
-        self.coverage.new_blocks_in(cov) != 0
+    pub fn admits(&self, events: &[TraceEvent]) -> bool {
+        events.iter().any(|event| match *event {
+            TraceEvent::Block { start, len } => !self.coverage.covers_run(start, len),
+            _ => false,
+        })
     }
 
     /// Admit a seed published by another shard: if its claimed

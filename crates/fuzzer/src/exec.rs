@@ -15,9 +15,13 @@
 //! string-free and AST-free. The pre-lowering walk survives in
 //! [`crate::reference`] as the differential oracle.
 //!
-//! After a run, [`ExecScratch::coverage`] and [`ExecScratch::crash`]
-//! expose the outcome the campaign loop feeds into the shared
-//! [`crate::corpus::Corpus`].
+//! After a run, the VM's event log ([`ExecScratch::events`]) is the
+//! exec's coverage: the corpus asks it, a run at a time, whether it
+//! holds anything new ([`crate::corpus::Corpus::admits`]), and no
+//! bitmap is built for the exec. [`ExecScratch::coverage`] builds one
+//! from the log on first ask — for an admission, a one-shot result or
+//! a reader outside the loop — into storage the scratch keeps, and
+//! every call that runs the scratch again lets it go.
 //!
 //! **A mutant runs from its parent's state.** There is one exec loop:
 //! it runs a program's calls from an index on, the scratch holding the
@@ -35,7 +39,10 @@ use kgpt_syzlang::lowered::{LoweredDb, LoweredEncoder};
 use kgpt_syzlang::prog::Program;
 use kgpt_syzlang::value::ResRef;
 use kgpt_syzlang::{ConstDb, SpecDb};
-use kgpt_vkernel::{BoundaryStates, CoverageMap, CrashReport, MemMap, Sysno, VKernel, VmState};
+use kgpt_vkernel::{
+    BoundaryStates, CoverageMap, CrashReport, MemMap, Sysno, TraceEvent, VKernel, VmState,
+};
+use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
 /// Result of executing one program.
@@ -66,6 +73,12 @@ pub struct ExecScratch {
     /// Segment vector shuttling between encoder and memory image so
     /// retired buffers flow back into the encoder's pool.
     shuttle: Vec<(u64, Vec<u8>)>,
+    /// The last exec's coverage, once somebody asked for it
+    /// ([`ExecScratch::coverage`]).
+    built: OnceCell<CoverageMap>,
+    /// The storage of a map built for an earlier exec, which the next
+    /// one is built into.
+    spare: Cell<CoverageMap>,
 }
 
 impl ExecScratch {
@@ -96,6 +109,8 @@ impl ExecScratch {
             enc: LoweredEncoder::new(),
             mem: MemMap::new(),
             shuttle: Vec::new(),
+            built: OnceCell::new(),
+            spare: Cell::default(),
         }
     }
 
@@ -105,12 +120,35 @@ impl ExecScratch {
         &self.lowered
     }
 
-    /// Coverage of the last executed program — what the campaign
-    /// loop feeds to [`crate::corpus::Corpus::observe`] (borrowed, so
-    /// the admission test allocates nothing on the nothing-new path).
+    /// The event log of the last executed program: its block runs, call
+    /// and crash markers — what [`crate::corpus::Corpus::admits`] reads.
+    #[must_use]
+    pub fn events(&self) -> &[TraceEvent] {
+        self.state.trace().events()
+    }
+
+    /// Coverage of the last executed program — what an admission feeds
+    /// to [`crate::corpus::Corpus::observe`]. Built from the event log
+    /// as it stands the first time it is asked for after an exec, into
+    /// the storage of the map built before, so it allocates nothing once
+    /// that storage has held such a map. A flight recorder takes the
+    /// log's events (`TraceLog::swap_events`): a caller that needs the
+    /// map too asks for it before.
     #[must_use]
     pub fn coverage(&self) -> &CoverageMap {
-        &self.state.coverage
+        self.built.get_or_init(|| {
+            let mut map = self.spare.take();
+            self.state.trace().coverage_into(&mut map);
+            map
+        })
+    }
+
+    /// Let go of the map [`ExecScratch::coverage`] built, keeping its
+    /// storage: the scratch is about to run again.
+    fn forget_coverage(&mut self) {
+        if let Some(map) = self.built.take() {
+            self.spare.set(map);
+        }
     }
 
     /// Crash triggered by the last executed program, if any.
@@ -132,15 +170,16 @@ pub fn execute(kernel: &VKernel, db: &SpecDb, consts: &ConstDb, prog: &Program) 
     let mut scratch = ExecScratch::new(db, consts);
     execute_with(kernel, prog, &mut scratch);
     ExecResult {
-        coverage: std::mem::take(&mut scratch.state.coverage),
+        coverage: scratch.state.trace().coverage(),
         crash: scratch.state.crash.take(),
         rets: std::mem::take(&mut scratch.rets),
     }
 }
 
 /// Execute a program, reusing `scratch` across calls. Afterwards,
-/// `scratch.state.coverage`, `scratch.state.crash` and `scratch.rets`
-/// hold the program's outcome until the next invocation.
+/// the scratch's event log ([`ExecScratch::events`], and the
+/// [`ExecScratch::coverage`] built from it), `scratch.state.crash` and
+/// `scratch.rets` hold the program's outcome until the next invocation.
 ///
 /// This is the exec loop a resumed mutant runs ([`ExecPrefix::run`]),
 /// started at call 0 from the empty state.
@@ -162,6 +201,7 @@ fn run_calls(
     from: usize,
     mut after_call: impl FnMut(usize, &VmState, &[i64]),
 ) {
+    scratch.forget_coverage();
     let ExecScratch {
         lowered,
         sysno,
@@ -170,6 +210,7 @@ fn run_calls(
         enc,
         mem,
         shuttle,
+        ..
     } = scratch;
     let lowered: &LoweredDb = lowered;
     debug_assert_eq!(rets.len(), from, "resumed without the returns before");
@@ -240,7 +281,7 @@ fn run_calls(
             // Syscall-boundary marker for the flight recorder: calls that
             // were skipped (crash, fuel, encode failure) emit no marker,
             // so the trace's call indices name exactly the calls that
-            // reached the kernel. One branch when tracing is off.
+            // reached the kernel.
             state.trace_mut().call(call_index as u32);
             kernel.exec_call(state, sysno[call.sys as usize], &regs, mem)
         };
@@ -257,7 +298,7 @@ fn run_calls(
 /// one: [`ExecPrefix::restore`], then [`ExecPrefix::run`].
 ///
 /// Derived data, a function of the program, the kernel and the
-/// scratch's fuel limit and trace flag. It is recorded as the entry's
+/// scratch's fuel limit. It is recorded as the entry's
 /// mutants run — a call of a mutant before its `from` is the entry's
 /// call, so the state after it is the entry's — and grows as deep as
 /// they diverge, never by an execution of its own. A corpus keeps one
@@ -269,8 +310,7 @@ pub struct ExecPrefix {
 }
 
 impl ExecPrefix {
-    /// No state recorded yet, under `scratch`'s fuel limit and trace
-    /// flag.
+    /// No state recorded yet, under `scratch`'s fuel limit.
     #[must_use]
     pub fn new(scratch: &ExecScratch) -> ExecPrefix {
         ExecPrefix {
@@ -291,8 +331,8 @@ impl ExecPrefix {
         self.rets.is_empty()
     }
 
-    /// Whether it was recorded under `scratch`'s fuel limit and trace
-    /// flag — whether its states are the ones `scratch` would compute.
+    /// Whether it was recorded under `scratch`'s fuel limit — whether
+    /// its states are the ones `scratch` would compute.
     pub(crate) fn fits(&self, scratch: &ExecScratch) -> bool {
         self.vm.fits(&scratch.state)
     }
@@ -303,6 +343,7 @@ impl ExecPrefix {
     /// buffers have held that state.
     pub fn restore(&self, from: usize, scratch: &mut ExecScratch) -> usize {
         let k = from.min(self.len());
+        scratch.forget_coverage();
         scratch.state.restore_boundary(&self.vm, k);
         scratch.rets.clear();
         scratch.rets.extend_from_slice(&self.rets[..k]);
@@ -373,7 +414,7 @@ mod tests {
         for p in &progs {
             let one_shot = execute(&kernel, db, kc.consts(), p);
             execute_with(&kernel, p, &mut scratch);
-            assert_eq!(scratch.state.coverage, one_shot.coverage);
+            assert_eq!(*scratch.coverage(), one_shot.coverage);
             assert_eq!(scratch.state.crash, one_shot.crash);
             assert_eq!(scratch.rets, one_shot.rets);
         }
@@ -395,7 +436,7 @@ mod tests {
             let ast = ast_execute(&kernel, &db, kc.consts(), &p);
             execute_with(&kernel, &p, &mut scratch);
             assert_eq!(scratch.rets, ast.rets, "program {i}");
-            assert_eq!(scratch.state.coverage, ast.coverage, "program {i}");
+            assert_eq!(*scratch.coverage(), ast.coverage, "program {i}");
             assert_eq!(scratch.state.crash, ast.crash, "program {i}");
         }
     }

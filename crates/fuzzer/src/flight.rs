@@ -32,28 +32,25 @@
 //! predecessor persisted are still kept, and the kept and the pinned
 //! traces recorded since — so a trace is sealed for a record once.
 //!
-//! **Only a live epoch records.** Every reader of the ring reads at
-//! most what the next epoch keeps of it, the newest `cap − n_next`
-//! slots (`n_next` the next epoch's length), or — when the shard
-//! finishes with the epoch — the whole ring the final store returns.
-//! So an epoch is **live** when the shard finishes with it or
+//! **Only a live epoch files ring slots.** Every reader of the ring
+//! reads at most what the next epoch keeps of it, the newest
+//! `cap − n_next` slots (`n_next` the next epoch's length), or — when
+//! the shard finishes with the epoch — the whole ring the final store
+//! returns. So an epoch is **live** when the shard finishes with it or
 //! `cap > n_next`; any other epoch's ring slots are let go at the next
 //! trim before anybody could read them. `ShardTracer::begin_epoch`
 //! decides it from the ring's capacity and the next epoch's length —
-//! no option — and switches the VM's trace log on for a live epoch and
-//! off for a dead one: a dead epoch runs the untraced loop, its execs
-//! are counted (a trace header carries the exec index) and offered to
-//! the corpus as if nothing recorded them, and its ring takes nothing.
-//! A crash signature first seen in a dead epoch is still pinned: its
-//! exec is run again on a traced scratch of the recorder's own under
-//! the exec's fuel limit, and an exec's events are a function of
-//! program, kernel and fuel (what [`replay_trace`] relies on), so the
-//! pin is the trace a live epoch would have sealed. At the default
-//! ring 32 and epochs of 128 only a shard's last epoch is live. What
-//! no reader sees is all that changes — with one exception: a run
-//! halted at a boundary (`ShardedCampaign::with_halt_after`) returns
-//! its recorders as they stand, and after a dead epoch that is the
-//! pins and an empty ring, exactly what the checkpoint there persisted.
+//! no option. The VM logs every exec's events either way: the log is
+//! the exec's coverage ([`crate::exec`]). A dead epoch's execs are
+//! counted (a trace header carries the exec index) and offered to the
+//! corpus, and its ring takes nothing; a crash signature first seen in
+//! it is pinned from the events at hand, as in a live epoch, so no
+//! exec is ever run again to be pinned. At the default ring 32 and
+//! epochs of 128 only a shard's last epoch is live. What no reader
+//! sees is all that changes — with one exception: a run halted at a
+//! boundary (`ShardedCampaign::with_halt_after`) returns its recorders
+//! as they stand, and after a dead epoch that is the pins and an empty
+//! ring, exactly what the checkpoint there persisted.
 //!
 //! **Storage goes round.** A slot the ring lets go — at a full ring's
 //! next `record`, at an epoch's trim — keeps its program and its
@@ -68,7 +65,9 @@
 //! slot, as ever. A mutant reaches the recorder as the shard's program
 //! only when it is filed or admitted: the shard copies it out of the
 //! corpus entry it was edited into ([`crate::campaign`]) and hands any
-//! other exec — a crash to pin, a dead epoch's — over where it lies.
+//! other exec — a crash to pin, a dead epoch's — over where it lies. A
+//! slot takes the VM's events, so the shard builds an admitted exec's
+//! coverage map before it hands the exec over.
 //!
 //! [`replay_trace`] is the other direction: re-execute any recorded
 //! exec from its self-contained header and cross-check the recorded
@@ -76,7 +75,7 @@
 
 use crate::exec::{execute_with, ExecScratch};
 use kgpt_syzlang::codec::Writer;
-use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors, LoweredDb};
+use kgpt_syzlang::lowered::{CfgRun, CfgSuccessors};
 use kgpt_syzlang::prog::Program;
 use kgpt_syzlang::stage::{self, Stage};
 use kgpt_trace::{
@@ -154,23 +153,9 @@ pub(crate) struct ShardTracer {
     /// First trace per crash signature, sealed when pinned.
     pinned: BTreeMap<CrashSignature, ExecTrace>,
     /// Whether the epoch in progress is live (module docs): its ring
-    /// slots can be read, so it records them and the VM logs events.
-    /// Nothing is live until an epoch begins.
+    /// slots can be read, so it files them. Nothing is live until an
+    /// epoch begins.
     live: bool,
-    /// Where a dead epoch's first crash of a signature is run again,
-    /// traced, to be pinned.
-    rerun: RerunScratch,
-}
-
-/// A traced scratch of the recorder's own, made on first use. A clone
-/// of the recorder starts without one: it is storage, not state.
-#[derive(Default)]
-struct RerunScratch(Option<Box<ExecScratch>>);
-
-impl Clone for RerunScratch {
-    fn clone(&self) -> RerunScratch {
-        RerunScratch(None)
-    }
 }
 
 impl ShardTracer {
@@ -191,7 +176,6 @@ impl ShardTracer {
             spare: Vec::new(),
             pinned: BTreeMap::new(),
             live: false,
-            rerun: RerunScratch::default(),
         }
     }
 
@@ -202,19 +186,17 @@ impl ShardTracer {
         self.cap.saturating_sub(n).min(self.ring.len())
     }
 
-    /// Start an epoch of `n` execs in `scratch`, to be followed by one
-    /// of `next` execs (`None`: the shard finishes with this one): let
-    /// go of every ring slot but the [`ShardTracer::survivors`], decide
-    /// whether the epoch is live (module docs) and switch the VM's trace
-    /// log on for a live epoch, off for a dead one. `n = 0` (a shard
-    /// that has finished while others run on) lets go of nothing.
-    pub(crate) fn begin_epoch(&mut self, scratch: &mut ExecScratch, n: u64, next: Option<u64>) {
+    /// Start an epoch of `n` execs, to be followed by one of `next`
+    /// execs (`None`: the shard finishes with this one): let go of every
+    /// ring slot but the [`ShardTracer::survivors`] and decide whether
+    /// the epoch is live (module docs). `n = 0` (a shard that has
+    /// finished while others run on) lets go of nothing.
+    pub(crate) fn begin_epoch(&mut self, n: u64, next: Option<u64>) {
         for _ in self.survivors(n)..self.ring.len() {
             self.drop_oldest();
         }
         let cap = u64::try_from(self.cap).unwrap_or(u64::MAX);
         self.live = next.is_none_or(|n_next| cap > n_next);
-        scratch.state.trace_mut().set_enabled(self.live);
     }
 
     /// Let go of the oldest ring slot, keeping its storage.
@@ -232,19 +214,20 @@ impl ShardTracer {
         self.live && self.cap > 0 && scratch.crash().is_none()
     }
 
-    /// Record the execution of `prog` on `kernel` that just finished
-    /// in `scratch`; `admitted` says whether the corpus takes `prog`
-    /// next. An exec the recorder files ([`ShardTracer::files`]) and
-    /// the corpus rejects is swapped into its ring slot, and `prog`
-    /// becomes the storage of a slot the ring let go; an admitted one
-    /// the slot takes a copy of. Either way the slot takes the buffer
-    /// the VM logged the exec into and the VM gets the slot's to log
-    /// the next one into. At steady state the swapped path neither
-    /// allocates nor frees. Any other exec only counts, and is pinned
-    /// if it is the first crash of its signature: `prog` is only read.
+    /// Record the execution of `prog` that just finished in `scratch`;
+    /// `admitted` says whether the corpus takes `prog` next. An exec
+    /// the recorder files ([`ShardTracer::files`]) and the corpus
+    /// rejects is swapped into its ring slot, and `prog` becomes the
+    /// storage of a slot the ring let go; an admitted one the slot
+    /// takes a copy of. Either way the slot takes the buffer the VM
+    /// logged the exec into and the VM gets the slot's to log the next
+    /// one into — so whoever needs the exec's coverage map
+    /// ([`ExecScratch::coverage`]) builds it before. At steady state
+    /// the swapped path neither allocates nor frees. Any other exec
+    /// only counts, and is pinned from its events if it is the first
+    /// crash of its signature: `prog` is only read.
     pub(crate) fn record(
         &mut self,
-        kernel: &VKernel,
         scratch: &mut ExecScratch,
         prog: &mut Program,
         epoch: u64,
@@ -261,12 +244,8 @@ impl ShardTracer {
         if let Some(crash) = &state.crash {
             let sig = crash.signature;
             if !self.pinned.contains_key(&sig) {
-                let sealed = if self.live {
-                    let events = state.trace().events();
-                    self.seal(meta, prog, events, Some(sig), &mut Vec::new())
-                } else {
-                    self.seal_rerun(kernel, scratch.lowered(), meta, prog, sig)
-                };
+                let events = state.trace().events();
+                let sealed = self.seal(meta, prog, events, Some(sig), &mut Vec::new());
                 self.pinned.insert(sig, sealed);
             }
             return;
@@ -286,33 +265,6 @@ impl ShardTracer {
             std::mem::swap(&mut raw.program, prog);
         }
         self.ring.push_back(Slot::Raw(raw));
-    }
-
-    /// Seal a crashing exec of a dead epoch, whose events the VM did
-    /// not log: run `prog` again on the recorder's traced scratch under
-    /// the exec's fuel limit. An exec's events are a function of
-    /// program, kernel and fuel — what [`replay_trace`] relies on — so
-    /// the trace is the one a live epoch would have sealed.
-    fn seal_rerun(
-        &mut self,
-        kernel: &VKernel,
-        lowered: &Arc<LoweredDb>,
-        meta: ExecMeta,
-        prog: &Program,
-        sig: CrashSignature,
-    ) -> ExecTrace {
-        let mut rerun = self.rerun.0.take().unwrap_or_else(|| {
-            let mut scratch = ExecScratch::from_lowered(Arc::clone(lowered));
-            scratch.state.trace_mut().set_enabled(true);
-            Box::new(scratch)
-        });
-        rerun.state.set_fuel_limit(meta.exec_fuel);
-        execute_with(kernel, prog, &mut rerun);
-        debug_assert_eq!(rerun.crash().map(|c| c.signature), Some(sig));
-        let events = rerun.state.trace().events();
-        let sealed = self.seal(meta, prog, events, Some(sig), &mut Vec::new());
-        self.rerun.0 = Some(rerun);
-        sealed
     }
 
     /// Encode a ring slot into its self-contained trace.
@@ -447,8 +399,8 @@ pub struct ReplayOutcome {
 /// compared with it by the encoder itself ([`stream_matches`]: the
 /// same prediction table, byte for byte, no stream built); crash
 /// signatures and the fuel-exhaustion verdict must match too. Past
-/// decoding the program, replay allocates nothing. The scratch's
-/// tracing flag and fuel limit are restored afterwards.
+/// decoding the program, replay allocates nothing. The scratch's fuel
+/// limit is restored afterwards.
 ///
 /// # Errors
 ///
@@ -488,12 +440,10 @@ pub fn replay_trace(
         }
     })?;
     drop(check);
-    let was_enabled = scratch.state.trace().enabled();
     let prior_fuel = scratch.state.fuel_limit();
-    scratch.state.trace_mut().set_enabled(true);
     scratch.state.set_fuel_limit(trace.exec_fuel);
     stage::time(Stage::ReplayExec, || execute_with(kernel, &prog, scratch));
-    let live = scratch.state.trace().events();
+    let live = scratch.events();
     let live_crash = scratch.crash().map(|c| c.signature);
     let identical = live_crash == trace.crash
         && scratch.state.fuel_exhausted() == trace.fuel_exhausted
@@ -501,7 +451,6 @@ pub fn replay_trace(
             stream_matches(cfg, live, &trace.stream, trace.stream_bits)
         });
     scratch.state.set_fuel_limit(prior_fuel);
-    scratch.state.trace_mut().set_enabled(was_enabled);
     Ok(ReplayOutcome {
         identical,
         recorded_crash: trace.crash,
@@ -577,11 +526,10 @@ mod tests {
         let db = SpecCache::global().get_or_build(&suite);
         let lowered = SpecCache::global().get_or_lower(&db, &consts);
         let cfg = Arc::new(cfg_successors(&kernel));
-        // The recorder's scratch, whose trace log the recorder switches,
-        // and the oracle's, which logs every exec.
+        // The recorder's scratch, whose events the recorder takes, and
+        // the oracle's.
         let mut scratch = ExecScratch::from_lowered(Arc::clone(&lowered));
         let mut eager = ExecScratch::from_lowered(Arc::clone(&lowered));
-        eager.state.trace_mut().set_enabled(true);
 
         // One fixed exec sequence, generated the way a shard would:
         // ten epochs of 128 execs and a last one of 120.
@@ -623,12 +571,7 @@ mod tests {
                            corpus: &mut Corpus,
                            mut oracle: Option<&mut TraceStore>| {
                 let next = epochs.get(e + 1).map(|p| p.len() as u64);
-                tracer.begin_epoch(&mut scratch, epoch_len(e) as u64, next);
-                assert_eq!(
-                    scratch.state.trace().enabled(),
-                    live(e),
-                    "ring {ring} epoch {e}"
-                );
+                tracer.begin_epoch(epoch_len(e) as u64, next);
                 if let Some(oracle) = oracle.as_deref_mut() {
                     trim(oracle, epoch_len(e));
                 }
@@ -640,10 +583,15 @@ mod tests {
                         execute_with(&kernel, prog, &mut eager);
                         record_eagerly(oracle, &cfg, &eager, prog, e as u64);
                     }
-                    let fresh = corpus.admits(scratch.coverage());
+                    let fresh = corpus.admits(scratch.events());
                     let ringed = ring > 0 && live(e) && scratch.crash().is_none();
                     assert_eq!(tracer.files(&scratch), ringed, "epoch {e} exec {i}");
-                    tracer.record(&kernel, &mut scratch, &mut storage, e as u64, fresh);
+                    // The map is built before a ring slot takes the events.
+                    assert_eq!(
+                        fresh,
+                        corpus.coverage().new_blocks_in(scratch.coverage()) != 0
+                    );
+                    tracer.record(&mut scratch, &mut storage, e as u64, fresh);
                     // Still itself, to be offered, unless the ring took
                     // it and the corpus does not want it.
                     let offered = !ringed || fresh;
@@ -689,13 +637,17 @@ mod tests {
             assert_eq!(sealed.to_bytes(), oracle.to_bytes(), "ring {ring}");
             assert_eq!(sealed.execs_seen(), EXECS as u64);
             assert!(oracle.pinned_len() > 0, "the sequence never crashed");
-            // Below a ring of 128 some pins were sealed by running their
-            // exec again, in an epoch that logged nothing.
-            let rerun = oracle
+            // Below a ring of 128 some pins were sealed in an epoch that
+            // filed no ring slot.
+            let dead = oracle
                 .pinned()
                 .filter(|(_, t)| !live(t.epoch as usize))
                 .count();
-            assert_eq!(rerun > 0, ring < EPOCH, "ring {ring}: {rerun} pins rerun");
+            assert_eq!(
+                dead > 0,
+                ring < EPOCH,
+                "ring {ring}: {dead} pins in dead epochs"
+            );
             // A warm ring: full, less — when it is longer than the
             // last epoch — the crashing execs of that epoch.
             assert!(crashed_last > 0, "the last epoch never crashed");

@@ -328,7 +328,7 @@ pub fn ast_execute(kernel: &VKernel, db: &SpecDb, consts: &ConstDb, prog: &Progr
     let mut scratch = AstScratch::new(db, consts);
     ast_execute_with(kernel, prog, &mut scratch);
     ExecResult {
-        coverage: std::mem::take(&mut scratch.state.coverage),
+        coverage: scratch.state.trace().coverage(),
         crash: scratch.state.crash.take(),
         rets: std::mem::take(&mut scratch.rets),
     }

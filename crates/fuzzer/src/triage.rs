@@ -166,12 +166,10 @@ impl TriageMinimizer {
 /// Minimize a crashing program against its [`CrashSignature`], guided
 /// by the flight-recorder trace of a single probe execution.
 ///
-/// The probe runs `raw` once with tracing temporarily enabled on
-/// `scratch` (the caller's enabled flag is restored before any ddmin
-/// replay, so minimization probes pay no tracing cost). If the probe
-/// no longer triggers `sig` — a stale capture — the program comes
-/// back unchanged, non-reproducible, at a cost of one recorded exec.
-/// Otherwise the probe's trace becomes a [`TraceGuide`]: the crashing
+/// The probe runs `raw` once on `scratch`. If it no longer triggers
+/// `sig` — a stale capture — the program comes back unchanged,
+/// non-reproducible, at a cost of one exec. Otherwise the event log
+/// the VM kept of the probe becomes a [`TraceGuide`]: the crashing
 /// call index, per-call retired block counts, and per-call error
 /// returns, which [`minimize_guided`] uses to attempt one verified
 /// prune before running plain ddmin.
@@ -189,12 +187,9 @@ pub fn minimize_program(
     raw: &Program,
     sig: CrashSignature,
 ) -> (MinimizeOutcome, bool) {
-    let was_tracing = scratch.state.trace().enabled();
-    scratch.state.trace_mut().set_enabled(true);
     execute_with(kernel, raw, scratch);
     let reproducible = scratch.crash().is_some_and(|c| c.signature == sig);
     let guide = guide_from_scratch(scratch, raw.len());
-    scratch.state.trace_mut().set_enabled(was_tracing);
     if !reproducible {
         // Mirrors `minimize`'s non-reproducing contract: the program
         // comes back unchanged at a cost of one probe.
@@ -228,7 +223,7 @@ fn guide_from_scratch(scratch: &ExecScratch, prog_len: usize) -> TraceGuide {
         call_errs: scratch.rets.iter().map(|r| *r < 0).collect(),
     };
     let mut cur: Option<usize> = None;
-    for ev in scratch.state.trace().events() {
+    for ev in scratch.events() {
         match *ev {
             TraceEvent::Call { index } => cur = Some(index as usize),
             TraceEvent::Block { len, .. } => {

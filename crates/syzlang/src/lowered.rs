@@ -1407,6 +1407,14 @@ impl LoweredEncoder {
     /// under the same database and type copies them. A closed value
     /// allocates nothing nested and never calls `resolve`, so the copy
     /// leaves addresses, segment order and errors those of the walk.
+    ///
+    /// The memo waits for a second holder, and a program decoded from
+    /// bytes — a corpus entry restored from a checkpoint or a frame, a
+    /// trace's program — holds only tree-first pointees held once:
+    /// since a mutant is edited into its entry instead of cloning it,
+    /// nothing ever raises the count, so every exec of such an entry
+    /// walks its trees again (on dm ≈ 25× a born-packed twin's exec;
+    /// ROADMAP item 12).
     fn alloc_pointee(
         &mut self,
         db: &LoweredDb,

@@ -78,7 +78,8 @@ stages! {
     /// A campaign exec: a whole program, or a mutant from its parent's
     /// state.
     Exec = "exec",
-    /// The corpus's admission test.
+    /// The corpus's admission test over an exec's block runs, and the
+    /// coverage map of an exec it admits.
     Observe = "observe",
     /// A mutant's parent put back, the mutant copied out first when
     /// the corpus or a ring slot keeps it.

@@ -35,12 +35,14 @@
 //! The recorder is layered; each layer is independently testable and
 //! strictly validated on the way back in:
 //!
-//! 1. **Event capture** (`kgpt-vkernel`): with tracing enabled, the
-//!    kernel's exec path appends [`TraceEvent`]s to the per-VM
+//! 1. **Event capture** (`kgpt-vkernel`): the kernel's exec path
+//!    always appends [`TraceEvent`]s to the per-VM
 //!    [`kgpt_vkernel::TraceLog`] — merged `Block {start, len}` runs
 //!    for every coverage retirement, executor-injected `Call {index}`
 //!    markers at syscall boundaries, and a `Crash {site}` marker when
-//!    a sanitizer fires. Capture never changes execution results.
+//!    a sanitizer fires. The log is the exec's one record of its
+//!    coverage — the fuzzer's admission test reads its runs — so there
+//!    is nothing to switch on: a recorder only decides what it files.
 //!
 //! 2. **Delta coding** ([`encode_events`]/[`decode_events`]): the
 //!    event list is bit-packed against a static prediction table
@@ -151,16 +153,15 @@
 //! and trims an empty ring.
 //!
 //! Because no reader ever sees more of an epoch's ring than the next
-//! epoch keeps, a shard **records an epoch only if a reader can see
-//! it** (*live*): if the shard finishes with it, or if `cap > n_next`.
-//! Any other epoch runs untraced — no ring slot, no event logged — and
-//! still pins the first trace of every crash signature it meets, by
-//! running that exec again traced under its fuel limit (an exec's
-//! events are a function of program, kernel and fuel). Every store a
-//! finished, resumed or checkpointed campaign returns is unchanged by
-//! it. A run halted at a boundary returns its stores as they stand:
-//! after a dead epoch, the pinned traces and an empty ring — what the
-//! checkpoint at that boundary holds.
+//! epoch keeps, a shard **files an epoch's ring slots only if a reader
+//! can see it** (*live*): if the shard finishes with it, or if
+//! `cap > n_next`. Any other epoch files no ring slot, and still pins
+//! the first trace of every crash signature it meets, from the events
+//! the exec logged — as a live epoch does; no exec is run again to be
+//! pinned. Every store a finished, resumed or checkpointed campaign
+//! returns is unchanged by it. A run halted at a boundary returns its
+//! stores as they stand: after a dead epoch, the pinned traces and an
+//! empty ring — what the checkpoint at that boundary holds.
 
 use kgpt_syzlang::codec::{frame, unframe, DecodeError, Reader, Writer};
 use kgpt_syzlang::lowered::CfgSuccessors;

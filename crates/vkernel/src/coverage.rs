@@ -6,15 +6,22 @@
 //! one or-and-test, and the distinct-block count is maintained
 //! incrementally instead of being recomputed.
 //!
-//! The bitmap spans every handler the kernel booted, but one program
+//! An exec keeps no map of its own: its coverage is the block runs its
+//! event log holds ([`crate::TraceLog`]), and "anything new?" asks the
+//! corpus total [`CoverageMap::covers_run`] of each run in turn. A map
+//! of one exec is built only where somebody keeps it — an admission, a
+//! one-shot result — into storage its builder keeps.
+//!
+//! The bitmap spans every handler the kernel booted, but one admission
 //! touches a dozen words of it. Beside the words the map therefore
 //! keeps the indices of its **non-zero words** (first-touch order),
-//! and every hot operation that reads a second map — union, "anything
-//! new?", diff, equality — walks that map's live words only: its
-//! cost is the blocks a program reached, not the size of the
-//! kernel it ran on. [`CoverageMap::clear`] likewise zeroes only what
-//! was touched and keeps the zeroed words, so a reused map is neither
-//! re-scanned nor re-filled per exec. That kept storage is invisible:
+//! and every operation that reads a second map — union, diff,
+//! equality — walks that map's live words only: the cost of merging an
+//! admission, or a seed another shard published, is the blocks it
+//! reached, not the size of the kernel it ran on.
+//! [`CoverageMap::clear`] likewise zeroes only what was touched and
+//! keeps the zeroed words, so a reused map is neither re-scanned nor
+//! re-filled per build. That kept storage is invisible:
 //! the map remembers how many words it has addressed since the last
 //! `clear` — the length of a map that dropped its storage instead —
 //! and [`CoverageMap::words`] and every diff end there, so no
@@ -138,6 +145,28 @@ impl CoverageMap {
             at += hi - lo;
         }
         newly
+    }
+
+    /// Whether every one of the `len` consecutive block ids from
+    /// `start` is covered: the run's first and last words under a mask,
+    /// every word between them whole. The admission test asks it of
+    /// each run an exec retired.
+    #[inline]
+    #[must_use]
+    pub fn covers_run(&self, start: u64, len: u32) -> bool {
+        if len == 0 {
+            return true;
+        }
+        let last = start + u64::from(len) - 1;
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - last % 64);
+        match self.words.get(start as usize / 64..=last as usize / 64) {
+            Some([one]) => one & head & tail == head & tail,
+            Some([first, between @ .., end]) => {
+                first & head == head && end & tail == tail && between.iter().all(|w| *w == u64::MAX)
+            }
+            _ => false,
+        }
     }
 
     /// Whether a block is covered.
@@ -350,39 +379,6 @@ impl CoverageMap {
                     }
                 }
             }
-        }
-    }
-
-    /// Append to `log` a `(word, bits)` record for every live word
-    /// that changed since the last call over the same `seen` — each
-    /// live word's value then, in live order. A map that only grew
-    /// since it was cleared is rebuilt, live order included, by
-    /// [`CoverageMap::replay`] of the records logged so far: the
-    /// coverage of an exec at each of its call boundaries, stored once.
-    pub(crate) fn log_growth(&self, seen: &mut Vec<u64>, log: &mut Vec<(u32, u64)>) {
-        for (i, (w, bits)) in self.live_words().enumerate() {
-            match seen.get_mut(i) {
-                Some(old) if *old == bits => {}
-                Some(old) => {
-                    *old = bits;
-                    log.push((w, bits));
-                }
-                None => {
-                    seen.push(bits);
-                    log.push((w, bits));
-                }
-            }
-        }
-    }
-
-    /// Become the map that or-ing `log`'s records into an empty one
-    /// builds ([`CoverageMap::log_growth`]): only the live words are
-    /// cleared first, and nothing is allocated once the storage has
-    /// held the words.
-    pub(crate) fn replay(&mut self, log: &[(u32, u64)]) {
-        self.clear();
-        for &(w, bits) in log {
-            self.or_word(w as usize, bits);
         }
     }
 
@@ -904,8 +900,16 @@ mod tests {
                     2 | 3 => {
                         let start = block(&mut rng) / 64 * 64 + STARTS[(rng.next() % 6) as usize];
                         let len = LENS[(rng.next() % 9) as usize];
+                        let run = start..start + u64::from(len);
+                        for (m, o) in [(&*map, &*model), (&other.0, &other.1)] {
+                            assert_eq!(
+                                m.covers_run(start, len),
+                                run.clone().all(|b| o.set.contains(&b)),
+                                "{ctx}: covers_run({start}, {len})"
+                            );
+                        }
                         let before = model.set.len();
-                        model.set.extend(start..start + u64::from(len));
+                        model.set.extend(run);
                         if len > 0 {
                             model.reach((start + u64::from(len) - 1) as usize / 64 + 1);
                         }
@@ -914,6 +918,7 @@ mod tests {
                             model.set.len() - before,
                             "{ctx}: insert_run({start}, {len})"
                         );
+                        assert!(map.covers_run(start, len), "{ctx}: covers its own run");
                     }
                     4 => {
                         map.clear();
@@ -960,35 +965,6 @@ mod tests {
                 let (a, b) = (&pool[at], &other);
                 assert_pair_models((&a.0, &a.1), (&b.0, &b.1), &ctx);
                 assert_pair_models((&b.0, &b.1), (&a.0, &a.1), &ctx);
-            }
-        }
-    }
-
-    /// A growth log replayed up to any boundary rebuilds the map as it
-    /// was there — words, span, count and live order — whatever the
-    /// map replayed into held before.
-    #[test]
-    fn a_replayed_growth_log_is_the_map_at_each_boundary() {
-        let mut rng = TestRng(0x10C);
-        for case in 0..40 {
-            let mut map = CoverageMap::new();
-            let (mut seen, mut log) = (Vec::new(), Vec::new());
-            let mut boundaries = Vec::new();
-            for _ in 0..1 + rng.next() % 12 {
-                for _ in 0..rng.next() % 4 {
-                    let start = rng.next() % 900 + (rng.next() % 3) * 64 * 40;
-                    map.insert_run(start, (rng.next() % 70) as u32);
-                }
-                map.log_growth(&mut seen, &mut log);
-                boundaries.push((map.clone(), log.len()));
-            }
-            let mut replayed = random_map(&mut rng, 30, 64 * 200);
-            for (k, (want, end)) in boundaries.iter().enumerate() {
-                replayed.replay(&log[..*end]);
-                let ctx = format!("case {case} boundary {k}");
-                assert_eq!(replayed.words(), want.words(), "{ctx}: words");
-                assert_eq!(replayed.live, want.live, "{ctx}: live order");
-                assert_eq!(replayed.len(), want.len(), "{ctx}: count");
             }
         }
     }

@@ -14,8 +14,8 @@
 //! * struct arguments are decoded at their true C offsets and every
 //!   semantic field role is enforced (`EINVAL` on range/magic/flag
 //!   violations, resource-id validation, state-machine ordering);
-//! * coverage is recorded as basic-block ids in a dense
-//!   [`CoverageMap`], deeper blocks gated on semantic validity — so
+//! * coverage is logged as runs of basic-block ids in the per-exec
+//!   [`TraceLog`], deeper blocks gated on semantic validity — so
 //!   better specs measurably reach more blocks;
 //! * the 24 injected bugs of Table 4 fire on their trigger conditions
 //!   and produce crash reports with the paper's titles, each carrying
@@ -38,11 +38,14 @@
 //! [`VKernel::exec_call`] reads nothing else; the by-name helpers on
 //! `Blueprint` are the boot-time source and the tests' oracle. Each
 //! syscall resolves its fd to a table index once and carries it.
-//! Coverage retires a straight-line run of blocks a word at a time
-//! ([`CoverageMap::insert_run`]) into a map that indexes its non-zero
-//! words, so clearing it, and asking a corpus whether it holds anything
-//! new, cost the dozen words a program touched — not the bitmap of
-//! every handler booted.
+//! Coverage retires a straight-line run of blocks as one event of the
+//! exec's log ([`TraceLog`]), merged with the run before when it goes
+//! on where that one ended. The log is the exec's one record of what it
+//! covered — as Syzkaller's executor returns each call's kcov PCs and
+//! builds no bitmap — so asking a corpus whether an exec holds anything
+//! new ([`CoverageMap::covers_run`]) costs the runs it retired, and a
+//! [`CoverageMap`] of one exec is built ([`TraceLog::coverage_into`])
+//! only where somebody keeps it.
 //!
 //! The dispatch path is allocation-free (`tests/alloc_count.rs` holds
 //! it to zero allocator events per exec): fd records are plain
@@ -363,35 +366,18 @@ pub enum TraceEvent {
     },
 }
 
-/// The per-exec trace log the kernel's exec path appends to when
-/// tracing is enabled — a plain event buffer; compact encoding is the
-/// flight recorder's job (`kgpt-trace`), not the hot path's.
-///
-/// Disabled (the default) it costs the exec path one predictable
-/// branch per coverage retirement, in keeping with the dense-dispatch
-/// convention. The enabled flag survives [`VmState::reset`] — like
-/// the fuel limit it is a property of the worker, not of one program
-/// — while the buffered events are cleared (allocation retained).
+/// The per-exec event log the kernel's exec path always appends to —
+/// a plain event buffer, and the exec's one record of its coverage:
+/// the blocks it covered are those of its `Block` runs
+/// ([`TraceLog::coverage_into`]). Compact encoding is the flight
+/// recorder's job (`kgpt-trace`), not the hot path's. A reset empties
+/// it and keeps the allocation.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
-    enabled: bool,
     events: Vec<TraceEvent>,
 }
 
 impl TraceLog {
-    /// Turn recording on or off. Tracing never changes execution
-    /// results — coverage, returns and crashes are identical either
-    /// way — only whether events are buffered.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether recording is on.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Events of the current execution, in retirement order.
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
@@ -402,7 +388,7 @@ impl TraceLog {
     /// immediately preceding contiguous retirement.
     #[inline]
     pub fn block(&mut self, start: u64, len: u32) {
-        if !self.enabled || len == 0 {
+        if len == 0 {
             return;
         }
         if let Some(TraceEvent::Block {
@@ -421,17 +407,13 @@ impl TraceLog {
     /// Record a syscall-boundary marker for program call `index`.
     #[inline]
     pub fn call(&mut self, index: u32) {
-        if self.enabled {
-            self.events.push(TraceEvent::Call { index });
-        }
+        self.events.push(TraceEvent::Call { index });
     }
 
     /// Record a crash marker at the faulting block `site`.
     #[inline]
     pub fn crash(&mut self, site: u64) {
-        if self.enabled {
-            self.events.push(TraceEvent::Crash { site });
-        }
+        self.events.push(TraceEvent::Crash { site });
     }
 
     /// Hand the buffered events over in the buffer they were logged
@@ -442,18 +424,40 @@ impl TraceLog {
         std::mem::swap(&mut self.events, spare);
     }
 
-    /// Drop the buffered events (allocation retained); the enabled
-    /// flag is untouched.
+    /// Drop the buffered events (allocation retained).
     pub fn clear(&mut self) {
         self.events.clear();
     }
+
+    /// Make `map` the set of blocks the logged runs retired: it is
+    /// cleared and refilled a run at a time, so nothing is allocated
+    /// once its storage has held such a map.
+    pub fn coverage_into(&self, map: &mut CoverageMap) {
+        map.clear();
+        for event in &self.events {
+            if let TraceEvent::Block { start, len } = *event {
+                map.insert_run(start, len);
+            }
+        }
+    }
+
+    /// The blocks the logged runs retired, as a new map — for one-shot
+    /// readers; a loop builds into kept storage with
+    /// [`TraceLog::coverage_into`].
+    #[must_use]
+    pub fn coverage(&self) -> CoverageMap {
+        let mut map = CoverageMap::new();
+        self.coverage_into(&mut map);
+        map
+    }
 }
 
-/// Per-program ("per-VM") execution state: fd table, coverage, crash.
+/// Per-program ("per-VM") execution state: fd table, event log
+/// (coverage included), crash.
 ///
 /// Designed for reuse across executions: [`VmState::reset`] clears
 /// the logical state while retaining every allocation (fd table,
-/// coverage words, decode scratch), so a fuzzing worker touches the
+/// event log, decode scratch), so a fuzzing worker touches the
 /// allocator only while a program grows past its high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct VmState {
@@ -462,11 +466,9 @@ pub struct VmState {
     /// execution, fd after fd (see `FdState::counts_at`): one arena
     /// truncated per exec instead of one vector per fd.
     cmd_counts: Vec<u32>,
-    /// Basic blocks covered so far.
-    pub coverage: CoverageMap,
     /// First crash, if any (execution should stop).
     pub crash: Option<CrashReport>,
-    /// Flight-recorder event log (off by default; see [`TraceLog`]).
+    /// The exec's event log: its block runs, call and crash markers.
     trace: TraceLog,
     /// Reusable argument-decode buffer (`copy_from_user` target).
     decode_buf: Vec<u8>,
@@ -491,28 +493,25 @@ impl VmState {
         VmState::default()
     }
 
-    /// Clear fd table, coverage, crash, spent fuel and buffered trace
-    /// events for the next program while keeping allocations (and the
-    /// fuel limit and trace-enabled flag).
+    /// Clear fd table, crash, spent fuel and logged events for the
+    /// next program while keeping allocations (and the fuel limit).
     pub fn reset(&mut self) {
         self.fds.clear();
         self.cmd_counts.clear();
-        self.coverage.clear();
         self.crash = None;
         self.trace.clear();
         self.fuel_spent = 0;
         self.fuel_exhausted = false;
     }
 
-    /// The flight-recorder event log of the current execution.
+    /// The event log of the current execution.
     #[must_use]
     pub fn trace(&self) -> &TraceLog {
         &self.trace
     }
 
-    /// Mutable access to the flight-recorder log (enable/disable
-    /// recording, inject executor-side markers like syscall
-    /// boundaries).
+    /// Mutable access to the event log (executor-side markers like
+    /// syscall boundaries; the flight recorder taking the events).
     pub fn trace_mut(&mut self) -> &mut TraceLog {
         &mut self.trace
     }
@@ -538,7 +537,7 @@ impl VmState {
 
     /// Whether the current execution exhausted its fuel budget — a
     /// counted outcome, not a crash: `crash` stays `None` and the
-    /// coverage retired before exhaustion remains mergeable.
+    /// blocks retired before exhaustion stay in the log, mergeable.
     #[must_use]
     pub fn fuel_exhausted(&self) -> bool {
         self.fuel_exhausted
@@ -587,7 +586,7 @@ impl VmState {
     #[must_use]
     pub fn boundary_states(&self) -> BoundaryStates {
         BoundaryStates {
-            settings: (self.fuel_limit, self.trace.enabled),
+            fuel_limit: self.fuel_limit,
             ..BoundaryStates::default()
         }
     }
@@ -596,18 +595,16 @@ impl VmState {
     /// `into`, `still` more to follow in this execution. The fd table,
     /// the per-command counters and the fuel are copied whole — room is
     /// made at once for `still` more of each at least this big, since
-    /// neither shrinks within an execution; of what only grows —
-    /// coverage words, trace events — just what the call added. (A
-    /// call's events start with its boundary marker, so no block run
-    /// merges across a boundary.)
+    /// neither shrinks within an execution; of the event log, which
+    /// only grows, just what the call added. (A call's events start
+    /// with its boundary marker, so no block run merges across a
+    /// boundary.)
     pub fn save_boundary(&self, into: &mut BoundaryStates, still: usize) {
         into.ends.reserve(still + 1);
         into.fds.reserve((still + 1) * self.fds.len());
         into.cmd_counts.reserve((still + 1) * self.cmd_counts.len());
         into.fds.extend_from_slice(&self.fds);
         into.cmd_counts.extend_from_slice(&self.cmd_counts);
-        self.coverage
-            .log_growth(&mut into.seen, &mut into.cover_log);
         into.events
             .extend_from_slice(&self.trace.events[into.events.len()..]);
         if into.crash.is_none() {
@@ -618,7 +615,6 @@ impl VmState {
         into.ends.push(BoundaryEnds {
             fds: into.fds.len() as u32,
             cmd_counts: into.cmd_counts.len() as u32,
-            cover_log: into.cover_log.len() as u32,
             events: into.events.len() as u32,
             fuel_spent: self.fuel_spent,
             fuel_exhausted: self.fuel_exhausted,
@@ -629,10 +625,9 @@ impl VmState {
     /// `k` calls (`k = 0`: the reset state; `k` at most the calls it
     /// saved). `exec_call` is a pure function of the
     /// state, the call and the memory image, so this is the state any
-    /// execution whose first `k` calls are those reaches there. Only
-    /// the live coverage words are cleared, and nothing is allocated
-    /// once the buffers have held the saved state. The fuel limit and
-    /// the trace flag stay this worker's ([`BoundaryStates::fits`]).
+    /// execution whose first `k` calls are those reaches there. Nothing
+    /// is allocated once the buffers have held the saved state. The
+    /// fuel limit stays this worker's ([`BoundaryStates::fits`]).
     pub fn restore_boundary(&mut self, from: &BoundaryStates, k: usize) {
         let Some(at) = k.checked_sub(1).map(|i| from.ends[i]) else {
             return self.reset();
@@ -644,8 +639,6 @@ impl VmState {
         let counts = before.map_or(0, |b| b.cmd_counts as usize)..at.cmd_counts as usize;
         self.cmd_counts.clear();
         self.cmd_counts.extend_from_slice(&from.cmd_counts[counts]);
-        self.coverage
-            .replay(&from.cover_log[..at.cover_log as usize]);
         self.crash = match &from.crash {
             Some((first, crash)) if *first <= k => Some(crash.clone()),
             _ => None,
@@ -666,26 +659,22 @@ impl VmState {
 /// ([`VmState::restore_boundary`]) instead of recomputing it.
 ///
 /// Compact: what a call may rewrite — the fd table, the per-command
-/// counters, the fuel — is kept whole per boundary; what only grows —
-/// the coverage map's words (as or-records), trace events — once per
-/// execution, with each boundary's end offset; a crash once, with the
-/// boundary it first shows at.
+/// counters, the fuel — is kept whole per boundary; the event log,
+/// which only grows (and holds the coverage), once per execution, with
+/// each boundary's end offset; a crash once, with the boundary it
+/// first shows at.
 #[derive(Debug, Clone, Default)]
 pub struct BoundaryStates {
-    /// `(fuel limit, tracing on)` of the state the boundaries were
-    /// saved from: fuel is charged and events logged under them.
-    settings: (u64, bool),
+    /// The fuel limit of the state the boundaries were saved from:
+    /// fuel is charged under it.
+    fuel_limit: u64,
     fds: Vec<FdState>,
     cmd_counts: Vec<u32>,
     /// One per boundary, in call order.
     ends: Vec<BoundaryEnds>,
-    cover_log: Vec<(u32, u64)>,
     events: Vec<TraceEvent>,
     /// The first crash and the boundary (1-based) it shows at.
     crash: Option<(usize, CrashReport)>,
-    /// Saving scratch: each live coverage word's value at the last
-    /// boundary, in live order.
-    seen: Vec<u64>,
 }
 
 /// Where one boundary's share of a [`BoundaryStates`] ends, and its
@@ -694,18 +683,17 @@ pub struct BoundaryStates {
 struct BoundaryEnds {
     fds: u32,
     cmd_counts: u32,
-    cover_log: u32,
     events: u32,
     fuel_spent: u64,
     fuel_exhausted: bool,
 }
 
 impl BoundaryStates {
-    /// Whether the boundaries were saved under `state`'s fuel limit
-    /// and trace flag — the worker settings a restored state keeps.
+    /// Whether the boundaries were saved under `state`'s fuel limit —
+    /// the worker setting a restored state keeps.
     #[must_use]
     pub fn fits(&self, state: &VmState) -> bool {
-        self.settings == (state.fuel_limit, state.trace.enabled)
+        self.fuel_limit == state.fuel_limit
     }
 }
 
@@ -816,7 +804,7 @@ impl VKernel {
 
     /// Execute one syscall, dispatching on its dense [`Sysno`].
     /// Returns the (Linux-convention) result: ≥ 0 on success,
-    /// `-errno` on failure. Updates coverage and may set
+    /// `-errno` on failure. Logs the blocks it covers and may set
     /// `state.crash`. Callers resolve base names to numbers once at
     /// construction time via [`Sysno::from_base`].
     pub fn exec_call(&self, state: &mut VmState, no: Sysno, args: &[u64; 6], mem: &MemMap) -> i64 {
@@ -864,7 +852,6 @@ impl VKernel {
     fn cover(&self, state: &mut VmState, base: u64, offset: u64, count: u32) {
         state.charge_fuel(u64::from(count));
         state.trace.block(base + offset, count);
-        state.coverage.insert_run(base + offset, count);
     }
 
     /// Bug `bug` of `t` fired under syscall `sysno` on an fd at
@@ -1298,7 +1285,7 @@ mod tests {
         let m = mem_with("/dev/device-mapper\0");
         let r = k.exec_call(&mut st, Sysno::Openat, &[0, ARG_BASE_ADDR, 2, 0, 0, 0], &m);
         assert_eq!(r, -errno::ENOENT);
-        assert!(st.coverage.is_empty());
+        assert!(st.trace().coverage().is_empty());
     }
 
     #[test]
@@ -1307,7 +1294,7 @@ mod tests {
         let mut st = VmState::new();
         let fd = open_dm(&k, &mut st);
         assert_eq!(fd, 3);
-        assert_eq!(st.coverage.len(), 4); // dm open_blocks
+        assert_eq!(st.trace().coverage().len(), 4); // dm open_blocks
     }
 
     #[test]
@@ -1315,9 +1302,9 @@ mod tests {
         let k = boot_dm();
         let mut st = VmState::new();
         let _ = open_dm(&k, &mut st);
-        assert!(!st.coverage.is_empty());
+        assert!(!st.trace().coverage().is_empty());
         st.reset();
-        assert!(st.coverage.is_empty());
+        assert!(st.trace().coverage().is_empty());
         assert!(st.crash.is_none());
         // fd table restarts at 3 after reset.
         let fd = open_dm(&k, &mut st);
@@ -1339,10 +1326,10 @@ mod tests {
         // 300-byte zeroed dm_ioctl at a fresh address.
         let (size, _) = bp.arg_struct("dm_ioctl").unwrap().size_align(&bp.structs);
         m.write(0x2000_0000, vec![0u8; size as usize]);
-        let before = st.coverage.len();
+        let before = st.trace().coverage().len();
         let r = k.exec_call(&mut st, Sysno::Ioctl, &[fd, cmd, 0x2000_0000, 0, 0, 0], &m);
         assert_eq!(r, 0, "valid DM_VERSION should succeed");
-        assert!(st.coverage.len() > before);
+        assert!(st.trace().coverage().len() > before);
     }
 
     #[test]
@@ -1385,7 +1372,7 @@ mod tests {
             ),
             0
         );
-        assert_eq!(st_one.coverage, st_two.coverage);
+        assert_eq!(st_one.trace().events(), st_two.trace().events());
 
         // A short final segment is an EFAULT on both paths.
         let mut st_short = VmState::new();
@@ -1446,7 +1433,7 @@ mod tests {
             ),
             -errno::EINVAL
         );
-        assert!(st_bad.coverage.len() < st_ok.coverage.len());
+        assert!(st_bad.trace().coverage().len() < st_ok.trace().coverage().len());
     }
 
     #[test]
@@ -1498,7 +1485,7 @@ mod tests {
         assert_eq!(sig.chain_depth, 1);
         assert_eq!(sig.sanitizer, SanitizerKind::Kmalloc);
         assert!(
-            st.coverage.contains(sig.site),
+            st.trace().coverage().contains(sig.site),
             "site must be the covered faulting block"
         );
 
@@ -1694,13 +1681,13 @@ mod tests {
         let _ = open_dm(&k, &mut st);
         assert!(st.fuel_exhausted());
         assert!(st.crash.is_none());
-        assert!(!st.coverage.is_empty());
-        let covered = st.coverage.clone();
+        assert!(!st.trace().coverage().is_empty());
+        let covered = st.trace().coverage();
         // Every further call is refused without touching coverage.
         let m = mem_with("/dev/mapper/control");
         let r = k.exec_call(&mut st, Sysno::Openat, &[0, ARG_BASE_ADDR, 2, 0, 0, 0], &m);
         assert_eq!(r, -errno::ENOMEM);
-        assert_eq!(st.coverage, covered);
+        assert_eq!(st.trace().coverage(), covered);
         // Reset clears the spent fuel but keeps the limit.
         st.reset();
         assert!(!st.fuel_exhausted());
@@ -1716,7 +1703,7 @@ mod tests {
         fueled.set_fuel_limit(1 << 20);
         let _ = open_dm(&k, &mut unlimited);
         let _ = open_dm(&k, &mut fueled);
-        assert_eq!(unlimited.coverage, fueled.coverage);
+        assert_eq!(unlimited.trace().events(), fueled.trace().events());
         assert!(!fueled.fuel_exhausted());
         assert!(fueled.fuel_spent() > 0, "covered blocks must be charged");
     }
@@ -1746,14 +1733,13 @@ mod tests {
         m.write(ARG_BASE_ADDR, b"/dev/cec0\0".to_vec());
         let r = k.exec_call(&mut st2, Sysno::Openat, &[0, ARG_BASE_ADDR, 2, 0, 0, 0], &m);
         assert!(r >= 3);
-        assert!(st1.coverage.is_disjoint(&st2.coverage));
+        assert!(st1.trace().coverage().is_disjoint(&st2.trace().coverage()));
     }
 
     #[test]
     fn trace_log_records_merged_block_runs() {
         let k = boot_dm();
         let mut st = VmState::new();
-        st.trace_mut().set_enabled(true);
         let _ = open_dm(&k, &mut st);
         // dm's 4 open blocks are contiguous: one merged Block event.
         assert_eq!(
@@ -1763,48 +1749,33 @@ mod tests {
                 len: 4
             }]
         );
-        // The event stream retires exactly the covered blocks, in
-        // order — the invariant the replayer's cross-check rests on.
+        // The map built from the log holds exactly the blocks its runs
+        // retired — the coverage every reader of an exec sees.
+        let fd = open_dm(&k, &mut st);
+        let _ = k.exec_call(&mut st, Sysno::Read, &[fd, 0, 0, 0, 0, 0], &MemMap::new());
         let mut from_trace = std::collections::BTreeSet::new();
         for ev in st.trace().events() {
             if let TraceEvent::Block { start, len } = ev {
                 from_trace.extend((0..u64::from(*len)).map(|i| start + i));
             }
         }
-        assert_eq!(from_trace, st.coverage.to_btree_set());
+        assert_eq!(from_trace, st.trace().coverage().to_btree_set());
+        // Built into kept storage that held another map, it is the same.
+        let mut kept: CoverageMap = (0..5000u64).step_by(7).collect();
+        st.trace().coverage_into(&mut kept);
+        assert_eq!(kept, st.trace().coverage());
+        assert_eq!(kept.words(), st.trace().coverage().words());
     }
 
     #[test]
-    fn tracing_never_changes_execution_results() {
-        let k = boot_dm();
-        let run = |traced: bool| {
-            let mut st = VmState::new();
-            st.trace_mut().set_enabled(traced);
-            let fd = open_dm(&k, &mut st);
-            let r = k.exec_call(&mut st, Sysno::Read, &[fd, 0, 0, 0, 0, 0], &MemMap::new());
-            (st.coverage.clone(), st.crash.clone(), r)
-        };
-        let (cov_off, crash_off, ret_off) = run(false);
-        let (cov_on, crash_on, ret_on) = run(true);
-        assert_eq!(cov_off, cov_on);
-        assert_eq!(crash_off, crash_on);
-        assert_eq!(ret_off, ret_on);
-    }
-
-    #[test]
-    fn reset_clears_events_but_keeps_tracing_enabled() {
+    fn reset_clears_events() {
         let k = boot_dm();
         let mut st = VmState::new();
-        st.trace_mut().set_enabled(true);
         let _ = open_dm(&k, &mut st);
         assert!(!st.trace().events().is_empty());
         st.reset();
         assert!(st.trace().events().is_empty());
-        assert!(st.trace().enabled());
-        // Disabled by default: nothing is buffered.
-        let mut off = VmState::new();
-        let _ = open_dm(&k, &mut off);
-        assert!(off.trace().events().is_empty());
+        assert!(st.trace().coverage().is_empty());
     }
 
     #[test]
@@ -1823,7 +1794,7 @@ mod tests {
         // Observed open-path coverage sits inside the advertised runs.
         let mut st = VmState::new();
         let _ = open_dm(&k, &mut st);
-        for b in st.coverage.to_btree_set() {
+        for b in st.trace().coverage().to_btree_set() {
             assert!(seen.contains(&b), "covered block {b} missing from cfg_runs");
         }
     }

@@ -22,8 +22,9 @@
 //! for the pointees it draws anew and for an admission, none per call.
 //!
 //! A third holds the kernel to its crate doc: at steady state an exec
-//! — encode, dispatch, fd table, per-fd history, coverage, a filed
-//! crash report — touches the allocator not at all.
+//! — encode, dispatch, fd table, per-fd history, its event log, a
+//! filed crash report — touches the allocator not at all, and neither
+//! does building its coverage map into storage that held one before.
 //!
 //! The last two count what a *closed* pointee costs now that it is
 //! born encoded: a call whose `targets` array has thousands of
@@ -330,7 +331,6 @@ fn a_deep_chain_exec_costs_a_pointee_not_a_program() {
         let lowered = SpecCache::global().get_or_lower(&db, kc.consts());
         let mut g = Generator::from_lowered(Arc::clone(&lowered), 13);
         let mut scratch = ExecScratch::from_lowered(lowered);
-        scratch.state.trace_mut().set_enabled(true);
         let mut dearest = 0;
         for _ in 0..200 {
             let mut prog = g.gen_program(12);
@@ -466,7 +466,7 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
             }
         }
         grew += u32::from(recorded);
-        let admitted = corpus.admits(scratch.coverage());
+        let admitted = corpus.admits(scratch.events());
         let (cheap, calls) = match parent {
             None => (draws_no_pointee_over(&prog, 0, &[]), prog.len()),
             Some(idx) => {
@@ -521,7 +521,9 @@ fn a_converged_step_in_place_allocates_for_new_pointees_and_admissions_only() {
 /// no allocator event at all, crashing programs included: fd records
 /// and their per-command counters live in per-worker arenas, the device
 /// path is compared where it lies, and a crash report shares its
-/// strings with the booted kernel.
+/// strings with the booted kernel. Nor does building an exec's
+/// coverage map from its event log, once the scratch's storage has
+/// held one as large.
 #[test]
 fn a_deep_chain_exec_allocates_nothing_in_the_kernel() {
     let kc = KernelCorpus::from_blueprints(deepchain::suite());
@@ -561,9 +563,10 @@ fn a_deep_chain_exec_allocates_nothing_in_the_kernel() {
     assert!(deepest >= 3, "no crash deep in the chain: depth {deepest}");
 
     // Warm-up: pooled buffers reach their high-water marks and shared
-    // pointees memoise their images.
+    // pointees memoise their images; the map storage holds the largest.
     for p in quiet.iter().chain(&crashing) {
         execute_with(&kernel, p, &mut scratch);
+        black_box(scratch.coverage());
     }
     let before = events();
     for p in &quiet {
@@ -576,13 +579,24 @@ fn a_deep_chain_exec_allocates_nothing_in_the_kernel() {
         assert!(scratch.crash().is_some());
     }
     let crash_events = events() - before;
+    let mut map_events = 0;
+    let mut blocks = 0;
+    for p in quiet.iter().chain(&crashing) {
+        execute_with(&kernel, p, &mut scratch);
+        let before = events();
+        blocks += scratch.coverage().len();
+        map_events += events() - before;
+    }
     println!(
-        "alloc events: {quiet_events} over {} quiet execs, {crash_events} over {} crashing execs",
+        "alloc events: {quiet_events} over {} quiet execs, {crash_events} over {} crashing \
+         execs, {map_events} building their coverage maps",
         quiet.len(),
         crashing.len()
     );
     assert_eq!(quiet_events, 0, "a non-crashing exec allocated");
     assert_eq!(crash_events, 0, "filing a crash report allocated");
+    assert!(blocks > quiet.len(), "the maps are empty");
+    assert_eq!(map_events, 0, "building a coverage map allocated");
 }
 
 /// Whether projecting a call list rebuilds none of these arguments:

@@ -9,19 +9,26 @@
 //! then it puts the parent back. This test drives that loop by hand, as
 //! a shard does (one turn in four fresh, a weighted pick otherwise,
 //! admission on new coverage), and holds every exec to `execute_with`
-//! of the same program, copied out, on a scratch of its own: coverage
-//! words (span included), crash, returns, fuel spent and exhausted,
-//! trace events. Every parent is `==` to its clone once undone.
+//! of the same program, copied out, on a scratch of its own: logged
+//! events, the coverage map built from them (words and span included),
+//! crash, returns, fuel spent and exhausted. Every parent is `==` to
+//! its clone once undone.
 //!
 //! Over dm, the deep-chain suite, and dm with the kvm chain, rds and
-//! caif merged; at seeds drawn from a fixed stream; untraced, and
-//! traced from half-way (the prefixes recorded before have no events
-//! and are recorded again); at fuel 1 (every exec runs out at its first
-//! block), 48 (parents that run out part-way through the prefix) and
-//! the campaign default (parents that crashed before the mutant's
-//! first new call); with the campaigns' corpus cap, and with a cap of
-//! 8, under which entries — and the prefixes beside them — are
-//! evicted all the time.
+//! caif merged; at seeds drawn from a fixed stream; at fuel 1 (every
+//! exec runs out at its first block), 48 (parents that run out
+//! part-way through the prefix) and the campaign default (parents that
+//! crashed before the mutant's first new call); with the campaigns'
+//! corpus cap, and with a cap of 8, under which entries — and the
+//! prefixes beside them — are evicted all the time.
+//!
+//! An exec's coverage is its event log: the corpus admits an exec by
+//! walking its block runs (`Corpus::admits`) and builds no map of it
+//! unless it keeps it (`ExecScratch::coverage`). The second test holds
+//! both, on the same suites and fuels, resumed and whole, to the map the
+//! VM once kept: the walk admits exactly when the corpus total lacks a
+//! block of the built map, and the built map is the one `insert_run`
+//! over the same runs gives, words and span included.
 
 use kernelgpt::csrc::blueprint::Blueprint;
 use kernelgpt::csrc::{deepchain, flagship, KernelCorpus};
@@ -29,7 +36,8 @@ use kernelgpt::fuzzer::{
     execute_with, CampaignConfig, Corpus, Edit, ExecScratch, Generator, Program,
 };
 use kernelgpt::syzlang::{LoweredDb, SpecDb};
-use kernelgpt::vkernel::VKernel;
+use kernelgpt::vkernel::{CoverageMap, TraceEvent, VKernel};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const MAX_PROG_LEN: usize = 12;
@@ -50,13 +58,11 @@ struct Met {
 
 fn assert_same(resumed: &ExecScratch, whole: &ExecScratch, ctx: &str) {
     let (r, w) = (&resumed.state, &whole.state);
-    assert_eq!(
-        r.coverage.words(),
-        w.coverage.words(),
-        "{ctx}: coverage words"
-    );
-    assert_eq!(r.coverage, w.coverage, "{ctx}: coverage");
-    assert_eq!(r.coverage.len(), w.coverage.len(), "{ctx}: blocks");
+    assert_eq!(resumed.events(), whole.events(), "{ctx}: events");
+    let (rc, wc) = (resumed.coverage(), whole.coverage());
+    assert_eq!(rc.words(), wc.words(), "{ctx}: coverage words");
+    assert_eq!(rc, wc, "{ctx}: coverage");
+    assert_eq!(rc.len(), wc.len(), "{ctx}: blocks");
     assert_eq!(r.crash, w.crash, "{ctx}: crash");
     assert_eq!(resumed.rets, whole.rets, "{ctx}: returns");
     assert_eq!(r.fuel_spent(), w.fuel_spent(), "{ctx}: fuel spent");
@@ -64,11 +70,6 @@ fn assert_same(resumed: &ExecScratch, whole: &ExecScratch, ctx: &str) {
         r.fuel_exhausted(),
         w.fuel_exhausted(),
         "{ctx}: fuel exhausted"
-    );
-    assert_eq!(
-        r.trace().events(),
-        w.trace().events(),
-        "{ctx}: trace events"
     );
 }
 
@@ -80,7 +81,6 @@ fn run(
     lowered: &Arc<LoweredDb>,
     seed: u64,
     fuel: u64,
-    traced: bool,
     cap: usize,
     execs: usize,
     met: &mut Met,
@@ -97,12 +97,7 @@ fn run(
     let mut edit = Edit::default();
     let mut pick = seed;
     for step in 0..execs {
-        let ctx =
-            format!("{label}: seed {seed:#x} fuel {fuel} traced {traced} cap {cap} step {step}");
-        if traced && step == execs / 2 {
-            resumed.state.trace_mut().set_enabled(true);
-            whole.state.trace_mut().set_enabled(true);
-        }
+        let ctx = format!("{label}: seed {seed:#x} fuel {fuel} cap {cap} step {step}");
         pick = pick.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
         let parent = if pick.is_multiple_of(4) {
             None
@@ -145,6 +140,50 @@ fn run(
     met.evicted += corpus.stats().evicted;
     // The prefixes the corpus recorded are no part of it.
     assert!(corpus == corpus.clone(), "{label}: a corpus with prefixes");
+}
+
+/// What the admission pin met over every run.
+#[derive(Debug, Default)]
+struct Admissions {
+    resumed: u64,
+    admitted: u64,
+    rejected: u64,
+    crashed: u64,
+    exhausted: u64,
+}
+
+/// The exec that just ran on `scratch`, judged against `total`: the run
+/// walk agrees with the built map, and the built map with `insert_run`
+/// over the same runs and with the blocks the runs name.
+fn assert_admits_like_the_map(
+    scratch: &ExecScratch,
+    total: &CoverageMap,
+    seen: &mut Admissions,
+    ctx: &str,
+) {
+    let mut corpus = Corpus::from_parts(1, 0, total.clone(), Vec::new(), Default::default());
+    let walked = corpus.admits(scratch.events());
+    let built = scratch.coverage();
+    let mut oracle = CoverageMap::new();
+    let mut blocks = BTreeSet::new();
+    for event in scratch.events() {
+        if let TraceEvent::Block { start, len } = *event {
+            oracle.insert_run(start, len);
+            blocks.extend(start..start + u64::from(len));
+        }
+    }
+    assert_eq!(built.words(), oracle.words(), "{ctx}: words");
+    assert_eq!(*built, oracle, "{ctx}: map");
+    assert_eq!(built.to_btree_set(), blocks, "{ctx}: blocks");
+    assert_eq!(walked, total.new_blocks_in(built) != 0, "{ctx}: admission");
+    // And the corpus that admits it takes exactly the map's news.
+    let mut prog = Program::default();
+    let added = corpus.observe_in_place(&mut prog, built, None);
+    assert_eq!(added != 0, walked, "{ctx}: observe");
+    seen.admitted += u64::from(walked);
+    seen.rejected += u64::from(!walked);
+    seen.crashed += u64::from(scratch.crash().is_some());
+    seen.exhausted += u64::from(scratch.state.fuel_exhausted());
 }
 
 /// Seeds from a SplitMix64 stream: a new set of campaigns per suite,
@@ -199,10 +238,8 @@ fn a_resumed_mutant_executes_exactly_like_the_whole_program() {
         let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
         for seed in seeds(&mut stream, n_seeds) {
             for (fuel, met) in fuels.iter().zip(&mut mets) {
-                for (traced, cap) in [false, true].into_iter().flat_map(|t| [(t, 2048), (t, 8)]) {
-                    run(
-                        label, &kernel, &lowered, seed, *fuel, traced, cap, execs, met,
-                    );
+                for cap in [2048, 8] {
+                    run(label, &kernel, &lowered, seed, *fuel, cap, execs, met);
                 }
             }
         }
@@ -224,4 +261,85 @@ fn a_resumed_mutant_executes_exactly_like_the_whole_program() {
     assert!(mets[2].crashed > 0, "{mets:?}");
     // At fuel 1 a corpus holds a few first blocks and never fills.
     assert!(mets[1].evicted > 0 && mets[2].evicted > 0, "{mets:?}");
+}
+
+#[test]
+fn the_run_walk_admits_exactly_what_the_built_map_adds() {
+    let (n_seeds, execs) = if cfg!(debug_assertions) {
+        (1, 300)
+    } else {
+        (3, 1_000)
+    };
+    let suites: Vec<(&str, Vec<Blueprint>)> = vec![
+        ("dm", vec![flagship::dm()]),
+        ("deep-chain", deepchain::suite()),
+        ("rds+caif", vec![flagship::rds(), flagship::caif_stream()]),
+    ];
+    let mut seen = Admissions::default();
+    let mut stream = 0xAD_A175u64;
+    for (label, blueprints) in suites {
+        let kc = KernelCorpus::from_blueprints(blueprints.clone());
+        let db = SpecDb::from_files(
+            kc.blueprints()
+                .iter()
+                .map(Blueprint::ground_truth_spec)
+                .collect(),
+        );
+        let kernel = VKernel::boot(blueprints);
+        let lowered = Arc::new(LoweredDb::build(&db, kc.consts()));
+        for seed in seeds(&mut stream, n_seeds) {
+            for fuel in [1, 48, CampaignConfig::default().exec_fuel] {
+                let scratch = || {
+                    let mut s = ExecScratch::from_lowered(Arc::clone(&lowered));
+                    s.state.set_fuel_limit(fuel);
+                    s
+                };
+                let (mut resumed, mut whole) = (scratch(), scratch());
+                let mut g = Generator::from_lowered(Arc::clone(&lowered), seed);
+                let mut corpus = Corpus::new(2048, seed);
+                // A total that lags the corpus's, so that more execs
+                // bring something new to it.
+                let mut lagging = CoverageMap::new();
+                let (mut prog, mut edit) = (Program::default(), Edit::default());
+                for step in 0..execs {
+                    let ctx = format!("{label}: seed {seed:#x} fuel {fuel} step {step}");
+                    let total = corpus.coverage().clone();
+                    if step % 64 == 0 {
+                        lagging.clone_from(&total);
+                    }
+                    let parent = if step % 4 == 0 { None } else { corpus.select() };
+                    match parent {
+                        None => g.gen_program_into(MAX_PROG_LEN, &mut prog),
+                        Some(idx) => {
+                            let (edited, prefix) = corpus.mutant(idx, &resumed);
+                            let from = g.mutate_in_place(edited, MAX_PROG_LEN, &mut edit);
+                            seen.resumed += prefix.restore(from, &mut resumed).min(1) as u64;
+                            prefix.run(&kernel, edited, &mut resumed, from);
+                            for total in [&total, &lagging] {
+                                let ctx = format!("{ctx}: resumed");
+                                assert_admits_like_the_map(&resumed, total, &mut seen, &ctx);
+                            }
+                            g.copy_into(edited, &mut prog);
+                            g.undo(edited, &mut edit);
+                        }
+                    }
+                    execute_with(&kernel, &prog, &mut whole);
+                    for total in [&total, &lagging] {
+                        assert_admits_like_the_map(&whole, total, &mut seen, &ctx);
+                    }
+                    corpus.observe_in_place(&mut prog, whole.coverage(), parent);
+                }
+            }
+        }
+    }
+    println!("{seen:?}");
+    let Admissions {
+        resumed,
+        admitted,
+        rejected,
+        crashed,
+        exhausted,
+    } = seen;
+    assert!(resumed > 0 && crashed > 0 && exhausted > 0, "{seen:?}");
+    assert!(admitted > 100 && rejected > admitted, "{seen:?}");
 }

@@ -108,7 +108,7 @@ fn shared_programs_and_their_mutants_execute_exactly_like_the_ast_walk() {
             execute_with(&kernel, prog, &mut low);
             ast_execute_with(&kernel, prog, &mut ast);
             assert_eq!(low.rets, ast.rets, "{ctx}");
-            assert_eq!(low.state.coverage, ast.state.coverage, "{ctx}");
+            assert_eq!(*low.coverage(), ast.state.trace().coverage(), "{ctx}");
             assert_eq!(low.state.crash, ast.state.crash, "{ctx}");
             assert_encodes_like_ast(&db, kc.consts(), &lowered, &mut enc, prog, &ast.rets, ctx);
         };

@@ -9,8 +9,8 @@
 //!
 //! Two digests per suite:
 //!
-//! * the **exec stream**: a fixed generate/mutate program stream run
-//!   traced, hashing every return value, covered block, trace event
+//! * the **exec stream**: a fixed generate/mutate program stream,
+//!   hashing every return value, covered block, logged event
 //!   (which fixes the *order* blocks retire in), crash report and fuel
 //!   count — once with fuel unlimited and once with a budget small
 //!   enough that the watchdog trips in the middle of a command;
@@ -186,14 +186,13 @@ fn setup(kernel: &[Blueprint], described: &[Blueprint]) -> (VKernel, Vec<SpecFil
     (VKernel::boot(kernel.to_vec()), suite, kc.consts().clone())
 }
 
-/// Everything one traced exec leaves behind.
+/// Everything one exec leaves behind.
 fn exec_stream_digest(kernel: &[Blueprint], described: &[Blueprint], fuel: u64) -> u64 {
     let (kernel, suite, consts) = setup(kernel, described);
     let db = SpecDb::from_files(suite);
     let lowered = Arc::new(LoweredDb::build(&db, &consts));
     let mut scratch = ExecScratch::from_lowered(Arc::clone(&lowered));
     scratch.state.set_fuel_limit(fuel);
-    scratch.state.trace_mut().set_enabled(true);
     let mut g = Generator::from_lowered(lowered, 0x1DE7);
     let mut d = Digest::default();
     let (mut crashes, mut exhausted) = (0u64, 0u64);

@@ -515,7 +515,8 @@ fn lowered_pipeline_is_bit_identical_to_ast_walk() {
                         "{label}: seed {seed} step {step}"
                     );
                     assert_eq!(
-                        low_scratch.state.coverage, ast_scratch.state.coverage,
+                        *low_scratch.coverage(),
+                        ast_scratch.state.trace().coverage(),
                         "{label}: seed {seed} step {step}"
                     );
                     assert_eq!(
