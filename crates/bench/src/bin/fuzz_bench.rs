@@ -5,7 +5,8 @@
 //! The report is a pure function of `--execs`: no clock is read, so
 //! two runs anywhere write the same bytes, and the gate is
 //! `--check BENCH_baseline.json` (byte equality with the committed
-//! file plus the rule table of [`kgpt_bench::report`]). Throughput,
+//! file plus [`kgpt_bench::report::BENCH_RULES`], through the same
+//! [`kgpt_bench::report::Gate::run`] as `tables`). Throughput,
 //! overhead ratios and latencies live in the frozen `benchmark/`
 //! package; the AST-walk vs lowered timing pairs in the stage
 //! registry's rows (`examples/stages.rs`). Every flag is `==` on whole
@@ -16,11 +17,12 @@
 //! [--execs N] [--out PATH] [--check BASELINE] [--experiments]`
 //!
 //! `--experiments` prints the EXPERIMENTS.md `BENCH:BEGIN/END` block
-//! instead of writing the file. The exit code is non-zero when a rule
-//! fails or, with `--check`, when the report differs from the
-//! baseline; a false flag is a finding, never a panic.
+//! instead of writing the file. The exit code is 1 when a rule fails
+//! or, with `--check`, when the report differs from the baseline (a
+//! false flag is a finding, never a panic), and 2 on a bad command
+//! line.
 
-use kgpt_bench::report::Report;
+use kgpt_bench::report::{Report, BENCH};
 use kgpt_core::KernelGpt;
 use kgpt_csrc::blueprint::Blueprint;
 use kgpt_csrc::{deepchain, KernelCorpus};
@@ -118,23 +120,11 @@ fn side(report: &mut Report, section: &str, r: &CampaignResult) {
 }
 
 fn main() -> ExitCode {
-    let mut execs: u64 = 100_000;
-    let mut out = String::from("BENCH_fuzzing.json");
-    let mut check: Option<String> = None;
-    let mut experiments = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--execs" => {
-                execs = args.next().and_then(|v| v.parse().ok()).expect("--execs N");
-            }
-            "--out" => out = args.next().expect("--out PATH"),
-            "--check" => check = Some(args.next().expect("--check BASELINE")),
-            "--experiments" => experiments = true,
-            other => panic!("unknown argument {other}"),
-        }
-    }
+    BENCH.run(bench)
+}
 
+/// The whole report at a budget of `execs`.
+fn bench(execs: u64) -> Report {
     let mut report = Report::default();
     report.label("bench", "fuzzing");
     report.label("workload", "dm ground-truth suite");
@@ -149,30 +139,7 @@ fn main() -> ExitCode {
     fabric_section(&mut report, &dc);
     tenancy_section(&mut report, &dc);
     trace_section(&mut report, &dc);
-
-    if experiments {
-        print!("{}", report.experiments_block());
-    } else {
-        std::fs::write(&out, report.render()).expect("write bench json");
-        println!("wrote {out}");
-    }
-    let findings = match &check {
-        None => report.violations(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(baseline) => report.check(&baseline),
-            Err(e) => vec![format!("cannot read {path}: {e}")],
-        },
-    };
-    for f in &findings {
-        eprintln!("FAIL {f}");
-    }
-    if !findings.is_empty() {
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = &check {
-        println!("check: byte-identical to {path}, every rule holds");
-    }
-    ExitCode::SUCCESS
+    report
 }
 
 /// Top level + `hub`: the dm ground-truth campaign at 1 vs 8 threads

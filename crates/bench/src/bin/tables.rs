@@ -1,55 +1,58 @@
-//! Regenerate the paper's tables and figures.
+//! Regenerate the paper's evaluation as one [`Report`]: Table 1, Fig. 7,
+//! Table 2, §5.1.1 cost, §5.1.3 correctness, Tables 3–6 and the two
+//! §5.2.3 ablations, each experiment under its own section.
 //!
-//! Usage: `cargo run --release -p kgpt-bench --bin tables -- <exp>`
-//! where `<exp>` is one of: `table1 fig7 table2 table3 table4 table5
-//! table6 cost correctness ablation-iter ablation-model all`.
+//! Usage: `cargo run --release -p kgpt-bench --bin tables --
+//! [--out PATH] [--check BASELINE] [--experiments]`
+//!
+//! The gate is [`PAPER`], run by the same [`kgpt_bench::report::Gate::run`]
+//! as `fuzz_bench`'s: `--check PAPER_tables.json` is byte equality with
+//! the committed report plus the paper's orderings
+//! ([`kgpt_bench::report::PAPER_RULES`]). `--experiments` prints the
+//! EXPERIMENTS.md `TABLES:BEGIN/END` block; the paper's own numbers sit
+//! beside it there.
 
+use kgpt_bench::report::{Report, PAPER};
 use kgpt_bench::{
-    all_bugs, bp_id_of_handler, correctness, existing_suite_for, kgpt_suite_for,
-    syzdescribe_suite_for, table3_suites, Env, TABLE5_DRIVERS, TABLE6_SOCKETS,
+    all_bugs, correctness, existing_suite_for, handlers_for, kgpt_suite_for, syzdescribe_suite_for,
+    table3_suites, Env, TABLE5_DRIVERS, TABLE6_SOCKETS,
 };
 use kgpt_core::Strategy;
 use kgpt_extractor::HandlerKind;
 use kgpt_llm::{LanguageModel, ModelKind, OracleModel};
+use kgpt_syzlang::SpecFile;
 use kgpt_vkernel::VKernel;
+use std::collections::BTreeSet;
+use std::ops::AddAssign;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let exp = args.first().map(String::as_str).unwrap_or("all");
-    match exp {
-        "table1" => table1(&census_run()),
-        "fig7" => fig7(),
-        "table2" => table2(&census_run()),
-        "table3" => table3(),
-        "table4" => table4(),
-        "table5" => table5(),
-        "table6" => table6(),
-        "cost" => cost(&census_run()),
-        "correctness" => correctness_exp(&census_run()),
-        "ablation-iter" => ablation_iter(),
-        "ablation-model" => ablation_model(),
-        "all" => {
-            let census = census_run();
-            table1(&census);
-            fig7();
-            table2(&census);
-            cost(&census);
-            correctness_exp(&census);
-            table3();
-            table4();
-            table5();
-            table6();
-            ablation_iter();
-            ablation_model();
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            std::process::exit(2);
-        }
-    }
+/// The three suites of Tables 3–5, in the order [`suites_for`] builds
+/// them.
+const SUITES: [&str; 3] = ["syzkaller", "syzdescribe", "kernelgpt"];
+const SYS_COV: [&str; 2] = ["syscalls", "coverage"];
+const SYS_TYPES_COV: [&str; 3] = ["syscalls", "types", "coverage"];
+
+fn main() -> ExitCode {
+    PAPER.run(|_| {
+        let mut report = Report::default();
+        let census = census_run();
+        table1(&mut report, &census);
+        fig7(&mut report, &census.env);
+        table2(&mut report, &census);
+        cost(&mut report, &census);
+        correctness_exp(&mut report, &census);
+        let env = Env::flagship();
+        table3(&mut report, &env);
+        table4(&mut report, &env);
+        table5(&mut report, &env);
+        table6(&mut report, &env);
+        ablation_iter(&mut report, &env);
+        ablation_model(&mut report, &env);
+        report
+    })
 }
 
-/// Shared state for the census experiments (Table 1/2, cost,
+/// Shared state for the census experiments (Table 1/2, Fig. 7, cost,
 /// correctness), computed once a run.
 struct CensusRun {
     env: Env,
@@ -59,16 +62,10 @@ struct CensusRun {
 }
 
 fn census_run() -> CensusRun {
-    eprintln!("[census] building full corpus (666 drivers + 85 sockets)...");
     let env = Env::full(0);
     let incomplete = env.incomplete_handlers();
-    eprintln!(
-        "[census] {} incomplete loaded handlers; running KernelGPT...",
-        incomplete.len()
-    );
     let model = OracleModel::new(ModelKind::Gpt4, 0);
     let report = env.run_kernelgpt(&model, &incomplete, Strategy::Iterative);
-    eprintln!("[census] running SyzDescribe...");
     let sd = kgpt_syzdescribe::describe_all(env.kc.corpus(), &incomplete, env.kc.consts());
     CensusRun {
         env,
@@ -78,160 +75,87 @@ fn census_run() -> CensusRun {
     }
 }
 
-fn table1(run: &CensusRun) {
-    let census = run.env.kc.census();
-    let d_out: Vec<_> = run
-        .report
-        .outcomes
-        .iter()
-        .filter(|o| o.kind == HandlerKind::Driver)
-        .collect();
-    let s_out: Vec<_> = run
-        .report
-        .outcomes
-        .iter()
-        .filter(|o| o.kind == HandlerKind::Socket)
-        .collect();
-    let d_valid = d_out.iter().filter(|o| o.valid).count();
-    let d_fixed = d_out.iter().filter(|o| o.valid && o.repaired).count();
-    let s_valid = s_out.iter().filter(|o| o.valid).count();
-    let s_fixed = s_out.iter().filter(|o| o.valid && o.repaired).count();
-    let sd_valid_drivers = run
-        .sd
-        .iter()
-        .filter(|o| o.kind == HandlerKind::Driver && o.valid)
-        .count();
-    println!("\n# Table 1: Specifications for driver/socket handlers");
-    println!("#            paper: drivers 278 total / 75 incomplete / SyzD 20 / KGPT 70 (30)");
-    println!("#            paper: sockets  81 total / 66 incomplete / SyzD N/A / KGPT 57 (12)");
-    println!("kind    #total  #loaded  #incomplete  SyzDescribe#valid  KernelGPT#valid(fixed)");
-    println!(
-        "driver  {:>6}  {:>7}  {:>11}  {:>17}  {:>10} ({})",
-        census.drivers_total,
-        census.drivers_loaded,
-        census.drivers_incomplete,
-        sd_valid_drivers,
-        d_valid,
-        d_fixed
-    );
-    println!(
-        "socket  {:>6}  {:>7}  {:>11}  {:>17}  {:>10} ({})",
-        census.sockets_total,
-        census.sockets_loaded,
-        census.sockets_incomplete,
-        "N/A",
-        s_valid,
-        s_fixed
-    );
+/// One driver's (or socket's) suites, in [`SUITES`] order.
+fn suites_for(env: &Env, model: &dyn LanguageModel, id: &str) -> [Vec<SpecFile>; 3] {
+    [
+        existing_suite_for(env, id),
+        syzdescribe_suite_for(env, id),
+        kgpt_suite_for(env, model, id),
+    ]
 }
 
-fn fig7() {
-    eprintln!("[fig7] building full corpus...");
-    let env = Env::full(0);
-    let mut d_hist = [0usize; 10];
-    let mut s_hist = [0usize; 10];
-    for bp in env.kc.blueprints() {
-        if !bp.loaded {
-            continue;
+fn boot(env: &Env, id: &str) -> VKernel {
+    VKernel::boot(kgpt_bench::blueprints_for(env, id))
+}
+
+fn table1(r: &mut Report, run: &CensusRun) {
+    let c = run.env.kc.census();
+    let drivers = [c.drivers_total, c.drivers_loaded, c.drivers_incomplete];
+    let sockets = [c.sockets_total, c.sockets_loaded, c.sockets_incomplete];
+    for (kind, key, census) in [
+        (HandlerKind::Driver, "driver", drivers),
+        (HandlerKind::Socket, "socket", sockets),
+    ] {
+        let section = format!("table1.{key}");
+        counts(r, &section, &["total", "loaded", "incomplete"], &census);
+        // SyzDescribe describes no sockets.
+        if kind == HandlerKind::Driver {
+            let sd = run.sd.iter().filter(|o| o.kind == kind && o.valid);
+            r.count("syzdescribe_valid", sd.count());
         }
+        let outcomes = &run.report.outcomes;
+        let valid = || outcomes.iter().filter(|o| o.kind == kind && o.valid);
+        r.count("kernelgpt_valid", valid().count());
+        r.count("kernelgpt_fixed", valid().filter(|o| o.repaired).count());
+    }
+}
+
+fn fig7(r: &mut Report, env: &Env) {
+    let mut hist = [[0usize; 2]; 10];
+    for bp in env.kc.blueprints().iter().filter(|bp| bp.loaded) {
         let m = env.kc.missing_fraction(bp);
-        if m <= 0.0 {
-            continue;
-        }
-        let bucket = ((m * 10.0).ceil() as usize).clamp(1, 10) - 1;
-        if bp.driver().is_some() {
-            d_hist[bucket] += 1;
-        } else {
-            s_hist[bucket] += 1;
+        if m > 0.0 {
+            let bucket = ((m * 10.0).ceil() as usize).clamp(1, 10) - 1;
+            hist[bucket][usize::from(bp.driver().is_none())] += 1;
         }
     }
-    println!("\n# Figure 7: Missing specification distribution (handlers per decile)");
-    println!("missing%   drivers  sockets");
-    for i in 0..10 {
-        println!(
-            "{:>3}-{:>3}%   {:>7}  {:>7}",
-            i * 10,
-            (i + 1) * 10,
-            d_hist[i],
-            s_hist[i]
-        );
+    for (i, drivers_sockets) in hist.iter().enumerate() {
+        let section = format!("fig7.missing_{}_{}", i * 10, (i + 1) * 10);
+        counts(r, &section, &["drivers", "sockets"], drivers_sockets);
     }
 }
 
-fn table2(run: &CensusRun) {
-    let d_sys: usize = run
-        .report
-        .outcomes
-        .iter()
-        .filter(|o| o.kind == HandlerKind::Driver && o.valid)
-        .map(kgpt_core::HandlerOutcome::syscall_count)
-        .sum();
-    let d_ty: usize = run
-        .report
-        .outcomes
-        .iter()
-        .filter(|o| o.kind == HandlerKind::Driver && o.valid)
-        .map(kgpt_core::HandlerOutcome::type_count)
-        .sum();
-    let s_sys: usize = run
-        .report
-        .outcomes
-        .iter()
-        .filter(|o| o.kind == HandlerKind::Socket && o.valid)
-        .map(kgpt_core::HandlerOutcome::syscall_count)
-        .sum();
-    let s_ty: usize = run
-        .report
-        .outcomes
-        .iter()
-        .filter(|o| o.kind == HandlerKind::Socket && o.valid)
-        .map(kgpt_core::HandlerOutcome::type_count)
-        .sum();
-    let sd_sys: usize = run
-        .sd
-        .iter()
-        .filter(|o| o.valid)
-        .map(kgpt_syzdescribe::StaticOutcome::syscall_count)
-        .sum();
-    let sd_ty: usize = run
-        .sd
-        .iter()
-        .filter(|o| o.valid)
-        .map(kgpt_syzdescribe::StaticOutcome::type_count)
-        .sum();
-    println!("\n# Table 2: Newly generated syscall descriptions");
-    println!("#            paper: SyzD 146 syscalls/168 types (drivers only);");
-    println!("#            paper: KGPT 288+244=532 syscalls, 170+124=294 types");
-    println!("tool         target   #syscalls  #types");
-    println!("SyzDescribe  driver   {sd_sys:>9}  {sd_ty:>6}");
-    println!("SyzDescribe  socket         N/A     N/A");
-    println!("KernelGPT    driver   {d_sys:>9}  {d_ty:>6}");
-    println!("KernelGPT    socket   {s_sys:>9}  {s_ty:>6}");
-    println!(
-        "KernelGPT    total    {:>9}  {:>6}",
-        d_sys + s_sys,
-        d_ty + s_ty
-    );
+fn table2(r: &mut Report, run: &CensusRun) {
+    let sd = run.sd.iter().filter(|o| o.valid);
+    let sd = sum(sd.map(|o| [o.syscall_count(), o.type_count()]));
+    let kgpt = |kind: Option<HandlerKind>| {
+        let outcomes = run.report.outcomes.iter();
+        let valid = outcomes.filter(|o| o.valid && kind.is_none_or(|k| o.kind == k));
+        sum(valid.map(|o| [o.syscall_count(), o.type_count()]))
+    };
+    for (section, cells) in [
+        ("syzdescribe.driver", sd),
+        ("kernelgpt.driver", kgpt(Some(HandlerKind::Driver))),
+        ("kernelgpt.socket", kgpt(Some(HandlerKind::Socket))),
+        ("kernelgpt.total", kgpt(None)),
+    ] {
+        counts(r, &format!("table2.{section}"), &SYS_TYPES_COV[..2], &cells);
+    }
 }
 
-fn cost(run: &CensusRun) {
+fn cost(r: &mut Report, run: &CensusRun) {
     let usage = run.model.total_usage();
-    let cap = ModelKind::Gpt4.capability();
-    println!(
-        "\n# §5.1.1: Generation cost (paper: 5.56M in / 400K out tokens, $34, 2630/189 per prompt)"
-    );
-    println!("requests        : {}", usage.requests);
-    println!("input tokens    : {}", usage.input_tokens);
-    println!("output tokens   : {}", usage.output_tokens);
-    println!("per-prompt in   : {}", usage.mean_input());
-    println!("per-prompt out  : {}", usage.mean_output());
-    println!(
-        "cost            : ${:.2}",
-        usage.cost_cents(&cap) as f64 / 100.0
-    );
+    r.section("cost");
+    r.count("requests", usage.requests);
+    r.count("input_tokens", usage.input_tokens);
+    r.count("output_tokens", usage.output_tokens);
+    r.count("mean_input_tokens", usage.mean_input());
+    r.count("mean_output_tokens", usage.mean_output());
+    let cents = usage.cost_cents(&ModelKind::Gpt4.capability());
+    r.ratio("usd", cents as f64 / 100.0, 2);
 }
 
-fn correctness_exp(run: &CensusRun) {
+fn correctness_exp(r: &mut Report, run: &CensusRun) {
     // The 45 loaded drivers with no existing specs (§5.1.3's target).
     let ids: Vec<String> = run
         .env
@@ -246,318 +170,237 @@ fn correctness_exp(run: &CensusRun) {
         .map(|b| b.id.clone())
         .collect();
     let stats = correctness(&run.env, &ids, &run.report);
-    println!("\n# §5.1.3: Correctness of new specifications (paper: 42/45 drivers complete,");
-    println!("#          3 (0.9%) wrong identifiers, 9 wrong types)");
-    println!("drivers examined        : {}", stats.drivers);
-    println!(
-        "drivers fully covered   : {} ({:.1}%)",
-        stats.drivers - stats.drivers_with_missing,
-        100.0 * (stats.drivers - stats.drivers_with_missing) as f64 / stats.drivers.max(1) as f64
-    );
-    println!("syscalls examined       : {}", stats.total_syscalls);
-    println!("missing syscalls        : {}", stats.missing_syscalls);
-    println!(
-        "wrong identifier values : {} ({:.1}%)",
-        stats.wrong_identifiers,
-        100.0 * stats.wrong_identifiers as f64 / stats.total_syscalls.max(1) as f64
-    );
-    println!("wrong types             : {}", stats.wrong_types);
+    let percent = |n: usize, of: usize| 100.0 * n as f64 / of.max(1) as f64;
+    let complete = stats.drivers - stats.drivers_with_missing;
+    r.section("correctness");
+    r.count("drivers", stats.drivers);
+    r.count("drivers_complete", complete);
+    let complete_percent = percent(complete, stats.drivers);
+    r.ratio("drivers_complete_percent", complete_percent, 1);
+    r.count("syscalls", stats.total_syscalls);
+    r.count("missing_syscalls", stats.missing_syscalls);
+    r.count("wrong_identifiers", stats.wrong_identifiers);
+    let wrong = percent(stats.wrong_identifiers, stats.total_syscalls);
+    r.ratio("wrong_identifiers_percent", wrong, 1);
+    r.count("wrong_types", stats.wrong_types);
 }
 
-fn table3() {
-    eprintln!("[table3] building flagship environment...");
-    let env = Env::flagship();
-    let kernel = env.boot_kernel();
-    let (syz, syz_sd, syz_kgpt) = table3_suites(&env);
+fn table3(r: &mut Report, env: &Env) {
     const EXECS: u64 = 30_000;
     const REPS: u64 = 3;
-    eprintln!("[table3] running 3 suites × {REPS} reps × {EXECS} execs...");
-    let base = env.campaign_mean(&kernel, &syz, EXECS, REPS, None);
-    let sd = env.campaign_mean(&kernel, &syz_sd, EXECS, REPS, None);
-    let kg = env.campaign_mean(&kernel, &syz_kgpt, EXECS, REPS, None);
-    let uniq = |m: &kgpt_bench::MeanResult| m.union.difference(&base.union).count();
-    println!("\n# Table 3: Overall effectiveness (3 reps, {EXECS} execs each; paper: 24h fuzzing)");
-    println!("#            paper: 204,923 / 201,634 / 209,673 cov; 16.0 / 13.7 / 17.7 crashes");
-    println!("suite                    cov     uniq-cov   crashes");
-    println!(
-        "Syzkaller              {:>6}   {:>8}   {:>7.1}",
-        base.mean_blocks, "-", base.mean_crashes
-    );
-    println!(
-        "Syzkaller+SyzDescribe  {:>6}   {:>8}   {:>7.1}",
-        sd.mean_blocks,
-        uniq(&sd),
-        sd.mean_crashes
-    );
-    println!(
-        "Syzkaller+KernelGPT    {:>6}   {:>8}   {:>7.1}",
-        kg.mean_blocks,
-        uniq(&kg),
-        kg.mean_crashes
-    );
+    budget(r, "table3", EXECS, REPS);
+    let kernel = env.boot_kernel();
+    let (syz, sd, kgpt) = table3_suites(env);
+    let means = [syz, sd, kgpt].map(|suite| env.campaign_mean(&kernel, &suite, EXECS, REPS));
+    for (key, m) in SUITES.iter().zip(&means) {
+        r.section(&format!("table3.{key}"));
+        r.count("coverage", m.mean_blocks);
+        if *key != "syzkaller" {
+            let unique = m.union.difference(&means[0].union).count();
+            r.count("unique_coverage", unique);
+        }
+        r.ratio("crashes", m.mean_crashes, 1);
+    }
 }
 
-fn table4() {
-    eprintln!("[table4] building flagship environment...");
-    let env = Env::flagship();
-    let model = OracleModel::new(ModelKind::Gpt4, 0);
-    let bugs = all_bugs(&env);
-    // Per-bug-driver campaigns under each suite, restricted to the
-    // driver's syscalls (focused budget; see EXPERIMENTS.md).
+fn table4(r: &mut Report, env: &Env) {
+    // Per-bug-driver campaigns under each suite, on a kernel of the
+    // driver alone (focused budget; see EXPERIMENTS.md).
     const EXECS: u64 = 12_000;
-    println!("\n# Table 4: New bugs detected by KernelGPT-generated specs");
-    println!("#            paper: 24 bugs, 11 CVEs; none found by Syzkaller or SyzDescribe");
-    println!("{:<55} {:<16} KGPT  Syzk  SyzD", "crash", "CVE");
-    let mut found_kgpt = 0;
-    let mut found_other = 0;
-    let mut bug_drivers: Vec<String> = bugs.iter().map(|(id, _, _)| id.clone()).collect();
-    bug_drivers.sort_unstable();
-    bug_drivers.dedup();
-    for id in &bug_drivers {
-        let kernel = VKernel::boot(kgpt_bench::blueprints_for(&env, id));
-        let run_suite = |suite: Vec<kgpt_syzlang::SpecFile>| -> std::collections::BTreeSet<String> {
-            if suite.is_empty() {
-                return std::collections::BTreeSet::new();
-            }
-            let m = env.campaign_mean(&kernel, &suite, EXECS, 2, None);
-            m.crash_titles
-        };
-        let kgpt_titles = run_suite(kgpt_suite_for(&env, &model, id));
-        let syz_titles = run_suite(existing_suite_for(&env, id));
-        let sd_titles = run_suite(syzdescribe_suite_for(&env, id));
-        for (bid, title, cve) in bugs.iter().filter(|(b, _, _)| b == id) {
-            let _ = bid;
-            let k = kgpt_titles.contains(title);
-            let s = syz_titles.contains(title);
-            let d = sd_titles.contains(title);
-            if k {
-                found_kgpt += 1;
-            }
-            if s || d {
-                found_other += 1;
-            }
-            println!(
-                "{:<55} {:<16} {:<5} {:<5} {:<4}",
-                title,
-                cve.clone().unwrap_or_else(|| "-".into()),
-                if k { "YES" } else { "no" },
-                if s { "YES" } else { "no" },
-                if d { "YES" } else { "no" },
-            );
+    const REPS: u64 = 2;
+    let bugs = all_bugs(env);
+    budget(r, "table4", EXECS, REPS);
+    r.count("bugs", bugs.len());
+    let model = OracleModel::new(ModelKind::Gpt4, 0);
+    let mut found = [0u64; 3];
+    let mut found_by_a_baseline = 0u64;
+    let drivers: BTreeSet<&str> = bugs.iter().map(|(id, _, _)| id.as_str()).collect();
+    for id in drivers {
+        let kernel = boot(env, id);
+        let titles = suites_for(env, &model, id)
+            .map(|suite| env.campaign_mean(&kernel, &suite, EXECS, REPS).crash_titles);
+        for (k, (_, title, cve)) in bugs.iter().filter(|(b, _, _)| b == id).enumerate() {
+            // A cell is a count (0 or 1), not a flag: the gate demands
+            // every flag be `true`, and a baseline's cells read 0.
+            let hits = titles.each_ref().map(|t| u64::from(t.contains(title)));
+            let section = format!("table4.{id}.{k}");
+            r.section(&section);
+            r.label("title", title);
+            r.label("cve", cve.as_deref().unwrap_or("-"));
+            counts(r, &section, &SUITES, &hits);
+            add(&mut found, &hits);
+            found_by_a_baseline += u64::from(hits[0] + hits[1] > 0);
         }
     }
-    println!("total found by KernelGPT: {found_kgpt}/24; by baselines: {found_other}/24");
+    counts(r, "table4.found", &SUITES, &found);
+    r.count("by_a_baseline", found_by_a_baseline);
 }
 
-fn table5() {
-    eprintln!("[table5] building flagship environment...");
-    let env = Env::flagship();
-    let model = OracleModel::new(ModelKind::Gpt4, 0);
+fn table5(r: &mut Report, env: &Env) {
     const EXECS: u64 = 6_000;
     const REPS: u64 = 3;
-    println!("\n# Table 5: Driver specification comparison ({REPS} reps × {EXECS} execs; cmd counts scaled ~1/3 of paper)");
-    println!(
-        "{:<14} {:>5} {:>7}   {:>5} {:>7}   {:>5} {:>7}",
-        "driver", "SyzN", "SyzCov", "SDN", "SDCov", "KGN", "KGCov"
-    );
-    let mut totals = [0u64; 6];
-    let mut wins = [0usize; 3];
-    let mut best_or_tied = [0usize; 3];
+    budget(r, "table5", EXECS, REPS);
+    let model = OracleModel::new(ModelKind::Gpt4, 0);
+    let mut totals = [[0u64; 2]; 3];
+    let mut wins = [0u64; 3];
+    let mut best_incl_ties = [0u64; 3];
     for id in TABLE5_DRIVERS {
-        let kernel = VKernel::boot(kgpt_bench::blueprints_for(&env, id));
-        let mut row = Vec::new();
-        for suite in [
-            existing_suite_for(&env, id),
-            syzdescribe_suite_for(&env, id),
-            kgpt_suite_for(&env, &model, id),
-        ] {
-            if suite.is_empty() {
-                row.push((0usize, 0u64));
-                continue;
-            }
-            let n = Env::suite_syscalls(&suite).len();
-            let m = env.campaign_mean(&kernel, &suite, EXECS, REPS, None);
-            row.push((n, m.mean_blocks));
-        }
-        println!(
-            "{:<14} {:>5} {:>7}   {:>5} {:>7}   {:>5} {:>7}",
-            id, row[0].0, row[0].1, row[1].0, row[1].1, row[2].0, row[2].1
-        );
-        for (i, (n, c)) in row.iter().enumerate() {
-            totals[i * 2] += *n as u64;
-            totals[i * 2 + 1] += c;
+        let kernel = boot(env, id);
+        let row = suites_for(env, &model, id).map(|suite| {
+            let m = env.campaign_mean(&kernel, &suite, EXECS, REPS);
+            [syscalls(&suite), m.mean_blocks]
+        });
+        for ((key, cells), total) in SUITES.iter().zip(row).zip(&mut totals) {
+            counts(r, &format!("table5.{id}.{key}"), &SYS_COV, &cells);
+            add(total, &cells);
         }
         // Strict wins and paper-style bolding (best incl. ties).
-        let best = row.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        let holders: Vec<usize> = row
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, c))| *c == best && best > 0)
-            .map(|(i, _)| i)
-            .collect();
-        if holders.len() == 1 {
-            wins[holders[0]] += 1;
+        let best = row.iter().map(|[_, c]| *c).max().unwrap_or(0);
+        let holders: Vec<usize> = (0..3).filter(|&i| best > 0 && row[i][1] == best).collect();
+        if let [only] = holders[..] {
+            wins[only] += 1;
         }
-        for h in &holders {
-            best_or_tied[*h] += 1;
+        for h in holders {
+            best_incl_ties[h] += 1;
         }
     }
-    println!(
-        "{:<14} {:>5} {:>7}   {:>5} {:>7}   {:>5} {:>7}",
-        "Total", totals[0], totals[1], totals[2], totals[3], totals[4], totals[5]
-    );
-    println!(
-        "strict best-coverage wins: Syzkaller {} / SyzDescribe {} / KernelGPT {}",
-        wins[0], wins[1], wins[2]
-    );
-    println!(
-        "best incl. ties (paper bolding, 4/4/20): Syzkaller {} / SyzDescribe {} / KernelGPT {}",
-        best_or_tied[0], best_or_tied[1], best_or_tied[2]
-    );
+    for (key, total) in SUITES.iter().zip(totals) {
+        counts(r, &format!("table5.total.{key}"), &SYS_COV, &total);
+    }
+    counts(r, "table5.strict_wins", &SUITES, &wins);
+    counts(r, "table5.best_incl_ties", &SUITES, &best_incl_ties);
 }
 
-fn table6() {
-    eprintln!("[table6] building flagship environment...");
-    let env = Env::flagship();
-    let model = OracleModel::new(ModelKind::Gpt4, 0);
+fn table6(r: &mut Report, env: &Env) {
     const EXECS: u64 = 6_000;
     const REPS: u64 = 3;
-    println!("\n# Table 6: Socket specification comparison ({REPS} reps × {EXECS} execs)");
-    println!(
-        "{:<14} {:>5} {:>7} {:>6}   {:>5} {:>7} {:>6}",
-        "socket", "SyzN", "SyzCov", "SyzCr", "KGN", "KGCov", "KGCr"
-    );
-    let mut totals = [0u64; 4];
+    const SUITES: [&str; 2] = ["syzkaller", "kernelgpt"];
+    budget(r, "table6", EXECS, REPS);
+    let model = OracleModel::new(ModelKind::Gpt4, 0);
+    let mut totals = [[0u64; 2]; 2];
     for id in TABLE6_SOCKETS {
-        let kernel = VKernel::boot(kgpt_bench::blueprints_for(&env, id));
-        let mut cells = Vec::new();
-        for suite in [
-            existing_suite_for(&env, id),
-            kgpt_suite_for(&env, &model, id),
-        ] {
-            if suite.is_empty() {
-                cells.push((0usize, 0u64, 0.0));
-                continue;
-            }
-            let n = Env::suite_syscalls(&suite).len();
-            let m = env.campaign_mean(&kernel, &suite, EXECS, REPS, None);
-            cells.push((n, m.mean_blocks, m.mean_crashes));
+        let kernel = boot(env, id);
+        let suites = [existing_suite_for(env, id), kgpt_suite_for(env, &model, id)];
+        for ((key, suite), total) in SUITES.iter().zip(suites).zip(&mut totals) {
+            let m = env.campaign_mean(&kernel, &suite, EXECS, REPS);
+            let cells = [syscalls(&suite), m.mean_blocks];
+            counts(r, &format!("table6.{id}.{key}"), &SYS_COV, &cells);
+            r.ratio("crashes", m.mean_crashes, 1);
+            add(total, &cells);
         }
-        println!(
-            "{:<14} {:>5} {:>7} {:>6.1}   {:>5} {:>7} {:>6.1}",
-            id, cells[0].0, cells[0].1, cells[0].2, cells[1].0, cells[1].1, cells[1].2
-        );
-        totals[0] += cells[0].0 as u64;
-        totals[1] += cells[0].1;
-        totals[2] += cells[1].0 as u64;
-        totals[3] += cells[1].1;
     }
-    println!(
-        "{:<14} {:>5} {:>7} {:>6}   {:>5} {:>7} {:>6}",
-        "Total", totals[0], totals[1], "", totals[2], totals[3], ""
-    );
+    for (key, total) in SUITES.iter().zip(totals) {
+        counts(r, &format!("table6.total.{key}"), &SYS_COV, &total);
+    }
 }
 
-fn ablation_drivers() -> Vec<&'static str> {
-    // "First 10 valid drivers from Table 5".
-    TABLE5_DRIVERS.iter().take(10).copied().collect()
+/// The §5.2.3 ablations' drivers: "the first 10 valid drivers from
+/// Table 5".
+const ABLATION_DRIVERS: &[&str] = TABLE5_DRIVERS.split_at(10).0;
+const ABLATION_EXECS: u64 = 5_000;
+const ABLATION_REPS: u64 = 2;
+
+/// KernelGPT's syscalls, types and coverage on one ablation driver.
+fn ablation_cells(env: &Env, model: &OracleModel, id: &str, strategy: Strategy) -> [u64; 3] {
+    let report = env.run_kernelgpt(model, &handlers_for(env, id), strategy);
+    let kernel = boot(env, id);
+    let m = env.campaign_mean(&kernel, &report.specs(), ABLATION_EXECS, ABLATION_REPS);
+    [
+        report.total_syscalls() as u64,
+        report.total_types() as u64,
+        m.mean_blocks,
+    ]
 }
 
-fn ablation_iter() {
-    eprintln!("[ablation-iter] building flagship environment...");
-    let env = Env::flagship();
-    const EXECS: u64 = 5_000;
-    let mut totals = [[0u64; 3]; 2]; // [strategy][syscalls, types, cov]
-    println!("\n# §5.2.3 ablation: iterative multi-stage vs all-in-one prompting");
-    println!("#            paper: iterative infers 1.28x syscalls, 2.37x types, 1.39x coverage");
-    println!(
-        "{:<14} {:>6} {:>6} {:>7}   {:>6} {:>6} {:>7}",
-        "driver", "It#S", "It#T", "ItCov", "A1#S", "A1#T", "A1Cov"
-    );
-    for id in ablation_drivers() {
-        let kernel = VKernel::boot(kgpt_bench::blueprints_for(&env, id));
-        let mut cells = Vec::new();
-        for (si, strategy) in [Strategy::Iterative, Strategy::AllInOne].iter().enumerate() {
+fn ablation_iter(r: &mut Report, env: &Env) {
+    budget(r, "ablation_iter", ABLATION_EXECS, ABLATION_REPS);
+    let strategies = [
+        (Strategy::Iterative, "iterative"),
+        (Strategy::AllInOne, "all_in_one"),
+    ];
+    let mut totals = [[0u64; 3]; 2];
+    for id in ABLATION_DRIVERS {
+        for ((strategy, key), total) in strategies.iter().zip(&mut totals) {
             let model = OracleModel::new(ModelKind::Gpt4, 0);
-            let handlers: Vec<_> = std::iter::once(id)
-                .chain(kgpt_bench::companions(id))
-                .filter_map(|b| env.handler_for(b).cloned())
-                .collect();
-            let report = env.run_kernelgpt(&model, &handlers, *strategy);
-            let suite = report.specs();
-            let n_sys = report.total_syscalls();
-            let n_ty = report.total_types();
-            let cov = if suite.is_empty() {
-                0
-            } else {
-                env.campaign_mean(&kernel, &suite, EXECS, 2, None)
-                    .mean_blocks
-            };
-            totals[si][0] += n_sys as u64;
-            totals[si][1] += n_ty as u64;
-            totals[si][2] += cov;
-            cells.push((n_sys, n_ty, cov));
+            let cells = ablation_cells(env, &model, id, *strategy);
+            counts(
+                r,
+                &format!("ablation_iter.{id}.{key}"),
+                &SYS_TYPES_COV,
+                &cells,
+            );
+            add(total, &cells);
         }
-        println!(
-            "{:<14} {:>6} {:>6} {:>7}   {:>6} {:>6} {:>7}",
-            id, cells[0].0, cells[0].1, cells[0].2, cells[1].0, cells[1].1, cells[1].2
+    }
+    for ((_, key), total) in strategies.iter().zip(totals) {
+        counts(
+            r,
+            &format!("ablation_iter.total.{key}"),
+            &SYS_TYPES_COV,
+            &total,
         );
     }
-    println!(
-        "Total          {:>6} {:>6} {:>7}   {:>6} {:>6} {:>7}",
-        totals[0][0], totals[0][1], totals[0][2], totals[1][0], totals[1][1], totals[1][2]
-    );
-    let ratio = |a: u64, b: u64| {
-        if b == 0 {
-            f64::INFINITY
-        } else {
-            a as f64 / b as f64
-        }
-    };
-    println!(
-        "iterative/all-in-one: {:.2}x syscalls, {:.2}x types, {:.2}x coverage",
-        ratio(totals[0][0], totals[1][0]),
-        ratio(totals[0][1], totals[1][1]),
-        ratio(totals[0][2], totals[1][2])
-    );
-}
-
-fn ablation_model() {
-    eprintln!("[ablation-model] building flagship environment...");
-    let env = Env::flagship();
-    const EXECS: u64 = 5_000;
-    println!("\n# §5.2.3 ablation: model choice (paper: GPT-3.5 85 syscalls vs GPT-4 143; GPT-4o ≈ GPT-4)");
-    println!(
-        "{:<14} {:>9} {:>7} {:>9}",
-        "model", "#syscalls", "#types", "coverage"
-    );
-    for kind in [ModelKind::Gpt35, ModelKind::Gpt4, ModelKind::Gpt4o] {
-        let model = OracleModel::new(kind, 0);
-        let mut n_sys = 0usize;
-        let mut n_ty = 0usize;
-        let mut cov = 0u64;
-        for id in ablation_drivers() {
-            let kernel = VKernel::boot(kgpt_bench::blueprints_for(&env, id));
-            let handlers: Vec<_> = std::iter::once(id)
-                .chain(kgpt_bench::companions(id))
-                .filter_map(|b| env.handler_for(b).cloned())
-                .collect();
-            let report = env.run_kernelgpt(&model, &handlers, Strategy::Iterative);
-            n_sys += report.total_syscalls();
-            n_ty += report.total_types();
-            let suite = report.specs();
-            if !suite.is_empty() {
-                cov += env
-                    .campaign_mean(&kernel, &suite, EXECS, 2, None)
-                    .mean_blocks;
-            }
-        }
-        println!("{:<14} {:>9} {:>7} {:>9}", model.name(), n_sys, n_ty, cov);
+    r.section("ablation_iter.iterative_over_all_in_one");
+    for (i, key) in SYS_TYPES_COV.iter().enumerate() {
+        r.ratio(key, totals[0][i] as f64 / totals[1][i] as f64, 2);
     }
 }
 
-// Silence "unused" for helpers only exercised in some subcommands.
-#[allow(dead_code)]
-fn unused_guard(h: &kgpt_extractor::OpHandler) -> String {
-    bp_id_of_handler(h)
+fn ablation_model(r: &mut Report, env: &Env) {
+    budget(r, "ablation_model", ABLATION_EXECS, ABLATION_REPS);
+    let mut coverage = Vec::new();
+    for (kind, key) in [
+        (ModelKind::Gpt35, "gpt35"),
+        (ModelKind::Gpt4, "gpt4"),
+        (ModelKind::Gpt4o, "gpt4o"),
+    ] {
+        let model = OracleModel::new(kind, 0);
+        let cells = ABLATION_DRIVERS
+            .iter()
+            .map(|id| ablation_cells(env, &model, id, Strategy::Iterative));
+        let total = sum(cells);
+        r.section(&format!("ablation_model.{key}"));
+        r.label("model", model.name());
+        counts(r, &format!("ablation_model.{key}"), &SYS_TYPES_COV, &total);
+        coverage.push(total[2] as f64);
+    }
+    r.section("ablation_model");
+    r.ratio("gpt4o_over_gpt4_coverage", coverage[2] / coverage[1], 4);
+}
+
+/// Append an experiment's campaign budget under its section.
+fn budget(r: &mut Report, section: &str, execs: u64, reps: u64) {
+    r.section(section);
+    r.count("execs", execs);
+    r.count("reps", reps);
+}
+
+/// Append `keys[i]: values[i]` under `section`.
+fn counts<T: TryInto<u64> + Copy>(r: &mut Report, section: &str, keys: &[&str], values: &[T]) {
+    r.section(section);
+    for (key, v) in keys.iter().zip(values) {
+        r.count(key, *v);
+    }
+}
+
+/// `total[i] += cells[i]`.
+fn add<T: Copy + AddAssign>(total: &mut [T], cells: &[T]) {
+    for (t, c) in total.iter_mut().zip(cells) {
+        *t += *c;
+    }
+}
+
+/// Element-wise sum.
+fn sum<T: Copy + Default + AddAssign, const N: usize>(
+    rows: impl Iterator<Item = [T; N]>,
+) -> [T; N] {
+    rows.fold([T::default(); N], |mut total, row| {
+        add(&mut total, &row);
+        total
+    })
+}
+
+/// The number of syscalls a suite describes.
+fn syscalls(suite: &[SpecFile]) -> u64 {
+    Env::suite_syscalls(suite).len() as u64
 }

@@ -1,9 +1,10 @@
 //! # kgpt-bench
 //!
-//! Experiment harnesses regenerating every table and figure of the
-//! KernelGPT paper. `cargo run --release -p kgpt-bench --bin tables --
-//! <experiment>` prints paper-formatted rows; see EXPERIMENTS.md for
-//! the recorded paper-vs-measured comparison.
+//! Experiment harnesses and their two reports, held by one gate
+//! ([`report`]): `tables` writes the KernelGPT paper's evaluation
+//! (`PAPER_tables.json`; EXPERIMENTS.md sets the paper's own numbers
+//! beside it), `fuzz_bench` every campaign route's counts and
+//! invariance flags (`BENCH_baseline.json`).
 
 pub mod report;
 
@@ -11,7 +12,7 @@ use kgpt_core::{GenerationReport, KernelGpt, Strategy};
 use kgpt_csrc::blueprint::Blueprint;
 use kgpt_csrc::KernelCorpus;
 use kgpt_extractor::{find_handlers, OpHandler};
-use kgpt_fuzzer::{Campaign, CampaignConfig, CampaignResult};
+use kgpt_fuzzer::{Campaign, CampaignConfig};
 use kgpt_llm::{LanguageModel, ModelKind, OracleModel};
 use kgpt_syzlang::{SpecDb, SpecFile, Syscall};
 use kgpt_vkernel::VKernel;
@@ -89,18 +90,8 @@ impl Env {
         VKernel::boot(self.kc.blueprints().to_vec())
     }
 
-    /// Run a campaign with a suite.
-    #[must_use]
-    pub fn campaign(
-        &self,
-        kernel: &VKernel,
-        suite: &[SpecFile],
-        cfg: CampaignConfig,
-    ) -> CampaignResult {
-        Campaign::new(kernel, suite, self.kc.consts(), cfg).run()
-    }
-
-    /// Mean coverage over repetitions with seeds `0..reps`.
+    /// Mean coverage over repetitions with seeds `0..reps`; all zero
+    /// for an empty suite, which has nothing to fuzz.
     #[must_use]
     pub fn campaign_mean(
         &self,
@@ -108,37 +99,33 @@ impl Env {
         suite: &[SpecFile],
         execs: u64,
         reps: u64,
-        enabled: Option<Vec<String>>,
     ) -> MeanResult {
-        let mut blocks = Vec::new();
-        let mut crashes = Vec::new();
-        let mut union: BTreeSet<u64> = BTreeSet::new();
-        let mut titles: BTreeSet<String> = BTreeSet::new();
+        if suite.is_empty() {
+            return MeanResult::default();
+        }
+        let mut mean = MeanResult::default();
+        let (mut blocks, mut crashes) = (0, 0);
         for seed in 0..reps {
             let cfg = CampaignConfig {
                 execs,
                 seed,
-                enabled: enabled.clone(),
                 ..CampaignConfig::default()
             };
-            let r = self.campaign(kernel, suite, cfg);
-            blocks.push(r.blocks() as u64);
-            crashes.push(r.unique_crashes() as u64);
-            titles.extend(r.crashes.keys().cloned());
-            union.extend(r.coverage);
+            let r = Campaign::new(kernel, suite, self.kc.consts(), cfg).run();
+            blocks += r.blocks() as u64;
+            crashes += r.unique_crashes() as u64;
+            mean.crash_titles.extend(r.crashes.keys().cloned());
+            mean.union.extend(r.coverage);
         }
-        MeanResult {
-            mean_blocks: mean(&blocks),
-            mean_crashes: mean_f(&crashes),
-            union,
-            crash_titles: titles,
-        }
+        mean.mean_blocks = blocks.checked_div(reps).unwrap_or(0);
+        mean.mean_crashes = crashes as f64 / reps.max(1) as f64;
+        mean
     }
 
-    /// Per-driver syscall names of a suite (the `enabled` filter of
-    /// Tables 5/6): every syscall in the given files. Compiles through
-    /// the global [`kgpt_syzlang::SpecCache`], so the campaign built
-    /// over the same suite right after reuses the database.
+    /// Every syscall name a suite describes (Tables 5/6 count them).
+    /// Compiles through the global [`kgpt_syzlang::SpecCache`], so the
+    /// campaign built over the same suite right after reuses the
+    /// database.
     #[must_use]
     pub fn suite_syscalls(suite: &[SpecFile]) -> Vec<String> {
         let db = kgpt_syzlang::SpecCache::global().get_or_build(suite);
@@ -147,7 +134,7 @@ impl Env {
 }
 
 /// Aggregated repetition results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MeanResult {
     /// Mean distinct blocks per repetition.
     pub mean_blocks: u64,
@@ -157,22 +144,6 @@ pub struct MeanResult {
     pub union: BTreeSet<u64>,
     /// Union of crash titles.
     pub crash_titles: BTreeSet<String>,
-}
-
-fn mean(xs: &[u64]) -> u64 {
-    if xs.is_empty() {
-        0
-    } else {
-        xs.iter().sum::<u64>() / xs.len() as u64
-    }
-}
-
-fn mean_f(xs: &[u64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<u64>() as f64 / xs.len() as f64
-    }
 }
 
 /// Build the three Table 3 suites over an environment:
@@ -263,24 +234,26 @@ pub fn existing_suite_for(env: &Env, id: &str) -> Vec<SpecFile> {
     out
 }
 
+/// The handlers of one driver (+ companions).
+#[must_use]
+pub fn handlers_for(env: &Env, id: &str) -> Vec<OpHandler> {
+    std::iter::once(id)
+        .chain(companions(id))
+        .filter_map(|bid| env.handler_for(bid).cloned())
+        .collect()
+}
+
 /// KernelGPT suite for one driver (+ companions).
 #[must_use]
 pub fn kgpt_suite_for(env: &Env, model: &dyn LanguageModel, id: &str) -> Vec<SpecFile> {
-    let handlers: Vec<OpHandler> = std::iter::once(id)
-        .chain(companions(id))
-        .filter_map(|bid| env.handler_for(bid).cloned())
-        .collect();
-    env.run_kernelgpt(model, &handlers, Strategy::Iterative)
+    env.run_kernelgpt(model, &handlers_for(env, id), Strategy::Iterative)
         .specs()
 }
 
 /// SyzDescribe suite for one driver (+ companions).
 #[must_use]
 pub fn syzdescribe_suite_for(env: &Env, id: &str) -> Vec<SpecFile> {
-    let handlers: Vec<OpHandler> = std::iter::once(id)
-        .chain(companions(id))
-        .filter_map(|bid| env.handler_for(bid).cloned())
-        .collect();
+    let handlers = handlers_for(env, id);
     kgpt_syzdescribe::describe_all(env.kc.corpus(), &handlers, env.kc.consts())
         .into_iter()
         .filter_map(|o| o.spec)
