@@ -14,10 +14,20 @@
 //! plan fills one buffer — the pointee's encoded image — from the same
 //! draws in the same order, and the pointee is *born packed* (see
 //! [`kgpt_syzlang::value::Pointee`]). The draw rules (`draw_int`,
-//! `draw_flags`, `draw_len`, `draw_bytes`) are written once and both
-//! paths call them, so there is one stream, not two kept in step; the
-//! tree path stays for every other type and for a pointee whose
-//! nesting would cross the `MAX_DEPTH` cut-off.
+//! `draw_flags`, `draw_len`, `draw_bytes`, `draw_words`) are written
+//! once and both paths call them, so there is one stream, not two kept
+//! in step; the tree path stays for every other type and for a pointee
+//! whose nesting would cross the `MAX_DEPTH` cut-off.
+//!
+//! **A byte run under a drawn length is drawn a word at a time.** The
+//! bytes of a byte array take one draw each, except inside an array
+//! whose length is drawn (`array[T]`, `array[T, lo:hi]`, the array
+//! itself included): there each draw fills eight bytes, little-endian,
+//! and the last word's unused bytes are dropped. Which rule a run
+//! takes follows from the type alone — `gen_value` carries a `drawn`
+//! flag, set on entering such an array and cleared at every pointer,
+//! and a plan compiles the runs of its trailing array into word fills
+//! at lowering ([`PlanDraws::words`]).
 //!
 //! **A program is built into storage the caller owns**
 //! ([`Generator::gen_program_into`], [`Generator::mutate_into`]): the
@@ -255,7 +265,7 @@ impl Generator {
                 }
                 let ai = rng.random_range(0..n_args);
                 let ty = lowered.syscall(prog.calls[ci].sys as usize).params[ai].ty;
-                let value = gen_value(lowered, rng, ty, prog, ci, 0);
+                let value = gen_value(lowered, rng, ty, prog, ci, 0, false);
                 let old = std::mem::replace(&mut prog.calls[ci].args[ai], value);
                 edit.arg = Some((ci, ai, old));
                 ci
@@ -422,7 +432,7 @@ fn append_call(
         }
     }
     let values = sys.params.iter();
-    let values = values.map(|p| gen_value(lowered, rng, p.ty, prog, prog.len(), 0));
+    let values = values.map(|p| gen_value(lowered, rng, p.ty, prog, prog.len(), 0, false));
     let args = arg_list(spare, values);
     prog.calls.push(ProgCall { sys: sys_idx, args });
     Some(prog.len() - 1)
@@ -432,7 +442,9 @@ fn append_call(
 const MAX_DEPTH: usize = 12;
 
 /// Generate a value for a lowered type, resolving resource references
-/// against the first `upto` calls of `prog`.
+/// against the first `upto` calls of `prog`. `drawn`: the value lies
+/// inside an array of drawn length, behind no pointer since — its byte
+/// runs are drawn a word at a time (module docs).
 fn gen_value(
     lowered: &LoweredDb,
     rng: &mut StdRng,
@@ -440,6 +452,7 @@ fn gen_value(
     prog: &Program,
     upto: usize,
     depth: usize,
+    drawn: bool,
 ) -> Value {
     if depth > MAX_DEPTH {
         return Value::Int(0);
@@ -468,7 +481,7 @@ fn gen_value(
                 .checked_sub(depth + 1)
                 .and_then(|room| lowered.gen_pointee(elem, room, &mut Stream(rng)));
             born.unwrap_or_else(|| {
-                Value::ptr_to(gen_value(lowered, rng, elem, prog, upto, depth + 1))
+                Value::ptr_to(gen_value(lowered, rng, elem, prog, upto, depth + 1, false))
             })
         }
         LType::Array {
@@ -477,16 +490,21 @@ fn gen_value(
             byte_elem,
         } => {
             let n = draw_len(rng, len);
+            let drawn = drawn || !matches!(len, ArrayLen::Fixed(_));
             // Byte arrays as raw buffers (cheaper, and what the
             // kernel decodes anyway).
             if byte_elem {
                 let mut bytes = vec![0u8; n as usize];
-                draw_bytes(rng, &mut bytes);
+                if drawn {
+                    draw_words(rng, &mut bytes);
+                } else {
+                    draw_bytes(rng, &mut bytes);
+                }
                 return Value::Bytes(bytes);
             }
             let mut vs = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                vs.push(gen_value(lowered, rng, elem, prog, upto, depth + 1));
+                vs.push(gen_value(lowered, rng, elem, prog, upto, depth + 1, drawn));
             }
             Value::Group(vs)
         }
@@ -507,7 +525,7 @@ fn gen_value(
                 let v = def
                     .fields
                     .get(arm)
-                    .map(|f| gen_value(lowered, rng, f.ty, prog, upto, depth + 1))
+                    .map(|f| gen_value(lowered, rng, f.ty, prog, upto, depth + 1, drawn))
                     .unwrap_or(Value::Int(0));
                 Value::Union {
                     arm,
@@ -517,7 +535,7 @@ fn gen_value(
                 let vs = def
                     .fields
                     .iter()
-                    .map(|f| gen_value(lowered, rng, f.ty, prog, upto, depth + 1))
+                    .map(|f| gen_value(lowered, rng, f.ty, prog, upto, depth + 1, drawn))
                     .collect();
                 Value::Group(vs)
             }
@@ -585,9 +603,23 @@ fn draw_len(rng: &mut StdRng, len: ArrayLen) -> u64 {
     }
 }
 
+/// A byte run outside any array of drawn length: one draw a byte.
 fn draw_bytes(rng: &mut StdRng, dst: &mut [u8]) {
     for b in dst {
         *b = rng.random_range(0..=255u32) as u8;
+    }
+}
+
+/// A byte run under an array of drawn length: one draw per eight
+/// bytes, little-endian, the last word's unused bytes dropped.
+fn draw_words(rng: &mut StdRng, dst: &mut [u8]) {
+    let mut words = dst.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&rng.next_u64().to_le_bytes());
+    }
+    let rest = words.into_remainder();
+    if !rest.is_empty() {
+        rest.copy_from_slice(&rng.next_u64().to_le_bytes()[..rest.len()]);
     }
 }
 
@@ -622,6 +654,11 @@ impl PlanDraws for Stream<'_> {
     #[inline]
     fn bytes(&mut self, dst: &mut [u8]) {
         draw_bytes(self.0, dst);
+    }
+
+    #[inline]
+    fn words(&mut self, dst: &mut [u8]) {
+        draw_words(self.0, dst);
     }
 }
 

@@ -9,6 +9,14 @@
 //! `lowering` section of `fuzz_bench` measures the before/after
 //! throughput and re-asserts bit-identity on every CI run.
 //!
+//! The oracle keeps its own copy of every draw rule, the byte-run rule
+//! included: a byte of a byte array is one draw, except inside an array
+//! whose length is drawn (`array[T]`, `array[T, lo:hi]`, the array
+//! itself included), where a draw fills eight bytes little-endian and
+//! the last word's unused bytes are dropped. `gen_value` carries that
+//! as its `drawn` flag, set on entering such an array and cleared at
+//! every pointer.
+//!
 //! Nothing here runs on a campaign's hot path.
 
 use crate::exec::ExecResult;
@@ -145,13 +153,20 @@ impl<'a> AstGenerator<'a> {
         let args = sys
             .params
             .iter()
-            .map(|p| self.gen_value(&p.ty, prog, prog.len(), 0))
+            .map(|p| self.gen_value(&p.ty, prog, prog.len(), 0, false))
             .collect();
         prog.calls.push(ProgCall { sys: sys_idx, args });
         Some(prog.len() - 1)
     }
 
-    fn gen_value(&mut self, ty: &Type, prog: &Program, upto: usize, depth: usize) -> Value {
+    fn gen_value(
+        &mut self,
+        ty: &Type,
+        prog: &Program,
+        upto: usize,
+        depth: usize,
+        drawn: bool,
+    ) -> Value {
         if depth > 12 {
             return Value::Int(0);
         }
@@ -200,7 +215,7 @@ impl<'a> AstGenerator<'a> {
                 if self.rng.random_bool(0.03) {
                     Value::Ptr { pointee: None }
                 } else {
-                    Value::ptr_to(self.gen_value(elem, prog, upto, depth + 1))
+                    Value::ptr_to(self.gen_value(elem, prog, upto, depth + 1, false))
                 }
             }
             Type::Array { elem, len } => {
@@ -219,6 +234,7 @@ impl<'a> AstGenerator<'a> {
                         _ => self.rng.random_range(256..4096),
                     },
                 };
+                let drawn = drawn || !matches!(len, ArrayLen::Fixed(_));
                 if matches!(
                     elem.as_ref(),
                     Type::Int {
@@ -227,14 +243,21 @@ impl<'a> AstGenerator<'a> {
                     }
                 ) {
                     let mut bytes = vec![0u8; n as usize];
-                    for b in &mut bytes {
-                        *b = self.rng.random_range(0..=255u32) as u8;
+                    if drawn {
+                        for word in bytes.chunks_mut(8) {
+                            let w = self.rng.next_u64().to_le_bytes();
+                            word.copy_from_slice(&w[..word.len()]);
+                        }
+                    } else {
+                        for b in &mut bytes {
+                            *b = self.rng.random_range(0..=255u32) as u8;
+                        }
                     }
                     return Value::Bytes(bytes);
                 }
                 let mut vs = Vec::with_capacity(n as usize);
                 for _ in 0..n {
-                    vs.push(self.gen_value(elem, prog, upto, depth + 1));
+                    vs.push(self.gen_value(elem, prog, upto, depth + 1, drawn));
                 }
                 Value::Group(vs)
             }
@@ -257,7 +280,7 @@ impl<'a> AstGenerator<'a> {
                     let v = def
                         .fields
                         .get(arm)
-                        .map(|f| self.gen_value(&f.ty, prog, upto, depth + 1))
+                        .map(|f| self.gen_value(&f.ty, prog, upto, depth + 1, drawn))
                         .unwrap_or(Value::Int(0));
                     Value::Union {
                         arm,
@@ -267,7 +290,7 @@ impl<'a> AstGenerator<'a> {
                     let vs = def
                         .fields
                         .iter()
-                        .map(|f| self.gen_value(&f.ty, prog, upto, depth + 1))
+                        .map(|f| self.gen_value(&f.ty, prog, upto, depth + 1, drawn))
                         .collect();
                     Value::Group(vs)
                 }
@@ -300,7 +323,7 @@ impl<'a> AstGenerator<'a> {
                 if n_args > 0 {
                     let ai = self.rng.random_range(0..n_args);
                     let ty = &self.db.syscall_at(p.calls[ci].sys as usize).params[ai].ty;
-                    let v = self.gen_value(ty, &p, ci, 0);
+                    let v = self.gen_value(ty, &p, ci, 0, false);
                     p.calls[ci].args[ai] = v;
                 }
             }

@@ -742,6 +742,11 @@ pub trait PlanDraws {
     fn array_len(&mut self, len: ArrayLen) -> u64;
     /// The elements of a byte array, first to last.
     fn bytes(&mut self, dst: &mut [u8]);
+    /// The elements of a byte array under an array of drawn length —
+    /// the plan's trailing array, or a byte array inside its elements:
+    /// the tree generator's rule for such a run, which differs from
+    /// [`PlanDraws::bytes`] (the fuzzer's draws it a word at a time).
+    fn words(&mut self, dst: &mut [u8]);
 }
 
 /// Receiver of a packed pointee's [`Value`] tree in pre-order, without
@@ -829,6 +834,10 @@ enum Op {
     Filled { off: u32, bits: IntBits, value: u64 },
     /// A byte array, each byte drawn.
     Bytes { off: u32, len: Count },
+    /// A byte array under the trailing array, drawn by
+    /// [`PlanDraws::words`]: a [`Op::Bytes`] at or after
+    /// [`Tail::op`], compiled so at lowering.
+    Words { off: u32, len: Count },
     /// An array of `count` elements `stride` bytes apart from `off`:
     /// the next `body` ops, up to and including their [`Op::Next`],
     /// run once per element.
@@ -1146,6 +1155,13 @@ impl Plan {
                         }
                     )
                 })?;
+                // Every byte run from there on lies under the drawn
+                // length: the tree generator draws it a word at a time.
+                for op in &mut plan.ops[tail.op..] {
+                    if let Op::Bytes { off, len } = *op {
+                        *op = Op::Words { off, len };
+                    }
+                }
             }
             None => plan.head = size,
         }
@@ -1188,6 +1204,9 @@ impl Plan {
                 }
                 Op::Bytes { off, len } => {
                     draws.bytes(&mut image[base + off as usize..][..len.get(tail)]);
+                }
+                Op::Words { off, len } => {
+                    draws.words(&mut image[base + off as usize..][..len.get(tail)]);
                 }
                 Op::Repeat {
                     off,
@@ -2328,6 +2347,12 @@ cell {
         fn bytes(&mut self, dst: &mut [u8]) {
             dst.fill_with(|| self.next() as u8);
         }
+
+        fn words(&mut self, dst: &mut [u8]) {
+            for word in dst.chunks_mut(8) {
+                word.copy_from_slice(&self.next().to_le_bytes()[..word.len()]);
+            }
+        }
     }
 
     /// `(pointer type, pointee type, AST pointee type)` of every
@@ -2420,6 +2445,17 @@ cell {
             let layout = type_layout(ast, &db).unwrap();
             assert!(plan.floor as u64 >= layout.size, "{ast:?}");
             assert_eq!(plan.tail.is_some(), layout.dynamic, "{ast:?}");
+            // A byte run is a word fill exactly where it lies under
+            // the trailing array.
+            let under = plan.tail.as_ref().map_or(plan.ops.len(), |tail| tail.op);
+            for (i, op) in plan.ops.iter().enumerate() {
+                let (bytes, words) = (
+                    matches!(op, Op::Bytes { .. }),
+                    matches!(op, Op::Words { .. }),
+                );
+                assert!(!bytes || i < under, "{ast:?}: op {i} {op:?}");
+                assert!(!words || i >= under, "{ast:?}: op {i} {op:?}");
+            }
             if let Some(tail) = &plan.tail {
                 assert_eq!(tail.op + 1 + tail_body(plan.ops[tail.op]), plan.ops.len());
             }
@@ -2445,6 +2481,19 @@ cell {
                 len: Count::Fixed(16)
             })
         ));
+        // Its element's `target_type` is filled a word at a time; the
+        // fixed fields' byte runs, a byte at a time.
+        assert!(matches!(plan.ops.last(), Some(Op::Next)));
+        assert!(matches!(
+            plan.ops[plan.ops.len() - 2],
+            Op::Words {
+                off: 24,
+                len: Count::Fixed(16)
+            }
+        ));
+        assert!(plan.ops[..tail.op]
+            .iter()
+            .any(|op| matches!(op, Op::Bytes { .. })));
     }
 
     #[test]

@@ -294,14 +294,19 @@ fn campaign(
 const TIGHT_FUEL: u64 = 48;
 
 /// `(suite, exec stream, exec stream under TIGHT_FUEL, campaign,
-/// campaign under TIGHT_FUEL)`, recorded on `36ac6d1`.
+/// campaign under TIGHT_FUEL)`, recorded on `36ac6d1`. The dm, mixed
+/// and synth rows were re-recorded once when a byte run under an array
+/// of drawn length came to be drawn a word at a time: their programs
+/// changed, the kernel did not, so they pin the same compiled kernel
+/// under the new inputs. Deep-chain and misnamed hold no such array
+/// and kept their rows.
 const GOLDEN: [(&str, u64, u64, u64, u64); 5] = [
     (
         "dm",
-        0x2236_89af_bcda_7877,
-        0xe7bb_f884_8982_c364,
-        0x66fa_a12f_d0f8_2ecb,
-        0x3e87_9f3b_6db2_9f48,
+        0x4b22_cfca_70e7_a97a,
+        0x4a2e_ad14_798f_3a27,
+        0xaeaa_5318_fdc1_0193,
+        0xb515_a816_989e_3b16,
     ),
     (
         "deep-chain",
@@ -312,17 +317,17 @@ const GOLDEN: [(&str, u64, u64, u64, u64); 5] = [
     ),
     (
         "mixed",
-        0x0377_c98f_d570_40a1,
-        0x316f_c584_8bf6_08f5,
-        0x317e_7961_2f95_8558,
-        0xfef4_21bc_e800_7a92,
+        0x14f0_f202_4947_d55a,
+        0xb407_936b_efff_fae3,
+        0x832f_0170_45f8_c97c,
+        0x45b0_4848_dc21_7426,
     ),
     (
         "synth",
-        0x5766_7cd7_07f3_dc03,
-        0xa5bf_6e98_dbef_92d4,
-        0xc89b_485f_366d_3f76,
-        0x9e04_a2ac_ef89_38ea,
+        0xbc4e_2f55_ab97_3d5d,
+        0x3cda_4b8d_fd4a_5403,
+        0xba05_a7bd_0887_d6cf,
+        0x1514_0434_366b_2ff0,
     ),
     (
         "misnamed",
