@@ -4,9 +4,11 @@
 //! ([`report`]): `tables` writes the KernelGPT paper's evaluation
 //! (`PAPER_tables.json`; EXPERIMENTS.md sets the paper's own numbers
 //! beside it), `fuzz_bench` every campaign route's counts and
-//! invariance flags (`BENCH_baseline.json`).
+//! invariance flags (`BENCH_baseline.json`). [`sampler`] is the
+//! workspace's sampling profiler, attached by a function call.
 
 pub mod report;
+pub mod sampler;
 
 use kgpt_core::{GenerationReport, KernelGpt, Strategy};
 use kgpt_csrc::blueprint::Blueprint;

@@ -490,6 +490,7 @@ impl CampaignSnapshot {
     ///
     /// As [`CampaignSnapshot::load`].
     pub fn load_counting(path: &Path) -> Result<(CampaignSnapshot, u64), CheckpointError> {
+        let _span = stage::span(Stage::Load);
         let (id, base) = read_and_parse(path).or_else(|e| {
             read_and_parse(&sibling(path, "prev")).map_err(|e2| {
                 CheckpointError::new(format!("no intact snapshot: current: {e}; previous: {e2}"))

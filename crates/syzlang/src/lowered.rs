@@ -40,7 +40,12 @@
 //!   tree or as wire bytes — generator, encoder and serialiser share
 //!   one layout table. Which pointees have one is a property of the
 //!   type, decided here, never an option; every other type keeps the
-//!   tree walk.
+//!   tree walk. So is how a plan's byte runs are drawn: those under
+//!   its trailing array — the array itself when its elements are
+//!   bytes, and the byte arrays inside its elements — compile to word
+//!   fills ([`PlanDraws::words`]), as the tree generator draws a byte
+//!   run under an array of drawn length; every other run draws a byte
+//!   at a time ([`PlanDraws::bytes`]).
 //!
 //! The lowering is *behaviour-preserving by construction*: the
 //! [`LoweredEncoder`] mirrors [`crate::value::MemBuilder`] decision

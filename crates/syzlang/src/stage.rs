@@ -97,6 +97,9 @@ stages! {
     Frame = "frame",
     /// A durable boundary written: a journal record or a base.
     Journal = "journal",
+    /// A checkpoint loaded to resume from: its base read and decoded
+    /// and its journal replayed.
+    Load = "load",
     /// A replayed trace's program decoded and held to the suite.
     Decode = "decode",
     /// A replayed trace's recorded stream walked.

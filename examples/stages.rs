@@ -4,12 +4,23 @@
 //! shapes and prints their rows — runs, and ns and allocator events a
 //! run, each row inclusive of the spans nested in it: the campaign of
 //! `deepchain_durable` (a ring of 32, a checkpoint at every boundary),
-//! then `recover_replay`'s read side over what it returned; a round of `specgen_flagship`;
+//! then `recover_replay`'s read side over what it left — 24 resumes of
+//! its last checkpoint (`load` is the file read, decoded and its
+//! journal replayed), then replay and ddmin; a round of `specgen_flagship`;
 //! `fabric_chan`'s coordinator and worker over channels; last the AST
 //! walk against the lowered IR on dm, spans opened here around both.
 //! `cargo run --release --example stages` prints a record for
 //! EXPERIMENTS.md, never a gate: the referees are `benchmark/`'s
 //! workloads and `tests/{alloc_count,trace_alloc}.rs`.
+//!
+//! `cargo run --release --example stages -- sample <shape>` answers
+//! "which function" instead: it runs one benchmark shape — `dm_seq`
+//! (2 000 sequential dm campaigns of 250 execs) or `deepchain_sharded`
+//! (40 deep-chain campaigns of 50 000 execs, 8 shards on one thread,
+//! epochs of 128) — under `kgpt_bench::sampler` and prints one row per
+//! function, self % and % inclusive over the inline chain, after the
+//! sampler's own overhead: the shape's best of two runs without it
+//! against its best of two with it, in process CPU time.
 
 use kernelgpt::core::KernelGpt;
 use kernelgpt::csrc::{deepchain, flagship, KernelCorpus};
@@ -19,12 +30,13 @@ use kernelgpt::fabric::{
 };
 use kernelgpt::fuzzer::{
     ast_execute_with, cfg_successors, execute_with, minimize_program, replay_trace, AstGenerator,
-    AstScratch, CampaignConfig, ExecScratch, Generator, ShardedCampaign, TraceStore,
+    AstScratch, Campaign, CampaignConfig, ExecScratch, Generator, ShardedCampaign, TraceStore,
 };
 use kernelgpt::llm::{ModelKind, OracleModel};
 use kernelgpt::syzlang::stage::{self, Stage};
 use kernelgpt::syzlang::SpecCache;
 use kernelgpt::vkernel::VKernel;
+use kgpt_bench::sampler::{self, Sampler};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -71,6 +83,98 @@ fn show(title: &str) {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => stage_tables(),
+        ["sample", shape] => sample(shape),
+        _ => {
+            eprintln!("usage: stages [sample dm_seq|deepchain_sharded]");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Run benchmark shape `name` under the sampler and print where its
+/// samples land.
+fn sample(name: &str) {
+    let run: Box<dyn Fn()> = match name {
+        "dm_seq" => {
+            let kc = KernelCorpus::from_blueprints(vec![flagship::dm()]);
+            let suite = kc.ground_truth_suite();
+            let kernel = VKernel::boot(vec![flagship::dm()]);
+            Box::new(move || {
+                for seed in 0..2_000 {
+                    let config = CampaignConfig {
+                        execs: 250,
+                        seed,
+                        ..CampaignConfig::default()
+                    };
+                    std::hint::black_box(Campaign::new(&kernel, &suite, kc.consts(), config).run());
+                }
+            })
+        }
+        "deepchain_sharded" => {
+            let kc = KernelCorpus::from_blueprints(deepchain::suite());
+            let suite = kc.ground_truth_suite();
+            let kernel = VKernel::boot(deepchain::suite());
+            Box::new(move || {
+                for seed in 0..40 {
+                    let config = CampaignConfig {
+                        execs: 50_000,
+                        seed,
+                        max_prog_len: 12,
+                        hub_epoch: 128,
+                        trace_ring: 0,
+                        ..CampaignConfig::default()
+                    };
+                    let campaign = ShardedCampaign::new(&kernel, &suite, kc.consts(), config);
+                    std::hint::black_box(campaign.with_shards(8).with_threads(1).run());
+                }
+            })
+        }
+        _ => {
+            eprintln!("no shape {name:?}: dm_seq or deepchain_sharded");
+            std::process::exit(2);
+        }
+    };
+    let timed = |sampled: bool| {
+        let sampler = sampled.then(|| Sampler::start(Duration::from_millis(1), 1 << 20));
+        let t = sampler::cpu_time().expect("a CPU clock");
+        run();
+        let secs = (sampler::cpu_time().expect("a CPU clock") - t).as_secs_f64();
+        (secs, sampler.map(|s| s.expect("a sampler").stop()))
+    };
+    let best = |a: f64, b: f64| a.min(b);
+    let (bare_a, _) = timed(false);
+    let (with_a, _) = timed(true);
+    let (bare_b, _) = timed(false);
+    let (with_b, profile) = timed(true);
+    let profile = profile.expect("sampled");
+    let (bare, with) = (best(bare_a, bare_b), best(with_a, with_b));
+    let n = profile.samples();
+    println!(
+        "{name} under the sampler: {n} samples at 1 ms of CPU ({} dropped)",
+        profile.dropped
+    );
+    println!(
+        "  CPU w/o sampler {bare:.2} s, w/ sampler {with:.2} s: overhead {:+.1} %",
+        100.0 * (with / bare - 1.0)
+    );
+    println!("  {:<60} {:>7} {:>7}", "function", "self %", "incl %");
+    let pct = |k: usize| 100.0 * k as f64 / n.max(1) as f64;
+    for row in profile.rows().expect("symbolised").iter().take(40) {
+        let mut function = row.function.clone();
+        if function.len() > 60 {
+            function.truncate(function.floor_char_boundary(59));
+            function.push('…');
+        }
+        let (own, incl) = (pct(row.self_samples), pct(row.inclusive_samples));
+        println!("  {function:<60} {own:>7.1} {incl:>7.1}");
+    }
+}
+
+/// The stage tables of every benchmark shape.
+fn stage_tables() {
     let kc = KernelCorpus::from_blueprints(deepchain::suite());
     let suite = kc.ground_truth_suite();
     let kernel = VKernel::boot(deepchain::suite());
@@ -87,10 +191,21 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("kgpt-stages-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("a scratch directory");
     stage::attach(Some(events));
-    let campaign = ShardedCampaign::new(&kernel, &suite, kc.consts(), config(32));
-    let campaign = campaign.with_shards(8).with_threads(1);
-    let (result, stores) = campaign.with_checkpoint(dir.join("c.ckpt")).run_traced();
+    let campaign = || {
+        let campaign = ShardedCampaign::new(&kernel, &suite, kc.consts(), config(32));
+        campaign.with_shards(8).with_threads(1)
+    };
+    let checkpoint = dir.join("c.ckpt");
+    let (result, stores) = campaign().with_checkpoint(&checkpoint).run_traced();
     show("deep-chain, durable: 8 shards, ring 32");
+    let resuming = campaign();
+    for _ in 0..24 {
+        let (resumed, _) = resuming
+            .resume_traced(&checkpoint)
+            .expect("an intact checkpoint");
+        assert_eq!(resumed, result, "a resume diverged");
+    }
+    show("its resumes: 24 of the last checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = cfg_successors(&kernel);
     let mut scratch = ExecScratch::from_lowered(Arc::clone(&lowered));
