@@ -16,7 +16,7 @@
 //! `cargo run --release --example stages -- sample <shape>` answers
 //! "which function" instead: it runs one benchmark shape — `dm_seq`
 //! (2 000 sequential dm campaigns of 250 execs) or `deepchain_sharded`
-//! (40 deep-chain campaigns of 50 000 execs, 8 shards on one thread,
+//! (150 deep-chain campaigns of 50 000 execs, 8 shards on one thread,
 //! epochs of 128) — under `kgpt_bench::sampler` and prints one row per
 //! function, self % and % inclusive over the inline chain, after the
 //! sampler's own overhead: the shape's best of two runs without it
@@ -118,7 +118,7 @@ fn sample(name: &str) {
             let suite = kc.ground_truth_suite();
             let kernel = VKernel::boot(deepchain::suite());
             Box::new(move || {
-                for seed in 0..40 {
+                for seed in 0..150 {
                     let config = CampaignConfig {
                         execs: 50_000,
                         seed,
@@ -144,13 +144,14 @@ fn sample(name: &str) {
         let secs = (sampler::cpu_time().expect("a CPU clock") - t).as_secs_f64();
         (secs, sampler.map(|s| s.expect("a sampler").stop()))
     };
-    let best = |a: f64, b: f64| a.min(b);
+    // Without, with, with, without: a drift over the four runs (a
+    // warming cache, a neighbour's load) weighs on both sides alike.
     let (bare_a, _) = timed(false);
     let (with_a, _) = timed(true);
-    let (bare_b, _) = timed(false);
     let (with_b, profile) = timed(true);
+    let (bare_b, _) = timed(false);
     let profile = profile.expect("sampled");
-    let (bare, with) = (best(bare_a, bare_b), best(with_a, with_b));
+    let (bare, with) = (bare_a.min(bare_b), with_a.min(with_b));
     let n = profile.samples();
     println!(
         "{name} under the sampler: {n} samples at 1 ms of CPU ({} dropped)",
