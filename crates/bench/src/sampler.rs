@@ -8,11 +8,11 @@
 //! up front — an atomic increment and a store, no allocation, no lock,
 //! nothing that is not async-signal-safe. [`Sampler::stop`] disarms the
 //! timer and hands back the PCs; [`Profile::rows`] symbolises them
-//! through `/usr/bin/addr2line -f -i -C`, the inline chain included, so
-//! a row is a function with its **self** share (the innermost frame of
-//! a sample) and its **inclusive** share (any frame of the sample's
-//! inline chain). PCs outside the executable are charged to the object
-//! they fall in (`[libc.so.6]`).
+//! through binutils' `addr2line -f -i -C` (found on `PATH`), the
+//! inline chain included, so a row is a function with its **self**
+//! share (the innermost frame of a sample) and its **inclusive** share
+//! (any frame of the sample's inline chain). PCs outside the
+//! executable are charged to the object they fall in (`[libc.so.6]`).
 //!
 //! Only a function call attaches it: no option, variable or feature
 //! does, and a binary that never calls [`Sampler::start`] installs no
@@ -23,6 +23,12 @@ use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::time::Duration;
+
+/// CPU time between samples. On a single-threaded run the timer fires
+/// no faster than the kernel's tick.
+pub const PERIOD: Duration = Duration::from_millis(1);
+/// Samples a sampler keeps; later ones are counted as dropped.
+pub const CAPACITY: usize = 1 << 20;
 
 /// The ring the handler stores into: null while no sampler runs.
 static RING: AtomicPtr<AtomicUsize> = AtomicPtr::new(std::ptr::null_mut());
@@ -70,21 +76,21 @@ pub struct Row {
 }
 
 impl Sampler {
-    /// Start sampling every `period` of CPU time the process uses,
-    /// keeping at most `capacity` samples.
+    /// Start sampling every [`PERIOD`] of CPU time the process uses,
+    /// keeping at most [`CAPACITY`] samples.
     ///
     /// # Errors
     ///
     /// When another sampler runs, on a target it cannot sample, or
     /// when the timer or the handler cannot be installed.
-    pub fn start(period: Duration, capacity: usize) -> Result<Sampler, String> {
+    pub fn start() -> Result<Sampler, String> {
         if !sys::SUPPORTED {
             return Err("the sampler reads x86-64 Linux signal contexts only".into());
         }
         if ACTIVE.swap(true, Ordering::SeqCst) {
             return Err("a sampler is already running".into());
         }
-        let ring: Box<[AtomicUsize]> = (0..capacity.max(1)).map(|_| AtomicUsize::new(0)).collect();
+        let ring: Box<[AtomicUsize]> = (0..CAPACITY).map(|_| AtomicUsize::new(0)).collect();
         CAP.store(ring.len(), Ordering::SeqCst);
         TAKEN.store(0, Ordering::SeqCst);
         RING.store(ring.as_ptr().cast_mut(), Ordering::SeqCst);
@@ -101,7 +107,7 @@ impl Sampler {
             old,
             stopped: false,
         };
-        sys::arm(period)?;
+        sys::arm(PERIOD)?;
         Ok(sampler)
     }
 
@@ -284,7 +290,7 @@ fn symbolise(exe: &str, chains: &mut BTreeMap<usize, Vec<String>>) -> Result<(),
         return Ok(());
     }
     let addrs: Vec<String> = chains.keys().map(|a| format!("{a:#x}")).collect();
-    let out = Command::new("/usr/bin/addr2line")
+    let out = Command::new("addr2line")
         .args(["-a", "-f", "-i", "-C", "-e", exe])
         .args(&addrs)
         .output()
@@ -499,14 +505,15 @@ mod tests {
         if !sys::SUPPORTED {
             return;
         }
-        let sampler = Sampler::start(Duration::from_millis(1), 10_000).expect("armed");
-        assert!(Sampler::start(Duration::from_millis(1), 1).is_err());
+        let sampler = Sampler::start().expect("armed");
+        assert!(Sampler::start().is_err());
         let started = std::time::Instant::now();
         while started.elapsed() < Duration::from_millis(300) {
             std::hint::black_box(spin(100_000));
         }
         let profile = sampler.stop();
         assert!(profile.samples() >= 10, "{} samples", profile.samples());
+        assert!(profile.samples() <= CAPACITY);
         assert_eq!(profile.dropped, 0);
         let rows = profile.rows().expect("symbolised");
         let spun: usize = rows
@@ -524,9 +531,8 @@ mod tests {
         for r in &rows {
             assert!(r.self_samples <= r.inclusive_samples, "{r:?}");
         }
-        // Stopped: a new sampler may start, and nothing more is taken.
-        let again = Sampler::start(Duration::from_millis(1), 4).expect("re-armed");
-        let profile = again.stop();
-        assert!(profile.samples() <= 4);
+        // Stopped: a new sampler may start.
+        let again = Sampler::start().expect("re-armed");
+        assert!(again.stop().samples() <= CAPACITY);
     }
 }

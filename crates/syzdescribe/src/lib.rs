@@ -46,20 +46,6 @@ pub struct StaticOutcome {
     pub errors: Vec<String>,
 }
 
-impl StaticOutcome {
-    /// Syscalls described.
-    #[must_use]
-    pub fn syscall_count(&self) -> usize {
-        self.spec.as_ref().map_or(0, |s| s.syscalls().count())
-    }
-
-    /// Types described.
-    #[must_use]
-    pub fn type_count(&self) -> usize {
-        self.spec.as_ref().map_or(0, |s| s.structs().count())
-    }
-}
-
 /// Run SyzDescribe over a set of handlers and validate the merged
 /// output. The rules are deterministic, so merged validation compiles
 /// through the global [`syz::SpecCache`] — sweeps that re-describe

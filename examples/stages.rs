@@ -94,6 +94,19 @@ fn main() {
     }
 }
 
+/// The benchmark's deep-chain campaign: 50 000 execs of programs up to
+/// 12 calls long, epochs of 128, a flight-recorder ring of `trace_ring`.
+fn deepchain_config(seed: u64, trace_ring: usize) -> CampaignConfig {
+    CampaignConfig {
+        execs: 50_000,
+        seed,
+        max_prog_len: 12,
+        hub_epoch: 128,
+        trace_ring,
+        ..CampaignConfig::default()
+    }
+}
+
 /// Run benchmark shape `name` under the sampler and print where its
 /// samples land.
 fn sample(name: &str) {
@@ -119,14 +132,7 @@ fn sample(name: &str) {
             let kernel = VKernel::boot(deepchain::suite());
             Box::new(move || {
                 for seed in 0..150 {
-                    let config = CampaignConfig {
-                        execs: 50_000,
-                        seed,
-                        max_prog_len: 12,
-                        hub_epoch: 128,
-                        trace_ring: 0,
-                        ..CampaignConfig::default()
-                    };
+                    let config = deepchain_config(seed, 0);
                     let campaign = ShardedCampaign::new(&kernel, &suite, kc.consts(), config);
                     std::hint::black_box(campaign.with_shards(8).with_threads(1).run());
                 }
@@ -138,7 +144,7 @@ fn sample(name: &str) {
         }
     };
     let timed = |sampled: bool| {
-        let sampler = sampled.then(|| Sampler::start(Duration::from_millis(1), 1 << 20));
+        let sampler = sampled.then(Sampler::start);
         let t = sampler::cpu_time().expect("a CPU clock");
         run();
         let secs = (sampler::cpu_time().expect("a CPU clock") - t).as_secs_f64();
@@ -154,7 +160,8 @@ fn sample(name: &str) {
     let (bare, with) = (bare_a.min(bare_b), with_a.min(with_b));
     let n = profile.samples();
     println!(
-        "{name} under the sampler: {n} samples at 1 ms of CPU ({} dropped)",
+        "{name} under the sampler: {n} samples at {} ms of CPU ({} dropped)",
+        sampler::PERIOD.as_millis(),
         profile.dropped
     );
     println!(
@@ -181,19 +188,11 @@ fn stage_tables() {
     let kernel = VKernel::boot(deepchain::suite());
     let (db, lowered) = SpecCache::global().get_or_build_lowered(&suite, kc.consts());
     let spec_fp = SpecCache::fingerprint(db.files());
-    let config = |trace_ring| CampaignConfig {
-        execs: 50_000,
-        seed: 7,
-        max_prog_len: 12,
-        hub_epoch: 128,
-        trace_ring,
-        ..CampaignConfig::default()
-    };
     let dir = std::env::temp_dir().join(format!("kgpt-stages-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("a scratch directory");
     stage::attach(Some(events));
     let campaign = || {
-        let campaign = ShardedCampaign::new(&kernel, &suite, kc.consts(), config(32));
+        let campaign = ShardedCampaign::new(&kernel, &suite, kc.consts(), deepchain_config(7, 32));
         campaign.with_shards(8).with_threads(1)
     };
     let checkpoint = dir.join("c.ckpt");
@@ -240,7 +239,7 @@ fn stage_tables() {
         };
         let mut opts = CoordinatorOpts::default();
         (opts.workers, opts.lease_timeout, opts.spec_fp) = (1, Duration::from_secs(60), spec_fp);
-        assert!(Coordinator::new(config(0), opts).run(&mut accept).is_ok());
+        assert!(Coordinator::new(deepchain_config(7, 0), opts).run(&mut accept).is_ok());
     });
     show("fabric: coordinator and worker");
     let dm = KernelCorpus::from_blueprints(vec![flagship::dm()]);
